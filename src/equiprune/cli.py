@@ -72,7 +72,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--norm", choices=("l0", "l1"), default="l0")
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="pruned model JSON to write")
     p.add_argument("--report", default=None, help="run-report JSON to write")
     p.set_defaults(func=cmd_prune)
@@ -115,7 +114,7 @@ def cmd_prune(args) -> int:
     dataset = load_dataset(args.data, ensemble.schema,
                            num_classes=ensemble.num_classes)
     options = PruneOptions(norm=args.norm, epsilon=args.epsilon,
-                           max_iterations=args.max_iters, seed=args.seed)
+                           max_iterations=args.max_iters)
     outcome = certified_prune(ensemble, dataset.X, options)
     pruned = Ensemble(schema=ensemble.schema, trees=ensemble.trees,
                       alpha=tuple(float(w) for w in outcome.weights),

@@ -41,7 +41,6 @@ class PruneOptions:
     epsilon: float = DEFAULT_EPSILON   # oracle margin precision
     violation_tol: float = VIOLATION_TOL
     max_iterations: int = 1000
-    seed: int = 0                      # recorded; the loop itself is deterministic
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):

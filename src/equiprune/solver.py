@@ -1,14 +1,25 @@
 """Self-contained linear and mixed-integer linear programming.
 
-LPs are solved by a bounded-variable primal simplex on the full
-tableau: two phases, an artificial-variable identity start, Dantzig
-pricing with a Bland fallback after degenerate stalls, and a
-bounded-variable ratio test with bound flips.  The reduced-cost row is
-maintained incrementally and recomputed exactly from the original data
-at regular intervals and before any claim of optimality; the returned
-basic solution is always re-derived with a dense factorization of the
-original basis columns and checked for feasibility and optimality
-independently of the (possibly drifted) tableau.
+LPs are solved by a bounded-variable simplex on the full tableau.  A
+cold solve runs two primal phases from an artificial-variable identity
+basis, with Dantzig pricing, a Bland fallback after degenerate stalls,
+and a bounded-variable ratio test with bound flips.  A warm solve starts
+from a given basis -- in branch and bound, the optimal basis of the node
+that spawned the LP.  It refactors the tableau once from the original
+data, repairs the basics that the changed bounds push out of range with
+a bounded dual simplex, and finishes with the primal loop.
+
+The reduced-cost row is maintained incrementally and recomputed exactly
+from the original data at regular intervals and before any claim of
+optimality; a returned optimum is always re-derived with a dense
+factorization of the original basis columns and checked for
+feasibility and optimality independently of the (possibly drifted)
+tableau.  A warm solve reports infeasibility only when a Farkas row,
+recomputed from the original data, shows that no point inside the
+bounds satisfies the rows.  Anything else that goes wrong on the warm
+path -- a singular or dual infeasible start, the iteration cap, a
+failed check, an unconfirmed Farkas row -- sends the LP to a cold
+solve.
 
 Integer restrictions are handled by best-bound branch and bound on the
 LP relaxation with most-fractional branching.  No external solver is
@@ -80,12 +91,23 @@ class MilpProblem:
         return self.b.shape[0]
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A simplex basis over the solver's columns (the variables, then
+    one slack and one artificial per row): the basic column of each row
+    and every column's status (at lower, at upper, basic or free)."""
+
+    basic: np.ndarray           # int, one per row
+    status: np.ndarray          # int8, one per column
+
+
 @dataclass
 class LpSolution:
     status: SolveStatus
     x: np.ndarray | None
     objective: float | None
     iterations: int
+    basis: Basis | None = None  # the optimal basis, when OPTIMAL
 
 
 @dataclass
@@ -162,20 +184,39 @@ class ProblemBuilder:
 
 
 # ---------------------------------------------------------------------------
-# Bounded-variable primal simplex (full tableau, two phases)
+# Bounded-variable simplex (full tableau): cold two-phase primal, warm
+# bounded dual followed by primal
 
 _AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
+
+# Ratio-test tie window: steps within this of the shortest count as tied,
+# and the tie is broken by the largest pivot magnitude.
+_RATIO_TIE = 1e-9
+# A step no longer than this is degenerate; more than ``bland_after`` of
+# them in a row switch to Bland's rule so that the loop cannot cycle.
+_DEGENERATE_STEP = 1e-12
+# A feasible problem drives the phase-1 artificial sum to roundoff level
+# (~1e-13 at these scales); a leftover above this fraction of tol_feas
+# (times 1 + max|b|) is a genuinely empty feasible region, even when it
+# would pass the looser per-row tolerance applied to returned solutions.
+_PHASE1_EMPTY = 1e-2
 
 
 class _Simplex:
     """One LP solve.  Works on min c'x with the problem's rows turned
     into equalities via one slack per row ('<=' slack in [0, inf),
     '>=' slack in (-inf, 0], '==' slack fixed at 0) and one artificial
-    per row for the phase-1 start."""
+    per row.  Without ``start`` the artificials form the phase-1
+    identity basis.  With ``start`` they are fixed at zero, the tableau
+    is refactored at that basis for the objective c, and every nonbasic
+    column rests at the bound its status names; a boxed column whose
+    reduced cost has the wrong sign for that bound rests at the other
+    one, so only columns with an infinite bound can leave the start
+    dual infeasible."""
 
     def __init__(self, c: np.ndarray, A: np.ndarray, b: np.ndarray,
                  senses: np.ndarray, lo: np.ndarray, up: np.ndarray,
-                 opts: SolverOptions):
+                 opts: SolverOptions, start: Basis | None = None):
         m, n = A.shape
         self.m, self.n = m, n
         self.opts = opts
@@ -188,22 +229,54 @@ class _Simplex:
                        np.where(np.isfinite(up_ext), up_ext, 0.0))
         stat = np.where(np.isfinite(lo_ext), _AT_LOWER,
                         np.where(np.isfinite(up_ext), _AT_UPPER, _FREE))
-        residual = b - np.hstack([A, np.eye(m)]) @ val
-        sigma = np.where(residual >= 0, 1.0, -1.0)
+        if start is None:
+            residual = b - np.hstack([A, np.eye(m)]) @ val
+            sigma = np.where(residual >= 0, 1.0, -1.0)
+        else:
+            sigma = np.ones(m)
+        self.sigma = sigma
         self.A_all = np.hstack([A, np.eye(m), np.diag(sigma)])
         self.N = n + 2 * m
         self.lo = np.concatenate([lo_ext, np.zeros(m)])
-        self.up = np.concatenate([up_ext, np.full(m, np.inf)])
+        self.up = np.concatenate([up_ext, np.full(m, np.inf if start is None
+                                                  else 0.0)])
         self.b = b
-        self.basis = np.arange(n + m, n + 2 * m)
         self.stat = np.concatenate([stat, np.full(m, _AT_LOWER)])
-        self.stat[self.basis] = _BASIC
         self.val = np.concatenate([val, np.zeros(m)])
-        self.T = sigma[:, None] * self.A_all  # B^{-1} A with B = diag(sigma)
-        self.xB = sigma * residual
-        self.cc = np.zeros(self.N)           # current phase objective
-        self.d = np.zeros(self.N)
         self.iterations = 0
+        if start is None:
+            self.basis = np.arange(n + m, n + 2 * m)
+            self.stat[self.basis] = _BASIC
+            self.T = sigma[:, None] * self.A_all  # B^{-1} A, B = diag(sigma)
+            self.xB = sigma * residual
+            self.cc = np.zeros(self.N)           # current phase objective
+            self.d = np.zeros(self.N)
+        else:
+            self.basis = start.basic.astype(np.intp)
+            self.cc = np.concatenate([c, np.zeros(2 * m)])
+            self._refactor(full_tableau=True)    # reduced costs at start
+            self._rest_nonbasics(start.status)
+
+    def _rest_nonbasics(self, status: np.ndarray) -> None:
+        """Place the nonbasics as the class docstring says and move the
+        basics with them."""
+        lo, up = self.lo, self.up
+        boxed = np.isfinite(lo) & np.isfinite(up)
+        tol = self.opts.tol_cost
+        at_up = np.where(boxed & (self.d < -tol), True,
+                         np.where(boxed & (self.d > tol), False,
+                                  status == _AT_UPPER))
+        stat = np.where(at_up & np.isfinite(up), _AT_UPPER,
+                        np.where(np.isfinite(lo), _AT_LOWER,
+                                 np.where(np.isfinite(up), _AT_UPPER, _FREE)))
+        stat[self.basis] = _BASIC
+        self.stat = stat
+        val = np.where(stat == _AT_UPPER, up,
+                       np.where(stat == _AT_LOWER, lo, 0.0))
+        moved = val - self.val
+        moved[self.basis] = 0.0
+        self.xB -= self.T @ moved               # basics follow the rests
+        self.val = val
 
     # -- exact recomputation from original data ---------------------------
 
@@ -211,13 +284,28 @@ class _Simplex:
         return self.A_all[:, self.basis]
 
     def _refactor(self, full_tableau: bool = False) -> None:
+        """Recompute the basic values and the reduced costs, and with
+        ``full_tableau`` the tableau B^{-1} A_all, from the original
+        data."""
         B = self._basis_matrix()
+        x_nb = self.val.copy()
+        x_nb[self.basis] = 0.0
+        rhs = self.b - self.A_all @ x_nb
+        k = self.n + self.m
         try:
             if full_tableau:
-                self.T = np.linalg.solve(B, self.A_all)
-            x_nb = self.val.copy()
-            x_nb[self.basis] = 0.0
-            self.xB = np.linalg.solve(B, self.b - self.A_all @ x_nb)
+                # B^{-1} [A I] in one solve; the slack block is B^{-1}
+                # itself and the artificial block B^{-1} diag(sigma) a
+                # rescaled copy of it
+                self.T = None                   # free the old tableau first
+                T = np.empty((self.m, self.N))
+                T[:, :k] = np.linalg.solve(B, self.A_all[:, :k])
+                np.multiply(T[:, self.n:k], self.sigma, out=T[:, k:])
+                self.T = T
+                self.xB = T[:, self.n:k] @ rhs
+                self.d = self.cc - self.cc[self.basis] @ T
+                return
+            self.xB = np.linalg.solve(B, rhs)
             y = np.linalg.solve(B.T, self.cc[self.basis])
         except np.linalg.LinAlgError as exc:
             raise SolverFailureError(f"singular simplex basis: {exc}") from exc
@@ -231,7 +319,7 @@ class _Simplex:
     def objective(self) -> float:
         return float(self.cc @ self.assemble())
 
-    # -- pivoting loop -----------------------------------------------------
+    # -- pivoting loops ----------------------------------------------------
 
     def _candidates(self, tol: float) -> np.ndarray:
         movable = (self.up - self.lo) > 0
@@ -240,8 +328,29 @@ class _Simplex:
                           | ((stat == _AT_UPPER) & (d > tol))
                           | ((stat == _FREE) & (np.abs(d) > tol)))
 
+    def _exchange(self, r: int, j: int, col: np.ndarray, enter_value: float,
+                  leave_at_upper: bool) -> None:
+        """Column j, whose tableau column before the pivot is ``col``,
+        replaces the basic of row r, which leaves at one of its bounds;
+        rank-1 update of the tableau and the reduced costs."""
+        leaving = int(self.basis[r])
+        if leave_at_upper:
+            self.stat[leaving] = _AT_UPPER
+            self.val[leaving] = self.up[leaving]
+        else:
+            self.stat[leaving] = _AT_LOWER
+            self.val[leaving] = self.lo[leaving]
+        self.basis[r] = j
+        self.stat[j] = _BASIC
+        self.xB[r] = enter_value
+        self.T[r] /= col[r]
+        colc = col.copy()
+        colc[r] = 0.0
+        self.T -= colc[:, None] * self.T[r]
+        self.d -= self.d[j] * self.T[r]
+
     def iterate(self, budget: int) -> SolveStatus:
-        """Pivot until optimal/unbounded or the budget runs out."""
+        """Primal pivots until optimal/unbounded or the budget runs out."""
         opts = self.opts
         since_refactor = 0
         stall = 0
@@ -294,33 +403,90 @@ class _Simplex:
                 self.val[j] = self.up[j] if direction > 0 else self.lo[j]
                 step = t_flip
             else:
-                near = t_rows <= t_row + 1e-9
-                rows = np.nonzero(near)[0]
+                rows = np.nonzero(t_rows <= t_row + _RATIO_TIE)[0]
                 if bland:
                     r = int(rows[np.argmin(self.basis[rows])])
                 else:
                     r = int(rows[np.argmax(np.abs(delta[rows]))])
-                leaving = int(self.basis[r])
                 enter_value = self.val[j] + direction * t_row
                 self.xB -= direction * t_row * col
-                if delta[r] > 0:
-                    self.stat[leaving] = _AT_LOWER
-                    self.val[leaving] = self.lo[leaving]
-                else:
-                    self.stat[leaving] = _AT_UPPER
-                    self.val[leaving] = self.up[leaving]
-                self.basis[r] = j
-                self.stat[j] = _BASIC
-                self.xB[r] = enter_value
-                piv = col[r]
-                self.T[r] /= piv
-                colc = col.copy()
-                colc[r] = 0.0
-                self.T -= colc[:, None] * self.T[r]
-                self.d -= self.d[j] * self.T[r]
+                self._exchange(r, j, col, enter_value,
+                               leave_at_upper=not delta[r] > 0)
                 step = t_row
 
-            if step <= 1e-12:
+            if step <= _DEGENERATE_STEP:
+                stall += 1
+                if stall > opts.bland_after:
+                    bland = True
+            else:
+                stall = 0
+                bland = False
+            if since_refactor >= opts.refactor_every:
+                self._refactor()
+                since_refactor = 0
+
+    def dual_iterate(self, budget: int) -> tuple[SolveStatus, int]:
+        """Bounded dual simplex from a dual feasible basis.  Returns
+        (OPTIMAL, -1) once every basic lies within its bounds, leaving
+        any reduced cost that drifted past tolerance to ``iterate``;
+        (INFEASIBLE, r) when the basic of row r is out of bounds and no
+        nonbasic column can move it back; or (ITERATION_LIMIT, -1)."""
+        opts = self.opts
+        movable = (self.up - self.lo) > 0   # fixed columns never enter
+        since_refactor = 0
+        stall = 0
+        bland = False
+        while True:
+            if self.iterations >= budget:
+                return SolveStatus.ITERATION_LIMIT, -1
+            lo_B = self.lo[self.basis]
+            up_B = self.up[self.basis]
+            below = lo_B - self.xB
+            infeas = np.maximum(below, self.xB - up_B)
+            rows = np.nonzero(infeas > opts.tol_feas)[0]
+            if rows.size == 0:
+                if since_refactor == 0:
+                    return SolveStatus.OPTIMAL, -1
+                self._refactor()        # confirm against original data
+                since_refactor = 0
+                continue
+            if bland:
+                r = int(rows[np.argmin(self.basis[rows])])
+            else:
+                r = int(rows[np.argmax(infeas[rows])])
+            to_lower = below[r] > 0
+            # x_B[r] moves by -T[r, j] per unit step of column j; alpha
+            # is signed so that a helpful step has alpha_j * dx_j < 0
+            alpha = self.T[r] if to_lower else -self.T[r]
+            stat = self.stat
+            tol = opts.tol_pivot
+            eligible = movable & (((stat == _AT_LOWER) & (alpha < -tol))
+                                  | ((stat == _AT_UPPER) & (alpha > tol))
+                                  | ((stat == _FREE) & (np.abs(alpha) > tol)))
+            idx = np.nonzero(eligible)[0]
+            if idx.size == 0:
+                return SolveStatus.INFEASIBLE, r
+            d = self.d[idx]
+            slack = np.where(stat[idx] == _AT_LOWER, d,
+                             np.where(stat[idx] == _AT_UPPER, -d, np.abs(d)))
+            ratios = np.maximum(slack, 0.0) / np.abs(alpha[idx])
+            t = float(ratios.min())
+            tied = idx[ratios <= t + _RATIO_TIE]
+            if bland:
+                q = int(tied[0])
+            else:
+                q = int(tied[np.argmax(np.abs(alpha[tied]))])
+
+            col = self.T[:, q].copy()
+            target = lo_B[r] if to_lower else up_B[r]
+            theta = (self.xB[r] - target) / col[r]
+            enter_value = self.val[q] + theta
+            self.xB -= theta * col
+            self._exchange(r, q, col, enter_value, leave_at_upper=not to_lower)
+            self.iterations += 1
+            since_refactor += 1
+
+            if t <= _DEGENERATE_STEP:
                 stall += 1
                 if stall > opts.bland_after:
                     bland = True
@@ -335,6 +501,7 @@ class _Simplex:
 def _simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray,
                    senses: np.ndarray, lo: np.ndarray, up: np.ndarray,
                    opts: SolverOptions) -> LpSolution:
+    """Cold solve: phase 1 from the artificial identity, then phase 2."""
     if np.any(lo > up):
         return LpSolution(SolveStatus.INFEASIBLE, None, None, 0)
     sx = _Simplex(c, A, b, senses, lo, up, opts)
@@ -349,11 +516,8 @@ def _simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray,
         return LpSolution(status, None, None, sx.iterations)
     if status == SolveStatus.UNBOUNDED:
         raise SolverFailureError("phase-1 objective cannot be unbounded")
-    # A feasible problem drives the artificial sum to roundoff level
-    # (~1e-13 at these scales); a leftover orders of magnitude above
-    # that is a genuinely empty feasible region, even when it would
-    # pass the looser per-row tolerance applied to returned solutions.
-    if sx.objective() > 1e-2 * opts.tol_feas * (1.0 + np.abs(b).max(initial=0.0)):
+    if sx.objective() > (_PHASE1_EMPTY * opts.tol_feas
+                         * (1.0 + np.abs(b).max(initial=0.0))):
         return LpSolution(SolveStatus.INFEASIBLE, None, None, sx.iterations)
 
     # phase 2: clamp artificials to zero and minimize the real objective
@@ -368,25 +532,92 @@ def _simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray,
             x = sx.assemble()[:n] if status == SolveStatus.ITERATION_LIMIT else None
             obj = float(c @ x) if x is not None else None
             return LpSolution(status, x, obj, sx.iterations)
-        # independent check of the claimed optimum from original data
-        sx._refactor()
-        lo_B = sx.lo[sx.basis]
-        up_B = sx.up[sx.basis]
-        scale = 1.0 + np.abs(sx.b).max(initial=0.0)
-        feas = (np.all(sx.xB >= lo_B - opts.tol_feas * scale)
-                and np.all(sx.xB <= up_B + opts.tol_feas * scale))
-        opt = not _verified_candidates(sx, opts).any()
-        if feas and opt:
-            x = sx.assemble()[:n]
-            return LpSolution(SolveStatus.OPTIMAL, x, float(c @ x),
-                              sx.iterations)
+        if _verified_optimum(sx, opts):
+            return _optimal(sx, c)
         sx._refactor(full_tableau=True)
     raise SolverFailureError("simplex solution failed numerical verification")
+
+
+def _warm_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray,
+                senses: np.ndarray, lo: np.ndarray, up: np.ndarray,
+                start: Basis, opts: SolverOptions) -> LpSolution:
+    """Re-solve from ``start``, an optimal basis of the same rows and
+    objective under other bounds: bounded dual simplex to primal
+    feasibility, then primal simplex, then the same independent check
+    as a cold solve.  INFEASIBLE is reported only when a Farkas row
+    confirms it; every other failure falls back to ``_simplex_solve``,
+    whose pivots are added to the warm attempt's."""
+    if np.any(lo > up):
+        return LpSolution(SolveStatus.INFEASIBLE, None, None, 0)
+    sx = None
+    try:
+        sx = _Simplex(c, A, b, senses, lo, up, opts, start=start)
+        if not _verified_candidates(sx, opts).any():
+            status, r = sx.dual_iterate(opts.max_iterations)
+            if status == SolveStatus.INFEASIBLE and _farkas_confirms(sx, r,
+                                                                     opts):
+                return LpSolution(SolveStatus.INFEASIBLE, None, None,
+                                  sx.iterations)
+            if (status == SolveStatus.OPTIMAL
+                    and sx.iterate(opts.max_iterations) == SolveStatus.OPTIMAL
+                    and _verified_optimum(sx, opts)):
+                return _optimal(sx, c)
+    except SolverFailureError:          # singular basis
+        pass
+    sol = _simplex_solve(c, A, b, senses, lo, up, opts)
+    if sx is not None:
+        sol.iterations += sx.iterations
+    return sol
+
+
+def _optimal(sx: _Simplex, c: np.ndarray) -> LpSolution:
+    x = sx.assemble()[:sx.n]
+    return LpSolution(SolveStatus.OPTIMAL, x, float(c @ x), sx.iterations,
+                      Basis(sx.basis.copy(), sx.stat.astype(np.int8)))
 
 
 def _verified_candidates(sx: _Simplex, opts: SolverOptions) -> np.ndarray:
     tol = 10 * opts.tol_cost * (1.0 + np.abs(sx.cc).max(initial=0.0))
     return sx._candidates(tol)
+
+
+def _verified_optimum(sx: _Simplex, opts: SolverOptions) -> bool:
+    """Independent check of a claimed optimum: re-derive the basic
+    solution and reduced costs from the original data, then test the
+    bounds of every basic and the sign of every reduced cost."""
+    sx._refactor()
+    lo_B = sx.lo[sx.basis]
+    up_B = sx.up[sx.basis]
+    scale = 1.0 + np.abs(sx.b).max(initial=0.0)
+    feas = (np.all(sx.xB >= lo_B - opts.tol_feas * scale)
+            and np.all(sx.xB <= up_B + opts.tol_feas * scale))
+    return bool(feas) and not _verified_candidates(sx, opts).any()
+
+
+def _farkas_confirms(sx: _Simplex, r: int, opts: SolverOptions) -> bool:
+    """Whether row r of the basis proves the LP empty.  The row is
+    recomputed from the original data (B'y = e_r, alpha = y'A_all, with
+    entries of magnitude at most tol_pivot taken as zero).  It confirms
+    when y'b lies outside the range of alpha'x over the bounds by more
+    than the phase-1 emptiness cut times max|y|: since
+    |y'(b - A_all x)| <= max|y| * |b - A_all x|_1, every point inside
+    the bounds then leaves a total row residual above the cut at which
+    a cold phase 1 reports the LP empty."""
+    e_r = np.zeros(sx.m)
+    e_r[r] = 1.0
+    try:
+        y = np.linalg.solve(sx._basis_matrix().T, e_r)
+    except np.linalg.LinAlgError:
+        return False
+    alpha = y @ sx.A_all
+    alpha[np.abs(alpha) <= opts.tol_pivot] = 0.0
+    pos, neg = alpha > 0, alpha < 0
+    low = alpha[pos] @ sx.lo[pos] + alpha[neg] @ sx.up[neg]
+    high = alpha[pos] @ sx.up[pos] + alpha[neg] @ sx.lo[neg]
+    rhs = y @ sx.b
+    margin = (_PHASE1_EMPTY * opts.tol_feas
+              * (1.0 + np.abs(sx.b).max(initial=0.0)) * np.abs(y).max())
+    return bool(rhs < low - margin or rhs > high + margin)
 
 
 def _prepare(problem: MilpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -425,14 +656,22 @@ def solve_milp(problem: MilpProblem,
     integer block fixed to its rounding; if that rounding is infeasible
     (possible when a big constant multiplies a near-zero integer
     variable) the point is not trusted and the node is branched instead.
+
+    Only the root LP starts cold.  Each heap node keeps the optimal
+    basis of its relaxation (basic indices and column statuses, no
+    tableau), and its children and its polish LP are warm-started from
+    it: only bounds differ, so the basis stays dual feasible and a
+    bounded dual simplex repairs it, usually in a few pivots.  A warm LP
+    prunes a child as infeasible only on a Farkas row confirmed from the
+    original data, and falls back to a cold solve otherwise.
     """
     opts = options or SolverOptions()
     c, A, b, senses = _prepare(problem)
     int_idx = np.nonzero(problem.integer)[0]
     sign = -1.0 if problem.maximize else 1.0
 
-    def lp(lo: np.ndarray, up: np.ndarray) -> LpSolution:
-        return _simplex_solve(c, A, b, senses, lo, up, opts)
+    def lp(lo: np.ndarray, up: np.ndarray, start: Basis) -> LpSolution:
+        return _warm_solve(c, A, b, senses, lo, up, start, opts)
 
     def fractionality(x: np.ndarray) -> np.ndarray:
         v = x[int_idx]
@@ -442,19 +681,20 @@ def solve_milp(problem: MilpProblem,
     nodes = 0
     incumbent: np.ndarray | None = None
     inc_obj = np.inf
-    heap: list[tuple[float, int, int, np.ndarray, np.ndarray, np.ndarray]] = []
+    heap: list[tuple[float, int, int, np.ndarray, np.ndarray, np.ndarray,
+                     Basis]] = []
     seq = itertools.count()
 
-    def polish(x: np.ndarray) -> tuple[np.ndarray | None, float]:
+    def polish(relaxed: LpSolution) -> tuple[np.ndarray | None, float]:
         """Exact solution at the rounded integer assignment, or None
         when that assignment is infeasible."""
         nonlocal iterations
         lo_f = np.asarray(problem.lower, dtype=float).copy()
         up_f = np.asarray(problem.upper, dtype=float).copy()
-        fixed = np.round(x[int_idx])
+        fixed = np.round(relaxed.x[int_idx])
         lo_f[int_idx] = fixed
         up_f[int_idx] = fixed
-        sol = lp(lo_f, up_f)
+        sol = lp(lo_f, up_f, relaxed.basis)
         iterations += sol.iterations
         if sol.status == SolveStatus.OPTIMAL:
             return sol.x, sol.objective
@@ -468,20 +708,20 @@ def solve_milp(problem: MilpProblem,
             return
         if int_idx.size and fractionality(sol.x).max(initial=0.0) > opts.tol_int:
             heapq.heappush(heap, (sol.objective, negdepth, next(seq),
-                                  lo, up, sol.x))
+                                  lo, up, sol.x, sol.basis))
             return
-        px, pobj = polish(sol.x)
+        px, pobj = polish(sol)
         if px is not None:
             if pobj < inc_obj:
                 incumbent, inc_obj = px, pobj
         else:
             # rounding-infeasible: keep searching below this node
             heapq.heappush(heap, (sol.objective, negdepth, next(seq),
-                                  lo, up, sol.x))
+                                  lo, up, sol.x, sol.basis))
 
     lo0 = np.asarray(problem.lower, dtype=float)
     up0 = np.asarray(problem.upper, dtype=float)
-    root = lp(lo0, up0)
+    root = _simplex_solve(c, A, b, senses, lo0, up0, opts)
     iterations += root.iterations
     if root.status != SolveStatus.OPTIMAL:
         return MilpSolution(root.status, None, None, None, 0, iterations)
@@ -491,7 +731,7 @@ def solve_milp(problem: MilpProblem,
     offer(root, lo0, up0, 0)
 
     while heap:
-        bound, negdepth, _, lo, up, x = heapq.heappop(heap)
+        bound, negdepth, _, lo, up, x, basis = heapq.heappop(heap)
         best_bound = bound
         if bound >= inc_obj - opts.tol_gap:
             best_bound = inc_obj  # everything left is dominated
@@ -513,7 +753,7 @@ def solve_milp(problem: MilpProblem,
                 (_with(lo, v, floor_v + 1.0), up)):
             if child_lo[v] > child_up[v]:
                 continue
-            sol = lp(child_lo, child_up)
+            sol = lp(child_lo, child_up, basis)
             iterations += sol.iterations
             if sol.status == SolveStatus.INFEASIBLE:
                 continue

@@ -1,18 +1,21 @@
 """Bounded-variable simplex and branch-and-bound correctness.
 
 The independent references here are exhaustive enumeration (every
-binary assignment solved as an LP) and scipy.optimize.linprog, which is
-a test-only dependency.
+binary assignment solved as an LP) and scipy.optimize.linprog and
+milp, which are test-only dependencies.  Warm re-solves from a basis
+are checked against cold solves of the same problem.
 """
 
+import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from equiprune import (ProblemBuilder, SolveStatus, dump_lp, lp_format_text,
-                       solve_lp, solve_milp)
+from equiprune import (ProblemBuilder, SolveStatus, SolverOptions, dump_lp,
+                       lp_format_text, solve_lp, solve_milp, solver)
 
 
 def test_single_bound_lp():
@@ -263,3 +266,176 @@ def test_lp_text_dump(tmp_path):
     path = tmp_path / "prob.lp"
     dump_lp(prob, path)
     assert path.read_text() == text
+
+
+# ---------------------------------------------------------------------------
+# Warm re-solves from an optimal basis
+
+
+def warm_resolve(prob, start, lower, upper):
+    c, A, b, senses = solver._prepare(prob)
+    return solver._warm_solve(c, A, b, senses, np.asarray(lower, dtype=float),
+                              np.asarray(upper, dtype=float), start,
+                              SolverOptions())
+
+
+@pytest.fixture
+def cold_calls(monkeypatch):
+    """Counts the cold solves made from here on, fallbacks included."""
+    calls = []
+    cold = solver._simplex_solve
+
+    def counted(*args):
+        calls.append(args)
+        return cold(*args)
+
+    monkeypatch.setattr(solver, "_simplex_solve", counted)
+    return calls
+
+
+def test_warm_resolve_after_tightening_matches_cold(cold_calls):
+    checked = 0
+    for seed in range(400, 440):
+        prob = random_lp(seed, anchored=True)
+        # nonzero lower bounds, so a basic's resting value matters
+        prob = dataclasses.replace(prob, lower=prob.lower - 1.0)
+        root = solve_lp(prob)
+        if root.status != SolveStatus.OPTIMAL:
+            continue
+        # cut the optimum off: halve the largest distance from a lower bound
+        j = int(np.argmax(root.x - prob.lower))
+        if root.x[j] - prob.lower[j] < 1e-3:
+            continue
+        upper = prob.upper.copy()
+        upper[j] = (prob.lower[j] + root.x[j]) / 2.0
+        cold_calls.clear()
+        warm = warm_resolve(prob, root.basis, prob.lower, upper)
+        assert cold_calls == []         # answered without a fallback
+        cold = solve_lp(dataclasses.replace(prob, upper=upper))
+        assert warm.status == cold.status
+        if cold.status == SolveStatus.OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+            checked += 1
+    assert checked >= 10
+
+
+def test_warm_infeasible_tightening_is_farkas_confirmed(cold_calls):
+    pb = ProblemBuilder()
+    x = pb.add_var("x", lo=0.0, up=10.0, obj=-1.0)
+    y = pb.add_var("y", lo=0.0, up=10.0, obj=-2.0)
+    pb.add_row([(x, 1.0), (y, 1.0)], "<=", 1.0)
+    prob = pb.build()
+    root = solve_lp(prob)
+    assert root.status == SolveStatus.OPTIMAL
+    lower = prob.lower.copy()
+    lower[x] = 2.0                      # x + y <= 1 is now out of reach
+    cold_calls.clear()
+    warm = warm_resolve(prob, root.basis, lower, prob.upper)
+    assert warm.status == SolveStatus.INFEASIBLE
+    assert cold_calls == []
+    cold = solve_lp(dataclasses.replace(prob, lower=lower))
+    assert cold.status == SolveStatus.INFEASIBLE
+
+
+def test_unconfirmed_farkas_row_falls_back_to_cold(cold_calls):
+    # Two independent blocks.  In the first, the row 1e-3 (x1 + y1) <=
+    # 1e-3 has Farkas multiplier 1e3; raising lower(x1) past 1 by 5e-7
+    # pushes y1 furthest out of bounds, so the dual simplex stops on its
+    # row, but that row's residual is only 5e-10, below the cut at which
+    # a cold phase 1 calls an LP empty: it cannot confirm.  The second
+    # block, x2 + y2 <= 1 with lower(x2) raised by 2e-7, is empty beyond
+    # that cut, so the cold fallback finds the LP infeasible.
+    pb = ProblemBuilder()
+    x1 = pb.add_var("x1", lo=0.0, up=10.0, obj=0.0)
+    y1 = pb.add_var("y1", lo=0.0, up=10.0, obj=-1.0)
+    x2 = pb.add_var("x2", lo=0.0, up=10.0, obj=0.0)
+    y2 = pb.add_var("y2", lo=0.0, up=10.0, obj=-1.0)
+    pb.add_row([(x1, 1e-3), (y1, 1e-3)], "<=", 1e-3)
+    pb.add_row([(x2, 1.0), (y2, 1.0)], "<=", 1.0)
+    prob = pb.build()
+    root = solve_lp(prob)
+    assert root.status == SolveStatus.OPTIMAL
+    lower = prob.lower.copy()
+    lower[x1] = 1.0 + 5e-7
+    lower[x2] = 1.0 + 2e-7
+    cold_calls.clear()
+    warm = warm_resolve(prob, root.basis, lower, prob.upper)
+    assert len(cold_calls) == 1         # the fallback ran
+    assert warm.status == SolveStatus.INFEASIBLE
+    cold = solve_lp(dataclasses.replace(prob, lower=lower))
+    assert cold.status == SolveStatus.INFEASIBLE
+
+
+def random_mixed_milp(seed: int):
+    """Small MILP on integer data: 4-7 binaries, two bounded continuous
+    variables and a free variable pinned by an equality row, plus 3-5
+    rows of every sense.  Integer data give degenerate and tied optima,
+    and equality rows over binaries make many children infeasible."""
+    rng = np.random.default_rng(seed)
+    pb = ProblemBuilder()
+    cols = [pb.add_var(f"u{i}", lo=0.0, up=1.0,
+                       obj=float(rng.integers(-3, 4)), integer=True)
+            for i in range(int(rng.integers(4, 8)))]
+    cols += [pb.add_var(f"x{i}", lo=0.0, up=float(rng.integers(1, 4)),
+                        obj=float(rng.integers(-2, 3))) for i in range(2)]
+    z = pb.add_var("z", lo=-np.inf, up=np.inf,
+                   obj=float(rng.choice([-1.0, 1.0])))
+    pb.add_row([(z, 1.0)] + [(j, float(rng.integers(-2, 3))) for j in cols],
+               "==", float(rng.integers(-2, 3)))
+    for _ in range(int(rng.integers(3, 6))):
+        sense = str(rng.choice(["<=", ">=", "=="], p=[0.45, 0.4, 0.15]))
+        pb.add_row([(j, float(rng.integers(-3, 4))) for j in cols], sense,
+                   float(rng.integers(-2, 4)))
+    return pb.build()
+
+
+def scipy_milp_optimum(prob):
+    """HiGHS optimum of a MilpProblem, or None when it is infeasible."""
+    opt = pytest.importorskip("scipy.optimize")
+    lower = np.where(prob.senses == -1, -np.inf, prob.b)
+    upper = np.where(prob.senses == 1, np.inf, prob.b)
+    with warnings.catch_warnings():
+        # HiGHS's default 1e-6 integrality tolerance accepts points off
+        # the true optimum by about that much; scipy passes the tighter
+        # tolerances on but warns that it does not know them
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = opt.milp(prob.c, integrality=prob.integer.astype(int),
+                       bounds=opt.Bounds(prob.lower, prob.upper),
+                       constraints=opt.LinearConstraint(prob.A, lower, upper),
+                       options={"mip_rel_gap": 0.0,
+                                "primal_feasibility_tolerance": 1e-9,
+                                "mip_feasibility_tolerance": 1e-9})
+    assert res.status in (0, 2)         # optimal or infeasible
+    return res.fun if res.status == 0 else None
+
+
+def test_warm_started_milps_match_scipy_and_enumeration(monkeypatch,
+                                                        cold_calls):
+    warm_status = []
+    warm = solver._warm_solve
+
+    def tallied(*args):
+        sol = warm(*args)
+        warm_status.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(solver, "_warm_solve", tallied)
+    solved = 0
+    for seed in range(500, 560):
+        prob = random_mixed_milp(seed)
+        cold_calls.clear()
+        sol = solve_milp(prob)
+        assert len(cold_calls) == 1     # the root; no warm LP fell back
+        ref = scipy_milp_optimum(prob)
+        brute = brute_force_mip(prob)
+        if ref is None:
+            assert brute is None
+            assert sol.status == SolveStatus.INFEASIBLE
+        else:
+            assert brute == pytest.approx(ref, abs=1e-7)
+            assert sol.status == SolveStatus.OPTIMAL
+            assert sol.objective == pytest.approx(ref, abs=1e-7)
+            solved += 1
+    assert solved >= 20
+    assert warm_status.count(SolveStatus.INFEASIBLE) >= 20
+    assert warm_status.count(SolveStatus.OPTIMAL) >= 20
