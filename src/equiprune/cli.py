@@ -3,7 +3,8 @@
 Exit codes: 0 success; 2 no faithful reweighting exists (infeasible or
 tied predictions); 3 certification failure (the pruned model provably
 disagrees somewhere); 4 bad input (files, formats, oversized
-enumeration); 1 unexpected internal failures.
+enumeration); 1 unexpected internal failures.  ``verify`` above its cell
+cap still runs the oracle: exit 3 if it finds a point, else 4.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .driver import PruneOptions, accuracy, certified_prune, fidelity
-from .ensemble import Ensemble, predict_classes_batch
-from .errors import (EquipruneError, InfeasiblePruneError, InputError,
-                     TiedPredictionError)
+from .ensemble import Ensemble, predict_class, predict_classes_batch
+from .errors import (EnumerationCapError, EquipruneError,
+                     InfeasiblePruneError, InputError, TiedPredictionError)
 from .model_io import load_model, save_model
 from .oracle import DEFAULT_EPSILON, separate
 from .trainer import load_dataset, load_schema, train_adaboost, \
@@ -60,7 +61,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-estimators", type=int, default=10)
     p.add_argument("--max-depth", type=int, default=None,
                    help="tree depth (default 1 for ab, 3 for rf)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="random-forest seed (boosting is deterministic)")
     p.add_argument("--out", required=True, help="model JSON to write")
     p.set_defaults(func=cmd_train)
 
@@ -97,7 +99,7 @@ def cmd_train(args) -> int:
     dataset = load_dataset(args.data, schema)
     if args.model == "ab":
         depth = 1 if args.max_depth is None else args.max_depth
-        ensemble = train_adaboost(dataset, args.n_estimators, depth, args.seed)
+        ensemble = train_adaboost(dataset, args.n_estimators, depth)
     else:
         depth = 3 if args.max_depth is None else args.max_depth
         ensemble = train_random_forest(dataset, args.n_estimators, depth,
@@ -148,15 +150,27 @@ def cmd_verify(args) -> int:
         raise InputError(
             "the pruned model must contain exactly the original trees "
             "(only the weights may differ)")
-    report = certify(original, pruned.alpha, epsilon=args.epsilon,
-                     max_cells=args.max_cells)
+    doc, capped = {}, None
+    try:
+        doc = certify(original, pruned.alpha, epsilon=args.epsilon,
+                      max_cells=args.max_cells).to_dict()
+    except EnumerationCapError as exc:
+        capped = str(exc)
     separation = separate(original, pruned.alpha, epsilon=args.epsilon)
-    doc = report.to_dict()
+    # a tie cell disagrees when the tie-break picks another class there
+    flips = [p for p in separation.tie_points
+             if predict_class(original, pruned.alpha, p)
+             != predict_class(original, original.alpha, p)]
     doc["format_version"] = REPORT_FORMAT_VERSION
-    doc["oracle_points"] = [list(p) for p in separation.points]
+    doc["checks"] = ["oracle"] if capped else ["enumeration", "oracle"]
+    doc["oracle_points"] = [list(p) for p in separation.points + flips]
     print(json.dumps(doc, indent=2))
-    if not report.identical or not separation.is_empty:
+    if doc["oracle_points"] or doc.get("identical") is False:
         return EXIT_NOT_IDENTICAL
+    if capped:
+        print(f"error: the oracle found no disagreement, but {capped}",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
     return EXIT_OK
 
 

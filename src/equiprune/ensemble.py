@@ -9,12 +9,24 @@ The feature space is partitioned into axis-aligned cells: one threshold
 interval per continuous feature, one bit per binary feature, one level
 per categorical feature.  Every tree routes all points of a cell to the
 same leaf, so the ensemble's prediction function is piecewise constant
-on cells.  ``cell_of`` and ``cell_center`` map between points and cells.
+on cells.  ``cells_of`` (and ``cell_of`` for one point) validates points
+and maps them to cells; ``cell_center`` maps a cell back to a point.
+
+``Tree``/``Leaf``/``Split`` are the validated model form that files and
+the separation oracle read.  Each ``Ensemble`` also derives, once, a flat
+array form of all its trees (``FlatTrees``): per node its split feature,
+integer cut, categorical flag, children and leaf scores, concatenated
+over trees.  ``leaves_of`` is the one router: it advances every tree of
+every cell one level per step on that form.  All predictions -- points,
+cells, batches, certification -- are ``cells_of`` and/or ``leaves_of``
+followed by a lookup in the leaf score rows.
 
 Split conventions (fixed across the package):
   continuous  - route left iff x_j <= t (closed-left intervals),
   binary      - route left iff x_j == 0,
   categorical - route right iff x_j == z for the node's level z.
+On cells, interval index k means x in (t_{k-1}, t_k], so x <= t_r holds
+iff k <= r; a binary split is the cut r = 0 on the bit.
 """
 
 from __future__ import annotations
@@ -167,42 +179,49 @@ class Tree:
         object.__setattr__(self, "internal_ids", tuple(sorted(internals)))
         object.__setattr__(self, "max_depth", max(depth.values()))
 
-    def route(self, schema: FeatureSchema, x: Sequence[float]) -> int:
-        """Leaf id reached by the point ``x`` (raw feature values)."""
-        node_id = self.root
-        while True:
-            node = self.nodes[node_id]
-            if isinstance(node, Leaf):
-                return node_id
-            kind = schema.features[node.feature]
-            value = x[node.feature]
-            if isinstance(kind, ContinuousFeature):
-                go_left = value <= kind.thresholds[node.threshold_index]
-            elif isinstance(kind, BinaryFeature):
-                go_left = value == 0
-            else:
-                go_left = value != node.category
-            node_id = node.left if go_left else node.right
 
-    def route_cell(self, cell: CellSignature) -> int:
-        """Leaf id reached by any point of ``cell``.
+@dataclass(frozen=True, eq=False)
+class FlatTrees:
+    """All trees of an ensemble as flat node arrays, tree after tree, each
+    tree's nodes in ascending id order.  Leaves point to themselves, so a
+    router may step past a shallow tree's leaf without moving."""
 
-        Pure integer comparisons: interval index k means
-        x in (t_{k-1}, t_k], so x <= t_r holds iff k <= r.
-        """
-        node_id = self.root
-        while True:
-            node = self.nodes[node_id]
+    feature: np.ndarray      # (N,) split feature; 0 at leaves
+    cut: np.ndarray          # (N,) threshold index, category, or 0 (binary)
+    categorical: np.ndarray  # (N,) bool: left iff cell != cut, else <= cut
+    left: np.ndarray         # (N,) flat index of the left child
+    right: np.ndarray        # (N,) flat index of the right child
+    scores: np.ndarray       # (N, C) leaf score rows; zero at splits
+    node_id: np.ndarray      # (N,) the node's id within its tree
+    roots: np.ndarray        # (M,) flat index of each root
+    depth: int               # largest tree depth
+
+    @classmethod
+    def of(cls, trees: Sequence[Tree], num_classes: int) -> "FlatTrees":
+        keys = [(m, v) for m, tree in enumerate(trees)
+                for v in sorted(tree.nodes)]
+        index = {key: i for i, key in enumerate(keys)}
+        n = len(keys)
+        feature, cut = np.zeros(n, np.int64), np.zeros(n, np.int64)
+        categorical = np.zeros(n, bool)
+        left, right = np.arange(n), np.arange(n)
+        scores = np.zeros((n, num_classes))
+        for i, (m, v) in enumerate(keys):
+            node = trees[m].nodes[v]
             if isinstance(node, Leaf):
-                return node_id
-            entry = cell[node.feature]
-            if node.threshold_index is not None:
-                go_left = entry <= node.threshold_index
-            elif node.category is not None:
-                go_left = entry != node.category
-            else:
-                go_left = entry == 0
-            node_id = node.left if go_left else node.right
+                scores[i] = node.scores
+                continue
+            feature[i] = node.feature
+            categorical[i] = node.category is not None
+            cut[i] = (node.category if categorical[i]
+                      else node.threshold_index or 0)
+            left[i], right[i] = index[m, node.left], index[m, node.right]
+        return cls(feature=feature, cut=cut, categorical=categorical,
+                   left=left, right=right, scores=scores,
+                   node_id=np.array([v for _, v in keys], dtype=np.int64),
+                   roots=np.array([index[m, t.root]
+                                   for m, t in enumerate(trees)]),
+                   depth=max(t.max_depth for t in trees))
 
 
 @dataclass(frozen=True)
@@ -211,13 +230,15 @@ class Ensemble:
 
     ``alpha`` holds the original non-negative tree weights.  Pruned
     weight vectors are passed separately to the prediction functions so
-    one ensemble can be evaluated under many reweightings.
+    one ensemble can be evaluated under many reweightings.  ``flat`` is
+    the derived array form every router call reads.
     """
 
     schema: FeatureSchema
     trees: tuple[Tree, ...]
     alpha: tuple[float, ...]
     num_classes: int
+    flat: FlatTrees = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -239,6 +260,8 @@ class Ensemble:
                     raise ModelFormatError(
                         f"schema thresholds of feature {j} must equal the "
                         "union of split thresholds used by the trees")
+        object.__setattr__(self, "flat",
+                           FlatTrees.of(self.trees, self.num_classes))
 
     def _validate_tree(self, ti: int, tree: Tree, used: list[set]) -> None:
         for node_id, node in tree.nodes.items():
@@ -279,20 +302,12 @@ class Ensemble:
 
 
 # ---------------------------------------------------------------------------
-# Prediction
+# Points, cells and prediction
 
 
-def _check_point(schema: FeatureSchema, x: Sequence[float]) -> None:
-    if len(x) != schema.num_features:
-        raise InputError(
-            f"point has {len(x)} values, schema has {schema.num_features} features")
-    for j, kind in enumerate(schema.features):
-        if isinstance(kind, BinaryFeature) and x[j] not in (0, 1):
-            raise InputError(f"feature {j} is binary, got value {x[j]}")
-        if isinstance(kind, CategoricalFeature):
-            if x[j] != int(x[j]) or not 0 <= int(x[j]) < kind.num_levels:
-                raise InputError(
-                    f"feature {j} has {kind.num_levels} levels, got value {x[j]}")
+# Cells are routed in blocks of this many rows, so scoring stays within
+# O(block * trees * classes) memory at any cell count.
+_ROUTE_BLOCK = 1024
 
 
 def _check_weights(ensemble: Ensemble, weights: Sequence[float]) -> np.ndarray:
@@ -306,22 +321,93 @@ def _check_weights(ensemble: Ensemble, weights: Sequence[float]) -> np.ndarray:
     return w
 
 
+def cells_of(schema: FeatureSchema, X) -> np.ndarray:
+    """Cell signatures (n, p) of the points in the rows of ``X``: interval
+    index k_j = #{r : x_j > t_r} for continuous features, the value itself
+    for binary and categorical ones.  Raises ``InputError`` on a wrong
+    arity, a NaN or infinite value, a binary value other than 0/1 and a
+    categorical value that is not one of the feature's levels."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != schema.num_features:
+        raise InputError(
+            f"expected points of arity {schema.num_features}, "
+            f"got array of shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise InputError("point values must be finite, got NaN or infinity")
+    cells = np.empty(X.shape, dtype=np.int64)
+    for j, kind in enumerate(schema.features):
+        col = X[:, j]
+        if isinstance(kind, ContinuousFeature):
+            cells[:, j] = np.searchsorted(kind.thresholds, col, side="left")
+            continue
+        bad = (col != np.floor(col)) | (col < 0) | (col >= kind.num_cells)
+        if bad.any():
+            raise InputError(f"feature {j} is {kind.kind} with values "
+                             f"0..{kind.num_cells - 1}, got {col[bad][0]}")
+        cells[:, j] = col.astype(np.int64)
+    return cells
+
+
+def cell_of(schema: FeatureSchema, x: Sequence[float]) -> CellSignature:
+    """Cell signature of the single point ``x`` (see ``cells_of``)."""
+    return tuple(int(k) for k in cells_of(schema, [x])[0])
+
+
+def leaves_of(ensemble: Ensemble, cells) -> np.ndarray:
+    """The router: flat index (into ``ensemble.flat``) of the leaf every
+    tree reaches, (n, M), for the integer cell rows (n, p) of ``cells``.
+    All trees advance together, one level per step."""
+    flat = ensemble.flat
+    cells = np.asarray(cells, dtype=np.int64)
+    node = np.tile(flat.roots, (cells.shape[0], 1))
+    rows = np.arange(cells.shape[0])[:, None]
+    for _ in range(flat.depth):
+        entry = cells[rows, flat.feature[node]]
+        cut = flat.cut[node]
+        go_left = np.where(flat.categorical[node], entry != cut, entry <= cut)
+        node = np.where(go_left, flat.left[node], flat.right[node])
+    return node
+
+
+def cell_score_matrix(ensemble: Ensemble, cell: CellSignature) -> np.ndarray:
+    """Per-tree score matrix on a cell: entry (m, c) is tree m's score
+    for class c at the leaf the cell routes to."""
+    return ensemble.flat.scores[leaves_of(ensemble, [cell])[0]]
+
+
+def cell_scores(ensemble: Ensemble, weights: Sequence[float],
+                cell: CellSignature) -> np.ndarray:
+    """Weighted class-score vector on a cell."""
+    return _check_weights(ensemble, weights) @ cell_score_matrix(ensemble, cell)
+
+
+def cell_class(ensemble: Ensemble, weights: Sequence[float],
+               cell: CellSignature) -> int:
+    return int(np.argmax(cell_scores(ensemble, weights, cell)))
+
+
+def cell_scores_batch(ensemble: Ensemble, weights: Sequence[float],
+                      cells: np.ndarray) -> np.ndarray:
+    """Weighted class scores (n, C) of the cell rows (n, p) of ``cells``."""
+    w = _check_weights(ensemble, weights)
+    out = np.empty((len(cells), ensemble.num_classes))
+    for start in range(0, len(cells), _ROUTE_BLOCK):
+        block = slice(start, start + _ROUTE_BLOCK)
+        leaves = leaves_of(ensemble, cells[block])
+        out[block] = w @ ensemble.flat.scores[leaves]
+    return out
+
+
 def tree_scores(ensemble: Ensemble, x: Sequence[float]) -> np.ndarray:
     """Per-tree score matrix at ``x``: entry (m, c) is tree m's score for
     class c at the leaf x routes to."""
-    _check_point(ensemble.schema, x)
-    out = np.empty((ensemble.num_trees, ensemble.num_classes))
-    for m, tree in enumerate(ensemble.trees):
-        leaf = tree.nodes[tree.route(ensemble.schema, x)]
-        out[m] = leaf.scores
-    return out
+    return cell_score_matrix(ensemble, cell_of(ensemble.schema, x))
 
 
 def predict_scores(ensemble: Ensemble, weights: Sequence[float],
                    x: Sequence[float]) -> np.ndarray:
     """Weighted class-score vector sum_m w_m * h_m(x)."""
-    w = _check_weights(ensemble, weights)
-    return w @ tree_scores(ensemble, x)
+    return cell_scores(ensemble, weights, cell_of(ensemble.schema, x))
 
 
 def predict_class(ensemble: Ensemble, weights: Sequence[float],
@@ -331,97 +417,15 @@ def predict_class(ensemble: Ensemble, weights: Sequence[float],
     return int(np.argmax(predict_scores(ensemble, weights, x)))
 
 
-def _leaf_score_table(tree: Tree, num_classes: int) -> np.ndarray:
-    table = np.zeros((max(tree.nodes) + 1, num_classes))
-    for node_id in tree.leaf_ids:
-        table[node_id] = tree.nodes[node_id].scores
-    return table
-
-
-def _route_batch(tree: Tree, schema: FeatureSchema, X: np.ndarray) -> np.ndarray:
-    """Leaf ids for every row of X, routed level by level with masks."""
-    leaf = np.full(X.shape[0], -1, dtype=np.int64)
-    stack: list[tuple[int, np.ndarray]] = [(tree.root, np.arange(X.shape[0]))]
-    while stack:
-        node_id, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        node = tree.nodes[node_id]
-        if isinstance(node, Leaf):
-            leaf[idx] = node_id
-            continue
-        kind = schema.features[node.feature]
-        col = X[idx, node.feature]
-        if isinstance(kind, ContinuousFeature):
-            go_left = col <= kind.thresholds[node.threshold_index]
-        elif isinstance(kind, BinaryFeature):
-            go_left = col == 0
-        else:
-            go_left = col != node.category
-        stack.append((node.left, idx[go_left]))
-        stack.append((node.right, idx[~go_left]))
-    return leaf
-
-
 def predict_scores_batch(ensemble: Ensemble, weights: Sequence[float],
                          X: np.ndarray) -> np.ndarray:
     """Weighted score matrix (n, C) for a batch of points (rows of X)."""
-    w = _check_weights(ensemble, weights)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != ensemble.schema.num_features:
-        raise InputError(
-            f"expected points of arity {ensemble.schema.num_features}, "
-            f"got array of shape {X.shape}")
-    total = np.zeros((X.shape[0], ensemble.num_classes))
-    for m, tree in enumerate(ensemble.trees):
-        if w[m] == 0.0:
-            continue
-        table = _leaf_score_table(tree, ensemble.num_classes)
-        total += w[m] * table[_route_batch(tree, ensemble.schema, X)]
-    return total
+    return cell_scores_batch(ensemble, weights, cells_of(ensemble.schema, X))
 
 
 def predict_classes_batch(ensemble: Ensemble, weights: Sequence[float],
                           X: np.ndarray) -> np.ndarray:
     return np.argmax(predict_scores_batch(ensemble, weights, X), axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Cells
-
-
-def cell_score_matrix(ensemble: Ensemble, cell: CellSignature) -> np.ndarray:
-    """Per-tree score matrix on a cell: entry (m, c) is tree m's score
-    for class c at the leaf the cell routes to.  Pure integer routing."""
-    out = np.empty((ensemble.num_trees, ensemble.num_classes))
-    for m, tree in enumerate(ensemble.trees):
-        out[m] = tree.nodes[tree.route_cell(cell)].scores
-    return out
-
-
-def cell_scores(ensemble: Ensemble, weights: Sequence[float],
-                cell: CellSignature) -> np.ndarray:
-    """Weighted class-score vector on a cell (integer routing)."""
-    w = _check_weights(ensemble, weights)
-    return w @ cell_score_matrix(ensemble, cell)
-
-
-def cell_class(ensemble: Ensemble, weights: Sequence[float],
-               cell: CellSignature) -> int:
-    return int(np.argmax(cell_scores(ensemble, weights, cell)))
-
-
-def cell_of(schema: FeatureSchema, x: Sequence[float]) -> CellSignature:
-    """Cell signature of ``x``: interval index k_j = #{r : x_j > t_r} for
-    continuous features, the value itself for binary/categorical ones."""
-    _check_point(schema, x)
-    out = []
-    for j, kind in enumerate(schema.features):
-        if isinstance(kind, ContinuousFeature):
-            out.append(int(np.searchsorted(kind.thresholds, x[j], side="left")))
-        else:
-            out.append(int(x[j]))
-    return tuple(out)
 
 
 def check_cell(schema: FeatureSchema, cell: CellSignature) -> None:
@@ -464,6 +468,18 @@ def cell_center(schema: FeatureSchema, cell: CellSignature) -> Point:
 
 # ---------------------------------------------------------------------------
 # Construction from raw split thresholds
+
+
+def feature_dicts(schema: FeatureSchema) -> list[dict]:
+    """The schema as the {"name", "kind", "levels"?} entries that
+    ``build_ensemble`` reads and model and schema files store."""
+    out = []
+    for name, kind in zip(schema.names, schema.features):
+        entry = {"name": name, "kind": kind.kind}
+        if isinstance(kind, CategoricalFeature):
+            entry["levels"] = kind.num_levels
+        out.append(entry)
+    return out
 
 
 def build_ensemble(num_classes: int,

@@ -13,8 +13,8 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .ensemble import (BinaryFeature, CategoricalFeature, ContinuousFeature,
-                       Ensemble, Leaf, build_ensemble)
+from .ensemble import (CategoricalFeature, ContinuousFeature, Ensemble, Leaf,
+                       build_ensemble, feature_dicts)
 from .errors import ModelFormatError
 
 FORMAT_VERSION = 1
@@ -25,13 +25,6 @@ _TOP_LEVEL_KEYS = ("format_version", "num_classes", "features", "weights",
 
 def model_to_dict(ensemble: Ensemble) -> dict:
     """Plain-dict form of the ensemble (the JSON document layout)."""
-    features = []
-    for name, kind in zip(ensemble.schema.names, ensemble.schema.features):
-        entry: dict = {"name": name, "kind": kind.kind}
-        if isinstance(kind, CategoricalFeature):
-            entry["levels"] = kind.num_levels
-        features.append(entry)
-
     trees = []
     for tree in ensemble.trees:
         nodes = []
@@ -53,7 +46,7 @@ def model_to_dict(ensemble: Ensemble) -> dict:
 
     return {"format_version": FORMAT_VERSION,
             "num_classes": ensemble.num_classes,
-            "features": features,
+            "features": feature_dicts(ensemble.schema),
             "weights": list(ensemble.alpha),
             "trees": trees}
 

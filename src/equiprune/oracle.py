@@ -41,9 +41,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .ensemble import (BinaryFeature, CategoricalFeature, CellSignature,
-                       ContinuousFeature, Ensemble, Leaf, Point, cell_center,
-                       predict_class, predict_scores)
+from .ensemble import (BinaryFeature, CellSignature, ContinuousFeature,
+                       Ensemble, Leaf, Point, _check_weights, cell_center,
+                       cells_of, leaves_of, predict_class, predict_scores)
 from .errors import InputError, IterationLimitError, SolverFailureError
 from .solver import (MilpProblem, MilpSolution, ProblemBuilder, SolveStatus,
                      SolverOptions, dump_lp, solve_milp)
@@ -228,8 +228,8 @@ def extract_point(ensemble: Ensemble, program: SeparationProgram,
             sig.append(int(np.argmax(values)))
     cell = tuple(sig)
     point = cell_center(ensemble.schema, cell)
-    for m, tree in enumerate(ensemble.trees):
-        leaf = tree.route(ensemble.schema, point)
+    leaves = leaves_of(ensemble, cells_of(ensemble.schema, [point]))[0]
+    for m, leaf in enumerate(ensemble.flat.node_id[leaves]):
         if x[program.flow[m][leaf]] < 0.5:
             raise SolverFailureError(
                 f"extracted point routes tree {m} to leaf {leaf} but the "
@@ -256,12 +256,7 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     cell is extracted into ``tie_cells`` (never into ``points``) so the
     caller can decide whether a tie-break flip matters.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (ensemble.num_trees,):
-        raise InputError(f"weight vector length {w.shape} does not match "
-                         f"{ensemble.num_trees} trees")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise InputError("weights must be finite and >= 0")
+    w = _check_weights(ensemble, weights)
     pairs: list[PairOutcome] = []
     points: list[Point] = []
     cells: list[CellSignature] = []

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ensemble import (CellSignature, Ensemble, Point, cell_center,
-                       cell_class, cell_of, cell_score_matrix, check_cell)
+                       cell_class, cell_of, check_cell, leaves_of)
 from .errors import (InfeasiblePruneError, IterationLimitError,
                      SolverFailureError, TiedPredictionError)
 from .solver import (MilpSolution, MilpProblem, ProblemBuilder, SolveStatus,
@@ -110,18 +110,16 @@ class MarginTable:
 
 def build_margins(ensemble: Ensemble, prune_set: PruneSet) -> MarginTable:
     n = len(prune_set)
-    g = np.zeros((n, ensemble.num_classes, ensemble.num_trees))
+    cells = np.array(prune_set.cells, dtype=np.int64).reshape(
+        n, ensemble.schema.num_features)
     labels = np.asarray(prune_set.labels, dtype=np.int64)
-    alpha = np.asarray(ensemble.alpha)
-    alpha_margins = np.full((n, ensemble.num_classes), np.inf)
-    for i, cell in enumerate(prune_set.cells):
-        scores = cell_score_matrix(ensemble, cell)      # (M, C)
-        diff = scores[:, labels[i]][:, None] - scores   # (M, C)
-        g[i] = diff.T
-        margins = alpha @ diff
-        margins[labels[i]] = np.inf
-        alpha_margins[i] = margins
-    return MarginTable(g=g, labels=labels, alpha_margins=alpha_margins)
+    scores = ensemble.flat.scores[leaves_of(ensemble, cells)]  # (n, M, C)
+    rows = np.arange(n)
+    diff = scores[rows, :, labels][:, :, None] - scores         # (n, M, C)
+    alpha_margins = np.asarray(ensemble.alpha) @ diff           # (n, C)
+    alpha_margins[rows, labels] = np.inf
+    return MarginTable(g=np.ascontiguousarray(diff.transpose(0, 2, 1)),
+                       labels=labels, alpha_margins=alpha_margins)
 
 
 def compute_big_w(ensemble: Ensemble, prune_set: PruneSet,
@@ -163,12 +161,19 @@ def support_of(weights: Sequence[float], zero_tol: float = ZERO_TOL
     return tuple(int(m) for m in np.nonzero(np.asarray(weights) > zero_tol)[0])
 
 
-def _margin_rows(margins: MarginTable):
+def add_keep_rows(pb: ProblemBuilder, margins: MarginTable,
+                  cols: dict[int, int]) -> None:
+    """Add the rows keep_{i}_{c}: sum_m g[i, c, m] w_m >= 1 for every
+    entry i and class c other than its label, over the trees m in
+    ``cols`` (tree -> weight column); other trees are left out."""
     for i in range(margins.num_entries):
         label = int(margins.labels[i])
         for c in range(margins.num_classes):
-            if c != label:
-                yield i, c, margins.g[i, c]
+            if c == label:
+                continue
+            row = margins.g[i, c]
+            pb.add_row([(col, row[m]) for m, col in cols.items()
+                        if row[m] != 0.0], ">=", 1.0, name=f"keep_{i}_{c}")
 
 
 def _min_weights_on_support(margins: MarginTable, active: np.ndarray,
@@ -183,10 +188,7 @@ def _min_weights_on_support(margins: MarginTable, active: np.ndarray,
     w_idx = [pb.add_var(f"w{m}", lo=0.0,
                         up=weight_bound if active[m] else 0.0, obj=1.0)
              for m in range(M)]
-    for i, c, row in _margin_rows(margins):
-        pb.add_row([(w_idx[m], row[m])
-                    for m in range(M) if active[m] and row[m] != 0.0],
-                   ">=", 1.0, name=f"keep_{i}_{c}")
+    add_keep_rows(pb, margins, {m: w_idx[m] for m in range(M) if active[m]})
     sol = solve_lp(pb.build(), options)
     if sol.status != SolveStatus.OPTIMAL:
         return None
@@ -211,9 +213,7 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet, weight_bound: float,
     w_idx = [pb.add_var(f"w{m}", lo=0.0, up=weight_bound) for m in range(M)]
     u_idx = [pb.add_var(f"u{m}", lo=0.0, up=1.0, obj=1.0, integer=True)
              for m in range(M)]
-    for i, c, row in _margin_rows(margins):
-        pb.add_row([(w_idx[m], row[m]) for m in range(M) if row[m] != 0.0],
-                   ">=", 1.0, name=f"keep_{i}_{c}")
+    add_keep_rows(pb, margins, dict(enumerate(w_idx)))
     for m in range(M):
         pb.add_row([(w_idx[m], 1.0), (u_idx[m], -weight_bound)], "<=", 0.0,
                    name=f"link_{m}")
@@ -247,9 +247,7 @@ def prune_l1(ensemble: Ensemble, prune_set: PruneSet,
     M = ensemble.num_trees
     pb = ProblemBuilder()
     w_idx = [pb.add_var(f"w{m}", lo=0.0, obj=1.0) for m in range(M)]
-    for i, c, row in _margin_rows(margins):
-        pb.add_row([(w_idx[m], row[m]) for m in range(M) if row[m] != 0.0],
-                   ">=", 1.0, name=f"keep_{i}_{c}")
+    add_keep_rows(pb, margins, dict(enumerate(w_idx)))
     sol = solve_lp(pb.build(), options)
     if sol.status == SolveStatus.INFEASIBLE:
         raise InfeasiblePruneError(

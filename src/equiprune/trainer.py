@@ -25,7 +25,8 @@ from typing import Union
 import numpy as np
 
 from .ensemble import (BinaryFeature, CategoricalFeature, ContinuousFeature,
-                       Ensemble, FeatureSchema, build_ensemble)
+                       Ensemble, FeatureSchema, build_ensemble, cells_of,
+                       feature_dicts)
 from .errors import DatasetFormatError, InputError
 
 SCHEMA_FORMAT_VERSION = 1
@@ -56,18 +57,10 @@ class Dataset:
         if n and (self.y.min() < 0 or self.y.max() >= self.num_classes):
             raise DatasetFormatError(
                 f"labels must lie in [0, {self.num_classes})")
-        for j, kind in enumerate(self.schema.features):
-            col = self.X[:, j] if n else np.empty(0)
-            if isinstance(kind, BinaryFeature):
-                if not np.isin(col, (0.0, 1.0)).all():
-                    raise DatasetFormatError(f"feature {j} is binary; "
-                                             "values must be 0 or 1")
-            elif isinstance(kind, CategoricalFeature):
-                if not (np.equal(np.mod(col, 1), 0).all()
-                        and (col >= 0).all()
-                        and (col < kind.num_levels).all()):
-                    raise DatasetFormatError(
-                        f"feature {j} takes levels 0..{kind.num_levels - 1}")
+        try:
+            cells_of(self.schema, self.X)
+        except InputError as exc:
+            raise DatasetFormatError(str(exc)) from None
 
     @property
     def num_rows(self) -> int:
@@ -128,17 +121,20 @@ def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray, C: int,
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, w: np.ndarray, C: int,
                max_depth: int, kinds, rng: np.random.Generator | None,
-               subset_size: int | None) -> dict:
-    """Raw tree dict (nodes carry raw thresholds).  ``subset_size``
-    draws that many candidate features per split (forest mode); None
-    considers all features (boosting mode)."""
+               subset_size: int | None) -> tuple[dict, np.ndarray]:
+    """Raw tree dict (nodes carry raw thresholds) and the class of the
+    leaf each row of X lands in.  ``subset_size`` draws that many
+    candidate features per split (forest mode); None considers all
+    features (boosting mode)."""
     nodes: list[dict] = []
     p = X.shape[1]
+    pred = np.empty(X.shape[0], dtype=np.int64)
 
     def leaf(idx: np.ndarray) -> int:
-        counts = _class_weights(y[idx], w[idx], C)
+        majority = int(np.argmax(_class_weights(y[idx], w[idx], C)))
+        pred[idx] = majority
         scores = [0.0] * C
-        scores[int(np.argmax(counts))] = 1.0
+        scores[majority] = 1.0
         nodes.append({"id": len(nodes), "kind": "leaf", "scores": scores})
         return len(nodes) - 1
 
@@ -168,17 +164,7 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, w: np.ndarray, C: int,
         return node_id
 
     root = grow(np.arange(X.shape[0]), 0)
-    return {"root": root, "nodes": nodes}
-
-
-def _feature_dicts(schema: FeatureSchema) -> list[dict]:
-    out = []
-    for name, kind in zip(schema.names, schema.features):
-        entry = {"name": name, "kind": kind.kind}
-        if isinstance(kind, CategoricalFeature):
-            entry["levels"] = kind.num_levels
-        out.append(entry)
-    return out
+    return {"root": root, "nodes": nodes}, pred
 
 
 def _check_trainable(dataset: Dataset) -> None:
@@ -196,15 +182,13 @@ def boost_weight(err: float, num_classes: int) -> float:
     return math.log((1.0 - err) / err) + math.log(num_classes - 1)
 
 
-def train_adaboost(dataset: Dataset, num_trees: int, max_depth: int = 1,
-                   seed: int = 0) -> Ensemble:
+def train_adaboost(dataset: Dataset, num_trees: int,
+                   max_depth: int = 1) -> Ensemble:
     """Discrete multi-class boosting over greedy weighted-Gini trees.
 
     Weighted-majority leaves keep every stage error at or below
     1 - 1/C, so stage weights are never negative.  The procedure is
-    deterministic; ``seed`` is accepted for interface symmetry with the
-    forest trainer."""
-    del seed
+    deterministic."""
     _check_trainable(dataset)
     if num_trees < 1:
         raise InputError("num_trees must be at least 1")
@@ -214,9 +198,9 @@ def train_adaboost(dataset: Dataset, num_trees: int, max_depth: int = 1,
     raw_trees = []
     alphas = []
     for _ in range(num_trees):
-        raw = _grow_tree(X, y, sample_w, C, max_depth,
-                         dataset.schema.features, rng=None, subset_size=None)
-        pred = _raw_predict(raw, X)
+        raw, pred = _grow_tree(X, y, sample_w, C, max_depth,
+                               dataset.schema.features, rng=None,
+                               subset_size=None)
         incorrect = pred != y
         err = float(sample_w[incorrect].sum())
         # majority leaves bound err by 1 - 1/C, so the stage weight is
@@ -231,7 +215,7 @@ def train_adaboost(dataset: Dataset, num_trees: int, max_depth: int = 1,
             "boosting produced no informative tree (every stage weight "
             "is zero); the data may be unlearnable at this depth")
     return build_ensemble(num_classes=C,
-                          features=_feature_dicts(dataset.schema),
+                          features=feature_dicts(dataset.schema),
                           weights=alphas, raw_trees=raw_trees)
 
 
@@ -249,29 +233,13 @@ def train_random_forest(dataset: Dataset, num_trees: int, max_depth: int = 3,
     raw_trees = []
     for _ in range(num_trees):
         rows = rng.integers(0, n, size=n)
-        raw_trees.append(_grow_tree(X[rows], y[rows], np.full(n, 1.0 / n), C,
-                                    max_depth, dataset.schema.features,
-                                    rng=rng, subset_size=subset))
+        raw, _ = _grow_tree(X[rows], y[rows], np.full(n, 1.0 / n), C,
+                            max_depth, dataset.schema.features,
+                            rng=rng, subset_size=subset)
+        raw_trees.append(raw)
     return build_ensemble(num_classes=C,
-                          features=_feature_dicts(dataset.schema),
+                          features=feature_dicts(dataset.schema),
                           weights=[1.0] * num_trees, raw_trees=raw_trees)
-
-
-def _raw_predict(raw: dict, X: np.ndarray) -> np.ndarray:
-    """Predicted class per row for a raw tree dict (training-time
-    helper; one-hot leaves make the class the argmax of the leaf)."""
-    nodes = raw["nodes"]
-    out = np.empty(X.shape[0], dtype=np.int64)
-    for i, x in enumerate(X):
-        node = nodes[raw["root"]]
-        while node["kind"] == "split":
-            if "threshold" in node:
-                go_left = x[node["feature"]] <= node["threshold"]
-            else:
-                go_left = x[node["feature"]] == 0.0
-            node = nodes[node["left"] if go_left else node["right"]]
-        out[i] = int(np.argmax(node["scores"]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +299,7 @@ def make_synthetic(kind: str, n: int = 64, seed: int = 0) -> Dataset:
 
 def save_schema(schema: FeatureSchema, path: Union[str, Path]) -> None:
     doc = {"format_version": SCHEMA_FORMAT_VERSION,
-           "features": _feature_dicts(schema)}
+           "features": feature_dicts(schema)}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import (BinaryFeature, CellSignature, ContinuousFeature,
-                       Ensemble, FeatureSchema, Leaf, cell_center,
-                       predict_classes_batch, predict_scores_batch)
+                       Ensemble, FeatureSchema, cell_scores_batch)
 from .errors import EnumerationCapError, InfeasiblePruneError, InputError
-from .pruner import MarginTable, PruneSet, build_margins
+from .pruner import MarginTable, PruneSet, add_keep_rows, build_margins
 from .solver import ProblemBuilder, SolveStatus, SolverOptions, solve_lp
 
 MAX_CELLS_DEFAULT = 200_000
@@ -51,45 +50,6 @@ def _cell_array(schema: FeatureSchema, max_cells: int) -> np.ndarray:
     return cells
 
 
-def _route_cells(tree, cells: np.ndarray) -> np.ndarray:
-    """Leaf id per cell row, by pure integer routing."""
-    leaf = np.full(cells.shape[0], -1, dtype=np.int64)
-    stack = [(tree.root, np.arange(cells.shape[0]))]
-    while stack:
-        node_id, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        node = tree.nodes[node_id]
-        if isinstance(node, Leaf):
-            leaf[idx] = node_id
-            continue
-        col = cells[idx, node.feature]
-        if node.threshold_index is not None:
-            go_left = col <= node.threshold_index
-        elif node.category is not None:
-            go_left = col != node.category
-        else:
-            go_left = col == 0
-        stack.append((node.left, idx[go_left]))
-        stack.append((node.right, idx[~go_left]))
-    return leaf
-
-
-def cell_scores_bulk(ensemble: Ensemble, weights, cells: np.ndarray
-                     ) -> np.ndarray:
-    """Weighted class scores for many cells at once (integer routing)."""
-    w = np.asarray(weights, dtype=float)
-    total = np.zeros((cells.shape[0], ensemble.num_classes))
-    for m, tree in enumerate(ensemble.trees):
-        if w[m] == 0.0:
-            continue
-        table = np.zeros((max(tree.nodes) + 1, ensemble.num_classes))
-        for v in tree.leaf_ids:
-            table[v] = tree.nodes[v].scores
-        total += w[m] * table[_route_cells(tree, cells)]
-    return total
-
-
 @dataclass
 class CertificationReport:
     identical: bool
@@ -106,7 +66,7 @@ class CertificationReport:
 
 def certify(ensemble: Ensemble, weights, epsilon: float,
             max_cells: int = MAX_CELLS_DEFAULT) -> CertificationReport:
-    """Compare predictions on the center of every cell.
+    """Compare predictions on every cell, routed as a cell.
 
     Cells where the reweighting flips the class are partitioned by the
     original ensemble's winning margin: at least ``epsilon`` (inside
@@ -115,12 +75,9 @@ def certify(ensemble: Ensemble, weights, epsilon: float,
     true only when no cell flips at all.
     """
     cells = _cell_array(ensemble.schema, max_cells)
-    centers = np.array([cell_center(ensemble.schema, tuple(c)) for c in cells])
-    if centers.size == 0:
-        centers = centers.reshape(len(cells), 0)
-    scores_orig = predict_scores_batch(ensemble, ensemble.alpha, centers)
+    scores_orig = cell_scores_batch(ensemble, ensemble.alpha, cells)
     pred_orig = np.argmax(scores_orig, axis=1)
-    pred_new = predict_classes_batch(ensemble, weights, centers)
+    pred_new = np.argmax(cell_scores_batch(ensemble, weights, cells), axis=1)
     top = scores_orig[np.arange(len(cells)), pred_orig]
     second = np.partition(scores_orig, -2, axis=1)[:, -2]
     margin = top - second
@@ -145,13 +102,13 @@ def maximize_separation(ensemble: Ensemble, weights, challenger: int,
     ``challenger`` over ``original``.  Returns (None, None) when no
     cell qualifies."""
     cells = _cell_array(ensemble.schema, max_cells)
-    scores_orig = cell_scores_bulk(ensemble, ensemble.alpha, cells)
+    scores_orig = cell_scores_batch(ensemble, ensemble.alpha, cells)
     others = [c for c in range(ensemble.num_classes) if c != original]
     sep = scores_orig[:, original][:, None] - scores_orig[:, others]
     feasible = np.all(sep >= epsilon, axis=1)
     if not feasible.any():
         return None, None
-    scores_new = cell_scores_bulk(ensemble, weights, cells)
+    scores_new = cell_scores_batch(ensemble, weights, cells)
     gap = scores_new[:, challenger] - scores_new[:, original]
     gap[~feasible] = -np.inf
     i = int(np.argmax(gap))
@@ -180,15 +137,8 @@ def brute_force_min_support(ensemble: Ensemble, prune_set: PruneSet,
 def _subset_feasible(margins: MarginTable, subset: tuple[int, ...],
                      options: SolverOptions | None) -> bool:
     pb = ProblemBuilder()
-    w_idx = {m: pb.add_var(f"w{m}", lo=0.0, obj=1.0) for m in subset}
-    for i in range(margins.num_entries):
-        label = int(margins.labels[i])
-        for c in range(margins.num_classes):
-            if c == label:
-                continue
-            row = margins.g[i, c]
-            pb.add_row([(w_idx[m], row[m]) for m in subset if row[m] != 0.0],
-                       ">=", 1.0)
+    add_keep_rows(pb, margins, {m: pb.add_var(f"w{m}", lo=0.0, obj=1.0)
+                                for m in subset})
     return solve_lp(pb.build(), options).status == SolveStatus.OPTIMAL
 
 

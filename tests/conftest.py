@@ -101,7 +101,7 @@ def random_boosted_instance(seed: int):
     schema = FeatureSchema(tuple(ContinuousFeature(thresholds=())
                                  for _ in range(p)))
     dataset = Dataset(schema=schema, X=X, y=y, num_classes=C)
-    return train_adaboost(dataset, num_trees=M, max_depth=1, seed=seed), dataset
+    return train_adaboost(dataset, num_trees=M, max_depth=1), dataset
 
 
 # The acceptance tests append one verdict line each; the summary hook

@@ -186,7 +186,7 @@ def test_criterion_4_l1_tracks_l0(small_instances):
 def test_criterion_5_boosting_compression():
     schema = load_schema(DATA_DIR / "separable_schema.json")
     dataset = load_dataset(DATA_DIR / "separable.csv", schema)
-    ens = train_adaboost(dataset, num_trees=100, max_depth=1, seed=0)
+    ens = train_adaboost(dataset, num_trees=100, max_depth=1)
     outcome = certified_prune(ens, dataset.X,
                               PruneOptions(norm="l1", epsilon=EPSILON))
     report = certify(ens, outcome.weights, epsilon=EPSILON)
@@ -206,7 +206,7 @@ def test_criterion_6_forests_resist_pruning():
     rf_out = certified_prune(rf, blobs.X,
                              PruneOptions(norm="l1", epsilon=EPSILON))
     rf_report = certify(rf, rf_out.weights, epsilon=EPSILON)
-    ab = train_adaboost(blobs, num_trees=100, max_depth=1, seed=0)
+    ab = train_adaboost(blobs, num_trees=100, max_depth=1)
     ab_out = certified_prune(ab, blobs.X,
                              PruneOptions(norm="l1", epsilon=EPSILON))
     rf_ratio = rf_out.num_kept / rf.num_trees

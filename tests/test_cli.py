@@ -125,7 +125,7 @@ def test_prune_then_verify_exits_zero(tmp_path, capsys):
     assert run("verify", "--model", FIXTURE, "--pruned", str(out)) == 0
 
 
-def test_verify_flags_a_broken_pruning(tmp_path, capsys):
+def broken_pruning(tmp_path):
     ens = load_model(FIXTURE)
     from equiprune import Ensemble
     broken = Ensemble(schema=ens.schema, trees=ens.trees,
@@ -133,10 +133,36 @@ def test_verify_flags_a_broken_pruning(tmp_path, capsys):
                       num_classes=ens.num_classes)
     path = tmp_path / "broken.json"
     save_model(broken, path)
-    assert run("verify", "--model", FIXTURE, "--pruned", str(path)) == 3
+    return str(path)
+
+
+def test_verify_flags_a_broken_pruning(tmp_path, capsys):
+    path = broken_pruning(tmp_path)
+    assert run("verify", "--model", FIXTURE, "--pruned", path) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["identical"] is False
     assert doc["disagreement_cells"] or doc["sub_epsilon_cells"]
+
+
+def test_verify_above_cell_cap_oracle_flags_a_broken_pruning(tmp_path,
+                                                             capsys):
+    path = broken_pruning(tmp_path)
+    assert run("verify", "--model", FIXTURE, "--pruned", path,
+               "--max-cells", "1") == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"] == ["oracle"]
+    assert doc["oracle_points"]
+
+
+def test_verify_above_cell_cap_reports_oracle_and_exits_four(capsys):
+    assert run("verify", "--model", FIXTURE, "--pruned", FIXTURE,
+               "--max-cells", "1") == 4
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["checks"] == ["oracle"]
+    assert doc["oracle_points"] == []
+    assert "identical" not in doc
+    assert "cap" in captured.err
 
 
 def test_verify_rejects_different_trees(tmp_path, capsys):

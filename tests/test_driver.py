@@ -149,6 +149,11 @@ def test_empty_initial_points_rejected():
         certified_prune(ens, [], PruneOptions())
 
 
+def test_nan_seed_point_rejected(three_stumps):
+    with pytest.raises(InputError, match="finite"):
+        certified_prune(three_stumps, [[0.4], [np.nan]], PruneOptions())
+
+
 def test_option_validation():
     with pytest.raises(InputError):
         PruneOptions(norm="l2")

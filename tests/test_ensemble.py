@@ -5,9 +5,11 @@ import pytest
 
 from equiprune import (BinaryFeature, CategoricalFeature, ContinuousFeature,
                        FeatureSchema, InputError, Leaf, ModelFormatError,
-                       Split, Tree, build_ensemble, cell_center, cell_of,
-                       enumerate_cells, predict_class, predict_scores,
-                       predict_scores_batch, tree_scores)
+                       Split, Tree, accuracy, build_ensemble, cell_center,
+                       cell_of, enumerate_cells, fidelity, model_to_dict,
+                       predict_class, predict_scores, predict_scores_batch,
+                       sample_uniform_points, tree_scores)
+from equiprune.ensemble import cells_of, leaves_of
 from conftest import make_stump, one_hot, stump_ensembles
 
 
@@ -101,9 +103,10 @@ def test_routing_is_constant_within_a_cell():
             x = tuple(rng.normal(size=ens.schema.num_features))
             cell = cell_of(ens.schema, x)
             y = cell_center(ens.schema, cell)
-            for tree in ens.trees:
-                assert tree.route(ens.schema, x) == tree.route(ens.schema, y)
-                assert tree.route(ens.schema, x) == tree.route_cell(cell)
+            at_x = leaves_of(ens, cells_of(ens.schema, [x]))
+            at_y = leaves_of(ens, cells_of(ens.schema, [y]))
+            assert np.array_equal(at_x, at_y)
+            assert np.array_equal(at_x, leaves_of(ens, [cell]))
 
 
 def test_argmax_is_scale_invariant():
@@ -177,3 +180,128 @@ def test_all_zero_alpha_rejected():
     with pytest.raises(ModelFormatError, match="positive"):
         two_class([{"name": "x1", "kind": "continuous"}], [0.0],
                   [make_stump(0, 0.5, (1, 0), (0, 1))])
+
+
+def mixed_ensemble():
+    """A continuous, a binary and a 3-level categorical stump."""
+    leaves = [{"id": 1, "kind": "leaf", "scores": [1, 0]},
+              {"id": 2, "kind": "leaf", "scores": [0, 1]}]
+    trees = [make_stump(0, 0.5, (1, 0), (0, 1)),
+             {"root": 0, "nodes": [{"id": 0, "kind": "split", "feature": 1,
+                                    "left": 1, "right": 2}] + leaves},
+             {"root": 0, "nodes": [{"id": 0, "kind": "split", "feature": 2,
+                                    "category": 2, "left": 1, "right": 2}]
+              + leaves}]
+    return build_ensemble(
+        num_classes=2, weights=[1.0, 1.0, 1.0], raw_trees=trees,
+        features=[{"name": "x", "kind": "continuous"},
+                  {"name": "b", "kind": "binary"},
+                  {"name": "z", "kind": "categorical", "levels": 3}])
+
+
+@pytest.mark.parametrize("bad", [
+    (0.0, 0.5, 0.0), (0.0, 2.0, 0.0),            # binary not 0/1
+    (0.0, 0.0, 7.0), (0.0, 0.0, 1.5), (0.0, 0.0, -1.0),  # not a level
+    (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), (0.0, -np.inf, 0.0),
+    (0.0, 0.0, np.nan)])
+def test_invalid_points_rejected_on_point_and_batch_paths(bad):
+    ens = mixed_ensemble()
+    with pytest.raises(InputError):
+        predict_class(ens, ens.alpha, bad)
+    X = np.array([(0.0, 1.0, 2.0), bad])
+    with pytest.raises(InputError):
+        predict_scores_batch(ens, ens.alpha, X)
+    with pytest.raises(InputError):
+        fidelity(ens, ens.alpha, X)
+    with pytest.raises(InputError):
+        accuracy(ens, ens.alpha, X, [0, 0])
+
+
+def random_mixed_ensemble(rng):
+    """Random trees of depth <= 3 over continuous, binary and categorical
+    features, 2-4 classes, with scattered (non-contiguous) node ids."""
+    C = int(rng.integers(2, 5))
+    features, pools = [], []
+    for j in range(int(rng.integers(1, 4))):
+        kind = ("continuous", "binary", "categorical")[rng.integers(0, 3)]
+        entry = {"name": f"f{j}", "kind": kind}
+        if kind == "categorical":
+            entry["levels"] = int(rng.integers(2, 5))
+        features.append(entry)
+        pools.append(np.round(rng.normal(size=3), 2).tolist())
+
+    def grow(nodes, depth):
+        node = {"id": len(nodes)}
+        nodes.append(node)
+        if depth == 0 or rng.random() < 0.2:
+            node.update(kind="leaf",
+                        scores=rng.uniform(size=C).round(3).tolist())
+            return node["id"]
+        j = int(rng.integers(0, len(features)))
+        node.update(kind="split", feature=j)
+        if features[j]["kind"] == "continuous":
+            node["threshold"] = float(rng.choice(pools[j]))
+        elif features[j]["kind"] == "categorical":
+            node["category"] = int(rng.integers(0, features[j]["levels"]))
+        node["left"] = grow(nodes, depth - 1)
+        node["right"] = grow(nodes, depth - 1)
+        return node["id"]
+
+    trees = []
+    for _ in range(int(rng.integers(1, 6))):
+        nodes = []
+        grow(nodes, int(rng.integers(0, 4)))
+        ids = rng.permutation(10 * len(nodes))[:len(nodes)].tolist()
+        for node in nodes:
+            for key in ("id", "left", "right"):
+                if key in node:
+                    node[key] = ids[node[key]]
+        trees.append({"root": ids[0], "nodes": nodes})
+    return build_ensemble(num_classes=C, features=features,
+                          weights=rng.uniform(0.1, 2.0, len(trees)).tolist(),
+                          raw_trees=trees)
+
+
+def reference_leaf(doc, tree, x):
+    """Leaf id of ``x`` by a recursive walk over the model document, with
+    raw thresholds and the split conventions of the ensemble module."""
+    nodes = {node["id"]: node for node in tree["nodes"]}
+
+    def walk(node):
+        if node["kind"] == "leaf":
+            return node["id"]
+        kind = doc["features"][node["feature"]]["kind"]
+        value = x[node["feature"]]
+        if kind == "continuous":
+            go_left = value <= node["threshold"]
+        elif kind == "binary":
+            go_left = value == 0
+        else:
+            go_left = value != node["category"]
+        return walk(nodes[node["left"] if go_left else node["right"]])
+
+    return walk(nodes[tree["root"]])
+
+
+def test_router_matches_reference_walker():
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        ens = random_mixed_ensemble(rng)
+        schema, doc = ens.schema, model_to_dict(ens)
+        points = [sample_uniform_points(schema, 40, rng)]
+        points.append([cell_center(schema, c) for c in enumerate_cells(schema)])
+        for j, kind in enumerate(schema.features):
+            for t in getattr(kind, "thresholds", ()):
+                on_threshold = sample_uniform_points(schema, 3, rng)
+                on_threshold[:, j] = t
+                points.append(on_threshold)
+        X = np.vstack(points)
+        leaves = ens.flat.node_id[leaves_of(ens, cells_of(schema, X))]
+        expected = np.array([[reference_leaf(doc, tree, x)
+                              for tree in doc["trees"]] for x in X])
+        assert np.array_equal(leaves, expected)
+        by_id = [{n["id"]: n for n in tree["nodes"]} for tree in doc["trees"]]
+        scores = np.array([[by_id[m][v]["scores"] for m, v in enumerate(row)]
+                           for row in expected])
+        assert np.allclose(predict_scores_batch(ens, ens.alpha, X),
+                           np.einsum("m,nmc->nc", ens.alpha, scores))

@@ -7,6 +7,7 @@ from equiprune import (MilpSolution, SolveStatus, build_ensemble,
                        build_separation, cell_of, extract_point,
                        maximize_separation, predict_class, predict_scores,
                        separate)
+from equiprune.ensemble import leaves_of
 from conftest import make_stump, one_hot, stump_ensembles
 
 
@@ -144,6 +145,7 @@ def fake_solution(ens, prog, cell):
         x[col] = float(cell[j])
     for j, cols in prog.level.items():
         x[cols[cell[j]]] = 1.0
+    leaves = ens.flat.node_id[leaves_of(ens, [cell])[0]]
     for m, tree in enumerate(ens.trees):
         node_id = tree.root
         while True:
@@ -151,7 +153,7 @@ def fake_solution(ens, prog, cell):
             node = tree.nodes[node_id]
             if not hasattr(node, "left"):
                 break
-            node_id = node.left if tree.route_cell(cell) in _subtree(
+            node_id = node.left if leaves[m] in _subtree(
                 tree, node.left) else node.right
     return MilpSolution(status=SolveStatus.OPTIMAL, x=x, objective=0.0,
                         best_bound=0.0, nodes=1, iterations=0)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from equiprune import (ContinuousFeature, Dataset, DatasetFormatError,
-                       FeatureSchema, InputError, load_dataset, load_schema,
-                       make_synthetic, predict_classes_batch, save_dataset,
-                       save_schema, train_adaboost, train_random_forest)
+from equiprune import (BinaryFeature, ContinuousFeature, Dataset,
+                       DatasetFormatError, FeatureSchema, InputError,
+                       load_dataset, load_schema, make_synthetic,
+                       predict_classes_batch, save_dataset, save_schema,
+                       train_adaboost, train_random_forest)
 from equiprune.trainer import boost_weight
 
 
@@ -26,7 +27,7 @@ def test_boost_weight_multiclass_offset():
 
 def test_separable_data_boosts_to_perfect_accuracy():
     data = make_synthetic("separable", n=80, seed=3)
-    ens = train_adaboost(data, num_trees=10, max_depth=1, seed=0)
+    ens = train_adaboost(data, num_trees=10, max_depth=1)
     pred = predict_classes_batch(ens, ens.alpha, data.X)
     assert np.array_equal(pred, data.y)
 
@@ -58,8 +59,8 @@ def test_forest_seeds_disagree_somewhere():
 
 def test_training_is_deterministic():
     data = make_synthetic("blobs", n=48, seed=2)
-    a = train_adaboost(data, num_trees=8, max_depth=1, seed=4)
-    b = train_adaboost(data, num_trees=8, max_depth=1, seed=4)
+    a = train_adaboost(data, num_trees=8, max_depth=1)
+    b = train_adaboost(data, num_trees=8, max_depth=1)
     assert a == b
     ra = train_random_forest(data, num_trees=5, max_depth=3, seed=4)
     rb = train_random_forest(data, num_trees=5, max_depth=3, seed=4)
@@ -153,6 +154,16 @@ def test_non_numeric_cell_rejected(tmp_path):
         load_dataset(path, schema)
 
 
+@pytest.mark.parametrize("row", ["nan,1", "0,0.5", "inf,0"])
+def test_invalid_feature_values_rejected(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"b0,b1,label\n0,1,0\n{row},1\n")
+    schema = FeatureSchema((ContinuousFeature(), BinaryFeature()),
+                           ("b0", "b1"))
+    with pytest.raises(DatasetFormatError):
+        load_dataset(path, schema)
+
+
 def test_label_out_of_range_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("b0,b1,label\n0,1,5\n")
@@ -163,7 +174,7 @@ def test_label_out_of_range_rejected(tmp_path):
 
 def test_trained_stumps_satisfy_core_invariants():
     data = make_synthetic("blobs", n=40, seed=7)
-    ens = train_adaboost(data, num_trees=12, max_depth=1, seed=1)
+    ens = train_adaboost(data, num_trees=12, max_depth=1)
     assert all(a >= 0.0 for a in ens.alpha)
     for kind in ens.schema.features:
         ts = kind.thresholds
