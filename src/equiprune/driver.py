@@ -94,8 +94,7 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
     if not initial_points:
         raise InputError("at least one initial point is required")
     working = PruneSet(ensemble)
-    for x in initial_points:
-        working.add_point(x)
+    working.add_points(initial_points)
 
     t_start = time.perf_counter()
     prune_total = 0.0

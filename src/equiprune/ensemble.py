@@ -324,10 +324,14 @@ def _check_weights(ensemble: Ensemble, weights: Sequence[float]) -> np.ndarray:
 def cells_of(schema: FeatureSchema, X) -> np.ndarray:
     """Cell signatures (n, p) of the points in the rows of ``X``: interval
     index k_j = #{r : x_j > t_r} for continuous features, the value itself
-    for binary and categorical ones.  Raises ``InputError`` on a wrong
-    arity, a NaN or infinite value, a binary value other than 0/1 and a
-    categorical value that is not one of the feature's levels."""
-    X = np.asarray(X, dtype=float)
+    for binary and categorical ones.  Raises ``InputError`` on rows that
+    are not numbers of one length, a wrong arity, a NaN or infinite
+    value, a binary value other than 0/1 and a categorical value that is
+    not one of the feature's levels."""
+    try:
+        X = np.asarray(X, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"points must be rows of numbers: {exc}") from None
     if X.ndim != 2 or X.shape[1] != schema.num_features:
         raise InputError(
             f"expected points of arity {schema.num_features}, "

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ensemble import (CellSignature, Ensemble, Point, cell_center,
-                       cell_class, cell_of, check_cell, leaves_of)
+                       cell_scores_batch, cells_of, leaves_of)
 from .errors import (InfeasiblePruneError, IterationLimitError,
                      SolverFailureError, TiedPredictionError)
 from .solver import (MilpSolution, MilpProblem, ProblemBuilder, SolveStatus,
@@ -50,22 +50,36 @@ class PruneSet:
 
     def add_point(self, x: Sequence[float]) -> bool:
         """Add a point; returns False if its cell was already present."""
-        point = tuple(float(v) for v in x)
-        return self._add(point, cell_of(self.ensemble.schema, point))
+        return self.add_points([x]) == 1
+
+    def add_points(self, X) -> int:
+        """Add the rows of ``X`` in order, each unless its cell is
+        already present; returns how many were added.  All rows are
+        validated before any is added."""
+        cells = cells_of(self.ensemble.schema, X)
+        return self._extend(np.asarray(X, dtype=float), cells)
 
     def add_cell(self, cell: CellSignature) -> bool:
         """Add a cell via its center representative."""
-        check_cell(self.ensemble.schema, cell)
-        return self._add(cell_center(self.ensemble.schema, cell), tuple(cell))
+        center = cell_center(self.ensemble.schema, cell)   # validates
+        return self._extend(np.array([center]),
+                            np.array([cell], dtype=np.int64)) == 1
 
-    def _add(self, point: Point, cell: CellSignature) -> bool:
-        if cell in self._seen:
-            return False
-        self._seen.add(cell)
-        self.points.append(point)
-        self.cells.append(cell)
-        self.labels.append(cell_class(self.ensemble, self.ensemble.alpha, cell))
-        return True
+    def _extend(self, points: np.ndarray, cells: np.ndarray) -> int:
+        """Add the rows whose cells are new, in order, each labelled with
+        the class the original weights predict; all in one routing."""
+        new = []
+        for i, cell in enumerate(map(tuple, cells.tolist())):
+            if cell not in self._seen:
+                self._seen.add(cell)
+                self.cells.append(cell)
+                new.append(i)
+        if new:
+            ens = self.ensemble
+            self.points.extend(map(tuple, points[new].tolist()))
+            scores = cell_scores_batch(ens, ens.alpha, cells[new])
+            self.labels.extend(np.argmax(scores, axis=1).tolist())
+        return len(new)
 
     def __contains__(self, cell: CellSignature) -> bool:
         return cell in self._seen

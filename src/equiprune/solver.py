@@ -1,20 +1,23 @@
 """Self-contained linear and mixed-integer linear programming.
 
-LPs are solved by a bounded-variable simplex on the full tableau.  A
-cold solve runs two primal phases from an artificial-variable identity
+LPs are solved by a bounded-variable revised simplex that keeps the
+basis inverse B^{-1} explicitly: an entering column is B^{-1} a_j, the
+pivot row of the ratio tests is row r of B^{-1} times the columns, and a
+pivot is a rank-1 update of B^{-1} and of the reduced costs.  A cold
+solve runs two primal phases from an artificial-variable identity
 basis, with Dantzig pricing, a Bland fallback after degenerate stalls,
 and a bounded-variable ratio test with bound flips.  A warm solve starts
-from a given basis -- in branch and bound, the optimal basis of the node
-that spawned the LP.  It refactors the tableau once from the original
-data, repairs the basics that the changed bounds push out of range with
-a bounded dual simplex, and finishes with the primal loop.
+from a given basis and its factor (B^{-1} and the reduced costs there)
+-- in branch and bound, the optimal basis of the node that spawned the
+LP, factored once for both children.  It repairs the basics that the
+changed bounds push out of range with a bounded dual simplex and
+finishes with the primal loop.
 
-The reduced-cost row is maintained incrementally and recomputed exactly
-from the original data at regular intervals and before any claim of
-optimality; a returned optimum is always re-derived with a dense
-factorization of the original basis columns and checked for
-feasibility and optimality independently of the (possibly drifted)
-tableau.  A warm solve reports infeasibility only when a Farkas row,
+B^{-1}, the basic values and the reduced costs are re-derived from the
+original data at regular intervals and before any claim of optimality;
+a returned optimum is checked for feasibility and optimality on values
+re-derived at its basis, independently of the (possibly drifted)
+updates.  A warm solve reports infeasibility only when a Farkas row,
 recomputed from the original data, shows that no point inside the
 bounds satisfies the rows.  Anything else that goes wrong on the warm
 path -- a singular or dual infeasible start, the iteration cap, a
@@ -184,10 +187,13 @@ class ProblemBuilder:
 
 
 # ---------------------------------------------------------------------------
-# Bounded-variable simplex (full tableau): cold two-phase primal, warm
-# bounded dual followed by primal
+# Bounded-variable revised simplex on an explicit basis inverse: cold
+# two-phase primal, warm bounded dual followed by primal
 
 _AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
+# By status: may a nonbasic column rise from its value, or fall?
+_MAY_RISE = np.array([True, False, False, True])
+_MAY_FALL = np.array([False, True, False, True])
 
 # Ratio-test tie window: steps within this of the shortest count as tied,
 # and the tie is broken by the largest pivot magnitude.
@@ -198,68 +204,136 @@ _DEGENERATE_STEP = 1e-12
 # A feasible problem drives the phase-1 artificial sum to roundoff level
 # (~1e-13 at these scales); a leftover above this fraction of tol_feas
 # (times 1 + max|b|) is a genuinely empty feasible region, even when it
-# would pass the looser per-row tolerance applied to returned solutions.
+# would pass the looser per-variable tolerance applied to returned
+# solutions.  A row whose coefficients are all below 1 has its leftover
+# counted in units of its largest coefficient, the least distance some
+# variable must move to absorb it: the check of a returned basis bounds
+# such distances, not row residuals.
 _PHASE1_EMPTY = 1e-2
 
 
+@dataclass(frozen=True)
+class _Factor:
+    """B^{-1} and the reduced costs of the problem's objective at one
+    basis, derived from the original data.  Several warm solves may
+    start from one factor; each pivots on its own copy."""
+
+    binv: np.ndarray
+    d: np.ndarray
+
+
+def _invert(A_all: np.ndarray, basic: np.ndarray,
+            cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B^{-1} of the columns ``basic`` and the reduced costs of ``cost``."""
+    try:
+        binv = np.linalg.inv(A_all[:, basic])
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailureError(f"singular simplex basis: {exc}") from exc
+    return binv, cost - (cost[basic] @ binv) @ A_all
+
+
+class _Columns:
+    """The columns that every LP of one problem shares: the variables,
+    then one slack per row ('<=' slack in [0, inf), '>=' slack in
+    (-inf, 0], '==' slack fixed at 0), then one artificial per row.
+    Here the artificials are the identity, fixed at zero as in every
+    warm solve; a cold solve signs and frees them for phase 1."""
+
+    def __init__(self, c: np.ndarray, A: np.ndarray, b: np.ndarray,
+                 senses: np.ndarray):
+        m, n = A.shape
+        self.m, self.n = m, n
+        self.A = A
+        self.A_all = np.hstack([A, np.eye(m), np.eye(m)])
+        self.b = b
+        self.cost = np.concatenate([c, np.zeros(2 * m)])
+        self.slack_lo = np.where(senses == 1, -np.inf, 0.0)
+        self.slack_up = np.where(senses == -1, np.inf, 0.0)
+        row_max = np.abs(A).max(axis=1, initial=0.0)
+        self.row_scale = np.where(row_max > 0, np.minimum(row_max, 1.0), 1.0)
+
+    def bounds(self, lo: np.ndarray,
+               up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds of every column, given those of the variables."""
+        zero = np.zeros(self.m)
+        return (np.concatenate([lo, self.slack_lo, zero]),
+                np.concatenate([up, self.slack_up, zero]))
+
+    def factor(self, basis: Basis) -> _Factor | None:
+        """The factor at ``basis``, or None when it is singular."""
+        try:
+            return _Factor(*_invert(self.A_all, basis.basic, self.cost))
+        except SolverFailureError:
+            return None
+
+
 class _Simplex:
-    """One LP solve.  Works on min c'x with the problem's rows turned
-    into equalities via one slack per row ('<=' slack in [0, inf),
-    '>=' slack in (-inf, 0], '==' slack fixed at 0) and one artificial
-    per row.  Without ``start`` the artificials form the phase-1
-    identity basis.  With ``start`` they are fixed at zero, the tableau
-    is refactored at that basis for the objective c, and every nonbasic
+    """One LP solve of min cc'x over the shared columns, with the basis
+    inverse ``Binv`` kept explicitly: an entering column is Binv a_j, a
+    pivot row is Binv[r] A_all, and a pivot is a rank-1 update of Binv
+    and of the reduced-cost row d.
+
+    Without ``factor`` the solve is cold: each artificial takes the sign
+    of its row's residual at the starting values, the artificials form
+    the phase-1 identity basis, and cc is their sum.  With ``factor``
+    (taken at ``start``) it is warm: the artificials stay fixed at zero,
+    the solve pivots on its own copy of the factor, and every nonbasic
     column rests at the bound its status names; a boxed column whose
     reduced cost has the wrong sign for that bound rests at the other
     one, so only columns with an infinite bound can leave the start
-    dual infeasible."""
+    dual infeasible.
 
-    def __init__(self, c: np.ndarray, A: np.ndarray, b: np.ndarray,
-                 senses: np.ndarray, lo: np.ndarray, up: np.ndarray,
-                 opts: SolverOptions, start: Basis | None = None):
-        m, n = A.shape
-        self.m, self.n = m, n
+    ``derived`` holds while xB and d are as re-derived from the original
+    data at the current basis: ``_refactor`` and ``_rederive`` set it,
+    and every pivot, bound flip or move of the nonbasics clears it."""
+
+    def __init__(self, cols: _Columns, lo: np.ndarray, up: np.ndarray,
+                 opts: SolverOptions, start: Basis | None = None,
+                 factor: _Factor | None = None):
+        m, n = cols.m, cols.n
+        self.m, self.n, self.N = m, n, n + 2 * m
         self.opts = opts
-        slack_lo = np.where(senses == 1, -np.inf, 0.0)
-        slack_up = np.where(senses == -1, np.inf, 0.0)
-        lo_ext = np.concatenate([lo, slack_lo])
-        up_ext = np.concatenate([up, slack_up])
-        # start every non-artificial variable at a finite bound
-        val = np.where(np.isfinite(lo_ext), lo_ext,
-                       np.where(np.isfinite(up_ext), up_ext, 0.0))
-        stat = np.where(np.isfinite(lo_ext), _AT_LOWER,
-                        np.where(np.isfinite(up_ext), _AT_UPPER, _FREE))
-        if start is None:
-            residual = b - np.hstack([A, np.eye(m)]) @ val
-            sigma = np.where(residual >= 0, 1.0, -1.0)
-        else:
-            sigma = np.ones(m)
-        self.sigma = sigma
-        self.A_all = np.hstack([A, np.eye(m), np.diag(sigma)])
-        self.N = n + 2 * m
-        self.lo = np.concatenate([lo_ext, np.zeros(m)])
-        self.up = np.concatenate([up_ext, np.full(m, np.inf if start is None
-                                                  else 0.0)])
-        self.b = b
-        self.stat = np.concatenate([stat, np.full(m, _AT_LOWER)])
-        self.val = np.concatenate([val, np.zeros(m)])
+        self.b = cols.b
+        self.row_scale = cols.row_scale
+        self.A = cols.A
+        self.lo, self.up = cols.bounds(lo, up)
+        self.movable = self.up > self.lo    # fixed columns never enter
         self.iterations = 0
-        if start is None:
-            self.basis = np.arange(n + m, n + 2 * m)
-            self.stat[self.basis] = _BASIC
-            self.T = sigma[:, None] * self.A_all  # B^{-1} A, B = diag(sigma)
-            self.xB = sigma * residual
-            self.cc = np.zeros(self.N)           # current phase objective
-            self.d = np.zeros(self.N)
-        else:
+        if factor is not None:
+            self.A_all = cols.A_all
+            self.sigma = np.ones(m)
+            self.cc = cols.cost
             self.basis = start.basic.astype(np.intp)
-            self.cc = np.concatenate([c, np.zeros(2 * m)])
-            self._refactor(full_tableau=True)    # reduced costs at start
+            self.Binv = factor.binv.copy()
+            self.d = factor.d.copy()
             self._rest_nonbasics(start.status)
+            return
+        # start every non-artificial variable at a finite bound
+        k = n + m
+        lo_x, up_x = self.lo[:k], self.up[:k]
+        val = np.where(np.isfinite(lo_x), lo_x,
+                       np.where(np.isfinite(up_x), up_x, 0.0))
+        stat = np.where(np.isfinite(lo_x), _AT_LOWER,
+                        np.where(np.isfinite(up_x), _AT_UPPER, _FREE))
+        residual = self.b - cols.A_all[:, :k] @ val
+        sigma = np.where(residual >= 0, 1.0, -1.0)
+        self.sigma = sigma
+        self.A_all = cols.A_all.copy()
+        self.A_all[:, k:] *= sigma
+        self.up[k:] = np.inf
+        self.movable[k:] = True
+        self.basis = np.arange(k, n + 2 * m)
+        self.stat = np.concatenate([stat, np.full(m, _BASIC)])
+        self.val = np.concatenate([val, np.zeros(m)])
+        self.Binv = np.diag(sigma)               # B = diag(sigma)
+        self.xB = sigma * residual
+        self.cc = np.concatenate([np.zeros(k), np.ones(m)])
+        self.d = self.cc - sigma @ self.A_all    # y = 1'B^{-1} = sigma
+        self.derived = True
 
     def _rest_nonbasics(self, status: np.ndarray) -> None:
-        """Place the nonbasics as the class docstring says and move the
-        basics with them."""
+        """Place the nonbasics as the class docstring says and solve for
+        the basics."""
         lo, up = self.lo, self.up
         boxed = np.isfinite(lo) & np.isfinite(up)
         tol = self.opts.tol_cost
@@ -271,68 +345,67 @@ class _Simplex:
                                  np.where(np.isfinite(up), _AT_UPPER, _FREE)))
         stat[self.basis] = _BASIC
         self.stat = stat
-        val = np.where(stat == _AT_UPPER, up,
-                       np.where(stat == _AT_LOWER, lo, 0.0))
-        moved = val - self.val
-        moved[self.basis] = 0.0
-        self.xB -= self.T @ moved               # basics follow the rests
-        self.val = val
+        self.val = np.where(stat == _AT_UPPER, up,
+                            np.where(stat == _AT_LOWER, lo, 0.0))
+        self.xB = self.Binv @ self._basic_rhs()
+        self.derived = False
 
     # -- exact recomputation from original data ---------------------------
 
-    def _basis_matrix(self) -> np.ndarray:
-        return self.A_all[:, self.basis]
-
-    def _refactor(self, full_tableau: bool = False) -> None:
-        """Recompute the basic values and the reduced costs, and with
-        ``full_tableau`` the tableau B^{-1} A_all, from the original
-        data."""
-        B = self._basis_matrix()
+    def _basic_rhs(self) -> np.ndarray:
+        """b minus the nonbasic columns at their values: B x_B equals it."""
         x_nb = self.val.copy()
         x_nb[self.basis] = 0.0
-        rhs = self.b - self.A_all @ x_nb
-        k = self.n + self.m
+        return self.b - self.A_all @ x_nb
+
+    def _refactor(self) -> None:
+        """Re-invert B and re-derive the basic values and the reduced
+        costs from the original data."""
+        self.Binv, self.d = _invert(self.A_all, self.basis, self.cc)
+        self.xB = self.Binv @ self._basic_rhs()
+        self.derived = True
+
+    def _rederive(self) -> None:
+        """Re-derive the basic values and the reduced costs by solving
+        with B from the original data, without the updated B^{-1}; two
+        solves cost less than one inversion."""
+        B = self.A_all[:, self.basis]
         try:
-            if full_tableau:
-                # B^{-1} [A I] in one solve; the slack block is B^{-1}
-                # itself and the artificial block B^{-1} diag(sigma) a
-                # rescaled copy of it
-                self.T = None                   # free the old tableau first
-                T = np.empty((self.m, self.N))
-                T[:, :k] = np.linalg.solve(B, self.A_all[:, :k])
-                np.multiply(T[:, self.n:k], self.sigma, out=T[:, k:])
-                self.T = T
-                self.xB = T[:, self.n:k] @ rhs
-                self.d = self.cc - self.cc[self.basis] @ T
-                return
-            self.xB = np.linalg.solve(B, rhs)
+            self.xB = np.linalg.solve(B, self._basic_rhs())
             y = np.linalg.solve(B.T, self.cc[self.basis])
         except np.linalg.LinAlgError as exc:
             raise SolverFailureError(f"singular simplex basis: {exc}") from exc
         self.d = self.cc - y @ self.A_all
+        self.derived = True
 
     def assemble(self) -> np.ndarray:
         x = self.val.copy()
         x[self.basis] = self.xB
         return x
 
-    def objective(self) -> float:
-        return float(self.cc @ self.assemble())
-
     # -- pivoting loops ----------------------------------------------------
 
-    def _candidates(self, tol: float) -> np.ndarray:
-        movable = (self.up - self.lo) > 0
-        d, stat = self.d, self.stat
-        return movable & (((stat == _AT_LOWER) & (d < -tol))
-                          | ((stat == _AT_UPPER) & (d > tol))
-                          | ((stat == _FREE) & (np.abs(d) > tol)))
+    def _pivot_row(self, r: int) -> np.ndarray:
+        """Row r of B^{-1} A_all, from the blocks [A I S] of A_all (S the
+        diagonal of artificial signs, the identity on a warm solve)."""
+        v = self.Binv[r]
+        n, k = self.n, self.n + self.m
+        row = np.empty(self.N)
+        row[:n] = v @ self.A
+        row[n:k] = v
+        np.multiply(v, self.sigma, out=row[k:])
+        return row
 
-    def _exchange(self, r: int, j: int, col: np.ndarray, enter_value: float,
-                  leave_at_upper: bool) -> None:
-        """Column j, whose tableau column before the pivot is ``col``,
-        replaces the basic of row r, which leaves at one of its bounds;
-        rank-1 update of the tableau and the reduced costs."""
+    def _candidates(self, tol: float) -> np.ndarray:
+        d, stat = self.d, self.stat
+        return self.movable & ((_MAY_RISE[stat] & (d < -tol))
+                               | (_MAY_FALL[stat] & (d > tol)))
+
+    def _exchange(self, r: int, j: int, col: np.ndarray, row: np.ndarray,
+                  enter_value: float, leave_at_upper: bool) -> None:
+        """Column j, whose entering column Binv a_j is ``col``, replaces
+        the basic of row r, which leaves at one of its bounds; ``row`` is
+        the pivot row Binv[r] A_all.  Rank-1 update of Binv and d."""
         leaving = int(self.basis[r])
         if leave_at_upper:
             self.stat[leaving] = _AT_UPPER
@@ -343,11 +416,14 @@ class _Simplex:
         self.basis[r] = j
         self.stat[j] = _BASIC
         self.xB[r] = enter_value
-        self.T[r] /= col[r]
-        colc = col.copy()
-        colc[r] = 0.0
-        self.T -= colc[:, None] * self.T[r]
-        self.d -= self.d[j] * self.T[r]
+        pivot = col[r]
+        self.d -= (self.d[j] / pivot) * row
+        self.d[j] = 0.0
+        self.Binv[r] /= pivot
+        others = col.copy()
+        others[r] = 0.0
+        self.Binv -= np.outer(others, self.Binv[r])
+        self.derived = False
 
     def iterate(self, budget: int) -> SolveStatus:
         """Primal pivots until optimal/unbounded or the budget runs out."""
@@ -360,9 +436,9 @@ class _Simplex:
                 return SolveStatus.ITERATION_LIMIT
             cand = self._candidates(opts.tol_cost)
             if not cand.any():
-                if since_refactor == 0:
+                if self.derived:
                     return SolveStatus.OPTIMAL
-                self._refactor()        # confirm against original data
+                self._rederive()        # confirm against original data
                 since_refactor = 0
                 continue
             idx = np.nonzero(cand)[0]
@@ -373,22 +449,22 @@ class _Simplex:
             else:
                 direction = 1.0
 
-            col = self.T[:, j].copy()
+            col = self.Binv @ self.A_all[:, j]
             delta = direction * col
             lo_B = self.lo[self.basis]
             up_B = self.up[self.basis]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_dec = np.where(delta > opts.tol_pivot,
-                                 (self.xB - lo_B) / delta, np.inf)
-                t_inc = np.where(delta < -opts.tol_pivot,
-                                 (up_B - self.xB) / (-delta), np.inf)
-            t_rows = np.maximum(np.minimum(t_dec, t_inc), 0.0)
+            t_rows = np.full(self.m, np.inf)
+            np.divide(self.xB - lo_B, delta, out=t_rows,
+                      where=delta > opts.tol_pivot)
+            np.divide(up_B - self.xB, -delta, out=t_rows,
+                      where=delta < -opts.tol_pivot)
+            np.maximum(t_rows, 0.0, out=t_rows)
             t_row = float(t_rows.min()) if self.m else np.inf
             span = self.up[j] - self.lo[j]
             t_flip = float(span) if np.isfinite(span) else np.inf
 
             if min(t_row, t_flip) == np.inf:
-                if since_refactor == 0:
+                if self.derived:
                     return SolveStatus.UNBOUNDED
                 self._refactor()        # rule out drift before giving up
                 since_refactor = 0
@@ -401,6 +477,7 @@ class _Simplex:
                 self.xB -= direction * t_flip * col
                 self.stat[j] = _AT_UPPER if direction > 0 else _AT_LOWER
                 self.val[j] = self.up[j] if direction > 0 else self.lo[j]
+                self.derived = False
                 step = t_flip
             else:
                 rows = np.nonzero(t_rows <= t_row + _RATIO_TIE)[0]
@@ -410,8 +487,8 @@ class _Simplex:
                     r = int(rows[np.argmax(np.abs(delta[rows]))])
                 enter_value = self.val[j] + direction * t_row
                 self.xB -= direction * t_row * col
-                self._exchange(r, j, col, enter_value,
-                               leave_at_upper=not delta[r] > 0)
+                self._exchange(r, j, col, self._pivot_row(r),
+                               enter_value, leave_at_upper=not delta[r] > 0)
                 step = t_row
 
             if step <= _DEGENERATE_STEP:
@@ -432,7 +509,6 @@ class _Simplex:
         (INFEASIBLE, r) when the basic of row r is out of bounds and no
         nonbasic column can move it back; or (ITERATION_LIMIT, -1)."""
         opts = self.opts
-        movable = (self.up - self.lo) > 0   # fixed columns never enter
         since_refactor = 0
         stall = 0
         bland = False
@@ -445,9 +521,9 @@ class _Simplex:
             infeas = np.maximum(below, self.xB - up_B)
             rows = np.nonzero(infeas > opts.tol_feas)[0]
             if rows.size == 0:
-                if since_refactor == 0:
+                if self.derived:
                     return SolveStatus.OPTIMAL, -1
-                self._refactor()        # confirm against original data
+                self._rederive()        # confirm against original data
                 since_refactor = 0
                 continue
             if bland:
@@ -455,14 +531,14 @@ class _Simplex:
             else:
                 r = int(rows[np.argmax(infeas[rows])])
             to_lower = below[r] > 0
-            # x_B[r] moves by -T[r, j] per unit step of column j; alpha
-            # is signed so that a helpful step has alpha_j * dx_j < 0
-            alpha = self.T[r] if to_lower else -self.T[r]
+            # x_B[r] moves by -row[j] per unit step of column j; alpha is
+            # signed so that a helpful step has alpha_j * dx_j < 0
+            row = self._pivot_row(r)
+            alpha = row if to_lower else -row
             stat = self.stat
             tol = opts.tol_pivot
-            eligible = movable & (((stat == _AT_LOWER) & (alpha < -tol))
-                                  | ((stat == _AT_UPPER) & (alpha > tol))
-                                  | ((stat == _FREE) & (np.abs(alpha) > tol)))
+            eligible = self.movable & ((_MAY_RISE[stat] & (alpha < -tol))
+                                       | (_MAY_FALL[stat] & (alpha > tol)))
             idx = np.nonzero(eligible)[0]
             if idx.size == 0:
                 return SolveStatus.INFEASIBLE, r
@@ -477,12 +553,13 @@ class _Simplex:
             else:
                 q = int(tied[np.argmax(np.abs(alpha[tied]))])
 
-            col = self.T[:, q].copy()
+            col = self.Binv @ self.A_all[:, q]
             target = lo_B[r] if to_lower else up_B[r]
             theta = (self.xB[r] - target) / col[r]
             enter_value = self.val[q] + theta
             self.xB -= theta * col
-            self._exchange(r, q, col, enter_value, leave_at_upper=not to_lower)
+            self._exchange(r, q, col, row, enter_value,
+                           leave_at_upper=not to_lower)
             self.iterations += 1
             since_refactor += 1
 
@@ -498,81 +575,86 @@ class _Simplex:
                 since_refactor = 0
 
 
-def _simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray,
-                   senses: np.ndarray, lo: np.ndarray, up: np.ndarray,
+def _phase1_cut(sx: _Simplex, opts: SolverOptions) -> float:
+    """The leftover above which phase 1 calls the rows empty."""
+    return _PHASE1_EMPTY * opts.tol_feas * (1.0 + np.abs(sx.b).max(initial=0.0))
+
+
+def _simplex_solve(cols: _Columns, lo: np.ndarray, up: np.ndarray,
                    opts: SolverOptions) -> LpSolution:
     """Cold solve: phase 1 from the artificial identity, then phase 2."""
     if np.any(lo > up):
         return LpSolution(SolveStatus.INFEASIBLE, None, None, 0)
-    sx = _Simplex(c, A, b, senses, lo, up, opts)
+    sx = _Simplex(cols, lo, up, opts)
     n, m = sx.n, sx.m
 
     # phase 1: minimize the artificial sum
-    sx.cc = np.zeros(sx.N)
-    sx.cc[n + m:] = 1.0
-    sx.d = sx.cc - sx.cc[sx.basis] @ sx.T
     status = sx.iterate(opts.max_iterations)
     if status == SolveStatus.ITERATION_LIMIT:
         return LpSolution(status, None, None, sx.iterations)
     if status == SolveStatus.UNBOUNDED:
         raise SolverFailureError("phase-1 objective cannot be unbounded")
-    if sx.objective() > (_PHASE1_EMPTY * opts.tol_feas
-                         * (1.0 + np.abs(b).max(initial=0.0))):
+    leftover = np.abs(sx.assemble()[n + m:]) / sx.row_scale
+    if leftover.sum() > _phase1_cut(sx, opts):
         return LpSolution(SolveStatus.INFEASIBLE, None, None, sx.iterations)
 
     # phase 2: clamp artificials to zero and minimize the real objective
     sx.lo[n + m:] = 0.0
     sx.up[n + m:] = 0.0
+    sx.movable[n + m:] = False
     sx.val[n + m:] = 0.0
-    sx.cc = np.concatenate([c, np.zeros(2 * m)])
+    sx.cc = cols.cost
     sx._refactor()
     for _attempt in range(3):
         status = sx.iterate(opts.max_iterations)
         if status != SolveStatus.OPTIMAL:
             x = sx.assemble()[:n] if status == SolveStatus.ITERATION_LIMIT else None
-            obj = float(c @ x) if x is not None else None
+            obj = float(cols.cost[:n] @ x) if x is not None else None
             return LpSolution(status, x, obj, sx.iterations)
         if _verified_optimum(sx, opts):
-            return _optimal(sx, c)
-        sx._refactor(full_tableau=True)
+            return _optimal(sx)
+        sx._refactor()
     raise SolverFailureError("simplex solution failed numerical verification")
 
 
-def _warm_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray,
-                senses: np.ndarray, lo: np.ndarray, up: np.ndarray,
-                start: Basis, opts: SolverOptions) -> LpSolution:
+def _warm_solve(cols: _Columns, lo: np.ndarray, up: np.ndarray, start: Basis,
+                factor: _Factor | None, opts: SolverOptions) -> LpSolution:
     """Re-solve from ``start``, an optimal basis of the same rows and
-    objective under other bounds: bounded dual simplex to primal
-    feasibility, then primal simplex, then the same independent check
-    as a cold solve.  INFEASIBLE is reported only when a Farkas row
-    confirms it; every other failure falls back to ``_simplex_solve``,
-    whose pivots are added to the warm attempt's."""
+    objective under other bounds, whose factor is ``factor`` (None when
+    it is singular): bounded dual simplex to primal feasibility, then
+    primal simplex, then the same independent check as a cold solve.
+    INFEASIBLE is reported only when a Farkas row confirms it; every
+    other failure falls back to ``_simplex_solve``, whose pivots are
+    added to the warm attempt's."""
     if np.any(lo > up):
         return LpSolution(SolveStatus.INFEASIBLE, None, None, 0)
     sx = None
-    try:
-        sx = _Simplex(c, A, b, senses, lo, up, opts, start=start)
-        if not _verified_candidates(sx, opts).any():
-            status, r = sx.dual_iterate(opts.max_iterations)
-            if status == SolveStatus.INFEASIBLE and _farkas_confirms(sx, r,
-                                                                     opts):
-                return LpSolution(SolveStatus.INFEASIBLE, None, None,
-                                  sx.iterations)
-            if (status == SolveStatus.OPTIMAL
-                    and sx.iterate(opts.max_iterations) == SolveStatus.OPTIMAL
-                    and _verified_optimum(sx, opts)):
-                return _optimal(sx, c)
-    except SolverFailureError:          # singular basis
-        pass
-    sol = _simplex_solve(c, A, b, senses, lo, up, opts)
+    if factor is not None:
+        try:
+            sx = _Simplex(cols, lo, up, opts, start=start, factor=factor)
+            if not _verified_candidates(sx, opts).any():
+                status, r = sx.dual_iterate(opts.max_iterations)
+                if (status == SolveStatus.INFEASIBLE
+                        and _farkas_confirms(sx, r, opts)):
+                    return LpSolution(SolveStatus.INFEASIBLE, None, None,
+                                      sx.iterations)
+                if (status == SolveStatus.OPTIMAL
+                        and sx.iterate(opts.max_iterations)
+                        == SolveStatus.OPTIMAL
+                        and _verified_optimum(sx, opts)):
+                    return _optimal(sx)
+        except SolverFailureError:      # singular basis at a refactor
+            pass
+    sol = _simplex_solve(cols, lo, up, opts)
     if sx is not None:
         sol.iterations += sx.iterations
     return sol
 
 
-def _optimal(sx: _Simplex, c: np.ndarray) -> LpSolution:
+def _optimal(sx: _Simplex) -> LpSolution:
     x = sx.assemble()[:sx.n]
-    return LpSolution(SolveStatus.OPTIMAL, x, float(c @ x), sx.iterations,
+    return LpSolution(SolveStatus.OPTIMAL, x, float(sx.cc[:sx.n] @ x),
+                      sx.iterations,
                       Basis(sx.basis.copy(), sx.stat.astype(np.int8)))
 
 
@@ -583,9 +665,11 @@ def _verified_candidates(sx: _Simplex, opts: SolverOptions) -> np.ndarray:
 
 def _verified_optimum(sx: _Simplex, opts: SolverOptions) -> bool:
     """Independent check of a claimed optimum: re-derive the basic
-    solution and reduced costs from the original data, then test the
+    solution and reduced costs from the original data, unless they were
+    re-derived at this basis and nothing has moved since, then test the
     bounds of every basic and the sign of every reduced cost."""
-    sx._refactor()
+    if not sx.derived:
+        sx._rederive()
     lo_B = sx.lo[sx.basis]
     up_B = sx.up[sx.basis]
     scale = 1.0 + np.abs(sx.b).max(initial=0.0)
@@ -599,14 +683,15 @@ def _farkas_confirms(sx: _Simplex, r: int, opts: SolverOptions) -> bool:
     recomputed from the original data (B'y = e_r, alpha = y'A_all, with
     entries of magnitude at most tol_pivot taken as zero).  It confirms
     when y'b lies outside the range of alpha'x over the bounds by more
-    than the phase-1 emptiness cut times max|y|: since
-    |y'(b - A_all x)| <= max|y| * |b - A_all x|_1, every point inside
-    the bounds then leaves a total row residual above the cut at which
-    a cold phase 1 reports the LP empty."""
+    than the phase-1 emptiness cut times max_i |y_i| s_i, where s_i is
+    row i's scale in the phase-1 leftover: since |y'(b - A_all x)| <=
+    max_i |y_i| s_i * sum_i |b - A_all x|_i / s_i, every point inside
+    the bounds then leaves a scaled leftover above the cut at which a
+    cold phase 1 reports the LP empty."""
     e_r = np.zeros(sx.m)
     e_r[r] = 1.0
     try:
-        y = np.linalg.solve(sx._basis_matrix().T, e_r)
+        y = np.linalg.solve(sx.A_all[:, sx.basis].T, e_r)
     except np.linalg.LinAlgError:
         return False
     alpha = y @ sx.A_all
@@ -615,8 +700,7 @@ def _farkas_confirms(sx: _Simplex, r: int, opts: SolverOptions) -> bool:
     low = alpha[pos] @ sx.lo[pos] + alpha[neg] @ sx.up[neg]
     high = alpha[pos] @ sx.up[pos] + alpha[neg] @ sx.lo[neg]
     rhs = y @ sx.b
-    margin = (_PHASE1_EMPTY * opts.tol_feas
-              * (1.0 + np.abs(sx.b).max(initial=0.0)) * np.abs(y).max())
+    margin = _phase1_cut(sx, opts) * np.abs(y * sx.row_scale).max()
     return bool(rhs < low - margin or rhs > high + margin)
 
 
@@ -632,8 +716,7 @@ def solve_lp(problem: MilpProblem,
              options: SolverOptions | None = None) -> LpSolution:
     """Solve the LP relaxation (integrality flags are ignored)."""
     opts = options or SolverOptions()
-    c, A, b, senses = _prepare(problem)
-    sol = _simplex_solve(c, A, b, senses,
+    sol = _simplex_solve(_Columns(*_prepare(problem)),
                          np.asarray(problem.lower, dtype=float),
                          np.asarray(problem.upper, dtype=float), opts)
     if problem.maximize and sol.objective is not None:
@@ -658,20 +741,24 @@ def solve_milp(problem: MilpProblem,
     variable) the point is not trusted and the node is branched instead.
 
     Only the root LP starts cold.  Each heap node keeps the optimal
-    basis of its relaxation (basic indices and column statuses, no
-    tableau), and its children and its polish LP are warm-started from
-    it: only bounds differ, so the basis stays dual feasible and a
-    bounded dual simplex repairs it, usually in a few pivots.  A warm LP
-    prunes a child as infeasible only on a Farkas row confirmed from the
-    original data, and falls back to a cold solve otherwise.
+    basis of its relaxation (basic indices and column statuses), and its
+    children and its polish LP are warm-started from it: only bounds
+    differ, so the basis stays dual feasible and a bounded dual simplex
+    repairs it, usually in a few pivots.  The columns, slack bounds and
+    costs are built once per problem, and a popped node's basis is
+    factored once (B^{-1} and reduced costs), each child pivoting on its
+    own copy; a singular basis sends its children to a cold solve.  A
+    warm LP prunes a child as infeasible only on a Farkas row confirmed
+    from the original data, and falls back to a cold solve otherwise.
     """
     opts = options or SolverOptions()
-    c, A, b, senses = _prepare(problem)
+    cols = _Columns(*_prepare(problem))
     int_idx = np.nonzero(problem.integer)[0]
     sign = -1.0 if problem.maximize else 1.0
 
-    def lp(lo: np.ndarray, up: np.ndarray, start: Basis) -> LpSolution:
-        return _warm_solve(c, A, b, senses, lo, up, start, opts)
+    def lp(lo: np.ndarray, up: np.ndarray, start: Basis,
+           factor: _Factor | None) -> LpSolution:
+        return _warm_solve(cols, lo, up, start, factor, opts)
 
     def fractionality(x: np.ndarray) -> np.ndarray:
         v = x[int_idx]
@@ -694,7 +781,7 @@ def solve_milp(problem: MilpProblem,
         fixed = np.round(relaxed.x[int_idx])
         lo_f[int_idx] = fixed
         up_f[int_idx] = fixed
-        sol = lp(lo_f, up_f, relaxed.basis)
+        sol = lp(lo_f, up_f, relaxed.basis, cols.factor(relaxed.basis))
         iterations += sol.iterations
         if sol.status == SolveStatus.OPTIMAL:
             return sol.x, sol.objective
@@ -721,7 +808,7 @@ def solve_milp(problem: MilpProblem,
 
     lo0 = np.asarray(problem.lower, dtype=float)
     up0 = np.asarray(problem.upper, dtype=float)
-    root = _simplex_solve(c, A, b, senses, lo0, up0, opts)
+    root = _simplex_solve(cols, lo0, up0, opts)
     iterations += root.iterations
     if root.status != SolveStatus.OPTIMAL:
         return MilpSolution(root.status, None, None, None, 0, iterations)
@@ -748,12 +835,13 @@ def solve_milp(problem: MilpProblem,
         floor_v = np.floor(x[v])
         if floor_v >= up[v]:  # x_v at its (integral) upper bound
             floor_v = up[v] - 1.0
+        factor = cols.factor(basis)     # shared by both children
         for child_lo, child_up in (
                 (lo, _with(up, v, floor_v)),
                 (_with(lo, v, floor_v + 1.0), up)):
             if child_lo[v] > child_up[v]:
                 continue
-            sol = lp(child_lo, child_up, basis)
+            sol = lp(child_lo, child_up, basis, factor)
             iterations += sol.iterations
             if sol.status == SolveStatus.INFEASIBLE:
                 continue

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from equiprune import (InfeasiblePruneError, PruneSet, TiedPredictionError,
+from equiprune import (InfeasiblePruneError, InputError, PruneSet,
+                       TiedPredictionError, cell_of, sample_uniform_points,
                        brute_force_min_support, build_ensemble, build_margins,
                        cell_class, compute_big_w, enumerate_cells,
                        predict_class, prune_l0, prune_l1, support_of)
-from conftest import make_stump, one_hot, stump_ensembles
+from conftest import (make_stump, one_hot, random_boosted_instance,
+                      stump_ensembles)
+from test_ensemble import random_mixed_ensemble
 
 
 def all_cells_set(ensemble):
@@ -225,3 +228,48 @@ def test_prune_set_labels_match_alpha_vote():
         ps = all_cells_set(ens)
         for point, label in zip(ps.points, ps.labels):
             assert predict_class(ens, ens.alpha, point) == label
+
+
+def row_by_row(ensemble, X):
+    """The working set seeded one point at a time: cell, dedupe, label."""
+    seen, points, cells, labels = set(), [], [], []
+    for x in X:
+        cell = cell_of(ensemble.schema, x)
+        if cell in seen:
+            continue
+        seen.add(cell)
+        points.append(tuple(float(v) for v in x))
+        cells.append(cell)
+        labels.append(cell_class(ensemble, ensemble.alpha, cell))
+    return points, cells, labels
+
+
+def test_batch_seeding_matches_row_by_row():
+    rng = np.random.default_rng(13)
+    draws = [random_boosted_instance(seed) for seed in range(30)]
+    cases = [(ens, data.X) for ens, data in filter(None, draws)]
+    for _ in range(30):
+        ens = random_mixed_ensemble(rng)
+        cases.append((ens, sample_uniform_points(ens.schema, 20, rng)))
+    for ens, X in cases:
+        # repeat some rows, so both the batch and later calls see duplicates
+        X = X[rng.integers(0, len(X), size=2 * len(X))]
+        expected = row_by_row(ens, X)
+        batch = PruneSet(ens)
+        half = len(X) // 2
+        added = batch.add_points(X[:half]) + batch.add_points(X[half:])
+        assert added == len(expected[0])
+        assert (batch.points, batch.cells, batch.labels) == expected
+        single = PruneSet(ens)
+        assert sum(single.add_point(x) for x in X) == added
+        assert (single.points, single.cells, single.labels) == expected
+
+
+def test_batch_seeding_rejects_invalid_rows_before_adding_any():
+    ens = single_stump_ensemble()
+    ps = PruneSet(ens)
+    with pytest.raises(InputError):
+        ps.add_points([[0.3], [np.nan]])
+    with pytest.raises(InputError):
+        ps.add_points([[0.3], [0.1, 0.2]])
+    assert len(ps) == 0

@@ -272,10 +272,14 @@ def test_lp_text_dump(tmp_path):
 # Warm re-solves from an optimal basis
 
 
-def warm_resolve(prob, start, lower, upper):
-    c, A, b, senses = solver._prepare(prob)
-    return solver._warm_solve(c, A, b, senses, np.asarray(lower, dtype=float),
-                              np.asarray(upper, dtype=float), start,
+def warm_resolve(prob, start, lower, upper, factor=None):
+    """Warm re-solve from ``start``, factored here unless ``factor`` is
+    given."""
+    cols = solver._Columns(*solver._prepare(prob))
+    if factor is None:
+        factor = cols.factor(start)
+    return solver._warm_solve(cols, np.asarray(lower, dtype=float),
+                              np.asarray(upper, dtype=float), start, factor,
                               SolverOptions())
 
 
@@ -338,19 +342,21 @@ def test_warm_infeasible_tightening_is_farkas_confirmed(cold_calls):
 
 
 def test_unconfirmed_farkas_row_falls_back_to_cold(cold_calls):
-    # Two independent blocks.  In the first, the row 1e-3 (x1 + y1) <=
-    # 1e-3 has Farkas multiplier 1e3; raising lower(x1) past 1 by 5e-7
-    # pushes y1 furthest out of bounds, so the dual simplex stops on its
-    # row, but that row's residual is only 5e-10, below the cut at which
-    # a cold phase 1 calls an LP empty: it cannot confirm.  The second
+    # Two independent blocks.  In the first, the row 1e-3 (x1 + y1) + z1
+    # <= 1e-3 gives y1 the Farkas multiplier 1e3 while its largest
+    # coefficient, on z1, is 1; raising lower(x1) past 1 by 5e-7 pushes
+    # y1 furthest out of bounds, so the dual simplex stops on its row,
+    # but that row's residual is only 5e-10, below the cut at which a
+    # cold phase 1 calls an LP empty: it cannot confirm.  The second
     # block, x2 + y2 <= 1 with lower(x2) raised by 2e-7, is empty beyond
     # that cut, so the cold fallback finds the LP infeasible.
     pb = ProblemBuilder()
     x1 = pb.add_var("x1", lo=0.0, up=10.0, obj=0.0)
     y1 = pb.add_var("y1", lo=0.0, up=10.0, obj=-1.0)
+    z1 = pb.add_var("z1", lo=0.0, up=10.0, obj=1.0)
     x2 = pb.add_var("x2", lo=0.0, up=10.0, obj=0.0)
     y2 = pb.add_var("y2", lo=0.0, up=10.0, obj=-1.0)
-    pb.add_row([(x1, 1e-3), (y1, 1e-3)], "<=", 1e-3)
+    pb.add_row([(x1, 1e-3), (y1, 1e-3), (z1, 1.0)], "<=", 1e-3)
     pb.add_row([(x2, 1.0), (y2, 1.0)], "<=", 1.0)
     prob = pb.build()
     root = solve_lp(prob)
@@ -364,6 +370,148 @@ def test_unconfirmed_farkas_row_falls_back_to_cold(cold_calls):
     assert warm.status == SolveStatus.INFEASIBLE
     cold = solve_lp(dataclasses.replace(prob, lower=lower))
     assert cold.status == SolveStatus.INFEASIBLE
+
+
+def small_row_lp(x_lower):
+    """min -y  s.t.  1e-3 x + 1e-3 y <= 1e-3,  x in [x_lower, 10],
+    y in [0, 10]: a row whose coefficients are all far below 1."""
+    pb = ProblemBuilder()
+    pb.add_var("x", lo=x_lower, up=10.0)
+    pb.add_var("y", lo=0.0, up=10.0, obj=-1.0)
+    pb.add_row([(0, 1e-3), (1, 1e-3)], "<=", 1e-3)
+    return pb.build()
+
+
+def test_small_coefficient_row_just_out_of_reach_is_infeasible():
+    # The row residual is only 3e-10, but absorbing it moves x or y by
+    # 3e-7, more than the check of a returned basis allows; phase 1 must
+    # call the LP empty rather than hand phase 2 a start it cannot repair.
+    prob = small_row_lp(1.0 + 3e-7)
+    sol = solve_lp(prob)
+    assert sol.status == SolveStatus.INFEASIBLE
+    scipy_check(prob, sol)
+
+
+def test_small_coefficient_row_just_in_reach_is_optimal():
+    prob = small_row_lp(1.0 - 3e-7)
+    sol = solve_lp(prob)
+    assert sol.status == SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(-3e-7, abs=1e-12)
+    scipy_check(prob, sol)
+
+
+def test_warm_farkas_agrees_with_cold_on_a_small_coefficient_row(cold_calls):
+    prob = small_row_lp(0.0)
+    root = solve_lp(prob)
+    assert root.status == SolveStatus.OPTIMAL
+    lower = prob.lower.copy()
+    lower[0] = 1.0 + 3e-7
+    cold_calls.clear()
+    warm = warm_resolve(prob, root.basis, lower, prob.upper)
+    assert warm.status == SolveStatus.INFEASIBLE
+    assert cold_calls == []             # confirmed by the Farkas row
+
+
+# ---------------------------------------------------------------------------
+# One factorization per branch-and-bound node
+
+
+def tightened_pair(seed):
+    """A random LP with its optimum, and the bounds of the two children
+    that branch on the variable furthest from its lower bound; None
+    when the LP has no optimum."""
+    prob = random_lp(seed, anchored=True)
+    prob = dataclasses.replace(prob, lower=prob.lower - 1.0)
+    root = solve_lp(prob)
+    if root.status != SolveStatus.OPTIMAL:
+        return None
+    j = int(np.argmax(root.x - prob.lower))
+    mid = (prob.lower[j] + root.x[j]) / 2.0
+    down = (prob.lower, np.where(np.arange(prob.num_vars) == j, mid,
+                                 prob.upper))
+    up = (np.where(np.arange(prob.num_vars) == j, mid, prob.lower),
+          prob.upper)
+    return prob, root, down, up
+
+
+def test_children_pivot_on_their_own_copy_of_the_node_factor(cold_calls):
+    pivoted = 0
+    for seed in range(400, 440):
+        pair = tightened_pair(seed)
+        if pair is None:
+            continue
+        prob, root, down, up = pair
+        cols = solver._Columns(*solver._prepare(prob))
+        factor = cols.factor(root.basis)
+        binv, d = factor.binv.copy(), factor.d.copy()
+        opts = SolverOptions()
+        left = solver._Simplex(cols, *down, opts, start=root.basis,
+                               factor=factor)
+        right = solver._Simplex(cols, *up, opts, start=root.basis,
+                                factor=factor)
+        left.dual_iterate(opts.max_iterations)
+        pivoted += left.iterations > 0
+        # the node's factor and the sibling's copy are untouched
+        assert np.array_equal(factor.binv, binv)
+        assert np.array_equal(factor.d, d)
+        assert np.array_equal(right.Binv, binv)
+        assert np.array_equal(right.d, d)
+        # and each child re-solved from the shared factor matches cold
+        for lower, upper in (down, up):
+            cold_calls.clear()
+            warm = warm_resolve(prob, root.basis, lower, upper, factor)
+            assert cold_calls == []
+            cold = solve_lp(dataclasses.replace(prob, lower=lower,
+                                                upper=upper))
+            assert warm.status == cold.status
+            if cold.status == SolveStatus.OPTIMAL:
+                assert warm.objective == pytest.approx(cold.objective,
+                                                       abs=1e-7)
+    assert pivoted >= 5
+
+
+def test_singular_start_basis_falls_back_to_cold(cold_calls):
+    prob, root, down, _ = tightened_pair(400)
+    # the slack of row 0 twice, so B is exactly singular
+    n, m = prob.num_vars, prob.num_rows
+    basic = n + np.array([0, 0] + list(range(2, m)))
+    status = np.zeros(n + 2 * m, dtype=np.int8)
+    status[basic] = solver._BASIC
+    singular = solver.Basis(basic, status)
+    cols = solver._Columns(*solver._prepare(prob))
+    assert cols.factor(singular) is None
+    cold_calls.clear()
+    warm = warm_resolve(prob, singular, *down)
+    assert len(cold_calls) == 1
+    cold = solve_lp(dataclasses.replace(prob, lower=down[0], upper=down[1]))
+    assert warm.status == cold.status == SolveStatus.OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+def test_moved_state_is_rederived_before_the_optimum_check(monkeypatch):
+    prob, root, _, _ = tightened_pair(402)
+    cols = solver._Columns(*solver._prepare(prob))
+    opts = SolverOptions()
+    sx = solver._Simplex(cols, prob.lower, prob.upper, opts,
+                         start=root.basis, factor=cols.factor(root.basis))
+    assert sx.iterate(opts.max_iterations) == SolveStatus.OPTIMAL
+    assert sx.derived
+    truth = sx.xB.copy()
+    rederived = []
+    rederive = sx._rederive
+    monkeypatch.setattr(sx, "_rederive",
+                        lambda: (rederived.append(1), rederive()))
+    # derived at this basis and unmoved: the check reuses the values
+    assert solver._verified_optimum(sx, opts)
+    assert rederived == []
+    # a move of the nonbasics clears the flag; values that drifted
+    # after it are re-derived before the check, not trusted
+    sx._rest_nonbasics(sx.stat)
+    assert not sx.derived
+    sx.xB += 1.0
+    assert solver._verified_optimum(sx, opts)
+    assert rederived == [1]
+    assert np.allclose(sx.xB, truth, atol=1e-12)
 
 
 def random_mixed_milp(seed: int):
