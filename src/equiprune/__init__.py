@@ -17,8 +17,8 @@ from .ensemble import (BinaryFeature, CategoricalFeature, CellSignature,
                        predict_scores_batch, tree_scores)
 from .errors import (DatasetFormatError, EnumerationCapError, EquipruneError,
                      InfeasiblePruneError, InputError, IterationLimitError,
-                     ModelFormatError, PruneCycleError, SolverFailureError,
-                     TiedPredictionError)
+                     ModelFormatError, ProblemTooLargeError, PruneCycleError,
+                     SolverFailureError, TiedPredictionError)
 from .model_io import load_model, model_from_dict, model_to_dict, save_model
 from .oracle import (DEFAULT_EPSILON, SeparationResult, build_separation,
                      extract_point, separate)
@@ -43,7 +43,7 @@ __all__ = [
     "FeatureSchema", "InfeasiblePruneError", "InputError", "IterationLimitError",
     "IterationRecord", "Leaf", "LpSolution", "MarginTable", "MilpProblem",
     "MilpSolution", "ModelFormatError", "Point", "ProblemBuilder",
-    "PruneCycleError", "PruneOptions", "PruneOutcome", "PruneResult",
+    "ProblemTooLargeError", "PruneCycleError", "PruneOptions", "PruneOutcome", "PruneResult",
     "PruneSet", "SeparationResult", "SolveStatus", "SolverFailureError",
     "SolverOptions", "Split", "TiedPredictionError", "Tree", "accuracy",
     "brute_force_min_support", "build_ensemble", "build_margins",

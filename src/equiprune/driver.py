@@ -101,6 +101,7 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
     oracle_total = 0.0
     history: list[IterationRecord] = []
     n_oracle = 0
+    programs: dict = {}     # oracle programs and root bases, for this run
 
     for index in range(1, opts.max_iterations + 1):
         t0 = time.perf_counter()
@@ -108,7 +109,7 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
         t1 = time.perf_counter()
         separation = separate(ensemble, result.weights, epsilon=opts.epsilon,
                               violation_tol=opts.violation_tol,
-                              options=opts.solver)
+                              options=opts.solver, programs=programs)
         t2 = time.perf_counter()
         prune_total += t1 - t0
         oracle_total += t2 - t1

@@ -30,6 +30,11 @@ class EnumerationCapError(InputError):
     """
 
 
+class ProblemTooLargeError(InputError):
+    """An optimization problem is too large for the solver's dense
+    arrays; raised before they are allocated."""
+
+
 class TiedPredictionError(EquipruneError):
     """The original ensemble's prediction is tied on a pruning point."""
 

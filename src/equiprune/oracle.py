@@ -9,9 +9,8 @@ feature assignment:
     s.t. sum_m sum_{leaf v} a_m (score_y(v) - score_{y'}(v)) z_{m,v} >= eps
                                             for every class y' != y
          z_{m,root} = 1;  z_left + z_right = z_v  at every split
-         per-depth left-turn totals λ, threshold indicators μ (ordered),
-         binary indicators, and one-hot category indicators link every
-         split to the same point
+         threshold indicators μ (ordered), binary indicators and one-hot
+         category indicators ν link every split to the same point
 
 A strictly positive optimum exhibits a region where the original
 ensemble predicts y with margin >= eps while the reweighting prefers c;
@@ -24,18 +23,25 @@ tie-break alone; such cells are reported on a separate channel so the
 caller can force a strict margin there instead of trusting the
 tie-break to agree.
 
-Flows stay continuous: once μ/ν and the binary indicators take 0/1
-values, the consistency rows force a single unit path through each
-tree.  The indicator variables are declared integral so every solution
-pins down a complete cell, including thresholds no active flow touches.
-The λ totals are redundant given integral indicators but kept as
-tightening.  Pair subproblems are independent (solved here in a fixed
-y-major, c-minor order for reproducible histories).
+This is the flow formulation of Parmentier & Vidal (ICML 2021) without
+their per-depth left-turn totals λ.  Flows stay continuous: once μ/ν
+and the binary indicators take 0/1 values, the left/right rows force a
+single unit path through each tree, so λ adds nothing to an integral
+solution, and the benchmark shows the smaller program solves faster.
+The indicator variables are declared integral so every solution pins
+down a complete cell, including thresholds no active flow touches.  Pair
+subproblems are independent (solved here in a fixed y-major, c-minor
+order for reproducible histories).
+
+Only the objective depends on the weights, so a pruning run builds each
+pair's program once and, in every later round, re-solves it with that
+round's objective from the optimal root basis of the round before,
+which stays primal feasible (see ``solve_milp``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
@@ -54,17 +60,28 @@ VIOLATION_TOL = 1e-8
 
 @dataclass
 class SeparationProgram:
-    """One (challenger, original) subproblem plus its variable maps."""
+    """One (challenger, original) subproblem plus its variable maps, and
+    the leaf columns that carry the weight-dependent objective."""
 
     problem: MilpProblem
     challenger: int
     original: int
     epsilon: float
     flow: list[dict[int, int]]          # per tree: node id -> column
-    turn: list[list[int]]               # per tree: depth -> column
     threshold: dict[int, list[int]]     # continuous feature -> columns
     bit: dict[int, int]                 # binary feature -> column
     level: dict[int, list[int]]         # categorical feature -> columns
+    leaf_cols: np.ndarray               # column of every leaf flow
+    leaf_tree: np.ndarray               # its tree
+    leaf_gap: np.ndarray                # its score_c - score_y
+
+    def reweighted(self, weights: Sequence[float]) -> SeparationProgram:
+        """This program under the objective of ``weights``: a new
+        problem that shares every array of this one except ``c``."""
+        w = np.asarray(weights, dtype=float)
+        c = np.zeros(self.problem.num_vars)
+        c[self.leaf_cols] = w[self.leaf_tree] * self.leaf_gap
+        return replace(self, problem=replace(self.problem, c=c))
 
 
 @dataclass
@@ -118,23 +135,24 @@ def build_separation(ensemble: Ensemble, weights: Sequence[float],
             and challenger != original):
         raise InputError(
             f"bad class pair ({challenger}, {original}) for {C} classes")
-    w = np.asarray(weights, dtype=float)
     alpha = np.asarray(ensemble.alpha)
     pb = ProblemBuilder(maximize=True)
 
     flow: list[dict[int, int]] = []
-    turn: list[list[int]] = []
+    leaf_cols: list[int] = []
+    leaf_tree: list[int] = []
+    leaf_gap: list[float] = []
     for m, tree in enumerate(ensemble.trees):
         cols: dict[int, int] = {}
         for v in sorted(tree.nodes):
+            cols[v] = pb.add_var(f"z_{m}_{v}", lo=0.0, up=1.0)
             node = tree.nodes[v]
-            obj = 0.0
             if isinstance(node, Leaf):
-                obj = w[m] * (node.scores[challenger] - node.scores[original])
-            cols[v] = pb.add_var(f"z_{m}_{v}", lo=0.0, up=1.0, obj=obj)
+                leaf_cols.append(cols[v])
+                leaf_tree.append(m)
+                leaf_gap.append(node.scores[challenger]
+                                - node.scores[original])
         flow.append(cols)
-        turn.append([pb.add_var(f"lam_{m}_{d}", lo=0.0, up=1.0, integer=True)
-                     for d in range(tree.max_depth + 1)])
 
     threshold: dict[int, list[int]] = {}
     bit: dict[int, int] = {}
@@ -154,16 +172,10 @@ def build_separation(ensemble: Ensemble, weights: Sequence[float],
     for m, tree in enumerate(ensemble.trees):
         cols = flow[m]
         pb.add_row([(cols[tree.root], 1.0)], "==", 1.0, name=f"root_{m}")
-        by_depth: dict[int, list[int]] = {}
         for v in tree.internal_ids:
             node = tree.nodes[v]
             pb.add_row([(cols[node.left], 1.0), (cols[node.right], 1.0),
                         (cols[v], -1.0)], "==", 0.0, name=f"children_{m}_{v}")
-            by_depth.setdefault(tree.depth[v], []).append(node.left)
-        for d in range(tree.max_depth + 1):
-            terms = [(cols[lv], 1.0) for lv in by_depth.get(d, [])]
-            terms.append((turn[m][d], -1.0))
-            pb.add_row(terms, "==", 0.0, name=f"turns_{m}_{d}")
 
     for other in range(C):
         if other == original:
@@ -204,10 +216,13 @@ def build_separation(ensemble: Ensemble, weights: Sequence[float],
             pb.add_row([(cols[node.right], 1.0), (ind, -1.0)], "<=", 0.0,
                        name=f"right_{m}_{v}")
 
-    return SeparationProgram(problem=pb.build(), challenger=challenger,
-                             original=original, epsilon=epsilon, flow=flow,
-                             turn=turn, threshold=threshold, bit=bit,
-                             level=level)
+    program = SeparationProgram(
+        problem=pb.build(), challenger=challenger, original=original,
+        epsilon=epsilon, flow=flow, threshold=threshold, bit=bit, level=level,
+        leaf_cols=np.array(leaf_cols, dtype=np.intp),
+        leaf_tree=np.array(leaf_tree, dtype=np.intp),
+        leaf_gap=np.array(leaf_gap, dtype=float))
+    return program.reweighted(weights)
 
 
 def extract_point(ensemble: Ensemble, program: SeparationProgram,
@@ -241,11 +256,17 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
              epsilon: float = DEFAULT_EPSILON,
              violation_tol: float = VIOLATION_TOL,
              options: SolverOptions | None = None,
-             solve: Callable[[MilpProblem, SolverOptions | None],
-                             MilpSolution] = solve_milp,
-             dump_dir: Union[str, Path, None] = None) -> SeparationResult:
+             solve: Callable[..., MilpSolution] = solve_milp,
+             dump_dir: Union[str, Path, None] = None,
+             programs: dict | None = None) -> SeparationResult:
     """Solve every ordered class pair; collect each strictly positive
     optimum's point, deduplicated by cell.
+
+    ``programs`` carries each pair's program and last optimal root basis
+    from one round of a pruning run to the next (same ensemble and
+    epsilon; the caller passes one dict, empty at first, to every
+    round): a pair found there is reweighted, not rebuilt, and ``solve``
+    gets that basis as ``start=``.
 
     Every returned point is re-checked by direct evaluation: the
     original weights must predict the pair's original class at it, and
@@ -267,13 +288,23 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
         for challenger in range(ensemble.num_classes):
             if challenger == original:
                 continue
-            program = build_separation(ensemble, w, challenger, original,
-                                       epsilon)
+            program, start = (programs or {}).get((challenger, original),
+                                                  (None, None))
+            if program is None:
+                program = build_separation(ensemble, w, challenger, original,
+                                           epsilon)
+            else:
+                program = program.reweighted(w)
             if dump_dir is not None:
                 dump_lp(program.problem,
                         Path(dump_dir) / f"sep_y{original}_c{challenger}.lp",
                         name=f"separation y={original} c={challenger}")
-            sol = solve(program.problem, options)
+            if start is None:
+                sol = solve(program.problem, options)
+            else:
+                sol = solve(program.problem, options, start=start)
+            if programs is not None:
+                programs[challenger, original] = (program, sol.root_basis)
             if sol.status == SolveStatus.ITERATION_LIMIT:
                 raise IterationLimitError(
                     f"separation for pair (challenger={challenger}, "

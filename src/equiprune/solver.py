@@ -11,7 +11,9 @@ from a given basis and its factor (B^{-1} and the reduced costs there)
 -- in branch and bound, the optimal basis of the node that spawned the
 LP, factored once for both children.  It repairs the basics that the
 changed bounds push out of range with a bounded dual simplex and
-finishes with the primal loop.
+finishes with the primal loop.  A MILP's root LP may start from the
+optimal root basis of an earlier solve that differed in the objective
+alone: still primal feasible, it needs only the primal loop.
 
 B^{-1}, the basic values and the reduced costs are re-derived from the
 original data at regular intervals and before any claim of optimality;
@@ -20,7 +22,8 @@ re-derived at its basis, independently of the (possibly drifted)
 updates.  A warm solve reports infeasibility only when a Farkas row,
 recomputed from the original data, shows that no point inside the
 bounds satisfies the rows.  Anything else that goes wrong on the warm
-path -- a singular or dual infeasible start, the iteration cap, a
+path -- a singular (or ill-conditioned) start, a dual infeasible start
+or, at a warm root, a primal infeasible one, the iteration cap, a
 failed check, an unconfirmed Farkas row -- sends the LP to a cold
 solve.
 
@@ -40,7 +43,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import SolverFailureError
+from .errors import ProblemTooLargeError, SolverFailureError
 
 
 class SolveStatus(Enum):
@@ -121,6 +124,9 @@ class MilpSolution:
     best_bound: float | None
     nodes: int
     iterations: int
+    # the optimal basis of the root relaxation, a start for a re-solve
+    # after the objective changes (see ``solve_milp``)
+    root_basis: Basis | None = None
 
 
 class ProblemBuilder:
@@ -210,6 +216,14 @@ _DEGENERATE_STEP = 1e-12
 # variable must move to absorb it: the check of a returned basis bounds
 # such distances, not row residuals.
 _PHASE1_EMPTY = 1e-2
+# A basis whose 1-norm condition estimate ||B|| ||B^{-1}|| exceeds this is
+# singular: np.linalg.inv raises only on an exactly zero pivot and leaves
+# entries near 1e16 for a column held twice.  Bases of the test suite and
+# the benchmark stay below 1e6.
+_MAX_CONDITION = 1e12
+# Largest column block [A I I] (8m(n+2m) bytes, more than B^{-1}) that a
+# problem may need; a larger one is refused before it is allocated.
+_MAX_DENSE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -225,10 +239,16 @@ class _Factor:
 def _invert(A_all: np.ndarray, basic: np.ndarray,
             cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """B^{-1} of the columns ``basic`` and the reduced costs of ``cost``."""
+    B = A_all[:, basic]
     try:
-        binv = np.linalg.inv(A_all[:, basic])
+        binv = np.linalg.inv(B)
     except np.linalg.LinAlgError as exc:
         raise SolverFailureError(f"singular simplex basis: {exc}") from exc
+    condition = (np.abs(B).sum(axis=0).max(initial=0.0)
+                 * np.abs(binv).sum(axis=0).max(initial=0.0))
+    if not condition <= _MAX_CONDITION:
+        raise SolverFailureError(
+            f"numerically singular simplex basis (condition {condition:.3g})")
     return binv, cost - (cost[basic] @ binv) @ A_all
 
 
@@ -242,6 +262,12 @@ class _Columns:
     def __init__(self, c: np.ndarray, A: np.ndarray, b: np.ndarray,
                  senses: np.ndarray):
         m, n = A.shape
+        size = 8 * m * (n + 2 * m)
+        if size > _MAX_DENSE_BYTES:
+            raise ProblemTooLargeError(
+                f"a problem of {m} rows and {n} variables needs "
+                f"{size / 2**30:.1f} GiB of dense solver arrays; the limit "
+                f"is {_MAX_DENSE_BYTES / 2**30:.1f} GiB")
         self.m, self.n = m, n
         self.A = A
         self.A_all = np.hstack([A, np.eye(m), np.eye(m)])
@@ -278,10 +304,12 @@ class _Simplex:
     the phase-1 identity basis, and cc is their sum.  With ``factor``
     (taken at ``start``) it is warm: the artificials stay fixed at zero,
     the solve pivots on its own copy of the factor, and every nonbasic
-    column rests at the bound its status names; a boxed column whose
-    reduced cost has the wrong sign for that bound rests at the other
-    one, so only columns with an infinite bound can leave the start
-    dual infeasible.
+    column rests at the bound its status names.  Unless ``keep_status``
+    is set, a boxed column whose reduced cost has the wrong sign for that
+    bound rests at the other one, so only columns with an infinite bound
+    can leave the start dual infeasible; with it set, every column keeps
+    its status, so a start that was primal feasible under these bounds
+    stays so.
 
     ``derived`` holds while xB and d are as re-derived from the original
     data at the current basis: ``_refactor`` and ``_rederive`` set it,
@@ -289,7 +317,7 @@ class _Simplex:
 
     def __init__(self, cols: _Columns, lo: np.ndarray, up: np.ndarray,
                  opts: SolverOptions, start: Basis | None = None,
-                 factor: _Factor | None = None):
+                 factor: _Factor | None = None, keep_status: bool = False):
         m, n = cols.m, cols.n
         self.m, self.n, self.N = m, n, n + 2 * m
         self.opts = opts
@@ -306,7 +334,7 @@ class _Simplex:
             self.basis = start.basic.astype(np.intp)
             self.Binv = factor.binv.copy()
             self.d = factor.d.copy()
-            self._rest_nonbasics(start.status)
+            self._rest_nonbasics(start.status, keep_status)
             return
         # start every non-artificial variable at a finite bound
         k = n + m
@@ -331,15 +359,17 @@ class _Simplex:
         self.d = self.cc - sigma @ self.A_all    # y = 1'B^{-1} = sigma
         self.derived = True
 
-    def _rest_nonbasics(self, status: np.ndarray) -> None:
+    def _rest_nonbasics(self, status: np.ndarray,
+                        keep_status: bool = False) -> None:
         """Place the nonbasics as the class docstring says and solve for
         the basics."""
         lo, up = self.lo, self.up
-        boxed = np.isfinite(lo) & np.isfinite(up)
-        tol = self.opts.tol_cost
-        at_up = np.where(boxed & (self.d < -tol), True,
-                         np.where(boxed & (self.d > tol), False,
-                                  status == _AT_UPPER))
+        at_up = status == _AT_UPPER
+        if not keep_status:
+            boxed = np.isfinite(lo) & np.isfinite(up)
+            tol = self.opts.tol_cost
+            at_up = np.where(boxed & (self.d < -tol), True,
+                             np.where(boxed & (self.d > tol), False, at_up))
         stat = np.where(at_up & np.isfinite(up), _AT_UPPER,
                         np.where(np.isfinite(lo), _AT_LOWER,
                                  np.where(np.isfinite(up), _AT_UPPER, _FREE)))
@@ -645,6 +675,38 @@ def _warm_solve(cols: _Columns, lo: np.ndarray, up: np.ndarray, start: Basis,
                     return _optimal(sx)
         except SolverFailureError:      # singular basis at a refactor
             pass
+    return _fall_back(cols, lo, up, opts, sx)
+
+
+def _primal_warm_solve(cols: _Columns, lo: np.ndarray, up: np.ndarray,
+                       start: Basis, opts: SolverOptions) -> LpSolution:
+    """Re-solve from ``start``, an optimal basis of the same rows and
+    bounds under another objective.  Factored once, with every nonbasic
+    at its recorded status, it is still primal feasible, so the primal
+    loop finishes from it, followed by the same check as a cold solve.
+    A singular start, a basic out of bounds, the iteration cap or a
+    failed check fall back to ``_simplex_solve``."""
+    factor = cols.factor(start)
+    sx = None
+    if factor is not None:
+        try:
+            sx = _Simplex(cols, lo, up, opts, start=start, factor=factor,
+                          keep_status=True)
+            lo_B, up_B = sx.lo[sx.basis], sx.up[sx.basis]
+            if (np.all(sx.xB >= lo_B - opts.tol_feas)
+                    and np.all(sx.xB <= up_B + opts.tol_feas)
+                    and sx.iterate(opts.max_iterations)
+                    == SolveStatus.OPTIMAL
+                    and _verified_optimum(sx, opts)):
+                return _optimal(sx)
+        except SolverFailureError:      # singular basis at a refactor
+            pass
+    return _fall_back(cols, lo, up, opts, sx)
+
+
+def _fall_back(cols: _Columns, lo: np.ndarray, up: np.ndarray,
+               opts: SolverOptions, sx: _Simplex | None) -> LpSolution:
+    """The cold solve, with the pivots of the failed warm attempt."""
     sol = _simplex_solve(cols, lo, up, opts)
     if sx is not None:
         sol.iterations += sx.iterations
@@ -728,8 +790,8 @@ def solve_lp(problem: MilpProblem,
 # Branch and bound
 
 
-def solve_milp(problem: MilpProblem,
-               options: SolverOptions | None = None) -> MilpSolution:
+def solve_milp(problem: MilpProblem, options: SolverOptions | None = None,
+               start: Basis | None = None) -> MilpSolution:
     """Best-bound branch and bound with most-fractional branching.
 
     Node key is (bound, -depth, sequence): ties on the bound are broken
@@ -740,7 +802,10 @@ def solve_milp(problem: MilpProblem,
     (possible when a big constant multiplies a near-zero integer
     variable) the point is not trusted and the node is branched instead.
 
-    Only the root LP starts cold.  Each heap node keeps the optimal
+    The root LP starts cold unless ``start`` is given: the
+    ``root_basis`` of an earlier solve of this problem under another
+    objective, from which the primal simplex finishes (see
+    ``_primal_warm_solve``).  Each heap node keeps the optimal
     basis of its relaxation (basic indices and column statuses), and its
     children and its polish LP are warm-started from it: only bounds
     differ, so the basis stays dual feasible and a bounded dual simplex
@@ -808,7 +873,8 @@ def solve_milp(problem: MilpProblem,
 
     lo0 = np.asarray(problem.lower, dtype=float)
     up0 = np.asarray(problem.upper, dtype=float)
-    root = _simplex_solve(cols, lo0, up0, opts)
+    root = (_simplex_solve(cols, lo0, up0, opts) if start is None
+            else _primal_warm_solve(cols, lo0, up0, start, opts))
     iterations += root.iterations
     if root.status != SolveStatus.OPTIMAL:
         return MilpSolution(root.status, None, None, None, 0, iterations)
@@ -860,13 +926,13 @@ def solve_milp(problem: MilpProblem,
     if status == SolveStatus.OPTIMAL:
         if incumbent is None:
             return MilpSolution(SolveStatus.INFEASIBLE, None, None, None,
-                                nodes, iterations)
+                                nodes, iterations, root.basis)
         return MilpSolution(SolveStatus.OPTIMAL, incumbent,
                             sign * inc_obj, sign * best_bound,
-                            nodes, iterations)
+                            nodes, iterations, root.basis)
     obj = sign * inc_obj if incumbent is not None else None
     return MilpSolution(status, incumbent, obj, sign * best_bound,
-                        nodes, iterations)
+                        nodes, iterations, root.basis)
 
 
 def _with(arr: np.ndarray, i: int, value: float) -> np.ndarray:

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from equiprune import (MilpSolution, SolveStatus, build_ensemble,
-                       build_separation, cell_of, extract_point,
+from equiprune import (DEFAULT_EPSILON, MilpSolution, SolveStatus,
+                       TiedPredictionError, build_ensemble, build_separation,
+                       cell_of, certified_prune, certify, extract_point,
                        maximize_separation, predict_class, predict_scores,
-                       separate)
+                       sample_uniform_points, separate, solve_milp)
 from equiprune.ensemble import leaves_of
 from conftest import make_stump, one_hot, stump_ensembles
+from test_ensemble import random_mixed_ensemble
 
 
 def two_class(trees, weights, features=None):
@@ -21,9 +23,8 @@ def test_stump_program_shape():
     ens = two_class([make_stump(0, 0.5, (1, 0), (0, 1))], [1.0])
     prog = build_separation(ens, (1.0,), challenger=1, original=0)
     assert len(prog.flow[0]) == 3        # root + two leaves
-    assert len(prog.turn[0]) == 2        # depths 0 and 1
     assert len(prog.threshold[0]) == 1   # one split threshold
-    assert prog.problem.c.shape == (6,)
+    assert prog.problem.c.shape == (4,)
 
 
 def test_same_split_shares_one_indicator():
@@ -225,3 +226,74 @@ def test_returned_points_flip_the_prediction():
             if pair.point is not None and pair.objective > 1e-8:
                 scores = predict_scores(ens, w, pair.point)
                 assert scores[pair.challenger] > scores[pair.original]
+
+
+def random_reweighting(ens, rng):
+    w = np.array(ens.alpha) * rng.uniform(0.0, 1.5, size=ens.num_trees)
+    w[rng.random(ens.num_trees) < 0.4] = 0.0
+    return w
+
+
+def test_oracle_matches_enumeration_on_mixed_ensembles():
+    # continuous, binary and categorical splits, depth <= 3, 2-4 classes
+    rng = np.random.default_rng(41)
+    multi_round = 0
+    for _ in range(40):
+        ens = random_mixed_ensemble(rng)
+        w = random_reweighting(ens, rng)
+        for pair in separate(ens, w).pairs:
+            best, _ = maximize_separation(ens, w, pair.challenger,
+                                          pair.original, DEFAULT_EPSILON)
+            if pair.status == SolveStatus.INFEASIBLE:
+                assert best is None
+            else:
+                assert best == pytest.approx(pair.objective, abs=1e-6)
+                assert (pair.objective > 1e-8) == (best > 1e-8)
+        try:
+            outcome = certified_prune(ens, sample_uniform_points(ens.schema,
+                                                                 2, rng))
+        except TiedPredictionError:
+            continue
+        assert not certify(ens, outcome.weights,
+                           DEFAULT_EPSILON).disagreement_cells
+        multi_round += outcome.iterations > 1
+    assert multi_round >= 10
+
+
+PROBLEM_ARRAYS = ("c", "A", "senses", "b", "lower", "upper", "integer")
+
+
+def test_reused_programs_equal_fresh_builds():
+    rng = np.random.default_rng(42)
+    handed_out = []                     # (problem, copies of its arrays)
+    starts = 0
+
+    def capture(problem, options, **kwargs):
+        nonlocal starts
+        handed_out.append((problem, [getattr(problem, f).copy()
+                                     for f in PROBLEM_ARRAYS]))
+        starts += "start" in kwargs
+        return solve_milp(problem, options, **kwargs)
+
+    for _ in range(12):
+        ens = random_mixed_ensemble(rng)
+        programs = {}
+        for _round in range(3):
+            w = random_reweighting(ens, rng)
+            reused = separate(ens, w, solve=capture, programs=programs)
+            for (c, y), (program, _) in programs.items():
+                built = build_separation(ens, w, c, y).problem
+                for f in PROBLEM_ARRAYS:
+                    assert np.array_equal(getattr(program.problem, f),
+                                          getattr(built, f))
+            # warm roots find the optima of cold ones
+            for ours, cold in zip(reused.pairs, separate(ens, w).pairs):
+                assert ours.status == cold.status
+                if cold.objective is not None:
+                    assert ours.objective == pytest.approx(cold.objective,
+                                                           abs=1e-9)
+    # no problem handed out in an earlier round changed later
+    for problem, arrays in handed_out:
+        for f, before in zip(PROBLEM_ARRAYS, arrays):
+            assert np.array_equal(getattr(problem, f), before)
+    assert starts >= 50

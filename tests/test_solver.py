@@ -8,14 +8,16 @@ are checked against cold solves of the same problem.
 
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from equiprune import (ProblemBuilder, SolveStatus, SolverOptions, dump_lp,
-                       lp_format_text, solve_lp, solve_milp, solver)
+from equiprune import (InputError, MilpProblem, ProblemBuilder,
+                       ProblemTooLargeError, SolveStatus, SolverOptions,
+                       dump_lp, lp_format_text, solve_lp, solve_milp, solver)
 
 
 def test_single_bound_lp():
@@ -587,3 +589,141 @@ def test_warm_started_milps_match_scipy_and_enumeration(monkeypatch,
     assert solved >= 20
     assert warm_status.count(SolveStatus.INFEASIBLE) >= 20
     assert warm_status.count(SolveStatus.OPTIMAL) >= 20
+
+
+# ---------------------------------------------------------------------------
+# Warm roots after an objective change
+
+
+def primal_warm_resolve(prob, start):
+    cols = solver._Columns(*solver._prepare(prob))
+    return solver._primal_warm_solve(cols, prob.lower, prob.upper, start,
+                                     SolverOptions())
+
+
+def test_warm_root_after_an_objective_change_matches_cold(cold_calls):
+    rng = np.random.default_rng(61)
+    pivoted = 0
+    for seed in range(400, 440):
+        prob = random_lp(seed, anchored=True)
+        root = solve_lp(prob)
+        if root.status != SolveStatus.OPTIMAL:
+            continue
+        changed = dataclasses.replace(prob, c=rng.normal(size=prob.num_vars))
+        cold_calls.clear()
+        warm = primal_warm_resolve(changed, root.basis)
+        assert cold_calls == []         # answered without a fallback
+        pivoted += warm.iterations > 0
+        cold = solve_lp(changed)
+        assert warm.status == cold.status == SolveStatus.OPTIMAL
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+    assert pivoted >= 10
+
+
+def test_warm_root_milps_match_enumeration(cold_calls):
+    rng = np.random.default_rng(62)
+    solved = 0
+    for seed in range(500, 560):
+        prob = random_mixed_milp(seed)
+        first = solve_milp(prob)
+        if first.root_basis is None:    # the relaxation is empty
+            assert first.status == SolveStatus.INFEASIBLE
+            continue
+        changed = dataclasses.replace(
+            prob, c=rng.integers(-3, 4, size=prob.num_vars).astype(float))
+        cold_calls.clear()
+        warm = solve_milp(changed, start=first.root_basis)
+        assert cold_calls == []         # neither the root nor a child fell back
+        brute = brute_force_mip(changed)
+        cold = solve_milp(changed)
+        assert warm.status == cold.status
+        if brute is None:
+            assert warm.status == SolveStatus.INFEASIBLE
+        else:
+            assert warm.objective == pytest.approx(brute, abs=1e-7)
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+            solved += 1
+    assert solved >= 20
+
+
+def test_warm_root_from_a_singular_start_falls_back(cold_calls):
+    prob = random_lp(400, anchored=True)
+    n, m = prob.num_vars, prob.num_rows
+    basic = n + np.array([0, 0] + list(range(2, m)))
+    status = np.zeros(n + 2 * m, dtype=np.int8)
+    status[basic] = solver._BASIC
+    cold_calls.clear()
+    warm = primal_warm_resolve(prob, solver.Basis(basic, status))
+    assert len(cold_calls) == 1
+    cold = solve_lp(prob)
+    assert warm.status == cold.status == SolveStatus.OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+def test_warm_root_from_an_infeasible_start_falls_back(cold_calls):
+    fell_back = 0
+    for seed in range(400, 440):
+        pair = tightened_pair(seed)
+        if pair is None:
+            continue
+        prob, root, down, _ = pair
+        j = int(np.argmax(root.x - prob.lower))
+        if j not in root.basis.basic:
+            continue
+        # j is basic at root.x[j], above its tightened upper bound
+        tightened = dataclasses.replace(prob, lower=down[0], upper=down[1])
+        cold_calls.clear()
+        warm = primal_warm_resolve(tightened, root.basis)
+        assert len(cold_calls) == 1
+        cold = solve_lp(tightened)
+        assert warm.status == cold.status
+        if cold.status == SolveStatus.OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        fell_back += 1
+    assert fell_back >= 5
+
+
+# ---------------------------------------------------------------------------
+# Numerically singular bases and oversized problems
+
+
+def test_numerically_singular_basis_is_not_factored():
+    # One structural column twice: B is singular, but roundoff often
+    # leaves np.linalg.inv a tiny nonzero pivot and a B^{-1} with
+    # entries near 1e16 instead of an error.
+    prob = random_lp(400)
+    n, m = prob.num_vars, prob.num_rows
+    cols = solver._Columns(*solver._prepare(prob))
+    status = np.zeros(n + 2 * m, dtype=np.int8)
+    inverted = 0
+    for first in itertools.permutations(range(n), m - 1):
+        basic = np.array(first + (first[0],))
+        try:
+            np.linalg.inv(cols.A_all[:, basic])
+            inverted += 1
+        except np.linalg.LinAlgError:
+            pass
+        assert cols.factor(solver.Basis(basic, status)) is None
+    assert inverted > 0
+
+
+def test_oversized_problem_is_refused_before_allocating():
+    m = n = 20_000     # [A I I] alone would take 9.6 GB
+    prob = MilpProblem(c=np.broadcast_to(0.0, (n,)),
+                       A=np.broadcast_to(0.0, (m, n)),
+                       senses=np.broadcast_to(np.int8(-1), (m,)),
+                       b=np.broadcast_to(1.0, (m,)),
+                       lower=np.broadcast_to(0.0, (n,)),
+                       upper=np.broadcast_to(1.0, (n,)),
+                       integer=np.broadcast_to(False, (n,)))
+    assert issubclass(ProblemTooLargeError, InputError)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProblemTooLargeError, match="20000 rows"):
+            solve_lp(prob)
+        with pytest.raises(ProblemTooLargeError):
+            solve_milp(prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
