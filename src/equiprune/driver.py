@@ -23,16 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from .ensemble import CellSignature, Ensemble, predict_classes_batch
-from .errors import InputError, IterationLimitError, PruneCycleError, \
-    SolverFailureError
+from .errors import InputError, IterationLimitError, PruneCycleError
 from .oracle import DEFAULT_EPSILON, VIOLATION_TOL, separate
-from .pruner import (PruneResult, PruneSet, build_margins, compute_big_w,
-                     prune_l0, prune_l1)
+from .pruner import PruneSet, build_margins, prune_l0, prune_l1
+from .pruner import compute_big_w  # noqa: F401  patched by perfbench/spans.py
 from .solver import SolverOptions
 
 log = logging.getLogger(__name__)
-
-_MAX_BOUND_DOUBLINGS = 60
 
 
 @dataclass
@@ -57,7 +54,6 @@ class IterationRecord:
     index: int                       # 1-based
     working_set_size: int            # |S| the pruner saw
     prune_objective: float
-    weight_bound: float | None       # None for the l1 norm
     pair_objectives: list[tuple[int, int, float | None]]  # (challenger, original, obj)
     added_cells: list[CellSignature]
     prune_seconds: float
@@ -102,10 +98,12 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
     history: list[IterationRecord] = []
     n_oracle = 0
     programs: dict = {}     # oracle programs and root bases, for this run
+    prune = prune_l0 if opts.norm == "l0" else prune_l1
 
     for index in range(1, opts.max_iterations + 1):
         t0 = time.perf_counter()
-        result, weight_bound = _prune_once(ensemble, working, opts)
+        result = prune(ensemble, working, opts.solver,
+                       margins=build_margins(ensemble, working))
         t1 = time.perf_counter()
         separation = separate(ensemble, result.weights, epsilon=opts.epsilon,
                               violation_tol=opts.violation_tol,
@@ -118,7 +116,7 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
         new_cells = list(separation.cells) + list(separation.tie_cells)
         record = IterationRecord(
             index=index, working_set_size=len(working),
-            prune_objective=result.objective, weight_bound=weight_bound,
+            prune_objective=result.objective,
             pair_objectives=[(p.challenger, p.original, p.objective)
                              for p in separation.pairs],
             added_cells=new_cells,
@@ -146,23 +144,6 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
 
     raise IterationLimitError(
         f"no certificate after {opts.max_iterations} iterations")
-
-
-def _prune_once(ensemble: Ensemble, working: PruneSet, opts: PruneOptions
-                ) -> tuple[PruneResult, float | None]:
-    margins = build_margins(ensemble, working)
-    if opts.norm == "l1":
-        return prune_l1(ensemble, working, opts.solver, margins=margins), None
-    bound = compute_big_w(ensemble, working, margins=margins)
-    for _ in range(_MAX_BOUND_DOUBLINGS):
-        result = prune_l0(ensemble, working, bound, opts.solver,
-                          margins=margins)
-        if np.all(result.weights < bound * (1.0 - 1e-6)):
-            return result, bound
-        bound *= 2.0
-    raise SolverFailureError(
-        "a weight kept saturating its upper bound after "
-        f"{_MAX_BOUND_DOUBLINGS} doublings")
 
 
 def fidelity(ensemble: Ensemble, weights: Sequence[float],

@@ -6,12 +6,11 @@ argmax) iff
 
     sum_m w_m * (h_m^{c_i}(x_i) - h_m^{c}(x_i)) >= 1   for all i, c != c_i
 
-after normalizing the separation to 1 (w is free to scale).  Two
-selectors share these rows: an exact cardinality minimizer (MIP with
-on/off indicator variables) and a weight-sum minimizer (a plain LP —
-no indicator bound needed, sparsity is a cheap side effect of vertex
-solutions rather than a guarantee).  Support is counted against a fixed
-zero tolerance.
+after normalizing the separation to 1 (w is free to scale): the keep
+rows G w >= 1.  The weight-sum minimizer is a plain LP, sparse as a side
+effect of vertex solutions.  The exact cardinality minimizer is an
+implicit hitting-set loop (combinatorial Benders decomposition).
+Support is counted against a fixed zero tolerance.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .ensemble import (CellSignature, Ensemble, Point, cell_center,
                        cell_scores_batch, cells_of, leaves_of)
 from .errors import (InfeasiblePruneError, IterationLimitError,
                      SolverFailureError, TiedPredictionError)
-from .solver import (MilpSolution, MilpProblem, ProblemBuilder, SolveStatus,
+from .solver import (LpSolution, MilpSolution, MilpProblem, SolveStatus,
                      SolverOptions, solve_lp, solve_milp)
 
 ZERO_TOL = 1e-9  # weights at or below this count as removed
@@ -38,7 +37,7 @@ class PruneSet:
     Each point is stored with the class the original weights predict
     for it.  Two points in the same cell would generate identical
     constraint rows, so only the first is kept.  Insertion order is
-    preserved.
+    preserved.  ``conflicts`` keeps the ones ``prune_l0`` found, in order.
     """
 
     def __init__(self, ensemble: Ensemble):
@@ -47,6 +46,7 @@ class PruneSet:
         self.cells: list[CellSignature] = []
         self.labels: list[int] = []
         self._seen: set[CellSignature] = set()
+        self.conflicts: dict[tuple[int, ...], None] = {}
 
     def add_point(self, x: Sequence[float]) -> bool:
         """Add a point; returns False if its cell was already present."""
@@ -112,14 +112,14 @@ class MarginTable:
     def num_classes(self) -> int:
         return self.g.shape[1]
 
-    @property
-    def num_trees(self) -> int:
-        return self.g.shape[2]
-
     def min_alpha_margin(self) -> float:
         if self.alpha_margins.size == 0:
             return np.inf
         return float(self.alpha_margins.min())
+
+    def keep_rows(self) -> np.ndarray:
+        """G: the rows g[i, c] for c != label i, in (i, c) order."""
+        return self.g[np.isfinite(self.alpha_margins)]
 
 
 def build_margins(ensemble: Ensemble, prune_set: PruneSet) -> MarginTable:
@@ -136,21 +136,10 @@ def build_margins(ensemble: Ensemble, prune_set: PruneSet) -> MarginTable:
                        labels=labels, alpha_margins=alpha_margins)
 
 
-def compute_big_w(ensemble: Ensemble, prune_set: PruneSet,
-                  tie_tol: float = TIE_TOL,
-                  margins: MarginTable | None = None) -> float:
-    """Upper bound W on any single weight the cardinality minimizer may
-    need.  Scaling the original weights by 1/delta_min satisfies every
-    constraint row, so W = 10 * max(alpha) / delta_min leaves generous
-    slack; the caller is expected to double W and re-solve should a
-    returned weight come within 1e-6*W of it.  Raises if the original
-    prediction is tied on some entry — no reweighting can reproduce a
-    tie with a strict margin."""
-    if margins is None:
-        margins = build_margins(ensemble, prune_set)
+def _untied_margin(margins: MarginTable, tie_tol: float) -> float:
+    """Smallest original margin on the working set (inf if it is empty);
+    raises on a tie, which no strict-margin reweighting reproduces."""
     delta = margins.min_alpha_margin()
-    if delta == np.inf:  # empty set: any positive scale works
-        return 10.0 * max(ensemble.alpha)
     if delta <= tie_tol:
         i, c = np.unravel_index(np.argmin(margins.alpha_margins),
                                 margins.alpha_margins.shape)
@@ -158,7 +147,20 @@ def compute_big_w(ensemble: Ensemble, prune_set: PruneSet,
             f"original prediction is tied on pruning point {i} (class "
             f"{margins.labels[i]} against {c}); predictions cannot be "
             "preserved with a strict margin")
-    return 10.0 * max(ensemble.alpha) / delta
+    return delta
+
+
+def compute_big_w(ensemble: Ensemble, prune_set: PruneSet,
+                  tie_tol: float = TIE_TOL,
+                  margins: MarginTable | None = None) -> float:
+    """Weight bound W = 10 * max(alpha) / delta_min (delta_min = 1 on an
+    empty set) of a big-W cardinality MIP (w_m <= W u_m).  alpha/delta_min
+    keeps every row, but a sparser support may need more than W.  No
+    caller doubles W: it sizes the tests' big-W reference.  Raises on a
+    tie."""
+    margins = margins or build_margins(ensemble, prune_set)
+    delta = _untied_margin(margins, tie_tol)
+    return 10.0 * max(ensemble.alpha) / (delta if delta < np.inf else 1.0)
 
 
 @dataclass
@@ -166,7 +168,7 @@ class PruneResult:
     weights: np.ndarray       # (M,) reweighting, zeros on removed trees
     support: tuple[int, ...]  # indices of kept trees
     objective: float          # solver objective (cardinality / weight sum)
-    nodes: int                # branch-and-bound nodes (0 for the LP)
+    nodes: int                # B&B nodes summed over master solves (0 for l1)
     iterations: int           # simplex pivots
 
 
@@ -175,80 +177,102 @@ def support_of(weights: Sequence[float], zero_tol: float = ZERO_TOL
     return tuple(int(m) for m in np.nonzero(np.asarray(weights) > zero_tol)[0])
 
 
-def add_keep_rows(pb: ProblemBuilder, margins: MarginTable,
-                  cols: dict[int, int]) -> None:
-    """Add the rows keep_{i}_{c}: sum_m g[i, c, m] w_m >= 1 for every
-    entry i and class c other than its label, over the trees m in
-    ``cols`` (tree -> weight column); other trees are left out."""
-    for i in range(margins.num_entries):
-        label = int(margins.labels[i])
-        for c in range(margins.num_classes):
-            if c == label:
-                continue
-            row = margins.g[i, c]
-            pb.add_row([(col, row[m]) for m, col in cols.items()
-                        if row[m] != 0.0], ">=", 1.0, name=f"keep_{i}_{c}")
+def _ones_program(A: np.ndarray, sense: int, rhs: float, upper: float,
+                  integer: bool = False, maximize: bool = False
+                  ) -> MilpProblem:
+    """min (or max) sum(x) s.t. every row of A x has ``sense`` (solver
+    code) against ``rhs``, 0 <= x <= ``upper``."""
+    rows, cols = A.shape
+    return MilpProblem(c=np.ones(cols), A=A,
+                       senses=np.full(rows, sense, dtype=np.int8),
+                       b=np.full(rows, rhs), lower=np.zeros(cols),
+                       upper=np.full(cols, upper),
+                       integer=np.full(cols, integer), maximize=maximize)
 
 
-def _min_weights_on_support(margins: MarginTable, active: np.ndarray,
-                            weight_bound: float,
-                            options: SolverOptions | None
-                            ) -> np.ndarray | None:
-    """Smallest-weight-sum solution restricted to the active trees, or
-    None if the restricted LP fails (it is feasible by construction, so
-    a failure means numerics)."""
-    M = margins.num_trees
-    pb = ProblemBuilder()
-    w_idx = [pb.add_var(f"w{m}", lo=0.0,
-                        up=weight_bound if active[m] else 0.0, obj=1.0)
-             for m in range(M)]
-    add_keep_rows(pb, margins, {m: w_idx[m] for m in range(M) if active[m]})
-    sol = solve_lp(pb.build(), options)
-    if sol.status != SolveStatus.OPTIMAL:
-        return None
-    return np.array(sol.x[:M])
+def min_weight_sum(G: np.ndarray, trees: Sequence[int],
+                   options: SolverOptions | None = None
+                   ) -> tuple[np.ndarray, LpSolution]:
+    """min sum(w) s.t. G[:, trees] w >= 1, w >= 0: the LP's solution and
+    the weights over all trees, zero elsewhere and at or below ZERO_TOL."""
+    trees = np.asarray(trees, dtype=np.int64)
+    sol = solve_lp(_ones_program(G[:, trees], 1, 1.0, np.inf), options)
+    weights = np.zeros(G.shape[1])
+    if sol.status == SolveStatus.OPTIMAL:
+        weights[trees] = sol.x
+        weights[weights <= ZERO_TOL] = 0.0
+    return weights, sol
 
 
-def prune_l0(ensemble: Ensemble, prune_set: PruneSet, weight_bound: float,
+def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
              options: SolverOptions | None = None,
              solve: Callable[[MilpProblem, SolverOptions | None],
                              MilpSolution] = solve_milp,
              margins: MarginTable | None = None) -> PruneResult:
     """Fewest trees whose reweighting reproduces every working-set
-    prediction.  Exact: binary activity indicators u_m, linked by
-    w_m <= W u_m with W = ``weight_bound``.  The returned weights are
-    canonical for the chosen support: the weight sum is re-minimized
-    with the selection fixed, so a weight touches W only when the
-    constraints truly force it there."""
-    if margins is None:
-        margins = build_margins(ensemble, prune_set)
-    M = ensemble.num_trees
-    pb = ProblemBuilder()
-    w_idx = [pb.add_var(f"w{m}", lo=0.0, up=weight_bound) for m in range(M)]
-    u_idx = [pb.add_var(f"u{m}", lo=0.0, up=1.0, obj=1.0, integer=True)
-             for m in range(M)]
-    add_keep_rows(pb, margins, dict(enumerate(w_idx)))
-    for m in range(M):
-        pb.add_row([(w_idx[m], 1.0), (u_idx[m], -weight_bound)], "<=", 0.0,
-                   name=f"link_{m}")
-    sol = solve(pb.build(), options)
-    if sol.status == SolveStatus.INFEASIBLE:
-        raise InfeasiblePruneError(
-            "no faithful reweighting exists on the working set within "
-            f"the weight bound {weight_bound}")
-    if sol.status == SolveStatus.ITERATION_LIMIT:
-        raise IterationLimitError("tree selection hit the solver node limit")
+    prediction, exactly, by implicit hitting sets.  A conflict is a set
+    of trees that every working support meets, such as a row's cover
+    {m : g_m > 0}.  ``solve`` picks a smallest S meeting every conflict
+    K (min sum(u) s.t. sum_{m in K} u_m >= 1, u binary); S works iff
+    max sum(y) s.t. y'G_S <= 0, 0 <= y <= 1 is 0 (Farkas).  Else S grows
+    to a maximal failing set (every tree with y'g_m <= 0, then the others
+    that keep it failing), whose complement S misses: the next conflict.
+    The S that works gets its smallest weight sum.  Conflicts live on
+    ``prune_set``, so ``margins`` must be its table."""
+    margins = margins or build_margins(ensemble, prune_set)
+    _untied_margin(margins, TIE_TOL)
+    G = margins.keep_rows()
+    conflicts = prune_set.conflicts
+    for cover in G > 0.0:
+        conflicts[tuple(np.flatnonzero(cover).tolist())] = None
+    nodes = pivots = 0
+    eye = np.eye(ensemble.num_trees, dtype=bool)
+
+    def failure_ray(trees: np.ndarray) -> np.ndarray | None:
+        """None if the masked trees can keep every row, else the LP's y;
+        a ray scales to largest entry 1, so failing optima are >= 1."""
+        nonlocal pivots
+        sol = solve_lp(_ones_program(G[:, trees].T, -1, 0.0, 1.0,
+                                     maximize=True), options)
+        pivots += sol.iterations
+        if sol.status != SolveStatus.OPTIMAL:
+            raise SolverFailureError(f"check LP ended {sol.status.value}")
+        return sol.x if sol.objective > 0.5 else None
+
+    while True:
+        A = np.zeros((len(conflicts), ensemble.num_trees))
+        for k, trees in enumerate(conflicts):
+            A[k, list(trees)] = 1.0
+        pick = solve(_ones_program(A, 1, 1.0, 1.0, integer=True), options)
+        if pick.status == SolveStatus.INFEASIBLE:  # an empty conflict
+            raise InfeasiblePruneError(
+                "no faithful reweighting exists on the working set")
+        if pick.status == SolveStatus.ITERATION_LIMIT:
+            raise IterationLimitError(
+                "tree selection hit the solver node limit")
+        if pick.status != SolveStatus.OPTIMAL:
+            raise SolverFailureError(f"unexpected solver status {pick.status}")
+        nodes += pick.nodes
+        pivots += pick.iterations
+        chosen = pick.x > 0.5
+        ray = failure_ray(chosen)
+        if ray is None:
+            break
+        failing = chosen | (ray @ G <= 0.0)
+        for m in range(ensemble.num_trees):
+            if failing[m]:
+                continue
+            ray = failure_ray(failing | eye[m])
+            if ray is not None:
+                failing |= eye[m] | (ray @ G <= 0.0)
+        conflicts[tuple(np.flatnonzero(~failing).tolist())] = None
+
+    weights, sol = min_weight_sum(G, np.flatnonzero(chosen), options)
     if sol.status != SolveStatus.OPTIMAL:
-        raise SolverFailureError(f"unexpected solver status {sol.status}")
-    active = np.round(sol.x[M:2 * M]) > 0.0
-    weights = _min_weights_on_support(margins, active, weight_bound, options)
-    if weights is None:
-        weights = np.array(sol.x[:M])
-    weights[~active] = 0.0
-    weights[weights <= ZERO_TOL] = 0.0
+        raise SolverFailureError(f"support LP ended {sol.status.value}")
     return PruneResult(weights=weights, support=support_of(weights),
-                       objective=float(sol.objective), nodes=sol.nodes,
-                       iterations=sol.iterations)
+                       objective=float(pick.objective), nodes=nodes,
+                       iterations=pivots + sol.iterations)
 
 
 def prune_l1(ensemble: Ensemble, prune_set: PruneSet,
@@ -256,13 +280,9 @@ def prune_l1(ensemble: Ensemble, prune_set: PruneSet,
              margins: MarginTable | None = None) -> PruneResult:
     """Smallest weight sum that reproduces every working-set
     prediction.  A plain LP."""
-    if margins is None:
-        margins = build_margins(ensemble, prune_set)
-    M = ensemble.num_trees
-    pb = ProblemBuilder()
-    w_idx = [pb.add_var(f"w{m}", lo=0.0, obj=1.0) for m in range(M)]
-    add_keep_rows(pb, margins, dict(enumerate(w_idx)))
-    sol = solve_lp(pb.build(), options)
+    margins = margins or build_margins(ensemble, prune_set)
+    weights, sol = min_weight_sum(margins.keep_rows(),
+                                  np.arange(ensemble.num_trees), options)
     if sol.status == SolveStatus.INFEASIBLE:
         raise InfeasiblePruneError(
             "no faithful reweighting exists on the working set")
@@ -270,8 +290,6 @@ def prune_l1(ensemble: Ensemble, prune_set: PruneSet,
         raise IterationLimitError("weight minimization hit the pivot limit")
     if sol.status != SolveStatus.OPTIMAL:
         raise SolverFailureError(f"unexpected solver status {sol.status}")
-    weights = np.array(sol.x[:M])
-    weights[weights <= ZERO_TOL] = 0.0
     return PruneResult(weights=weights, support=support_of(weights),
                        objective=float(sol.objective), nodes=0,
                        iterations=sol.iterations)

@@ -18,8 +18,8 @@ import numpy as np
 from .ensemble import (BinaryFeature, CellSignature, ContinuousFeature,
                        Ensemble, FeatureSchema, cell_scores_batch)
 from .errors import EnumerationCapError, InfeasiblePruneError, InputError
-from .pruner import MarginTable, PruneSet, add_keep_rows, build_margins
-from .solver import ProblemBuilder, SolveStatus, SolverOptions, solve_lp
+from .pruner import PruneSet, build_margins, min_weight_sum
+from .solver import SolveStatus, SolverOptions
 
 MAX_CELLS_DEFAULT = 200_000
 BRUTE_FORCE_MAX_TREES = 8
@@ -125,21 +125,14 @@ def brute_force_min_support(ensemble: Ensemble, prune_set: PruneSet,
     if M > max_trees:
         raise EnumerationCapError(
             f"{M} trees exceed the subset-search limit of {max_trees}")
-    margins = build_margins(ensemble, prune_set)
+    G = build_margins(ensemble, prune_set).keep_rows()
     for k in range(M + 1):
         for subset in itertools.combinations(range(M), k):
-            if _subset_feasible(margins, subset, options):
+            _, sol = min_weight_sum(G, subset, options)
+            if sol.status == SolveStatus.OPTIMAL:
                 return k
     raise InfeasiblePruneError(
         "no reweighting of any subset reproduces the working-set predictions")
-
-
-def _subset_feasible(margins: MarginTable, subset: tuple[int, ...],
-                     options: SolverOptions | None) -> bool:
-    pb = ProblemBuilder()
-    add_keep_rows(pb, margins, {m: pb.add_var(f"w{m}", lo=0.0, obj=1.0)
-                                for m in subset})
-    return solve_lp(pb.build(), options).status == SolveStatus.OPTIMAL
 
 
 def sample_uniform_points(schema: FeatureSchema, n: int,

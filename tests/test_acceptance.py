@@ -13,8 +13,8 @@ import pytest
 
 from equiprune import (InputError, PruneOptions, SolveStatus,
                        TiedPredictionError, brute_force_min_support,
-                       certified_prune, certify, compute_big_w, fidelity,
-                       load_dataset, load_model, load_schema, make_synthetic,
+                       certified_prune, certify, fidelity, load_dataset,
+                       load_model, load_schema, make_synthetic,
                        maximize_separation, prune_l0, prune_l1,
                        sample_uniform_points, separate, solve_milp,
                        train_adaboost, train_random_forest)
@@ -84,12 +84,11 @@ def small_instances():
         if ens is None:
             continue
         ps = all_cells_set(ens)
+        t0 = time.perf_counter()
         try:
-            bound = compute_big_w(ens, ps)
+            l0 = prune_l0(ens, ps)
         except TiedPredictionError:
             continue
-        t0 = time.perf_counter()
-        l0 = prune_l0(ens, ps, bound)
         t_l0 = time.perf_counter() - t0
         t0 = time.perf_counter()
         l1 = prune_l1(ens, ps)

@@ -6,7 +6,8 @@ import pytest
 from equiprune import (Ensemble, InputError, PruneOptions, PruneSet,
                        accuracy, brute_force_min_support, build_ensemble,
                        certified_prune, certify, enumerate_cells, fidelity,
-                       predict_class, sample_uniform_points)
+                       make_synthetic, predict_class, sample_uniform_points,
+                       train_adaboost)
 from conftest import make_stump, random_stump_ensemble, stump_ensembles
 
 
@@ -46,6 +47,14 @@ def test_already_minimal_ensemble_keeps_everything():
     assert brute_force_min_support(ens, ps) == ens.num_trees
     outcome = certified_prune(ens, seed_points(ens), PruneOptions(norm="l0"))
     assert outcome.num_kept == ens.num_trees
+
+
+def test_l0_certifies_sixty_boosted_stumps():
+    data = make_synthetic("blobs", n=24, seed=7)
+    ens = train_adaboost(data, num_trees=60, max_depth=1)
+    outcome = certified_prune(ens, data.X, PruneOptions(norm="l0"))
+    assert outcome.num_kept == 5
+    assert not certify(ens, outcome.weights, epsilon=1e-6).disagreement_cells
 
 
 def test_reprune_is_idempotent():

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from equiprune import (InfeasiblePruneError, InputError, PruneSet,
+from equiprune import (Ensemble, InfeasiblePruneError, InputError,
+                       ProblemBuilder, PruneSet, SolveStatus,
                        TiedPredictionError, cell_of, sample_uniform_points,
                        brute_force_min_support, build_ensemble, build_margins,
                        cell_class, compute_big_w, enumerate_cells,
-                       predict_class, prune_l0, prune_l1, support_of)
+                       predict_class, prune_l0, prune_l1,
+                       solve_milp, support_of)
+from equiprune.pruner import min_weight_sum
 from conftest import (make_stump, one_hot, random_boosted_instance,
                       stump_ensembles)
 from test_ensemble import random_mixed_ensemble
@@ -18,6 +21,45 @@ def all_cells_set(ensemble):
     for cell in enumerate_cells(ensemble.schema):
         ps.add_cell(cell)
     return ps
+
+
+def zeroed_and_duplicated(ensemble, rng):
+    """``ensemble`` with one tree appended again and one weight set to
+    zero."""
+    M = ensemble.num_trees
+    alpha = list(ensemble.alpha) + [float(rng.uniform(0.1, 2.0))]
+    alpha[int(rng.integers(M + 1))] = 0.0
+    extra = ensemble.trees[int(rng.integers(M))]
+    return Ensemble(schema=ensemble.schema, trees=ensemble.trees + (extra,),
+                    alpha=tuple(alpha), num_classes=ensemble.num_classes)
+
+
+def l0_cases():
+    """Stump ensembles, and random mixed ones (continuous, binary and
+    categorical splits, 2-4 classes) with a zero weight and a duplicated
+    tree, each on its full cell set."""
+    cases = [(ens, all_cells_set(ens)) for _, ens in stump_ensembles(500, 8)]
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        ens = zeroed_and_duplicated(random_mixed_ensemble(rng), rng)
+        cases.append((ens, all_cells_set(ens)))
+    return cases
+
+
+def big_w_min_support(ensemble, prune_set, W):
+    """Fewest trees by the big-W MIP: the keep rows, w_m <= W u_m and min
+    sum(u) over binary u."""
+    M = ensemble.num_trees
+    pb = ProblemBuilder()
+    w = [pb.add_var(lo=0.0, up=W) for _ in range(M)]
+    u = [pb.add_var(lo=0.0, up=1.0, obj=1.0, integer=True) for _ in range(M)]
+    for row in build_margins(ensemble, prune_set).keep_rows():
+        pb.add_row(zip(w, row), ">=", 1.0)
+    for m in range(M):
+        pb.add_row([(w[m], 1.0), (u[m], -W)], "<=", 0.0)
+    sol = solve_milp(pb.build())
+    assert sol.status == SolveStatus.OPTIMAL
+    return round(sol.objective)
 
 
 def single_stump_ensemble():
@@ -106,12 +148,13 @@ def test_tied_original_prediction_is_an_error():
     ps.add_point((0.3,))
     with pytest.raises(TiedPredictionError, match="tied"):
         compute_big_w(ens, ps)
+    with pytest.raises(TiedPredictionError, match="tied"):
+        prune_l0(ens, ps)
 
 
 def test_l0_keeps_only_the_middle_stump(three_stumps):
     ps = all_cells_set(three_stumps)
-    bound = compute_big_w(three_stumps, ps)
-    result = prune_l0(three_stumps, ps, bound)
+    result = prune_l0(three_stumps, ps)
     assert result.support == (1,)
     assert support_of(result.weights) == (1,)
 
@@ -119,19 +162,61 @@ def test_l0_keeps_only_the_middle_stump(three_stumps):
 def test_l0_single_tree():
     ens = single_stump_ensemble()
     ps = all_cells_set(ens)
-    result = prune_l0(ens, ps, compute_big_w(ens, ps))
+    result = prune_l0(ens, ps)
     assert result.support == (0,)
 
 
 def test_l0_matches_subset_search():
-    for seed, ens in stump_ensembles(500, 8):
-        ps = all_cells_set(ens)
+    checked = 0
+    for ens, ps in l0_cases():
         try:
-            bound = compute_big_w(ens, ps)
+            result = prune_l0(ens, ps)
         except TiedPredictionError:
             continue
-        result = prune_l0(ens, ps, bound)
         assert len(result.support) == brute_force_min_support(ens, ps)
+        checked += 1
+    assert checked >= 30
+
+
+def test_l0_matches_big_w_mip():
+    checked = 0
+    for ens, ps in l0_cases():
+        try:
+            result = prune_l0(ens, ps)
+        except TiedPredictionError:
+            continue
+        assert len(result.support) == result.objective
+        # compute_big_w bounds the weights of the original support only;
+        # a sparser one may need more (one tree at weight 50 against
+        # W = 43 among these cases), so W must also cover the answer
+        W = max(compute_big_w(ens, ps), 2.0 * result.weights.max())
+        assert len(result.support) == big_w_min_support(ens, ps, W)
+        checked += 1
+    assert checked >= 30
+
+
+def test_carried_conflicts_give_the_fresh_support_size():
+    """Conflicts found on half the cells stay valid once the other half
+    joins: every one is met by each working support, and the grown set
+    prunes to the size a fresh set with the same rows does."""
+    for ens, full in l0_cases():
+        grown = PruneSet(ens)
+        half = len(full.cells) // 2
+        for cell in full.cells[:half]:
+            grown.add_cell(cell)
+        try:
+            prune_l0(ens, grown)
+            for cell in full.cells[half:]:
+                grown.add_cell(cell)
+            result = prune_l0(ens, grown)
+        except TiedPredictionError:
+            continue
+        assert len(result.support) == len(prune_l0(ens, full).support)
+        G = build_margins(ens, full).keep_rows()
+        for conflict in grown.conflicts:
+            assert set(conflict) & set(result.support)
+            rest = [m for m in range(ens.num_trees) if m not in conflict]
+            assert min_weight_sum(G, rest)[1].status == SolveStatus.INFEASIBLE
 
 
 def test_l1_single_stump_unit_weight():
@@ -169,16 +254,35 @@ def test_all_nonpositive_margins_infeasible():
     margins.g[:, :, 1] = 0.0
     with pytest.raises(InfeasiblePruneError):
         prune_l1(ens, ps, margins=margins)
+    with pytest.raises(InfeasiblePruneError):
+        prune_l0(ens, ps, margins=margins)
+
+
+def test_fractional_failure_ray_still_fails():
+    """Keep rows (1, -1) and (-0.2, 0.1) admit no reweighting, and the
+    support check's optimum on both trees is 1.2, from y = (0.2, 1):
+    every optimum of at least 1 must count as a failure."""
+    trees = [make_stump(0, 0.5, (1, 0), (0, 1)) for _ in range(2)]
+    ens = build_ensemble(num_classes=2,
+                         features=[{"name": "x1", "kind": "continuous"}],
+                         weights=[1.0, 1.0], raw_trees=trees)
+    ps = PruneSet(ens)
+    ps.add_points([[0.3], [0.7]])
+    margins = build_margins(ens, ps)
+    margins.g[0, 1] = (1.0, -1.0)
+    margins.g[1, 0] = (-0.2, 0.1)
+    with pytest.raises(InfeasiblePruneError):
+        prune_l0(ens, ps, margins=margins)
 
 
 def test_outputs_are_faithful_on_the_set():
     for seed, ens in stump_ensembles(600, 10):
         ps = all_cells_set(ens)
         try:
-            bound = compute_big_w(ens, ps)
+            l0 = prune_l0(ens, ps)
         except TiedPredictionError:
             continue
-        for result in (prune_l1(ens, ps), prune_l0(ens, ps, bound)):
+        for result in (prune_l1(ens, ps), l0):
             for cell, label in zip(ps.cells, ps.labels):
                 assert cell_class(ens, result.weights, cell) == label
 
@@ -207,8 +311,8 @@ def test_adding_points_never_shrinks_l0():
             half.add_cell(cell)
         full = all_cells_set(ens)
         try:
-            k_half = len(prune_l0(ens, half, compute_big_w(ens, half)).support)
-            k_full = len(prune_l0(ens, full, compute_big_w(ens, full)).support)
+            k_half = len(prune_l0(ens, half).support)
+            k_full = len(prune_l0(ens, full).support)
         except TiedPredictionError:
             continue
         assert k_half <= k_full
