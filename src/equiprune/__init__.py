@@ -7,8 +7,8 @@ a MIP separation oracle for a counterexample anywhere in space, until
 none exists.
 """
 
-from .driver import (IterationRecord, PruneOptions, PruneOutcome, accuracy,
-                     certified_prune, fidelity)
+from .driver import (IterationRecord, PairCounts, PruneOptions, PruneOutcome,
+                     accuracy, certified_prune, fidelity)
 from .ensemble import (BinaryFeature, CategoricalFeature, CellSignature,
                        ContinuousFeature, Ensemble, FeatureSchema, Leaf,
                        Point, Split, Tree, build_ensemble, cell_center,
@@ -42,7 +42,8 @@ __all__ = [
     "DatasetFormatError", "Ensemble", "EnumerationCapError", "EquipruneError",
     "FeatureSchema", "InfeasiblePruneError", "InputError", "IterationLimitError",
     "IterationRecord", "Leaf", "LpSolution", "MarginTable", "MilpProblem",
-    "MilpSolution", "ModelFormatError", "Point", "ProblemBuilder",
+    "MilpSolution", "ModelFormatError", "PairCounts", "Point",
+    "ProblemBuilder",
     "ProblemTooLargeError", "PruneCycleError", "PruneOptions", "PruneOutcome", "PruneResult",
     "PruneSet", "SeparationResult", "SolveStatus", "SolverFailureError",
     "SolverOptions", "Split", "TiedPredictionError", "Tree", "accuracy",

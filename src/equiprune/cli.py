@@ -133,6 +133,9 @@ def cmd_prune(args) -> int:
         "accuracy_test": accuracy(ensemble, outcome.weights, dataset.X,
                                   dataset.y),
         "wall_time": outcome.wall_time,
+        "oracle_pairs": [{"iteration": record.index, **pair._asdict()}
+                         for record in outcome.history
+                         for pair in record.pair_counts],
     }
     if args.report:
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")

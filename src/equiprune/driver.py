@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,12 +49,26 @@ class PruneOptions:
             raise InputError("max_iterations must be at least 1")
 
 
+class PairCounts(NamedTuple):
+    """Solver work on one oracle pair in one round."""
+
+    challenger: int
+    original: int
+    nodes: int                       # branch-and-bound nodes
+    pivots: int                      # simplex pivots
+    rows: int                        # the pair's MIP
+    cols: int
+    solved_rows: int                 # what the solver solved after presolve
+    solved_cols: int
+
+
 @dataclass
 class IterationRecord:
     index: int                       # 1-based
     working_set_size: int            # |S| the pruner saw
     prune_objective: float
     pair_objectives: list[tuple[int, int, float | None]]  # (challenger, original, obj)
+    pair_counts: list[PairCounts]
     added_cells: list[CellSignature]
     prune_seconds: float
     oracle_seconds: float
@@ -119,6 +133,10 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
             prune_objective=result.objective,
             pair_objectives=[(p.challenger, p.original, p.objective)
                              for p in separation.pairs],
+            pair_counts=[PairCounts(p.challenger, p.original, p.nodes,
+                                    p.iterations, p.rows, p.cols,
+                                    p.solved_rows, p.solved_cols)
+                         for p in separation.pairs],
             added_cells=new_cells,
             prune_seconds=t1 - t0, oracle_seconds=t2 - t1)
         history.append(record)

@@ -36,7 +36,10 @@ order for reproducible histories).
 Only the objective depends on the weights, so a pruning run builds each
 pair's program once and, in every later round, re-solves it with that
 round's objective from the optimal root basis of the round before,
-which stays primal feasible (see ``solve_milp``).
+which stays primal feasible and carries the program's presolve
+reduction (see ``solve_milp``).  Presolve removes every flow column a
+stump's split indicator determines, so a stump program keeps little
+more than its threshold indicators.
 """
 
 from __future__ import annotations
@@ -94,6 +97,10 @@ class PairOutcome:
     cell: CellSignature | None
     nodes: int
     iterations: int
+    rows: int                   # the pair's MIP
+    cols: int
+    solved_rows: int            # what the solver solved after presolve
+    solved_cols: int
 
 
 @dataclass
@@ -333,10 +340,12 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
                         seen.add(cell)
                         tie_points.append(point)
                         tie_cells.append(cell)
-            pairs.append(PairOutcome(challenger=challenger, original=original,
-                                     status=sol.status, objective=objective,
-                                     point=point, cell=cell, nodes=sol.nodes,
-                                     iterations=sol.iterations))
+            pairs.append(PairOutcome(
+                challenger=challenger, original=original, status=sol.status,
+                objective=objective, point=point, cell=cell, nodes=sol.nodes,
+                iterations=sol.iterations, rows=program.problem.num_rows,
+                cols=program.problem.num_vars, solved_rows=sol.solved_rows,
+                solved_cols=sol.solved_cols))
     return SeparationResult(pairs=pairs, points=points, cells=cells,
                             tie_points=tie_points, tie_cells=tie_cells)
 

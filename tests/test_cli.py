@@ -71,11 +71,22 @@ def test_prune_fixture_writes_report(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert set(report) == {"format_version", "m_original", "m_pruned",
                            "weights", "iterations", "n_oracle",
-                           "fidelity_test", "accuracy_test", "wall_time"}
+                           "fidelity_test", "accuracy_test", "wall_time",
+                           "oracle_pairs"}
     assert report["m_original"] == 3
     assert report["m_pruned"] == 1
     assert report["fidelity_test"] == 1.0
     assert set(report["wall_time"]) == {"prune", "oracle", "total"}
+    pairs = report["oracle_pairs"]
+    assert len(pairs) == report["n_oracle"]
+    assert {p["iteration"] for p in pairs} == set(
+        range(1, report["iterations"] + 1))
+    for p in pairs:
+        assert set(p) == {"iteration", "challenger", "original", "nodes",
+                          "pivots", "rows", "cols", "solved_rows",
+                          "solved_cols"}
+        assert 0 <= p["solved_rows"] <= p["rows"]
+        assert 0 <= p["solved_cols"] < p["cols"]
     pruned = load_model(out)
     assert sum(1 for w in pruned.alpha if w > 0) == 1
 

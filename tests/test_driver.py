@@ -170,3 +170,13 @@ def test_option_validation():
         PruneOptions(epsilon=0.0)
     with pytest.raises(InputError):
         PruneOptions(max_iterations=0)
+
+
+def test_l1_certifies_two_hundred_stumps():
+    data = make_synthetic("blobs", n=24, seed=7)
+    ens = train_adaboost(data, num_trees=200, max_depth=1)
+    outcome = certified_prune(ens, data.X, PruneOptions(norm="l1"))
+    assert not certify(ens, outcome.weights, epsilon=1e-6).disagreement_cells
+    pairs = [p for record in outcome.history for p in record.pair_counts]
+    assert len(pairs) == outcome.n_oracle
+    assert all(p.solved_cols < 10 < p.cols for p in pairs)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from equiprune import (DEFAULT_EPSILON, MilpSolution, SolveStatus,
-                       TiedPredictionError, build_ensemble, build_separation,
-                       cell_of, certified_prune, certify, extract_point,
-                       maximize_separation, predict_class, predict_scores,
-                       sample_uniform_points, separate, solve_milp)
+                       SolverOptions, TiedPredictionError, build_ensemble,
+                       build_separation, cell_of, certified_prune, certify,
+                       extract_point, maximize_separation, predict_class,
+                       predict_scores, sample_uniform_points, separate,
+                       solve_milp, solver)
 from equiprune.ensemble import leaves_of
 from conftest import make_stump, one_hot, stump_ensembles
 from test_ensemble import random_mixed_ensemble
@@ -258,6 +259,34 @@ def test_oracle_matches_enumeration_on_mixed_ensembles():
                            DEFAULT_EPSILON).disagreement_cells
         multi_round += outcome.iterations > 1
     assert multi_round >= 10
+
+
+def test_presolve_keeps_every_mixed_oracle_optimum():
+    # every pair program of the 40 ensembles above, over two rounds with
+    # warm roots, solved reduced and unreduced
+    rng = np.random.default_rng(41)
+    compared = shrunk = 0
+
+    def both(problem, options, **kwargs):
+        nonlocal compared, shrunk
+        reduced = solve_milp(problem, options, **kwargs)
+        plain = solver._branch_and_bound(problem, SolverOptions(), None)
+        assert reduced.status == plain.status
+        if plain.status == SolveStatus.OPTIMAL:
+            assert reduced.objective == pytest.approx(plain.objective,
+                                                      abs=1e-9)
+        compared += 1
+        shrunk += reduced.solved_cols < problem.num_vars
+        return reduced
+
+    for _ in range(40):
+        ens = random_mixed_ensemble(rng)
+        programs = {}
+        for _round in range(2):
+            separate(ens, random_reweighting(ens, rng), solve=both,
+                     programs=programs)
+    assert compared >= 300
+    assert shrunk == compared
 
 
 PROBLEM_ARRAYS = ("c", "A", "senses", "b", "lower", "upper", "integer")

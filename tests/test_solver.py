@@ -16,8 +16,9 @@ import pytest
 from scipy.optimize import linprog
 
 from equiprune import (InputError, MilpProblem, ProblemBuilder,
-                       ProblemTooLargeError, SolveStatus, SolverOptions,
-                       dump_lp, lp_format_text, solve_lp, solve_milp, solver)
+                       ProblemTooLargeError, SolverFailureError, SolveStatus,
+                       SolverOptions, dump_lp, lp_format_text, solve_lp,
+                       solve_milp, solver)
 
 
 def test_single_bound_lp():
@@ -189,10 +190,13 @@ def test_optimal_lp_solutions_are_row_feasible():
 
 
 def brute_force_mip(prob):
-    """Optimum over all binary assignments, each solved as an LP."""
+    """Optimum over all assignments of the integer variables within
+    their bounds, each solved as an LP."""
     int_idx = [j for j, flag in enumerate(prob.integer) if flag]
+    values = [np.arange(np.ceil(prob.lower[j]), np.floor(prob.upper[j]) + 1)
+              for j in int_idx]
     best = None
-    for assign in itertools.product((0.0, 1.0), repeat=len(int_idx)):
+    for assign in itertools.product(*values):
         lower = list(prob.lower)
         upper = list(prob.upper)
         for j, v in zip(int_idx, assign):
@@ -727,3 +731,252 @@ def test_oversized_problem_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# Presolve
+
+
+COEFFICIENTS = (-3.0, -2.0, -1.5, -0.5, 0.5, 2.0, 3.0)
+
+
+def presolve_milp(seed: int, contradict: bool = False):
+    """A small MILP that every presolve reduction applies to, feasible at
+    a random anchor point unless ``contradict``: fixed columns of both
+    kinds, singleton rows on integer columns with fractional right-hand
+    sides, equality rows on two columns with non-unit and negative
+    coefficients and mixed integrality, a '<=' row and a multiple of it
+    with the other sense that together form an equality (with
+    ``contradict``, a range that excludes the first row's), and a few
+    rows on every column."""
+    rng = np.random.default_rng(seed)
+    pb = ProblemBuilder()
+    anchor = []
+
+    def var(lo, up, value, integer=False):
+        anchor.append(value)
+        return pb.add_var(lo=lo, up=up, obj=float(rng.integers(-3, 4)),
+                          integer=integer)
+
+    ints = []
+    for _ in range(int(rng.integers(3, 5))):
+        up = float(rng.integers(1, 3))
+        ints.append(var(0.0, up, float(rng.integers(0, up + 1)), True))
+    conts = [var(-1.0, 2.0, float(rng.integers(-2, 5)) / 2)
+             for _ in range(int(rng.integers(2, 5)))]
+    fixed = [var(0.5, 0.5, 0.5), var(1.0, 1.0, 1.0, True)]
+    every = ints + conts + fixed
+    x = np.array(anchor)
+
+    for u in rng.choice(ints, size=2, replace=False):
+        a = float(rng.choice(COEFFICIENTS))
+        slack = abs(a) * float(rng.uniform(0.1, 0.9))
+        if rng.random() < 0.5:
+            pb.add_row([(u, a)], "<=", a * x[u] + slack)
+        else:
+            pb.add_row([(u, a)], ">=", a * x[u] - slack)
+    for _ in range(int(rng.integers(2, 4))):
+        j, k = rng.choice(every, size=2, replace=False)
+        aj, ak = rng.choice(COEFFICIENTS, size=2)
+        pb.add_row([(j, aj), (k, ak)], "==", aj * x[j] + ak * x[k])
+
+    terms = [(j, float(rng.choice(COEFFICIENTS)))
+             for j in rng.choice(every, size=3, replace=False)]
+    at = sum(a * x[j] for j, a in terms)
+    factor = float(rng.choice([-2.0, -0.5, 3.0]))
+    shift = 1.0 if contradict else 0.0
+    pb.add_row(terms, "<=", at)
+    pb.add_row([(j, factor * a) for j, a in terms],
+               ">=" if factor > 0 else "<=", factor * (at + shift))
+    for _ in range(int(rng.integers(1, 3))):
+        terms = [(j, float(rng.integers(-2, 3))) for j in every]
+        at = sum(a * x[j] for j, a in terms)
+        pb.add_row(terms, "<=", at + float(rng.integers(0, 3)))
+    return pb.build()
+
+
+def test_presolved_milps_match_scipy_and_enumeration():
+    reduced = 0
+    for seed in range(700, 760):
+        prob = presolve_milp(seed)
+        sol = solve_milp(prob)
+        ref = scipy_milp_optimum(prob)
+        brute = brute_force_mip(prob)
+        assert ref is not None          # feasible at its anchor
+        assert brute == pytest.approx(ref, abs=1e-7)
+        assert sol.status == SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(ref, abs=1e-7)
+        assert sol.best_bound == pytest.approx(ref, abs=1e-7)
+        assert sol.x.shape == (prob.num_vars,)
+        assert prob.c @ sol.x == pytest.approx(sol.objective, abs=1e-9)
+        reduced += sol.solved_cols < prob.num_vars - 2
+    assert reduced >= 40
+
+
+def test_contradicting_parallel_rows_are_infeasible_in_presolve():
+    for seed in range(760, 800):
+        prob = presolve_milp(seed, contradict=True)
+        assert solver._presolve(prob, SolverOptions()) is None
+        sol = solve_milp(prob)
+        assert sol.status == SolveStatus.INFEASIBLE
+        assert (sol.solved_rows, sol.solved_cols) == (0, 0)
+        assert scipy_milp_optimum(prob) is None
+
+
+def test_every_column_fixed():
+    # x by its bounds; u, integral, by two singleton rows to [0.6, 1.4]
+    pb = ProblemBuilder()
+    x = pb.add_var("x", lo=1.5, up=1.5, obj=-2.0)
+    u = pb.add_var("u", lo=0.0, up=3.0, obj=1.0, integer=True)
+    pb.add_row([(u, 2.0)], ">=", 1.2)
+    pb.add_row([(u, -2.0)], ">=", -2.8)
+    pb.add_row([(x, 2.0), (u, -1.0)], "<=", 2.0)
+    pb.add_row([(x, 1.0), (u, 1.0)], ">=", 2.5)
+    prob = pb.build()
+    sol = solve_milp(prob)
+    assert sol.status == SolveStatus.OPTIMAL
+    assert (sol.solved_rows, sol.solved_cols) == (0, 0)
+    assert list(sol.x) == [1.5, 1.0]
+    assert sol.objective == sol.best_bound == -2.0
+    assert sol.objective == scipy_milp_optimum(prob)
+    # the same columns, but a row they miss by far more than the cut
+    short = dataclasses.replace(prob, b=np.array([1.2, -2.8, 1.9, 2.5]))
+    assert solve_milp(short).status == SolveStatus.INFEASIBLE
+    assert scipy_milp_optimum(short) is None
+    # and by less: the solver's own feasibility cut lets the point pass
+    close = dataclasses.replace(prob, b=np.array([1.2, -2.8, 2.0 - 1e-11,
+                                                  2.5]))
+    assert solve_milp(close).status == SolveStatus.OPTIMAL
+
+
+def test_singleton_rows_round_integer_bounds_inward():
+    pb = ProblemBuilder()
+    u = pb.add_var("u", lo=0.0, up=5.0, obj=1.0, integer=True)
+    v = pb.add_var("v", lo=0.0, up=5.0, obj=-1.0, integer=True)
+    w = pb.add_var("w", lo=0.0, up=4.0, obj=-1.0)
+    pb.add_row([(u, 2.0)], ">=", 1.5)           # u >= 0.75
+    pb.add_row([(u, -2.0)], ">=", -3.5)         # u <= 1.75
+    pb.add_row([(v, 2.5)], "<=", 6.0)           # v <= 2.4
+    pb.add_row([(u, 1.0), (v, 1.0), (w, 1.0)], "<=", 4.5)
+    prob = pb.build()
+    reduced = solver._presolve(prob, SolverOptions()).reduced
+    assert list(reduced.lower) == [0.0, 0.0]    # u is fixed at 1 and gone
+    assert list(reduced.upper) == [2.0, 4.0]
+    sol = solve_milp(prob)
+    assert sol.solved_cols == 2
+    assert list(sol.x) == [1.0, 2.0, 1.5]
+    assert sol.objective == pytest.approx(scipy_milp_optimum(prob), abs=1e-9)
+
+
+def test_doubleton_substitution_moves_bounds_and_objective():
+    # 2x - 3y = 1 with y continuous in [0, 1]: presolve drops y (the larger
+    # coefficient), so x = (1 + 3y) / 2 must stay in [0.5, 2]
+    pb = ProblemBuilder()
+    x = pb.add_var("x", lo=0.0, up=5.0, obj=1.0)
+    y = pb.add_var("y", lo=0.0, up=1.0, obj=-4.0)
+    pb.add_row([(x, 2.0), (y, -3.0)], "==", 1.0)
+    prob = pb.build()
+    presolved = solver._presolve(prob, SolverOptions())
+    assert presolved.reduced.num_vars == 1
+    assert presolved.reduced.lower[0] == 0.5
+    assert presolved.reduced.upper[0] == 2.0
+    sol = solve_milp(prob)
+    assert sol.x == pytest.approx([2.0, 1.0], abs=1e-12)
+    assert sol.objective == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_oracle_style_flows_reduce_to_the_indicator():
+    # z_root = 1, z_left + z_right = z_root, z_left <= 1 - mu, z_right <= mu:
+    # every flow goes, and the left/right rows become the equality
+    # z_right = mu that removes the last one
+    pb = ProblemBuilder(maximize=True)
+    root = pb.add_var("z0", lo=0.0, up=1.0)
+    left = pb.add_var("z1", lo=0.0, up=1.0, obj=1.0)
+    right = pb.add_var("z2", lo=0.0, up=1.0, obj=-2.0)
+    mu = pb.add_var("mu", lo=0.0, up=1.0, integer=True)
+    pb.add_row([(root, 1.0)], "==", 1.0)
+    pb.add_row([(left, 1.0), (right, 1.0), (root, -1.0)], "==", 0.0)
+    pb.add_row([(left, 1.0), (mu, 1.0)], "<=", 1.0)
+    pb.add_row([(right, 1.0), (mu, -1.0)], "<=", 0.0)
+    sol = solve_milp(pb.build())
+    assert (sol.solved_rows, sol.solved_cols) == (0, 1)
+    assert list(sol.x) == [1.0, 1.0, 0.0, 0.0]
+    assert sol.objective == 1.0
+
+
+def test_warm_root_from_a_reduced_basis_matches_cold(cold_calls):
+    rng = np.random.default_rng(63)
+    solved = 0
+    for seed in range(700, 740):
+        prob = presolve_milp(seed)
+        first = solve_milp(prob)
+        basis = first.root_basis
+        assert basis.basic.shape == (first.solved_rows,)
+        assert basis.status.shape == (first.solved_cols
+                                      + 2 * first.solved_rows,)
+        changed = dataclasses.replace(
+            prob, c=rng.integers(-3, 4, size=prob.num_vars).astype(float))
+        cold_calls.clear()
+        warm = solve_milp(changed, start=basis)
+        assert cold_calls == []         # neither the root nor a child fell back
+        cold = solve_milp(changed)
+        assert warm.status == cold.status == SolveStatus.OPTIMAL
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert warm.objective == pytest.approx(scipy_milp_optimum(changed),
+                                               abs=1e-7)
+        solved += 1
+    assert solved == 40
+
+
+def test_a_start_of_another_shape_goes_cold(cold_calls):
+    prob = presolve_milp(700)
+    other = solve_milp(presolve_milp(701)).root_basis
+    stranger = solver.Basis(other.basic, other.status)
+    assert not solver._presolve(prob, SolverOptions()).fits(stranger)
+    cold_calls.clear()
+    sol = solve_milp(prob, start=stranger)
+    assert len(cold_calls) >= 1
+    assert sol.objective == pytest.approx(scipy_milp_optimum(prob), abs=1e-7)
+
+
+def test_changed_rows_are_presolved_again():
+    prob = presolve_milp(702)
+    start = solve_milp(prob).root_basis
+    looser = dataclasses.replace(prob, b=prob.b + 0.25)
+    sol = solve_milp(looser, start=start)
+    assert sol.objective == pytest.approx(scipy_milp_optimum(looser),
+                                          abs=1e-7)
+
+
+def test_postsolve_miss_raises(monkeypatch):
+    prob = presolve_milp(703)
+    presolve = solver._presolve
+
+    def shifted(problem, opts):
+        presolved = presolve(problem, opts)
+        presolved.q[presolved.col < 0] += 1e-3
+        return presolved
+
+    monkeypatch.setattr(solver, "_presolve", shifted)
+    with pytest.raises(SolverFailureError, match="postsolved"):
+        solve_milp(prob)
+
+
+def test_builder_refuses_an_oversized_problem_before_allocating(monkeypatch):
+    pb = ProblemBuilder()
+    for j in range(20):
+        pb.add_var(f"x{j}")
+    for i in range(30):
+        pb.add_row([(i % 20, 1.0), ((i + 1) % 20, 2.0)], "<=", 1.0)
+    built = pb.build()
+    assert built.A[3, 3] == 1.0 and built.A[3, 4] == 2.0
+    assert np.count_nonzero(built.A) == 60
+    monkeypatch.setattr(solver, "_MAX_DENSE_BYTES", 8 * 30 * (20 + 60) - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProblemTooLargeError, match="30 rows"):
+            pb.build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 30 * 20
