@@ -111,7 +111,7 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
     oracle_total = 0.0
     history: list[IterationRecord] = []
     n_oracle = 0
-    programs: dict = {}     # oracle programs and root bases, for this run
+    programs: dict = {}     # oracle program and root basis per class, this run
     prune = prune_l0 if opts.norm == "l0" else prune_l1
 
     for index in range(1, opts.max_iterations + 1):

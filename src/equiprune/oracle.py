@@ -33,13 +33,16 @@ down a complete cell, including thresholds no active flow touches.  Pair
 subproblems are independent (solved here in a fixed y-major, c-minor
 order for reproducible histories).
 
-Only the objective depends on the weights, so a pruning run builds each
-pair's program once and, in every later round, re-solves it with that
-round's objective from the optimal root basis of the round before,
-which stays primal feasible and carries the program's presolve
-reduction (see ``solve_milp``).  Presolve removes every flow column a
-stump's split indicator determines, so a stump program keeps little
-more than its threshold indicators.
+Only the objective depends on the weights and on the challenger: the
+rows, bounds and integrality depend on the original class alone.  So a
+pruning run builds one program per original class, once, and reweights
+it for each challenger and each round.  Every solve after the class's
+first starts from the class's last optimal root basis, which stays
+primal feasible under any objective and carries the program's presolve
+reduction (see ``solve_milp``), so presolve runs once per class.
+Presolve removes every flow column a stump's split indicator
+determines, so a stump program keeps little more than its threshold
+indicators.
 """
 
 from __future__ import annotations
@@ -64,7 +67,9 @@ VIOLATION_TOL = 1e-8
 @dataclass
 class SeparationProgram:
     """One (challenger, original) subproblem plus its variable maps, and
-    the leaf columns that carry the weight-dependent objective."""
+    the leaf columns that carry the objective.  Only the objective
+    depends on the weights and the challenger; the rows, bounds and
+    integrality depend on the original class alone."""
 
     problem: MilpProblem
     challenger: int
@@ -76,15 +81,20 @@ class SeparationProgram:
     level: dict[int, list[int]]         # categorical feature -> columns
     leaf_cols: np.ndarray               # column of every leaf flow
     leaf_tree: np.ndarray               # its tree
-    leaf_gap: np.ndarray                # its score_c - score_y
+    leaf_scores: np.ndarray             # its class scores, (leaves, C)
 
-    def reweighted(self, weights: Sequence[float]) -> SeparationProgram:
-        """This program under the objective of ``weights``: a new
-        problem that shares every array of this one except ``c``."""
+    def reweighted(self, weights: Sequence[float],
+                   challenger: int) -> SeparationProgram:
+        """This program's original class against ``challenger`` under
+        the objective of ``weights``: a new problem that shares every
+        array of this one except ``c``."""
         w = np.asarray(weights, dtype=float)
+        gap = (self.leaf_scores[:, challenger]
+               - self.leaf_scores[:, self.original])
         c = np.zeros(self.problem.num_vars)
-        c[self.leaf_cols] = w[self.leaf_tree] * self.leaf_gap
-        return replace(self, problem=replace(self.problem, c=c))
+        c[self.leaf_cols] = w[self.leaf_tree] * gap
+        return replace(self, problem=replace(self.problem, c=c),
+                       challenger=challenger)
 
 
 @dataclass
@@ -148,7 +158,7 @@ def build_separation(ensemble: Ensemble, weights: Sequence[float],
     flow: list[dict[int, int]] = []
     leaf_cols: list[int] = []
     leaf_tree: list[int] = []
-    leaf_gap: list[float] = []
+    leaf_scores: list[tuple[float, ...]] = []
     for m, tree in enumerate(ensemble.trees):
         cols: dict[int, int] = {}
         for v in sorted(tree.nodes):
@@ -157,8 +167,7 @@ def build_separation(ensemble: Ensemble, weights: Sequence[float],
             if isinstance(node, Leaf):
                 leaf_cols.append(cols[v])
                 leaf_tree.append(m)
-                leaf_gap.append(node.scores[challenger]
-                                - node.scores[original])
+                leaf_scores.append(node.scores)
         flow.append(cols)
 
     threshold: dict[int, list[int]] = {}
@@ -228,8 +237,8 @@ def build_separation(ensemble: Ensemble, weights: Sequence[float],
         epsilon=epsilon, flow=flow, threshold=threshold, bit=bit, level=level,
         leaf_cols=np.array(leaf_cols, dtype=np.intp),
         leaf_tree=np.array(leaf_tree, dtype=np.intp),
-        leaf_gap=np.array(leaf_gap, dtype=float))
-    return program.reweighted(weights)
+        leaf_scores=np.array(leaf_scores, dtype=float).reshape(-1, C))
+    return program.reweighted(weights, challenger)
 
 
 def extract_point(ensemble: Ensemble, program: SeparationProgram,
@@ -269,11 +278,14 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     """Solve every ordered class pair; collect each strictly positive
     optimum's point, deduplicated by cell.
 
-    ``programs`` carries each pair's program and last optimal root basis
-    from one round of a pruning run to the next (same ensemble and
-    epsilon; the caller passes one dict, empty at first, to every
-    round): a pair found there is reweighted, not rebuilt, and ``solve``
-    gets that basis as ``start=``.
+    ``programs`` carries one program per original class and the class's
+    last optimal root basis from pair to pair and from one round of a
+    pruning run to the next (same ensemble and epsilon; the caller
+    passes one dict, empty at first, to every round and drops it after
+    the run): a class found there is reweighted for each challenger, not
+    rebuilt, and ``solve`` gets that basis as ``start=``.  Without it,
+    each class's program is still built once per call, but every pair is
+    solved cold.
 
     Every returned point is re-checked by direct evaluation: the
     original weights must predict the pair's original class at it, and
@@ -292,16 +304,15 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     tie_cells: list[CellSignature] = []
     seen: set[CellSignature] = set()
     for original in range(ensemble.num_classes):
+        program, start = (programs or {}).get(original, (None, None))
         for challenger in range(ensemble.num_classes):
             if challenger == original:
                 continue
-            program, start = (programs or {}).get((challenger, original),
-                                                  (None, None))
             if program is None:
                 program = build_separation(ensemble, w, challenger, original,
                                            epsilon)
             else:
-                program = program.reweighted(w)
+                program = program.reweighted(w, challenger)
             if dump_dir is not None:
                 dump_lp(program.problem,
                         Path(dump_dir) / f"sep_y{original}_c{challenger}.lp",
@@ -311,7 +322,8 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
             else:
                 sol = solve(program.problem, options, start=start)
             if programs is not None:
-                programs[challenger, original] = (program, sol.root_basis)
+                start = sol.root_basis
+                programs[original] = (program, start)
             if sol.status == SolveStatus.ITERATION_LIMIT:
                 raise IterationLimitError(
                     f"separation for pair (challenger={challenger}, "

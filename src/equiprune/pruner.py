@@ -9,13 +9,16 @@ argmax) iff
 after normalizing the separation to 1 (w is free to scale): the keep
 rows G w >= 1.  The weight-sum minimizer is a plain LP, sparse as a side
 effect of vertex solutions.  The exact cardinality minimizer is an
-implicit hitting-set loop (combinatorial Benders decomposition).
-Support is counted against a fixed zero tolerance.
+implicit hitting-set loop (combinatorial Benders decomposition).  Its
+support checks are one LP over all trees whose bounds say which trees
+are tested, so that a check on one more tree re-solves from the basis
+of the check before it.  Support is counted against a fixed zero
+tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,8 +27,8 @@ from .ensemble import (CellSignature, Ensemble, Point, cell_center,
                        cell_scores_batch, cells_of, leaves_of)
 from .errors import (InfeasiblePruneError, IterationLimitError,
                      SolverFailureError, TiedPredictionError)
-from .solver import (LpSolution, MilpSolution, MilpProblem, SolveStatus,
-                     SolverOptions, solve_lp, solve_milp)
+from .solver import (Basis, LpSolution, MilpSolution, MilpProblem,
+                     SolveStatus, SolverOptions, solve_lp, solve_milp)
 
 ZERO_TOL = 1e-9  # weights at or below this count as removed
 TIE_TOL = 1e-12  # original margins at or below this are ties
@@ -177,17 +180,15 @@ def support_of(weights: Sequence[float], zero_tol: float = ZERO_TOL
     return tuple(int(m) for m in np.nonzero(np.asarray(weights) > zero_tol)[0])
 
 
-def _ones_program(A: np.ndarray, sense: int, rhs: float, upper: float,
-                  integer: bool = False, maximize: bool = False
-                  ) -> MilpProblem:
-    """min (or max) sum(x) s.t. every row of A x has ``sense`` (solver
-    code) against ``rhs``, 0 <= x <= ``upper``."""
+def _ones_program(A: np.ndarray, upper: float,
+                  integer: bool = False) -> MilpProblem:
+    """min sum(x) s.t. A x >= 1, 0 <= x <= ``upper``."""
     rows, cols = A.shape
     return MilpProblem(c=np.ones(cols), A=A,
-                       senses=np.full(rows, sense, dtype=np.int8),
-                       b=np.full(rows, rhs), lower=np.zeros(cols),
+                       senses=np.ones(rows, dtype=np.int8),
+                       b=np.ones(rows), lower=np.zeros(cols),
                        upper=np.full(cols, upper),
-                       integer=np.full(cols, integer), maximize=maximize)
+                       integer=np.full(cols, integer))
 
 
 def min_weight_sum(G: np.ndarray, trees: Sequence[int],
@@ -196,7 +197,7 @@ def min_weight_sum(G: np.ndarray, trees: Sequence[int],
     """min sum(w) s.t. G[:, trees] w >= 1, w >= 0: the LP's solution and
     the weights over all trees, zero elsewhere and at or below ZERO_TOL."""
     trees = np.asarray(trees, dtype=np.int64)
-    sol = solve_lp(_ones_program(G[:, trees], 1, 1.0, np.inf), options)
+    sol = solve_lp(_ones_program(G[:, trees], np.inf), options)
     weights = np.zeros(G.shape[1])
     if sol.status == SolveStatus.OPTIMAL:
         weights[trees] = sol.x
@@ -218,7 +219,15 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
     to a maximal failing set (every tree with y'g_m <= 0, then the others
     that keep it failing), whose complement S misses: the next conflict.
     The S that works gets its smallest weight sum.  Conflicts live on
-    ``prune_set``, so ``margins`` must be its table."""
+    ``prune_set``, so ``margins`` must be its table.
+
+    Every check is the one program max sum(y) s.t. g_m'y - t_m <= 0 for
+    each tree m, 0 <= y <= 1, where t_m is fixed at 0 on the tested
+    trees and ranges over [0, inf) on the others.  The first check of a
+    round is solved cold; each growth check tests one tree more than the
+    last failing check, so only bounds tighten, and it re-solves from
+    that check's basis (``solve_lp(start=...)``), which stays dual
+    feasible.  Nothing outlives the call but the conflicts."""
     margins = margins or build_margins(ensemble, prune_set)
     _untied_margin(margins, TIE_TOL)
     G = margins.keep_rows()
@@ -226,24 +235,36 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
     for cover in G > 0.0:
         conflicts[tuple(np.flatnonzero(cover).tolist())] = None
     nodes = pivots = 0
-    eye = np.eye(ensemble.num_trees, dtype=bool)
+    rows, M = G.shape
+    eye = np.eye(M, dtype=bool)
+    check = MilpProblem(c=np.concatenate([np.ones(rows), np.zeros(M)]),
+                        A=np.hstack([G.T, -np.eye(M)]),
+                        senses=np.full(M, -1, dtype=np.int8), b=np.zeros(M),
+                        lower=np.zeros(rows + M),
+                        upper=np.concatenate([np.ones(rows),
+                                              np.full(M, np.inf)]),
+                        integer=np.zeros(rows + M, dtype=bool), maximize=True)
 
-    def failure_ray(trees: np.ndarray) -> np.ndarray | None:
-        """None if the masked trees can keep every row, else the LP's y;
-        a ray scales to largest entry 1, so failing optima are >= 1."""
+    def failed_check(trees: np.ndarray, start: Basis | None = None
+                     ) -> LpSolution | None:
+        """None if the masked trees can keep every row, else the check's
+        solution, whose y is a ray: scaled to largest entry 1, so failing
+        optima are >= 1.  ``start`` is the basis of a failing check on
+        fewer trees."""
         nonlocal pivots
-        sol = solve_lp(_ones_program(G[:, trees].T, -1, 0.0, 1.0,
-                                     maximize=True), options)
+        upper = check.upper.copy()
+        upper[rows:][trees] = 0.0
+        sol = solve_lp(replace(check, upper=upper), options, start=start)
         pivots += sol.iterations
         if sol.status != SolveStatus.OPTIMAL:
             raise SolverFailureError(f"check LP ended {sol.status.value}")
-        return sol.x if sol.objective > 0.5 else None
+        return sol if sol.objective > 0.5 else None
 
     while True:
         A = np.zeros((len(conflicts), ensemble.num_trees))
         for k, trees in enumerate(conflicts):
             A[k, list(trees)] = 1.0
-        pick = solve(_ones_program(A, 1, 1.0, 1.0, integer=True), options)
+        pick = solve(_ones_program(A, 1.0, integer=True), options)
         if pick.status == SolveStatus.INFEASIBLE:  # an empty conflict
             raise InfeasiblePruneError(
                 "no faithful reweighting exists on the working set")
@@ -255,16 +276,17 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
         nodes += pick.nodes
         pivots += pick.iterations
         chosen = pick.x > 0.5
-        ray = failure_ray(chosen)
-        if ray is None:
+        fail = failed_check(chosen)
+        if fail is None:
             break
-        failing = chosen | (ray @ G <= 0.0)
-        for m in range(ensemble.num_trees):
+        failing = chosen | (fail.x[:rows] @ G <= 0.0)
+        for m in range(M):
             if failing[m]:
                 continue
-            ray = failure_ray(failing | eye[m])
-            if ray is not None:
-                failing |= eye[m] | (ray @ G <= 0.0)
+            grown = failed_check(failing | eye[m], start=fail.basis)
+            if grown is not None:
+                fail = grown
+                failing |= eye[m] | (fail.x[:rows] @ G <= 0.0)
         conflicts[tuple(np.flatnonzero(~failing).tolist())] = None
 
     weights, sol = min_weight_sum(G, np.flatnonzero(chosen), options)

@@ -6,14 +6,17 @@ pivot row of the ratio tests is row r of B^{-1} times the columns, and a
 pivot is a rank-1 update of B^{-1} and of the reduced costs.  A cold
 solve runs two primal phases from an artificial-variable identity
 basis, with Dantzig pricing, a Bland fallback after degenerate stalls,
-and a bounded-variable ratio test with bound flips.  A warm solve starts
-from a given basis and its factor (B^{-1} and the reduced costs there)
--- in branch and bound, the optimal basis of the node that spawned the
-LP, factored once for both children.  It repairs the basics that the
-changed bounds push out of range with a bounded dual simplex and
-finishes with the primal loop.  A MILP's root LP may start from the
-optimal root basis of an earlier solve that differed in the objective
-alone: still primal feasible, it needs only the primal loop.
+and a bounded-variable ratio test with bound flips; when its starting
+point already lies on every row, it starts from the slack basis
+instead and phase 1 has nothing to do.  A warm solve starts from a
+given basis and its factor (B^{-1} and the reduced costs there) -- in
+branch and bound, the optimal basis of the node that spawned the LP,
+factored once for both children; through ``solve_lp(start=...)``, the
+optimal basis of an earlier solve under other bounds.  It repairs the
+basics that the changed bounds push out of range with a bounded dual
+simplex and finishes with the primal loop.  A MILP's root LP may start
+from the optimal root basis of an earlier solve that differed in the
+objective alone: still primal feasible, it needs only the primal loop.
 
 B^{-1}, the basic values and the reduced costs are re-derived from the
 original data at regular intervals and before any claim of optimality;
@@ -235,10 +238,10 @@ _DEGENERATE_STEP = 1e-12
 # (~1e-13 at these scales); a leftover above this fraction of tol_feas
 # (times 1 + max|b|) is a genuinely empty feasible region, even when it
 # would pass the looser per-variable tolerance applied to returned
-# solutions.  A row whose coefficients are all below 1 has its leftover
-# counted in units of its largest coefficient, the least distance some
-# variable must move to absorb it: the check of a returned basis bounds
-# such distances, not row residuals.
+# solutions.  A row with a coefficient below 1 has its leftover counted
+# in units of its smallest one: phase 2 may absorb the leftover in any
+# variable of the row, and the check of a returned basis bounds how far
+# that variable moves, not the row residual.
 _PHASE1_EMPTY = 1e-2
 # A basis whose 1-norm condition estimate ||B|| ||B^{-1}|| exceeds this is
 # singular: np.linalg.inv raises only on an exactly zero pivot and leaves
@@ -259,6 +262,12 @@ def _check_size(m: int, n: int) -> None:
             f"a problem of {m} rows and {n} variables needs "
             f"{size / 2**30:.1f} GiB of dense solver arrays; the limit "
             f"is {_MAX_DENSE_BYTES / 2**30:.1f} GiB")
+
+
+def _row_scale(A: np.ndarray) -> np.ndarray:
+    """Per row, the unit of its phase-1 leftover: min(1, its smallest
+    nonzero |coefficient|)."""
+    return np.where(A != 0, np.abs(A), 1.0).min(axis=1, initial=1.0)
 
 
 @dataclass(frozen=True)
@@ -305,8 +314,7 @@ class _Columns:
         self.cost = np.concatenate([c, np.zeros(2 * m)])
         self.slack_lo = np.where(senses == 1, -np.inf, 0.0)
         self.slack_up = np.where(senses == -1, np.inf, 0.0)
-        row_max = np.abs(A).max(axis=1, initial=0.0)
-        self.row_scale = np.where(row_max > 0, np.minimum(row_max, 1.0), 1.0)
+        self.row_scale = _row_scale(A)
 
     def bounds(self, lo: np.ndarray,
                up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,7 +339,9 @@ class _Simplex:
 
     Without ``factor`` the solve is cold: each artificial takes the sign
     of its row's residual at the starting values, the artificials form
-    the phase-1 identity basis, and cc is their sum.  With ``factor``
+    the phase-1 identity basis, and cc is their sum; when every residual
+    is zero, the slacks form the basis instead, which is already
+    phase-1 optimal.  With ``factor``
     (taken at ``start``) it is warm: the artificials stay fixed at zero,
     the solve pivots on its own copy of the factor, and every nonbasic
     column rests at the bound its status names.  Unless ``keep_status``
@@ -380,13 +390,22 @@ class _Simplex:
         self.A_all[:, k:] *= sigma
         self.up[k:] = np.inf
         self.movable[k:] = True
-        self.basis = np.arange(k, n + 2 * m)
-        self.stat = np.concatenate([stat, np.full(m, _BASIC)])
         self.val = np.concatenate([val, np.zeros(m)])
-        self.Binv = np.diag(sigma)               # B = diag(sigma)
-        self.xB = sigma * residual
         self.cc = np.concatenate([np.zeros(k), np.ones(m)])
-        self.d = self.cc - sigma @ self.A_all    # y = 1'B^{-1} = sigma
+        if residual.any():
+            self.basis = np.arange(k, n + 2 * m)
+            self.Binv = np.diag(sigma)               # B = diag(sigma)
+            self.d = self.cc - sigma @ self.A_all    # y = 1'B^{-1} = sigma
+        else:
+            # the start lies on every row, so the phase-1 objective is
+            # already zero: the slacks, all zero, form the basis instead
+            # of artificials that phase 1 could only pivot out in place
+            self.basis = np.arange(n, k)
+            self.Binv = np.eye(m)
+            self.d = self.cc.copy()                  # y = 0
+        self.stat = np.concatenate([stat, np.full(m, _AT_LOWER)])
+        self.stat[self.basis] = _BASIC
+        self.xB = sigma * residual
         self.derived = True
 
     def _rest_nonbasics(self, status: np.ndarray,
@@ -796,6 +815,12 @@ def _farkas_confirms(sx: _Simplex, r: int, opts: SolverOptions) -> bool:
     return bool(rhs < low - margin or rhs > high + margin)
 
 
+def _fits(basis: Basis, m: int, n: int) -> bool:
+    """Whether ``basis`` has the shape of a basis of m rows and n
+    variables."""
+    return basis.basic.shape == (m,) and basis.status.shape == (n + 2 * m,)
+
+
 def _prepare(problem: MilpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                             np.ndarray]:
     c = -problem.c if problem.maximize else problem.c
@@ -804,13 +829,25 @@ def _prepare(problem: MilpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray,
             np.asarray(problem.senses, dtype=np.int8))
 
 
-def solve_lp(problem: MilpProblem,
-             options: SolverOptions | None = None) -> LpSolution:
-    """Solve the LP relaxation (integrality flags are ignored)."""
+def solve_lp(problem: MilpProblem, options: SolverOptions | None = None,
+             start: Basis | None = None) -> LpSolution:
+    """Solve the LP relaxation (integrality flags are ignored).
+
+    ``start`` is the optimal ``basis`` of an earlier solve of a problem
+    with the same rows and objective under other bounds.  The LP is then
+    re-solved from it by ``_warm_solve``: a bounded dual simplex to
+    primal feasibility, the primal loop, and the same check as a cold
+    solve; infeasibility only on a confirmed Farkas row, and a cold
+    solve after any other failure.  A start whose shape does not fit the
+    problem is ignored."""
     opts = options or SolverOptions()
-    sol = _simplex_solve(_Columns(*_prepare(problem)),
-                         np.asarray(problem.lower, dtype=float),
-                         np.asarray(problem.upper, dtype=float), opts)
+    cols = _Columns(*_prepare(problem))
+    lo = np.asarray(problem.lower, dtype=float)
+    up = np.asarray(problem.upper, dtype=float)
+    if start is not None and _fits(start, cols.m, cols.n):
+        sol = _warm_solve(cols, lo, up, start, cols.factor(start), opts)
+    else:
+        sol = _simplex_solve(cols, lo, up, opts)
     if problem.maximize and sol.objective is not None:
         sol.objective = -sol.objective
     return sol
@@ -877,9 +914,7 @@ class _Presolved:
     def fits(self, basis: Basis) -> bool:
         """Whether ``basis`` has the shape of a basis of the reduced
         problem."""
-        m, n = self.reduced.num_rows, self.reduced.num_vars
-        return (basis.basic.shape == (m,)
-                and basis.status.shape == (n + 2 * m,))
+        return _fits(basis, self.reduced.num_rows, self.reduced.num_vars)
 
 
 class _Presolve:
@@ -893,8 +928,8 @@ class _Presolve:
 
     A row contradiction counts only when it exceeds the cut at which
     phase 1 calls rows empty, in the same units (the row's residual over
-    min(1, its largest coefficient)); a smaller one is absorbed by
-    clipping the implied bounds into the current ones."""
+    ``_row_scale``, min(1, its smallest coefficient)); a smaller one is
+    absorbed by clipping the implied bounds into the current ones."""
 
     def __init__(self, problem: MilpProblem, opts: SolverOptions):
         b = np.asarray(problem.b, dtype=float)
@@ -1052,13 +1087,18 @@ class _Presolve:
         high = np.where(s > 0, self.rh[rows], self.rl[rows]) / s
         joint_lo = np.maximum.reduceat(low, first)
         joint_up = np.minimum.reduceat(high, first)
-        if np.any(joint_lo - joint_up > self.cut):
-            raise _Infeasible
-        mid = (joint_lo + joint_up) / 2
-        crossed = joint_lo > joint_up
-        joint_lo[crossed] = joint_up[crossed] = mid[crossed]
         best = np.lexsort((-np.abs(s), run))[first]
         kept, ks = rows[best], s[best]
+        crossed = joint_lo > joint_up
+        if crossed.any():
+            # the gap, in units of the unit row, as the kept row's scaled
+            # residual
+            gap = ((joint_lo - joint_up)[crossed] * np.abs(ks[crossed])
+                   / _row_scale(self.A[kept[crossed]]))
+            if np.any(gap > self.cut):
+                raise _Infeasible
+            mid = (joint_lo + joint_up) / 2
+            joint_lo[crossed] = joint_up[crossed] = mid[crossed]
         self.rl[kept] = np.where(ks > 0, joint_lo, joint_up) * ks
         self.rh[kept] = np.where(ks > 0, joint_up, joint_lo) * ks
         self.live_row[rows] = False
@@ -1103,7 +1143,8 @@ class _Presolve:
             (b - aj * self.up[j]) / ak
         applied = self._narrow(
             k, np.minimum(ends_lo, ends_up), np.maximum(ends_lo, ends_up),
-            np.abs(ak) / np.minimum(np.maximum(np.abs(aj), np.abs(ak)), 1.0))
+            np.abs(ak) / np.minimum(np.minimum(np.abs(aj), np.abs(ak)),
+                                    1.0))
         rows, j, k, aj, ak, b = (rows[applied], j[applied], k[applied],
                                  aj[applied], ak[applied], b[applied])
         # every other row's x_j term moves onto x_k and the range

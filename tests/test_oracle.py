@@ -293,28 +293,51 @@ PROBLEM_ARRAYS = ("c", "A", "senses", "b", "lower", "upper", "integer")
 
 
 def test_reused_programs_equal_fresh_builds():
+    """Under one program per original class, every problem handed to
+    ``solve`` equals a fresh build of its pair, its optimum equals a
+    cold solve's, and every pair after the first of its class starts
+    from the root basis of the pair before it."""
     rng = np.random.default_rng(42)
     handed_out = []                     # (problem, copies of its arrays)
-    starts = 0
+    calls = []                          # (start or None, root basis)
 
     def capture(problem, options, **kwargs):
-        nonlocal starts
         handed_out.append((problem, [getattr(problem, f).copy()
                                      for f in PROBLEM_ARRAYS]))
-        starts += "start" in kwargs
-        return solve_milp(problem, options, **kwargs)
+        sol = solve_milp(problem, options, **kwargs)
+        calls.append((kwargs.get("start"), sol.root_basis))
+        return sol
 
-    for _ in range(12):
+    ensembles = multi_class = starts = within_round = 0
+    while multi_class < 12:
         ens = random_mixed_ensemble(rng)
+        ensembles += 1
+        multi_class += ens.num_classes >= 3
         programs = {}
+        last_basis = {}                 # original class -> its last root
         for _round in range(3):
             w = random_reweighting(ens, rng)
+            calls.clear()
             reused = separate(ens, w, solve=capture, programs=programs)
-            for (c, y), (program, _) in programs.items():
+            assert set(programs) == set(range(ens.num_classes))
+            fresh = handed_out[-len(reused.pairs):]
+            for pair, (problem, _), (start, root) in zip(reused.pairs, fresh,
+                                                         calls):
+                c, y = pair.challenger, pair.original
                 built = build_separation(ens, w, c, y).problem
                 for f in PROBLEM_ARRAYS:
-                    assert np.array_equal(getattr(program.problem, f),
+                    assert np.array_equal(getattr(problem, f),
                                           getattr(built, f))
+                # the start is the class's last root basis, from the pair
+                # before in this round or the class's last pair before
+                assert start is last_basis.get(y)
+                # only an empty class has no root basis to pass on
+                assert (start is not None or y not in last_basis
+                        or pair.status == SolveStatus.INFEASIBLE)
+                starts += start is not None
+                first_of_class = c == (1 if y == 0 else 0)
+                within_round += start is not None and not first_of_class
+                last_basis[y] = root
             # warm roots find the optima of cold ones
             for ours, cold in zip(reused.pairs, separate(ens, w).pairs):
                 assert ours.status == cold.status
@@ -325,4 +348,6 @@ def test_reused_programs_equal_fresh_builds():
     for problem, arrays in handed_out:
         for f, before in zip(PROBLEM_ARRAYS, arrays):
             assert np.array_equal(getattr(problem, f), before)
-    assert starts >= 50
+    assert ensembles > multi_class
+    assert starts >= 150
+    assert within_round >= 100         # later challengers, same round

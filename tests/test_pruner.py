@@ -9,7 +9,8 @@ from equiprune import (Ensemble, InfeasiblePruneError, InputError,
                        brute_force_min_support, build_ensemble, build_margins,
                        cell_class, compute_big_w, enumerate_cells,
                        predict_class, prune_l0, prune_l1,
-                       solve_milp, support_of)
+                       solve_milp, solver, support_of)
+from equiprune import pruner
 from equiprune.pruner import min_weight_sum
 from conftest import (make_stump, one_hot, random_boosted_instance,
                       stump_ensembles)
@@ -377,3 +378,54 @@ def test_batch_seeding_rejects_invalid_rows_before_adding_any():
     with pytest.raises(InputError):
         ps.add_points([[0.3], [0.1, 0.2]])
     assert len(ps) == 0
+
+
+def test_growth_checks_resolve_from_the_last_failing_check(monkeypatch):
+    """The first check of each round is cold; every other one starts
+    from the basis of the last failing check, only tightens its bounds,
+    finishes without a cold fallback, and reaches a cold solve's
+    optimum."""
+    checks = []                 # (problem, start, solution, cold solves)
+    cold_solves = []
+    plain_lp = pruner.solve_lp
+    cold = solver._simplex_solve
+
+    def recorded(problem, options=None, start=None):
+        before = len(cold_solves)
+        sol = plain_lp(problem, options, start=start)
+        if problem.maximize:
+            checks.append((problem, start, sol, len(cold_solves) - before))
+        return sol
+
+    def counted(*args):
+        cold_solves.append(args)
+        return cold(*args)
+
+    monkeypatch.setattr(pruner, "solve_lp", recorded)
+    monkeypatch.setattr(solver, "_simplex_solve", counted)
+    cases = l0_cases()
+    for ens, data in filter(None, map(random_boosted_instance, range(30))):
+        ps = PruneSet(ens)
+        ps.add_points(data.X)
+        cases.append((ens, ps))
+    grown = 0
+    for ens, ps in cases:
+        checks.clear()
+        try:
+            prune_l0(ens, ps)
+        except TiedPredictionError:
+            continue
+        failing = None
+        for problem, start, sol, went_cold in checks:
+            if start is None:           # the first check of a round
+                failing = None
+            else:
+                assert failing is not None and start is failing[1].basis
+                assert np.all(problem.upper <= failing[0].upper)
+                assert not went_cold
+                assert sol.objective == pytest.approx(
+                    plain_lp(problem).objective, abs=1e-9)
+                grown += 1
+            if sol.objective > 0.5:
+                failing = (problem, sol)
+    assert grown >= 200

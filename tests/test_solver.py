@@ -167,6 +167,27 @@ def test_random_lps_match_scipy():
         scipy_check(prob, sol)
 
 
+def test_a_start_on_every_row_skips_phase_1():
+    for seed in range(40):
+        prob = random_lp(seed)
+        # the starting point, the lower bounds, lies on every row
+        at = prob.A @ prob.lower
+        prob = dataclasses.replace(prob, b=at)
+        n, m = prob.num_vars, prob.num_rows
+        sx = solver._Simplex(solver._Columns(*solver._prepare(prob)),
+                             prob.lower, prob.upper, SolverOptions())
+        assert list(sx.basis) == list(range(n, n + m))      # the slacks
+        assert sx.iterate(SolverOptions().max_iterations) \
+            == SolveStatus.OPTIMAL and sx.iterations == 0
+        scipy_check(prob, solve_lp(prob))
+        # off one row, phase 1 starts from the artificials
+        off = dataclasses.replace(prob, b=at + (np.arange(m) == 0))
+        sx = solver._Simplex(solver._Columns(*solver._prepare(off)),
+                             off.lower, off.upper, SolverOptions())
+        assert list(sx.basis) == list(range(n + m, n + 2 * m))
+        scipy_check(off, solve_lp(off))
+
+
 def test_optimal_lp_solutions_are_row_feasible():
     checked = 0
     for seed in range(60, 100):
@@ -348,33 +369,34 @@ def test_warm_infeasible_tightening_is_farkas_confirmed(cold_calls):
 
 
 def test_unconfirmed_farkas_row_falls_back_to_cold(cold_calls):
-    # Two independent blocks.  In the first, the row 1e-3 (x1 + y1) + z1
-    # <= 1e-3 gives y1 the Farkas multiplier 1e3 while its largest
-    # coefficient, on z1, is 1; raising lower(x1) past 1 by 5e-7 pushes
-    # y1 furthest out of bounds, so the dual simplex stops on its row,
-    # but that row's residual is only 5e-10, below the cut at which a
-    # cold phase 1 calls an LP empty: it cannot confirm.  The second
-    # block, x2 + y2 <= 1 with lower(x2) raised by 2e-7, is empty beyond
-    # that cut, so the cold fallback finds the LP infeasible.
+    # Two independent blocks.  In the first, the nearly parallel rows
+    # x1 + y1 <= 1 and x1 + 1.001 y1 >= 1.0005 force y1 >= 0.5; with
+    # upper(y1) lowered 5e-7 below that, the dual simplex stops on y1's
+    # row, but its Farkas multipliers are about 1e3 while the rows miss
+    # by only 5e-10, below the cut at which a cold phase 1 calls an LP
+    # empty: it cannot confirm.  The second block, x2 + y2 <= 1 with
+    # lower(x2) raised by 2e-7, is empty beyond that cut, so the cold
+    # fallback finds the LP infeasible.
     pb = ProblemBuilder()
     x1 = pb.add_var("x1", lo=0.0, up=10.0, obj=0.0)
-    y1 = pb.add_var("y1", lo=0.0, up=10.0, obj=-1.0)
-    z1 = pb.add_var("z1", lo=0.0, up=10.0, obj=1.0)
+    y1 = pb.add_var("y1", lo=0.0, up=10.0, obj=1.0)
     x2 = pb.add_var("x2", lo=0.0, up=10.0, obj=0.0)
     y2 = pb.add_var("y2", lo=0.0, up=10.0, obj=-1.0)
-    pb.add_row([(x1, 1e-3), (y1, 1e-3), (z1, 1.0)], "<=", 1e-3)
+    pb.add_row([(x1, 1.0), (y1, 1.0)], "<=", 1.0)
+    pb.add_row([(x1, 1.0), (y1, 1.001)], ">=", 1.0005)
     pb.add_row([(x2, 1.0), (y2, 1.0)], "<=", 1.0)
     prob = pb.build()
     root = solve_lp(prob)
     assert root.status == SolveStatus.OPTIMAL
-    lower = prob.lower.copy()
-    lower[x1] = 1.0 + 5e-7
+    assert root.x[y1] == pytest.approx(0.5)
+    lower, upper = prob.lower.copy(), prob.upper.copy()
+    upper[y1] = 0.5 - 5e-7
     lower[x2] = 1.0 + 2e-7
     cold_calls.clear()
-    warm = warm_resolve(prob, root.basis, lower, prob.upper)
+    warm = warm_resolve(prob, root.basis, lower, upper)
     assert len(cold_calls) == 1         # the fallback ran
     assert warm.status == SolveStatus.INFEASIBLE
-    cold = solve_lp(dataclasses.replace(prob, lower=lower))
+    cold = solve_lp(dataclasses.replace(prob, lower=lower, upper=upper))
     assert cold.status == SolveStatus.INFEASIBLE
 
 
@@ -406,6 +428,31 @@ def test_small_coefficient_row_just_in_reach_is_optimal():
     scipy_check(prob, sol)
 
 
+def test_mixed_coefficient_row_just_out_of_reach_is_infeasible():
+    # min -y + z  s.t.  1e-3 x + 1e-3 y + z <= 1e-3,  x >= 1 + 5e-7: the
+    # row misses by 5e-10, which z could absorb by moving 5e-10 but phase
+    # 2 puts on y, 5e-7 below its bound.  Both verdicts count the
+    # leftover in units of the smallest coefficient, so the LP is empty.
+    pb = ProblemBuilder()
+    x = pb.add_var("x", lo=1.0 + 5e-7, up=10.0)
+    y = pb.add_var("y", lo=0.0, up=10.0, obj=-1.0)
+    z = pb.add_var("z", lo=0.0, up=10.0, obj=1.0)
+    pb.add_row([(x, 1e-3), (y, 1e-3), (z, 1.0)], "<=", 1e-3)
+    prob = pb.build()
+    sol = solve_lp(prob)
+    assert sol.status == SolveStatus.INFEASIBLE
+    scipy_check(prob, sol)
+    assert solve_milp(prob).status == SolveStatus.INFEASIBLE
+    # just inside, the same row is feasible to both
+    inside = dataclasses.replace(prob, lower=np.array([1.0 - 5e-7, 0.0,
+                                                      0.0]))
+    sol = solve_lp(inside)
+    assert sol.status == SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(-5e-7, abs=1e-12)
+    scipy_check(inside, sol)
+    assert solve_milp(inside).objective == pytest.approx(-5e-7, abs=1e-12)
+
+
 def test_warm_farkas_agrees_with_cold_on_a_small_coefficient_row(cold_calls):
     prob = small_row_lp(0.0)
     root = solve_lp(prob)
@@ -416,6 +463,82 @@ def test_warm_farkas_agrees_with_cold_on_a_small_coefficient_row(cold_calls):
     warm = warm_resolve(prob, root.basis, lower, prob.upper)
     assert warm.status == SolveStatus.INFEASIBLE
     assert cold_calls == []             # confirmed by the Farkas row
+
+
+def changed_bounds(prob, rng, kind):
+    """New bounds for two random columns: each narrowed to a random
+    subinterval ("tighten"), widened, sometimes without limit above
+    ("loosen"), or one of each ("mixed")."""
+    lower, upper = prob.lower.copy(), prob.upper.copy()
+    cols = rng.choice(prob.num_vars, size=2, replace=False)
+    kinds = {"tighten": ("tighten",) * 2, "loosen": ("loosen",) * 2,
+             "mixed": ("tighten", "loosen")}[kind]
+    for j, how in zip(cols, kinds):
+        if how == "tighten":
+            lower[j], upper[j] = np.sort(rng.uniform(lower[j], upper[j],
+                                                     size=2))
+        else:
+            lower[j] -= rng.uniform(0.0, 2.0)
+            upper[j] = (np.inf if rng.random() < 0.3
+                        else upper[j] + rng.uniform(0.0, 2.0))
+    return dataclasses.replace(prob, lower=lower, upper=upper)
+
+
+def test_solve_lp_from_a_start_matches_cold_and_scipy(cold_calls):
+    rng = np.random.default_rng(17)
+    verdicts = {"warm": [], "fell back": []}
+    for seed in range(600, 660):
+        prob = random_lp(seed, anchored=True)
+        prob = dataclasses.replace(prob, lower=prob.lower - 1.0)
+        root = solve_lp(prob)
+        if root.status != SolveStatus.OPTIMAL:
+            continue
+        for kind in ("tighten", "loosen", "mixed"):
+            changed = changed_bounds(prob, rng, kind)
+            cold_calls.clear()
+            warm = solve_lp(changed, start=root.basis)
+            verdicts["fell back" if cold_calls else "warm"].append(
+                warm.status)
+            scipy_check(changed, warm)
+            cold = solve_lp(changed)
+            assert warm.status == cold.status
+            if cold.status == SolveStatus.OPTIMAL:
+                assert warm.objective == pytest.approx(cold.objective,
+                                                       abs=1e-7)
+    # most re-solves finish warm; an empty one only on a Farkas row
+    assert verdicts["warm"].count(SolveStatus.OPTIMAL) >= 100
+    assert verdicts["warm"].count(SolveStatus.INFEASIBLE) >= 15
+    assert len(verdicts["fell back"]) >= 5
+
+
+def test_solve_lp_from_a_dual_infeasible_start_goes_cold(cold_calls):
+    # min -x  s.t.  x + y <= 4: x rests at its upper bound 2 at the
+    # optimum; without that bound the start's reduced cost on x has the
+    # wrong sign for its other bound, so the re-solve must go cold
+    pb = ProblemBuilder()
+    x = pb.add_var("x", lo=0.0, up=2.0, obj=-1.0)
+    y = pb.add_var("y", lo=0.0, up=10.0)
+    pb.add_row([(x, 1.0), (y, 1.0)], "<=", 4.0)
+    prob = pb.build()
+    root = solve_lp(prob)
+    assert root.status == SolveStatus.OPTIMAL
+    assert root.x[x] == 2.0
+    free = dataclasses.replace(prob, upper=np.array([np.inf, 10.0]))
+    cold_calls.clear()
+    sol = solve_lp(free, start=root.basis)
+    assert len(cold_calls) == 1
+    assert sol.status == SolveStatus.OPTIMAL
+    assert sol.objective == -4.0
+    scipy_check(free, sol)
+
+
+def test_solve_lp_start_of_another_shape_is_ignored(cold_calls):
+    prob = random_lp(3, anchored=True)
+    other = solve_lp(random_lp(4, m=3, anchored=True))
+    cold_calls.clear()
+    sol = solve_lp(prob, start=other.basis)
+    assert len(cold_calls) == 1
+    assert sol.objective == pytest.approx(solve_lp(prob).objective)
 
 
 # ---------------------------------------------------------------------------
@@ -544,17 +667,21 @@ def random_mixed_milp(seed: int):
 
 
 def scipy_milp_optimum(prob):
-    """HiGHS optimum of a MilpProblem, or None when it is infeasible."""
+    """HiGHS optimum of a MilpProblem, or None when it is infeasible.
+    HiGHS can call an integer column with fractional bounds empty when
+    it is not, so those bounds are rounded inward first."""
     opt = pytest.importorskip("scipy.optimize")
     lower = np.where(prob.senses == -1, -np.inf, prob.b)
     upper = np.where(prob.senses == 1, np.inf, prob.b)
+    col_lo = np.where(prob.integer, np.ceil(prob.lower), prob.lower)
+    col_up = np.where(prob.integer, np.floor(prob.upper), prob.upper)
     with warnings.catch_warnings():
         # HiGHS's default 1e-6 integrality tolerance accepts points off
         # the true optimum by about that much; scipy passes the tighter
         # tolerances on but warns that it does not know them
         warnings.simplefilter("ignore", RuntimeWarning)
         res = opt.milp(prob.c, integrality=prob.integer.astype(int),
-                       bounds=opt.Bounds(prob.lower, prob.upper),
+                       bounds=opt.Bounds(col_lo, col_up),
                        constraints=opt.LinearConstraint(prob.A, lower, upper),
                        options={"mip_rel_gap": 0.0,
                                 "primal_feasibility_tolerance": 1e-9,
@@ -847,6 +974,20 @@ def test_every_column_fixed():
     close = dataclasses.replace(prob, b=np.array([1.2, -2.8, 2.0 - 1e-11,
                                                   2.5]))
     assert solve_milp(close).status == SolveStatus.OPTIMAL
+
+
+def test_scipy_reference_rounds_integer_bounds_inward():
+    # HiGHS calls this infeasible when handed u's bounds as they are
+    pb = ProblemBuilder()
+    x = pb.add_var("x", lo=1.5, up=1.5, obj=-2.0)
+    u = pb.add_var("u", lo=0.6, up=1.4, obj=1.0, integer=True)
+    pb.add_row([(x, 2.0), (u, -1.0)], "<=", 2.0)
+    pb.add_row([(x, 1.0), (u, 1.0)], ">=", 2.5)
+    prob = pb.build()
+    assert scipy_milp_optimum(prob) == -2.0
+    sol = solve_milp(prob)
+    assert list(sol.x) == [1.5, 1.0]
+    assert sol.objective == -2.0
 
 
 def test_singleton_rows_round_integer_bounds_inward():
