@@ -25,8 +25,8 @@ from .oracle import (DEFAULT_EPSILON, SeparationResult, build_separation,
 from .pruner import (MarginTable, PruneResult, PruneSet, build_margins,
                      compute_big_w, prune_l0, prune_l1, support_of)
 from .solver import (LpSolution, MilpProblem, MilpSolution, ProblemBuilder,
-                     SolveStatus, SolverOptions, dump_lp, lp_format_text,
-                     solve_lp, solve_milp)
+                     SolveStatus, dump_lp, lp_format_text, solve_lp,
+                     solve_milp)
 from .trainer import (Dataset, load_dataset, load_schema, make_synthetic,
                       save_dataset, save_schema, train_adaboost,
                       train_random_forest)
@@ -46,7 +46,7 @@ __all__ = [
     "ProblemBuilder",
     "ProblemTooLargeError", "PruneCycleError", "PruneOptions", "PruneOutcome", "PruneResult",
     "PruneSet", "SeparationResult", "SolveStatus", "SolverFailureError",
-    "SolverOptions", "Split", "TiedPredictionError", "Tree", "accuracy",
+    "Split", "TiedPredictionError", "Tree", "accuracy",
     "brute_force_min_support", "build_ensemble", "build_margins",
     "build_separation", "cell_center", "cell_class", "cell_of", "cell_scores",
     "certified_prune", "certify", "compute_big_w", "dump_lp",

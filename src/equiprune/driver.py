@@ -17,17 +17,17 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .ensemble import CellSignature, Ensemble, predict_classes_batch
 from .errors import InputError, IterationLimitError, PruneCycleError
-from .oracle import DEFAULT_EPSILON, VIOLATION_TOL, separate
+from .oracle import (DEFAULT_EPSILON, VIOLATION_TOL, _check_epsilon,
+                     _check_violation_tol, separate)
 from .pruner import PruneSet, build_margins, prune_l0, prune_l1
 from .pruner import compute_big_w  # noqa: F401  patched by perfbench/spans.py
-from .solver import SolverOptions
 
 log = logging.getLogger(__name__)
 
@@ -38,13 +38,12 @@ class PruneOptions:
     epsilon: float = DEFAULT_EPSILON   # oracle margin precision
     violation_tol: float = VIOLATION_TOL
     max_iterations: int = 1000
-    solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
         if self.norm not in ("l0", "l1"):
             raise InputError(f"norm must be 'l0' or 'l1', got {self.norm!r}")
-        if self.epsilon <= 0:
-            raise InputError(f"epsilon must be positive, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
+        _check_violation_tol(self.violation_tol)
         if self.max_iterations < 1:
             raise InputError("max_iterations must be at least 1")
 
@@ -116,12 +115,12 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
 
     for index in range(1, opts.max_iterations + 1):
         t0 = time.perf_counter()
-        result = prune(ensemble, working, opts.solver,
+        result = prune(ensemble, working,
                        margins=build_margins(ensemble, working))
         t1 = time.perf_counter()
         separation = separate(ensemble, result.weights, epsilon=opts.epsilon,
                               violation_tol=opts.violation_tol,
-                              options=opts.solver, programs=programs)
+                              programs=programs)
         t2 = time.perf_counter()
         prune_total += t1 - t0
         oracle_total += t2 - t1

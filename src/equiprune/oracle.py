@@ -58,10 +58,21 @@ from .ensemble import (BinaryFeature, CellSignature, ContinuousFeature,
                        cells_of, leaves_of, predict_class, predict_scores)
 from .errors import InputError, IterationLimitError, SolverFailureError
 from .solver import (MilpProblem, MilpSolution, ProblemBuilder, SolveStatus,
-                     SolverOptions, dump_lp, solve_milp)
+                     dump_lp, solve_milp)
 
 DEFAULT_EPSILON = 1e-6
 VIOLATION_TOL = 1e-8
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise InputError(f"epsilon must be finite and positive, got {epsilon}")
+
+
+def _check_violation_tol(violation_tol: float) -> None:
+    if not (np.isfinite(violation_tol) and violation_tol >= 0):
+        raise InputError("violation_tol must be finite and nonnegative, "
+                         f"got {violation_tol}")
 
 
 @dataclass
@@ -145,8 +156,7 @@ class SeparationResult:
 def build_separation(ensemble: Ensemble, weights: Sequence[float],
                      challenger: int, original: int,
                      epsilon: float = DEFAULT_EPSILON) -> SeparationProgram:
-    if epsilon <= 0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     C = ensemble.num_classes
     if not (0 <= challenger < C and 0 <= original < C
             and challenger != original):
@@ -271,7 +281,6 @@ def extract_point(ensemble: Ensemble, program: SeparationProgram,
 def separate(ensemble: Ensemble, weights: Sequence[float],
              epsilon: float = DEFAULT_EPSILON,
              violation_tol: float = VIOLATION_TOL,
-             options: SolverOptions | None = None,
              solve: Callable[..., MilpSolution] = solve_milp,
              dump_dir: Union[str, Path, None] = None,
              programs: dict | None = None) -> SeparationResult:
@@ -284,8 +293,8 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     passes one dict, empty at first, to every round and drops it after
     the run): a class found there is reweighted for each challenger, not
     rebuilt, and ``solve`` gets that basis as ``start=``.  Without it,
-    each class's program is still built once per call, but every pair is
-    solved cold.
+    each class's program is still built once per call, but every pair
+    gets ``start=None``.
 
     Every returned point is re-checked by direct evaluation: the
     original weights must predict the pair's original class at it, and
@@ -297,6 +306,7 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     caller can decide whether a tie-break flip matters.
     """
     w = _check_weights(ensemble, weights)
+    _check_violation_tol(violation_tol)
     pairs: list[PairOutcome] = []
     points: list[Point] = []
     cells: list[CellSignature] = []
@@ -317,10 +327,7 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
                 dump_lp(program.problem,
                         Path(dump_dir) / f"sep_y{original}_c{challenger}.lp",
                         name=f"separation y={original} c={challenger}")
-            if start is None:
-                sol = solve(program.problem, options)
-            else:
-                sol = solve(program.problem, options, start=start)
+            sol = solve(program.problem, start=start)
             if programs is not None:
                 start = sol.root_basis
                 programs[original] = (program, start)

@@ -28,7 +28,7 @@ from .ensemble import (CellSignature, Ensemble, Point, cell_center,
 from .errors import (InfeasiblePruneError, IterationLimitError,
                      SolverFailureError, TiedPredictionError)
 from .solver import (Basis, LpSolution, MilpSolution, MilpProblem,
-                     SolveStatus, SolverOptions, solve_lp, solve_milp)
+                     SolveStatus, solve_lp, solve_milp)
 
 ZERO_TOL = 1e-9  # weights at or below this count as removed
 TIE_TOL = 1e-12  # original margins at or below this are ties
@@ -191,13 +191,12 @@ def _ones_program(A: np.ndarray, upper: float,
                        integer=np.full(cols, integer))
 
 
-def min_weight_sum(G: np.ndarray, trees: Sequence[int],
-                   options: SolverOptions | None = None
+def min_weight_sum(G: np.ndarray, trees: Sequence[int]
                    ) -> tuple[np.ndarray, LpSolution]:
     """min sum(w) s.t. G[:, trees] w >= 1, w >= 0: the LP's solution and
     the weights over all trees, zero elsewhere and at or below ZERO_TOL."""
     trees = np.asarray(trees, dtype=np.int64)
-    sol = solve_lp(_ones_program(G[:, trees], np.inf), options)
+    sol = solve_lp(_ones_program(G[:, trees], np.inf))
     weights = np.zeros(G.shape[1])
     if sol.status == SolveStatus.OPTIMAL:
         weights[trees] = sol.x
@@ -206,9 +205,7 @@ def min_weight_sum(G: np.ndarray, trees: Sequence[int],
 
 
 def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
-             options: SolverOptions | None = None,
-             solve: Callable[[MilpProblem, SolverOptions | None],
-                             MilpSolution] = solve_milp,
+             solve: Callable[..., MilpSolution] = solve_milp,
              margins: MarginTable | None = None) -> PruneResult:
     """Fewest trees whose reweighting reproduces every working-set
     prediction, exactly, by implicit hitting sets.  A conflict is a set
@@ -254,7 +251,7 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
         nonlocal pivots
         upper = check.upper.copy()
         upper[rows:][trees] = 0.0
-        sol = solve_lp(replace(check, upper=upper), options, start=start)
+        sol = solve_lp(replace(check, upper=upper), start=start)
         pivots += sol.iterations
         if sol.status != SolveStatus.OPTIMAL:
             raise SolverFailureError(f"check LP ended {sol.status.value}")
@@ -264,7 +261,7 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
         A = np.zeros((len(conflicts), ensemble.num_trees))
         for k, trees in enumerate(conflicts):
             A[k, list(trees)] = 1.0
-        pick = solve(_ones_program(A, 1.0, integer=True), options)
+        pick = solve(_ones_program(A, 1.0, integer=True))
         if pick.status == SolveStatus.INFEASIBLE:  # an empty conflict
             raise InfeasiblePruneError(
                 "no faithful reweighting exists on the working set")
@@ -289,7 +286,7 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
                 failing |= eye[m] | (fail.x[:rows] @ G <= 0.0)
         conflicts[tuple(np.flatnonzero(~failing).tolist())] = None
 
-    weights, sol = min_weight_sum(G, np.flatnonzero(chosen), options)
+    weights, sol = min_weight_sum(G, np.flatnonzero(chosen))
     if sol.status != SolveStatus.OPTIMAL:
         raise SolverFailureError(f"support LP ended {sol.status.value}")
     return PruneResult(weights=weights, support=support_of(weights),
@@ -298,13 +295,12 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
 
 
 def prune_l1(ensemble: Ensemble, prune_set: PruneSet,
-             options: SolverOptions | None = None,
              margins: MarginTable | None = None) -> PruneResult:
     """Smallest weight sum that reproduces every working-set
     prediction.  A plain LP."""
     margins = margins or build_margins(ensemble, prune_set)
     weights, sol = min_weight_sum(margins.keep_rows(),
-                                  np.arange(ensemble.num_trees), options)
+                                  np.arange(ensemble.num_trees))
     if sol.status == SolveStatus.INFEASIBLE:
         raise InfeasiblePruneError(
             "no faithful reweighting exists on the working set")

@@ -9,14 +9,14 @@ basis, with Dantzig pricing, a Bland fallback after degenerate stalls,
 and a bounded-variable ratio test with bound flips; when its starting
 point already lies on every row, it starts from the slack basis
 instead and phase 1 has nothing to do.  A warm solve starts from a
-given basis and its factor (B^{-1} and the reduced costs there) -- in
+given basis and its factor (B^{-1} and the reduced costs there): in
 branch and bound, the optimal basis of the node that spawned the LP,
-factored once for both children; through ``solve_lp(start=...)``, the
-optimal basis of an earlier solve under other bounds.  It repairs the
-basics that the changed bounds push out of range with a bounded dual
-simplex and finishes with the primal loop.  A MILP's root LP may start
-from the optimal root basis of an earlier solve that differed in the
-objective alone: still primal feasible, it needs only the primal loop.
+factored once for both children; through ``solve_lp(start=...)`` and at
+a MILP's root, the optimal basis of an earlier solve of the same rows
+under other bounds or another objective.  Every nonbasic rests at its
+recorded status.  If the basics then lie within their bounds, the
+primal loop finishes from there; otherwise, if the start is dual
+feasible, a bounded dual simplex repairs them first.
 
 B^{-1}, the basic values and the reduced costs are re-derived from the
 original data at regular intervals and before any claim of optimality;
@@ -24,11 +24,10 @@ a returned optimum is checked for feasibility and optimality on values
 re-derived at its basis, independently of the (possibly drifted)
 updates.  A warm solve reports infeasibility only when a Farkas row,
 recomputed from the original data, shows that no point inside the
-bounds satisfies the rows.  Anything else that goes wrong on the warm
-path -- a singular (or ill-conditioned) start, a dual infeasible start
-or, at a warm root, a primal infeasible one, the iteration cap, a
-failed check, an unconfirmed Farkas row -- sends the LP to a cold
-solve.
+bounds satisfies the rows.  Anything else -- a start that is singular
+(or ill-conditioned), of another shape, or neither primal nor dual
+feasible, the iteration cap, a failed check, an unconfirmed Farkas row
+-- sends the LP to a cold solve.
 
 Integer restrictions are handled by best-bound branch and bound on the
 LP relaxation with most-fractional branching.  Before it, a MILP is
@@ -69,21 +68,6 @@ class SolveStatus(Enum):
 
 _SENSE_CODE = {"<=": -1, "==": 0, ">=": 1}
 _SENSE_TEXT = {-1: "<=", 0: "=", 1: ">="}
-
-
-@dataclass
-class SolverOptions:
-    """Tolerances and limits for the LP and MILP solvers."""
-
-    tol_feas: float = 1e-7       # bound/row feasibility
-    tol_int: float = 1e-6        # integrality of relaxation values
-    tol_gap: float = 1e-9        # absolute incumbent/bound gap
-    tol_cost: float = 1e-9       # reduced-cost threshold for pricing
-    tol_pivot: float = 1e-9      # minimum pivot magnitude
-    max_iterations: int = 50_000  # simplex pivots per LP solve
-    max_nodes: int = 100_000     # branch-and-bound nodes
-    refactor_every: int = 60     # exact recompute interval (pivots)
-    bland_after: int = 80        # degenerate steps before Bland's rule
 
 
 @dataclass
@@ -221,21 +205,45 @@ class ProblemBuilder:
 
 # ---------------------------------------------------------------------------
 # Bounded-variable revised simplex on an explicit basis inverse: cold
-# two-phase primal, warm bounded dual followed by primal
+# two-phase primal; warm primal, or bounded dual followed by primal
 
 _AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
 # By status: may a nonbasic column rise from its value, or fall?
 _MAY_RISE = np.array([True, False, False, True])
 _MAY_FALL = np.array([False, True, False, True])
 
+# How far a value may lie outside its bounds: a basic in the dual
+# simplex and in the test that sends a warm start to it, and (times
+# 1 + max|b|) a returned or postsolved solution.  Integer bounds round
+# inward within it, and phase 1's emptiness cut is a fraction of it.
+_TOL_FEAS = 1e-7
+# A relaxation value this close to an integer counts as integral.
+_TOL_INT = 1e-6
+# A node whose bound is within this of the incumbent cannot improve it.
+_TOL_GAP = 1e-9
+# A reduced cost beyond this prices its column in; the check of a
+# returned basis uses 10 times it, times 1 + max|c|.
+_TOL_COST = 1e-9
+# Pivot column and row entries of at most this magnitude are zeros in
+# the ratio tests and in a Farkas row.
+_TOL_PIVOT = 1e-9
+# Pivots one simplex run may make, dual and primal together, before it
+# ends with ITERATION_LIMIT (a warm run that reaches it goes cold).
+_MAX_PIVOTS = 50_000
+# Branch-and-bound nodes one MILP may expand before ITERATION_LIMIT.
+_MAX_NODES = 100_000
+# Pivots between exact re-inversions of B from the original data, which
+# bound the drift of the rank-1 updates.
+_REFACTOR_EVERY = 60
 # Ratio-test tie window: steps within this of the shortest count as tied,
 # and the tie is broken by the largest pivot magnitude.
 _RATIO_TIE = 1e-9
-# A step no longer than this is degenerate; more than ``bland_after`` of
+# A step no longer than this is degenerate; more than ``_BLAND_AFTER`` of
 # them in a row switch to Bland's rule so that the loop cannot cycle.
 _DEGENERATE_STEP = 1e-12
+_BLAND_AFTER = 80
 # A feasible problem drives the phase-1 artificial sum to roundoff level
-# (~1e-13 at these scales); a leftover above this fraction of tol_feas
+# (~1e-13 at these scales); a leftover above this fraction of _TOL_FEAS
 # (times 1 + max|b|) is a genuinely empty feasible region, even when it
 # would pass the looser per-variable tolerance applied to returned
 # solutions.  A row with a coefficient below 1 has its leftover counted
@@ -324,7 +332,11 @@ class _Columns:
                 np.concatenate([up, self.slack_up, zero]))
 
     def factor(self, basis: Basis) -> _Factor | None:
-        """The factor at ``basis``, or None when it is singular."""
+        """The factor at ``basis``, or None when it is singular or has
+        another problem's shape."""
+        if (basis.basic.shape != (self.m,)
+                or basis.status.shape != (self.n + 2 * self.m,)):
+            return None
         try:
             return _Factor(*_invert(self.A_all, basis.basic, self.cost))
         except SolverFailureError:
@@ -341,26 +353,19 @@ class _Simplex:
     of its row's residual at the starting values, the artificials form
     the phase-1 identity basis, and cc is their sum; when every residual
     is zero, the slacks form the basis instead, which is already
-    phase-1 optimal.  With ``factor``
-    (taken at ``start``) it is warm: the artificials stay fixed at zero,
-    the solve pivots on its own copy of the factor, and every nonbasic
-    column rests at the bound its status names.  Unless ``keep_status``
-    is set, a boxed column whose reduced cost has the wrong sign for that
-    bound rests at the other one, so only columns with an infinite bound
-    can leave the start dual infeasible; with it set, every column keeps
-    its status, so a start that was primal feasible under these bounds
-    stays so.
+    phase-1 optimal.  With ``factor`` (taken at ``start``) it is warm:
+    the artificials stay fixed at zero, the solve pivots on its own copy
+    of the factor, and every nonbasic column rests at the bound its
+    status names (see ``_warm_solve``).
 
     ``derived`` holds while xB and d are as re-derived from the original
     data at the current basis: ``_refactor`` and ``_rederive`` set it,
     and every pivot, bound flip or move of the nonbasics clears it."""
 
     def __init__(self, cols: _Columns, lo: np.ndarray, up: np.ndarray,
-                 opts: SolverOptions, start: Basis | None = None,
-                 factor: _Factor | None = None, keep_status: bool = False):
+                 start: Basis | None = None, factor: _Factor | None = None):
         m, n = cols.m, cols.n
         self.m, self.n, self.N = m, n, n + 2 * m
-        self.opts = opts
         self.b = cols.b
         self.row_scale = cols.row_scale
         self.A = cols.A
@@ -374,7 +379,7 @@ class _Simplex:
             self.basis = start.basic.astype(np.intp)
             self.Binv = factor.binv.copy()
             self.d = factor.d.copy()
-            self._rest_nonbasics(start.status, keep_status)
+            self._rest_nonbasics(start.status)
             return
         # start every non-artificial variable at a finite bound
         k = n + m
@@ -408,18 +413,12 @@ class _Simplex:
         self.xB = sigma * residual
         self.derived = True
 
-    def _rest_nonbasics(self, status: np.ndarray,
-                        keep_status: bool = False) -> None:
-        """Place the nonbasics as the class docstring says and solve for
-        the basics."""
+    def _rest_nonbasics(self, status: np.ndarray) -> None:
+        """Rest each nonbasic at the bound ``status`` names, or at a
+        finite one when that bound is infinite, and solve for the
+        basics."""
         lo, up = self.lo, self.up
-        at_up = status == _AT_UPPER
-        if not keep_status:
-            boxed = np.isfinite(lo) & np.isfinite(up)
-            tol = self.opts.tol_cost
-            at_up = np.where(boxed & (self.d < -tol), True,
-                             np.where(boxed & (self.d > tol), False, at_up))
-        stat = np.where(at_up & np.isfinite(up), _AT_UPPER,
+        stat = np.where((status == _AT_UPPER) & np.isfinite(up), _AT_UPPER,
                         np.where(np.isfinite(lo), _AT_LOWER,
                                  np.where(np.isfinite(up), _AT_UPPER, _FREE)))
         stat[self.basis] = _BASIC
@@ -504,16 +503,15 @@ class _Simplex:
         self.Binv -= np.outer(others, self.Binv[r])
         self.derived = False
 
-    def iterate(self, budget: int) -> SolveStatus:
-        """Primal pivots until optimal/unbounded or the budget runs out."""
-        opts = self.opts
+    def iterate(self) -> SolveStatus:
+        """Primal pivots until optimal/unbounded or ``_MAX_PIVOTS``."""
         since_refactor = 0
         stall = 0
         bland = False
         while True:
-            if self.iterations >= budget:
+            if self.iterations >= _MAX_PIVOTS:
                 return SolveStatus.ITERATION_LIMIT
-            cand = self._candidates(opts.tol_cost)
+            cand = self._candidates(_TOL_COST)
             if not cand.any():
                 if self.derived:
                     return SolveStatus.OPTIMAL
@@ -534,9 +532,9 @@ class _Simplex:
             up_B = self.up[self.basis]
             t_rows = np.full(self.m, np.inf)
             np.divide(self.xB - lo_B, delta, out=t_rows,
-                      where=delta > opts.tol_pivot)
+                      where=delta > _TOL_PIVOT)
             np.divide(up_B - self.xB, -delta, out=t_rows,
-                      where=delta < -opts.tol_pivot)
+                      where=delta < -_TOL_PIVOT)
             np.maximum(t_rows, 0.0, out=t_rows)
             t_row = float(t_rows.min()) if self.m else np.inf
             span = self.up[j] - self.lo[j]
@@ -572,33 +570,33 @@ class _Simplex:
 
             if step <= _DEGENERATE_STEP:
                 stall += 1
-                if stall > opts.bland_after:
+                if stall > _BLAND_AFTER:
                     bland = True
             else:
                 stall = 0
                 bland = False
-            if since_refactor >= opts.refactor_every:
+            if since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
                 since_refactor = 0
 
-    def dual_iterate(self, budget: int) -> tuple[SolveStatus, int]:
+    def dual_iterate(self) -> tuple[SolveStatus, int]:
         """Bounded dual simplex from a dual feasible basis.  Returns
         (OPTIMAL, -1) once every basic lies within its bounds, leaving
         any reduced cost that drifted past tolerance to ``iterate``;
         (INFEASIBLE, r) when the basic of row r is out of bounds and no
-        nonbasic column can move it back; or (ITERATION_LIMIT, -1)."""
-        opts = self.opts
+        nonbasic column can move it back; or (ITERATION_LIMIT, -1) after
+        ``_MAX_PIVOTS``."""
         since_refactor = 0
         stall = 0
         bland = False
         while True:
-            if self.iterations >= budget:
+            if self.iterations >= _MAX_PIVOTS:
                 return SolveStatus.ITERATION_LIMIT, -1
             lo_B = self.lo[self.basis]
             up_B = self.up[self.basis]
             below = lo_B - self.xB
             infeas = np.maximum(below, self.xB - up_B)
-            rows = np.nonzero(infeas > opts.tol_feas)[0]
+            rows = np.nonzero(infeas > _TOL_FEAS)[0]
             if rows.size == 0:
                 if self.derived:
                     return SolveStatus.OPTIMAL, -1
@@ -615,7 +613,7 @@ class _Simplex:
             row = self._pivot_row(r)
             alpha = row if to_lower else -row
             stat = self.stat
-            tol = opts.tol_pivot
+            tol = _TOL_PIVOT
             eligible = self.movable & ((_MAY_RISE[stat] & (alpha < -tol))
                                        | (_MAY_FALL[stat] & (alpha > tol)))
             idx = np.nonzero(eligible)[0]
@@ -644,37 +642,37 @@ class _Simplex:
 
             if t <= _DEGENERATE_STEP:
                 stall += 1
-                if stall > opts.bland_after:
+                if stall > _BLAND_AFTER:
                     bland = True
             else:
                 stall = 0
                 bland = False
-            if since_refactor >= opts.refactor_every:
+            if since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
                 since_refactor = 0
 
 
-def _phase1_cut(sx: _Simplex, opts: SolverOptions) -> float:
-    """The leftover above which phase 1 calls the rows empty."""
-    return _PHASE1_EMPTY * opts.tol_feas * (1.0 + np.abs(sx.b).max(initial=0.0))
+def _phase1_cut(b: np.ndarray) -> float:
+    """The leftover above which phase 1 calls the rows A x ~ b empty."""
+    return _PHASE1_EMPTY * _TOL_FEAS * (1.0 + np.abs(b).max(initial=0.0))
 
 
-def _simplex_solve(cols: _Columns, lo: np.ndarray, up: np.ndarray,
-                   opts: SolverOptions) -> LpSolution:
+def _simplex_solve(cols: _Columns, lo: np.ndarray,
+                   up: np.ndarray) -> LpSolution:
     """Cold solve: phase 1 from the artificial identity, then phase 2."""
     if np.any(lo > up):
         return LpSolution(SolveStatus.INFEASIBLE, None, None, 0)
-    sx = _Simplex(cols, lo, up, opts)
+    sx = _Simplex(cols, lo, up)
     n, m = sx.n, sx.m
 
     # phase 1: minimize the artificial sum
-    status = sx.iterate(opts.max_iterations)
+    status = sx.iterate()
     if status == SolveStatus.ITERATION_LIMIT:
         return LpSolution(status, None, None, sx.iterations)
     if status == SolveStatus.UNBOUNDED:
         raise SolverFailureError("phase-1 objective cannot be unbounded")
     leftover = np.abs(sx.assemble()[n + m:]) / sx.row_scale
-    if leftover.sum() > _phase1_cut(sx, opts):
+    if leftover.sum() > _phase1_cut(sx.b):
         return LpSolution(SolveStatus.INFEASIBLE, None, None, sx.iterations)
 
     # phase 2: clamp artificials to zero and minimize the real objective
@@ -685,78 +683,51 @@ def _simplex_solve(cols: _Columns, lo: np.ndarray, up: np.ndarray,
     sx.cc = cols.cost
     sx._refactor()
     for _attempt in range(3):
-        status = sx.iterate(opts.max_iterations)
+        status = sx.iterate()
         if status != SolveStatus.OPTIMAL:
             x = sx.assemble()[:n] if status == SolveStatus.ITERATION_LIMIT else None
             obj = float(cols.cost[:n] @ x) if x is not None else None
             return LpSolution(status, x, obj, sx.iterations)
-        if _verified_optimum(sx, opts):
+        if _verified_optimum(sx):
             return _optimal(sx)
         sx._refactor()
     raise SolverFailureError("simplex solution failed numerical verification")
 
 
 def _warm_solve(cols: _Columns, lo: np.ndarray, up: np.ndarray, start: Basis,
-                factor: _Factor | None, opts: SolverOptions) -> LpSolution:
-    """Re-solve from ``start``, an optimal basis of the same rows and
-    objective under other bounds, whose factor is ``factor`` (None when
-    it is singular): bounded dual simplex to primal feasibility, then
-    primal simplex, then the same independent check as a cold solve.
-    INFEASIBLE is reported only when a Farkas row confirms it; every
-    other failure falls back to ``_simplex_solve``, whose pivots are
-    added to the warm attempt's."""
+                factor: _Factor | None) -> LpSolution:
+    """Re-solve from ``start``, an optimal basis of the same rows under
+    other bounds or another objective, whose factor is ``factor`` (None
+    when it is singular or of another shape).  Every nonbasic rests at
+    its recorded status.  If the basics then lie within their bounds,
+    the primal loop finishes from there; otherwise, if the start is dual
+    feasible, a bounded dual simplex repairs them first.  Either way the
+    result gets the same independent check as a cold solve.  INFEASIBLE
+    is reported only when a Farkas row confirms it.  A start that is
+    neither primal nor dual feasible, and every other failure, go to
+    ``_simplex_solve``, whose pivots are added to the warm attempt's."""
     if np.any(lo > up):
         return LpSolution(SolveStatus.INFEASIBLE, None, None, 0)
     sx = None
     if factor is not None:
         try:
-            sx = _Simplex(cols, lo, up, opts, start=start, factor=factor)
-            if not _verified_candidates(sx, opts).any():
-                status, r = sx.dual_iterate(opts.max_iterations)
+            sx = _Simplex(cols, lo, up, start=start, factor=factor)
+            lo_B, up_B = sx.lo[sx.basis], sx.up[sx.basis]
+            primal = bool(np.all(sx.xB >= lo_B - _TOL_FEAS)
+                          and np.all(sx.xB <= up_B + _TOL_FEAS))
+            if not primal and not _verified_candidates(sx).any():
+                status, r = sx.dual_iterate()
                 if (status == SolveStatus.INFEASIBLE
-                        and _farkas_confirms(sx, r, opts)):
+                        and _farkas_confirms(sx, r)):
                     return LpSolution(SolveStatus.INFEASIBLE, None, None,
                                       sx.iterations)
-                if (status == SolveStatus.OPTIMAL
-                        and sx.iterate(opts.max_iterations)
-                        == SolveStatus.OPTIMAL
-                        and _verified_optimum(sx, opts)):
-                    return _optimal(sx)
-        except SolverFailureError:      # singular basis at a refactor
-            pass
-    return _fall_back(cols, lo, up, opts, sx)
-
-
-def _primal_warm_solve(cols: _Columns, lo: np.ndarray, up: np.ndarray,
-                       start: Basis, opts: SolverOptions) -> LpSolution:
-    """Re-solve from ``start``, an optimal basis of the same rows and
-    bounds under another objective.  Factored once, with every nonbasic
-    at its recorded status, it is still primal feasible, so the primal
-    loop finishes from it, followed by the same check as a cold solve.
-    A singular start, a basic out of bounds, the iteration cap or a
-    failed check fall back to ``_simplex_solve``."""
-    factor = cols.factor(start)
-    sx = None
-    if factor is not None:
-        try:
-            sx = _Simplex(cols, lo, up, opts, start=start, factor=factor,
-                          keep_status=True)
-            lo_B, up_B = sx.lo[sx.basis], sx.up[sx.basis]
-            if (np.all(sx.xB >= lo_B - opts.tol_feas)
-                    and np.all(sx.xB <= up_B + opts.tol_feas)
-                    and sx.iterate(opts.max_iterations)
-                    == SolveStatus.OPTIMAL
-                    and _verified_optimum(sx, opts)):
+                primal = status == SolveStatus.OPTIMAL
+            if (primal and sx.iterate() == SolveStatus.OPTIMAL
+                    and _verified_optimum(sx)):
                 return _optimal(sx)
         except SolverFailureError:      # singular basis at a refactor
             pass
-    return _fall_back(cols, lo, up, opts, sx)
-
-
-def _fall_back(cols: _Columns, lo: np.ndarray, up: np.ndarray,
-               opts: SolverOptions, sx: _Simplex | None) -> LpSolution:
-    """The cold solve, with the pivots of the failed warm attempt."""
-    sol = _simplex_solve(cols, lo, up, opts)
+    sol = _simplex_solve(cols, lo, up)
     if sx is not None:
         sol.iterations += sx.iterations
     return sol
@@ -769,12 +740,12 @@ def _optimal(sx: _Simplex) -> LpSolution:
                       Basis(sx.basis.copy(), sx.stat.astype(np.int8)))
 
 
-def _verified_candidates(sx: _Simplex, opts: SolverOptions) -> np.ndarray:
-    tol = 10 * opts.tol_cost * (1.0 + np.abs(sx.cc).max(initial=0.0))
+def _verified_candidates(sx: _Simplex) -> np.ndarray:
+    tol = 10 * _TOL_COST * (1.0 + np.abs(sx.cc).max(initial=0.0))
     return sx._candidates(tol)
 
 
-def _verified_optimum(sx: _Simplex, opts: SolverOptions) -> bool:
+def _verified_optimum(sx: _Simplex) -> bool:
     """Independent check of a claimed optimum: re-derive the basic
     solution and reduced costs from the original data, unless they were
     re-derived at this basis and nothing has moved since, then test the
@@ -783,16 +754,15 @@ def _verified_optimum(sx: _Simplex, opts: SolverOptions) -> bool:
         sx._rederive()
     lo_B = sx.lo[sx.basis]
     up_B = sx.up[sx.basis]
-    scale = 1.0 + np.abs(sx.b).max(initial=0.0)
-    feas = (np.all(sx.xB >= lo_B - opts.tol_feas * scale)
-            and np.all(sx.xB <= up_B + opts.tol_feas * scale))
-    return bool(feas) and not _verified_candidates(sx, opts).any()
+    tol = _TOL_FEAS * (1.0 + np.abs(sx.b).max(initial=0.0))
+    feas = np.all(sx.xB >= lo_B - tol) and np.all(sx.xB <= up_B + tol)
+    return bool(feas) and not _verified_candidates(sx).any()
 
 
-def _farkas_confirms(sx: _Simplex, r: int, opts: SolverOptions) -> bool:
+def _farkas_confirms(sx: _Simplex, r: int) -> bool:
     """Whether row r of the basis proves the LP empty.  The row is
     recomputed from the original data (B'y = e_r, alpha = y'A_all, with
-    entries of magnitude at most tol_pivot taken as zero).  It confirms
+    entries of magnitude at most _TOL_PIVOT taken as zero).  It confirms
     when y'b lies outside the range of alpha'x over the bounds by more
     than the phase-1 emptiness cut times max_i |y_i| s_i, where s_i is
     row i's scale in the phase-1 leftover: since |y'(b - A_all x)| <=
@@ -806,19 +776,13 @@ def _farkas_confirms(sx: _Simplex, r: int, opts: SolverOptions) -> bool:
     except np.linalg.LinAlgError:
         return False
     alpha = y @ sx.A_all
-    alpha[np.abs(alpha) <= opts.tol_pivot] = 0.0
+    alpha[np.abs(alpha) <= _TOL_PIVOT] = 0.0
     pos, neg = alpha > 0, alpha < 0
     low = alpha[pos] @ sx.lo[pos] + alpha[neg] @ sx.up[neg]
     high = alpha[pos] @ sx.up[pos] + alpha[neg] @ sx.lo[neg]
     rhs = y @ sx.b
-    margin = _phase1_cut(sx, opts) * np.abs(y * sx.row_scale).max()
+    margin = _phase1_cut(sx.b) * np.abs(y * sx.row_scale).max()
     return bool(rhs < low - margin or rhs > high + margin)
-
-
-def _fits(basis: Basis, m: int, n: int) -> bool:
-    """Whether ``basis`` has the shape of a basis of m rows and n
-    variables."""
-    return basis.basic.shape == (m,) and basis.status.shape == (n + 2 * m,)
 
 
 def _prepare(problem: MilpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -829,25 +793,24 @@ def _prepare(problem: MilpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray,
             np.asarray(problem.senses, dtype=np.int8))
 
 
-def solve_lp(problem: MilpProblem, options: SolverOptions | None = None,
-             start: Basis | None = None) -> LpSolution:
+def _solve_from(cols: _Columns, lo: np.ndarray, up: np.ndarray,
+                start: Basis | None) -> LpSolution:
+    """A cold solve, or a warm one from ``start`` when it is given."""
+    if start is None:
+        return _simplex_solve(cols, lo, up)
+    return _warm_solve(cols, lo, up, start, cols.factor(start))
+
+
+def solve_lp(problem: MilpProblem, start: Basis | None = None) -> LpSolution:
     """Solve the LP relaxation (integrality flags are ignored).
 
     ``start`` is the optimal ``basis`` of an earlier solve of a problem
-    with the same rows and objective under other bounds.  The LP is then
-    re-solved from it by ``_warm_solve``: a bounded dual simplex to
-    primal feasibility, the primal loop, and the same check as a cold
-    solve; infeasibility only on a confirmed Farkas row, and a cold
-    solve after any other failure.  A start whose shape does not fit the
-    problem is ignored."""
-    opts = options or SolverOptions()
+    with the same rows, under other bounds or another objective; the LP
+    is then re-solved from it by ``_warm_solve``.  Without it, or when
+    the warm solve cannot use it, the LP is solved cold."""
     cols = _Columns(*_prepare(problem))
-    lo = np.asarray(problem.lower, dtype=float)
-    up = np.asarray(problem.upper, dtype=float)
-    if start is not None and _fits(start, cols.m, cols.n):
-        sol = _warm_solve(cols, lo, up, start, cols.factor(start), opts)
-    else:
-        sol = _simplex_solve(cols, lo, up, opts)
+    sol = _solve_from(cols, np.asarray(problem.lower, dtype=float),
+                      np.asarray(problem.upper, dtype=float), start)
     if problem.maximize and sol.objective is not None:
         sol.objective = -sol.objective
     return sol
@@ -885,14 +848,12 @@ class _Presolved:
     coef: np.ndarray
     q: np.ndarray
     source: tuple[np.ndarray, ...]
-    tol_feas: float
 
-    def reduces(self, problem: MilpProblem, opts: SolverOptions) -> bool:
+    def reduces(self, problem: MilpProblem) -> bool:
         """Whether ``problem`` has the rows, bounds and integrality this
-        reduction was made from, under the same tolerance."""
-        return (opts.tol_feas == self.tol_feas
-                and all(np.array_equal(mine, theirs) for mine, theirs
-                        in zip(self.source, _constraints(problem))))
+        reduction was made from."""
+        return all(np.array_equal(mine, theirs) for mine, theirs
+                   in zip(self.source, _constraints(problem)))
 
     def objective(self, problem: MilpProblem) -> tuple[MilpProblem, float]:
         """The reduced problem under ``problem``'s objective: P'c, and
@@ -911,11 +872,6 @@ class _Presolved:
         x[kept] += self.coef[kept] * x_red[self.col[kept]]
         return x
 
-    def fits(self, basis: Basis) -> bool:
-        """Whether ``basis`` has the shape of a basis of the reduced
-        problem."""
-        return _fits(basis, self.reduced.num_rows, self.reduced.num_vars)
-
 
 class _Presolve:
     """Reductions of a MILP that read only its rows, bounds and
@@ -931,7 +887,7 @@ class _Presolve:
     ``_row_scale``, min(1, its smallest coefficient)); a smaller one is
     absorbed by clipping the implied bounds into the current ones."""
 
-    def __init__(self, problem: MilpProblem, opts: SolverOptions):
+    def __init__(self, problem: MilpProblem):
         b = np.asarray(problem.b, dtype=float)
         senses = np.asarray(problem.senses)
         self.A = np.array(problem.A, dtype=float)
@@ -946,9 +902,7 @@ class _Presolve:
         self.col = np.arange(n)
         self.coef = np.ones(n)
         self.q = np.zeros(n)
-        self.tol = opts.tol_feas
-        self.cut = (_PHASE1_EMPTY * opts.tol_feas
-                    * (1.0 + np.abs(b).max(initial=0.0)))
+        self.cut = _phase1_cut(b)
 
     def run(self) -> None:
         if np.any(self.lo > self.up):
@@ -967,8 +921,8 @@ class _Presolve:
         integer columns inward."""
         integral = self.integer[j]
         if integral.any():
-            lo = np.where(integral, np.ceil(lo - self.tol), lo)
-            up = np.where(integral, np.floor(up + self.tol), up)
+            lo = np.where(integral, np.ceil(lo - _TOL_FEAS), lo)
+            up = np.where(integral, np.floor(up + _TOL_FEAS), up)
             if np.any(lo > up):
                 raise _Infeasible
         self.lo[j] = lo
@@ -1182,13 +1136,12 @@ class _Presolve:
             lower=self.lo[live], upper=self.up[live],
             integer=self.integer[live])
         return _Presolved(reduced, renumber[self.col], self.coef, self.q,
-                          tuple(np.array(a) for a in _constraints(problem)),
-                          self.tol)
+                          tuple(np.array(a) for a in _constraints(problem)))
 
 
-def _presolve(problem: MilpProblem, opts: SolverOptions) -> _Presolved | None:
+def _presolve(problem: MilpProblem) -> _Presolved | None:
     """The reduced problem, or None when presolve proves it infeasible."""
-    work = _Presolve(problem, opts)
+    work = _Presolve(problem)
     try:
         work.run()
     except _Infeasible:
@@ -1196,13 +1149,12 @@ def _presolve(problem: MilpProblem, opts: SolverOptions) -> _Presolved | None:
     return work.result(problem)
 
 
-def _check_postsolved(problem: MilpProblem, x: np.ndarray,
-                      opts: SolverOptions) -> None:
+def _check_postsolved(problem: MilpProblem, x: np.ndarray) -> None:
     """The original rows, bounds and integrality at ``x``, within the
     tolerance of ``_verified_optimum``."""
     b = np.asarray(problem.b, dtype=float)
     senses = np.asarray(problem.senses)
-    tol = opts.tol_feas * (1.0 + np.abs(b).max(initial=0.0))
+    tol = _TOL_FEAS * (1.0 + np.abs(b).max(initial=0.0))
     residual = np.asarray(problem.A, dtype=float) @ x - b
     integral = np.asarray(problem.integer, dtype=bool)
     worst = max(
@@ -1221,7 +1173,7 @@ def _check_postsolved(problem: MilpProblem, x: np.ndarray,
 # Branch and bound
 
 
-def solve_milp(problem: MilpProblem, options: SolverOptions | None = None,
+def solve_milp(problem: MilpProblem,
                start: Basis | None = None) -> MilpSolution:
     """Presolve, branch and bound on the reduced problem, postsolve.
 
@@ -1243,36 +1195,33 @@ def solve_milp(problem: MilpProblem, options: SolverOptions | None = None,
 
     ``root_basis`` is a basis of the reduced problem and carries the
     reduction.  Given back as ``start`` for a problem with equal rows,
-    bounds and integrality (another objective), it spares presolve and
-    warm-starts the root; otherwise presolve runs again, and a start
-    whose shape does not fit the new reduction is ignored and the root
-    solved cold.
+    bounds and integrality (another objective), it spares presolve, and
+    the root is re-solved from it by ``_warm_solve``; otherwise presolve
+    runs again, and the root starts from it only if it happens to fit
+    the new reduction, else cold.
     """
-    opts = options or SolverOptions()
     _check_size(problem.num_rows, problem.num_vars)
     presolved = start.presolved if start is not None else None
-    if presolved is None or not presolved.reduces(problem, opts):
-        presolved = _presolve(problem, opts)
+    if presolved is None or not presolved.reduces(problem):
+        presolved = _presolve(problem)
         if presolved is None:
             return MilpSolution(SolveStatus.INFEASIBLE, None, None, None,
                                 0, 0)
     reduced, offset = presolved.objective(problem)
-    if start is not None and not presolved.fits(start):
-        start = None
-    sol = _branch_and_bound(reduced, opts, start)
+    sol = _branch_and_bound(reduced, start)
     sol.solved_rows, sol.solved_cols = reduced.num_rows, reduced.num_vars
     if sol.root_basis is not None:
         sol.root_basis = replace(sol.root_basis, presolved=presolved)
     if sol.x is not None:
         sol.x = presolved.postsolve(sol.x)
-        _check_postsolved(problem, sol.x, opts)
+        _check_postsolved(problem, sol.x)
         sol.objective += offset
     if sol.best_bound is not None:
         sol.best_bound += offset
     return sol
 
 
-def _branch_and_bound(problem: MilpProblem, opts: SolverOptions,
+def _branch_and_bound(problem: MilpProblem,
                       start: Basis | None) -> MilpSolution:
     """Best-bound branch and bound with most-fractional branching.
 
@@ -1284,27 +1233,20 @@ def _branch_and_bound(problem: MilpProblem, opts: SolverOptions,
     (possible when a big constant multiplies a near-zero integer
     variable) the point is not trusted and the node is branched instead.
 
-    The root LP starts cold unless ``start`` is given: the
-    ``root_basis`` of an earlier solve of this problem under another
-    objective, from which the primal simplex finishes (see
-    ``_primal_warm_solve``).  Each heap node keeps the optimal
-    basis of its relaxation (basic indices and column statuses), and its
-    children and its polish LP are warm-started from it: only bounds
-    differ, so the basis stays dual feasible and a bounded dual simplex
-    repairs it, usually in a few pivots.  The columns, slack bounds and
-    costs are built once per problem, and a popped node's basis is
-    factored once (B^{-1} and reduced costs), each child pivoting on its
-    own copy; a singular basis sends its children to a cold solve.  A
-    warm LP prunes a child as infeasible only on a Farkas row confirmed
-    from the original data, and falls back to a cold solve otherwise.
+    Every LP but a cold root is a ``_warm_solve``.  The root starts
+    cold unless ``start`` is given: the ``root_basis`` of an earlier
+    solve of this problem under another objective.  Each heap node keeps
+    the optimal basis of its relaxation (basic indices and column
+    statuses), and its children and its polish LP start from it: only
+    bounds differ, so the basis stays dual feasible and a bounded dual
+    simplex repairs it, usually in a few pivots.  The columns, slack
+    bounds and costs are built once per problem, and a popped node's
+    basis is factored once (B^{-1} and reduced costs), each child
+    pivoting on its own copy.
     """
     cols = _Columns(*_prepare(problem))
     int_idx = np.nonzero(problem.integer)[0]
     sign = -1.0 if problem.maximize else 1.0
-
-    def lp(lo: np.ndarray, up: np.ndarray, start: Basis,
-           factor: _Factor | None) -> LpSolution:
-        return _warm_solve(cols, lo, up, start, factor, opts)
 
     def fractionality(x: np.ndarray) -> np.ndarray:
         v = x[int_idx]
@@ -1327,7 +1269,8 @@ def _branch_and_bound(problem: MilpProblem, opts: SolverOptions,
         fixed = np.round(relaxed.x[int_idx])
         lo_f[int_idx] = fixed
         up_f[int_idx] = fixed
-        sol = lp(lo_f, up_f, relaxed.basis, cols.factor(relaxed.basis))
+        sol = _warm_solve(cols, lo_f, up_f, relaxed.basis,
+                          cols.factor(relaxed.basis))
         iterations += sol.iterations
         if sol.status == SolveStatus.OPTIMAL:
             return sol.x, sol.objective
@@ -1337,9 +1280,9 @@ def _branch_and_bound(problem: MilpProblem, opts: SolverOptions,
               negdepth: int) -> None:
         """Turn a solved relaxation into an incumbent or a heap node."""
         nonlocal incumbent, inc_obj
-        if sol.objective >= inc_obj - opts.tol_gap:
+        if sol.objective >= inc_obj - _TOL_GAP:
             return
-        if int_idx.size and fractionality(sol.x).max(initial=0.0) > opts.tol_int:
+        if int_idx.size and fractionality(sol.x).max(initial=0.0) > _TOL_INT:
             heapq.heappush(heap, (sol.objective, negdepth, next(seq),
                                   lo, up, sol.x, sol.basis))
             return
@@ -1354,8 +1297,7 @@ def _branch_and_bound(problem: MilpProblem, opts: SolverOptions,
 
     lo0 = np.asarray(problem.lower, dtype=float)
     up0 = np.asarray(problem.upper, dtype=float)
-    root = (_simplex_solve(cols, lo0, up0, opts) if start is None
-            else _primal_warm_solve(cols, lo0, up0, start, opts))
+    root = _solve_from(cols, lo0, up0, start)
     iterations += root.iterations
     if root.status != SolveStatus.OPTIMAL:
         return MilpSolution(root.status, None, None, None, 0, iterations)
@@ -1367,10 +1309,10 @@ def _branch_and_bound(problem: MilpProblem, opts: SolverOptions,
     while heap:
         bound, negdepth, _, lo, up, x, basis = heapq.heappop(heap)
         best_bound = bound
-        if bound >= inc_obj - opts.tol_gap:
+        if bound >= inc_obj - _TOL_GAP:
             best_bound = inc_obj  # everything left is dominated
             break
-        if nodes >= opts.max_nodes:
+        if nodes >= _MAX_NODES:
             status = SolveStatus.ITERATION_LIMIT
             break
         nodes += 1
@@ -1388,7 +1330,7 @@ def _branch_and_bound(problem: MilpProblem, opts: SolverOptions,
                 (_with(lo, v, floor_v + 1.0), up)):
             if child_lo[v] > child_up[v]:
                 continue
-            sol = lp(child_lo, child_up, basis, factor)
+            sol = _warm_solve(cols, child_lo, child_up, basis, factor)
             iterations += sol.iterations
             if sol.status == SolveStatus.INFEASIBLE:
                 continue

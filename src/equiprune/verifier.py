@@ -19,7 +19,7 @@ from .ensemble import (BinaryFeature, CellSignature, ContinuousFeature,
                        Ensemble, FeatureSchema, cell_scores_batch)
 from .errors import EnumerationCapError, InfeasiblePruneError, InputError
 from .pruner import PruneSet, build_margins, min_weight_sum
-from .solver import SolveStatus, SolverOptions
+from .solver import SolveStatus
 
 MAX_CELLS_DEFAULT = 200_000
 BRUTE_FORCE_MAX_TREES = 8
@@ -116,8 +116,7 @@ def maximize_separation(ensemble: Ensemble, weights, challenger: int,
 
 
 def brute_force_min_support(ensemble: Ensemble, prune_set: PruneSet,
-                            max_trees: int = BRUTE_FORCE_MAX_TREES,
-                            options: SolverOptions | None = None) -> int:
+                            max_trees: int = BRUTE_FORCE_MAX_TREES) -> int:
     """Smallest number of trees whose reweighting reproduces every
     working-set prediction, by trying all subsets in ascending size.
     Each subset is checked with a small LP feasibility solve."""
@@ -128,7 +127,7 @@ def brute_force_min_support(ensemble: Ensemble, prune_set: PruneSet,
     G = build_margins(ensemble, prune_set).keep_rows()
     for k in range(M + 1):
         for subset in itertools.combinations(range(M), k):
-            _, sol = min_weight_sum(G, subset, options)
+            _, sol = min_weight_sum(G, subset)
             if sol.status == SolveStatus.OPTIMAL:
                 return k
     raise InfeasiblePruneError(

@@ -32,6 +32,17 @@ def make_stump(feature: int, threshold: float, left_scores, right_scores):
     ]}
 
 
+def three_voter_majority():
+    """Three unit-weight stumps on three features voting for one of two
+    classes.  Its cells make the l0 master's root relaxation
+    fractional, and every oracle pair needs branch-and-bound nodes."""
+    return build_ensemble(
+        num_classes=2,
+        features=[{"name": f"x{j}", "kind": "continuous"} for j in range(3)],
+        weights=[1.0, 1.0, 1.0],
+        raw_trees=[make_stump(j, 0.5, (1, 0), (0, 1)) for j in range(3)])
+
+
 def one_hot(c: int, num_classes: int) -> list[float]:
     scores = [0.0] * num_classes
     scores[c] = 1.0

@@ -256,6 +256,17 @@ def test_bad_arguments_exit_four():
     assert exc.value.code == 4
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_non_finite_epsilon_exits_four(tmp_path, capsys, epsilon):
+    assert run("prune", "--model", FIXTURE, "--data", FIXTURE_CSV,
+               "--out", str(tmp_path / "pruned.json"),
+               "--epsilon", epsilon) == 4
+    assert "epsilon must be finite" in capsys.readouterr().err
+    assert run("verify", "--model", FIXTURE, "--pruned", FIXTURE,
+               "--epsilon", epsilon) == 4
+    assert "epsilon must be finite" in capsys.readouterr().err
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "equiprune.cli", "verify",

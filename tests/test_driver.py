@@ -166,8 +166,13 @@ def test_nan_seed_point_rejected(three_stumps):
 def test_option_validation():
     with pytest.raises(InputError):
         PruneOptions(norm="l2")
-    with pytest.raises(InputError):
-        PruneOptions(epsilon=0.0)
+    for epsilon in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InputError, match="epsilon"):
+            PruneOptions(epsilon=epsilon)
+    for violation_tol in (-1.0, np.nan, np.inf):
+        with pytest.raises(InputError, match="violation_tol"):
+            PruneOptions(violation_tol=violation_tol)
+    PruneOptions(violation_tol=0.0)
     with pytest.raises(InputError):
         PruneOptions(max_iterations=0)
 

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from equiprune import (DEFAULT_EPSILON, MilpSolution, SolveStatus,
-                       SolverOptions, TiedPredictionError, build_ensemble,
+from equiprune import (DEFAULT_EPSILON, InputError, IterationLimitError,
+                       MilpSolution, SolveStatus, TiedPredictionError,
+                       build_ensemble,
                        build_separation, cell_of, certified_prune, certify,
                        extract_point, maximize_separation, predict_class,
                        predict_scores, sample_uniform_points, separate,
                        solve_milp, solver)
 from equiprune.ensemble import leaves_of
-from conftest import make_stump, one_hot, stump_ensembles
+from conftest import make_stump, one_hot, stump_ensembles, three_voter_majority
 from test_ensemble import random_mixed_ensemble
 
 
@@ -62,6 +63,25 @@ def test_original_weights_separate_nothing():
         for pair in result.pairs:
             if pair.status == SolveStatus.OPTIMAL:
                 assert pair.objective < 0.0
+
+
+def test_bad_epsilon_and_violation_tol_are_input_errors():
+    ens = two_class([make_stump(0, 0.5, (1, 0), (0, 1))], [1.0])
+    for epsilon in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InputError, match="epsilon"):
+            build_separation(ens, (1.0,), challenger=1, original=0,
+                             epsilon=epsilon)
+    for violation_tol in (-1.0, np.nan, np.inf):
+        with pytest.raises(InputError, match="violation_tol"):
+            separate(ens, (1.0,), violation_tol=violation_tol)
+
+
+def test_separation_stops_at_the_node_limit(monkeypatch):
+    ens = three_voter_majority()
+    assert min(p.nodes for p in separate(ens, ens.alpha).pairs) >= 1
+    monkeypatch.setattr(solver, "_MAX_NODES", 0)
+    with pytest.raises(IterationLimitError, match="node limit"):
+        separate(ens, ens.alpha)
 
 
 def test_dropped_tree_disagreement_is_found():
@@ -267,10 +287,10 @@ def test_presolve_keeps_every_mixed_oracle_optimum():
     rng = np.random.default_rng(41)
     compared = shrunk = 0
 
-    def both(problem, options, **kwargs):
+    def both(problem, **kwargs):
         nonlocal compared, shrunk
-        reduced = solve_milp(problem, options, **kwargs)
-        plain = solver._branch_and_bound(problem, SolverOptions(), None)
+        reduced = solve_milp(problem, **kwargs)
+        plain = solver._branch_and_bound(problem, None)
         assert reduced.status == plain.status
         if plain.status == SolveStatus.OPTIMAL:
             assert reduced.objective == pytest.approx(plain.objective,
@@ -301,10 +321,10 @@ def test_reused_programs_equal_fresh_builds():
     handed_out = []                     # (problem, copies of its arrays)
     calls = []                          # (start or None, root basis)
 
-    def capture(problem, options, **kwargs):
+    def capture(problem, **kwargs):
         handed_out.append((problem, [getattr(problem, f).copy()
                                      for f in PROBLEM_ARRAYS]))
-        sol = solve_milp(problem, options, **kwargs)
+        sol = solve_milp(problem, **kwargs)
         calls.append((kwargs.get("start"), sol.root_basis))
         return sol
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from equiprune import (Ensemble, InfeasiblePruneError, InputError,
-                       ProblemBuilder, PruneSet, SolveStatus,
+                       IterationLimitError, ProblemBuilder, PruneSet,
+                       SolveStatus,
                        TiedPredictionError, cell_of, sample_uniform_points,
                        brute_force_min_support, build_ensemble, build_margins,
                        cell_class, compute_big_w, enumerate_cells,
@@ -13,7 +14,7 @@ from equiprune import (Ensemble, InfeasiblePruneError, InputError,
 from equiprune import pruner
 from equiprune.pruner import min_weight_sum
 from conftest import (make_stump, one_hot, random_boosted_instance,
-                      stump_ensembles)
+                      stump_ensembles, three_voter_majority)
 from test_ensemble import random_mixed_ensemble
 
 
@@ -220,6 +221,22 @@ def test_carried_conflicts_give_the_fresh_support_size():
             assert min_weight_sum(G, rest)[1].status == SolveStatus.INFEASIBLE
 
 
+def test_l0_tree_selection_stops_at_the_node_limit(monkeypatch):
+    ens = three_voter_majority()
+    assert prune_l0(ens, all_cells_set(ens)).nodes >= 1
+    monkeypatch.setattr(solver, "_MAX_NODES", 0)
+    with pytest.raises(IterationLimitError, match="node limit"):
+        prune_l0(ens, all_cells_set(ens))
+
+
+def test_l1_weight_minimization_stops_at_the_pivot_limit(monkeypatch):
+    ens = three_voter_majority()
+    assert prune_l1(ens, all_cells_set(ens)).iterations >= 1
+    monkeypatch.setattr(solver, "_MAX_PIVOTS", 0)
+    with pytest.raises(IterationLimitError, match="pivot limit"):
+        prune_l1(ens, all_cells_set(ens))
+
+
 def test_l1_single_stump_unit_weight():
     ens = single_stump_ensemble()
     ps = all_cells_set(ens)
@@ -390,9 +407,9 @@ def test_growth_checks_resolve_from_the_last_failing_check(monkeypatch):
     plain_lp = pruner.solve_lp
     cold = solver._simplex_solve
 
-    def recorded(problem, options=None, start=None):
+    def recorded(problem, start=None):
         before = len(cold_solves)
-        sol = plain_lp(problem, options, start=start)
+        sol = plain_lp(problem, start=start)
         if problem.maximize:
             checks.append((problem, start, sol, len(cold_solves) - before))
         return sol

@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 
 from equiprune import (InputError, MilpProblem, ProblemBuilder,
                        ProblemTooLargeError, SolverFailureError, SolveStatus,
-                       SolverOptions, dump_lp, lp_format_text, solve_lp,
+                       dump_lp, lp_format_text, solve_lp,
                        solve_milp, solver)
 
 
@@ -175,15 +175,14 @@ def test_a_start_on_every_row_skips_phase_1():
         prob = dataclasses.replace(prob, b=at)
         n, m = prob.num_vars, prob.num_rows
         sx = solver._Simplex(solver._Columns(*solver._prepare(prob)),
-                             prob.lower, prob.upper, SolverOptions())
+                             prob.lower, prob.upper)
         assert list(sx.basis) == list(range(n, n + m))      # the slacks
-        assert sx.iterate(SolverOptions().max_iterations) \
-            == SolveStatus.OPTIMAL and sx.iterations == 0
+        assert sx.iterate() == SolveStatus.OPTIMAL and sx.iterations == 0
         scipy_check(prob, solve_lp(prob))
         # off one row, phase 1 starts from the artificials
         off = dataclasses.replace(prob, b=at + (np.arange(m) == 0))
         sx = solver._Simplex(solver._Columns(*solver._prepare(off)),
-                             off.lower, off.upper, SolverOptions())
+                             off.lower, off.upper)
         assert list(sx.basis) == list(range(n + m, n + 2 * m))
         scipy_check(off, solve_lp(off))
 
@@ -306,8 +305,7 @@ def warm_resolve(prob, start, lower, upper, factor=None):
     if factor is None:
         factor = cols.factor(start)
     return solver._warm_solve(cols, np.asarray(lower, dtype=float),
-                              np.asarray(upper, dtype=float), start, factor,
-                              SolverOptions())
+                              np.asarray(upper, dtype=float), start, factor)
 
 
 @pytest.fixture
@@ -511,10 +509,11 @@ def test_solve_lp_from_a_start_matches_cold_and_scipy(cold_calls):
     assert len(verdicts["fell back"]) >= 5
 
 
-def test_solve_lp_from_a_dual_infeasible_start_goes_cold(cold_calls):
+def test_solve_lp_from_a_dual_infeasible_start_finishes_warm(cold_calls):
     # min -x  s.t.  x + y <= 4: x rests at its upper bound 2 at the
     # optimum; without that bound the start's reduced cost on x has the
-    # wrong sign for its other bound, so the re-solve must go cold
+    # wrong sign for its other bound, but the start is still primal
+    # feasible, so the primal loop finishes it
     pb = ProblemBuilder()
     x = pb.add_var("x", lo=0.0, up=2.0, obj=-1.0)
     y = pb.add_var("y", lo=0.0, up=10.0)
@@ -526,10 +525,32 @@ def test_solve_lp_from_a_dual_infeasible_start_goes_cold(cold_calls):
     free = dataclasses.replace(prob, upper=np.array([np.inf, 10.0]))
     cold_calls.clear()
     sol = solve_lp(free, start=root.basis)
-    assert len(cold_calls) == 1
+    assert cold_calls == []
     assert sol.status == SolveStatus.OPTIMAL
     assert sol.objective == -4.0
     scipy_check(free, sol)
+
+
+def test_solve_lp_from_a_start_neither_primal_nor_dual_feasible_goes_cold(
+        cold_calls):
+    # the start above under min x - y and y >= 3: x rests at its upper
+    # bound 2, where its reduced cost now has the wrong sign, and y, the
+    # one basic, stays at 4 - 2 = 2, below its new lower bound
+    pb = ProblemBuilder()
+    x = pb.add_var("x", lo=0.0, up=2.0, obj=-1.0)
+    y = pb.add_var("y", lo=0.0, up=10.0)
+    pb.add_row([(x, 1.0), (y, 1.0)], "<=", 4.0)
+    prob = pb.build()
+    root = solve_lp(prob)
+    assert list(root.basis.basic) == [y] and root.x[y] == 2.0
+    changed = dataclasses.replace(prob, c=np.array([1.0, -1.0]),
+                                  lower=np.array([0.0, 3.0]))
+    cold_calls.clear()
+    sol = solve_lp(changed, start=root.basis)
+    assert len(cold_calls) == 1
+    assert sol.status == SolveStatus.OPTIMAL
+    assert sol.objective == -4.0
+    scipy_check(changed, sol)
 
 
 def test_solve_lp_start_of_another_shape_is_ignored(cold_calls):
@@ -573,12 +594,9 @@ def test_children_pivot_on_their_own_copy_of_the_node_factor(cold_calls):
         cols = solver._Columns(*solver._prepare(prob))
         factor = cols.factor(root.basis)
         binv, d = factor.binv.copy(), factor.d.copy()
-        opts = SolverOptions()
-        left = solver._Simplex(cols, *down, opts, start=root.basis,
-                               factor=factor)
-        right = solver._Simplex(cols, *up, opts, start=root.basis,
-                                factor=factor)
-        left.dual_iterate(opts.max_iterations)
+        left = solver._Simplex(cols, *down, start=root.basis, factor=factor)
+        right = solver._Simplex(cols, *up, start=root.basis, factor=factor)
+        left.dual_iterate()
         pivoted += left.iterations > 0
         # the node's factor and the sibling's copy are untouched
         assert np.array_equal(factor.binv, binv)
@@ -620,10 +638,9 @@ def test_singular_start_basis_falls_back_to_cold(cold_calls):
 def test_moved_state_is_rederived_before_the_optimum_check(monkeypatch):
     prob, root, _, _ = tightened_pair(402)
     cols = solver._Columns(*solver._prepare(prob))
-    opts = SolverOptions()
-    sx = solver._Simplex(cols, prob.lower, prob.upper, opts,
-                         start=root.basis, factor=cols.factor(root.basis))
-    assert sx.iterate(opts.max_iterations) == SolveStatus.OPTIMAL
+    sx = solver._Simplex(cols, prob.lower, prob.upper, start=root.basis,
+                         factor=cols.factor(root.basis))
+    assert sx.iterate() == SolveStatus.OPTIMAL
     assert sx.derived
     truth = sx.xB.copy()
     rederived = []
@@ -631,14 +648,14 @@ def test_moved_state_is_rederived_before_the_optimum_check(monkeypatch):
     monkeypatch.setattr(sx, "_rederive",
                         lambda: (rederived.append(1), rederive()))
     # derived at this basis and unmoved: the check reuses the values
-    assert solver._verified_optimum(sx, opts)
+    assert solver._verified_optimum(sx)
     assert rederived == []
     # a move of the nonbasics clears the flag; values that drifted
     # after it are re-derived before the check, not trusted
     sx._rest_nonbasics(sx.stat)
     assert not sx.derived
     sx.xB += 1.0
-    assert solver._verified_optimum(sx, opts)
+    assert solver._verified_optimum(sx)
     assert rederived == [1]
     assert np.allclose(sx.xB, truth, atol=1e-12)
 
@@ -726,12 +743,6 @@ def test_warm_started_milps_match_scipy_and_enumeration(monkeypatch,
 # Warm roots after an objective change
 
 
-def primal_warm_resolve(prob, start):
-    cols = solver._Columns(*solver._prepare(prob))
-    return solver._primal_warm_solve(cols, prob.lower, prob.upper, start,
-                                     SolverOptions())
-
-
 def test_warm_root_after_an_objective_change_matches_cold(cold_calls):
     rng = np.random.default_rng(61)
     pivoted = 0
@@ -742,7 +753,8 @@ def test_warm_root_after_an_objective_change_matches_cold(cold_calls):
             continue
         changed = dataclasses.replace(prob, c=rng.normal(size=prob.num_vars))
         cold_calls.clear()
-        warm = primal_warm_resolve(changed, root.basis)
+        warm = warm_resolve(changed, root.basis, changed.lower,
+                            changed.upper)
         assert cold_calls == []         # answered without a fallback
         pivoted += warm.iterations > 0
         cold = solve_lp(changed)
@@ -784,15 +796,16 @@ def test_warm_root_from_a_singular_start_falls_back(cold_calls):
     status = np.zeros(n + 2 * m, dtype=np.int8)
     status[basic] = solver._BASIC
     cold_calls.clear()
-    warm = primal_warm_resolve(prob, solver.Basis(basic, status))
+    warm = warm_resolve(prob, solver.Basis(basic, status), prob.lower,
+                        prob.upper)
     assert len(cold_calls) == 1
     cold = solve_lp(prob)
     assert warm.status == cold.status == SolveStatus.OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
 
 
-def test_warm_root_from_an_infeasible_start_falls_back(cold_calls):
-    fell_back = 0
+def test_warm_root_from_a_primal_infeasible_start_is_repaired(cold_calls):
+    repaired = 0
     for seed in range(400, 440):
         pair = tightened_pair(seed)
         if pair is None:
@@ -801,17 +814,18 @@ def test_warm_root_from_an_infeasible_start_falls_back(cold_calls):
         j = int(np.argmax(root.x - prob.lower))
         if j not in root.basis.basic:
             continue
-        # j is basic at root.x[j], above its tightened upper bound
+        # j is basic at root.x[j], above its tightened upper bound; the
+        # objective is unchanged, so the dual simplex repairs the start
         tightened = dataclasses.replace(prob, lower=down[0], upper=down[1])
         cold_calls.clear()
-        warm = primal_warm_resolve(tightened, root.basis)
-        assert len(cold_calls) == 1
+        warm = warm_resolve(tightened, root.basis, *down)
+        assert cold_calls == []
         cold = solve_lp(tightened)
         assert warm.status == cold.status
         if cold.status == SolveStatus.OPTIMAL:
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-        fell_back += 1
-    assert fell_back >= 5
+        repaired += 1
+    assert repaired >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +957,7 @@ def test_presolved_milps_match_scipy_and_enumeration():
 def test_contradicting_parallel_rows_are_infeasible_in_presolve():
     for seed in range(760, 800):
         prob = presolve_milp(seed, contradict=True)
-        assert solver._presolve(prob, SolverOptions()) is None
+        assert solver._presolve(prob) is None
         sol = solve_milp(prob)
         assert sol.status == SolveStatus.INFEASIBLE
         assert (sol.solved_rows, sol.solved_cols) == (0, 0)
@@ -1000,7 +1014,7 @@ def test_singleton_rows_round_integer_bounds_inward():
     pb.add_row([(v, 2.5)], "<=", 6.0)           # v <= 2.4
     pb.add_row([(u, 1.0), (v, 1.0), (w, 1.0)], "<=", 4.5)
     prob = pb.build()
-    reduced = solver._presolve(prob, SolverOptions()).reduced
+    reduced = solver._presolve(prob).reduced
     assert list(reduced.lower) == [0.0, 0.0]    # u is fixed at 1 and gone
     assert list(reduced.upper) == [2.0, 4.0]
     sol = solve_milp(prob)
@@ -1017,7 +1031,7 @@ def test_doubleton_substitution_moves_bounds_and_objective():
     y = pb.add_var("y", lo=0.0, up=1.0, obj=-4.0)
     pb.add_row([(x, 2.0), (y, -3.0)], "==", 1.0)
     prob = pb.build()
-    presolved = solver._presolve(prob, SolverOptions())
+    presolved = solver._presolve(prob)
     assert presolved.reduced.num_vars == 1
     assert presolved.reduced.lower[0] == 0.5
     assert presolved.reduced.upper[0] == 2.0
@@ -1073,10 +1087,13 @@ def test_a_start_of_another_shape_goes_cold(cold_calls):
     prob = presolve_milp(700)
     other = solve_milp(presolve_milp(701)).root_basis
     stranger = solver.Basis(other.basic, other.status)
-    assert not solver._presolve(prob, SolverOptions()).fits(stranger)
+    cold = solve_milp(prob)
+    assert stranger.basic.shape != (cold.solved_rows,)
     cold_calls.clear()
     sol = solve_milp(prob, start=stranger)
     assert len(cold_calls) >= 1
+    # the start is ignored, so the solve repeats the cold one exactly
+    assert (sol.iterations, sol.nodes) == (cold.iterations, cold.nodes)
     assert sol.objective == pytest.approx(scipy_milp_optimum(prob), abs=1e-7)
 
 
@@ -1093,8 +1110,8 @@ def test_postsolve_miss_raises(monkeypatch):
     prob = presolve_milp(703)
     presolve = solver._presolve
 
-    def shifted(problem, opts):
-        presolved = presolve(problem, opts)
+    def shifted(problem):
+        presolved = presolve(problem)
         presolved.q[presolved.col < 0] += 1e-3
         return presolved
 
