@@ -136,12 +136,16 @@ def cmd_prune(args) -> int:
         "oracle_pairs": [{"iteration": record.index, **pair._asdict()}
                          for record in outcome.history
                          for pair in record.pair_counts],
+        "screened_iterations": [record.index for record in outcome.history
+                                if record.screened],
     }
     if args.report:
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
+    screened = sum(len(record.added_cells) for record in outcome.history
+                   if record.screened)
     print(f"kept {outcome.num_kept} of {ensemble.num_trees} trees in "
           f"{outcome.iterations} iterations ({outcome.n_oracle} oracle "
-          f"solves); wrote {args.out}")
+          f"solves, {screened} screened cells); wrote {args.out}")
     return EXIT_OK
 
 

@@ -3,7 +3,10 @@
 Alternate two solvers until they agree: prune on the current working
 set of points, then ask the separation oracle for a point anywhere in
 feature space where the reweighting breaks the original prediction.
-Each counterexample joins the working set and the loop repeats.  Tie
+Each counterexample joins the working set and the loop repeats.  Every
+round first scores a fixed sample of cells (``oracle.Screen``); the
+oracle's MIPs run only in a round the sample cannot refute, so a run
+still ends only on a round whose MIPs found nothing.  Tie
 cells — where the reweighted scores dead-heat and only the tie-break
 keeps the prediction in place — are cut away the same way, so the loop
 converges only when every class pair loses strictly everywhere.  That
@@ -24,7 +27,7 @@ import numpy as np
 
 from .ensemble import CellSignature, Ensemble, predict_classes_batch
 from .errors import InputError, IterationLimitError, PruneCycleError
-from .oracle import (DEFAULT_EPSILON, VIOLATION_TOL, _check_epsilon,
+from .oracle import (DEFAULT_EPSILON, VIOLATION_TOL, Screen, _check_epsilon,
                      _check_violation_tol, separate)
 from .pruner import PruneSet, build_margins, prune_l0, prune_l1
 from .pruner import compute_big_w  # noqa: F401  patched by perfbench/spans.py
@@ -37,7 +40,7 @@ class PruneOptions:
     norm: str = "l0"                   # "l0" (exact count) or "l1" (LP)
     epsilon: float = DEFAULT_EPSILON   # oracle margin precision
     violation_tol: float = VIOLATION_TOL
-    max_iterations: int = 1000
+    max_iterations: int = 1000         # rounds, screened ones included
 
     def __post_init__(self):
         if self.norm not in ("l0", "l1"):
@@ -63,6 +66,10 @@ class PairCounts(NamedTuple):
 
 @dataclass
 class IterationRecord:
+    """One round.  A screened round's cells come from the screen and it
+    solves no MIP, so its pair lists are empty; every other round solves
+    all C(C-1) pair MIPs."""
+
     index: int                       # 1-based
     working_set_size: int            # |S| the pruner saw
     prune_objective: float
@@ -70,17 +77,27 @@ class IterationRecord:
     pair_counts: list[PairCounts]
     added_cells: list[CellSignature]
     prune_seconds: float
-    oracle_seconds: float
+    oracle_seconds: float            # the screen and any MIPs
+
+    @property
+    def screened(self) -> bool:
+        """The screen refuted this round's weights; no MIP ran."""
+        return not self.pair_counts
 
 
 @dataclass
 class PruneOutcome:
+    """The certified weights and how the run got there.  The screen only
+    proposes counterexamples; the last round always solved every pair
+    MIP and found nothing, which is the certificate."""
+
     weights: np.ndarray
     support: tuple[int, ...]
-    iterations: int
+    iterations: int                  # rounds, screened ones included
     n_oracle: int                    # separation MIPs solved in total
     history: list[IterationRecord]
-    wall_time: dict[str, float]      # seconds per phase: prune/oracle/total
+    wall_time: dict[str, float]      # seconds per phase: prune/oracle/total;
+                                     # oracle includes the screen
 
     @property
     def num_kept(self) -> int:
@@ -93,9 +110,9 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
 
     ``initial_points`` seeds the working set (typically the training
     rows) and must be nonempty.  Raises on pruner infeasibility, on a
-    tied original prediction, if the oracle ever returns a cell already
-    in the working set (impossible under correct solves, so it signals
-    a solver bug rather than looping forever), and when
+    tied original prediction, if the screen or the oracle ever returns a
+    cell already in the working set (impossible under correct solves, so
+    it signals a solver bug rather than looping forever), and when
     ``max_iterations`` runs out.
     """
     opts = options or PruneOptions()
@@ -106,8 +123,9 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
     working.add_points(initial_points)
 
     t_start = time.perf_counter()
+    screen = Screen(ensemble, opts.epsilon)
     prune_total = 0.0
-    oracle_total = 0.0
+    oracle_total = time.perf_counter() - t_start
     history: list[IterationRecord] = []
     n_oracle = 0
     programs: dict = {}     # oracle program and root basis per class, this run
@@ -118,9 +136,13 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
         result = prune(ensemble, working,
                        margins=build_margins(ensemble, working))
         t1 = time.perf_counter()
-        separation = separate(ensemble, result.weights, epsilon=opts.epsilon,
-                              violation_tol=opts.violation_tol,
-                              programs=programs)
+        separation = screen.refute(result.weights, opts.violation_tol)
+        screened = len(separation.cells) + len(separation.tie_cells)
+        if not screened:
+            separation = separate(ensemble, result.weights,
+                                  epsilon=opts.epsilon,
+                                  violation_tol=opts.violation_tol,
+                                  programs=programs)
         t2 = time.perf_counter()
         prune_total += t1 - t0
         oracle_total += t2 - t1
@@ -140,8 +162,9 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
             prune_seconds=t1 - t0, oracle_seconds=t2 - t1)
         history.append(record)
         log.info("iteration %d: |S|=%d objective=%.6g kept=%d new_cells=%d "
-                 "(ties %d)", index, record.working_set_size, result.objective,
-                 len(result.support), len(new_cells), len(separation.tie_cells))
+                 "(ties %d, screened %d)", index, record.working_set_size,
+                 result.objective, len(result.support), len(new_cells),
+                 len(separation.tie_cells), screened)
 
         if not new_cells:
             total = time.perf_counter() - t_start
@@ -154,9 +177,10 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
         for cell in new_cells:
             if cell in working:
                 raise PruneCycleError(
-                    f"oracle returned cell {cell} which is already in the "
-                    "working set; its constraints should have excluded it "
-                    "(solver tolerance bug)")
+                    f"{'screen' if screened else 'oracle'} returned cell "
+                    f"{cell} which is already in the working set; its "
+                    "constraints should have excluded it (solver tolerance "
+                    "bug)")
             working.add_cell(cell)
 
     raise IterationLimitError(

@@ -43,6 +43,13 @@ reduction (see ``solve_milp``), so presolve runs once per class.
 Presolve removes every flow column a stump's split indicator
 determines, so a stump program keeps little more than its threshold
 indicators.
+
+A round that is not the last needs only one counterexample, not the
+pair optima.  ``Screen`` scores a fixed sample of cells, drawn once per
+run, under each round's weights and applies ``separate``'s verdict rule
+to the best sampled cell of every pair.  It only proposes
+counterexamples: a pruning run solves the MIPs in every round the
+sample cannot refute, so only the MIPs certify.
 """
 
 from __future__ import annotations
@@ -62,6 +69,12 @@ from .solver import (MilpProblem, MilpSolution, ProblemBuilder, SolveStatus,
 
 DEFAULT_EPSILON = 1e-6
 VIOLATION_TOL = 1e-8
+# The screen's sample: this many cells, drawn uniformly over each
+# feature's cell indices from this seed, once per pruning run.  The
+# measured instances span at most about 100 cells, so a sample this size
+# sees most of them; on larger spaces it only refutes fewer rounds.
+SCREEN_CELLS = 256
+SCREEN_SEED = 0
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -367,6 +380,70 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
                 solved_cols=sol.solved_cols))
     return SeparationResult(pairs=pairs, points=points, cells=cells,
                             tie_points=tie_points, tie_cells=tie_cells)
+
+
+class Screen:
+    """A fixed sample of cells that refutes a reweighting without a MIP.
+
+    The sample keeps only cells whose original winning margin is at
+    least ``epsilon``, the scope of the oracle's margin rows, each with
+    its per-tree scores and original class.  ``refute`` proposes
+    counterexamples; an empty result certifies nothing.
+    """
+
+    def __init__(self, ensemble: Ensemble, epsilon: float = DEFAULT_EPSILON):
+        _check_epsilon(epsilon)
+        rng = np.random.default_rng(SCREEN_SEED)
+        drawn = np.zeros((SCREEN_CELLS, ensemble.schema.num_features),
+                         dtype=np.int64)
+        for j, kind in enumerate(ensemble.schema.features):
+            drawn[:, j] = rng.integers(0, kind.num_cells, SCREEN_CELLS)
+        # each distinct cell once, in the order drawn: small spaces repeat
+        # most draws, and a repeat never changes which cell wins a pair
+        cells = np.array(list(dict.fromkeys(map(tuple, drawn.tolist()))),
+                         dtype=np.int64)
+        scores = ensemble.flat.scores[leaves_of(ensemble, cells)]  # (n, M, C)
+        original = np.asarray(ensemble.alpha) @ scores
+        ranked = np.sort(original, axis=1)
+        keep = ranked[:, -1] - ranked[:, -2] >= epsilon
+        self.ensemble = ensemble
+        self.cells = cells[keep]
+        self.scores = scores[keep]
+        self.labels = np.argmax(original[keep], axis=1)
+
+    def refute(self, weights: Sequence[float],
+               violation_tol: float = VIOLATION_TOL) -> SeparationResult:
+        """For every ordered pair (challenger c, original y), the sampled
+        class-y cell with the largest reweighted gap score_c - score_y,
+        judged as ``separate`` judges a pair optimum: a violation above
+        ``violation_tol``, a tie within it.  Deduplicated by cell, with
+        ``pairs=[]``."""
+        w = _check_weights(self.ensemble, weights)
+        _check_violation_tol(violation_tol)
+        scores = w @ self.scores
+        result = SeparationResult(pairs=[])
+        seen: set[CellSignature] = set()
+        for original in range(self.ensemble.num_classes):
+            rows = np.flatnonzero(self.labels == original)
+            if rows.size == 0:
+                continue
+            for challenger in range(self.ensemble.num_classes):
+                if challenger == original:
+                    continue
+                gap = scores[rows, challenger] - scores[rows, original]
+                i = int(np.argmax(gap))
+                cell = tuple(int(k) for k in self.cells[rows[i]])
+                if gap[i] < -violation_tol or cell in seen:
+                    continue
+                seen.add(cell)
+                point = cell_center(self.ensemble.schema, cell)
+                if gap[i] > violation_tol:
+                    result.points.append(point)
+                    result.cells.append(cell)
+                else:
+                    result.tie_points.append(point)
+                    result.tie_cells.append(cell)
+        return result
 
 
 def _check_original_class(ensemble: Ensemble, challenger: int, original: int,

@@ -297,8 +297,9 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
 def prune_l1(ensemble: Ensemble, prune_set: PruneSet,
              margins: MarginTable | None = None) -> PruneResult:
     """Smallest weight sum that reproduces every working-set
-    prediction.  A plain LP."""
+    prediction.  A plain LP.  Raises on a tie, as ``prune_l0`` does."""
     margins = margins or build_margins(ensemble, prune_set)
+    _untied_margin(margins, TIE_TOL)
     weights, sol = min_weight_sum(margins.keep_rows(),
                                   np.arange(ensemble.num_trees))
     if sol.status == SolveStatus.INFEASIBLE:

@@ -18,6 +18,7 @@ import numpy as np
 from .ensemble import (BinaryFeature, CellSignature, ContinuousFeature,
                        Ensemble, FeatureSchema, cell_scores_batch)
 from .errors import EnumerationCapError, InfeasiblePruneError, InputError
+from .oracle import _check_epsilon
 from .pruner import PruneSet, build_margins, min_weight_sum
 from .solver import SolveStatus
 
@@ -74,6 +75,7 @@ def certify(ensemble: Ensemble, weights, epsilon: float,
     to an epsilon-margin oracle by construction).  ``identical`` is
     true only when no cell flips at all.
     """
+    _check_epsilon(epsilon)
     cells = _cell_array(ensemble.schema, max_cells)
     scores_orig = cell_scores_batch(ensemble, ensemble.alpha, cells)
     pred_orig = np.argmax(scores_orig, axis=1)
@@ -101,6 +103,7 @@ def maximize_separation(ensemble: Ensemble, weights, challenger: int,
     above every other class, maximize the reweighted score gap of
     ``challenger`` over ``original``.  Returns (None, None) when no
     cell qualifies."""
+    _check_epsilon(epsilon)
     cells = _cell_array(ensemble.schema, max_cells)
     scores_orig = cell_scores_batch(ensemble, ensemble.alpha, cells)
     others = [c for c in range(ensemble.num_classes) if c != original]

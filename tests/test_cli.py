@@ -1,13 +1,15 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+import logging
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from equiprune import load_model, predict_class, save_model
+from equiprune import (load_model, make_synthetic, predict_class,
+                       save_dataset, save_model, save_schema)
 from equiprune.cli import main
 from conftest import DATA_DIR, make_stump
 
@@ -72,15 +74,17 @@ def test_prune_fixture_writes_report(tmp_path, capsys):
     assert set(report) == {"format_version", "m_original", "m_pruned",
                            "weights", "iterations", "n_oracle",
                            "fidelity_test", "accuracy_test", "wall_time",
-                           "oracle_pairs"}
+                           "oracle_pairs", "screened_iterations"}
     assert report["m_original"] == 3
     assert report["m_pruned"] == 1
     assert report["fidelity_test"] == 1.0
     assert set(report["wall_time"]) == {"prune", "oracle", "total"}
     pairs = report["oracle_pairs"]
     assert len(pairs) == report["n_oracle"]
+    # the pairs cover exactly the rounds the screen did not settle
     assert {p["iteration"] for p in pairs} == set(
-        range(1, report["iterations"] + 1))
+        range(1, report["iterations"] + 1)) - set(
+        report["screened_iterations"])
     for p in pairs:
         assert set(p) == {"iteration", "challenger", "original", "nodes",
                           "pivots", "rows", "cols", "solved_rows",
@@ -89,6 +93,33 @@ def test_prune_fixture_writes_report(tmp_path, capsys):
         assert 0 <= p["solved_cols"] < p["cols"]
     pruned = load_model(out)
     assert sum(1 for w in pruned.alpha if w > 0) == 1
+
+
+def test_prune_reports_screened_rounds(tmp_path, capsys, caplog):
+    # a 40-tree forest seeded with four rows takes several rounds, and the
+    # screen settles all but the last
+    data = make_synthetic("blobs", n=24, seed=7)
+    save_schema(data.schema, tmp_path / "schema.json")
+    save_dataset(data, tmp_path / "blobs.csv")
+    lines = (tmp_path / "blobs.csv").read_text().splitlines()
+    (tmp_path / "seeds.csv").write_text("\n".join(lines[:5]) + "\n")
+    model, out = str(tmp_path / "model.json"), str(tmp_path / "pruned.json")
+    report_path = tmp_path / "report.json"
+    assert run("train", "--data", str(tmp_path / "blobs.csv"), "--schema",
+               str(tmp_path / "schema.json"), "--model", "rf",
+               "--n-estimators", "40", "--out", model) == 0
+    caplog.set_level(logging.INFO, logger="equiprune.driver")
+    assert run("prune", "--model", model, "--data",
+               str(tmp_path / "seeds.csv"), "--norm", "l0", "--out", out,
+               "--report", str(report_path)) == 0
+    report = json.loads(report_path.read_text())
+    screened = report["screened_iterations"]
+    assert screened and report["iterations"] not in screened
+    assert {p["iteration"] for p in report["oracle_pairs"]}.isdisjoint(
+        screened)
+    assert "screened cells" in capsys.readouterr().out
+    assert any("screened" in r.getMessage() for r in caplog.records)
+    assert run("verify", "--model", model, "--pruned", out) == 0
 
 
 def test_prune_l1_keeps_at_least_as_many(tmp_path):

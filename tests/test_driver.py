@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from equiprune import (Ensemble, InputError, PruneOptions, PruneSet,
-                       accuracy, brute_force_min_support, build_ensemble,
-                       certified_prune, certify, enumerate_cells, fidelity,
-                       make_synthetic, predict_class, sample_uniform_points,
-                       train_adaboost)
+                       TiedPredictionError, accuracy, brute_force_min_support,
+                       build_ensemble, certified_prune, certify,
+                       enumerate_cells, fidelity, make_synthetic,
+                       predict_class, sample_uniform_points, train_adaboost,
+                       train_random_forest)
 from conftest import make_stump, random_stump_ensemble, stump_ensembles
 
 
@@ -78,13 +79,57 @@ def test_working_set_strictly_grows():
 
 
 def test_oracle_call_accounting():
+    # every round either solves all C(C-1) pair MIPs or is settled by the
+    # screen, which adds cells and solves none; the last round solved
+    # every MIP and added nothing
     for seed, ens in stump_ensembles(1700, 5):
         outcome = certified_prune(ens, seed_points(ens),
                                   PruneOptions(norm="l1"))
         C = ens.num_classes
-        assert outcome.n_oracle == outcome.iterations * C * (C - 1)
+        with_pairs = [r for r in outcome.history if r.pair_counts]
+        assert outcome.n_oracle == len(with_pairs) * C * (C - 1)
+        assert all(len(r.pair_counts) == C * (C - 1) for r in with_pairs)
+        last = outcome.history[-1]
+        assert last.pair_counts and not last.added_cells
+        assert all(r.added_cells for r in outcome.history if r.screened)
         assert set(outcome.wall_time) == {"prune", "oracle", "total"}
         assert outcome.wall_time["total"] >= 0.0
+
+
+def test_screen_never_adds_a_tied_cell():
+    # cells (0,) and (2,) tie 1:1 under the original weights, so they lie
+    # outside the oracle's margin rows and must not reach the working set
+    trees = [make_stump(0, 0.0, (1, 0), (0, 1)),
+             make_stump(0, 1.0, (0, 1), (1, 0))]
+    ens = build_ensemble(num_classes=2,
+                         features=[{"name": "x1", "kind": "continuous"}],
+                         weights=[1.0, 1.0], raw_trees=trees)
+    for norm in ("l0", "l1"):
+        outcome = certified_prune(ens, [(0.5,)], PruneOptions(norm=norm))
+        assert not certify(ens, outcome.weights,
+                           epsilon=1e-6).disagreement_cells
+        for record in outcome.history:
+            assert not {(0,), (2,)} & set(record.added_cells)
+
+
+def test_screen_settles_rounds_on_a_forest():
+    data = make_synthetic("blobs", n=24, seed=7)
+    ens = train_random_forest(data, 20, max_depth=3, seed=0)
+    outcome = certified_prune(ens, data.X[:4], PruneOptions(norm="l0"))
+    screened = [r.index for r in outcome.history if r.screened]
+    assert screened == [1, 2]
+    assert outcome.iterations == 3
+    assert outcome.n_oracle == 2
+    assert not certify(ens, outcome.weights, epsilon=1e-6).disagreement_cells
+
+
+def test_tied_seed_row_is_an_error_under_both_norms():
+    # seed row 3 has original margin 0
+    data = make_synthetic("blobs", n=24, seed=7)
+    ens = train_random_forest(data, 10, max_depth=3, seed=0)
+    for norm in ("l0", "l1"):
+        with pytest.raises(TiedPredictionError, match="tied"):
+            certified_prune(ens, data.X[:4], PruneOptions(norm=norm))
 
 
 def test_outcome_is_deterministic():

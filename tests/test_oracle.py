@@ -6,11 +6,13 @@ import pytest
 from equiprune import (DEFAULT_EPSILON, InputError, IterationLimitError,
                        MilpSolution, SolveStatus, TiedPredictionError,
                        build_ensemble,
-                       build_separation, cell_of, certified_prune, certify,
+                       build_separation, cell_of, cell_scores,
+                       certified_prune, certify,
                        extract_point, maximize_separation, predict_class,
                        predict_scores, sample_uniform_points, separate,
                        solve_milp, solver)
 from equiprune.ensemble import leaves_of
+from equiprune.oracle import VIOLATION_TOL, Screen
 from conftest import make_stump, one_hot, stump_ensembles, three_voter_majority
 from test_ensemble import random_mixed_ensemble
 
@@ -371,3 +373,51 @@ def test_reused_programs_equal_fresh_builds():
     assert ensembles > multi_class
     assert starts >= 150
     assert within_round >= 100         # later challengers, same round
+
+
+def test_screen_proposes_only_what_the_oracle_accepts():
+    # every proposed cell lies inside the margin rows' scope and carries
+    # the verdict direct evaluation gives it; when exhaustive search
+    # finds no pair above -VIOLATION_TOL, the screen finds nothing either
+    rng = np.random.default_rng(23)
+    proposed = quiet = 0
+    for _, ens in stump_ensembles(2300, 20):
+        screen = Screen(ens, DEFAULT_EPSILON)
+        original = screen.refute(ens.alpha)
+        assert not (original.cells or original.tie_cells)
+        C = ens.num_classes
+        for _ in range(3):
+            w = rng.uniform(0.0, 1.0, ens.num_trees)
+            w[rng.random(ens.num_trees) < 0.4] = 0.0
+            result = screen.refute(w, VIOLATION_TOL)
+            assert result.pairs == [] and result.solves == 0
+            found = result.cells + result.tie_cells
+            assert len(set(found)) == len(found)
+            proposed += len(found)
+            for cell in found:
+                before = cell_scores(ens, ens.alpha, cell)
+                top, second = np.sort(before)[[-1, -2]]
+                assert top - second >= DEFAULT_EPSILON
+                y = int(np.argmax(before))
+                after = cell_scores(ens, w, cell)
+                gap = max(after[c] - after[y] for c in range(C) if c != y)
+                if cell in result.cells:
+                    assert gap > VIOLATION_TOL
+                else:
+                    assert gap >= -VIOLATION_TOL
+            best = [maximize_separation(ens, w, c, y, DEFAULT_EPSILON)[0]
+                    for y in range(C) for c in range(C) if c != y]
+            if all(b is None or b < -VIOLATION_TOL for b in best):
+                quiet += 1
+                assert not found
+    assert proposed >= 20 and quiet >= 5
+
+
+def test_screen_refuses_bad_input(three_stumps):
+    with pytest.raises(InputError, match="epsilon"):
+        Screen(three_stumps, 0.0)
+    screen = Screen(three_stumps)
+    with pytest.raises(InputError):
+        screen.refute((1.0, 1.0))
+    with pytest.raises(InputError, match="violation_tol"):
+        screen.refute(three_stumps.alpha, -1.0)

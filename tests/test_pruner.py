@@ -152,6 +152,8 @@ def test_tied_original_prediction_is_an_error():
         compute_big_w(ens, ps)
     with pytest.raises(TiedPredictionError, match="tied"):
         prune_l0(ens, ps)
+    with pytest.raises(TiedPredictionError, match="tied"):
+        prune_l1(ens, ps)
 
 
 def test_l0_keeps_only_the_middle_stump(three_stumps):

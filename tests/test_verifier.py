@@ -7,7 +7,8 @@ import pytest
 from equiprune import (BinaryFeature, CategoricalFeature, ContinuousFeature,
                        EnumerationCapError, FeatureSchema, InputError,
                        PruneSet, brute_force_min_support, build_ensemble,
-                       certify, enumerate_cells, separate)
+                       certify, enumerate_cells, maximize_separation,
+                       separate)
 from conftest import make_stump, stump_ensembles
 
 
@@ -83,6 +84,15 @@ def test_certify_agrees_with_oracle():
         else:
             assert not result.is_empty
             assert set(result.cells) <= set(strict)
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, 0.0, -1.0])
+def test_bad_epsilon_is_refused(three_stumps, epsilon):
+    # a nan margin test would empty both flip partitions and pass silently
+    with pytest.raises(InputError, match="epsilon"):
+        certify(three_stumps, (0, 0, 1), epsilon=epsilon)
+    with pytest.raises(InputError, match="epsilon"):
+        maximize_separation(three_stumps, (0, 0, 1), 1, 0, epsilon)
 
 
 def test_min_support_fixture(three_stumps):
