@@ -138,6 +138,12 @@ def cmd_prune(args) -> int:
                          for pair in record.pair_counts],
         "screened_iterations": [record.index for record in outcome.history
                                 if record.screened],
+        "prune_rounds": [{"iteration": record.index,
+                          "nodes": record.prune_nodes,
+                          "pivots": record.prune_pivots,
+                          "masters": record.masters,
+                          "warm_masters": record.warm_masters}
+                         for record in outcome.history],
     }
     if args.report:
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")

@@ -62,6 +62,7 @@ class PairCounts(NamedTuple):
     cols: int
     solved_rows: int                 # what the solver solved after presolve
     solved_cols: int
+    cuts: int                        # cells cut off and re-solved
 
 
 @dataclass
@@ -73,6 +74,10 @@ class IterationRecord:
     index: int                       # 1-based
     working_set_size: int            # |S| the pruner saw
     prune_objective: float
+    prune_nodes: int                 # the pruner's B&B nodes (0 for l1)
+    prune_pivots: int                # the pruner's simplex pivots
+    masters: int                     # l0 master MILPs solved
+    warm_masters: int                # of them, re-solved from a held root
     pair_objectives: list[tuple[int, int, float | None]]  # (challenger, original, obj)
     pair_counts: list[PairCounts]
     added_cells: list[CellSignature]
@@ -151,12 +156,14 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
         new_cells = list(separation.cells) + list(separation.tie_cells)
         record = IterationRecord(
             index=index, working_set_size=len(working),
-            prune_objective=result.objective,
+            prune_objective=result.objective, prune_nodes=result.nodes,
+            prune_pivots=result.iterations, masters=result.masters,
+            warm_masters=result.warm_masters,
             pair_objectives=[(p.challenger, p.original, p.objective)
                              for p in separation.pairs],
             pair_counts=[PairCounts(p.challenger, p.original, p.nodes,
                                     p.iterations, p.rows, p.cols,
-                                    p.solved_rows, p.solved_cols)
+                                    p.solved_rows, p.solved_cols, p.cuts)
                          for p in separation.pairs],
             added_cells=new_cells,
             prune_seconds=t1 - t0, oracle_seconds=t2 - t1)

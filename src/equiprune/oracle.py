@@ -39,7 +39,10 @@ pruning run builds one program per original class, once, and reweights
 it for each challenger and each round.  Every solve after the class's
 first starts from the class's last optimal root basis, which stays
 primal feasible under any objective and carries the program's presolve
-reduction (see ``solve_milp``), so presolve runs once per class.
+reduction (see ``solve_milp``), so presolve runs once per class.  A
+no-good row that ``separate`` appends to a class's program, to cut off a
+cell whose original margin falls short of epsilon, does not undo this:
+the re-solve maps the new row through the held reduction.
 Presolve removes every flow column a stump's split indicator
 determines, so a stump program keeps little more than its threshold
 indicators.
@@ -62,7 +65,7 @@ import numpy as np
 
 from .ensemble import (BinaryFeature, CellSignature, ContinuousFeature,
                        Ensemble, Leaf, Point, _check_weights, cell_center,
-                       cells_of, leaves_of, predict_class, predict_scores)
+                       cells_of, leaves_of, predict_scores)
 from .errors import InputError, IterationLimitError, SolverFailureError
 from .solver import (MilpProblem, MilpSolution, ProblemBuilder, SolveStatus,
                      dump_lp, solve_milp)
@@ -120,6 +123,25 @@ class SeparationProgram:
         return replace(self, problem=replace(self.problem, c=c),
                        challenger=challenger)
 
+    def cut_off(self, cell: CellSignature) -> SeparationProgram:
+        """This program with one row appended that every cell but
+        ``cell`` meets: some indicator must differ from its value there,
+        sum_{off} x - sum_{on} x >= 1 - |on|."""
+        row = np.zeros(self.problem.num_vars)
+        for j, cols in self.threshold.items():
+            row[cols] = np.where(np.arange(len(cols)) < cell[j], -1.0, 1.0)
+        for j, col in self.bit.items():
+            row[col] = -1.0 if cell[j] else 1.0
+        for j, cols in self.level.items():
+            row[cols] = 1.0
+            row[cols[cell[j]]] = -1.0
+        p = self.problem
+        return replace(self, problem=replace(
+            p, A=np.vstack([p.A, row]),
+            senses=np.append(p.senses, np.int8(1)),
+            b=np.append(p.b, 1.0 + row[row < 0].sum()),
+            row_names=p.row_names + [f"cut_{'_'.join(map(str, cell))}"]))
+
 
 @dataclass
 class PairOutcome:
@@ -135,6 +157,7 @@ class PairOutcome:
     cols: int
     solved_rows: int            # what the solver solved after presolve
     solved_cols: int
+    cuts: int = 0               # cells cut off and re-solved (one MIP each)
 
 
 @dataclass
@@ -163,7 +186,7 @@ class SeparationResult:
 
     @property
     def solves(self) -> int:
-        return len(self.pairs)
+        return sum(1 + p.cuts for p in self.pairs)
 
 
 def build_separation(ensemble: Ensemble, weights: Sequence[float],
@@ -310,8 +333,13 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     gets ``start=None``.
 
     Every returned point is re-checked by direct evaluation: the
-    original weights must predict the pair's original class at it, and
-    the reweighting must strictly prefer the challenger over it.
+    original weights must predict the pair's original class at it by a
+    margin of at least ``epsilon``, and the reweighting must strictly
+    prefer the challenger over it.  A cell that misses the margin met
+    the margin rows only through values inside the solver's
+    tolerances; a no-good row on its indicators is appended to the
+    class's program (``SeparationProgram.cut_off``), which ``programs``
+    then keeps, and the pair is re-solved from the last root basis.
 
     A pair optimum inside ``[-violation_tol, violation_tol]`` means the
     reweighting's best cell for that pair is an exact score tie; the
@@ -341,43 +369,58 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
                         Path(dump_dir) / f"sep_y{original}_c{challenger}.lp",
                         name=f"separation y={original} c={challenger}")
             sol = solve(program.problem, start=start)
-            if programs is not None:
-                start = sol.root_basis
-                programs[original] = (program, start)
-            if sol.status == SolveStatus.ITERATION_LIMIT:
-                raise IterationLimitError(
-                    f"separation for pair (challenger={challenger}, "
-                    f"original={original}) hit the solver's node limit")
-            if sol.status == SolveStatus.UNBOUNDED:
-                raise SolverFailureError(
-                    "separation subproblem is bounded by construction; "
-                    f"solver says unbounded for pair ({challenger}, {original})")
-            point = cell = None
-            objective = None
-            if sol.status == SolveStatus.OPTIMAL:
+            nodes, iterations, cuts = sol.nodes, sol.iterations, 0
+            point = cell = objective = None
+            while True:
+                if programs is not None:
+                    start = sol.root_basis
+                    programs[original] = (program, start)
+                if sol.status == SolveStatus.ITERATION_LIMIT:
+                    raise IterationLimitError(
+                        f"separation for pair (challenger={challenger}, "
+                        f"original={original}) hit the solver's node limit")
+                if sol.status == SolveStatus.UNBOUNDED:
+                    raise SolverFailureError(
+                        "separation subproblem is bounded by construction; "
+                        "solver says unbounded for pair "
+                        f"({challenger}, {original})")
+                if (sol.status != SolveStatus.OPTIMAL
+                        or sol.objective < -violation_tol):
+                    break
+                point, cell = extract_point(ensemble, program, sol)
+                scores = predict_scores(ensemble, ensemble.alpha, point)
+                if scores[original] - np.delete(scores, original).max() \
+                        >= program.epsilon:
+                    break
+                # met only through values inside the solver's tolerances:
+                # the cell lies outside the margin rows' scope for every
+                # challenger, so it leaves the class's program for good
+                program = program.cut_off(cell)
+                sol = solve(program.problem, start=sol.root_basis)
+                cuts += 1
+                nodes += sol.nodes
+                iterations += sol.iterations
+                point = cell = None
+            if point is not None:
                 objective = float(sol.objective)
                 if objective > violation_tol:
-                    point, cell = extract_point(ensemble, program, sol)
                     _check_separating_point(ensemble, w, challenger, original,
                                             point)
-                    if cell not in seen:
-                        seen.add(cell)
-                        points.append(point)
-                        cells.append(cell)
-                elif objective >= -violation_tol:
-                    point, cell = extract_point(ensemble, program, sol)
-                    _check_original_class(ensemble, challenger, original,
-                                          point)
-                    if cell not in seen:
-                        seen.add(cell)
-                        tie_points.append(point)
-                        tie_cells.append(cell)
+                    found, found_cells = points, cells
+                else:
+                    found, found_cells = tie_points, tie_cells
+                if cell not in seen:
+                    seen.add(cell)
+                    found.append(point)
+                    found_cells.append(cell)
+            elif sol.status == SolveStatus.OPTIMAL:
+                objective = float(sol.objective)
             pairs.append(PairOutcome(
                 challenger=challenger, original=original, status=sol.status,
-                objective=objective, point=point, cell=cell, nodes=sol.nodes,
-                iterations=sol.iterations, rows=program.problem.num_rows,
+                objective=objective, point=point, cell=cell, nodes=nodes,
+                iterations=iterations, rows=program.problem.num_rows,
                 cols=program.problem.num_vars, solved_rows=sol.solved_rows,
-                solved_cols=sol.solved_cols))
+                solved_cols=sol.solved_cols, cuts=cuts))
     return SeparationResult(pairs=pairs, points=points, cells=cells,
                             tie_points=tie_points, tie_cells=tie_cells)
 
@@ -446,17 +489,8 @@ class Screen:
         return result
 
 
-def _check_original_class(ensemble: Ensemble, challenger: int, original: int,
-                          point: Point) -> None:
-    if predict_class(ensemble, ensemble.alpha, point) != original:
-        raise SolverFailureError(
-            f"separation point for pair ({challenger}, {original}) is not "
-            f"predicted {original} by the original weights")
-
-
 def _check_separating_point(ensemble: Ensemble, w: np.ndarray, challenger: int,
                             original: int, point: Point) -> None:
-    _check_original_class(ensemble, challenger, original, point)
     scores = predict_scores(ensemble, w, point)
     if not scores[challenger] - scores[original] > 0.0:
         raise SolverFailureError(

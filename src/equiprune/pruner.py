@@ -40,7 +40,9 @@ class PruneSet:
     Each point is stored with the class the original weights predict
     for it.  Two points in the same cell would generate identical
     constraint rows, so only the first is kept.  Insertion order is
-    preserved.  ``conflicts`` keeps the ones ``prune_l0`` found, in order.
+    preserved.  ``conflicts`` keeps the ones ``prune_l0`` found, in order,
+    and ``master_basis`` the root basis of its last master, whose rows
+    are the first conflicts.
     """
 
     def __init__(self, ensemble: Ensemble):
@@ -50,6 +52,7 @@ class PruneSet:
         self.labels: list[int] = []
         self._seen: set[CellSignature] = set()
         self.conflicts: dict[tuple[int, ...], None] = {}
+        self.master_basis: Basis | None = None
 
     def add_point(self, x: Sequence[float]) -> bool:
         """Add a point; returns False if its cell was already present."""
@@ -173,6 +176,8 @@ class PruneResult:
     objective: float          # solver objective (cardinality / weight sum)
     nodes: int                # B&B nodes summed over master solves (0 for l1)
     iterations: int           # simplex pivots
+    masters: int = 0          # master MILPs solved (l0)
+    warm_masters: int = 0     # of them, re-solved from a held root basis
 
 
 def support_of(weights: Sequence[float], zero_tol: float = ZERO_TOL
@@ -218,20 +223,27 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
     The S that works gets its smallest weight sum.  Conflicts live on
     ``prune_set``, so ``margins`` must be its table.
 
+    Conflicts only ever join at the end, so each master's rows are the
+    last master's plus more.  Every master after the first of a
+    ``prune_set`` gets the last one's root basis as ``start=``, and
+    ``solve_milp`` re-solves it from there by a dual simplex after
+    mapping the new rows through the held presolve reduction.
+
     Every check is the one program max sum(y) s.t. g_m'y - t_m <= 0 for
     each tree m, 0 <= y <= 1, where t_m is fixed at 0 on the tested
     trees and ranges over [0, inf) on the others.  The first check of a
     round is solved cold; each growth check tests one tree more than the
     last failing check, so only bounds tighten, and it re-solves from
     that check's basis (``solve_lp(start=...)``), which stays dual
-    feasible.  Nothing outlives the call but the conflicts."""
+    feasible.  Nothing outlives the call but the conflicts and the last
+    master's root basis."""
     margins = margins or build_margins(ensemble, prune_set)
     _untied_margin(margins, TIE_TOL)
     G = margins.keep_rows()
     conflicts = prune_set.conflicts
     for cover in G > 0.0:
         conflicts[tuple(np.flatnonzero(cover).tolist())] = None
-    nodes = pivots = 0
+    nodes = pivots = masters = warm = 0
     rows, M = G.shape
     eye = np.eye(M, dtype=bool)
     check = MilpProblem(c=np.concatenate([np.ones(rows), np.zeros(M)]),
@@ -261,7 +273,11 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
         A = np.zeros((len(conflicts), ensemble.num_trees))
         for k, trees in enumerate(conflicts):
             A[k, list(trees)] = 1.0
-        pick = solve(_ones_program(A, 1.0, integer=True))
+        pick = solve(_ones_program(A, 1.0, integer=True),
+                     start=prune_set.master_basis)
+        prune_set.master_basis = pick.root_basis
+        masters += 1
+        warm += pick.warm_root
         if pick.status == SolveStatus.INFEASIBLE:  # an empty conflict
             raise InfeasiblePruneError(
                 "no faithful reweighting exists on the working set")
@@ -291,7 +307,8 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
         raise SolverFailureError(f"support LP ended {sol.status.value}")
     return PruneResult(weights=weights, support=support_of(weights),
                        objective=float(pick.objective), nodes=nodes,
-                       iterations=pivots + sol.iterations)
+                       iterations=pivots + sol.iterations, masters=masters,
+                       warm_masters=warm)
 
 
 def prune_l1(ensemble: Ensemble, prune_set: PruneSet,

@@ -13,7 +13,9 @@ given basis and its factor (B^{-1} and the reduced costs there): in
 branch and bound, the optimal basis of the node that spawned the LP,
 factored once for both children; through ``solve_lp(start=...)`` and at
 a MILP's root, the optimal basis of an earlier solve of the same rows
-under other bounds or another objective.  Every nonbasic rests at its
+under other bounds or another objective; and at a MILP's root, that of
+an earlier solve of its first rows, grown by a basic slack for each row
+appended since, which stays dual feasible.  Every nonbasic rests at its
 recorded status.  If the basics then lie within their bounds, the
 primal loop finishes from there; otherwise, if the start is dual
 feasible, a bounded dual simplex repairs them first.
@@ -22,7 +24,11 @@ B^{-1}, the basic values and the reduced costs are re-derived from the
 original data at regular intervals and before any claim of optimality;
 a returned optimum is checked for feasibility and optimality on values
 re-derived at its basis, independently of the (possibly drifted)
-updates.  A warm solve reports infeasibility only when a Farkas row,
+updates.  A phase-1 leftover below the emptiness cut can still put a
+basic beyond that check once B^{-1} carries it; a bounded dual simplex
+then repairs the basics, or stops on a row whose basic no point inside
+the other bounds brings within the check's tolerance, and the LP is
+infeasible.  A warm solve reports infeasibility only when a Farkas row,
 recomputed from the original data, shows that no point inside the
 bounds satisfies the rows.  Anything else -- a start that is singular
 (or ill-conditioned), of another shape, or neither primal nor dual
@@ -30,7 +36,9 @@ feasible, the iteration cap, a failed check, an unconfirmed Farkas row
 -- sends the LP to a cold solve.
 
 Integer restrictions are handled by best-bound branch and bound on the
-LP relaxation with most-fractional branching.  Before it, a MILP is
+LP relaxation with most-fractional branching.  When every variable is
+integer and every cost an integer, a node is pruned once its bound,
+rounded up, reaches the incumbent.  Before it, a MILP is
 presolved: fixed columns fold into the right-hand sides, singleton rows
 become bounds (rounded inward on integer columns), an equality row on
 two columns substitutes a continuous one away, rows that are multiples
@@ -41,8 +49,10 @@ and integrality, never the objective, and compose into one affine map
 from the reduced variables to the original ones; the reduced solution
 is mapped back and checked against the original rows, bounds and
 integrality.  A root basis carries its problem's reduction, so a
-re-solve under another objective skips presolve.  No external solver is
-involved; numpy supplies the linear algebra.
+re-solve under another objective skips presolve, and so does one after
+rows are appended: the new rows are mapped through the reduction and
+appended to the reduced problem.  No external solver is involved; numpy
+supplies the linear algebra.
 """
 
 from __future__ import annotations
@@ -115,6 +125,7 @@ class LpSolution:
     objective: float | None
     iterations: int
     basis: Basis | None = None  # the optimal basis, when OPTIMAL
+    warm: bool = False          # answered from a start, without going cold
 
 
 @dataclass
@@ -131,6 +142,8 @@ class MilpSolution:
     # the size of the problem branch and bound solved, after presolve
     solved_rows: int = 0
     solved_cols: int = 0
+    # the root relaxation was re-solved from ``start`` and never went cold
+    warm_root: bool = False
 
 
 class ProblemBuilder:
@@ -217,7 +230,8 @@ _MAY_FALL = np.array([False, True, False, True])
 # 1 + max|b|) a returned or postsolved solution.  Integer bounds round
 # inward within it, and phase 1's emptiness cut is a fraction of it.
 _TOL_FEAS = 1e-7
-# A relaxation value this close to an integer counts as integral.
+# A relaxation value this close to an integer counts as integral, and a
+# bound this far above one rounds down to it (see ``_branch_and_bound``).
 _TOL_INT = 1e-6
 # A node whose bound is within this of the incumbent cannot improve it.
 _TOL_GAP = 1e-9
@@ -690,6 +704,17 @@ def _simplex_solve(cols: _Columns, lo: np.ndarray,
             return LpSolution(status, x, obj, sx.iterations)
         if _verified_optimum(sx):
             return _optimal(sx)
+        if not _verified_candidates(sx).any():
+            # A leftover below the cut, once the artificials are zero,
+            # reaches the basics through B^{-1}, which can magnify it
+            # past the check's tolerance.  The dual simplex repairs them,
+            # or stops on a row whose basic cannot come within that
+            # tolerance of its bounds: then no point passes the check.
+            status, r = sx.dual_iterate()
+            if (status == SolveStatus.INFEASIBLE
+                    and _farkas_gap(sx, r)[1] > _check_tol(sx.b)):
+                return LpSolution(SolveStatus.INFEASIBLE, None, None,
+                                  sx.iterations)
         sx._refactor()
     raise SolverFailureError("simplex solution failed numerical verification")
 
@@ -720,11 +745,13 @@ def _warm_solve(cols: _Columns, lo: np.ndarray, up: np.ndarray, start: Basis,
                 if (status == SolveStatus.INFEASIBLE
                         and _farkas_confirms(sx, r)):
                     return LpSolution(SolveStatus.INFEASIBLE, None, None,
-                                      sx.iterations)
+                                      sx.iterations, warm=True)
                 primal = status == SolveStatus.OPTIMAL
             if (primal and sx.iterate() == SolveStatus.OPTIMAL
                     and _verified_optimum(sx)):
-                return _optimal(sx)
+                sol = _optimal(sx)
+                sol.warm = True
+                return sol
         except SolverFailureError:      # singular basis at a refactor
             pass
     sol = _simplex_solve(cols, lo, up)
@@ -754,35 +781,50 @@ def _verified_optimum(sx: _Simplex) -> bool:
         sx._rederive()
     lo_B = sx.lo[sx.basis]
     up_B = sx.up[sx.basis]
-    tol = _TOL_FEAS * (1.0 + np.abs(sx.b).max(initial=0.0))
+    tol = _check_tol(sx.b)
     feas = np.all(sx.xB >= lo_B - tol) and np.all(sx.xB <= up_B + tol)
     return bool(feas) and not _verified_candidates(sx).any()
 
 
-def _farkas_confirms(sx: _Simplex, r: int) -> bool:
-    """Whether row r of the basis proves the LP empty.  The row is
-    recomputed from the original data (B'y = e_r, alpha = y'A_all, with
-    entries of magnitude at most _TOL_PIVOT taken as zero).  It confirms
-    when y'b lies outside the range of alpha'x over the bounds by more
-    than the phase-1 emptiness cut times max_i |y_i| s_i, where s_i is
-    row i's scale in the phase-1 leftover: since |y'(b - A_all x)| <=
-    max_i |y_i| s_i * sum_i |b - A_all x|_i / s_i, every point inside
-    the bounds then leaves a scaled leftover above the cut at which a
-    cold phase 1 reports the LP empty."""
+def _check_tol(b: np.ndarray) -> float:
+    """How far a returned or postsolved value may lie outside its
+    bounds, or a row outside its side, for right-hand sides ``b``."""
+    return _TOL_FEAS * (1.0 + np.abs(b).max(initial=0.0))
+
+
+def _farkas_gap(sx: _Simplex, r: int) -> tuple[np.ndarray, float]:
+    """Row r of the basis, recomputed from the original data: y with
+    B'y = e_r, and how far y'b lies outside the range of alpha'x over
+    the bounds, where alpha = y'A_all with entries of magnitude at most
+    _TOL_PIVOT taken as zero (negative when inside; -inf when B is
+    singular).  alpha is 1 at the basic of row r, so the gap is how far
+    that basic must leave its bounds while every other column keeps
+    to its own."""
     e_r = np.zeros(sx.m)
     e_r[r] = 1.0
     try:
         y = np.linalg.solve(sx.A_all[:, sx.basis].T, e_r)
     except np.linalg.LinAlgError:
-        return False
+        return e_r, -np.inf
     alpha = y @ sx.A_all
     alpha[np.abs(alpha) <= _TOL_PIVOT] = 0.0
     pos, neg = alpha > 0, alpha < 0
     low = alpha[pos] @ sx.lo[pos] + alpha[neg] @ sx.up[neg]
     high = alpha[pos] @ sx.up[pos] + alpha[neg] @ sx.lo[neg]
     rhs = y @ sx.b
-    margin = _phase1_cut(sx.b) * np.abs(y * sx.row_scale).max()
-    return bool(rhs < low - margin or rhs > high + margin)
+    return y, float(max(low - rhs, rhs - high))
+
+
+def _farkas_confirms(sx: _Simplex, r: int) -> bool:
+    """Whether row r of the basis proves the LP empty to a warm solve:
+    its gap (``_farkas_gap``) exceeds the phase-1 emptiness cut times
+    max_i |y_i| s_i, where s_i is row i's scale in the phase-1
+    leftover.  Since |y'(b - A_all x)| <= max_i |y_i| s_i * sum_i
+    |b - A_all x|_i / s_i, every point inside the bounds then leaves a
+    scaled leftover above the cut at which a cold phase 1 reports the
+    LP empty."""
+    y, gap = _farkas_gap(sx, r)
+    return bool(gap > _phase1_cut(sx.b) * np.abs(y * sx.row_scale).max())
 
 
 def _prepare(problem: MilpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -854,6 +896,39 @@ class _Presolved:
         reduction was made from."""
         return all(np.array_equal(mine, theirs) for mine, theirs
                    in zip(self.source, _constraints(problem)))
+
+    def extended(self, problem: MilpProblem) -> _Presolved | None:
+        """The reduction of ``problem`` when its rows are the rows this
+        reduction was made from followed by more, over the same columns,
+        bounds and integrality; else None.  The appended rows a'x ~ b
+        are mapped through x = P x_red + q, to (P'a)'x_red ~ b - a'q,
+        and appended to the reduced rows; a reduced row may come out
+        with one term or none.  The reductions made stay valid, since
+        the rows they read are all still there."""
+        A, b, senses, lower, upper, integer = self.source
+        m = b.size
+        if not (problem.num_rows > m and problem.A.shape[1] == A.shape[1]
+                and np.array_equal(problem.A[:m], A)
+                and np.array_equal(problem.b[:m], b)
+                and np.array_equal(problem.senses[:m], senses)
+                and np.array_equal(problem.lower, lower)
+                and np.array_equal(problem.upper, upper)
+                and np.array_equal(problem.integer, integer)):
+            return None
+        added = np.asarray(problem.A[m:], dtype=float)
+        kept = np.flatnonzero(self.col >= 0)
+        P = np.zeros((self.col.size, self.reduced.num_vars))
+        P[kept, self.col[kept]] = self.coef[kept]
+        rows = added @ P
+        rows[np.abs(rows) <= _CANCELLED * (np.abs(added) @ np.abs(P))] = 0.0
+        red = self.reduced
+        reduced = replace(
+            red, A=np.vstack([red.A, rows]),
+            senses=np.concatenate([red.senses, problem.senses[m:]]),
+            b=np.concatenate([red.b, problem.b[m:] - added @ self.q]))
+        return replace(self, reduced=reduced,
+                       source=tuple(np.array(a) for a in
+                                    _constraints(problem)))
 
     def objective(self, problem: MilpProblem) -> tuple[MilpProblem, float]:
         """The reduced problem under ``problem``'s objective: P'c, and
@@ -1154,7 +1229,7 @@ def _check_postsolved(problem: MilpProblem, x: np.ndarray) -> None:
     tolerance of ``_verified_optimum``."""
     b = np.asarray(problem.b, dtype=float)
     senses = np.asarray(problem.senses)
-    tol = _TOL_FEAS * (1.0 + np.abs(b).max(initial=0.0))
+    tol = _check_tol(b)
     residual = np.asarray(problem.A, dtype=float) @ x - b
     integral = np.asarray(problem.integer, dtype=bool)
     worst = max(
@@ -1196,13 +1271,25 @@ def solve_milp(problem: MilpProblem,
     ``root_basis`` is a basis of the reduced problem and carries the
     reduction.  Given back as ``start`` for a problem with equal rows,
     bounds and integrality (another objective), it spares presolve, and
-    the root is re-solved from it by ``_warm_solve``; otherwise presolve
-    runs again, and the root starts from it only if it happens to fit
-    the new reduction, else cold.
+    the root is re-solved from it by ``_warm_solve``.  The same holds
+    for a problem whose rows are those rows followed by more, over the
+    same columns, bounds and integrality: the appended rows are mapped
+    through the reduction and appended to the reduced problem
+    (``_Presolved.extended``), and the start grows by a basic slack per
+    new row (``_grown``), from which the dual simplex repairs the root.
+    Otherwise presolve runs again, and the root starts from ``start``
+    only if it happens to fit the new reduction, else cold.
+    ``warm_root`` tells whether the root was answered from ``start``.
     """
     _check_size(problem.num_rows, problem.num_vars)
     presolved = start.presolved if start is not None else None
-    if presolved is None or not presolved.reduces(problem):
+    if presolved is not None and not presolved.reduces(problem):
+        held = presolved.reduced
+        presolved = presolved.extended(problem)
+        if presolved is not None:
+            start = _grown(start, held.num_vars, held.num_rows,
+                           presolved.reduced.num_rows - held.num_rows)
+    if presolved is None:
         presolved = _presolve(problem)
         if presolved is None:
             return MilpSolution(SolveStatus.INFEASIBLE, None, None, None,
@@ -1221,6 +1308,19 @@ def solve_milp(problem: MilpProblem,
     return sol
 
 
+def _grown(basis: Basis, n: int, m: int, k: int) -> Basis:
+    """``basis``, of a problem with n variables and m rows, grown by k
+    rows appended to that problem: each new row's slack is basic and its
+    artificial rests at zero, and the old artificials' indices shift by
+    k.  The new rows' duals are zero, so an optimal ``basis`` stays dual
+    feasible; the new slacks may lie outside their bounds."""
+    basic = basis.basic + k * (basis.basic >= n + m)
+    status = np.concatenate([basis.status[:n + m], np.full(k, _BASIC),
+                             basis.status[n + m:], np.full(k, _AT_LOWER)])
+    return Basis(np.concatenate([basic, n + m + np.arange(k)]),
+                 status.astype(np.int8))
+
+
 def _branch_and_bound(problem: MilpProblem,
                       start: Basis | None) -> MilpSolution:
     """Best-bound branch and bound with most-fractional branching.
@@ -1233,9 +1333,14 @@ def _branch_and_bound(problem: MilpProblem,
     (possible when a big constant multiplies a near-zero integer
     variable) the point is not trusted and the node is branched instead.
 
+    With every variable integer and every cost an integer, every
+    objective value is an integer, so a bound b prunes a node once
+    ceil(b - _TOL_INT) reaches the incumbent.
+
     Every LP but a cold root is a ``_warm_solve``.  The root starts
     cold unless ``start`` is given: the ``root_basis`` of an earlier
-    solve of this problem under another objective.  Each heap node keeps
+    solve of this problem under another objective, or grown by
+    ``_grown`` to rows appended since.  Each heap node keeps
     the optimal basis of its relaxation (basic indices and column
     statuses), and its children and its polish LP start from it: only
     bounds differ, so the basis stays dual feasible and a bounded dual
@@ -1247,10 +1352,21 @@ def _branch_and_bound(problem: MilpProblem,
     cols = _Columns(*_prepare(problem))
     int_idx = np.nonzero(problem.integer)[0]
     sign = -1.0 if problem.maximize else 1.0
+    # every variable integer and every cost an integer: so is every
+    # objective value, and a bound counts as the next integer up
+    integral = bool(np.all(problem.integer)
+                    and np.all(cols.cost == np.round(cols.cost)))
 
     def fractionality(x: np.ndarray) -> np.ndarray:
         v = x[int_idx]
         return np.abs(v - np.round(v))
+
+    def dominated(bound: float) -> bool:
+        """Whether no point under a relaxation bound can improve the
+        incumbent."""
+        if integral:
+            bound = np.ceil(bound - _TOL_INT)
+        return bound >= inc_obj - _TOL_GAP
 
     iterations = 0
     nodes = 0
@@ -1280,7 +1396,7 @@ def _branch_and_bound(problem: MilpProblem,
               negdepth: int) -> None:
         """Turn a solved relaxation into an incumbent or a heap node."""
         nonlocal incumbent, inc_obj
-        if sol.objective >= inc_obj - _TOL_GAP:
+        if dominated(sol.objective):
             return
         if int_idx.size and fractionality(sol.x).max(initial=0.0) > _TOL_INT:
             heapq.heappush(heap, (sol.objective, negdepth, next(seq),
@@ -1300,7 +1416,8 @@ def _branch_and_bound(problem: MilpProblem,
     root = _solve_from(cols, lo0, up0, start)
     iterations += root.iterations
     if root.status != SolveStatus.OPTIMAL:
-        return MilpSolution(root.status, None, None, None, 0, iterations)
+        return MilpSolution(root.status, None, None, None, 0, iterations,
+                            warm_root=root.warm)
 
     status = SolveStatus.OPTIMAL
     best_bound = root.objective
@@ -1309,7 +1426,7 @@ def _branch_and_bound(problem: MilpProblem,
     while heap:
         bound, negdepth, _, lo, up, x, basis = heapq.heappop(heap)
         best_bound = bound
-        if bound >= inc_obj - _TOL_GAP:
+        if dominated(bound):
             best_bound = inc_obj  # everything left is dominated
             break
         if nodes >= _MAX_NODES:
@@ -1346,16 +1463,12 @@ def _branch_and_bound(problem: MilpProblem,
         if status == SolveStatus.OPTIMAL and incumbent is not None:
             best_bound = inc_obj
 
-    if status == SolveStatus.OPTIMAL:
-        if incumbent is None:
-            return MilpSolution(SolveStatus.INFEASIBLE, None, None, None,
-                                nodes, iterations, root.basis)
-        return MilpSolution(SolveStatus.OPTIMAL, incumbent,
-                            sign * inc_obj, sign * best_bound,
-                            nodes, iterations, root.basis)
-    obj = sign * inc_obj if incumbent is not None else None
-    return MilpSolution(status, incumbent, obj, sign * best_bound,
-                        nodes, iterations, root.basis)
+    if status == SolveStatus.OPTIMAL and incumbent is None:
+        status, best_bound = SolveStatus.INFEASIBLE, None
+    return MilpSolution(status, incumbent,
+                        None if incumbent is None else sign * inc_obj,
+                        None if best_bound is None else sign * best_bound,
+                        nodes, iterations, root.basis, warm_root=root.warm)
 
 
 def _with(arr: np.ndarray, i: int, value: float) -> np.ndarray:

@@ -74,13 +74,14 @@ def test_prune_fixture_writes_report(tmp_path, capsys):
     assert set(report) == {"format_version", "m_original", "m_pruned",
                            "weights", "iterations", "n_oracle",
                            "fidelity_test", "accuracy_test", "wall_time",
-                           "oracle_pairs", "screened_iterations"}
+                           "oracle_pairs", "screened_iterations",
+                           "prune_rounds"}
     assert report["m_original"] == 3
     assert report["m_pruned"] == 1
     assert report["fidelity_test"] == 1.0
     assert set(report["wall_time"]) == {"prune", "oracle", "total"}
     pairs = report["oracle_pairs"]
-    assert len(pairs) == report["n_oracle"]
+    assert len(pairs) + sum(p["cuts"] for p in pairs) == report["n_oracle"]
     # the pairs cover exactly the rounds the screen did not settle
     assert {p["iteration"] for p in pairs} == set(
         range(1, report["iterations"] + 1)) - set(
@@ -88,9 +89,17 @@ def test_prune_fixture_writes_report(tmp_path, capsys):
     for p in pairs:
         assert set(p) == {"iteration", "challenger", "original", "nodes",
                           "pivots", "rows", "cols", "solved_rows",
-                          "solved_cols"}
+                          "solved_cols", "cuts"}
         assert 0 <= p["solved_rows"] <= p["rows"]
         assert 0 <= p["solved_cols"] < p["cols"]
+    rounds = report["prune_rounds"]
+    assert [r["iteration"] for r in rounds] == list(
+        range(1, report["iterations"] + 1))
+    for r in rounds:
+        assert set(r) == {"iteration", "nodes", "pivots", "masters",
+                          "warm_masters"}
+        # every master but a run's first starts from the last one's root
+        assert r["warm_masters"] == r["masters"] - (r["iteration"] == 1)
     pruned = load_model(out)
     assert sum(1 for w in pruned.alpha if w > 0) == 1
 
@@ -117,6 +126,7 @@ def test_prune_reports_screened_rounds(tmp_path, capsys, caplog):
     assert screened and report["iterations"] not in screened
     assert {p["iteration"] for p in report["oracle_pairs"]}.isdisjoint(
         screened)
+    assert sum(r["warm_masters"] for r in report["prune_rounds"]) >= 1
     assert "screened cells" in capsys.readouterr().out
     assert any("screened" in r.getMessage() for r in caplog.records)
     assert run("verify", "--model", model, "--pruned", out) == 0

@@ -8,9 +8,9 @@ from equiprune import (DEFAULT_EPSILON, InputError, IterationLimitError,
                        build_ensemble,
                        build_separation, cell_of, cell_scores,
                        certified_prune, certify,
-                       extract_point, maximize_separation, predict_class,
-                       predict_scores, sample_uniform_points, separate,
-                       solve_milp, solver)
+                       extract_point, make_synthetic, maximize_separation,
+                       predict_class, predict_scores, sample_uniform_points,
+                       separate, solve_milp, solver, train_random_forest)
 from equiprune.ensemble import leaves_of
 from equiprune.oracle import VIOLATION_TOL, Screen
 from conftest import make_stump, one_hot, stump_ensembles, three_voter_majority
@@ -249,6 +249,47 @@ def test_returned_points_flip_the_prediction():
             if pair.point is not None and pair.objective > 1e-8:
                 scores = predict_scores(ens, w, pair.point)
                 assert scores[pair.challenger] > scores[pair.original]
+
+
+def test_a_cell_below_the_margin_is_cut_off_and_resolved():
+    # On this 10-tree forest a pair MIP's optimum often lands on a cell
+    # where the original scores tie 5:5: the margin row is met only
+    # through flow and indicator values inside the solver's tolerances.
+    # Each such cell is cut off by a no-good row that the class's
+    # program keeps, and the pair re-solves from its grown root to the
+    # exhaustive optimum over cells with margin >= epsilon.  A negative
+    # optimum returns no cell and is not rechecked: the true one lies
+    # below it.
+    data = make_synthetic("blobs", n=24, seed=7)
+    ens = train_random_forest(data, 10, max_depth=3, seed=0)
+    rng = np.random.default_rng(0)
+    cut = 0
+    for _ in range(30):
+        w = rng.random(10) * (rng.random(10) < 0.5)
+        programs = {}
+        result = separate(ens, w, programs=programs)
+        for pair in result.pairs:
+            best, _ = maximize_separation(ens, w, pair.challenger,
+                                          pair.original, DEFAULT_EPSILON)
+            if pair.cell is None:
+                assert best <= pair.objective + 1e-6
+                assert pair.objective < -VIOLATION_TOL
+            else:
+                assert best == pytest.approx(pair.objective, abs=1e-6)
+                scores = cell_scores(ens, ens.alpha, pair.cell)
+                assert scores[pair.original] - scores[
+                    pair.challenger] >= DEFAULT_EPSILON
+        cuts = 0
+        for y, (program, _) in programs.items():
+            fresh = build_separation(ens, w, 1 - y, y).problem
+            cuts += program.problem.num_rows - fresh.num_rows
+            assert program.problem.row_names[fresh.num_rows:] == [
+                name for name in program.problem.row_names
+                if name.startswith("cut_")]
+        assert cuts == sum(pair.cuts for pair in result.pairs)
+        assert result.solves == len(result.pairs) + cuts
+        cut += cuts
+    assert cut >= 5
 
 
 def random_reweighting(ens, rng):

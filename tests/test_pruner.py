@@ -448,3 +448,54 @@ def test_growth_checks_resolve_from_the_last_failing_check(monkeypatch):
             if sol.objective > 0.5:
                 failing = (problem, sol)
     assert grown >= 200
+
+
+def test_masters_resolve_from_the_last_root_round_after_round(monkeypatch):
+    """The working set grows in three steps, each pruned: only the first
+    master of the set is presolved and solved cold; every later one,
+    within a call and across calls, starts from the root basis of the
+    master before it and never goes cold.  Each call's support is as
+    small as subset search finds."""
+    masters = []                # (start, solution, cold solves, presolves)
+    cold_solves, presolves = [], []
+    cold, presolve = solver._simplex_solve, solver._presolve
+
+    def master(problem, start=None):
+        before = len(cold_solves), len(presolves)
+        sol = solve_milp(problem, start=start)
+        masters.append((start, sol, len(cold_solves) - before[0],
+                        len(presolves) - before[1]))
+        return sol
+
+    monkeypatch.setattr(solver, "_simplex_solve",
+                        lambda *a: cold_solves.append(a) or cold(*a))
+    monkeypatch.setattr(solver, "_presolve",
+                        lambda *a: presolves.append(a) or presolve(*a))
+    checked = warm = 0
+    for ens, full in l0_cases():
+        if ens.num_trees > 8:
+            continue
+        grown = PruneSet(ens)
+        masters.clear()
+        try:
+            for step in (1, 2, 3):
+                for cell in full.cells[len(grown):len(full) * step // 3]:
+                    grown.add_cell(cell)
+                before = len(masters)
+                result = prune_l0(ens, grown, solve=master)
+                assert result.masters == len(masters) - before
+                assert result.warm_masters == result.masters - (step == 1)
+                assert len(result.support) == brute_force_min_support(
+                    ens, grown)
+        except TiedPredictionError:
+            continue
+        (start, previous, went_cold, presolved), *later = masters
+        assert start is None and went_cold >= 1 and presolved == 1
+        for start, sol, went_cold, presolved in later:
+            assert start is previous.root_basis
+            assert sol.warm_root and not went_cold and not presolved
+            previous = sol
+            warm += 1
+        checked += 1
+    assert checked >= 30
+    assert warm >= 70

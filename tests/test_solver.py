@@ -398,6 +398,35 @@ def test_unconfirmed_farkas_row_falls_back_to_cold(cold_calls):
     assert cold.status == SolveStatus.INFEASIBLE
 
 
+def nearly_parallel_rows_lp():
+    """min y1 s.t. x1 + y1 <= 1, x1 + 1.001 y1 >= 1.0005, x1 in [0, 10],
+    y1 in [0, 0.5 - 5e-7]: the rows force y1 >= 0.5, but miss by only
+    5e-10, below the phase-1 cut."""
+    pb = ProblemBuilder()
+    x1 = pb.add_var("x1", lo=0.0, up=10.0, obj=0.0)
+    y1 = pb.add_var("y1", lo=0.0, up=0.5 - 5e-7, obj=1.0)
+    pb.add_row([(x1, 1.0), (y1, 1.0)], "<=", 1.0)
+    pb.add_row([(x1, 1.0), (y1, 1.001)], ">=", 1.0005)
+    return pb.build()
+
+
+def test_a_leftover_magnified_past_the_check_is_infeasible():
+    # Phase 1 leaves 5e-10 on the second row; with the artificials at
+    # zero, B^{-1} puts y1 5e-7 above its bound, past the tolerance of
+    # the returned-solution check.  Both entry points call it empty, as
+    # HiGHS does, instead of failing the check three times.
+    prob = nearly_parallel_rows_lp()
+    sol = solve_lp(prob)
+    assert sol.status == SolveStatus.INFEASIBLE
+    scipy_check(prob, sol)
+    assert solve_milp(prob).status == SolveStatus.INFEASIBLE
+    assert scipy_milp_optimum(prob) is None
+    # with room for y1 = 0.5 both solve it
+    room = dataclasses.replace(prob, upper=np.array([10.0, 0.5]))
+    assert solve_lp(room).objective == pytest.approx(0.5, abs=1e-9)
+    assert solve_milp(room).objective == pytest.approx(0.5, abs=1e-9)
+
+
 def small_row_lp(x_lower):
     """min -y  s.t.  1e-3 x + 1e-3 y <= 1e-3,  x in [x_lower, 10],
     y in [0, 10]: a row whose coefficients are all far below 1."""
@@ -737,6 +766,29 @@ def test_warm_started_milps_match_scipy_and_enumeration(monkeypatch,
     assert solved >= 20
     assert warm_status.count(SolveStatus.INFEASIBLE) >= 20
     assert warm_status.count(SolveStatus.OPTIMAL) >= 20
+
+
+def test_an_integral_objective_prunes_at_the_rounded_bound():
+    # vertex covers of random 3-uniform hypergraphs: with unit costs a
+    # node whose bound rounds up to the incumbent is pruned; halved
+    # costs, which are not integers, search the same tree without that
+    rng = np.random.default_rng(64)
+    nodes = {1.0: 0, 0.5: 0}
+    for _ in range(6):
+        A = np.zeros((40, 20))
+        for row in A:
+            row[rng.choice(20, size=3, replace=False)] = 1.0
+        prob = MilpProblem(c=np.ones(20), A=A,
+                           senses=np.ones(40, dtype=np.int8), b=np.ones(40),
+                           lower=np.zeros(20), upper=np.ones(20),
+                           integer=np.ones(20, dtype=bool))
+        ref = scipy_milp_optimum(prob)
+        for cost in nodes:
+            sol = solve_milp(dataclasses.replace(prob, c=cost * prob.c))
+            assert sol.objective == pytest.approx(cost * ref, abs=1e-9)
+            assert sol.best_bound == pytest.approx(sol.objective, abs=1e-9)
+            nodes[cost] += sol.nodes
+    assert nodes[1.0] < nodes[0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -1138,3 +1190,175 @@ def test_builder_refuses_an_oversized_problem_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 30 * 20
+
+
+# ---------------------------------------------------------------------------
+# Re-solves after rows are appended
+
+
+def with_rows(prob, rows):
+    """``prob`` with rows appended: each (coefficients over every
+    column, sense code, right-hand side)."""
+    return dataclasses.replace(
+        prob, A=np.vstack([prob.A] + [a for a, _, _ in rows]),
+        senses=np.append(prob.senses,
+                         [s for _, s, _ in rows]).astype(np.int8),
+        b=np.append(prob.b, [b for _, _, b in rows]))
+
+
+@pytest.fixture
+def presolves(monkeypatch):
+    """Counts the presolves made from here on."""
+    calls = []
+    presolve = solver._presolve
+
+    def counted(problem):
+        calls.append(problem)
+        return presolve(problem)
+
+    monkeypatch.setattr(solver, "_presolve", counted)
+    return calls
+
+
+def assert_resolved_like_cold(grown, warm):
+    """``warm`` answers ``grown`` as a cold solve and HiGHS do, from the
+    start's root, without presolve or a cold phase 1 there."""
+    cold = solve_milp(grown)
+    ref = scipy_milp_optimum(grown)
+    assert warm.warm_root
+    assert warm.status == cold.status
+    if ref is None:
+        assert warm.status == SolveStatus.INFEASIBLE
+    else:
+        assert warm.status == SolveStatus.OPTIMAL
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert warm.objective == pytest.approx(ref, abs=1e-7)
+
+
+def cover_rows(rng, n, k, empty=False):
+    """k rows sum_{j in K} u_j >= 1 over random nonempty sets K of n
+    columns (with ``empty``, the last one over no column)."""
+    rows = []
+    for i in range(k):
+        a = (rng.random(n) < 0.35).astype(float)
+        if not a.any():
+            a[rng.integers(n)] = 1.0
+        if empty and i == k - 1:
+            a[:] = 0.0
+        rows.append((a, 1, 1.0))
+    return rows
+
+
+def test_set_cover_rows_appended_round_after_round(presolves, cold_calls):
+    # an implicit hitting-set master: each round appends conflicts and
+    # re-solves from the last root, never presolving again or going cold
+    rng = np.random.default_rng(71)
+    resolved = infeasible = 0
+    for _ in range(30):
+        n = int(rng.integers(5, 13))
+        rows = cover_rows(rng, n, int(rng.integers(2, 6)))
+        prob = MilpProblem(c=np.ones(n), A=np.array([a for a, _, _ in rows]),
+                           senses=np.ones(len(rows), dtype=np.int8),
+                           b=np.ones(len(rows)), lower=np.zeros(n),
+                           upper=np.ones(n), integer=np.ones(n, dtype=bool))
+        sol = solve_milp(prob)
+        for _round in range(4):
+            k = int(rng.integers(1, 6))
+            last = _round == 3 and rng.random() < 0.3
+            prob = with_rows(prob, cover_rows(rng, n, k, empty=last))
+            presolves.clear()
+            cold_calls.clear()
+            sol = solve_milp(prob, start=sol.root_basis)
+            assert presolves == [] and cold_calls == []
+            assert_resolved_like_cold(prob, sol)
+            resolved += 1
+            if sol.status == SolveStatus.INFEASIBLE:
+                infeasible += 1
+                break
+    assert resolved >= 100
+    assert infeasible >= 3
+
+
+def test_appended_rows_match_cold_and_scipy(presolves):
+    """Rows appended to presolved MILPs: rows over fixed columns only,
+    which map to empty reduced rows, rows over one kept integer column
+    besides, which map to singletons, rows that cut the old optimum off,
+    and rows no point meets."""
+    rng = np.random.default_rng(72)
+    mapped = {0: 0, 1: 0}       # reduced rows with no term, with one
+    cut_off = infeasible = 0
+    for seed in range(700, 760):
+        prob = presolve_milp(seed)
+        first = solve_milp(prob)
+        n = prob.num_vars
+        reduction = first.root_basis.presolved
+        kept = np.flatnonzero(prob.integer & (reduction.col >= 0))
+        rows = []
+        kinds = (list(rng.choice(["fixed", "one"],
+                                 size=int(rng.integers(0, 4))))
+                 + ["cut"] * (seed % 3 != 0) + ["empty"] * (seed % 4 == 0))
+        for kind in kinds or ["cut"]:
+            a = np.zeros(n)
+            if kind in ("fixed", "one", "empty"):
+                a[n - 2:] = rng.choice(COEFFICIENTS, size=2)
+                if kind == "one" and kept.size:
+                    a[rng.choice(kept)] = rng.choice(COEFFICIENTS)
+                at = a @ first.x
+                gap = -1.0 if kind == "empty" else float(rng.integers(0, 2))
+                rows.append((a, -1, at + gap))
+            else:
+                a[:] = rng.integers(-2, 3, size=n)
+                rows.append((a, -1, a @ first.x - 0.5))
+        grown = with_rows(prob, rows)
+        presolves.clear()
+        warm = solve_milp(grown, start=first.root_basis)
+        assert presolves == []
+        assert_resolved_like_cold(grown, warm)
+        for count in np.count_nonzero(
+                reduction.extended(grown).reduced.A[-len(rows):], axis=1):
+            if count in mapped:
+                mapped[count] += 1
+        if warm.status == SolveStatus.INFEASIBLE:
+            infeasible += 1
+        elif any(a @ first.x > b + 1e-9 for a, _, b in rows):
+            cut_off += 1
+    assert mapped[0] >= 20 and mapped[1] >= 20
+    assert cut_off >= 10 and infeasible >= 10
+
+
+def test_rows_appended_to_random_milps_match_cold_and_scipy(presolves):
+    rng = np.random.default_rng(73)
+    solved = 0
+    for seed in range(500, 560):
+        prob = random_mixed_milp(seed)
+        first = solve_milp(prob)
+        if first.status != SolveStatus.OPTIMAL:
+            continue
+        k = int(rng.integers(1, 6))
+        rows = [(rng.integers(-3, 4, size=prob.num_vars).astype(float),
+                 int(rng.choice([-1, 1, 0], p=[0.45, 0.45, 0.1])),
+                 float(rng.integers(-2, 4))) for _ in range(k)]
+        grown = with_rows(prob, rows)
+        presolves.clear()
+        warm = solve_milp(grown, start=first.root_basis)
+        assert presolves == []
+        assert_resolved_like_cold(grown, warm)
+        solved += 1
+    assert solved >= 20
+
+
+def test_a_start_whose_rows_are_not_a_prefix_is_presolved_again(presolves):
+    prob = presolve_milp(700)
+    first = solve_milp(prob)
+    row = (np.ones(prob.num_vars), -1, 100.0)
+    for other in (with_rows(dataclasses.replace(prob, b=prob.b + 0.25),
+                            [row]),
+                  with_rows(dataclasses.replace(
+                      prob, upper=prob.upper + 1.0), [row]),
+                  dataclasses.replace(prob, A=prob.A[1:], b=prob.b[1:],
+                                      senses=prob.senses[1:])):
+        presolves.clear()
+        sol = solve_milp(other, start=first.root_basis)
+        assert len(presolves) == 1
+        assert sol.objective == pytest.approx(scipy_milp_optimum(other),
+                                              abs=1e-7)
