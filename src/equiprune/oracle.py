@@ -68,7 +68,7 @@ from .ensemble import (BinaryFeature, CellSignature, ContinuousFeature,
                        cells_of, leaves_of, predict_scores)
 from .errors import InputError, IterationLimitError, SolverFailureError
 from .solver import (MilpProblem, MilpSolution, ProblemBuilder, SolveStatus,
-                     dump_lp, solve_milp)
+                     _check_tol, dump_lp, solve_milp)
 
 DEFAULT_EPSILON = 1e-6
 VIOLATION_TOL = 1e-8
@@ -335,11 +335,13 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     Every returned point is re-checked by direct evaluation: the
     original weights must predict the pair's original class at it by a
     margin of at least ``epsilon``, and the reweighting must strictly
-    prefer the challenger over it.  A cell that misses the margin met
-    the margin rows only through values inside the solver's
-    tolerances; a no-good row on its indicators is appended to the
-    class's program (``SeparationProgram.cut_off``), which ``programs``
-    then keeps, and the pair is re-solved from the last root basis.
+    prefer the challenger over it.  A cell that misses the margin by
+    no more than the solver's tolerances explain (``_meets_margin``)
+    met the margin rows only through them; a no-good row on its
+    indicators is appended to the class's program
+    (``SeparationProgram.cut_off``), which ``programs`` then keeps, and
+    the pair is re-solved from the last root basis.  A larger miss
+    raises ``SolverFailureError``.
 
     A pair optimum inside ``[-violation_tol, violation_tol]`` means the
     reweighting's best cell for that pair is an exact score tie; the
@@ -388,9 +390,7 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
                         or sol.objective < -violation_tol):
                     break
                 point, cell = extract_point(ensemble, program, sol)
-                scores = predict_scores(ensemble, ensemble.alpha, point)
-                if scores[original] - np.delete(scores, original).max() \
-                        >= program.epsilon:
+                if _meets_margin(ensemble, program, point):
                     break
                 # met only through values inside the solver's tolerances:
                 # the cell lies outside the margin rows' scope for every
@@ -487,6 +487,32 @@ class Screen:
                     result.tie_points.append(point)
                     result.tie_cells.append(cell)
         return result
+
+
+def _meets_margin(ensemble: Ensemble, program: SeparationProgram,
+                  point: Point) -> bool:
+    """Whether the original weights predict ``program.original`` at
+    ``point`` by at least ``program.epsilon`` over every other class.
+    A solution the solver returns meets each margin row a'z >= epsilon
+    within its check tolerance t (``solver._check_tol``), with every
+    value about t from where the cell puts it, so the cell's margin
+    can fall short of epsilon by about t (1 + ||a||_1); a miss beyond
+    that is a solver fault and raises ``SolverFailureError``."""
+    y = program.original
+    scores = predict_scores(ensemble, ensemble.alpha, point)
+    shortfall = program.epsilon - (scores[y] - scores)
+    shortfall[y] = -np.inf
+    if shortfall.max() <= 0.0:
+        return True
+    s = program.leaf_scores
+    a = np.asarray(ensemble.alpha)[program.leaf_tree, None] * (s[:, [y]] - s)
+    slack = _check_tol(program.problem.b) * (1.0 + np.abs(a).sum(axis=0))
+    if np.any(shortfall > slack):
+        raise SolverFailureError(
+            f"separation point for class {y} misses the original margin "
+            f"{program.epsilon:.3g} by up to {shortfall.max():.3g}, beyond "
+            "what the solver's tolerances explain")
+    return False
 
 
 def _check_separating_point(ensemble: Ensemble, w: np.ndarray, challenger: int,

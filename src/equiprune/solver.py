@@ -891,23 +891,18 @@ class _Presolved:
     q: np.ndarray
     source: tuple[np.ndarray, ...]
 
-    def reduces(self, problem: MilpProblem) -> bool:
-        """Whether ``problem`` has the rows, bounds and integrality this
-        reduction was made from."""
-        return all(np.array_equal(mine, theirs) for mine, theirs
-                   in zip(self.source, _constraints(problem)))
-
     def extended(self, problem: MilpProblem) -> _Presolved | None:
         """The reduction of ``problem`` when its rows are the rows this
-        reduction was made from followed by more, over the same columns,
-        bounds and integrality; else None.  The appended rows a'x ~ b
-        are mapped through x = P x_red + q, to (P'a)'x_red ~ b - a'q,
-        and appended to the reduced rows; a reduced row may come out
-        with one term or none.  The reductions made stay valid, since
-        the rows they read are all still there."""
+        reduction was made from, maybe followed by more, over the same
+        columns, bounds and integrality; else None.  With no rows
+        appended that is this reduction.  The appended rows a'x ~ b are
+        mapped through x = P x_red + q, to (P'a)'x_red ~ b - a'q, and
+        appended to the reduced rows; a reduced row may come out with
+        one term or none.  The reductions made stay valid, since the
+        rows they read are all still there."""
         A, b, senses, lower, upper, integer = self.source
         m = b.size
-        if not (problem.num_rows > m and problem.A.shape[1] == A.shape[1]
+        if not (problem.num_rows >= m and problem.A.shape[1] == A.shape[1]
                 and np.array_equal(problem.A[:m], A)
                 and np.array_equal(problem.b[:m], b)
                 and np.array_equal(problem.senses[:m], senses)
@@ -915,6 +910,8 @@ class _Presolved:
                 and np.array_equal(problem.upper, upper)
                 and np.array_equal(problem.integer, integer)):
             return None
+        if problem.num_rows == m:
+            return self
         added = np.asarray(problem.A[m:], dtype=float)
         kept = np.flatnonzero(self.col >= 0)
         P = np.zeros((self.col.size, self.reduced.num_vars))
@@ -1282,14 +1279,12 @@ def solve_milp(problem: MilpProblem,
     ``warm_root`` tells whether the root was answered from ``start``.
     """
     _check_size(problem.num_rows, problem.num_vars)
-    presolved = start.presolved if start is not None else None
-    if presolved is not None and not presolved.reduces(problem):
-        held = presolved.reduced
-        presolved = presolved.extended(problem)
-        if presolved is not None:
-            start = _grown(start, held.num_vars, held.num_rows,
-                           presolved.reduced.num_rows - held.num_rows)
-    if presolved is None:
+    held = start.presolved if start is not None else None
+    presolved = held.extended(problem) if held is not None else None
+    if presolved is not None:
+        start = _grown(start, held.reduced.num_vars, held.reduced.num_rows,
+                       presolved.reduced.num_rows - held.reduced.num_rows)
+    else:
         presolved = _presolve(problem)
         if presolved is None:
             return MilpSolution(SolveStatus.INFEASIBLE, None, None, None,
@@ -1314,6 +1309,8 @@ def _grown(basis: Basis, n: int, m: int, k: int) -> Basis:
     artificial rests at zero, and the old artificials' indices shift by
     k.  The new rows' duals are zero, so an optimal ``basis`` stays dual
     feasible; the new slacks may lie outside their bounds."""
+    if k == 0:
+        return basis
     basic = basis.basic + k * (basis.basic >= n + m)
     status = np.concatenate([basis.status[:n + m], np.full(k, _BASIC),
                              basis.status[n + m:], np.full(k, _AT_LOWER)])

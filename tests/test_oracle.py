@@ -1,10 +1,13 @@
 """Separation MIP construction, solving, and point extraction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from equiprune import (DEFAULT_EPSILON, InputError, IterationLimitError,
-                       MilpSolution, SolveStatus, TiedPredictionError,
+                       MilpSolution, SolveStatus, SolverFailureError,
+                       TiedPredictionError,
                        build_ensemble,
                        build_separation, cell_of, cell_scores,
                        certified_prune, certify,
@@ -290,6 +293,22 @@ def test_a_cell_below_the_margin_is_cut_off_and_resolved():
         assert result.solves == len(result.pairs) + cuts
         cut += cuts
     assert cut >= 5
+
+
+def test_a_cell_of_another_class_is_a_solver_failure():
+    # The stub answers every pair with a class-1 cell, which the
+    # original weights give to class 1 by at least 1: for original
+    # class 0 that misses the margin far beyond the solver's
+    # tolerances, so it is a fault to raise, not a cell to cut off.
+    ens = three_voter_majority()
+    wrong = build_separation(ens, ens.alpha, 0, 1)
+    sol = solve_milp(wrong.problem)
+
+    def stub(problem, start=None):
+        return replace(sol, objective=1.0)
+
+    with pytest.raises(SolverFailureError, match="original margin"):
+        separate(ens, ens.alpha, solve=stub)
 
 
 def random_reweighting(ens, rng):
