@@ -78,7 +78,9 @@ class IterationRecord:
     prune_pivots: int                # the pruner's simplex pivots
     masters: int                     # l0 master MILPs solved
     warm_masters: int                # of them, re-solved from a held root
-    pair_objectives: list[tuple[int, int, float | None]]  # (challenger, original, obj)
+    # (challenger, original, objective); a negative objective is the MIP's,
+    # not rechecked against epsilon (see ``PairOutcome``)
+    pair_objectives: list[tuple[int, int, float | None]]
     pair_counts: list[PairCounts]
     added_cells: list[CellSignature]
     prune_seconds: float

@@ -12,14 +12,16 @@ same leaf, so the ensemble's prediction function is piecewise constant
 on cells.  ``cells_of`` (and ``cell_of`` for one point) validates points
 and maps them to cells; ``cell_center`` maps a cell back to a point.
 
-``Tree``/``Leaf``/``Split`` are the validated model form that files and
-the separation oracle read.  Each ``Ensemble`` also derives, once, a flat
-array form of all its trees (``FlatTrees``): per node its split feature,
-integer cut, categorical flag, children and leaf scores, concatenated
-over trees.  ``leaves_of`` is the one router: it advances every tree of
-every cell one level per step on that form.  All predictions -- points,
-cells, batches, certification -- are ``cells_of`` and/or ``leaves_of``
-followed by a lookup in the leaf score rows.
+``Tree``/``Leaf``/``Split`` are the file and validation form only: model
+files are read into it and written from it, and ``Ensemble`` checks it.
+Each ``Ensemble`` derives, once, a flat array form of all its trees
+(``FlatTrees``): per node its split feature, integer cut, categorical
+flag, children, leaf scores, node id and tree, concatenated over trees.
+Routing, scoring and the separation oracle read that form.  ``leaves_of``
+is the one router: it advances every tree of every cell one level per
+step.  All predictions -- points, cells, batches, certification -- are
+``cells_of`` and/or ``leaves_of`` followed by a lookup in the leaf score
+rows.
 
 Split conventions (fixed across the package):
   continuous  - route left iff x_j <= t (closed-left intervals),
@@ -139,22 +141,16 @@ class Split:
 @dataclass(frozen=True)
 class Tree:
     """A binary decision tree; ``nodes`` maps node id to Leaf or Split.
-
-    Derived structure (depths, leaf/internal id lists, max depth) is
-    computed once at construction.  Instances are immutable.
+    Construction checks that every node is reachable from the root
+    exactly once and records the largest depth.  Instances are immutable.
     """
 
     root: int
     nodes: dict[int, Leaf | Split]
-    depth: dict[int, int] = field(init=False, compare=False, repr=False)
-    leaf_ids: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    internal_ids: tuple[int, ...] = field(init=False, compare=False, repr=False)
     max_depth: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         depth: dict[int, int] = {}
-        leaves: list[int] = []
-        internals: list[int] = []
         stack = [(self.root, 0)]
         while stack:
             node_id, d = stack.pop()
@@ -165,18 +161,12 @@ class Tree:
                     f"node {node_id} reachable more than once")
             depth[node_id] = d
             node = self.nodes[node_id]
-            if isinstance(node, Leaf):
-                leaves.append(node_id)
-            else:
-                internals.append(node_id)
+            if not isinstance(node, Leaf):
                 stack.append((node.right, d + 1))
                 stack.append((node.left, d + 1))
         if len(depth) != len(self.nodes):
             unreachable = sorted(set(self.nodes) - set(depth))
             raise ModelFormatError(f"unreachable nodes {unreachable}")
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "leaf_ids", tuple(sorted(leaves)))
-        object.__setattr__(self, "internal_ids", tuple(sorted(internals)))
         object.__setattr__(self, "max_depth", max(depth.values()))
 
 
@@ -193,6 +183,7 @@ class FlatTrees:
     right: np.ndarray        # (N,) flat index of the right child
     scores: np.ndarray       # (N, C) leaf score rows; zero at splits
     node_id: np.ndarray      # (N,) the node's id within its tree
+    tree: np.ndarray         # (N,) the index of its tree
     roots: np.ndarray        # (M,) flat index of each root
     depth: int               # largest tree depth
 
@@ -219,6 +210,7 @@ class FlatTrees:
         return cls(feature=feature, cut=cut, categorical=categorical,
                    left=left, right=right, scores=scores,
                    node_id=np.array([v for _, v in keys], dtype=np.int64),
+                   tree=np.array([m for m, _ in keys], dtype=np.int64),
                    roots=np.array([index[m, t.root]
                                    for m, t in enumerate(trees)]),
                    depth=max(t.max_depth for t in trees))

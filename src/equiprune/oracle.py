@@ -33,6 +33,19 @@ down a complete cell, including thresholds no active flow touches.  Pair
 subproblems are independent (solved here in a fixed y-major, c-minor
 order for reproducible histories).
 
+The program is built from the ensemble's flat arrays (``FlatTrees``).
+Column i is the flow of flat node i (named ``z_{tree}_{node id}``).
+Then comes one indicator block per feature, in feature order: one
+column per threshold of a continuous feature (``mu_{j}_{r}``, on iff
+the cell lies above threshold r), one for a binary feature (``b_{j}``,
+the bit) and one per level of a categorical feature (``nu_{j}_{z}``,
+one-hot).  A split on feature j with cut k reads indicator
+``blocks[j][k]``: binary splits are cut 0 on the bit.  An ordered block
+(continuous or binary) spells a cell index k as k leading ones; a
+categorical one as a one at k.  Rows run per tree ``root_`` then
+``children_``, then ``margin_``, ``order_``, ``onehot_``, and last a
+``left_``/``right_`` pair per split.
+
 Only the objective depends on the weights and on the challenger: the
 rows, bounds and integrality depend on the original class alone.  So a
 pruning run builds one program per original class, once, and reweights
@@ -63,11 +76,10 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .ensemble import (BinaryFeature, CellSignature, ContinuousFeature,
-                       Ensemble, Leaf, Point, _check_weights, cell_center,
-                       cells_of, leaves_of, predict_scores)
+from .ensemble import (CellSignature, Ensemble, Point, _check_weights,
+                       cell_center, cells_of, leaves_of, predict_scores)
 from .errors import InputError, IterationLimitError, SolverFailureError
-from .solver import (MilpProblem, MilpSolution, ProblemBuilder, SolveStatus,
+from .solver import (MilpProblem, MilpSolution, SolveStatus, _check_size,
                      _check_tol, dump_lp, solve_milp)
 
 DEFAULT_EPSILON = 1e-6
@@ -93,19 +105,18 @@ def _check_violation_tol(violation_tol: float) -> None:
 
 @dataclass
 class SeparationProgram:
-    """One (challenger, original) subproblem plus its variable maps, and
-    the leaf columns that carry the objective.  Only the objective
-    depends on the weights and the challenger; the rows, bounds and
-    integrality depend on the original class alone."""
+    """One (challenger, original) subproblem plus its column layout:
+    column i is the flow of flat node i, and ``blocks[j]`` holds feature
+    j's indicator columns.  Only the objective depends on the weights
+    and the challenger; the rows, bounds and integrality depend on the
+    original class alone."""
 
     problem: MilpProblem
     challenger: int
     original: int
     epsilon: float
-    flow: list[dict[int, int]]          # per tree: node id -> column
-    threshold: dict[int, list[int]]     # continuous feature -> columns
-    bit: dict[int, int]                 # binary feature -> column
-    level: dict[int, list[int]]         # categorical feature -> columns
+    blocks: list[np.ndarray]            # per feature: its indicator columns
+    categorical: list[bool]             # per feature: one-hot levels
     leaf_cols: np.ndarray               # column of every leaf flow
     leaf_tree: np.ndarray               # its tree
     leaf_scores: np.ndarray             # its class scores, (leaves, C)
@@ -128,13 +139,12 @@ class SeparationProgram:
         ``cell`` meets: some indicator must differ from its value there,
         sum_{off} x - sum_{on} x >= 1 - |on|."""
         row = np.zeros(self.problem.num_vars)
-        for j, cols in self.threshold.items():
-            row[cols] = np.where(np.arange(len(cols)) < cell[j], -1.0, 1.0)
-        for j, col in self.bit.items():
-            row[col] = -1.0 if cell[j] else 1.0
-        for j, cols in self.level.items():
-            row[cols] = 1.0
-            row[cols[cell[j]]] = -1.0
+        for cols, categorical, k in zip(self.blocks, self.categorical, cell):
+            if categorical:
+                row[cols] = 1.0
+                row[cols[k]] = -1.0
+            else:
+                row[cols] = np.where(np.arange(len(cols)) < k, -1.0, 1.0)
         p = self.problem
         return replace(self, problem=replace(
             p, A=np.vstack([p.A, row]),
@@ -145,6 +155,12 @@ class SeparationProgram:
 
 @dataclass
 class PairOutcome:
+    """One pair's MIP.  ``objective`` is the solver's optimum (None when
+    none was found).  A negative one is not rechecked against epsilon:
+    the MIP's best cell may lie outside the margin rows' scope, so it
+    can sit above the optimum over cells of margin >= epsilon.  Every
+    verdict stays right, as no cell is taken from a negative optimum."""
+
     challenger: int
     original: int
     status: SolveStatus
@@ -188,6 +204,23 @@ class SeparationResult:
     def solves(self) -> int:
         return sum(1 + p.cuts for p in self.pairs)
 
+    def add(self, cell: CellSignature, gap: float, violation_tol: float,
+            point: Callable[[], Point]) -> bool:
+        """File one pair's best cell, with the point ``point()`` makes for
+        it, by its reweighted gap: a violation above ``violation_tol``, a
+        tie within it, nothing below.  A cell already filed for an
+        earlier pair stays where it is.  Returns whether the gap is a
+        violation."""
+        if (gap >= -violation_tol and cell not in self.cells
+                and cell not in self.tie_cells):
+            if gap > violation_tol:
+                self.points.append(point())
+                self.cells.append(cell)
+            else:
+                self.tie_points.append(point())
+                self.tie_cells.append(cell)
+        return gap > violation_tol
+
 
 def build_separation(ensemble: Ensemble, weights: Sequence[float],
                      challenger: int, original: int,
@@ -198,92 +231,73 @@ def build_separation(ensemble: Ensemble, weights: Sequence[float],
             and challenger != original):
         raise InputError(
             f"bad class pair ({challenger}, {original}) for {C} classes")
-    alpha = np.asarray(ensemble.alpha)
-    pb = ProblemBuilder(maximize=True)
+    flat = ensemble.flat
+    tree, node_id = flat.tree.tolist(), flat.node_id.tolist()
+    left, right = flat.left.tolist(), flat.right.tolist()
+    feature, cut = flat.feature.tolist(), flat.cut.tolist()
+    splits = [i for i, child in enumerate(left) if child != i]
+    leaf_cols = np.flatnonzero(flat.left == np.arange(len(left)))
 
-    flow: list[dict[int, int]] = []
-    leaf_cols: list[int] = []
-    leaf_tree: list[int] = []
-    leaf_scores: list[tuple[float, ...]] = []
-    for m, tree in enumerate(ensemble.trees):
-        cols: dict[int, int] = {}
-        for v in sorted(tree.nodes):
-            cols[v] = pb.add_var(f"z_{m}_{v}", lo=0.0, up=1.0)
-            node = tree.nodes[v]
-            if isinstance(node, Leaf):
-                leaf_cols.append(cols[v])
-                leaf_tree.append(m)
-                leaf_scores.append(node.scores)
-        flow.append(cols)
-
-    threshold: dict[int, list[int]] = {}
-    bit: dict[int, int] = {}
-    level: dict[int, list[int]] = {}
+    var_names = [f"z_{m}_{v}" for m, v in zip(tree, node_id)]
+    blocks: list[np.ndarray] = []
+    categorical: list[bool] = []
     for j, kind in enumerate(ensemble.schema.features):
-        if isinstance(kind, ContinuousFeature):
-            threshold[j] = [pb.add_var(f"mu_{j}_{r}", lo=0.0, up=1.0,
-                                       integer=True)
-                            for r in range(len(kind.thresholds))]
-        elif isinstance(kind, BinaryFeature):
-            bit[j] = pb.add_var(f"b_{j}", lo=0.0, up=1.0, integer=True)
+        # one indicator per threshold, per bit (cut 0) or per level
+        categorical.append(kind.kind == "categorical")
+        size = kind.num_cells - (not categorical[-1])
+        blocks.append(np.arange(len(var_names), len(var_names) + size))
+        if kind.kind == "binary":
+            var_names.append(f"b_{j}")
         else:
-            level[j] = [pb.add_var(f"nu_{j}_{z}", lo=0.0, up=1.0,
-                                   integer=True)
-                        for z in range(kind.num_levels)]
+            prefix = "nu" if categorical[-1] else "mu"
+            var_names += [f"{prefix}_{j}_{k}" for k in range(size)]
 
-    for m, tree in enumerate(ensemble.trees):
-        cols = flow[m]
-        pb.add_row([(cols[tree.root], 1.0)], "==", 1.0, name=f"root_{m}")
-        for v in tree.internal_ids:
-            node = tree.nodes[v]
-            pb.add_row([(cols[node.left], 1.0), (cols[node.right], 1.0),
-                        (cols[v], -1.0)], "==", 0.0, name=f"children_{m}_{v}")
-
+    # rows as (columns, coefficients, sense, right-hand side, name), the
+    # sense coded as in MilpProblem: -1 '<=', 0 '==', +1 '>='
+    rows: list[tuple] = []
+    # tree m's nodes are the flat range ends[m]:ends[m + 1]
+    ends = np.searchsorted(flat.tree, np.arange(len(flat.roots) + 1)).tolist()
+    for m, root in enumerate(flat.roots.tolist()):
+        rows.append(([root], [1.0], 0, 1.0, f"root_{m}"))
+        rows += [([left[i], right[i], i], [1.0, 1.0, -1.0], 0, 0.0,
+                  f"children_{m}_{node_id[i]}")
+                 for i in range(ends[m], ends[m + 1]) if left[i] != i]
+    alpha = np.asarray(ensemble.alpha)[flat.tree[leaf_cols]]
+    scores = flat.scores[leaf_cols]
     for other in range(C):
-        if other == original:
-            continue
-        terms = []
-        for m, tree in enumerate(ensemble.trees):
-            if alpha[m] == 0.0:
-                continue
-            for v in tree.leaf_ids:
-                s = tree.nodes[v].scores
-                coef = alpha[m] * (s[original] - s[other])
-                if coef != 0.0:
-                    terms.append((flow[m][v], coef))
-        pb.add_row(terms, ">=", epsilon, name=f"margin_{other}")
+        if other != original:
+            coef = alpha * (scores[:, original] - scores[:, other])
+            rows.append((leaf_cols[coef != 0.0].tolist(),
+                         coef[coef != 0.0].tolist(), 1, epsilon,
+                         f"margin_{other}"))
+    for j, cols in enumerate(blocks):
+        if not categorical[j]:
+            rows += [(cols[r:r + 2].tolist(), [1.0, -1.0], 1, 0.0,
+                      f"order_{j}_{r}") for r in range(len(cols) - 1)]
+    rows += [(cols.tolist(), [1.0] * len(cols), 0, 1.0, f"onehot_{j}")
+             for j, cols in enumerate(blocks) if categorical[j]]
+    for i in splits:
+        ind = int(blocks[feature[i]][cut[i]])
+        m, v = tree[i], node_id[i]
+        # left branch excluded when the indicator is on, right when off
+        rows.append(([left[i], ind], [1.0, 1.0], -1, 1.0, f"left_{m}_{v}"))
+        rows.append(([right[i], ind], [1.0, -1.0], -1, 0.0, f"right_{m}_{v}"))
 
-    for j, cols_mu in threshold.items():
-        for r in range(len(cols_mu) - 1):
-            pb.add_row([(cols_mu[r], 1.0), (cols_mu[r + 1], -1.0)], ">=", 0.0,
-                       name=f"order_{j}_{r}")
-    for j, cols_nu in level.items():
-        pb.add_row([(col, 1.0) for col in cols_nu], "==", 1.0,
-                   name=f"onehot_{j}")
-
-    for m, tree in enumerate(ensemble.trees):
-        cols = flow[m]
-        for v in tree.internal_ids:
-            node = tree.nodes[v]
-            kind = ensemble.schema.features[node.feature]
-            if isinstance(kind, ContinuousFeature):
-                ind = threshold[node.feature][node.threshold_index]
-            elif isinstance(kind, BinaryFeature):
-                ind = bit[node.feature]
-            else:
-                ind = level[node.feature][node.category]
-            # left branch excluded when the indicator is on, right when off
-            pb.add_row([(cols[node.left], 1.0), (ind, 1.0)], "<=", 1.0,
-                       name=f"left_{m}_{v}")
-            pb.add_row([(cols[node.right], 1.0), (ind, -1.0)], "<=", 0.0,
-                       name=f"right_{m}_{v}")
-
+    cols, coefs, senses, b, row_names = zip(*rows)
+    n = len(var_names)
+    _check_size(len(rows), n)
+    A = np.zeros((len(rows), n))
+    A[[r for r, row in enumerate(cols) for _ in row],
+      [j for row in cols for j in row]] = [a for row in coefs for a in row]
     program = SeparationProgram(
-        problem=pb.build(), challenger=challenger, original=original,
-        epsilon=epsilon, flow=flow, threshold=threshold, bit=bit, level=level,
-        leaf_cols=np.array(leaf_cols, dtype=np.intp),
-        leaf_tree=np.array(leaf_tree, dtype=np.intp),
-        leaf_scores=np.array(leaf_scores, dtype=float).reshape(-1, C))
+        problem=MilpProblem(
+            c=np.zeros(n), A=A, senses=np.array(senses, dtype=np.int8),
+            b=np.array(b, dtype=float), lower=np.zeros(n), upper=np.ones(n),
+            integer=np.arange(n) >= len(tree), maximize=True,
+            var_names=var_names, row_names=list(row_names)),
+        challenger=challenger, original=original, epsilon=epsilon,
+        blocks=blocks, categorical=categorical, leaf_cols=leaf_cols,
+        leaf_tree=flat.tree[leaf_cols], leaf_scores=scores)
     return program.reweighted(weights, challenger)
 
 
@@ -294,23 +308,18 @@ def extract_point(ensemble: Ensemble, program: SeparationProgram,
     unit-flow leaf; a mismatch means the solver returned an inconsistent
     assignment and is an internal failure, not user error."""
     x = solution.x
-    sig: list[int] = []
-    for j, kind in enumerate(ensemble.schema.features):
-        if isinstance(kind, ContinuousFeature):
-            sig.append(int(round(sum(x[col] for col in program.threshold[j]))))
-        elif isinstance(kind, BinaryFeature):
-            sig.append(int(round(x[program.bit[j]])))
-        else:
-            values = [x[col] for col in program.level[j]]
-            sig.append(int(np.argmax(values)))
-    cell = tuple(sig)
+    cell = tuple(int(np.argmax(x[cols])) if categorical
+                 else int(round(x[cols].sum()))
+                 for cols, categorical in zip(program.blocks,
+                                              program.categorical))
     point = cell_center(ensemble.schema, cell)
     leaves = leaves_of(ensemble, cells_of(ensemble.schema, [point]))[0]
-    for m, leaf in enumerate(ensemble.flat.node_id[leaves]):
-        if x[program.flow[m][leaf]] < 0.5:
+    for m, leaf in enumerate(leaves):
+        if x[leaf] < 0.5:
             raise SolverFailureError(
-                f"extracted point routes tree {m} to leaf {leaf} but the "
-                "separation solution puts no flow there (tolerance bug)")
+                f"extracted point routes tree {m} to leaf "
+                f"{ensemble.flat.node_id[leaf]} but the separation solution "
+                "puts no flow there (tolerance bug)")
     return point, cell
 
 
@@ -350,12 +359,7 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     """
     w = _check_weights(ensemble, weights)
     _check_violation_tol(violation_tol)
-    pairs: list[PairOutcome] = []
-    points: list[Point] = []
-    cells: list[CellSignature] = []
-    tie_points: list[Point] = []
-    tie_cells: list[CellSignature] = []
-    seen: set[CellSignature] = set()
+    result = SeparationResult(pairs=[])
     for original in range(ensemble.num_classes):
         program, start = (programs or {}).get(original, (None, None))
         for challenger in range(ensemble.num_classes):
@@ -401,28 +405,19 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
                 nodes += sol.nodes
                 iterations += sol.iterations
                 point = cell = None
-            if point is not None:
+            if sol.status == SolveStatus.OPTIMAL:
                 objective = float(sol.objective)
-                if objective > violation_tol:
-                    _check_separating_point(ensemble, w, challenger, original,
-                                            point)
-                    found, found_cells = points, cells
-                else:
-                    found, found_cells = tie_points, tie_cells
-                if cell not in seen:
-                    seen.add(cell)
-                    found.append(point)
-                    found_cells.append(cell)
-            elif sol.status == SolveStatus.OPTIMAL:
-                objective = float(sol.objective)
-            pairs.append(PairOutcome(
+            if point is not None and result.add(cell, objective,
+                                                violation_tol, lambda: point):
+                _check_separating_point(ensemble, w, challenger, original,
+                                        point)
+            result.pairs.append(PairOutcome(
                 challenger=challenger, original=original, status=sol.status,
                 objective=objective, point=point, cell=cell, nodes=nodes,
                 iterations=iterations, rows=program.problem.num_rows,
                 cols=program.problem.num_vars, solved_rows=sol.solved_rows,
                 solved_cols=sol.solved_cols, cuts=cuts))
-    return SeparationResult(pairs=pairs, points=points, cells=cells,
-                            tie_points=tie_points, tie_cells=tie_cells)
+    return result
 
 
 class Screen:
@@ -465,7 +460,6 @@ class Screen:
         _check_violation_tol(violation_tol)
         scores = w @ self.scores
         result = SeparationResult(pairs=[])
-        seen: set[CellSignature] = set()
         for original in range(self.ensemble.num_classes):
             rows = np.flatnonzero(self.labels == original)
             if rows.size == 0:
@@ -476,16 +470,8 @@ class Screen:
                 gap = scores[rows, challenger] - scores[rows, original]
                 i = int(np.argmax(gap))
                 cell = tuple(int(k) for k in self.cells[rows[i]])
-                if gap[i] < -violation_tol or cell in seen:
-                    continue
-                seen.add(cell)
-                point = cell_center(self.ensemble.schema, cell)
-                if gap[i] > violation_tol:
-                    result.points.append(point)
-                    result.cells.append(cell)
-                else:
-                    result.tie_points.append(point)
-                    result.tie_cells.append(cell)
+                result.add(cell, gap[i], violation_tol,
+                           lambda: cell_center(self.ensemble.schema, cell))
         return result
 
 

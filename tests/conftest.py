@@ -23,6 +23,23 @@ def three_stumps():
     return load_model(DATA_DIR / "three_stumps.json")
 
 
+def mixed_model():
+    """Bundled 3-class model over a continuous, a binary and a
+    categorical feature, every kind split on in some tree."""
+    return load_model(DATA_DIR / "mixed_model.json")
+
+
+def opposed_stumps(first_weight: float):
+    """Two opposite stumps on one feature, weighted (first_weight, 1):
+    on either cell the original margin is first_weight - 1, and the
+    weights (0, 1) flip both cells."""
+    return build_ensemble(
+        num_classes=2, features=[{"name": "x0", "kind": "continuous"}],
+        weights=[first_weight, 1.0],
+        raw_trees=[make_stump(0, 0.5, (1, 0), (0, 1)),
+                   make_stump(0, 0.5, (0, 1), (1, 0))])
+
+
 def make_stump(feature: int, threshold: float, left_scores, right_scores):
     return {"root": 0, "nodes": [
         {"id": 0, "kind": "split", "feature": feature, "threshold": threshold,

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from equiprune import (load_model, make_synthetic, predict_class,
+from equiprune import (load_model, load_schema, make_synthetic, predict_class,
                        save_dataset, save_model, save_schema)
 from equiprune.cli import main
 from conftest import DATA_DIR, make_stump
@@ -20,6 +20,8 @@ SEP_SCHEMA = str(DATA_DIR / "separable_schema.json")
 SEP_CSV = str(DATA_DIR / "separable.csv")
 FIXTURE = str(DATA_DIR / "three_stumps.json")
 FIXTURE_CSV = str(DATA_DIR / "three_stumps_points.csv")
+MIXED = str(DATA_DIR / "mixed_model.json")
+MIXED_CSV = str(DATA_DIR / "mixed_points.csv")
 
 
 def run(*argv):
@@ -315,3 +317,17 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["identical"] is True
+
+
+def test_mixed_fixture_prunes_and_verifies(tmp_path, capsys):
+    # a continuous, a binary and a categorical feature: the oracle's
+    # threshold, bit and level indicators all reach the console script
+    out = tmp_path / "pruned.json"
+    assert run("prune", "--model", MIXED, "--data", MIXED_CSV,
+               "--norm", "l0", "--out", str(out)) == 0
+    assert "kept 4 of 5" in capsys.readouterr().out
+    assert run("verify", "--model", MIXED, "--pruned", str(out)) == 0
+    schema = load_schema(DATA_DIR / "mixed_schema.json")
+    assert schema.names == load_model(MIXED).schema.names
+    assert [k.kind for k in schema.features] == [
+        "continuous", "binary", "categorical"]

@@ -1,13 +1,16 @@
 """Separation MIP construction, solving, and point extraction."""
 
+import itertools
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from equiprune import (DEFAULT_EPSILON, InputError, IterationLimitError,
-                       MilpSolution, SolveStatus, SolverFailureError,
-                       TiedPredictionError,
+                       MilpSolution, ProblemTooLargeError, SolveStatus,
+                       SolverFailureError, TiedPredictionError,
                        build_ensemble,
                        build_separation, cell_of, cell_scores,
                        certified_prune, certify,
@@ -15,8 +18,9 @@ from equiprune import (DEFAULT_EPSILON, InputError, IterationLimitError,
                        predict_class, predict_scores, sample_uniform_points,
                        separate, solve_milp, solver, train_random_forest)
 from equiprune.ensemble import leaves_of
-from equiprune.oracle import VIOLATION_TOL, Screen
-from conftest import make_stump, one_hot, stump_ensembles, three_voter_majority
+from equiprune.oracle import VIOLATION_TOL, Screen, SeparationResult
+from conftest import (make_stump, mixed_model, one_hot, opposed_stumps,
+                      stump_ensembles, three_voter_majority)
 from test_ensemble import random_mixed_ensemble
 
 
@@ -29,8 +33,9 @@ def two_class(trees, weights, features=None):
 def test_stump_program_shape():
     ens = two_class([make_stump(0, 0.5, (1, 0), (0, 1))], [1.0])
     prog = build_separation(ens, (1.0,), challenger=1, original=0)
-    assert len(prog.flow[0]) == 3        # root + two leaves
-    assert len(prog.threshold[0]) == 1   # one split threshold
+    # root + two leaves, then one split threshold
+    assert prog.problem.var_names == ["z_0_0", "z_0_1", "z_0_2", "mu_0_0"]
+    assert [cols.tolist() for cols in prog.blocks] == [[3]]
     assert prog.problem.c.shape == (4,)
 
 
@@ -39,8 +44,8 @@ def test_same_split_shares_one_indicator():
              make_stump(0, 0.5, (0, 1), (1, 0))]
     ens = two_class(trees, [1.0, 1.0])
     prog = build_separation(ens, (1.0, 1.0), challenger=1, original=0)
-    assert len(prog.threshold[0]) == 1
-    mu = prog.threshold[0][0]
+    assert len(prog.blocks[0]) == 1
+    mu = prog.blocks[0][0]
     rows_touching_mu = [name for row, name
                         in zip(prog.problem.A, prog.problem.row_names)
                         if row[mu] != 0.0]
@@ -162,38 +167,27 @@ def cat_ensemble():
 def fake_solution(ens, prog, cell):
     """Unit flows along each tree's routing path for ``cell``, plus the
     matching indicator assignment -- a hand-built Optimal solution."""
-    from equiprune import cell_center
+    flat = ens.flat
     x = np.zeros(len(prog.problem.c))
-    point = cell_center(ens.schema, cell)
-    for j, cols in prog.threshold.items():
-        for r in range(cell[j]):
-            x[cols[r]] = 1.0
-    for j, col in prog.bit.items():
-        x[col] = float(cell[j])
-    for j, cols in prog.level.items():
-        x[cols[cell[j]]] = 1.0
-    leaves = ens.flat.node_id[leaves_of(ens, [cell])[0]]
-    for m, tree in enumerate(ens.trees):
-        node_id = tree.root
-        while True:
-            x[prog.flow[m][node_id]] = 1.0
-            node = tree.nodes[node_id]
-            if not hasattr(node, "left"):
-                break
-            node_id = node.left if leaves[m] in _subtree(
-                tree, node.left) else node.right
+    for cols, categorical, k in zip(prog.blocks, prog.categorical, cell):
+        x[cols[k] if categorical else cols[:k]] = 1.0
+    for node, leaf in zip(flat.roots, leaves_of(ens, [cell])[0]):
+        x[node] = 1.0
+        while node != leaf:
+            left = flat.left[node]
+            node = left if leaf in _subtree(flat, left) else flat.right[node]
+            x[node] = 1.0
     return MilpSolution(status=SolveStatus.OPTIMAL, x=x, objective=0.0,
                         best_bound=0.0, nodes=1, iterations=0)
 
 
-def _subtree(tree, root):
+def _subtree(flat, root):
     out, stack = set(), [root]
     while stack:
         v = stack.pop()
         out.add(v)
-        node = tree.nodes[v]
-        if hasattr(node, "left"):
-            stack.extend((node.left, node.right))
+        if flat.left[v] != v:
+            stack.extend((flat.left[v], flat.right[v]))
     return out
 
 
@@ -223,6 +217,99 @@ def test_extraction_midpoint_between_thresholds():
     point, cell = extract_point(ens, prog, fake_solution(ens, prog, (1,)))
     assert cell == (1,)
     assert point == (0.5,)
+
+
+def _structural_rows_hold(problem, x):
+    """Every row but the margin rows (which depend on the cell's scores)
+    holds at ``x``."""
+    lhs = problem.A @ x
+    for i, name in enumerate(problem.row_names):
+        if name.startswith("margin_"):
+            continue
+        sense, b = problem.senses[i], problem.b[i]
+        if not (lhs[i] <= b + 1e-12 if sense < 0 else
+                lhs[i] >= b - 1e-12 if sense > 0 else
+                abs(lhs[i] - b) <= 1e-12):
+            return False
+    return True
+
+
+def test_indicator_layout_over_every_cell():
+    # For every cell: unit flows along its routes plus its indicator
+    # values meet every flow, order, one-hot and left/right row,
+    # extract_point reads the cell back, and the no-good row of
+    # cut_off(cell) is violated by that cell's values alone.
+    rng = np.random.default_rng(43)
+    kinds = set()
+    for _ in range(40):
+        ens = random_mixed_ensemble(rng)
+        y = int(rng.integers(ens.num_classes))
+        prog = build_separation(ens, ens.alpha, (y + 1) % ens.num_classes, y)
+        cells = list(itertools.product(
+            *(range(kind.num_cells) for kind in ens.schema.features)))
+        sols = [fake_solution(ens, prog, cell) for cell in cells]
+        X = np.array([sol.x for sol in sols]).T
+        for k, (cell, sol) in enumerate(zip(cells, sols)):
+            assert _structural_rows_hold(prog.problem, sol.x)
+            assert extract_point(ens, prog, sol)[1] == cell
+            cut = prog.cut_off(cell).problem
+            met = cut.A[-1] @ X >= cut.b[-1] - 1e-12
+            assert not met[k] and met.sum() == len(cells) - 1
+        kinds.update(kind.kind for kind in ens.schema.features)
+    assert kinds == {"continuous", "binary", "categorical"}
+
+
+def test_build_separation_refuses_an_oversized_program_before_allocating(
+        monkeypatch):
+    data = make_synthetic("blobs", n=24, seed=7)
+    ens = train_random_forest(data, 30, max_depth=3, seed=0)
+    problem = build_separation(ens, ens.alpha, 1, 0).problem
+    m, n = problem.A.shape
+    monkeypatch.setattr(solver, "_MAX_DENSE_BYTES", 8 * m * (n + 2 * m) - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProblemTooLargeError, match=f"{m} rows"):
+            build_separation(ens, ens.alpha, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * m * n             # half of A
+
+
+def test_dumps_one_lp_file_per_ordered_pair(tmp_path):
+    ens = mixed_model()
+    kinds = [kind.kind for kind in ens.schema.features]
+    assert kinds == ["continuous", "binary", "categorical"]
+    separate(ens, ens.alpha, dump_dir=tmp_path)
+    C = ens.num_classes
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        f"sep_y{y}_c{c}.lp" for y in range(C) for c in range(C) if c != y)
+    for path in tmp_path.iterdir():
+        text = path.read_text()
+        for column in (r"z_\d+_\d+", r"mu_0_\d+", r"b_1", r"nu_2_\d+"):
+            assert re.search(rf"\b{column}\b", text), (path.name, column)
+        for row in ("root_", "margin_", "onehot_", "left_", "right_"):
+            assert re.search(rf"^ {row}\S*:", text, re.M), (path.name, row)
+
+
+def test_one_verdict_rule_at_the_violation_tolerance():
+    # exact binary fractions: a gap of exactly violation_tol, or exactly
+    # -violation_tol, is a tie; 2**-30 beyond either is a violation or
+    # nothing; a cell filed once stays where it was filed
+    result = SeparationResult(pairs=[])
+    for k, gap in enumerate((0.25 + 2**-30, 0.25, -0.25, -0.25 - 2**-30)):
+        assert result.add((k,), gap, 0.25, lambda: (float(k),)) == (k == 0)
+    assert result.add((1,), 1.0, 0.25, lambda: (9.0,))
+    assert (result.cells, result.points) == ([(0,)], [(0.0,)])
+    assert (result.tie_cells, result.tie_points) == ([(1,), (2,)],
+                                                     [(1.0,), (2.0,)])
+
+
+def test_screen_keeps_a_cell_at_margin_epsilon():
+    # exact binary fractions: the original margin is 0.25 on both cells,
+    # or 2**-30 less
+    assert len(Screen(opposed_stumps(1.25), epsilon=0.25).cells) == 2
+    assert len(Screen(opposed_stumps(1.25 - 2**-30), epsilon=0.25).cells) == 0
 
 
 def test_exact_tie_lands_on_the_tie_channel():

@@ -499,3 +499,20 @@ def test_masters_resolve_from_the_last_root_round_after_round(monkeypatch):
         checked += 1
     assert checked >= 30
     assert warm >= 70
+
+
+def test_tie_and_zero_tolerances_include_their_boundary():
+    # one stump of weight t has original margin exactly t on both cells
+    for weight, tied in ((pruner.TIE_TOL, True), (2 * pruner.TIE_TOL, False)):
+        ens = build_ensemble(
+            num_classes=2, features=[{"name": "x0", "kind": "continuous"}],
+            weights=[weight], raw_trees=[make_stump(0, 0.5, (1, 0), (0, 1))])
+        ps = PruneSet(ens)
+        ps.add_points([[0.0], [1.0]])
+        assert build_margins(ens, ps).min_alpha_margin() == weight
+        if tied:
+            with pytest.raises(TiedPredictionError):
+                prune_l1(ens, ps)
+        else:
+            assert prune_l1(ens, ps).support == (0,)
+    assert support_of([pruner.ZERO_TOL, 2 * pruner.ZERO_TOL, 0.0]) == (1,)

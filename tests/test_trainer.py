@@ -179,7 +179,6 @@ def test_trained_stumps_satisfy_core_invariants():
     for kind in ens.schema.features:
         ts = kind.thresholds
         assert all(a < b for a, b in zip(ts, ts[1:]))
-    for tree in ens.trees:
-        for leaf_id in tree.leaf_ids:
-            scores = tree.nodes[leaf_id].scores
-            assert sorted(scores) == [0.0, 1.0]  # one-hot
+    flat = ens.flat
+    for scores in flat.scores[flat.left == np.arange(len(flat.left))]:
+        assert sorted(scores) == [0.0, 1.0]  # one-hot

@@ -9,7 +9,7 @@ from equiprune import (BinaryFeature, CategoricalFeature, ContinuousFeature,
                        PruneSet, brute_force_min_support, build_ensemble,
                        certify, enumerate_cells, maximize_separation,
                        separate)
-from conftest import make_stump, stump_ensembles
+from conftest import make_stump, opposed_stumps, stump_ensembles
 
 
 def test_continuous_cell_count():
@@ -67,6 +67,17 @@ def test_sub_epsilon_cells_reported_separately():
     report = certify(ens, (0.0, 2.0), epsilon=1e-6)
     assert not report.identical
     assert (0,) in report.sub_epsilon_cells
+
+
+def test_a_flip_at_margin_epsilon_is_a_disagreement():
+    # exact binary fractions: a flip at original margin exactly epsilon is
+    # inside the certificate's reach, one 2**-30 under it is not
+    at = certify(opposed_stumps(1.25), (0.0, 1.0), epsilon=0.25)
+    assert at.disagreement_cells == [(0,), (1,)]
+    assert at.sub_epsilon_cells == []
+    under = certify(opposed_stumps(1.25 - 2**-30), (0.0, 1.0), epsilon=0.25)
+    assert under.disagreement_cells == []
+    assert under.sub_epsilon_cells == [(0,), (1,)]
 
 
 def test_certify_agrees_with_oracle():
