@@ -10,11 +10,10 @@ none exists.
 from .driver import (IterationRecord, PairCounts, PruneOptions, PruneOutcome,
                      accuracy, certified_prune, fidelity)
 from .ensemble import (BinaryFeature, CategoricalFeature, CellSignature,
-                       ContinuousFeature, Ensemble, FeatureSchema, Leaf,
-                       Point, Split, Tree, build_ensemble, cell_center,
-                       cell_class, cell_of, cell_scores, predict_class,
-                       predict_classes_batch, predict_scores,
-                       predict_scores_batch, tree_scores)
+                       ContinuousFeature, Ensemble, FeatureSchema, Point,
+                       build_ensemble, cell_center, cell_class, cell_of,
+                       cell_scores, predict_class, predict_classes_batch,
+                       predict_scores, predict_scores_batch, tree_scores)
 from .errors import (DatasetFormatError, EnumerationCapError, EquipruneError,
                      InfeasiblePruneError, InputError, IterationLimitError,
                      ModelFormatError, ProblemTooLargeError, PruneCycleError,
@@ -41,12 +40,12 @@ __all__ = [
     "CertificationReport", "ContinuousFeature", "Dataset", "DEFAULT_EPSILON",
     "DatasetFormatError", "Ensemble", "EnumerationCapError", "EquipruneError",
     "FeatureSchema", "InfeasiblePruneError", "InputError", "IterationLimitError",
-    "IterationRecord", "Leaf", "LpSolution", "MarginTable", "MilpProblem",
+    "IterationRecord", "LpSolution", "MarginTable", "MilpProblem",
     "MilpSolution", "ModelFormatError", "PairCounts", "Point",
     "ProblemBuilder",
     "ProblemTooLargeError", "PruneCycleError", "PruneOptions", "PruneOutcome", "PruneResult",
     "PruneSet", "SeparationResult", "SolveStatus", "SolverFailureError",
-    "Split", "TiedPredictionError", "Tree", "accuracy",
+    "TiedPredictionError", "accuracy",
     "brute_force_min_support", "build_ensemble", "build_margins",
     "build_separation", "cell_center", "cell_class", "cell_of", "cell_scores",
     "certified_prune", "certify", "compute_big_w", "dump_lp",

@@ -13,12 +13,13 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .driver import PruneOptions, accuracy, certified_prune, fidelity
-from .ensemble import Ensemble, predict_class, predict_classes_batch
+from .ensemble import predict_class, predict_classes_batch
 from .errors import (EnumerationCapError, EquipruneError,
                      InfeasiblePruneError, InputError, TiedPredictionError)
 from .model_io import load_model, save_model
@@ -118,9 +119,7 @@ def cmd_prune(args) -> int:
     options = PruneOptions(norm=args.norm, epsilon=args.epsilon,
                            max_iterations=args.max_iters)
     outcome = certified_prune(ensemble, dataset.X, options)
-    pruned = Ensemble(schema=ensemble.schema, trees=ensemble.trees,
-                      alpha=tuple(float(w) for w in outcome.weights),
-                      num_classes=ensemble.num_classes)
+    pruned = replace(ensemble, alpha=tuple(float(w) for w in outcome.weights))
     save_model(pruned, args.out)
     report = {
         "format_version": REPORT_FORMAT_VERSION,
@@ -158,7 +157,7 @@ def cmd_prune(args) -> int:
 def cmd_verify(args) -> int:
     original = load_model(args.model)
     pruned = load_model(args.pruned)
-    if (pruned.trees != original.trees or pruned.schema != original.schema
+    if (pruned.flat != original.flat or pruned.schema != original.schema
             or pruned.num_classes != original.num_classes):
         raise InputError(
             "the pruned model must contain exactly the original trees "

@@ -12,14 +12,14 @@ same leaf, so the ensemble's prediction function is piecewise constant
 on cells.  ``cells_of`` (and ``cell_of`` for one point) validates points
 and maps them to cells; ``cell_center`` maps a cell back to a point.
 
-``Tree``/``Leaf``/``Split`` are the file and validation form only: model
-files are read into it and written from it, and ``Ensemble`` checks it.
-Each ``Ensemble`` derives, once, a flat array form of all its trees
-(``FlatTrees``): per node its split feature, integer cut, categorical
-flag, children, leaf scores, node id and tree, concatenated over trees.
-Routing, scoring and the separation oracle read that form.  ``leaves_of``
-is the one router: it advances every tree of every cell one level per
-step.  All predictions -- points, cells, batches, certification -- are
+An ensemble's trees have one form, ``FlatTrees``: per node its split
+feature, integer cut, categorical flag, children, leaf scores, node id
+and tree, concatenated over trees.  ``build_ensemble`` is the one reader
+of trees from outside the program: it checks every node of a model
+document once and fills those arrays directly.  Routing, scoring, the
+separation oracle and ``model_to_dict`` read them.  ``leaves_of`` is the
+one router: it advances every tree of every cell one level per step.
+All predictions -- points, cells, batches, certification -- are
 ``cells_of`` and/or ``leaves_of`` followed by a lookup in the leaf score
 rows.
 
@@ -33,8 +33,9 @@ iff k <= r; a binary split is the cut r = 0 on the bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from bisect import bisect_left
+from dataclasses import dataclass, fields
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -124,52 +125,6 @@ class FeatureSchema:
         return total
 
 
-@dataclass(frozen=True)
-class Leaf:
-    scores: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class Split:
-    feature: int
-    left: int
-    right: int
-    threshold_index: int | None = None
-    category: int | None = None
-
-
-@dataclass(frozen=True)
-class Tree:
-    """A binary decision tree; ``nodes`` maps node id to Leaf or Split.
-    Construction checks that every node is reachable from the root
-    exactly once and records the largest depth.  Instances are immutable.
-    """
-
-    root: int
-    nodes: dict[int, Leaf | Split]
-    max_depth: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        depth: dict[int, int] = {}
-        stack = [(self.root, 0)]
-        while stack:
-            node_id, d = stack.pop()
-            if node_id not in self.nodes:
-                raise ModelFormatError(f"dangling node id {node_id}")
-            if node_id in depth:
-                raise ModelFormatError(
-                    f"node {node_id} reachable more than once")
-            depth[node_id] = d
-            node = self.nodes[node_id]
-            if not isinstance(node, Leaf):
-                stack.append((node.right, d + 1))
-                stack.append((node.left, d + 1))
-        if len(depth) != len(self.nodes):
-            unreachable = sorted(set(self.nodes) - set(depth))
-            raise ModelFormatError(f"unreachable nodes {unreachable}")
-        object.__setattr__(self, "max_depth", max(depth.values()))
-
-
 @dataclass(frozen=True, eq=False)
 class FlatTrees:
     """All trees of an ensemble as flat node arrays, tree after tree, each
@@ -187,33 +142,10 @@ class FlatTrees:
     roots: np.ndarray        # (M,) flat index of each root
     depth: int               # largest tree depth
 
-    @classmethod
-    def of(cls, trees: Sequence[Tree], num_classes: int) -> "FlatTrees":
-        keys = [(m, v) for m, tree in enumerate(trees)
-                for v in sorted(tree.nodes)]
-        index = {key: i for i, key in enumerate(keys)}
-        n = len(keys)
-        feature, cut = np.zeros(n, np.int64), np.zeros(n, np.int64)
-        categorical = np.zeros(n, bool)
-        left, right = np.arange(n), np.arange(n)
-        scores = np.zeros((n, num_classes))
-        for i, (m, v) in enumerate(keys):
-            node = trees[m].nodes[v]
-            if isinstance(node, Leaf):
-                scores[i] = node.scores
-                continue
-            feature[i] = node.feature
-            categorical[i] = node.category is not None
-            cut[i] = (node.category if categorical[i]
-                      else node.threshold_index or 0)
-            left[i], right[i] = index[m, node.left], index[m, node.right]
-        return cls(feature=feature, cut=cut, categorical=categorical,
-                   left=left, right=right, scores=scores,
-                   node_id=np.array([v for _, v in keys], dtype=np.int64),
-                   tree=np.array([m for m, _ in keys], dtype=np.int64),
-                   roots=np.array([index[m, t.root]
-                                   for m, t in enumerate(trees)]),
-                   depth=max(t.max_depth for t in trees))
+    def __eq__(self, other):
+        return isinstance(other, FlatTrees) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -222,75 +154,29 @@ class Ensemble:
 
     ``alpha`` holds the original non-negative tree weights.  Pruned
     weight vectors are passed separately to the prediction functions so
-    one ensemble can be evaluated under many reweightings.  ``flat`` is
-    the derived array form every router call reads.
+    one ensemble can be evaluated under many reweightings; reweight the
+    ensemble itself with ``dataclasses.replace(ensemble, alpha=...)``.
     """
 
     schema: FeatureSchema
-    trees: tuple[Tree, ...]
+    flat: FlatTrees
     alpha: tuple[float, ...]
     num_classes: int
-    flat: FlatTrees = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.num_classes < 2:
             raise ModelFormatError("num_classes must be >= 2")
-        if not self.trees:
-            raise ModelFormatError("ensemble needs at least one tree")
-        if len(self.alpha) != len(self.trees):
-            raise ModelFormatError("weights length does not match tree count")
+        if len(self.alpha) != self.num_trees:
+            raise ModelFormatError(
+                f"{len(self.alpha)} weights for {self.num_trees} trees")
         if any(a < 0 or not np.isfinite(a) for a in self.alpha):
             raise ModelFormatError("tree weights must be finite and >= 0")
         if not any(a > 0 for a in self.alpha):
             raise ModelFormatError("at least one tree weight must be positive")
-        used = [set() for _ in self.schema.features]
-        for ti, tree in enumerate(self.trees):
-            self._validate_tree(ti, tree, used)
-        for j, kind in enumerate(self.schema.features):
-            if isinstance(kind, ContinuousFeature):
-                if used[j] != set(range(len(kind.thresholds))):
-                    raise ModelFormatError(
-                        f"schema thresholds of feature {j} must equal the "
-                        "union of split thresholds used by the trees")
-        object.__setattr__(self, "flat",
-                           FlatTrees.of(self.trees, self.num_classes))
-
-    def _validate_tree(self, ti: int, tree: Tree, used: list[set]) -> None:
-        for node_id, node in tree.nodes.items():
-            if isinstance(node, Leaf):
-                if len(node.scores) != self.num_classes:
-                    raise ModelFormatError(
-                        f"tree {ti} leaf {node_id}: score vector length "
-                        f"{len(node.scores)} != num_classes {self.num_classes}")
-                for s in node.scores:
-                    if not (np.isfinite(s) and 0.0 <= s <= 1.0):
-                        raise ModelFormatError(
-                            f"tree {ti} leaf {node_id}: score {s} outside [0, 1]")
-                continue
-            if not 0 <= node.feature < self.schema.num_features:
-                raise ModelFormatError(
-                    f"tree {ti} node {node_id}: unknown feature {node.feature}")
-            kind = self.schema.features[node.feature]
-            if isinstance(kind, ContinuousFeature):
-                r = node.threshold_index
-                if r is None or not 0 <= r < len(kind.thresholds):
-                    raise ModelFormatError(
-                        f"tree {ti} node {node_id}: bad threshold index {r}")
-                used[node.feature].add(r)
-            elif isinstance(kind, CategoricalFeature):
-                z = node.category
-                if z is None or not 0 <= z < kind.num_levels:
-                    raise ModelFormatError(
-                        f"tree {ti} node {node_id}: bad category {z}")
-            else:
-                if node.threshold_index is not None or node.category is not None:
-                    raise ModelFormatError(
-                        f"tree {ti} node {node_id}: binary split must not "
-                        "carry a threshold or category")
 
     @property
     def num_trees(self) -> int:
-        return len(self.trees)
+        return len(self.flat.roots)
 
 
 # ---------------------------------------------------------------------------
@@ -478,113 +364,181 @@ def feature_dicts(schema: FeatureSchema) -> list[dict]:
     return out
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is an integer within int64; anything else, a bool
+    included, is a ModelFormatError."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not -2**63 <= value < 2**63):
+        raise ModelFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float; a bool, a non-number or an integer beyond
+    the float range is a ModelFormatError."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ModelFormatError(f"{what} must be a number, got {value!r}")
+
+
+def _array(value, what: str) -> list | tuple:
+    return _of_type(value, (list, tuple), f"{what} must be an array")
+
+
+def _object(value, what: str) -> dict:
+    return _of_type(value, dict, f"{what} must be an object")
+
+
+def _of_type(value, types, message: str):
+    if not isinstance(value, types):
+        raise ModelFormatError(f"{message}, got {type(value).__name__}")
+    return value
+
+
 def build_ensemble(num_classes: int,
-                   features: Iterable[dict],
+                   features: Sequence[dict],
                    weights: Sequence[float],
-                   raw_trees: Iterable[dict],
+                   raw_trees: Sequence[dict],
                    ) -> Ensemble:
-    """Build an Ensemble from trees whose continuous splits carry raw
-    threshold values.
+    """Check the parts of a model document and build its Ensemble; any
+    violation raises ModelFormatError.
 
-    ``features`` is a list of {"name", "kind", "levels"?} entries;
+    ``features`` is a list of {"name"?, "kind", "levels"?} entries;
     ``raw_trees`` a list of {"root", "nodes": [...]} entries where each
-    node is {"id", "kind": "split", "feature", "threshold"? , "category"?,
-    "left", "right"} or {"id", "kind": "leaf", "scores"}.  The schema's
-    per-feature threshold lists are the sorted union of the raw split
-    thresholds, and split nodes are rewritten to reference them by index.
+    node is {"id", "kind": "split", "feature", "threshold"?, "category"?,
+    "left", "right"} or {"id", "kind": "leaf", "scores"}.  Node ids,
+    ``num_classes``, ``levels`` and ``category`` are integers (a bool is
+    not), and every node of a tree is reachable from its root exactly
+    once.  A continuous feature's thresholds are the sorted union of the
+    raw thresholds its splits carry; a split's cut is its index there.
     """
-    feats = list(features)
-    kinds: list[str] = []
-    names: list[str] = []
-    levels: list[int | None] = []
-    for j, entry in enumerate(feats):
-        kind = entry.get("kind")
-        if kind not in ("continuous", "binary", "categorical"):
-            raise ModelFormatError(f"feature {j}: unknown kind {kind!r}")
-        if kind == "categorical" and "levels" not in entry:
-            raise ModelFormatError(f"feature {j}: categorical needs 'levels'")
-        kinds.append(kind)
-        names.append(str(entry.get("name", f"f{j}")))
-        levels.append(int(entry["levels"]) if kind == "categorical" else None)
-
-    raw_trees = list(raw_trees)
-    thresholds: list[set[float]] = [set() for _ in feats]
-    for ti, raw in enumerate(raw_trees):
-        for node in raw.get("nodes", []):
-            if node.get("kind") != "split":
-                continue
-            j = node.get("feature")
-            if not isinstance(j, int) or not 0 <= j < len(feats):
-                raise ModelFormatError(
-                    f"tree {ti} node {node.get('id')}: unknown feature {j}")
-            if kinds[j] == "continuous":
-                if "threshold" not in node:
-                    raise ModelFormatError(
-                        f"tree {ti} node {node.get('id')}: continuous split "
-                        "needs a threshold")
-                t = float(node["threshold"])
-                if not np.isfinite(t):
-                    raise ModelFormatError(
-                        f"tree {ti} node {node.get('id')}: non-finite threshold")
-                thresholds[j].add(t)
-
-    schema_features: list[FeatureKind] = []
-    index_of: list[dict[float, int]] = []
-    for j, kind in enumerate(kinds):
-        if kind == "continuous":
-            ts = tuple(sorted(thresholds[j]))
-            schema_features.append(ContinuousFeature(ts))
-            index_of.append({t: r for r, t in enumerate(ts)})
-        elif kind == "binary":
-            schema_features.append(BinaryFeature())
-            index_of.append({})
+    num_classes = _integer(num_classes, "num_classes")
+    kinds, names = [], []   # kinds[j] None: continuous, thresholds to come
+    for j, entry in enumerate(_array(features, "features")):
+        kind = _object(entry, f"feature {j}").get("kind")
+        names.append(_of_type(entry.get("name", f"f{j}"), str,
+                              f"feature {j}: name must be a string"))
+        if kind == "categorical":
+            kinds.append(CategoricalFeature(
+                _integer(entry.get("levels"), f"feature {j}: levels")))
+        elif kind in ("continuous", "binary"):
+            kinds.append(None if kind == "continuous" else BinaryFeature())
         else:
-            schema_features.append(CategoricalFeature(levels[j]))
-            index_of.append({})
-    schema = FeatureSchema(tuple(schema_features), tuple(names))
+            raise ModelFormatError(f"feature {j}: unknown kind {kind!r}")
 
-    trees: list[Tree] = []
-    for ti, raw in enumerate(raw_trees):
-        nodes: dict[int, Leaf | Split] = {}
-        for node in raw.get("nodes", []):
-            node_id = node.get("id")
-            if not isinstance(node_id, int):
-                raise ModelFormatError(f"tree {ti}: node without integer id")
+    raw_trees = _array(raw_trees, "trees")
+    if not raw_trees:
+        raise ModelFormatError("ensemble needs at least one tree")
+    thresholds: list[set[float]] = [set() for _ in kinds]
+    rows, roots, depth = [], [], 0
+    for m, raw in enumerate(raw_trees):
+        nodes: dict[int, tuple] = {}
+        for node in _array(_object(raw, f"tree {m}").get("nodes"),
+                           f"tree {m}: nodes"):
+            node_id, row = _read_node(m, node, kinds, num_classes, thresholds)
             if node_id in nodes:
-                raise ModelFormatError(f"tree {ti}: duplicate node id {node_id}")
-            if node.get("kind") == "leaf":
-                nodes[node_id] = Leaf(tuple(float(s) for s in node["scores"]))
-            elif node.get("kind") == "split":
-                j = node["feature"]
-                thr_idx = None
-                cat = None
-                if kinds[j] == "continuous":
-                    thr_idx = index_of[j][float(node["threshold"])]
-                    if "category" in node:
-                        raise ModelFormatError(
-                            f"tree {ti} node {node_id}: continuous split must "
-                            "not carry a category")
-                elif kinds[j] == "categorical":
-                    if "category" not in node:
-                        raise ModelFormatError(
-                            f"tree {ti} node {node_id}: categorical split "
-                            "needs a category")
-                    cat = int(node["category"])
-                else:
-                    if "threshold" in node or "category" in node:
-                        raise ModelFormatError(
-                            f"tree {ti} node {node_id}: binary split must not "
-                            "carry a threshold or category")
-                nodes[node_id] = Split(feature=j, left=node["left"],
-                                       right=node["right"],
-                                       threshold_index=thr_idx, category=cat)
-            else:
-                raise ModelFormatError(
-                    f"tree {ti} node {node_id}: kind must be 'split' or 'leaf'")
+                raise ModelFormatError(f"tree {m}: duplicate node id {node_id}")
+            nodes[node_id] = row
         if "root" not in raw:
-            raise ModelFormatError(f"tree {ti}: missing root")
-        trees.append(Tree(root=raw["root"], nodes=nodes))
+            raise ModelFormatError(f"tree {m}: missing root")
+        root = _integer(raw["root"], f"tree {m}: root")
+        depth = max(depth, _tree_depth(m, root, nodes))
+        index = {v: len(rows) + k for k, v in enumerate(sorted(nodes))}
+        roots.append(index[root])
+        zeros = [0.0] * num_classes   # as long as this tree's leaf rows
+        for v, i in index.items():
+            j, cut, cat, left, right, scores = nodes[v]
+            rows.append((j, cut, cat, index.get(left, i), index.get(right, i),
+                         zeros if scores is None else scores, v, m))
 
-    return Ensemble(schema=schema, trees=tuple(trees),
-                    alpha=tuple(float(a) for a in weights),
+    schema = FeatureSchema(
+        tuple(ContinuousFeature(tuple(sorted(ts))) if kind is None else kind
+              for kind, ts in zip(kinds, thresholds)), tuple(names))
+    columns = [list(column) for column in zip(*rows)]   # FlatTrees' order
+    feature, cut, _, left = columns[:4]
+    for i, j in enumerate(feature):
+        if kinds[j] is None and left[i] != i:   # raw threshold -> its index
+            cut[i] = bisect_left(schema.features[j].thresholds, cut[i])
+    flat = FlatTrees(*map(np.array, columns), roots=np.array(roots),
+                     depth=depth)
+    alpha = tuple(_number(a, "tree weight") for a in _array(weights, "weights"))
+    return Ensemble(schema=schema, flat=flat, alpha=alpha,
                     num_classes=num_classes)
+
+
+def _read_node(m: int, node, kinds: list, num_classes: int,
+               thresholds: list[set[float]]) -> tuple[int, tuple]:
+    """Id and row (feature, cut, categorical, left id, right id, scores)
+    of a node of tree ``m``.  A leaf's child ids and a split's scores are
+    None; a continuous split's cut is its raw threshold, which joins its
+    feature's set."""
+    node_id = _integer(_object(node, f"tree {m}: node").get("id"),
+                       f"tree {m}: node id")
+    where = f"tree {m} node {node_id}"
+    if node.get("kind") == "leaf":
+        scores = [_number(s, f"{where}: score")
+                  for s in _array(node.get("scores"), f"{where}: scores")]
+        if len(scores) != num_classes:
+            raise ModelFormatError(
+                f"tree {m} leaf {node_id}: score vector length "
+                f"{len(scores)} != num_classes {num_classes}")
+        for s in scores:
+            if not 0.0 <= s <= 1.0:
+                raise ModelFormatError(
+                    f"tree {m} leaf {node_id}: score {s} outside [0, 1]")
+        return node_id, (0, 0, False, None, None, scores)
+    if node.get("kind") != "split":
+        raise ModelFormatError(f"{where}: kind must be 'split' or 'leaf'")
+    j = node.get("feature")
+    if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < len(kinds):
+        raise ModelFormatError(f"{where}: unknown feature {j!r}")
+    kind, cut = kinds[j], 0
+    if kind is None:
+        if "threshold" not in node:
+            raise ModelFormatError(
+                f"{where}: continuous split needs a threshold")
+        if "category" in node:
+            raise ModelFormatError(
+                f"{where}: continuous split must not carry a category")
+        cut = _number(node["threshold"], f"{where}: threshold")
+        if not np.isfinite(cut):
+            raise ModelFormatError(f"{where}: non-finite threshold")
+        thresholds[j].add(cut)
+    elif isinstance(kind, CategoricalFeature):
+        if "category" not in node:
+            raise ModelFormatError(f"{where}: categorical split needs a category")
+        cut = _integer(node["category"], f"{where}: category")
+        if not 0 <= cut < kind.num_levels:
+            raise ModelFormatError(f"{where}: bad category {cut}")
+    elif "threshold" in node or "category" in node:
+        raise ModelFormatError(f"{where}: binary split must not carry a "
+                               "threshold or category")
+    left, right = (_integer(node.get(side), f"{where}: {side}")
+                   for side in ("left", "right"))
+    return node_id, (j, cut, isinstance(kind, CategoricalFeature), left, right,
+                     None)
+
+
+def _tree_depth(m: int, root: int, nodes: dict[int, tuple]) -> int:
+    """Largest depth of tree ``m``; checks that every node is reachable
+    from ``root`` exactly once."""
+    depth, seen, stack = 0, set(), [(root, 0)]
+    while stack:
+        v, d = stack.pop()
+        if v not in nodes:
+            raise ModelFormatError(f"tree {m}: dangling node id {v}")
+        if v in seen:
+            raise ModelFormatError(
+                f"tree {m}: node {v} reachable more than once")
+        seen.add(v)
+        depth = max(depth, d)
+        left, right = nodes[v][3:5]
+        if left is not None:
+            stack += [(right, d + 1), (left, d + 1)]
+    if len(seen) != len(nodes):
+        raise ModelFormatError(
+            f"tree {m}: unreachable nodes {sorted(set(nodes) - seen)}")
+    return depth

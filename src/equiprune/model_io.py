@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .ensemble import (CategoricalFeature, ContinuousFeature, Ensemble, Leaf,
+from .ensemble import (CategoricalFeature, ContinuousFeature, Ensemble,
                        build_ensemble, feature_dicts)
 from .errors import ModelFormatError
 
@@ -24,25 +24,25 @@ _TOP_LEVEL_KEYS = ("format_version", "num_classes", "features", "weights",
 
 
 def model_to_dict(ensemble: Ensemble) -> dict:
-    """Plain-dict form of the ensemble (the JSON document layout)."""
-    trees = []
-    for tree in ensemble.trees:
-        nodes = []
-        for node_id in sorted(tree.nodes):
-            node = tree.nodes[node_id]
-            if isinstance(node, Leaf):
-                nodes.append({"id": node_id, "kind": "leaf",
-                              "scores": list(node.scores)})
-                continue
-            entry = {"id": node_id, "kind": "split", "feature": node.feature,
-                     "left": node.left, "right": node.right}
-            kind = ensemble.schema.features[node.feature]
-            if isinstance(kind, ContinuousFeature):
-                entry["threshold"] = kind.thresholds[node.threshold_index]
-            elif isinstance(kind, CategoricalFeature):
-                entry["category"] = node.category
-            nodes.append(entry)
-        trees.append({"root": tree.root, "nodes": nodes})
+    """Plain-dict form of the ensemble (the JSON document layout), each
+    tree's nodes in ascending id order."""
+    flat, features = ensemble.flat, ensemble.schema.features
+    ids = flat.node_id.tolist()
+    trees = [{"root": ids[i], "nodes": []} for i in flat.roots.tolist()]
+    for i, (m, j, cut, left, right) in enumerate(zip(
+            flat.tree.tolist(), flat.feature.tolist(), flat.cut.tolist(),
+            flat.left.tolist(), flat.right.tolist())):
+        if left == i:
+            entry = {"id": ids[i], "kind": "leaf",
+                     "scores": flat.scores[i].tolist()}
+        else:
+            entry = {"id": ids[i], "kind": "split", "feature": j,
+                     "left": ids[left], "right": ids[right]}
+            if isinstance(features[j], ContinuousFeature):
+                entry["threshold"] = features[j].thresholds[cut]
+            elif isinstance(features[j], CategoricalFeature):
+                entry["category"] = cut
+        trees[m]["nodes"].append(entry)
 
     return {"format_version": FORMAT_VERSION,
             "num_classes": ensemble.num_classes,
@@ -52,6 +52,7 @@ def model_to_dict(ensemble: Ensemble) -> dict:
 
 
 def model_from_dict(doc: dict) -> Ensemble:
+    """The Ensemble a model document describes (see ``build_ensemble``)."""
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
     missing = [k for k in _TOP_LEVEL_KEYS if k not in doc]
@@ -61,18 +62,9 @@ def model_from_dict(doc: dict) -> Ensemble:
         raise ModelFormatError(
             f"unsupported format_version {doc['format_version']!r}, "
             f"expected {FORMAT_VERSION}")
-    if not isinstance(doc["features"], list) or not isinstance(doc["trees"], list):
-        raise ModelFormatError("'features' and 'trees' must be arrays")
-    if len(doc["weights"]) != len(doc["trees"]):
-        raise ModelFormatError(
-            f"{len(doc['weights'])} weights for {len(doc['trees'])} trees")
-    try:
-        return build_ensemble(num_classes=int(doc["num_classes"]),
-                              features=doc["features"],
-                              weights=doc["weights"],
-                              raw_trees=doc["trees"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed model document: {exc}") from exc
+    return build_ensemble(num_classes=doc["num_classes"],
+                          features=doc["features"], weights=doc["weights"],
+                          raw_trees=doc["trees"])
 
 
 def load_model(path: Union[str, Path]) -> Ensemble:

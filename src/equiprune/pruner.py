@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ensemble import (CellSignature, Ensemble, Point, cell_center,
-                       cell_scores_batch, cells_of, leaves_of)
+from .ensemble import (CellSignature, Ensemble, cell_scores_batch, cells_of,
+                       check_cell, leaves_of)
 from .errors import (InfeasiblePruneError, IterationLimitError,
                      SolverFailureError, TiedPredictionError)
 from .solver import (Basis, LpSolution, MilpSolution, MilpProblem,
@@ -35,19 +35,16 @@ TIE_TOL = 1e-12  # original margins at or below this are ties
 
 
 class PruneSet:
-    """Working set of points to preserve, deduplicated by cell.
-
-    Each point is stored with the class the original weights predict
-    for it.  Two points in the same cell would generate identical
-    constraint rows, so only the first is kept.  Insertion order is
-    preserved.  ``conflicts`` keeps the ones ``prune_l0`` found, in order,
-    and ``master_basis`` the root basis of its last master, whose rows
-    are the first conflicts.
+    """Working set of cells to preserve, each stored once with the class
+    the original weights predict on it.  Points are added by their
+    cells, since two points in one cell would generate identical
+    constraint rows.  Insertion order is preserved.  ``conflicts`` keeps
+    the ones ``prune_l0`` found, in order, and ``master_basis`` the root
+    basis of its last master, whose rows are the first conflicts.
     """
 
     def __init__(self, ensemble: Ensemble):
         self.ensemble = ensemble
-        self.points: list[Point] = []
         self.cells: list[CellSignature] = []
         self.labels: list[int] = []
         self._seen: set[CellSignature] = set()
@@ -55,25 +52,23 @@ class PruneSet:
         self.master_basis: Basis | None = None
 
     def add_point(self, x: Sequence[float]) -> bool:
-        """Add a point; returns False if its cell was already present."""
+        """Add a point's cell; returns False if it was already present."""
         return self.add_points([x]) == 1
 
     def add_points(self, X) -> int:
-        """Add the rows of ``X`` in order, each unless its cell is
+        """Add the cells of the rows of ``X`` in order, each unless it is
         already present; returns how many were added.  All rows are
         validated before any is added."""
-        cells = cells_of(self.ensemble.schema, X)
-        return self._extend(np.asarray(X, dtype=float), cells)
+        return self._extend(cells_of(self.ensemble.schema, X))
 
     def add_cell(self, cell: CellSignature) -> bool:
-        """Add a cell via its center representative."""
-        center = cell_center(self.ensemble.schema, cell)   # validates
-        return self._extend(np.array([center]),
-                            np.array([cell], dtype=np.int64)) == 1
+        """Add a cell; returns False if it was already present."""
+        check_cell(self.ensemble.schema, cell)
+        return self._extend(np.array([cell], dtype=np.int64)) == 1
 
-    def _extend(self, points: np.ndarray, cells: np.ndarray) -> int:
-        """Add the rows whose cells are new, in order, each labelled with
-        the class the original weights predict; all in one routing."""
+    def _extend(self, cells: np.ndarray) -> int:
+        """Add the rows of ``cells`` that are new, in order, each labelled
+        with the class the original weights predict; all in one routing."""
         new = []
         for i, cell in enumerate(map(tuple, cells.tolist())):
             if cell not in self._seen:
@@ -82,7 +77,6 @@ class PruneSet:
                 new.append(i)
         if new:
             ens = self.ensemble
-            self.points.extend(map(tuple, points[new].tolist()))
             scores = cell_scores_batch(ens, ens.alpha, cells[new])
             self.labels.extend(np.argmax(scores, axis=1).tolist())
         return len(new)

@@ -2,8 +2,10 @@
 
 import json
 import logging
+import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from equiprune import (load_model, load_schema, make_synthetic, predict_class,
                        save_dataset, save_model, save_schema)
 from equiprune.cli import main
 from conftest import DATA_DIR, make_stump
+from test_model_io import MALFORMED, malformed
 
 
 XOR_SCHEMA = str(DATA_DIR / "xor_schema.json")
@@ -180,11 +183,8 @@ def test_prune_then_verify_exits_zero(tmp_path, capsys):
 
 
 def broken_pruning(tmp_path):
-    ens = load_model(FIXTURE)
-    from equiprune import Ensemble
-    broken = Ensemble(schema=ens.schema, trees=ens.trees,
-                      alpha=(1.0, 0.0, 1.0),  # drop the necessary middle tree
-                      num_classes=ens.num_classes)
+    # drop the necessary middle tree
+    broken = replace(load_model(FIXTURE), alpha=(1.0, 0.0, 1.0))
     path = tmp_path / "broken.json"
     save_model(broken, path)
     return str(path)
@@ -288,6 +288,16 @@ def test_missing_model_file_is_input_error(tmp_path, capsys):
                "--data", FIXTURE_CSV,
                "--out", str(tmp_path / "pred.csv")) == 4
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, path, value, message", MALFORMED)
+def test_malformed_model_file_is_input_error(tmp_path, capsys, model, path,
+                                             value, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(malformed(model, path, value)))
+    assert run("predict", "--model", str(bad), "--data", FIXTURE_CSV,
+               "--out", str(tmp_path / "pred.csv")) == 4
+    assert re.search(message, capsys.readouterr().err)
 
 
 def test_bad_arguments_exit_four():

@@ -1,14 +1,15 @@
 """The iterative prune/separate loop and its run metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from equiprune import (Ensemble, InputError, PruneOptions, PruneSet,
-                       TiedPredictionError, accuracy, brute_force_min_support,
-                       build_ensemble, certified_prune, certify,
-                       enumerate_cells, fidelity, make_synthetic,
-                       predict_class, sample_uniform_points, train_adaboost,
-                       train_random_forest)
+from equiprune import (InputError, PruneOptions, PruneSet, TiedPredictionError,
+                       accuracy, brute_force_min_support, build_ensemble,
+                       certified_prune, certify, enumerate_cells, fidelity,
+                       make_synthetic, predict_class, sample_uniform_points,
+                       train_adaboost, train_random_forest)
 from conftest import make_stump, random_stump_ensemble, stump_ensembles
 
 
@@ -17,9 +18,7 @@ def seed_points(ensemble, n=12, seed=0):
 
 
 def reweighted(ensemble, weights):
-    return Ensemble(schema=ensemble.schema, trees=ensemble.trees,
-                    alpha=tuple(float(w) for w in weights),
-                    num_classes=ensemble.num_classes)
+    return replace(ensemble, alpha=tuple(float(w) for w in weights))
 
 
 def test_fixture_prunes_to_middle_stump(three_stumps):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from equiprune import (BinaryFeature, CategoricalFeature, ContinuousFeature,
-                       FeatureSchema, InputError, Leaf, ModelFormatError,
-                       Split, Tree, accuracy, build_ensemble, cell_center,
-                       cell_of, enumerate_cells, fidelity, model_to_dict,
-                       predict_class, predict_scores, predict_scores_batch,
-                       sample_uniform_points, tree_scores)
+                       FeatureSchema, InputError, ModelFormatError, accuracy,
+                       build_ensemble, cell_center, cell_of, enumerate_cells,
+                       fidelity, model_to_dict, predict_class, predict_scores,
+                       predict_scores_batch, sample_uniform_points,
+                       tree_scores)
 from equiprune.ensemble import cells_of, leaves_of
 from conftest import make_stump, one_hot, stump_ensembles
 
@@ -156,24 +156,17 @@ def test_leaf_score_out_of_range_rejected():
 
 
 def test_dangling_node_rejected():
-    with pytest.raises(ModelFormatError, match="dangling"):
-        Tree(root=0, nodes={0: Split(feature=0, left=1, right=2,
-                                     threshold_index=0),
-                            1: Leaf((1.0, 0.0))})
+    stump = make_stump(0, 0.5, (1, 0), (0, 1))
+    del stump["nodes"][2]
+    with pytest.raises(ModelFormatError, match="dangling node id 2"):
+        two_class([{"name": "x1", "kind": "continuous"}], [1.0], [stump])
 
 
 def test_unreachable_node_rejected():
-    with pytest.raises(ModelFormatError, match="unreachable"):
-        Tree(root=0, nodes={0: Leaf((1.0, 0.0)), 7: Leaf((0.0, 1.0))})
-
-
-def test_schema_thresholds_must_match_split_union():
-    # the schema would carry threshold 0.5 only if some tree split on it
-    tree = Tree(root=0, nodes={0: Leaf((1.0, 0.0))})
-    schema = FeatureSchema((ContinuousFeature((0.5,)),))
-    from equiprune import Ensemble
-    with pytest.raises(ModelFormatError, match="union"):
-        Ensemble(schema=schema, trees=(tree,), alpha=(1.0,), num_classes=2)
+    tree = {"root": 0, "nodes": [{"id": 0, "kind": "leaf", "scores": [1, 0]},
+                                 {"id": 7, "kind": "leaf", "scores": [0, 1]}]}
+    with pytest.raises(ModelFormatError, match=r"unreachable nodes \[7\]"):
+        two_class([{"name": "x1", "kind": "continuous"}], [1.0], [tree])
 
 
 def test_all_zero_alpha_rejected():

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from equiprune import (Ensemble, InfeasiblePruneError, InputError,
+from equiprune import (InfeasiblePruneError, InputError,
                        IterationLimitError, ProblemBuilder, PruneSet,
                        SolveStatus,
                        TiedPredictionError, cell_of, sample_uniform_points,
                        brute_force_min_support, build_ensemble, build_margins,
-                       cell_class, compute_big_w, enumerate_cells,
-                       predict_class, prune_l0, prune_l1,
-                       solve_milp, solver, support_of)
+                       cell_center, cell_class, compute_big_w, enumerate_cells,
+                       model_from_dict, model_to_dict, predict_class,
+                       prune_l0, prune_l1, solve_milp, solver, support_of)
 from equiprune import pruner
 from equiprune.pruner import min_weight_sum
 from conftest import (make_stump, one_hot, random_boosted_instance,
@@ -29,11 +29,11 @@ def zeroed_and_duplicated(ensemble, rng):
     """``ensemble`` with one tree appended again and one weight set to
     zero."""
     M = ensemble.num_trees
-    alpha = list(ensemble.alpha) + [float(rng.uniform(0.1, 2.0))]
-    alpha[int(rng.integers(M + 1))] = 0.0
-    extra = ensemble.trees[int(rng.integers(M))]
-    return Ensemble(schema=ensemble.schema, trees=ensemble.trees + (extra,),
-                    alpha=tuple(alpha), num_classes=ensemble.num_classes)
+    doc = model_to_dict(ensemble)
+    doc["weights"].append(float(rng.uniform(0.1, 2.0)))
+    doc["weights"][int(rng.integers(M + 1))] = 0.0
+    doc["trees"].append(doc["trees"][int(rng.integers(M))])
+    return model_from_dict(doc)
 
 
 def l0_cases():
@@ -350,22 +350,22 @@ def test_prune_set_dedups_by_cell():
 def test_prune_set_labels_match_alpha_vote():
     for seed, ens in stump_ensembles(900, 5):
         ps = all_cells_set(ens)
-        for point, label in zip(ps.points, ps.labels):
+        for cell, label in zip(ps.cells, ps.labels):
+            point = cell_center(ens.schema, cell)
             assert predict_class(ens, ens.alpha, point) == label
 
 
 def row_by_row(ensemble, X):
     """The working set seeded one point at a time: cell, dedupe, label."""
-    seen, points, cells, labels = set(), [], [], []
+    seen, cells, labels = set(), [], []
     for x in X:
         cell = cell_of(ensemble.schema, x)
         if cell in seen:
             continue
         seen.add(cell)
-        points.append(tuple(float(v) for v in x))
         cells.append(cell)
         labels.append(cell_class(ensemble, ensemble.alpha, cell))
-    return points, cells, labels
+    return cells, labels
 
 
 def test_batch_seeding_matches_row_by_row():
@@ -383,10 +383,10 @@ def test_batch_seeding_matches_row_by_row():
         half = len(X) // 2
         added = batch.add_points(X[:half]) + batch.add_points(X[half:])
         assert added == len(expected[0])
-        assert (batch.points, batch.cells, batch.labels) == expected
+        assert (batch.cells, batch.labels) == expected
         single = PruneSet(ens)
         assert sum(single.add_point(x) for x in X) == added
-        assert (single.points, single.cells, single.labels) == expected
+        assert (single.cells, single.labels) == expected
 
 
 def test_batch_seeding_rejects_invalid_rows_before_adding_any():
