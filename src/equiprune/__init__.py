@@ -3,12 +3,12 @@
 Given an additive hard-voting ensemble, find a small reweighted subset
 of its trees whose predicted class provably matches the original on the
 entire feature space: alternately prune on a finite working set and ask
-a MIP separation oracle for a counterexample anywhere in space, until
-none exists.
+a MIP separation oracle for a counterexample cell anywhere in space,
+until none exists.
 """
 
-from .driver import (IterationRecord, PairCounts, PruneOptions, PruneOutcome,
-                     accuracy, certified_prune, fidelity)
+from .driver import (IterationRecord, PruneOptions, PruneOutcome, accuracy,
+                     certified_prune, fidelity)
 from .ensemble import (BinaryFeature, CategoricalFeature, CellSignature,
                        ContinuousFeature, Ensemble, FeatureSchema, Point,
                        build_ensemble, cell_center, cell_class, cell_of,
@@ -19,8 +19,8 @@ from .errors import (DatasetFormatError, EnumerationCapError, EquipruneError,
                      ModelFormatError, ProblemTooLargeError, PruneCycleError,
                      SolverFailureError, TiedPredictionError)
 from .model_io import load_model, model_from_dict, model_to_dict, save_model
-from .oracle import (DEFAULT_EPSILON, SeparationResult, build_separation,
-                     extract_point, separate)
+from .oracle import (DEFAULT_EPSILON, PairOutcome, SeparationResult,
+                     build_separation, extract_cell, separate)
 from .pruner import (MarginTable, PruneResult, PruneSet, build_margins,
                      compute_big_w, prune_l0, prune_l1, support_of)
 from .solver import (LpSolution, MilpProblem, MilpSolution, ProblemBuilder,
@@ -41,7 +41,7 @@ __all__ = [
     "DatasetFormatError", "Ensemble", "EnumerationCapError", "EquipruneError",
     "FeatureSchema", "InfeasiblePruneError", "InputError", "IterationLimitError",
     "IterationRecord", "LpSolution", "MarginTable", "MilpProblem",
-    "MilpSolution", "ModelFormatError", "PairCounts", "Point",
+    "MilpSolution", "ModelFormatError", "PairOutcome", "Point",
     "ProblemBuilder",
     "ProblemTooLargeError", "PruneCycleError", "PruneOptions", "PruneOutcome", "PruneResult",
     "PruneSet", "SeparationResult", "SolveStatus", "SolverFailureError",
@@ -49,7 +49,7 @@ __all__ = [
     "brute_force_min_support", "build_ensemble", "build_margins",
     "build_separation", "cell_center", "cell_class", "cell_of", "cell_scores",
     "certified_prune", "certify", "compute_big_w", "dump_lp",
-    "enumerate_cells", "extract_point", "fidelity", "load_dataset",
+    "enumerate_cells", "extract_cell", "fidelity", "load_dataset",
     "load_model", "load_schema", "lp_format_text", "make_synthetic",
     "maximize_separation", "model_from_dict", "model_to_dict", "predict_class",
     "predict_classes_batch", "predict_scores", "predict_scores_batch",

@@ -4,7 +4,7 @@ Exit codes: 0 success; 2 no faithful reweighting exists (infeasible or
 tied predictions); 3 certification failure (the pruned model provably
 disagrees somewhere); 4 bad input (files, formats, oversized
 enumeration); 1 unexpected internal failures.  ``verify`` above its cell
-cap still runs the oracle: exit 3 if it finds a point, else 4.
+cap still runs the oracle: exit 3 if it finds a cell, else 4.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .driver import PruneOptions, accuracy, certified_prune, fidelity
-from .ensemble import predict_class, predict_classes_batch
+from .ensemble import cell_center, cell_class, predict_classes_batch
 from .errors import (EnumerationCapError, EquipruneError,
                      InfeasiblePruneError, InputError, TiedPredictionError)
 from .model_io import load_model, save_model
@@ -132,16 +130,21 @@ def cmd_prune(args) -> int:
         "accuracy_test": accuracy(ensemble, outcome.weights, dataset.X,
                                   dataset.y),
         "wall_time": outcome.wall_time,
-        "oracle_pairs": [{"iteration": record.index, **pair._asdict()}
+        "oracle_pairs": [{"iteration": record.index,
+                          "challenger": p.challenger, "original": p.original,
+                          "nodes": p.nodes, "pivots": p.iterations,
+                          "rows": p.rows, "cols": p.cols,
+                          "solved_rows": p.solved_rows,
+                          "solved_cols": p.solved_cols, "cuts": p.cuts}
                          for record in outcome.history
-                         for pair in record.pair_counts],
+                         for p in record.pairs],
         "screened_iterations": [record.index for record in outcome.history
                                 if record.screened],
         "prune_rounds": [{"iteration": record.index,
-                          "nodes": record.prune_nodes,
-                          "pivots": record.prune_pivots,
-                          "masters": record.masters,
-                          "warm_masters": record.warm_masters}
+                          "nodes": record.prune.nodes,
+                          "pivots": record.prune.iterations,
+                          "masters": record.prune.masters,
+                          "warm_masters": record.prune.warm_masters}
                          for record in outcome.history],
     }
     if args.report:
@@ -170,12 +173,13 @@ def cmd_verify(args) -> int:
         capped = str(exc)
     separation = separate(original, pruned.alpha, epsilon=args.epsilon)
     # a tie cell disagrees when the tie-break picks another class there
-    flips = [p for p in separation.tie_points
-             if predict_class(original, pruned.alpha, p)
-             != predict_class(original, original.alpha, p)]
+    flips = [cell for cell in separation.tie_cells
+             if cell_class(original, pruned.alpha, cell)
+             != cell_class(original, original.alpha, cell)]
     doc["format_version"] = REPORT_FORMAT_VERSION
     doc["checks"] = ["oracle"] if capped else ["enumeration", "oracle"]
-    doc["oracle_points"] = [list(p) for p in separation.points + flips]
+    doc["oracle_points"] = [list(cell_center(original.schema, cell))
+                            for cell in separation.cells + flips]
     print(json.dumps(doc, indent=2))
     if doc["oracle_points"] or doc.get("identical") is False:
         return EXIT_NOT_IDENTICAL

@@ -1,9 +1,9 @@
 """The certified pruning loop.
 
 Alternate two solvers until they agree: prune on the current working
-set of points, then ask the separation oracle for a point anywhere in
+set of cells, then ask the separation oracle for a cell anywhere in
 feature space where the reweighting breaks the original prediction.
-Each counterexample joins the working set and the loop repeats.  Every
+Each counterexample cell joins the working set and the loop repeats.  Every
 round first scores a fixed sample of cells (``oracle.Screen``); the
 oracle's MIPs run only in a round the sample cannot refute, so a run
 still ends only on a round whose MIPs found nothing.  Tie
@@ -21,15 +21,15 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .ensemble import CellSignature, Ensemble, predict_classes_batch
 from .errors import InputError, IterationLimitError, PruneCycleError
-from .oracle import (DEFAULT_EPSILON, VIOLATION_TOL, Screen, _check_epsilon,
-                     _check_violation_tol, separate)
-from .pruner import PruneSet, build_margins, prune_l0, prune_l1
+from .oracle import (DEFAULT_EPSILON, VIOLATION_TOL, PairOutcome, Screen,
+                     _check_epsilon, _check_violation_tol, separate)
+from .pruner import PruneResult, PruneSet, build_margins, prune_l0, prune_l1
 from .pruner import compute_big_w  # noqa: F401  patched by perfbench/spans.py
 
 log = logging.getLogger(__name__)
@@ -51,37 +51,17 @@ class PruneOptions:
             raise InputError("max_iterations must be at least 1")
 
 
-class PairCounts(NamedTuple):
-    """Solver work on one oracle pair in one round."""
-
-    challenger: int
-    original: int
-    nodes: int                       # branch-and-bound nodes
-    pivots: int                      # simplex pivots
-    rows: int                        # the pair's MIP
-    cols: int
-    solved_rows: int                 # what the solver solved after presolve
-    solved_cols: int
-    cuts: int                        # cells cut off and re-solved
-
-
 @dataclass
 class IterationRecord:
-    """One round.  A screened round's cells come from the screen and it
-    solves no MIP, so its pair lists are empty; every other round solves
-    all C(C-1) pair MIPs."""
+    """One round: the pruner's result and the oracle's pair outcomes as
+    they returned them.  A screened round's cells come from the screen
+    and it solves no MIP, so ``pairs`` is empty; every other round
+    solves all C(C-1) pair MIPs."""
 
     index: int                       # 1-based
     working_set_size: int            # |S| the pruner saw
-    prune_objective: float
-    prune_nodes: int                 # the pruner's B&B nodes (0 for l1)
-    prune_pivots: int                # the pruner's simplex pivots
-    masters: int                     # l0 master MILPs solved
-    warm_masters: int                # of them, re-solved from a held root
-    # (challenger, original, objective); a negative objective is the MIP's,
-    # not rechecked against epsilon (see ``PairOutcome``)
-    pair_objectives: list[tuple[int, int, float | None]]
-    pair_counts: list[PairCounts]
+    prune: PruneResult
+    pairs: list[PairOutcome]
     added_cells: list[CellSignature]
     prune_seconds: float
     oracle_seconds: float            # the screen and any MIPs
@@ -89,7 +69,7 @@ class IterationRecord:
     @property
     def screened(self) -> bool:
         """The screen refuted this round's weights; no MIP ran."""
-        return not self.pair_counts
+        return not self.pairs
 
 
 @dataclass
@@ -100,8 +80,6 @@ class PruneOutcome:
 
     weights: np.ndarray
     support: tuple[int, ...]
-    iterations: int                  # rounds, screened ones included
-    n_oracle: int                    # separation MIPs solved in total
     history: list[IterationRecord]
     wall_time: dict[str, float]      # seconds per phase: prune/oracle/total;
                                      # oracle includes the screen
@@ -109,6 +87,14 @@ class PruneOutcome:
     @property
     def num_kept(self) -> int:
         return len(self.support)
+
+    @property
+    def iterations(self) -> int:     # rounds, screened ones included
+        return len(self.history)
+
+    @property
+    def n_oracle(self) -> int:       # separation MIPs, re-solves included
+        return sum(1 + p.cuts for r in self.history for p in r.pairs)
 
 
 def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]],
@@ -131,10 +117,8 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
 
     t_start = time.perf_counter()
     screen = Screen(ensemble, opts.epsilon)
-    prune_total = 0.0
-    oracle_total = time.perf_counter() - t_start
+    screen_seconds = time.perf_counter() - t_start
     history: list[IterationRecord] = []
-    n_oracle = 0
     programs: dict = {}     # oracle program and root basis per class, this run
     prune = prune_l0 if opts.norm == "l0" else prune_l1
 
@@ -151,23 +135,11 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
                                   violation_tol=opts.violation_tol,
                                   programs=programs)
         t2 = time.perf_counter()
-        prune_total += t1 - t0
-        oracle_total += t2 - t1
-        n_oracle += separation.solves
 
-        new_cells = list(separation.cells) + list(separation.tie_cells)
+        new_cells = separation.cells + separation.tie_cells
         record = IterationRecord(
-            index=index, working_set_size=len(working),
-            prune_objective=result.objective, prune_nodes=result.nodes,
-            prune_pivots=result.iterations, masters=result.masters,
-            warm_masters=result.warm_masters,
-            pair_objectives=[(p.challenger, p.original, p.objective)
-                             for p in separation.pairs],
-            pair_counts=[PairCounts(p.challenger, p.original, p.nodes,
-                                    p.iterations, p.rows, p.cols,
-                                    p.solved_rows, p.solved_cols, p.cuts)
-                         for p in separation.pairs],
-            added_cells=new_cells,
+            index=index, working_set_size=len(working), prune=result,
+            pairs=separation.pairs, added_cells=new_cells,
             prune_seconds=t1 - t0, oracle_seconds=t2 - t1)
         history.append(record)
         log.info("iteration %d: |S|=%d objective=%.6g kept=%d new_cells=%d "
@@ -176,13 +148,13 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
                  len(separation.tie_cells), screened)
 
         if not new_cells:
-            total = time.perf_counter() - t_start
+            wall_time = {"prune": 0.0, "oracle": screen_seconds,
+                         "total": time.perf_counter() - t_start}
+            for r in history:
+                wall_time["prune"] += r.prune_seconds
+                wall_time["oracle"] += r.oracle_seconds
             return PruneOutcome(weights=result.weights, support=result.support,
-                                iterations=index, n_oracle=n_oracle,
-                                history=history,
-                                wall_time={"prune": prune_total,
-                                           "oracle": oracle_total,
-                                           "total": total})
+                                history=history, wall_time=wall_time)
         for cell in new_cells:
             if cell in working:
                 raise PruneCycleError(

@@ -398,6 +398,26 @@ def _of_type(value, types, message: str):
     return value
 
 
+def read_features(entries: Sequence[dict]) -> FeatureSchema:
+    """The schema that {"name"?, "kind", "levels"?} entries describe (as
+    ``feature_dicts`` writes them), continuous features without
+    thresholds; any violation raises ModelFormatError."""
+    kinds, names = [], []
+    for j, entry in enumerate(_array(entries, "features")):
+        kind = _object(entry, f"feature {j}").get("kind")
+        names.append(_of_type(entry.get("name", f"f{j}"), str,
+                              f"feature {j}: name must be a string"))
+        if kind == "categorical":
+            kinds.append(CategoricalFeature(
+                _integer(entry.get("levels"), f"feature {j}: levels")))
+        elif kind in ("continuous", "binary"):
+            kinds.append(ContinuousFeature() if kind == "continuous"
+                         else BinaryFeature())
+        else:
+            raise ModelFormatError(f"feature {j}: unknown kind {kind!r}")
+    return FeatureSchema(tuple(kinds), tuple(names))
+
+
 def build_ensemble(num_classes: int,
                    features: Sequence[dict],
                    weights: Sequence[float],
@@ -406,7 +426,7 @@ def build_ensemble(num_classes: int,
     """Check the parts of a model document and build its Ensemble; any
     violation raises ModelFormatError.
 
-    ``features`` is a list of {"name"?, "kind", "levels"?} entries;
+    ``features`` is a list of entries for ``read_features``;
     ``raw_trees`` a list of {"root", "nodes": [...]} entries where each
     node is {"id", "kind": "split", "feature", "threshold"?, "category"?,
     "left", "right"} or {"id", "kind": "leaf", "scores"}.  Node ids,
@@ -416,18 +436,8 @@ def build_ensemble(num_classes: int,
     raw thresholds its splits carry; a split's cut is its index there.
     """
     num_classes = _integer(num_classes, "num_classes")
-    kinds, names = [], []   # kinds[j] None: continuous, thresholds to come
-    for j, entry in enumerate(_array(features, "features")):
-        kind = _object(entry, f"feature {j}").get("kind")
-        names.append(_of_type(entry.get("name", f"f{j}"), str,
-                              f"feature {j}: name must be a string"))
-        if kind == "categorical":
-            kinds.append(CategoricalFeature(
-                _integer(entry.get("levels"), f"feature {j}: levels")))
-        elif kind in ("continuous", "binary"):
-            kinds.append(None if kind == "continuous" else BinaryFeature())
-        else:
-            raise ModelFormatError(f"feature {j}: unknown kind {kind!r}")
+    read = read_features(features)   # continuous: thresholds to come
+    kinds = read.features
 
     raw_trees = _array(raw_trees, "trees")
     if not raw_trees:
@@ -455,12 +465,12 @@ def build_ensemble(num_classes: int,
                          zeros if scores is None else scores, v, m))
 
     schema = FeatureSchema(
-        tuple(ContinuousFeature(tuple(sorted(ts))) if kind is None else kind
-              for kind, ts in zip(kinds, thresholds)), tuple(names))
+        tuple(ContinuousFeature(tuple(sorted(ts))) if ts else kind
+              for kind, ts in zip(kinds, thresholds)), read.names)
     columns = [list(column) for column in zip(*rows)]   # FlatTrees' order
     feature, cut, _, left = columns[:4]
     for i, j in enumerate(feature):
-        if kinds[j] is None and left[i] != i:   # raw threshold -> its index
+        if thresholds[j] and left[i] != i:   # raw threshold -> its index
             cut[i] = bisect_left(schema.features[j].thresholds, cut[i])
     flat = FlatTrees(*map(np.array, columns), roots=np.array(roots),
                      depth=depth)
@@ -469,7 +479,7 @@ def build_ensemble(num_classes: int,
                     num_classes=num_classes)
 
 
-def _read_node(m: int, node, kinds: list, num_classes: int,
+def _read_node(m: int, node, kinds: tuple, num_classes: int,
                thresholds: list[set[float]]) -> tuple[int, tuple]:
     """Id and row (feature, cut, categorical, left id, right id, scores)
     of a node of tree ``m``.  A leaf's child ids and a split's scores are
@@ -496,7 +506,7 @@ def _read_node(m: int, node, kinds: list, num_classes: int,
     if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < len(kinds):
         raise ModelFormatError(f"{where}: unknown feature {j!r}")
     kind, cut = kinds[j], 0
-    if kind is None:
+    if isinstance(kind, ContinuousFeature):
         if "threshold" not in node:
             raise ModelFormatError(
                 f"{where}: continuous split needs a threshold")

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Union
 
 from .ensemble import (CategoricalFeature, ContinuousFeature, Ensemble,
-                       build_ensemble, feature_dicts)
+                       _integer, build_ensemble, feature_dicts)
 from .errors import ModelFormatError
 
 FORMAT_VERSION = 1
@@ -58,7 +58,7 @@ def model_from_dict(doc: dict) -> Ensemble:
     missing = [k for k in _TOP_LEVEL_KEYS if k not in doc]
     if missing:
         raise ModelFormatError(f"model document missing keys: {missing}")
-    if doc["format_version"] != FORMAT_VERSION:
+    if _integer(doc["format_version"], "format_version") != FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported format_version {doc['format_version']!r}, "
             f"expected {FORMAT_VERSION}")

@@ -1,4 +1,4 @@
-"""Separation oracle: search the whole feature space for a point where
+"""Separation oracle: search the whole feature space for a cell where
 the reweighted ensemble beats the original prediction.
 
 For an ordered class pair (challenger c, original y) the oracle solves
@@ -12,9 +12,9 @@ feature assignment:
          threshold indicators μ (ordered), binary indicators and one-hot
          category indicators ν link every split to the same point
 
-A strictly positive optimum exhibits a region where the original
+A strictly positive optimum exhibits a cell where the original
 ensemble predicts y with margin >= eps while the reweighting prefers c;
-the optimum's cell is turned into a concrete point via cell_center.  If
+the oracle returns cells, and ``cell_center`` gives a point of one.  If
 no pair has a positive optimum, the reweighting provably agrees with
 the original prediction on every cell whose winning margin is at least
 eps.  An optimum of exactly zero is a third verdict: the reweighted
@@ -76,8 +76,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .ensemble import (CellSignature, Ensemble, Point, _check_weights,
-                       cell_center, cells_of, leaves_of, predict_scores)
+from .ensemble import CellSignature, Ensemble, _check_weights, leaves_of
 from .errors import InputError, IterationLimitError, SolverFailureError
 from .solver import (MilpProblem, MilpSolution, SolveStatus, _check_size,
                      _check_tol, dump_lp, solve_milp)
@@ -165,7 +164,6 @@ class PairOutcome:
     original: int
     status: SolveStatus
     objective: float | None
-    point: Point | None
     cell: CellSignature | None
     nodes: int
     iterations: int
@@ -179,20 +177,18 @@ class PairOutcome:
 @dataclass
 class SeparationResult:
     """All pair outcomes of one oracle round, plus the deduplicated
-    union of separating points (empty union = certificate).
+    union of separating cells (empty union = certificate).
 
-    ``tie_points``/``tie_cells`` collect the optima that landed inside
-    the zero tolerance band: there the best achievable reweighted gap is
-    a dead heat, so the deterministic tie-break — not the scores —
-    decides the predicted class.  They are reported separately from the
-    strict violations so a caller can cut them away (forcing a strict
-    margin) without weakening the meaning of ``points``.
+    ``tie_cells`` collects the optima that landed inside the zero
+    tolerance band: there the best achievable reweighted gap is a dead
+    heat, so the deterministic tie-break — not the scores — decides the
+    predicted class.  They are reported separately from the strict
+    violations so a caller can cut them away (forcing a strict margin)
+    without weakening the meaning of ``cells``.
     """
 
     pairs: list[PairOutcome]
-    points: list[Point] = field(default_factory=list)
     cells: list[CellSignature] = field(default_factory=list)
-    tie_points: list[Point] = field(default_factory=list)
     tie_cells: list[CellSignature] = field(default_factory=list)
 
     @property
@@ -200,25 +196,16 @@ class SeparationResult:
         """No strictly positive violation (ties reported separately)."""
         return not self.cells
 
-    @property
-    def solves(self) -> int:
-        return sum(1 + p.cuts for p in self.pairs)
-
-    def add(self, cell: CellSignature, gap: float, violation_tol: float,
-            point: Callable[[], Point]) -> bool:
-        """File one pair's best cell, with the point ``point()`` makes for
-        it, by its reweighted gap: a violation above ``violation_tol``, a
-        tie within it, nothing below.  A cell already filed for an
-        earlier pair stays where it is.  Returns whether the gap is a
-        violation."""
+    def add(self, cell: CellSignature, gap: float,
+            violation_tol: float) -> bool:
+        """File one pair's best cell by its reweighted gap: a violation
+        above ``violation_tol``, a tie within it, nothing below.  A cell
+        already filed for an earlier pair stays where it is.  Returns
+        whether the gap is a violation."""
         if (gap >= -violation_tol and cell not in self.cells
                 and cell not in self.tie_cells):
-            if gap > violation_tol:
-                self.points.append(point())
-                self.cells.append(cell)
-            else:
-                self.tie_points.append(point())
-                self.tie_cells.append(cell)
+            filed = self.cells if gap > violation_tol else self.tie_cells
+            filed.append(cell)
         return gap > violation_tol
 
 
@@ -301,26 +288,26 @@ def build_separation(ensemble: Ensemble, weights: Sequence[float],
     return program.reweighted(weights, challenger)
 
 
-def extract_point(ensemble: Ensemble, program: SeparationProgram,
-                  solution: MilpSolution) -> tuple[Point, CellSignature]:
-    """Cell signature from the indicator variables, then its center
-    point.  The point is asserted to route every tree to exactly the
-    unit-flow leaf; a mismatch means the solver returned an inconsistent
-    assignment and is an internal failure, not user error."""
+def extract_cell(ensemble: Ensemble, program: SeparationProgram,
+                 solution: MilpSolution) -> tuple[CellSignature, np.ndarray]:
+    """Cell signature from the indicator variables, and the per-tree
+    score rows (M, C) of the leaves it reaches.  The cell is asserted to
+    route every tree to exactly the unit-flow leaf; a mismatch means the
+    solver returned an inconsistent assignment and is an internal
+    failure, not user error."""
     x = solution.x
     cell = tuple(int(np.argmax(x[cols])) if categorical
                  else int(round(x[cols].sum()))
                  for cols, categorical in zip(program.blocks,
                                               program.categorical))
-    point = cell_center(ensemble.schema, cell)
-    leaves = leaves_of(ensemble, cells_of(ensemble.schema, [point]))[0]
+    leaves = leaves_of(ensemble, [cell])[0]
     for m, leaf in enumerate(leaves):
         if x[leaf] < 0.5:
             raise SolverFailureError(
-                f"extracted point routes tree {m} to leaf "
+                f"extracted cell routes tree {m} to leaf "
                 f"{ensemble.flat.node_id[leaf]} but the separation solution "
                 "puts no flow there (tolerance bug)")
-    return point, cell
+    return cell, ensemble.flat.scores[leaves]
 
 
 def separate(ensemble: Ensemble, weights: Sequence[float],
@@ -330,7 +317,7 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
              dump_dir: Union[str, Path, None] = None,
              programs: dict | None = None) -> SeparationResult:
     """Solve every ordered class pair; collect each strictly positive
-    optimum's point, deduplicated by cell.
+    optimum's cell, deduplicated.
 
     ``programs`` carries one program per original class and the class's
     last optimal root basis from pair to pair and from one round of a
@@ -341,8 +328,8 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     each class's program is still built once per call, but every pair
     gets ``start=None``.
 
-    Every returned point is re-checked by direct evaluation: the
-    original weights must predict the pair's original class at it by a
+    Every returned cell is re-checked by direct evaluation: the
+    original weights must predict the pair's original class on it by a
     margin of at least ``epsilon``, and the reweighting must strictly
     prefer the challenger over it.  A cell that misses the margin by
     no more than the solver's tolerances explain (``_meets_margin``)
@@ -354,7 +341,7 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
 
     A pair optimum inside ``[-violation_tol, violation_tol]`` means the
     reweighting's best cell for that pair is an exact score tie; the
-    cell is extracted into ``tie_cells`` (never into ``points``) so the
+    cell is extracted into ``tie_cells`` (never into ``cells``) so the
     caller can decide whether a tie-break flip matters.
     """
     w = _check_weights(ensemble, weights)
@@ -376,7 +363,7 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
                         name=f"separation y={original} c={challenger}")
             sol = solve(program.problem, start=start)
             nodes, iterations, cuts = sol.nodes, sol.iterations, 0
-            point = cell = objective = None
+            cell = objective = None
             while True:
                 if programs is not None:
                     start = sol.root_basis
@@ -393,8 +380,8 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
                 if (sol.status != SolveStatus.OPTIMAL
                         or sol.objective < -violation_tol):
                     break
-                point, cell = extract_point(ensemble, program, sol)
-                if _meets_margin(ensemble, program, point):
+                cell, scores = extract_cell(ensemble, program, sol)
+                if _meets_margin(ensemble, program, scores):
                     break
                 # met only through values inside the solver's tolerances:
                 # the cell lies outside the margin rows' scope for every
@@ -404,16 +391,20 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
                 cuts += 1
                 nodes += sol.nodes
                 iterations += sol.iterations
-                point = cell = None
+                cell = None
             if sol.status == SolveStatus.OPTIMAL:
                 objective = float(sol.objective)
-            if point is not None and result.add(cell, objective,
-                                                violation_tol, lambda: point):
-                _check_separating_point(ensemble, w, challenger, original,
-                                        point)
+            if cell is not None and result.add(cell, objective,
+                                               violation_tol):
+                reweighted = w @ scores
+                if not reweighted[challenger] - reweighted[original] > 0.0:
+                    raise SolverFailureError(
+                        f"separation cell for pair ({challenger}, "
+                        f"{original}) has no positive reweighted gap on "
+                        "direct evaluation")
             result.pairs.append(PairOutcome(
                 challenger=challenger, original=original, status=sol.status,
-                objective=objective, point=point, cell=cell, nodes=nodes,
+                objective=objective, cell=cell, nodes=nodes,
                 iterations=iterations, rows=program.problem.num_rows,
                 cols=program.problem.num_vars, solved_rows=sol.solved_rows,
                 solved_cols=sol.solved_cols, cuts=cuts))
@@ -470,22 +461,22 @@ class Screen:
                 gap = scores[rows, challenger] - scores[rows, original]
                 i = int(np.argmax(gap))
                 cell = tuple(int(k) for k in self.cells[rows[i]])
-                result.add(cell, gap[i], violation_tol,
-                           lambda: cell_center(self.ensemble.schema, cell))
+                result.add(cell, gap[i], violation_tol)
         return result
 
 
 def _meets_margin(ensemble: Ensemble, program: SeparationProgram,
-                  point: Point) -> bool:
-    """Whether the original weights predict ``program.original`` at
-    ``point`` by at least ``program.epsilon`` over every other class.
+                  scores: np.ndarray) -> bool:
+    """Whether the original weights predict ``program.original`` by at
+    least ``program.epsilon`` over every other class on a cell whose
+    per-tree score rows are ``scores``.
     A solution the solver returns meets each margin row a'z >= epsilon
     within its check tolerance t (``solver._check_tol``), with every
     value about t from where the cell puts it, so the cell's margin
     can fall short of epsilon by about t (1 + ||a||_1); a miss beyond
     that is a solver fault and raises ``SolverFailureError``."""
     y = program.original
-    scores = predict_scores(ensemble, ensemble.alpha, point)
+    scores = np.asarray(ensemble.alpha) @ scores
     shortfall = program.epsilon - (scores[y] - scores)
     shortfall[y] = -np.inf
     if shortfall.max() <= 0.0:
@@ -495,16 +486,8 @@ def _meets_margin(ensemble: Ensemble, program: SeparationProgram,
     slack = _check_tol(program.problem.b) * (1.0 + np.abs(a).sum(axis=0))
     if np.any(shortfall > slack):
         raise SolverFailureError(
-            f"separation point for class {y} misses the original margin "
+            f"separation cell for class {y} misses the original margin "
             f"{program.epsilon:.3g} by up to {shortfall.max():.3g}, beyond "
             "what the solver's tolerances explain")
     return False
 
-
-def _check_separating_point(ensemble: Ensemble, w: np.ndarray, challenger: int,
-                            original: int, point: Point) -> None:
-    scores = predict_scores(ensemble, w, point)
-    if not scores[challenger] - scores[original] > 0.0:
-        raise SolverFailureError(
-            f"separation point for pair ({challenger}, {original}) has no "
-            "positive reweighted gap on direct evaluation")

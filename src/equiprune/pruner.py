@@ -27,8 +27,8 @@ from .ensemble import (CellSignature, Ensemble, cell_scores_batch, cells_of,
                        check_cell, leaves_of)
 from .errors import (InfeasiblePruneError, IterationLimitError,
                      SolverFailureError, TiedPredictionError)
-from .solver import (Basis, LpSolution, MilpSolution, MilpProblem,
-                     SolveStatus, solve_lp, solve_milp)
+from .solver import (_TOL_PIVOT, Basis, LpSolution, MilpSolution,
+                     MilpProblem, SolveStatus, solve_lp, solve_milp)
 
 ZERO_TOL = 1e-9  # weights at or below this count as removed
 TIE_TOL = 1e-12  # original margins at or below this are ties
@@ -93,7 +93,8 @@ class MarginTable:
     """Per-entry, per-class, per-tree margin coefficients.
 
     ``g[i, c, m]`` is tree m's score difference (label class minus
-    class c) on entry i, in [-1, 1]; the row for c == label is
+    class c) on entry i, in [-1, 1], zero at magnitudes the solver's
+    pivot tolerance reads as zero; the row for c == label is
     identically zero and never turned into a constraint.
     ``alpha_margins`` holds the original weights' separation on each
     (entry, class) pair, with +inf at the label position so minima
@@ -130,6 +131,7 @@ def build_margins(ensemble: Ensemble, prune_set: PruneSet) -> MarginTable:
     scores = ensemble.flat.scores[leaves_of(ensemble, cells)]  # (n, M, C)
     rows = np.arange(n)
     diff = scores[rows, :, labels][:, :, None] - scores         # (n, M, C)
+    diff[np.abs(diff) <= _TOL_PIVOT] = 0.0
     alpha_margins = np.asarray(ensemble.alpha) @ diff           # (n, C)
     alpha_margins[rows, labels] = np.inf
     return MarginTable(g=np.ascontiguousarray(diff.transpose(0, 2, 1)),

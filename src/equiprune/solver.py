@@ -518,7 +518,8 @@ class _Simplex:
         self.derived = False
 
     def iterate(self) -> SolveStatus:
-        """Primal pivots until optimal/unbounded or ``_MAX_PIVOTS``."""
+        """Primal pivots until optimal/unbounded or ``_MAX_PIVOTS``; when
+        unbounded, ``ray`` is the column that no row blocks."""
         since_refactor = 0
         stall = 0
         bland = False
@@ -556,6 +557,7 @@ class _Simplex:
 
             if min(t_row, t_flip) == np.inf:
                 if self.derived:
+                    self.ray = j
                     return SolveStatus.UNBOUNDED
                 self._refactor()        # rule out drift before giving up
                 since_refactor = 0
@@ -679,12 +681,15 @@ def _simplex_solve(cols: _Columns, lo: np.ndarray,
     sx = _Simplex(cols, lo, up)
     n, m = sx.n, sx.m
 
-    # phase 1: minimize the artificial sum
+    # phase 1: minimize the artificial sum, which is bounded below: a
+    # column that no row blocks moves each basic artificial by at most
+    # _TOL_PIVOT per unit, so phase 1 leaves it where it rests
     status = sx.iterate()
+    while status == SolveStatus.UNBOUNDED:
+        sx.movable[sx.ray] = False
+        status = sx.iterate()
     if status == SolveStatus.ITERATION_LIMIT:
         return LpSolution(status, None, None, sx.iterations)
-    if status == SolveStatus.UNBOUNDED:
-        raise SolverFailureError("phase-1 objective cannot be unbounded")
     leftover = np.abs(sx.assemble()[n + m:]) / sx.row_scale
     if leftover.sum() > _phase1_cut(sx.b):
         return LpSolution(SolveStatus.INFEASIBLE, None, None, sx.iterations)
@@ -692,7 +697,7 @@ def _simplex_solve(cols: _Columns, lo: np.ndarray,
     # phase 2: clamp artificials to zero and minimize the real objective
     sx.lo[n + m:] = 0.0
     sx.up[n + m:] = 0.0
-    sx.movable[n + m:] = False
+    sx.movable = sx.up > sx.lo
     sx.val[n + m:] = 0.0
     sx.cc = cols.cost
     sx._refactor()

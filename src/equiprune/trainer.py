@@ -25,9 +25,9 @@ from typing import Union
 import numpy as np
 
 from .ensemble import (BinaryFeature, CategoricalFeature, ContinuousFeature,
-                       Ensemble, FeatureSchema, build_ensemble, cells_of,
-                       feature_dicts)
-from .errors import DatasetFormatError, InputError
+                       Ensemble, FeatureSchema, _integer, build_ensemble,
+                       cells_of, feature_dicts, read_features)
+from .errors import DatasetFormatError, InputError, ModelFormatError
 
 SCHEMA_FORMAT_VERSION = 1
 ERR_CLAMP = 1e-10  # stage errors are clamped into [ERR_CLAMP, 1-ERR_CLAMP]
@@ -313,27 +313,14 @@ def load_schema(path: Union[str, Path]) -> FeatureSchema:
         raise DatasetFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "features" not in doc:
         raise DatasetFormatError(f"{path}: schema document needs 'features'")
-    if doc.get("format_version") != SCHEMA_FORMAT_VERSION:
-        raise DatasetFormatError(
-            f"{path}: unsupported format_version {doc.get('format_version')!r}")
-    kinds: list = []
-    names: list[str] = []
-    for j, entry in enumerate(doc["features"]):
-        kind = entry.get("kind")
-        names.append(str(entry.get("name", f"f{j}")))
-        if kind == "continuous":
-            kinds.append(ContinuousFeature())
-        elif kind == "binary":
-            kinds.append(BinaryFeature())
-        elif kind == "categorical":
-            if "levels" not in entry:
-                raise DatasetFormatError(
-                    f"{path}: categorical feature {j} needs 'levels'")
-            kinds.append(CategoricalFeature(int(entry["levels"])))
-        else:
-            raise DatasetFormatError(
-                f"{path}: feature {j} has unknown kind {kind!r}")
-    return FeatureSchema(tuple(kinds), tuple(names))
+    try:
+        if (_integer(doc.get("format_version"), "format_version")
+                != SCHEMA_FORMAT_VERSION):
+            raise ModelFormatError(
+                f"unsupported format_version {doc['format_version']!r}")
+        return read_features(doc["features"])
+    except ModelFormatError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
 
 
 def save_dataset(dataset: Dataset, path: Union[str, Path]) -> None:

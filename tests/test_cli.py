@@ -13,8 +13,9 @@ import pytest
 from equiprune import (load_model, load_schema, make_synthetic, predict_class,
                        save_dataset, save_model, save_schema)
 from equiprune.cli import main
-from conftest import DATA_DIR, make_stump
+from conftest import DATA_DIR, make_stump, opposed_stumps
 from test_model_io import MALFORMED, malformed
+from test_trainer import MALFORMED_SCHEMAS, malformed_schema
 
 
 XOR_SCHEMA = str(DATA_DIR / "xor_schema.json")
@@ -190,12 +191,36 @@ def broken_pruning(tmp_path):
     return str(path)
 
 
+def assert_points_disagree(original, pruned, points):
+    """Every oracle point is one where the two weightings predict
+    different classes."""
+    original, pruned = load_model(original), load_model(pruned)
+    assert points
+    for point in points:
+        assert (predict_class(original, pruned.alpha, point)
+                != predict_class(original, original.alpha, point))
+
+
 def test_verify_flags_a_broken_pruning(tmp_path, capsys):
     path = broken_pruning(tmp_path)
     assert run("verify", "--model", FIXTURE, "--pruned", path) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["identical"] is False
     assert doc["disagreement_cells"] or doc["sub_epsilon_cells"]
+    assert_points_disagree(FIXTURE, path, doc["oracle_points"])
+
+
+def test_verify_reports_a_tie_cell_the_tie_break_flips(tmp_path, capsys):
+    # under (1, 1) the opposed stumps tie on both cells; the tie-break
+    # picks class 0, which flips the cell the original gives class 1
+    original, pruned = tmp_path / "original.json", tmp_path / "pruned.json"
+    save_model(opposed_stumps(2.0), original)
+    save_model(replace(opposed_stumps(2.0), alpha=(1.0, 1.0)), pruned)
+    assert run("verify", "--model", str(original), "--pruned",
+               str(pruned)) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["oracle_points"] == [[1.5]]
+    assert_points_disagree(original, pruned, doc["oracle_points"])
 
 
 def test_verify_above_cell_cap_oracle_flags_a_broken_pruning(tmp_path,
@@ -205,7 +230,7 @@ def test_verify_above_cell_cap_oracle_flags_a_broken_pruning(tmp_path,
                "--max-cells", "1") == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["checks"] == ["oracle"]
-    assert doc["oracle_points"]
+    assert_points_disagree(FIXTURE, path, doc["oracle_points"])
 
 
 def test_verify_above_cell_cap_reports_oracle_and_exits_four(capsys):
@@ -297,6 +322,16 @@ def test_malformed_model_file_is_input_error(tmp_path, capsys, model, path,
     bad.write_text(json.dumps(malformed(model, path, value)))
     assert run("predict", "--model", str(bad), "--data", FIXTURE_CSV,
                "--out", str(tmp_path / "pred.csv")) == 4
+    assert re.search(message, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("path, value, message", MALFORMED_SCHEMAS)
+def test_malformed_schema_file_is_input_error(tmp_path, capsys, path, value,
+                                              message):
+    schema = malformed_schema(tmp_path, path, value)
+    assert run("train", "--data", str(DATA_DIR / "mixed_points.csv"),
+               "--schema", str(schema), "--out",
+               str(tmp_path / "model.json")) == 4
     assert re.search(message, capsys.readouterr().err)
 
 

@@ -4,13 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from equiprune import (InputError, PruneOptions, PruneSet, TiedPredictionError,
-                       accuracy, brute_force_min_support, build_ensemble,
+from equiprune import (DEFAULT_EPSILON, InfeasiblePruneError, InputError,
+                       PruneOptions, PruneSet, TiedPredictionError, accuracy,
+                       brute_force_min_support, build_ensemble,
                        certified_prune, certify, enumerate_cells, fidelity,
-                       make_synthetic, predict_class, sample_uniform_points,
-                       train_adaboost, train_random_forest)
+                       make_synthetic, model_from_dict, predict_class,
+                       sample_uniform_points, train_adaboost,
+                       train_random_forest)
 from conftest import make_stump, random_stump_ensemble, stump_ensembles
+from test_model_io import mixed_documents
 
 
 def seed_points(ensemble, n=12, seed=0):
@@ -80,16 +84,22 @@ def test_working_set_strictly_grows():
 def test_oracle_call_accounting():
     # every round either solves all C(C-1) pair MIPs or is settled by the
     # screen, which adds cells and solves none; the last round solved
-    # every MIP and added nothing
+    # every MIP and added nothing.  A round keeps the pruner's result and
+    # the pair outcomes, and a MIP round adds exactly its pairs' cells.
     for seed, ens in stump_ensembles(1700, 5):
         outcome = certified_prune(ens, seed_points(ens),
                                   PruneOptions(norm="l1"))
         C = ens.num_classes
-        with_pairs = [r for r in outcome.history if r.pair_counts]
+        with_pairs = [r for r in outcome.history if r.pairs]
         assert outcome.n_oracle == len(with_pairs) * C * (C - 1)
-        assert all(len(r.pair_counts) == C * (C - 1) for r in with_pairs)
+        assert all(len(r.pairs) == C * (C - 1) for r in with_pairs)
+        for r in with_pairs:
+            assert set(r.added_cells) == {p.cell for p in r.pairs
+                                          if p.cell is not None}
         last = outcome.history[-1]
-        assert last.pair_counts and not last.added_cells
+        assert last.pairs and not last.added_cells
+        assert last.prune.support == outcome.support
+        assert np.array_equal(last.prune.weights, outcome.weights)
         assert all(r.added_cells for r in outcome.history if r.screened)
         assert set(outcome.wall_time) == {"prune", "oracle", "total"}
         assert outcome.wall_time["total"] >= 0.0
@@ -226,6 +236,62 @@ def test_l1_certifies_two_hundred_stumps():
     ens = train_adaboost(data, num_trees=200, max_depth=1)
     outcome = certified_prune(ens, data.X, PruneOptions(norm="l1"))
     assert not certify(ens, outcome.weights, epsilon=1e-6).disagreement_cells
-    pairs = [p for record in outcome.history for p in record.pair_counts]
+    pairs = [p for record in outcome.history for p in record.pairs]
     assert len(pairs) == outcome.n_oracle
     assert all(p.solved_cols < 10 < p.cols for p in pairs)
+
+
+def single_leaves(*leaves):
+    """Unit-weight single-leaf trees over one continuous feature."""
+    return build_ensemble(
+        num_classes=len(leaves[0]),
+        features=[{"name": "x0", "kind": "continuous"}],
+        weights=[1.0] * len(leaves),
+        raw_trees=[{"root": 0, "nodes": [{"id": 0, "kind": "leaf",
+                                          "scores": list(scores)}]}
+                   for scores in leaves])
+
+
+@pytest.mark.parametrize("leaves", [
+    ([1e-9, 0.0], [0.5, 0.0]),
+    ([1e-9, 0.0, 0.0], [0.5, 0.0, 0.0]),
+])
+def test_a_margin_at_the_pivot_tolerance_is_zero(leaves):
+    # the first tree's margin is 1e-9, the solver's pivot tolerance: it
+    # covers no row, so both norms keep the second tree alone
+    ens = single_leaves(*leaves)
+    for norm in ("l0", "l1"):
+        outcome = certified_prune(ens, [(0.0,)], PruneOptions(norm=norm))
+        assert outcome.weights.tolist() == [0.0, 2.0]
+        assert not certify(ens, outcome.weights,
+                           DEFAULT_EPSILON).disagreement_cells
+
+
+def test_an_original_margin_at_the_pivot_tolerance_is_a_tie():
+    ens = single_leaves([1e-9, 0.0, 0.0])
+    for norm in ("l0", "l1"):
+        with pytest.raises(TiedPredictionError):
+            certified_prune(ens, [(0.0,)], PruneOptions(norm=norm))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_documents(), st.booleans(), st.booleans(), st.integers(1, 12),
+       st.integers(0, 2**32 - 1))
+def test_prune_loop_certifies_or_raises_a_typed_error(doc, duplicate, zero,
+                                                      rows, seed):
+    # mixed features, 2-4 classes, depth <= 3, sometimes a duplicated tree
+    # and a zero weight; the seed rows come from 1-12 uniform draws
+    if duplicate:
+        doc["trees"].append(doc["trees"][-1])
+        doc["weights"].append(doc["weights"][-1])
+    if zero and len(doc["weights"]) > 1:
+        doc["weights"][0] = 0.0
+    ens = model_from_dict(doc)
+    points = sample_uniform_points(ens.schema, rows, seed)
+    for norm in ("l0", "l1"):
+        try:
+            outcome = certified_prune(ens, points, PruneOptions(norm=norm))
+        except (InfeasiblePruneError, TiedPredictionError, InputError):
+            continue
+        assert not certify(ens, outcome.weights,
+                           DEFAULT_EPSILON).disagreement_cells

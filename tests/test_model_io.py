@@ -176,6 +176,10 @@ MALFORMED = [
      "binary split must not carry a threshold or category"),
     ("mixed_model", ("trees", 0, "nodes", 1, "category"), 0,
      "binary split must not carry a threshold or category"),
+    ("three_stumps", ("format_version",), True,
+     "format_version must be an integer"),
+    ("three_stumps", ("format_version",), 1.0,
+     "format_version must be an integer"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Separation MIP construction, solving, and point extraction."""
+"""Separation MIP construction, solving, and cell extraction."""
 
 import itertools
 import re
@@ -14,8 +14,9 @@ from equiprune import (DEFAULT_EPSILON, InputError, IterationLimitError,
                        build_ensemble,
                        build_separation, cell_of, cell_scores,
                        certified_prune, certify,
-                       extract_point, make_synthetic, maximize_separation,
-                       predict_class, predict_scores, sample_uniform_points,
+                       cell_center, extract_cell, make_synthetic,
+                       maximize_separation, predict_class,
+                       sample_uniform_points,
                        separate, solve_milp, solver, train_random_forest)
 from equiprune.ensemble import leaves_of
 from equiprune.oracle import VIOLATION_TOL, Screen, SeparationResult
@@ -103,7 +104,8 @@ def test_dropped_tree_disagreement_is_found():
     w = (0.0, 1.0)
     result = separate(ens, w)
     assert not result.is_empty
-    for point in result.points:
+    for cell in result.cells:
+        point = cell_center(ens.schema, cell)
         assert predict_class(ens, w, point) != predict_class(ens, ens.alpha,
                                                              point)
     # the disagreeing cells are exactly where brute force sees them
@@ -194,29 +196,46 @@ def _subtree(flat, root):
 def test_extraction_reads_indicators():
     ens = cat_ensemble()
     prog = build_separation(ens, (1.0, 1.0), challenger=1, original=0)
-    # continuous cell 1 of thresholds {0.2}: above the only threshold
-    point, cell = extract_point(ens, prog, fake_solution(ens, prog, (1, 2)))
+    # continuous cell 1 of thresholds {0.2}: above the only threshold;
+    # category level 2 takes the categorical tree's right branch
+    cell, scores = extract_cell(ens, prog, fake_solution(ens, prog, (1, 2)))
     assert cell == (1, 2)
-    assert point == (1.2, 2.0)  # above-last pad, category level 2
+    assert scores.tolist() == [[0.0, 1.0], [0.0, 1.0]]
 
 
 def test_extraction_pads_below_first_threshold():
     ens = cat_ensemble()
     prog = build_separation(ens, (1.0, 1.0), challenger=1, original=0)
-    point, cell = extract_point(ens, prog, fake_solution(ens, prog, (0, 0)))
+    cell, scores = extract_cell(ens, prog, fake_solution(ens, prog, (0, 0)))
     assert cell == (0, 0)
+    assert scores.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+    point = cell_center(ens.schema, cell)
     assert point[0] == pytest.approx(0.2 - 1.0)
     assert cell_of(ens.schema, point) == cell
 
 
-def test_extraction_midpoint_between_thresholds():
+def test_extraction_between_thresholds():
     trees = [make_stump(0, 0.2, (1, 0), (0, 1)),
              make_stump(0, 0.8, (1, 0), (0, 1))]
     ens = two_class(trees, [1.0, 1.0])
     prog = build_separation(ens, (1.0, 1.0), challenger=1, original=0)
-    point, cell = extract_point(ens, prog, fake_solution(ens, prog, (1,)))
+    cell, scores = extract_cell(ens, prog, fake_solution(ens, prog, (1,)))
     assert cell == (1,)
-    assert point == (0.5,)
+    assert scores.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+def test_extraction_refuses_a_flow_that_disagrees_with_the_cell():
+    # the indicators spell cell (1, 2) but the flows follow cell (0, 0):
+    # the solution is inconsistent, a solver fault
+    ens = cat_ensemble()
+    prog = build_separation(ens, (1.0, 1.0), challenger=1, original=0)
+    x = fake_solution(ens, prog, (0, 0)).x
+    x[np.concatenate(prog.blocks)] = fake_solution(ens, prog, (1, 2)).x[
+        np.concatenate(prog.blocks)]
+    sol = MilpSolution(status=SolveStatus.OPTIMAL, x=x, objective=0.0,
+                       best_bound=0.0, nodes=1, iterations=0)
+    with pytest.raises(SolverFailureError, match="no flow there"):
+        extract_cell(ens, prog, sol)
 
 
 def _structural_rows_hold(problem, x):
@@ -237,7 +256,7 @@ def _structural_rows_hold(problem, x):
 def test_indicator_layout_over_every_cell():
     # For every cell: unit flows along its routes plus its indicator
     # values meet every flow, order, one-hot and left/right row,
-    # extract_point reads the cell back, and the no-good row of
+    # extract_cell reads the cell back, and the no-good row of
     # cut_off(cell) is violated by that cell's values alone.
     rng = np.random.default_rng(43)
     kinds = set()
@@ -251,7 +270,7 @@ def test_indicator_layout_over_every_cell():
         X = np.array([sol.x for sol in sols]).T
         for k, (cell, sol) in enumerate(zip(cells, sols)):
             assert _structural_rows_hold(prog.problem, sol.x)
-            assert extract_point(ens, prog, sol)[1] == cell
+            assert extract_cell(ens, prog, sol)[0] == cell
             cut = prog.cut_off(cell).problem
             met = cut.A[-1] @ X >= cut.b[-1] - 1e-12
             assert not met[k] and met.sum() == len(cells) - 1
@@ -298,11 +317,10 @@ def test_one_verdict_rule_at_the_violation_tolerance():
     # nothing; a cell filed once stays where it was filed
     result = SeparationResult(pairs=[])
     for k, gap in enumerate((0.25 + 2**-30, 0.25, -0.25, -0.25 - 2**-30)):
-        assert result.add((k,), gap, 0.25, lambda: (float(k),)) == (k == 0)
-    assert result.add((1,), 1.0, 0.25, lambda: (9.0,))
-    assert (result.cells, result.points) == ([(0,)], [(0.0,)])
-    assert (result.tie_cells, result.tie_points) == ([(1,), (2,)],
-                                                     [(1.0,), (2.0,)])
+        assert result.add((k,), gap, 0.25) == (k == 0)
+    assert result.add((1,), 1.0, 0.25)
+    assert result.cells == [(0,)]
+    assert result.tie_cells == [(1,), (2,)]
 
 
 def test_screen_keeps_a_cell_at_margin_epsilon():
@@ -321,10 +339,10 @@ def test_exact_tie_lands_on_the_tie_channel():
     result = separate(ens, (1.0, 1.0))
     assert result.is_empty            # no strict violation anywhere
     assert set(result.tie_cells) == {(0,), (1,)}
-    assert result.points == []
+    assert result.cells == []
 
 
-def test_returned_points_flip_the_prediction():
+def test_returned_cells_flip_the_prediction():
     rng = np.random.default_rng(23)
     for seed, ens in stump_ensembles(1400, 20):
         w = np.array(ens.alpha) * rng.uniform(0.0, 1.5, size=ens.num_trees)
@@ -332,12 +350,13 @@ def test_returned_points_flip_the_prediction():
         if not w.any():
             continue
         result = separate(ens, w)
-        for point in result.points:
+        for cell in result.cells:
+            point = cell_center(ens.schema, cell)
             assert predict_class(ens, w, point) != \
                 predict_class(ens, ens.alpha, point)
         for pair in result.pairs:
-            if pair.point is not None and pair.objective > 1e-8:
-                scores = predict_scores(ens, w, pair.point)
+            if pair.cell is not None and pair.objective > 1e-8:
+                scores = cell_scores(ens, w, pair.cell)
                 assert scores[pair.challenger] > scores[pair.original]
 
 
@@ -377,7 +396,6 @@ def test_a_cell_below_the_margin_is_cut_off_and_resolved():
                 name for name in program.problem.row_names
                 if name.startswith("cut_")]
         assert cuts == sum(pair.cuts for pair in result.pairs)
-        assert result.solves == len(result.pairs) + cuts
         cut += cuts
     assert cut >= 5
 
@@ -395,6 +413,20 @@ def test_a_cell_of_another_class_is_a_solver_failure():
         return replace(sol, objective=1.0)
 
     with pytest.raises(SolverFailureError, match="original margin"):
+        separate(ens, ens.alpha, solve=stub)
+
+
+def test_a_cell_without_a_positive_gap_is_a_solver_failure():
+    # The stub claims a positive optimum for the best class-0 cell of
+    # pair (1, 0) under the original weights, where the challenger
+    # loses: direct evaluation of the cell's score rows must refuse it.
+    ens = three_voter_majority()
+    sol = solve_milp(build_separation(ens, ens.alpha, 1, 0).problem)
+
+    def stub(problem, start=None):
+        return replace(sol, objective=1.0)
+
+    with pytest.raises(SolverFailureError, match="positive reweighted gap"):
         separate(ens, ens.alpha, solve=stub)
 
 
@@ -537,7 +569,7 @@ def test_screen_proposes_only_what_the_oracle_accepts():
             w = rng.uniform(0.0, 1.0, ens.num_trees)
             w[rng.random(ens.num_trees) < 0.4] = 0.0
             result = screen.refute(w, VIOLATION_TOL)
-            assert result.pairs == [] and result.solves == 0
+            assert result.pairs == []
             found = result.cells + result.tie_cells
             assert len(set(found)) == len(found)
             proposed += len(found)

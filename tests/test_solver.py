@@ -51,6 +51,18 @@ def test_contradictory_rows_infeasible():
     assert sol.x is None
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_rows_within_the_pivot_tolerance_are_infeasible(rows):
+    # min w s.t. 1e-9 w >= 1, the row held once or more: the entries lie
+    # at the pivot tolerance, so phase 1 cannot move w and no row is met
+    problem = MilpProblem(c=np.ones(1), A=np.full((rows, 1), 1e-9),
+                          senses=np.ones(rows, dtype=np.int8),
+                          b=np.ones(rows), lower=np.zeros(1),
+                          upper=np.full(1, np.inf),
+                          integer=np.zeros(1, dtype=bool))
+    assert solve_lp(problem).status == SolveStatus.INFEASIBLE
+
+
 def test_unbounded_detected():
     pb = ProblemBuilder()
     x = pb.add_var("x", lo=0.0, obj=-1.0)

@@ -1,5 +1,6 @@
 """Boosting/forest training, synthetic data, and dataset files."""
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from equiprune import (BinaryFeature, ContinuousFeature, Dataset,
                        predict_classes_batch, save_dataset, save_schema,
                        train_adaboost, train_random_forest)
 from equiprune.trainer import boost_weight
+from conftest import DATA_DIR
+from test_model_io import with_field
 
 
 def test_boost_weight_chance_is_zero():
@@ -111,6 +114,37 @@ def test_schema_round_trip(tmp_path):
     path = tmp_path / "schema.json"
     save_schema(data.schema, path)
     assert load_schema(path) == data.schema
+
+
+# (path to one field of the bundled mixed schema, its new value, message):
+# the schema reader checks feature entries as the model reader does
+MALFORMED_SCHEMAS = [
+    (("features", 2, "levels"), 2.9, "levels must be an integer"),
+    (("features", 2, "levels"), 1, "needs >= 2 levels"),
+    (("features", 0), "x0", "feature 0 must be an object"),
+    (("features", 0, "kind"), "ordinal", "unknown kind"),
+    (("features",), {}, "features must be an array"),
+    (("format_version",), True, "format_version must be an integer"),
+    (("format_version",), 1.0, "format_version must be an integer"),
+    (("format_version",), 2, "unsupported format_version 2"),
+]
+
+
+def malformed_schema(tmp_path, path, value):
+    """The bundled mixed schema with one field replaced, as a file."""
+    doc = json.loads((DATA_DIR / "mixed_schema.json").read_text())
+    with_field(doc, path, value)
+    out = tmp_path / "schema.json"
+    out.write_text(json.dumps(doc))
+    return out
+
+
+@pytest.mark.parametrize("path, value, message", MALFORMED_SCHEMAS)
+def test_malformed_schema_rejected(tmp_path, path, value, message):
+    out = malformed_schema(tmp_path, path, value)
+    with pytest.raises(DatasetFormatError, match=message) as exc:
+        load_schema(out)
+    assert str(out) in str(exc.value)
 
 
 def test_dataset_round_trip(tmp_path):
