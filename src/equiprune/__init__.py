@@ -11,9 +11,8 @@ from .driver import (IterationRecord, PruneOptions, PruneOutcome, accuracy,
                      certified_prune, fidelity)
 from .ensemble import (BinaryFeature, CategoricalFeature, CellSignature,
                        ContinuousFeature, Ensemble, FeatureSchema, Point,
-                       build_ensemble, cell_center, cell_class, cell_of,
-                       cell_scores, predict_class, predict_classes_batch,
-                       predict_scores, predict_scores_batch, tree_scores)
+                       build_ensemble, cell_center, cell_scores_batch,
+                       cells_of, predict_classes_batch, predict_scores_batch)
 from .errors import (DatasetFormatError, EnumerationCapError, EquipruneError,
                      InfeasiblePruneError, InputError, IterationLimitError,
                      ModelFormatError, ProblemTooLargeError, PruneCycleError,
@@ -21,8 +20,8 @@ from .errors import (DatasetFormatError, EnumerationCapError, EquipruneError,
 from .model_io import load_model, model_from_dict, model_to_dict, save_model
 from .oracle import (DEFAULT_EPSILON, PairOutcome, SeparationResult,
                      build_separation, extract_cell, separate)
-from .pruner import (MarginTable, PruneResult, PruneSet, build_margins,
-                     compute_big_w, prune_l0, prune_l1, support_of)
+from .pruner import (PruneResult, PruneSet, build_margins, compute_big_w,
+                     prune_l0, prune_l1, support_of)
 from .solver import (LpSolution, MilpProblem, MilpSolution, ProblemBuilder,
                      SolveStatus, dump_lp, lp_format_text, solve_lp,
                      solve_milp)
@@ -40,20 +39,19 @@ __all__ = [
     "CertificationReport", "ContinuousFeature", "Dataset", "DEFAULT_EPSILON",
     "DatasetFormatError", "Ensemble", "EnumerationCapError", "EquipruneError",
     "FeatureSchema", "InfeasiblePruneError", "InputError", "IterationLimitError",
-    "IterationRecord", "LpSolution", "MarginTable", "MilpProblem",
-    "MilpSolution", "ModelFormatError", "PairOutcome", "Point",
-    "ProblemBuilder",
-    "ProblemTooLargeError", "PruneCycleError", "PruneOptions", "PruneOutcome", "PruneResult",
-    "PruneSet", "SeparationResult", "SolveStatus", "SolverFailureError",
-    "TiedPredictionError", "accuracy",
+    "IterationRecord", "LpSolution", "MilpProblem", "MilpSolution",
+    "ModelFormatError", "PairOutcome", "Point", "ProblemBuilder",
+    "ProblemTooLargeError", "PruneCycleError", "PruneOptions", "PruneOutcome",
+    "PruneResult", "PruneSet", "SeparationResult", "SolveStatus",
+    "SolverFailureError", "TiedPredictionError", "accuracy",
     "brute_force_min_support", "build_ensemble", "build_margins",
-    "build_separation", "cell_center", "cell_class", "cell_of", "cell_scores",
+    "build_separation", "cell_center", "cell_scores_batch", "cells_of",
     "certified_prune", "certify", "compute_big_w", "dump_lp",
     "enumerate_cells", "extract_cell", "fidelity", "load_dataset",
     "load_model", "load_schema", "lp_format_text", "make_synthetic",
-    "maximize_separation", "model_from_dict", "model_to_dict", "predict_class",
-    "predict_classes_batch", "predict_scores", "predict_scores_batch",
-    "prune_l0", "prune_l1", "sample_uniform_points", "save_dataset",
-    "save_model", "save_schema", "separate", "solve_lp", "solve_milp",
-    "support_of", "train_adaboost", "train_random_forest", "tree_scores",
+    "maximize_separation", "model_from_dict", "model_to_dict",
+    "predict_classes_batch", "predict_scores_batch", "prune_l0", "prune_l1",
+    "sample_uniform_points", "save_dataset", "save_model", "save_schema",
+    "separate", "solve_lp", "solve_milp", "support_of", "train_adaboost",
+    "train_random_forest",
 ]

@@ -16,8 +16,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .driver import PruneOptions, accuracy, certified_prune, fidelity
-from .ensemble import cell_center, cell_class, predict_classes_batch
+from .ensemble import cell_center, cell_scores_batch, predict_classes_batch
 from .errors import (EnumerationCapError, EquipruneError,
                      InfeasiblePruneError, InputError, TiedPredictionError)
 from .model_io import load_model, save_model
@@ -173,9 +175,10 @@ def cmd_verify(args) -> int:
         capped = str(exc)
     separation = separate(original, pruned.alpha, epsilon=args.epsilon)
     # a tie cell disagrees when the tie-break picks another class there
-    flips = [cell for cell in separation.tie_cells
-             if cell_class(original, pruned.alpha, cell)
-             != cell_class(original, original.alpha, cell)]
+    ties = separation.tie_cells
+    after, before = (np.argmax(cell_scores_batch(original, w, ties), axis=1)
+                     for w in (pruned.alpha, original.alpha))
+    flips = [cell for cell, flip in zip(ties, after != before) if flip]
     doc["format_version"] = REPORT_FORMAT_VERSION
     doc["checks"] = ["oracle"] if capped else ["enumeration", "oracle"]
     doc["oracle_points"] = [list(cell_center(original.schema, cell))

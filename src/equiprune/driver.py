@@ -162,7 +162,7 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
                     f"{cell} which is already in the working set; its "
                     "constraints should have excluded it (solver tolerance "
                     "bug)")
-            working.add_cell(cell)
+        working.add_cells(new_cells)
 
     raise IterationLimitError(
         f"no certificate after {opts.max_iterations} iterations")

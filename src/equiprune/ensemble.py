@@ -9,8 +9,8 @@ The feature space is partitioned into axis-aligned cells: one threshold
 interval per continuous feature, one bit per binary feature, one level
 per categorical feature.  Every tree routes all points of a cell to the
 same leaf, so the ensemble's prediction function is piecewise constant
-on cells.  ``cells_of`` (and ``cell_of`` for one point) validates points
-and maps them to cells; ``cell_center`` maps a cell back to a point.
+on cells.  ``cells_of`` validates points and maps them to cells;
+``cell_center`` maps a cell back to a point.
 
 An ensemble's trees have one form, ``FlatTrees``: per node its split
 feature, integer cut, categorical flag, children, leaf scores, node id
@@ -19,9 +19,9 @@ of trees from outside the program: it checks every node of a model
 document once and fills those arrays directly.  Routing, scoring, the
 separation oracle and ``model_to_dict`` read them.  ``leaves_of`` is the
 one router: it advances every tree of every cell one level per step.
-All predictions -- points, cells, batches, certification -- are
-``cells_of`` and/or ``leaves_of`` followed by a lookup in the leaf score
-rows.
+All predictions are of batches: ``cell_scores_batch`` scores cell rows
+by ``leaves_of`` and a lookup in the leaf score rows, and
+``predict_scores_batch`` scores points as the cells ``cells_of`` gives.
 
 Split conventions (fixed across the package):
   continuous  - route left iff x_j <= t (closed-left intervals),
@@ -230,11 +230,6 @@ def cells_of(schema: FeatureSchema, X) -> np.ndarray:
     return cells
 
 
-def cell_of(schema: FeatureSchema, x: Sequence[float]) -> CellSignature:
-    """Cell signature of the single point ``x`` (see ``cells_of``)."""
-    return tuple(int(k) for k in cells_of(schema, [x])[0])
-
-
 def leaves_of(ensemble: Ensemble, cells) -> np.ndarray:
     """The router: flat index (into ``ensemble.flat``) of the leaf every
     tree reaches, (n, M), for the integer cell rows (n, p) of ``cells``.
@@ -251,52 +246,19 @@ def leaves_of(ensemble: Ensemble, cells) -> np.ndarray:
     return node
 
 
-def cell_score_matrix(ensemble: Ensemble, cell: CellSignature) -> np.ndarray:
-    """Per-tree score matrix on a cell: entry (m, c) is tree m's score
-    for class c at the leaf the cell routes to."""
-    return ensemble.flat.scores[leaves_of(ensemble, [cell])[0]]
-
-
-def cell_scores(ensemble: Ensemble, weights: Sequence[float],
-                cell: CellSignature) -> np.ndarray:
-    """Weighted class-score vector on a cell."""
-    return _check_weights(ensemble, weights) @ cell_score_matrix(ensemble, cell)
-
-
-def cell_class(ensemble: Ensemble, weights: Sequence[float],
-               cell: CellSignature) -> int:
-    return int(np.argmax(cell_scores(ensemble, weights, cell)))
-
-
 def cell_scores_batch(ensemble: Ensemble, weights: Sequence[float],
-                      cells: np.ndarray) -> np.ndarray:
-    """Weighted class scores (n, C) of the cell rows (n, p) of ``cells``."""
+                      cells) -> np.ndarray:
+    """Weighted class scores (n, C) of the n cell signatures in
+    ``cells``, an (n, p) array or a list of them (which may be empty)."""
     w = _check_weights(ensemble, weights)
+    cells = np.asarray(cells, dtype=np.int64).reshape(
+        len(cells), ensemble.schema.num_features)
     out = np.empty((len(cells), ensemble.num_classes))
     for start in range(0, len(cells), _ROUTE_BLOCK):
         block = slice(start, start + _ROUTE_BLOCK)
         leaves = leaves_of(ensemble, cells[block])
         out[block] = w @ ensemble.flat.scores[leaves]
     return out
-
-
-def tree_scores(ensemble: Ensemble, x: Sequence[float]) -> np.ndarray:
-    """Per-tree score matrix at ``x``: entry (m, c) is tree m's score for
-    class c at the leaf x routes to."""
-    return cell_score_matrix(ensemble, cell_of(ensemble.schema, x))
-
-
-def predict_scores(ensemble: Ensemble, weights: Sequence[float],
-                   x: Sequence[float]) -> np.ndarray:
-    """Weighted class-score vector sum_m w_m * h_m(x)."""
-    return cell_scores(ensemble, weights, cell_of(ensemble.schema, x))
-
-
-def predict_class(ensemble: Ensemble, weights: Sequence[float],
-                  x: Sequence[float]) -> int:
-    """Predicted class: argmax of the weighted scores, ties broken toward
-    the smallest class index."""
-    return int(np.argmax(predict_scores(ensemble, weights, x)))
 
 
 def predict_scores_batch(ensemble: Ensemble, weights: Sequence[float],
@@ -307,6 +269,8 @@ def predict_scores_batch(ensemble: Ensemble, weights: Sequence[float],
 
 def predict_classes_batch(ensemble: Ensemble, weights: Sequence[float],
                           X: np.ndarray) -> np.ndarray:
+    """Predicted classes (n,): argmax of the weighted scores, ties broken
+    toward the smallest class index."""
     return np.argmax(predict_scores_batch(ensemble, weights, X), axis=1)
 
 
@@ -321,7 +285,7 @@ def check_cell(schema: FeatureSchema, cell: CellSignature) -> None:
 
 
 def cell_center(schema: FeatureSchema, cell: CellSignature) -> Point:
-    """A representative point of ``cell``; ``cell_of`` maps it back.
+    """A representative point of ``cell``; ``cells_of`` maps it back.
 
     Interior intervals use the midpoint; the unbounded end intervals pad
     by 1.0 beyond the extreme threshold.

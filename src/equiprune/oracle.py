@@ -325,8 +325,8 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     passes one dict, empty at first, to every round and drops it after
     the run): a class found there is reweighted for each challenger, not
     rebuilt, and ``solve`` gets that basis as ``start=``.  Without it,
-    each class's program is still built once per call, but every pair
-    gets ``start=None``.
+    the dict lives for this call only, so each class's first pair starts
+    cold and the others from the pair before.
 
     Every returned cell is re-checked by direct evaluation: the
     original weights must predict the pair's original class on it by a
@@ -347,8 +347,9 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     w = _check_weights(ensemble, weights)
     _check_violation_tol(violation_tol)
     result = SeparationResult(pairs=[])
+    programs = {} if programs is None else programs
     for original in range(ensemble.num_classes):
-        program, start = (programs or {}).get(original, (None, None))
+        program, start = programs.get(original, (None, None))
         for challenger in range(ensemble.num_classes):
             if challenger == original:
                 continue
@@ -365,9 +366,8 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
             nodes, iterations, cuts = sol.nodes, sol.iterations, 0
             cell = objective = None
             while True:
-                if programs is not None:
-                    start = sol.root_basis
-                    programs[original] = (program, start)
+                start = sol.root_basis
+                programs[original] = (program, start)
                 if sol.status == SolveStatus.ITERATION_LIMIT:
                     raise IterationLimitError(
                         f"separation for pair (challenger={challenger}, "

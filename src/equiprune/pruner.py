@@ -51,20 +51,21 @@ class PruneSet:
         self.conflicts: dict[tuple[int, ...], None] = {}
         self.master_basis: Basis | None = None
 
-    def add_point(self, x: Sequence[float]) -> bool:
-        """Add a point's cell; returns False if it was already present."""
-        return self.add_points([x]) == 1
-
     def add_points(self, X) -> int:
         """Add the cells of the rows of ``X`` in order, each unless it is
         already present; returns how many were added.  All rows are
         validated before any is added."""
         return self._extend(cells_of(self.ensemble.schema, X))
 
-    def add_cell(self, cell: CellSignature) -> bool:
-        """Add a cell; returns False if it was already present."""
-        check_cell(self.ensemble.schema, cell)
-        return self._extend(np.array([cell], dtype=np.int64)) == 1
+    def add_cells(self, cells: Sequence[CellSignature]) -> int:
+        """Add the cells in order, each unless it is already present;
+        returns how many were added.  All are checked (``check_cell``)
+        before any is added."""
+        schema = self.ensemble.schema
+        for cell in cells:
+            check_cell(schema, cell)
+        return self._extend(np.array(cells, dtype=np.int64).reshape(
+            len(cells), schema.num_features))
 
     def _extend(self, cells: np.ndarray) -> int:
         """Add the rows of ``cells`` that are new, in order, each labelled
@@ -88,80 +89,48 @@ class PruneSet:
         return len(self.cells)
 
 
-@dataclass
-class MarginTable:
-    """Per-entry, per-class, per-tree margin coefficients.
-
-    ``g[i, c, m]`` is tree m's score difference (label class minus
-    class c) on entry i, in [-1, 1], zero at magnitudes the solver's
-    pivot tolerance reads as zero; the row for c == label is
-    identically zero and never turned into a constraint.
-    ``alpha_margins`` holds the original weights' separation on each
-    (entry, class) pair, with +inf at the label position so minima
-    skip it.
-    """
-
-    g: np.ndarray              # (n, C, M)
-    labels: np.ndarray         # (n,)
-    alpha_margins: np.ndarray  # (n, C)
-
-    @property
-    def num_entries(self) -> int:
-        return self.g.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.g.shape[1]
-
-    def min_alpha_margin(self) -> float:
-        if self.alpha_margins.size == 0:
-            return np.inf
-        return float(self.alpha_margins.min())
-
-    def keep_rows(self) -> np.ndarray:
-        """G: the rows g[i, c] for c != label i, in (i, c) order."""
-        return self.g[np.isfinite(self.alpha_margins)]
-
-
-def build_margins(ensemble: Ensemble, prune_set: PruneSet) -> MarginTable:
+def build_margins(ensemble: Ensemble, prune_set: PruneSet) -> np.ndarray:
+    """G, the keep rows: for each entry i and each class c other than its
+    label, in (i, c) order, every tree's score difference (label class
+    minus c) on the entry, in [-1, 1] and zero at magnitudes the
+    solver's pivot tolerance reads as zero.  Entry i owns rows i(C-1)
+    ... i(C-1) + C - 2."""
     n = len(prune_set)
     cells = np.array(prune_set.cells, dtype=np.int64).reshape(
         n, ensemble.schema.num_features)
     labels = np.asarray(prune_set.labels, dtype=np.int64)
     scores = ensemble.flat.scores[leaves_of(ensemble, cells)]  # (n, M, C)
-    rows = np.arange(n)
-    diff = scores[rows, :, labels][:, :, None] - scores         # (n, M, C)
+    diff = scores[np.arange(n), :, labels][:, :, None] - scores  # (n, M, C)
     diff[np.abs(diff) <= _TOL_PIVOT] = 0.0
-    alpha_margins = np.asarray(ensemble.alpha) @ diff           # (n, C)
-    alpha_margins[rows, labels] = np.inf
-    return MarginTable(g=np.ascontiguousarray(diff.transpose(0, 2, 1)),
-                       labels=labels, alpha_margins=alpha_margins)
+    other = np.arange(ensemble.num_classes) != labels[:, None]  # (n, C)
+    return diff.transpose(0, 2, 1)[other]
 
 
-def _untied_margin(margins: MarginTable, tie_tol: float) -> float:
+def _untied_margin(ensemble: Ensemble, prune_set: PruneSet,
+                   G: np.ndarray) -> float:
     """Smallest original margin on the working set (inf if it is empty);
     raises on a tie, which no strict-margin reweighting reproduces."""
-    delta = margins.min_alpha_margin()
-    if delta <= tie_tol:
-        i, c = np.unravel_index(np.argmin(margins.alpha_margins),
-                                margins.alpha_margins.shape)
+    margins = G @ np.asarray(ensemble.alpha)
+    delta = float(margins.min(initial=np.inf))
+    if delta <= TIE_TOL:
+        i, k = divmod(int(np.argmin(margins)), ensemble.num_classes - 1)
+        label = prune_set.labels[i]
         raise TiedPredictionError(
             f"original prediction is tied on pruning point {i} (class "
-            f"{margins.labels[i]} against {c}); predictions cannot be "
+            f"{label} against {k + (k >= label)}); predictions cannot be "
             "preserved with a strict margin")
     return delta
 
 
 def compute_big_w(ensemble: Ensemble, prune_set: PruneSet,
-                  tie_tol: float = TIE_TOL,
-                  margins: MarginTable | None = None) -> float:
+                  margins: np.ndarray | None = None) -> float:
     """Weight bound W = 10 * max(alpha) / delta_min (delta_min = 1 on an
     empty set) of a big-W cardinality MIP (w_m <= W u_m).  alpha/delta_min
     keeps every row, but a sparser support may need more than W.  No
     caller doubles W: it sizes the tests' big-W reference.  Raises on a
-    tie."""
-    margins = margins or build_margins(ensemble, prune_set)
-    delta = _untied_margin(margins, tie_tol)
+    tie.  ``margins`` is G of ``prune_set``, built when not given."""
+    G = build_margins(ensemble, prune_set) if margins is None else margins
+    delta = _untied_margin(ensemble, prune_set, G)
     return 10.0 * max(ensemble.alpha) / (delta if delta < np.inf else 1.0)
 
 
@@ -207,7 +176,7 @@ def min_weight_sum(G: np.ndarray, trees: Sequence[int]
 
 def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
              solve: Callable[..., MilpSolution] = solve_milp,
-             margins: MarginTable | None = None) -> PruneResult:
+             margins: np.ndarray | None = None) -> PruneResult:
     """Fewest trees whose reweighting reproduces every working-set
     prediction, exactly, by implicit hitting sets.  A conflict is a set
     of trees that every working support meets, such as a row's cover
@@ -217,7 +186,7 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
     to a maximal failing set (every tree with y'g_m <= 0, then the others
     that keep it failing), whose complement S misses: the next conflict.
     The S that works gets its smallest weight sum.  Conflicts live on
-    ``prune_set``, so ``margins`` must be its table.
+    ``prune_set``, so ``margins`` must be its G.
 
     Conflicts only ever join at the end, so each master's rows are the
     last master's plus more.  Every master after the first of a
@@ -233,9 +202,8 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
     that check's basis (``solve_lp(start=...)``), which stays dual
     feasible.  Nothing outlives the call but the conflicts and the last
     master's root basis."""
-    margins = margins or build_margins(ensemble, prune_set)
-    _untied_margin(margins, TIE_TOL)
-    G = margins.keep_rows()
+    G = build_margins(ensemble, prune_set) if margins is None else margins
+    _untied_margin(ensemble, prune_set, G)
     conflicts = prune_set.conflicts
     for cover in G > 0.0:
         conflicts[tuple(np.flatnonzero(cover).tolist())] = None
@@ -308,13 +276,12 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
 
 
 def prune_l1(ensemble: Ensemble, prune_set: PruneSet,
-             margins: MarginTable | None = None) -> PruneResult:
+             margins: np.ndarray | None = None) -> PruneResult:
     """Smallest weight sum that reproduces every working-set
     prediction.  A plain LP.  Raises on a tie, as ``prune_l0`` does."""
-    margins = margins or build_margins(ensemble, prune_set)
-    _untied_margin(margins, TIE_TOL)
-    weights, sol = min_weight_sum(margins.keep_rows(),
-                                  np.arange(ensemble.num_trees))
+    G = build_margins(ensemble, prune_set) if margins is None else margins
+    _untied_margin(ensemble, prune_set, G)
+    weights, sol = min_weight_sum(G, np.arange(ensemble.num_trees))
     if sol.status == SolveStatus.INFEASIBLE:
         raise InfeasiblePruneError(
             "no faithful reweighting exists on the working set")

@@ -235,8 +235,9 @@ _TOL_FEAS = 1e-7
 _TOL_INT = 1e-6
 # A node whose bound is within this of the incumbent cannot improve it.
 _TOL_GAP = 1e-9
-# A reduced cost beyond this prices its column in; the check of a
-# returned basis uses 10 times it, times 1 + max|c|.
+# A reduced cost beyond this times 1 + max|c| prices its column in
+# (``_Simplex.pricing_tol``); the check of a returned basis uses 10
+# times that.  Scaled, since roundoff in d grows with the costs.
 _TOL_COST = 1e-9
 # Pivot column and row entries of at most this magnitude are zeros in
 # the ratio tests and in a Farkas row.
@@ -488,6 +489,9 @@ class _Simplex:
         np.multiply(v, self.sigma, out=row[k:])
         return row
 
+    def pricing_tol(self) -> float:
+        return _TOL_COST * (1.0 + np.abs(self.cc).max(initial=0.0))
+
     def _candidates(self, tol: float) -> np.ndarray:
         d, stat = self.d, self.stat
         return self.movable & ((_MAY_RISE[stat] & (d < -tol))
@@ -523,10 +527,11 @@ class _Simplex:
         since_refactor = 0
         stall = 0
         bland = False
+        tol = self.pricing_tol()
         while True:
             if self.iterations >= _MAX_PIVOTS:
                 return SolveStatus.ITERATION_LIMIT
-            cand = self._candidates(_TOL_COST)
+            cand = self._candidates(tol)
             if not cand.any():
                 if self.derived:
                     return SolveStatus.OPTIMAL
@@ -773,8 +778,7 @@ def _optimal(sx: _Simplex) -> LpSolution:
 
 
 def _verified_candidates(sx: _Simplex) -> np.ndarray:
-    tol = 10 * _TOL_COST * (1.0 + np.abs(sx.cc).max(initial=0.0))
-    return sx._candidates(tol)
+    return sx._candidates(10 * sx.pricing_tol())
 
 
 def _verified_optimum(sx: _Simplex) -> bool:

@@ -127,7 +127,7 @@ def brute_force_min_support(ensemble: Ensemble, prune_set: PruneSet,
     if M > max_trees:
         raise EnumerationCapError(
             f"{M} trees exceed the subset-search limit of {max_trees}")
-    G = build_margins(ensemble, prune_set).keep_rows()
+    G = build_margins(ensemble, prune_set)
     for k in range(M + 1):
         for subset in itertools.combinations(range(M), k):
             _, sol = min_weight_sum(G, subset)

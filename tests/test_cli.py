@@ -10,8 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from equiprune import (load_model, load_schema, make_synthetic, predict_class,
-                       save_dataset, save_model, save_schema)
+from equiprune import (load_model, load_schema, make_synthetic,
+                       predict_classes_batch, save_dataset, save_model,
+                       save_schema)
 from equiprune.cli import main
 from conftest import DATA_DIR, make_stump, opposed_stumps
 from test_model_io import MALFORMED, malformed
@@ -196,9 +197,8 @@ def assert_points_disagree(original, pruned, points):
     different classes."""
     original, pruned = load_model(original), load_model(pruned)
     assert points
-    for point in points:
-        assert (predict_class(original, pruned.alpha, point)
-                != predict_class(original, original.alpha, point))
+    assert np.all(predict_classes_batch(original, pruned.alpha, points)
+                  != predict_classes_batch(original, original.alpha, points))
 
 
 def test_verify_flags_a_broken_pruning(tmp_path, capsys):
@@ -263,7 +263,7 @@ def test_predict_round_trip(tmp_path):
     assert lines[0] == "prediction"
     ens = load_model(FIXTURE)
     rows = [(0.0,), (0.4,), (0.6,), (1.0,)]
-    expected = [predict_class(ens, ens.alpha, x) for x in rows]
+    expected = predict_classes_batch(ens, ens.alpha, rows).tolist()
     assert [int(v) for v in lines[1:]] == expected
 
 
@@ -277,7 +277,7 @@ def test_predict_cross_checks_library(tmp_path):
     assert run("predict", "--model", FIXTURE, "--data", str(data),
                "--out", str(out)) == 0
     ens = load_model(FIXTURE)
-    expected = [predict_class(ens, ens.alpha, (float(x),)) for x in xs]
+    expected = predict_classes_batch(ens, ens.alpha, xs[:, None]).tolist()
     got = [int(v) for v in out.read_text().splitlines()[1:]]
     assert got == expected
 

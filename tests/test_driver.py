@@ -10,7 +10,7 @@ from equiprune import (DEFAULT_EPSILON, InfeasiblePruneError, InputError,
                        PruneOptions, PruneSet, TiedPredictionError, accuracy,
                        brute_force_min_support, build_ensemble,
                        certified_prune, certify, enumerate_cells, fidelity,
-                       make_synthetic, model_from_dict, predict_class,
+                       make_synthetic, model_from_dict, predict_classes_batch,
                        sample_uniform_points, train_adaboost,
                        train_random_forest)
 from conftest import make_stump, random_stump_ensemble, stump_ensembles
@@ -46,8 +46,7 @@ def test_fixture_prunes_under_l1_too(three_stumps):
 def test_already_minimal_ensemble_keeps_everything():
     ens = random_stump_ensemble(2012, max_trees=5)
     ps = PruneSet(ens)
-    for cell in enumerate_cells(ens.schema):
-        ps.add_cell(cell)
+    ps.add_cells(list(enumerate_cells(ens.schema)))
     assert brute_force_min_support(ens, ps) == ens.num_trees
     outcome = certified_prune(ens, seed_points(ens), PruneOptions(norm="l0"))
     assert outcome.num_kept == ens.num_trees
@@ -191,8 +190,8 @@ def test_accuracy_hand_count():
                          weights=[1.0],
                          raw_trees=[make_stump(0, 0.5, (1, 0), (0, 1))])
     points = [(0.1,), (0.2,), (0.3,), (0.7,), (0.9,)]
-    preds = [predict_class(ens, ens.alpha, x) for x in points]
-    assert preds == [0, 0, 0, 1, 1]
+    preds = predict_classes_batch(ens, ens.alpha, points)
+    assert preds.tolist() == [0, 0, 0, 1, 1]
     assert accuracy(ens, ens.alpha, points, [0, 0, 0, 1, 1]) == 1.0
     assert accuracy(ens, ens.alpha, points, [1, 1, 1, 0, 0]) == 0.0
     assert accuracy(ens, ens.alpha, points, [0, 1, 0, 1, 0]) == \
@@ -272,6 +271,34 @@ def test_an_original_margin_at_the_pivot_tolerance_is_a_tie():
     for norm in ("l0", "l1"):
         with pytest.raises(TiedPredictionError):
             certified_prune(ens, [(0.0,)], PruneOptions(norm=norm))
+
+
+def test_l1_prices_at_the_scale_of_a_large_objective():
+    # the only seed row's original margin is 5e-8, so l1 weighs the one
+    # tree 2e7: pricing at an absolute reduced-cost tolerance swapped two
+    # columns of pair (0, 3)'s root LP on roundoff until the pivot limit
+    def split(i, j, left, right, **cut):
+        return {"id": i, "kind": "split", "feature": j, "left": left,
+                "right": right, **cut}
+
+    def leaf(i, *scores):
+        return {"id": i, "kind": "leaf", "scores": list(scores)}
+
+    ens = build_ensemble(
+        num_classes=4, weights=[0.1],
+        features=[{"kind": "continuous"},
+                  {"kind": "categorical", "levels": 2},
+                  {"kind": "categorical", "levels": 2}],
+        raw_trees=[{"root": 0, "nodes": [
+            split(0, 1, 1, 2, category=1), leaf(1, 0, 0, 0, 0.9716961687),
+            split(2, 0, 3, 4, threshold=0.0), leaf(3, 0, 0.818097, 0, 0.49665),
+            split(4, 1, 5, 6, category=1),
+            leaf(5, 0, 0, 0.23927555772777, 0.670663577576718),
+            leaf(6, 5e-08, 0, 0, 0)]}])
+    outcome = certified_prune(ens, sample_uniform_points(ens.schema, 1, 0),
+                              PruneOptions(norm="l1"))
+    assert outcome.weights.tolist() == pytest.approx([2e7])
+    assert certify(ens, outcome.weights, DEFAULT_EPSILON).identical
 
 
 @settings(max_examples=300, deadline=None)

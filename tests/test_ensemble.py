@@ -5,11 +5,11 @@ import pytest
 
 from equiprune import (BinaryFeature, CategoricalFeature, ContinuousFeature,
                        FeatureSchema, InputError, ModelFormatError, accuracy,
-                       build_ensemble, cell_center, cell_of, enumerate_cells,
-                       fidelity, model_to_dict, predict_class, predict_scores,
-                       predict_scores_batch, sample_uniform_points,
-                       tree_scores)
-from equiprune.ensemble import cells_of, leaves_of
+                       build_ensemble, cell_center, cell_scores_batch,
+                       cells_of, enumerate_cells, fidelity, model_to_dict,
+                       predict_classes_batch, predict_scores_batch,
+                       sample_uniform_points)
+from equiprune.ensemble import leaves_of
 from conftest import make_stump, one_hot, stump_ensembles
 
 
@@ -21,13 +21,13 @@ def two_class(features, weights, trees):
 def test_single_stump_routes_left():
     ens = two_class([{"name": "x1", "kind": "continuous"}], [1.0],
                     [make_stump(0, 0.5, (1, 0), (0, 1))])
-    assert predict_scores(ens, (1.0,), (0.3,)).tolist() == [1.0, 0.0]
+    assert predict_scores_batch(ens, (1.0,), [(0.3,)]).tolist() == [[1.0, 0.0]]
 
 
 def test_zero_weights_give_zero_scores():
     ens = two_class([{"name": "x1", "kind": "continuous"}], [1.0],
                     [make_stump(0, 0.5, (1, 0), (0, 1))])
-    assert predict_scores(ens, (0.0,), (0.3,)).tolist() == [0.0, 0.0]
+    assert predict_scores_batch(ens, (0.0,), [(0.3,)]).tolist() == [[0.0, 0.0]]
 
 
 def test_three_stump_vote_tally():
@@ -35,36 +35,37 @@ def test_three_stump_vote_tally():
              make_stump(0, 0.5, (0, 1), (0, 1)),
              make_stump(0, 0.5, (0, 1), (0, 1))]
     ens = two_class([{"name": "x1", "kind": "continuous"}], [1, 1, 1], trees)
-    assert predict_scores(ens, ens.alpha, (0.3,)).tolist() == [1.0, 2.0]
-    assert predict_class(ens, ens.alpha, (0.3,)) == 1
+    assert predict_scores_batch(ens, ens.alpha, [(0.3,)]).tolist() == \
+        [[1.0, 2.0]]
+    assert predict_classes_batch(ens, ens.alpha, [(0.3,)]).tolist() == [1]
 
 
 def test_tie_broken_toward_smaller_class():
     trees = [make_stump(0, 0.5, (1, 0), (1, 0)),
              make_stump(0, 0.5, (0, 1), (0, 1))]
     ens = two_class([{"name": "x1", "kind": "continuous"}], [1, 1], trees)
-    assert predict_class(ens, ens.alpha, (0.3,)) == 0
+    assert predict_classes_batch(ens, ens.alpha, [(0.3,)]).tolist() == [0]
     # all-zero weights tie every class at 0
-    assert predict_class(ens, (0.0, 0.0), (0.3,)) == 0
+    assert predict_classes_batch(ens, (0.0, 0.0), [(0.3,)]).tolist() == [0]
 
 
 def test_tree_scores_matrix():
     trees = [make_stump(0, 0.5, (1, 0), (0, 1)),
              make_stump(0, 0.5, (0, 1), (1, 0))]
     ens = two_class([{"name": "x1", "kind": "continuous"}], [1, 1], trees)
-    assert tree_scores(ens, (0.2,)).tolist() == [[1, 0], [0, 1]]
-    assert tree_scores(ens, (0.7,)).tolist() == [[0, 1], [1, 0]]
+    leaves = leaves_of(ens, cells_of(ens.schema, [(0.2,), (0.7,)]))
+    assert ens.flat.scores[leaves].tolist() == [[[1, 0], [0, 1]],
+                                                [[0, 1], [1, 0]]]
 
 
 def test_cell_of_single_threshold():
     schema = FeatureSchema((ContinuousFeature((0.5,)),))
-    assert cell_of(schema, (0.2,)) == (0,)
+    assert cells_of(schema, [(0.2,)]).tolist() == [[0]]
 
 
 def test_cell_of_boundary_is_closed_left():
     schema = FeatureSchema((ContinuousFeature((0.2, 0.8)),))
-    assert cell_of(schema, (0.2,)) == (0,)
-    assert cell_of(schema, (0.9,)) == (2,)
+    assert cells_of(schema, [(0.2,), (0.9,)]).tolist() == [[0], [2]]
 
 
 def test_cell_center_interior_midpoint():
@@ -92,8 +93,9 @@ def test_cell_of_center_identity_on_small_schemas():
             else:
                 features.append(CategoricalFeature(int(rng.integers(2, 5))))
         schema = FeatureSchema(tuple(features))
-        for cell in enumerate_cells(schema):
-            assert cell_of(schema, cell_center(schema, cell)) == cell
+        cells = list(enumerate_cells(schema))
+        centers = [cell_center(schema, cell) for cell in cells]
+        assert list(map(tuple, cells_of(schema, centers).tolist())) == cells
 
 
 def test_routing_is_constant_within_a_cell():
@@ -101,12 +103,11 @@ def test_routing_is_constant_within_a_cell():
     for seed, ens in stump_ensembles(100, 10):
         for _ in range(20):
             x = tuple(rng.normal(size=ens.schema.num_features))
-            cell = cell_of(ens.schema, x)
-            y = cell_center(ens.schema, cell)
-            at_x = leaves_of(ens, cells_of(ens.schema, [x]))
+            cell = cells_of(ens.schema, [x])
+            y = cell_center(ens.schema, tuple(cell[0].tolist()))
+            at_x = leaves_of(ens, cell)
             at_y = leaves_of(ens, cells_of(ens.schema, [y]))
             assert np.array_equal(at_x, at_y)
-            assert np.array_equal(at_x, leaves_of(ens, [cell]))
 
 
 def test_argmax_is_scale_invariant():
@@ -114,34 +115,23 @@ def test_argmax_is_scale_invariant():
     for seed, ens in stump_ensembles(200, 10):
         w = rng.uniform(0.1, 2.0, size=ens.num_trees)
         for lam in (0.001, 1.0, 517.3):
-            for _ in range(10):
-                x = tuple(rng.normal(size=ens.schema.num_features))
-                assert predict_class(ens, lam * w, x) == \
-                    predict_class(ens, w, x)
-
-
-def test_batch_prediction_matches_pointwise():
-    rng = np.random.default_rng(5)
-    for seed, ens in stump_ensembles(300, 5):
-        X = rng.normal(size=(30, ens.schema.num_features))
-        w = rng.uniform(0.0, 2.0, size=ens.num_trees)
-        batch = predict_scores_batch(ens, w, X)
-        for i in range(X.shape[0]):
-            assert np.allclose(batch[i], predict_scores(ens, w, tuple(X[i])))
+            X = rng.normal(size=(10, ens.schema.num_features))
+            assert np.array_equal(predict_classes_batch(ens, lam * w, X),
+                                  predict_classes_batch(ens, w, X))
 
 
 def test_point_arity_mismatch_rejected():
     ens = two_class([{"name": "x1", "kind": "continuous"}], [1.0],
                     [make_stump(0, 0.5, (1, 0), (0, 1))])
     with pytest.raises(InputError):
-        predict_scores(ens, (1.0,), (0.3, 0.4))
+        predict_scores_batch(ens, (1.0,), [(0.3, 0.4)])
 
 
 def test_negative_weight_rejected():
     ens = two_class([{"name": "x1", "kind": "continuous"}], [1.0],
                     [make_stump(0, 0.5, (1, 0), (0, 1))])
     with pytest.raises(InputError):
-        predict_class(ens, (-1.0,), (0.3,))
+        predict_classes_batch(ens, (-1.0,), [(0.3,)])
 
 
 def test_non_monotone_thresholds_rejected():
@@ -200,7 +190,7 @@ def mixed_ensemble():
 def test_invalid_points_rejected_on_point_and_batch_paths(bad):
     ens = mixed_ensemble()
     with pytest.raises(InputError):
-        predict_class(ens, ens.alpha, bad)
+        cells_of(ens.schema, [bad])
     X = np.array([(0.0, 1.0, 2.0), bad])
     with pytest.raises(InputError):
         predict_scores_batch(ens, ens.alpha, X)
@@ -281,8 +271,9 @@ def test_router_matches_reference_walker():
     for _ in range(60):
         ens = random_mixed_ensemble(rng)
         schema, doc = ens.schema, model_to_dict(ens)
+        cells = list(enumerate_cells(schema))
         points = [sample_uniform_points(schema, 40, rng)]
-        points.append([cell_center(schema, c) for c in enumerate_cells(schema)])
+        points.append([cell_center(schema, c) for c in cells])
         for j, kind in enumerate(schema.features):
             for t in getattr(kind, "thresholds", ()):
                 on_threshold = sample_uniform_points(schema, 3, rng)
@@ -296,5 +287,13 @@ def test_router_matches_reference_walker():
         by_id = [{n["id"]: n for n in tree["nodes"]} for tree in doc["trees"]]
         scores = np.array([[by_id[m][v]["scores"] for m, v in enumerate(row)]
                            for row in expected])
-        assert np.allclose(predict_scores_batch(ens, ens.alpha, X),
-                           np.einsum("m,nmc->nc", ens.alpha, scores))
+        # the batch scores of the points, and of every cell, against the
+        # walk's leaves under weights with some zeros
+        w = rng.uniform(0.0, 2.0, ens.num_trees)
+        w[rng.random(ens.num_trees) < 0.3] = 0.0
+        walked = np.einsum("m,nmc->nc", w, scores)
+        assert np.allclose(predict_scores_batch(ens, w, X), walked)
+        assert np.allclose(cell_scores_batch(ens, w, cells),
+                           walked[40:40 + len(cells)])
+    assert cell_scores_batch(ens, w, []).shape == (0, ens.num_classes)
+

@@ -11,12 +11,10 @@ import pytest
 from equiprune import (DEFAULT_EPSILON, InputError, IterationLimitError,
                        MilpSolution, ProblemTooLargeError, SolveStatus,
                        SolverFailureError, TiedPredictionError,
-                       build_ensemble,
-                       build_separation, cell_of, cell_scores,
-                       certified_prune, certify,
-                       cell_center, extract_cell, make_synthetic,
-                       maximize_separation, predict_class,
-                       sample_uniform_points,
+                       build_ensemble, build_separation, cell_center,
+                       cell_scores_batch, cells_of, certified_prune, certify,
+                       extract_cell, make_synthetic, maximize_separation,
+                       predict_classes_batch, sample_uniform_points,
                        separate, solve_milp, solver, train_random_forest)
 from equiprune.ensemble import leaves_of
 from equiprune.oracle import VIOLATION_TOL, Screen, SeparationResult
@@ -104,10 +102,9 @@ def test_dropped_tree_disagreement_is_found():
     w = (0.0, 1.0)
     result = separate(ens, w)
     assert not result.is_empty
-    for cell in result.cells:
-        point = cell_center(ens.schema, cell)
-        assert predict_class(ens, w, point) != predict_class(ens, ens.alpha,
-                                                             point)
+    points = [cell_center(ens.schema, cell) for cell in result.cells]
+    assert np.all(predict_classes_batch(ens, w, points)
+                  != predict_classes_batch(ens, ens.alpha, points))
     # the disagreeing cells are exactly where brute force sees them
     assert set(result.cells) <= {(0,), (2,)}
 
@@ -211,7 +208,7 @@ def test_extraction_pads_below_first_threshold():
     assert scores.tolist() == [[1.0, 0.0], [1.0, 0.0]]
     point = cell_center(ens.schema, cell)
     assert point[0] == pytest.approx(0.2 - 1.0)
-    assert cell_of(ens.schema, point) == cell
+    assert cells_of(ens.schema, [point]).tolist() == [list(cell)]
 
 
 def test_extraction_between_thresholds():
@@ -350,13 +347,13 @@ def test_returned_cells_flip_the_prediction():
         if not w.any():
             continue
         result = separate(ens, w)
-        for cell in result.cells:
-            point = cell_center(ens.schema, cell)
-            assert predict_class(ens, w, point) != \
-                predict_class(ens, ens.alpha, point)
+        points = [cell_center(ens.schema, cell) for cell in result.cells]
+        if points:
+            assert np.all(predict_classes_batch(ens, w, points)
+                          != predict_classes_batch(ens, ens.alpha, points))
         for pair in result.pairs:
             if pair.cell is not None and pair.objective > 1e-8:
-                scores = cell_scores(ens, w, pair.cell)
+                scores = cell_scores_batch(ens, w, [pair.cell])[0]
                 assert scores[pair.challenger] > scores[pair.original]
 
 
@@ -385,7 +382,7 @@ def test_a_cell_below_the_margin_is_cut_off_and_resolved():
                 assert pair.objective < -VIOLATION_TOL
             else:
                 assert best == pytest.approx(pair.objective, abs=1e-6)
-                scores = cell_scores(ens, ens.alpha, pair.cell)
+                scores = cell_scores_batch(ens, ens.alpha, [pair.cell])[0]
                 assert scores[pair.original] - scores[
                     pair.challenger] >= DEFAULT_EPSILON
         cuts = 0
@@ -497,7 +494,8 @@ def test_reused_programs_equal_fresh_builds():
     """Under one program per original class, every problem handed to
     ``solve`` equals a fresh build of its pair, its optimum equals a
     cold solve's, and every pair after the first of its class starts
-    from the root basis of the pair before it."""
+    from the root basis of the pair before it, also when no
+    ``programs`` are passed."""
     rng = np.random.default_rng(42)
     handed_out = []                     # (problem, copies of its arrays)
     calls = []                          # (start or None, root basis)
@@ -505,11 +503,14 @@ def test_reused_programs_equal_fresh_builds():
     def capture(problem, **kwargs):
         handed_out.append((problem, [getattr(problem, f).copy()
                                      for f in PROBLEM_ARRAYS]))
+        return record(problem, **kwargs)
+
+    def record(problem, **kwargs):
         sol = solve_milp(problem, **kwargs)
         calls.append((kwargs.get("start"), sol.root_basis))
         return sol
 
-    ensembles = multi_class = starts = within_round = 0
+    ensembles = multi_class = starts = within_round = local_starts = 0
     while multi_class < 12:
         ens = random_mixed_ensemble(rng)
         ensembles += 1
@@ -539,11 +540,19 @@ def test_reused_programs_equal_fresh_builds():
                 first_of_class = c == (1 if y == 0 else 0)
                 within_round += start is not None and not first_of_class
                 last_basis[y] = root
-            # warm roots find the optima of cold ones
-            for ours, cold in zip(reused.pairs, separate(ens, w).pairs):
-                assert ours.status == cold.status
-                if cold.objective is not None:
-                    assert ours.objective == pytest.approx(cold.objective,
+            # without ``programs`` only each class's first pair is cold,
+            # and the roots held across rounds find the same optima
+            calls.clear()
+            local = separate(ens, w, solve=record)
+            for k, (ours, pair) in enumerate(zip(reused.pairs, local.pairs)):
+                first_of_class = pair.challenger == (
+                    1 if pair.original == 0 else 0)
+                assert calls[k][0] is (None if first_of_class
+                                       else calls[k - 1][1])
+                local_starts += not first_of_class
+                assert ours.status == pair.status
+                if pair.objective is not None:
+                    assert ours.objective == pytest.approx(pair.objective,
                                                            abs=1e-9)
     # no problem handed out in an earlier round changed later
     for problem, arrays in handed_out:
@@ -552,6 +561,7 @@ def test_reused_programs_equal_fresh_builds():
     assert ensembles > multi_class
     assert starts >= 150
     assert within_round >= 100         # later challengers, same round
+    assert local_starts >= 100
 
 
 def test_screen_proposes_only_what_the_oracle_accepts():
@@ -573,12 +583,12 @@ def test_screen_proposes_only_what_the_oracle_accepts():
             found = result.cells + result.tie_cells
             assert len(set(found)) == len(found)
             proposed += len(found)
-            for cell in found:
-                before = cell_scores(ens, ens.alpha, cell)
+            befores = cell_scores_batch(ens, ens.alpha, found)
+            afters = cell_scores_batch(ens, w, found)
+            for cell, before, after in zip(found, befores, afters):
                 top, second = np.sort(before)[[-1, -2]]
                 assert top - second >= DEFAULT_EPSILON
                 y = int(np.argmax(before))
-                after = cell_scores(ens, w, cell)
                 gap = max(after[c] - after[y] for c in range(C) if c != y)
                 if cell in result.cells:
                     assert gap > VIOLATION_TOL

@@ -5,12 +5,13 @@ import pytest
 
 from equiprune import (InfeasiblePruneError, InputError,
                        IterationLimitError, ProblemBuilder, PruneSet,
-                       SolveStatus,
-                       TiedPredictionError, cell_of, sample_uniform_points,
+                       SolveStatus, TiedPredictionError,
                        brute_force_min_support, build_ensemble, build_margins,
-                       cell_center, cell_class, compute_big_w, enumerate_cells,
-                       model_from_dict, model_to_dict, predict_class,
-                       prune_l0, prune_l1, solve_milp, solver, support_of)
+                       cell_center, cell_scores_batch, cells_of,
+                       compute_big_w, enumerate_cells, model_from_dict,
+                       model_to_dict, predict_classes_batch, prune_l0,
+                       prune_l1, sample_uniform_points, solve_milp, solver,
+                       support_of)
 from equiprune import pruner
 from equiprune.pruner import min_weight_sum
 from conftest import (make_stump, one_hot, random_boosted_instance,
@@ -20,8 +21,7 @@ from test_ensemble import random_mixed_ensemble
 
 def all_cells_set(ensemble):
     ps = PruneSet(ensemble)
-    for cell in enumerate_cells(ensemble.schema):
-        ps.add_cell(cell)
+    ps.add_cells(list(enumerate_cells(ensemble.schema)))
     return ps
 
 
@@ -55,7 +55,7 @@ def big_w_min_support(ensemble, prune_set, W):
     pb = ProblemBuilder()
     w = [pb.add_var(lo=0.0, up=W) for _ in range(M)]
     u = [pb.add_var(lo=0.0, up=1.0, obj=1.0, integer=True) for _ in range(M)]
-    for row in build_margins(ensemble, prune_set).keep_rows():
+    for row in build_margins(ensemble, prune_set):
         pb.add_row(zip(w, row), ">=", 1.0)
     for m in range(M):
         pb.add_row([(w[m], 1.0), (u[m], -W)], "<=", 0.0)
@@ -74,11 +74,10 @@ def single_stump_ensemble():
 def test_one_hot_margin_is_one():
     ens = single_stump_ensemble()
     ps = PruneSet(ensemble=ens)
-    ps.add_point((0.3,))
-    margins = build_margins(ens, ps)
+    ps.add_points([(0.3,)])
     # label 0, challenger 1: h^{(0)} - h^{(1)} = 1 - 0
-    assert margins.labels[0] == 0
-    assert margins.g[0, 1, 0] == 1.0
+    assert ps.labels == [0]
+    assert build_margins(ens, ps).tolist() == [[1.0]]
 
 
 def test_abstaining_tree_margin_is_zero():
@@ -88,28 +87,24 @@ def test_abstaining_tree_margin_is_zero():
                          features=[{"name": "x1", "kind": "continuous"}],
                          weights=[1.0, 1.0], raw_trees=trees)
     ps = PruneSet(ens)
-    ps.add_point((0.3,))
-    margins = build_margins(ens, ps)
-    assert margins.g[0, 1, 1] == 0.0
+    ps.add_points([(0.3,)])
+    assert build_margins(ens, ps).tolist() == [[1.0, 0.0]]
 
 
 def test_fixture_margin_table(three_stumps):
     """Hand evaluation on the bundled 3-stump model (thresholds .3/.5/.7,
     every tree votes class 0 left and class 1 right)."""
-    ps = PruneSet(three_stumps)
-    for cell in enumerate_cells(three_stumps.schema):
-        ps.add_cell(cell)
-    margins = build_margins(three_stumps, ps)
-    assert margins.g.shape == (4, 2, 3)
+    ps = all_cells_set(three_stumps)
+    # one row per cell, against its one other class:
     # cell 0 (x <= 0.3): every tree votes 0, label 0, all margins +1
     # cell 1 (0.3 < x <= 0.5): tree 0 votes 1, others 0 -> label 0
     # cell 2 (0.5 < x <= 0.7): trees 0,1 vote 1 -> label 1
     # cell 3 (x > 0.7): all vote 1, label 1
-    assert margins.labels.tolist() == [0, 0, 1, 1]
-    assert margins.g[0, 1].tolist() == [1.0, 1.0, 1.0]
-    assert margins.g[1, 1].tolist() == [-1.0, 1.0, 1.0]
-    assert margins.g[2, 0].tolist() == [1.0, 1.0, -1.0]
-    assert margins.g[3, 0].tolist() == [1.0, 1.0, 1.0]
+    assert ps.labels == [0, 0, 1, 1]
+    assert build_margins(three_stumps, ps).tolist() == [[1.0, 1.0, 1.0],
+                                                        [-1.0, 1.0, 1.0],
+                                                        [1.0, 1.0, -1.0],
+                                                        [1.0, 1.0, 1.0]]
 
 
 def test_big_w_formula_unit_margins():
@@ -121,7 +116,7 @@ def test_big_w_formula_unit_margins():
                          features=[{"name": "x1", "kind": "continuous"}],
                          weights=[1, 1, 1], raw_trees=trees)
     ps = PruneSet(ens)
-    ps.add_point((0.3,))
+    ps.add_points([(0.3,)])
     # W = 10 * max(alpha) / delta_min = 10 * 1 / 1
     assert compute_big_w(ens, ps) == pytest.approx(10.0)
 
@@ -135,7 +130,7 @@ def test_big_w_formula_scaled():
                          features=[{"name": "x1", "kind": "continuous"}],
                          weights=[2.0, 1.0], raw_trees=trees)
     ps = PruneSet(ens)
-    ps.add_point((0.3,))
+    ps.add_points([(0.3,)])
     # W = 10 * 2 / 0.5 = 40
     assert compute_big_w(ens, ps) == pytest.approx(40.0)
 
@@ -147,12 +142,28 @@ def test_tied_original_prediction_is_an_error():
                          features=[{"name": "x1", "kind": "continuous"}],
                          weights=[1.0, 1.0], raw_trees=trees)
     ps = PruneSet(ens)
-    ps.add_point((0.3,))
+    ps.add_points([(0.3,)])
     with pytest.raises(TiedPredictionError, match="tied"):
         compute_big_w(ens, ps)
     with pytest.raises(TiedPredictionError, match="tied"):
         prune_l0(ens, ps)
     with pytest.raises(TiedPredictionError, match="tied"):
+        prune_l1(ens, ps)
+
+
+def test_a_tie_names_its_entry_and_class():
+    # cell 0 scores (1, 0, 0); cell 1 scores (0, 1, 1), a tie of class 1
+    # (the tie-break's pick) with class 2 in the last row of G
+    trees = [make_stump(0, 0.5, one_hot(0, 3), one_hot(1, 3)),
+             make_stump(0, 0.5, (0, 0, 0), one_hot(2, 3))]
+    ens = build_ensemble(num_classes=3,
+                         features=[{"name": "x1", "kind": "continuous"}],
+                         weights=[1.0, 1.0], raw_trees=trees)
+    ps = PruneSet(ens)
+    ps.add_points([(0.3,), (0.7,)])
+    assert (build_margins(ens, ps) @ ens.alpha).tolist() == [1, 1, 1, 0]
+    with pytest.raises(TiedPredictionError,
+                       match=r"point 1 \(class 1 against 2\)"):
         prune_l1(ens, ps)
 
 
@@ -206,17 +217,15 @@ def test_carried_conflicts_give_the_fresh_support_size():
     for ens, full in l0_cases():
         grown = PruneSet(ens)
         half = len(full.cells) // 2
-        for cell in full.cells[:half]:
-            grown.add_cell(cell)
+        grown.add_cells(full.cells[:half])
         try:
             prune_l0(ens, grown)
-            for cell in full.cells[half:]:
-                grown.add_cell(cell)
+            grown.add_cells(full.cells[half:])
             result = prune_l0(ens, grown)
         except TiedPredictionError:
             continue
         assert len(result.support) == len(prune_l0(ens, full).support)
-        G = build_margins(ens, full).keep_rows()
+        G = build_margins(ens, full)
         for conflict in grown.conflicts:
             assert set(conflict) & set(result.support)
             rest = [m for m in range(ens.num_trees) if m not in conflict]
@@ -259,26 +268,34 @@ def test_l1_identical_stumps_use_one():
     assert len(result.support) == 1
 
 
-def test_all_nonpositive_margins_infeasible():
+def skip_tie_check(monkeypatch):
+    """A G whose rows the original weights all keep is feasible (alpha
+    over its smallest margin), so the tie check refuses every infeasible
+    G; doctored ones reach the solver only past it."""
+    monkeypatch.setattr(pruner, "_untied_margin", lambda *args: np.inf)
+
+
+def test_all_nonpositive_margins_infeasible(monkeypatch):
     # Labels always come from alpha, so a real PruneSet row is never all
-    # non-positive; exercise the error path with a doctored table whose
-    # only positive column is zeroed out.
+    # non-positive; exercise the error path with a doctored G whose only
+    # positive column is zeroed out.
     trees = [make_stump(0, 0.5, (0.5, 0.5), (0.5, 0.5)),
              make_stump(0, 0.5, (1, 0), (0, 1))]
     ens = build_ensemble(num_classes=2,
                          features=[{"name": "x1", "kind": "continuous"}],
                          weights=[1.0, 0.001], raw_trees=trees)
     ps = PruneSet(ens)
-    ps.add_point((0.3,))
+    ps.add_points([(0.3,)])
     margins = build_margins(ens, ps)
-    margins.g[:, :, 1] = 0.0
+    margins[:, 1] = 0.0
+    skip_tie_check(monkeypatch)
     with pytest.raises(InfeasiblePruneError):
         prune_l1(ens, ps, margins=margins)
     with pytest.raises(InfeasiblePruneError):
         prune_l0(ens, ps, margins=margins)
 
 
-def test_fractional_failure_ray_still_fails():
+def test_fractional_failure_ray_still_fails(monkeypatch):
     """Keep rows (1, -1) and (-0.2, 0.1) admit no reweighting, and the
     support check's optimum on both trees is 1.2, from y = (0.2, 1):
     every optimum of at least 1 must count as a failure."""
@@ -288,9 +305,8 @@ def test_fractional_failure_ray_still_fails():
                          weights=[1.0, 1.0], raw_trees=trees)
     ps = PruneSet(ens)
     ps.add_points([[0.3], [0.7]])
-    margins = build_margins(ens, ps)
-    margins.g[0, 1] = (1.0, -1.0)
-    margins.g[1, 0] = (-0.2, 0.1)
+    margins = np.array([(1.0, -1.0), (-0.2, 0.1)])
+    skip_tie_check(monkeypatch)
     with pytest.raises(InfeasiblePruneError):
         prune_l0(ens, ps, margins=margins)
 
@@ -303,32 +319,25 @@ def test_outputs_are_faithful_on_the_set():
         except TiedPredictionError:
             continue
         for result in (prune_l1(ens, ps), l0):
-            for cell, label in zip(ps.cells, ps.labels):
-                assert cell_class(ens, result.weights, cell) == label
+            scores = cell_scores_batch(ens, result.weights, ps.cells)
+            assert np.argmax(scores, axis=1).tolist() == ps.labels
 
 
 def test_scaled_alpha_is_feasible():
     """w = alpha / delta_min satisfies every margin row."""
     for seed, ens in stump_ensembles(700, 10):
-        ps = all_cells_set(ens)
-        margins = build_margins(ens, ps)
-        delta = margins.min_alpha_margin()
+        G = build_margins(ens, all_cells_set(ens))
+        delta = (G @ ens.alpha).min()
         if delta <= 1e-9:
             continue
-        w = np.array(ens.alpha) / delta
-        for i in range(margins.num_entries):
-            for c in range(margins.num_classes):
-                if c == margins.labels[i]:
-                    continue
-                assert w @ margins.g[i, c] >= 1.0 - 1e-9
+        assert np.all(G @ (np.array(ens.alpha) / delta) >= 1.0 - 1e-9)
 
 
 def test_adding_points_never_shrinks_l0():
     for seed, ens in stump_ensembles(800, 6):
         cells = list(enumerate_cells(ens.schema))
         half = PruneSet(ens)
-        for cell in cells[: max(1, len(cells) // 2)]:
-            half.add_cell(cell)
+        half.add_cells(cells[: max(1, len(cells) // 2)])
         full = all_cells_set(ens)
         try:
             k_half = len(prune_l0(ens, half).support)
@@ -341,30 +350,33 @@ def test_adding_points_never_shrinks_l0():
 def test_prune_set_dedups_by_cell():
     ens = single_stump_ensemble()
     ps = PruneSet(ens)
-    assert ps.add_point((0.3,)) is True
-    assert ps.add_point((0.1,)) is False  # same side of the stump
-    assert ps.add_point((0.9,)) is True
+    assert ps.add_points([(0.3,)]) == 1
+    assert ps.add_points([(0.1,)]) == 0  # same side of the stump
+    assert ps.add_points([(0.9,), (0.2,)]) == 1
+    assert ps.add_cells([(1,), (0,)]) == 0
+    assert ps.add_cells([]) == 0
     assert len(ps) == 2
 
 
 def test_prune_set_labels_match_alpha_vote():
     for seed, ens in stump_ensembles(900, 5):
         ps = all_cells_set(ens)
-        for cell, label in zip(ps.cells, ps.labels):
-            point = cell_center(ens.schema, cell)
-            assert predict_class(ens, ens.alpha, point) == label
+        points = [cell_center(ens.schema, cell) for cell in ps.cells]
+        assert predict_classes_batch(ens, ens.alpha, points).tolist() == \
+            ps.labels
 
 
 def row_by_row(ensemble, X):
     """The working set seeded one point at a time: cell, dedupe, label."""
     seen, cells, labels = set(), [], []
     for x in X:
-        cell = cell_of(ensemble.schema, x)
+        cell = tuple(cells_of(ensemble.schema, [x])[0].tolist())
         if cell in seen:
             continue
         seen.add(cell)
         cells.append(cell)
-        labels.append(cell_class(ensemble, ensemble.alpha, cell))
+        scores = cell_scores_batch(ensemble, ensemble.alpha, [cell])[0]
+        labels.append(int(np.argmax(scores)))
     return cells, labels
 
 
@@ -384,9 +396,10 @@ def test_batch_seeding_matches_row_by_row():
         added = batch.add_points(X[:half]) + batch.add_points(X[half:])
         assert added == len(expected[0])
         assert (batch.cells, batch.labels) == expected
-        single = PruneSet(ens)
-        assert sum(single.add_point(x) for x in X) == added
-        assert (single.cells, single.labels) == expected
+        by_cell = PruneSet(ens)
+        assert sum(by_cell.add_cells([cell]) for cell in
+                   map(tuple, cells_of(ens.schema, X).tolist())) == added
+        assert (by_cell.cells, by_cell.labels) == expected
 
 
 def test_batch_seeding_rejects_invalid_rows_before_adding_any():
@@ -479,8 +492,7 @@ def test_masters_resolve_from_the_last_root_round_after_round(monkeypatch):
         masters.clear()
         try:
             for step in (1, 2, 3):
-                for cell in full.cells[len(grown):len(full) * step // 3]:
-                    grown.add_cell(cell)
+                grown.add_cells(full.cells[len(grown):len(full) * step // 3])
                 before = len(masters)
                 result = prune_l0(ens, grown, solve=master)
                 assert result.masters == len(masters) - before
@@ -509,7 +521,7 @@ def test_tie_and_zero_tolerances_include_their_boundary():
             weights=[weight], raw_trees=[make_stump(0, 0.5, (1, 0), (0, 1))])
         ps = PruneSet(ens)
         ps.add_points([[0.0], [1.0]])
-        assert build_margins(ens, ps).min_alpha_margin() == weight
+        assert (build_margins(ens, ps) @ ens.alpha).min() == weight
         if tied:
             with pytest.raises(TiedPredictionError):
                 prune_l1(ens, ps)

@@ -108,8 +108,7 @@ def test_bad_epsilon_is_refused(three_stumps, epsilon):
 
 def test_min_support_fixture(three_stumps):
     ps = PruneSet(three_stumps)
-    for cell in enumerate_cells(three_stumps.schema):
-        ps.add_cell(cell)
+    ps.add_cells(list(enumerate_cells(three_stumps.schema)))
     assert brute_force_min_support(three_stumps, ps) == 1
 
 
@@ -119,8 +118,7 @@ def test_min_support_identical_trees():
                          features=[{"name": "x1", "kind": "continuous"}],
                          weights=[1.0] * 5, raw_trees=trees)
     ps = PruneSet(ens)
-    for cell in enumerate_cells(ens.schema):
-        ps.add_cell(cell)
+    ps.add_cells(list(enumerate_cells(ens.schema)))
     assert brute_force_min_support(ens, ps) == 1
 
 
@@ -130,6 +128,6 @@ def test_min_support_refuses_large_ensembles():
                          features=[{"name": "x1", "kind": "continuous"}],
                          weights=[1.0] * 9, raw_trees=trees)
     ps = PruneSet(ens)
-    ps.add_point((0.05,))
+    ps.add_points([(0.05,)])
     with pytest.raises(InputError, match="9"):
         brute_force_min_support(ens, ps, max_trees=8)
