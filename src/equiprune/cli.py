@@ -135,9 +135,7 @@ def cmd_prune(args) -> int:
         "oracle_pairs": [{"iteration": record.index,
                           "challenger": p.challenger, "original": p.original,
                           "nodes": p.nodes, "pivots": p.iterations,
-                          "rows": p.rows, "cols": p.cols,
-                          "solved_rows": p.solved_rows,
-                          "solved_cols": p.solved_cols, "cuts": p.cuts}
+                          "rows": p.rows, "cols": p.cols, "cuts": p.cuts}
                          for record in outcome.history
                          for p in record.pairs],
         "screened_iterations": [record.index for record in outcome.history

@@ -210,6 +210,8 @@ def cells_of(schema: FeatureSchema, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"points must be rows of numbers: {exc}") from None
+    if X.shape == (0,):             # an empty list of points
+        X = X.reshape(0, schema.num_features)
     if X.ndim != 2 or X.shape[1] != schema.num_features:
         raise InputError(
             f"expected points of arity {schema.num_features}, "

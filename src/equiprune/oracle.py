@@ -33,32 +33,36 @@ down a complete cell, including thresholds no active flow touches.  Pair
 subproblems are independent (solved here in a fixed y-major, c-minor
 order for reproducible histories).
 
-The program is built from the ensemble's flat arrays (``FlatTrees``).
-Column i is the flow of flat node i (named ``z_{tree}_{node id}``).
-Then comes one indicator block per feature, in feature order: one
-column per threshold of a continuous feature (``mu_{j}_{r}``, on iff
-the cell lies above threshold r), one for a binary feature (``b_{j}``,
-the bit) and one per level of a categorical feature (``nu_{j}_{z}``,
-one-hot).  A split on feature j with cut k reads indicator
-``blocks[j][k]``: binary splits are cut 0 on the bit.  An ordered block
-(continuous or binary) spells a cell index k as k leading ones; a
-categorical one as a one at k.  Rows run per tree ``root_`` then
-``children_``, then ``margin_``, ``order_``, ``onehot_``, and last a
-``left_``/``right_`` pair per split.
+The program is built from the ensemble's flat arrays (``FlatTrees``),
+already reduced: a root carries flow 1 and its children 1 - u and u,
+where u is the indicator of the root's split, so they get no columns.
+Column i is the flow of the i-th node at depth 2 or more, in flat order
+(named ``z_{tree}_{node id}``).  Then comes one indicator block per
+feature, in feature order: one column per threshold of a continuous
+feature (``mu_{j}_{r}``, on iff the cell lies above threshold r), one
+for a binary feature (``b_{j}``, the bit) and one per level of a
+categorical feature (``nu_{j}_{z}``, one-hot).  Last comes ``one``, an
+integer column fixed at 1 that carries every constant.
+``SeparationProgram.flows`` writes each flat node's flow as a row over
+the columns: ``one`` for a root, ``one - u`` and ``u`` for its
+children, its own column for a deeper node.  A split on feature j with
+cut k reads indicator ``blocks[j][k]``: binary splits are cut 0 on the
+bit.  An ordered block (continuous or binary) spells a cell index k as
+k leading ones; a categorical one as a one at k.  Rows run
+``children_`` per split below a root, then ``margin_``, ``order_``,
+``onehot_``, and last a ``left_``/``right_`` pair per split below a
+root.  A stump's program is its indicators, ``one``, the margin rows
+and the order rows.
 
 Only the objective depends on the weights and on the challenger: the
 rows, bounds and integrality depend on the original class alone.  So a
 pruning run builds one program per original class, once, and reweights
 it for each challenger and each round.  Every solve after the class's
 first starts from the class's last optimal root basis, which stays
-primal feasible under any objective and carries the program's presolve
-reduction (see ``solve_milp``), so presolve runs once per class.  A
-no-good row that ``separate`` appends to a class's program, to cut off a
-cell whose original margin falls short of epsilon, does not undo this:
-the re-solve maps the new row through the held reduction.
-Presolve removes every flow column a stump's split indicator
-determines, so a stump program keeps little more than its threshold
-indicators.
+primal feasible under any objective (see ``solve_milp``).  A no-good
+row that ``separate`` appends to a class's program, to cut off a cell
+whose original margin falls short of epsilon, does not undo this: the
+basis grows by the new row's slack.
 
 A round that is not the last needs only one counterexample, not the
 pair optima.  ``Screen`` scores a fixed sample of cells, drawn once per
@@ -116,7 +120,9 @@ class SeparationProgram:
     epsilon: float
     blocks: list[np.ndarray]            # per feature: its indicator columns
     categorical: list[bool]             # per feature: one-hot levels
-    leaf_cols: np.ndarray               # column of every leaf flow
+    flows: np.ndarray                   # per flat node: its flow, a row
+                                        # over the columns
+    leaves: np.ndarray                  # flat index of every leaf
     leaf_tree: np.ndarray               # its tree
     leaf_scores: np.ndarray             # its class scores, (leaves, C)
 
@@ -128,8 +134,7 @@ class SeparationProgram:
         w = np.asarray(weights, dtype=float)
         gap = (self.leaf_scores[:, challenger]
                - self.leaf_scores[:, self.original])
-        c = np.zeros(self.problem.num_vars)
-        c[self.leaf_cols] = w[self.leaf_tree] * gap
+        c = (w[self.leaf_tree] * gap) @ self.flows[self.leaves]
         return replace(self, problem=replace(self.problem, c=c),
                        challenger=challenger)
 
@@ -169,8 +174,6 @@ class PairOutcome:
     iterations: int
     rows: int                   # the pair's MIP
     cols: int
-    solved_rows: int            # what the solver solved after presolve
-    solved_cols: int
     cuts: int = 0               # cells cut off and re-solved (one MIP each)
 
 
@@ -219,13 +222,21 @@ def build_separation(ensemble: Ensemble, weights: Sequence[float],
         raise InputError(
             f"bad class pair ({challenger}, {original}) for {C} classes")
     flat = ensemble.flat
-    tree, node_id = flat.tree.tolist(), flat.node_id.tolist()
-    left, right = flat.left.tolist(), flat.right.tolist()
-    feature, cut = flat.feature.tolist(), flat.cut.tolist()
-    splits = [i for i, child in enumerate(left) if child != i]
-    leaf_cols = np.flatnonzero(flat.left == np.arange(len(left)))
+    nodes = np.arange(flat.left.size)
+    split = flat.left != nodes
+    leaves = np.flatnonzero(~split)
+    roots = flat.roots[split[flat.roots]]       # the roots that split
+    is_root = np.zeros(nodes.size, dtype=bool)
+    is_root[flat.roots] = True
+    below = np.flatnonzero(split & ~is_root)    # the splits below a root
+    # a root and its children take their flows from ``one`` and the
+    # root's indicator; every deeper node has a flow column
+    top = is_root.copy()
+    top[flat.left[roots]] = top[flat.right[roots]] = True
+    deep = np.flatnonzero(~top)
 
-    var_names = [f"z_{m}_{v}" for m, v in zip(tree, node_id)]
+    tree, node_id = flat.tree.tolist(), flat.node_id.tolist()
+    var_names = [f"z_{tree[i]}_{node_id[i]}" for i in deep.tolist()]
     blocks: list[np.ndarray] = []
     categorical: list[bool] = []
     for j, kind in enumerate(ensemble.schema.features):
@@ -238,53 +249,68 @@ def build_separation(ensemble: Ensemble, weights: Sequence[float],
         else:
             prefix = "nu" if categorical[-1] else "mu"
             var_names += [f"{prefix}_{j}_{k}" for k in range(size)]
-
-    # rows as (columns, coefficients, sense, right-hand side, name), the
-    # sense coded as in MilpProblem: -1 '<=', 0 '==', +1 '>='
-    rows: list[tuple] = []
-    # tree m's nodes are the flat range ends[m]:ends[m + 1]
-    ends = np.searchsorted(flat.tree, np.arange(len(flat.roots) + 1)).tolist()
-    for m, root in enumerate(flat.roots.tolist()):
-        rows.append(([root], [1.0], 0, 1.0, f"root_{m}"))
-        rows += [([left[i], right[i], i], [1.0, 1.0, -1.0], 0, 0.0,
-                  f"children_{m}_{node_id[i]}")
-                 for i in range(ends[m], ends[m + 1]) if left[i] != i]
-    alpha = np.asarray(ensemble.alpha)[flat.tree[leaf_cols]]
-    scores = flat.scores[leaf_cols]
-    for other in range(C):
-        if other != original:
-            coef = alpha * (scores[:, original] - scores[:, other])
-            rows.append((leaf_cols[coef != 0.0].tolist(),
-                         coef[coef != 0.0].tolist(), 1, epsilon,
-                         f"margin_{other}"))
-    for j, cols in enumerate(blocks):
-        if not categorical[j]:
-            rows += [(cols[r:r + 2].tolist(), [1.0, -1.0], 1, 0.0,
-                      f"order_{j}_{r}") for r in range(len(cols) - 1)]
-    rows += [(cols.tolist(), [1.0] * len(cols), 0, 1.0, f"onehot_{j}")
-             for j, cols in enumerate(blocks) if categorical[j]]
-    for i in splits:
-        ind = int(blocks[feature[i]][cut[i]])
-        m, v = tree[i], node_id[i]
-        # left branch excluded when the indicator is on, right when off
-        rows.append(([left[i], ind], [1.0, 1.0], -1, 1.0, f"left_{m}_{v}"))
-        rows.append(([right[i], ind], [1.0, -1.0], -1, 0.0, f"right_{m}_{v}"))
-
-    cols, coefs, senses, b, row_names = zip(*rows)
+    one = len(var_names)
+    var_names.append("one")
     n = len(var_names)
-    _check_size(len(rows), n)
-    A = np.zeros((len(rows), n))
-    A[[r for r, row in enumerate(cols) for _ in row],
-      [j for row in cols for j in row]] = [a for row in coefs for a in row]
+    others = [k for k in range(C) if k != original]
+    orders = [(j, cols) for j, cols in enumerate(blocks)
+              if not categorical[j] and cols.size > 1]
+    _check_size(3 * below.size + len(others) + sum(categorical)
+                + sum(cols.size - 1 for _, cols in orders), n)
+
+    # each split's indicator: feature j's first column plus the cut
+    first = np.array([cols[0] if cols.size else 0 for cols in blocks])
+    ind = first[flat.feature] + flat.cut
+    flows = np.zeros((nodes.size, n))
+    flows[deep, np.arange(deep.size)] = 1.0
+    flows[flat.roots, one] = 1.0
+    flows[flat.left[roots], one] = 1.0
+    flows[flat.left[roots], ind[roots]] = -1.0
+    flows[flat.right[roots], ind[roots]] = 1.0
+
+    # rows as blocks of (coefficients, sense, right-hand side, names),
+    # the sense coded as in MilpProblem: -1 '<=', 0 '==', +1 '>='
+    left, right = flat.left[below], flat.right[below]
+    rows = [(flows[left] + flows[right] - flows[below], 0, 0.0,
+             [f"children_{tree[i]}_{node_id[i]}" for i in below.tolist()])]
+    alpha = np.asarray(ensemble.alpha)[flat.tree[leaves]]
+    scores = flat.scores[leaves]
+    coef = alpha[:, None] * (scores[:, [original]] - scores[:, others])
+    rows.append((coef.T @ flows[leaves], 1, epsilon,
+                 [f"margin_{k}" for k in others]))
+    for j, cols in orders:
+        order = np.zeros((cols.size - 1, n))
+        k = np.arange(cols.size - 1)
+        order[k, cols[:-1]], order[k, cols[1:]] = 1.0, -1.0
+        rows.append((order, 1, 0.0, [f"order_{j}_{r}" for r in k.tolist()]))
+    for j, cols in enumerate(blocks):
+        if categorical[j]:
+            onehot = np.zeros((1, n))
+            onehot[0, cols] = 1.0
+            rows.append((onehot, 0, 1.0, [f"onehot_{j}"]))
+    # left branch excluded when the indicator is on, right when off
+    excluded = np.stack([flows[left], flows[right]], axis=1)
+    excluded[np.arange(below.size), :, ind[below]] += [1.0, -1.0]
+    rows.append((excluded.reshape(-1, n), -1, np.tile([1.0, 0.0], below.size),
+                 [f"{side}_{tree[i]}_{node_id[i]}" for i in below.tolist()
+                  for side in ("left", "right")]))
+
+    A = np.vstack([block for block, _, _, _ in rows])
+    lower = np.zeros(n)
+    lower[one] = 1.0
     program = SeparationProgram(
         problem=MilpProblem(
-            c=np.zeros(n), A=A, senses=np.array(senses, dtype=np.int8),
-            b=np.array(b, dtype=float), lower=np.zeros(n), upper=np.ones(n),
-            integer=np.arange(n) >= len(tree), maximize=True,
-            var_names=var_names, row_names=list(row_names)),
+            c=np.zeros(n), A=A,
+            senses=np.concatenate([np.full(len(names), sense, dtype=np.int8)
+                                   for _, sense, _, names in rows]),
+            b=np.concatenate([np.broadcast_to(rhs, len(names))
+                              for _, _, rhs, names in rows]).astype(float),
+            lower=lower, upper=np.ones(n), integer=np.arange(n) >= deep.size,
+            maximize=True, var_names=var_names,
+            row_names=[name for *_, names in rows for name in names]),
         challenger=challenger, original=original, epsilon=epsilon,
-        blocks=blocks, categorical=categorical, leaf_cols=leaf_cols,
-        leaf_tree=flat.tree[leaf_cols], leaf_scores=scores)
+        blocks=blocks, categorical=categorical, flows=flows, leaves=leaves,
+        leaf_tree=flat.tree[leaves], leaf_scores=scores)
     return program.reweighted(weights, challenger)
 
 
@@ -301,8 +327,9 @@ def extract_cell(ensemble: Ensemble, program: SeparationProgram,
                  for cols, categorical in zip(program.blocks,
                                               program.categorical))
     leaves = leaves_of(ensemble, [cell])[0]
+    flow = program.flows[leaves] @ x
     for m, leaf in enumerate(leaves):
-        if x[leaf] < 0.5:
+        if flow[m] < 0.5:
             raise SolverFailureError(
                 f"extracted cell routes tree {m} to leaf "
                 f"{ensemble.flat.node_id[leaf]} but the separation solution "
@@ -406,8 +433,7 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
                 challenger=challenger, original=original, status=sol.status,
                 objective=objective, cell=cell, nodes=nodes,
                 iterations=iterations, rows=program.problem.num_rows,
-                cols=program.problem.num_vars, solved_rows=sol.solved_rows,
-                solved_cols=sol.solved_cols, cuts=cuts))
+                cols=program.problem.num_vars, cuts=cuts))
     return result
 
 

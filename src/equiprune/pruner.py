@@ -145,9 +145,8 @@ class PruneResult:
     warm_masters: int = 0     # of them, re-solved from a held root basis
 
 
-def support_of(weights: Sequence[float], zero_tol: float = ZERO_TOL
-               ) -> tuple[int, ...]:
-    return tuple(int(m) for m in np.nonzero(np.asarray(weights) > zero_tol)[0])
+def support_of(weights: Sequence[float]) -> tuple[int, ...]:
+    return tuple(int(m) for m in np.nonzero(np.asarray(weights) > ZERO_TOL)[0])
 
 
 def _ones_program(A: np.ndarray, upper: float,
@@ -191,8 +190,8 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
     Conflicts only ever join at the end, so each master's rows are the
     last master's plus more.  Every master after the first of a
     ``prune_set`` gets the last one's root basis as ``start=``, and
-    ``solve_milp`` re-solves it from there by a dual simplex after
-    mapping the new rows through the held presolve reduction.
+    ``solve_milp`` re-solves it from there by a dual simplex, with a
+    basic slack for each new row.
 
     Every check is the one program max sum(y) s.t. g_m'y - t_m <= 0 for
     each tree m, 0 <= y <= 1, where t_m is fixed at 0 on the tested

@@ -38,20 +38,10 @@ feasible, the iteration cap, a failed check, an unconfirmed Farkas row
 Integer restrictions are handled by best-bound branch and bound on the
 LP relaxation with most-fractional branching.  When every variable is
 integer and every cost an integer, a node is pruned once its bound,
-rounded up, reaches the incumbent.  Before it, a MILP is
-presolved: fixed columns fold into the right-hand sides, singleton rows
-become bounds (rounded inward on integer columns), an equality row on
-two columns substitutes a continuous one away, rows that are multiples
-of one another merge into one range, and empty rows are dropped, until
-none of these applies.  A contradiction counts only beyond the cut at
-which phase 1 calls rows empty.  The reductions read the rows, bounds
-and integrality, never the objective, and compose into one affine map
-from the reduced variables to the original ones; the reduced solution
-is mapped back and checked against the original rows, bounds and
-integrality.  A root basis carries its problem's reduction, so a
-re-solve under another objective skips presolve, and so does one after
-rows are appended: the new rows are mapped through the reduction and
-appended to the reduced problem.  No external solver is involved; numpy
+rounded up, reaches the incumbent.  A MILP is solved as it is given,
+so its builder leaves out what the rows determine.  A root basis is a
+start for a re-solve of the same rows under another objective, and for
+one after rows are appended.  No external solver is involved; numpy
 supplies the linear algebra.
 """
 
@@ -59,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -113,9 +103,6 @@ class Basis:
 
     basic: np.ndarray           # int, one per row
     status: np.ndarray          # int8, one per column
-    # on a root basis from ``solve_milp``: the reduction it is a basis of
-    presolved: _Presolved | None = field(default=None, repr=False,
-                                         compare=False)
 
 
 @dataclass
@@ -133,15 +120,11 @@ class MilpSolution:
     status: SolveStatus
     x: np.ndarray | None
     objective: float | None
-    best_bound: float | None
     nodes: int
     iterations: int
-    # the optimal basis of the reduced problem's root relaxation, a start
-    # for a re-solve after the objective changes (see ``solve_milp``)
+    # the optimal basis of the root relaxation, a start for a re-solve
+    # after the objective changes or rows are appended (see ``solve_milp``)
     root_basis: Basis | None = None
-    # the size of the problem branch and bound solved, after presolve
-    solved_rows: int = 0
-    solved_cols: int = 0
     # the root relaxation was re-solved from ``start`` and never went cold
     warm_root: bool = False
 
@@ -227,8 +210,8 @@ _MAY_FALL = np.array([False, True, False, True])
 
 # How far a value may lie outside its bounds: a basic in the dual
 # simplex and in the test that sends a warm start to it, and (times
-# 1 + max|b|) a returned or postsolved solution.  Integer bounds round
-# inward within it, and phase 1's emptiness cut is a fraction of it.
+# 1 + max|b|) a returned solution.  Phase 1's emptiness cut is a
+# fraction of it.
 _TOL_FEAS = 1e-7
 # A relaxation value this close to an integer counts as integral, and a
 # bound this far above one rounds down to it (see ``_branch_and_bound``).
@@ -289,8 +272,10 @@ def _check_size(m: int, n: int) -> None:
 
 def _row_scale(A: np.ndarray) -> np.ndarray:
     """Per row, the unit of its phase-1 leftover: min(1, its smallest
-    nonzero |coefficient|)."""
-    return np.where(A != 0, np.abs(A), 1.0).min(axis=1, initial=1.0)
+    |coefficient| above ``_TOL_PIVOT``).  The ratio tests read smaller
+    ones as zero, and dividing by one would overflow."""
+    size = np.abs(A)
+    return np.where(size > _TOL_PIVOT, size, 1.0).min(axis=1, initial=1.0)
 
 
 @dataclass(frozen=True)
@@ -796,8 +781,8 @@ def _verified_optimum(sx: _Simplex) -> bool:
 
 
 def _check_tol(b: np.ndarray) -> float:
-    """How far a returned or postsolved value may lie outside its
-    bounds, or a row outside its side, for right-hand sides ``b``."""
+    """How far a returned value may lie outside its bounds, or a row
+    (through its slack) outside its side, for right-hand sides ``b``."""
     return _TOL_FEAS * (1.0 + np.abs(b).max(initial=0.0))
 
 
@@ -868,448 +853,29 @@ def solve_lp(problem: MilpProblem, start: Basis | None = None) -> LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Presolve
-
-# A sum that a substitution leaves below this fraction of the terms it
-# added is cancellation roundoff, and is set to exactly zero.
-_CANCELLED = 1e-12
-
-
-class _Infeasible(Exception):
-    """A reduction met rows that no point inside the bounds satisfies."""
-
-
-def _constraints(problem: MilpProblem) -> tuple[np.ndarray, ...]:
-    """The arrays presolve reads: all but the objective."""
-    return (problem.A, problem.b, problem.senses, problem.lower,
-            problem.upper, problem.integer)
-
-
-@dataclass
-class _Presolved:
-    """A reduction: the reduced rows, bounds and integrality, and the
-    affine map x = P x_red + q back to the original variables.  Every
-    reduction writes an original variable as a multiple of one reduced
-    variable plus a constant, so P has at most one entry per row: x_i =
-    coef[i] x_red[col[i]] + q[i], and x_i = q[i] where col[i] is -1.
-    ``source`` holds copies of the arrays it was made from."""
-
-    reduced: MilpProblem        # its objective is not read
-    col: np.ndarray
-    coef: np.ndarray
-    q: np.ndarray
-    source: tuple[np.ndarray, ...]
-
-    def extended(self, problem: MilpProblem) -> _Presolved | None:
-        """The reduction of ``problem`` when its rows are the rows this
-        reduction was made from, maybe followed by more, over the same
-        columns, bounds and integrality; else None.  With no rows
-        appended that is this reduction.  The appended rows a'x ~ b are
-        mapped through x = P x_red + q, to (P'a)'x_red ~ b - a'q, and
-        appended to the reduced rows; a reduced row may come out with
-        one term or none.  The reductions made stay valid, since the
-        rows they read are all still there."""
-        A, b, senses, lower, upper, integer = self.source
-        m = b.size
-        if not (problem.num_rows >= m and problem.A.shape[1] == A.shape[1]
-                and np.array_equal(problem.A[:m], A)
-                and np.array_equal(problem.b[:m], b)
-                and np.array_equal(problem.senses[:m], senses)
-                and np.array_equal(problem.lower, lower)
-                and np.array_equal(problem.upper, upper)
-                and np.array_equal(problem.integer, integer)):
-            return None
-        if problem.num_rows == m:
-            return self
-        added = np.asarray(problem.A[m:], dtype=float)
-        kept = np.flatnonzero(self.col >= 0)
-        P = np.zeros((self.col.size, self.reduced.num_vars))
-        P[kept, self.col[kept]] = self.coef[kept]
-        rows = added @ P
-        rows[np.abs(rows) <= _CANCELLED * (np.abs(added) @ np.abs(P))] = 0.0
-        red = self.reduced
-        reduced = replace(
-            red, A=np.vstack([red.A, rows]),
-            senses=np.concatenate([red.senses, problem.senses[m:]]),
-            b=np.concatenate([red.b, problem.b[m:] - added @ self.q]))
-        return replace(self, reduced=reduced,
-                       source=tuple(np.array(a) for a in
-                                    _constraints(problem)))
-
-    def objective(self, problem: MilpProblem) -> tuple[MilpProblem, float]:
-        """The reduced problem under ``problem``'s objective: P'c, and
-        the constant c'q."""
-        c = np.asarray(problem.c, dtype=float)
-        kept = self.col >= 0
-        reduced_c = np.bincount(self.col[kept],
-                                weights=self.coef[kept] * c[kept],
-                                minlength=self.reduced.num_vars)
-        return (replace(self.reduced, c=reduced_c, maximize=problem.maximize),
-                float(c @ self.q))
-
-    def postsolve(self, x_red: np.ndarray) -> np.ndarray:
-        x = self.q.copy()
-        kept = self.col >= 0
-        x[kept] += self.coef[kept] * x_red[self.col[kept]]
-        return x
-
-
-class _Presolve:
-    """Reductions of a MILP that read only its rows, bounds and
-    integrality, never its objective (see ``solve_milp``).  The rows are
-    held as ranges rl <= A x <= rh and the map back as in
-    ``_Presolved``, over the original indices: a removed row is marked
-    dead, a removed column is marked dead and zeroed in A, and the
-    reduced problem is cut out once at the end.  The steps run in turn
-    until every step has run once since the last change.
-
-    A row contradiction counts only when it exceeds the cut at which
-    phase 1 calls rows empty, in the same units (the row's residual over
-    ``_row_scale``, min(1, its smallest coefficient)); a smaller one is
-    absorbed by clipping the implied bounds into the current ones."""
-
-    def __init__(self, problem: MilpProblem):
-        b = np.asarray(problem.b, dtype=float)
-        senses = np.asarray(problem.senses)
-        self.A = np.array(problem.A, dtype=float)
-        m, n = self.A.shape
-        self.rl = np.where(senses >= 0, b, -np.inf)
-        self.rh = np.where(senses <= 0, b, np.inf)
-        self.lo = np.array(problem.lower, dtype=float)
-        self.up = np.array(problem.upper, dtype=float)
-        self.integer = np.array(problem.integer, dtype=bool)
-        self.live_row = np.ones(m, dtype=bool)
-        self.live_col = np.ones(n, dtype=bool)
-        self.col = np.arange(n)
-        self.coef = np.ones(n)
-        self.q = np.zeros(n)
-        self.cut = _phase1_cut(b)
-
-    def run(self) -> None:
-        if np.any(self.lo > self.up):
-            raise _Infeasible
-        self._tighten(slice(None), self.lo, self.up)
-        steps = (self._rows_of_one, self._fold_fixed, self._merge_parallel,
-                 self._substitute_doubletons)
-        idle = 0
-        for step in itertools.cycle(steps):
-            idle = 0 if step() else idle + 1
-            if idle == len(steps):
-                return
-
-    def _tighten(self, j, lo: np.ndarray, up: np.ndarray) -> None:
-        """Set the bounds of the distinct columns j, rounding those of
-        integer columns inward."""
-        integral = self.integer[j]
-        if integral.any():
-            lo = np.where(integral, np.ceil(lo - _TOL_FEAS), lo)
-            up = np.where(integral, np.floor(up + _TOL_FEAS), up)
-            if np.any(lo > up):
-                raise _Infeasible
-        self.lo[j] = lo
-        self.up[j] = up
-
-    def _narrow(self, k: np.ndarray, low: np.ndarray, high: np.ndarray,
-                factor: np.ndarray) -> np.ndarray:
-        """Narrow the bounds of the columns k to the ranges [low, high]
-        that some rows imply, and return the positions of the rows
-        applied, ordered by column.  ``factor`` turns a gap in x_k into
-        the row's scaled residual.  Rows on one column apply together,
-        unless their ranges are disjoint: then the first applies, and
-        the others wait to be checked against its result."""
-        lo, up = self.lo[k], self.up[k]
-        if np.any((low > up) | (high < lo)):
-            gap = np.maximum(np.maximum(low - up, lo - high), 0.0)
-            if np.any(gap * factor > self.cut):
-                raise _Infeasible
-            low = np.minimum(np.maximum(low, lo), up)
-            high = np.maximum(np.minimum(high, up), lo)
-        order = np.argsort(k, kind="stable")
-        sk = k[order]
-        start = np.flatnonzero(np.concatenate(([True], sk[1:] != sk[:-1])))
-        joint_lo = np.maximum.reduceat(low[order], start)
-        joint_up = np.minimum.reduceat(high[order], start)
-        if np.any(joint_lo > joint_up):
-            order = order[start]
-            joint_lo, joint_up = low[order], high[order]
-        kept = sk[start]
-        self._tighten(kept, np.maximum(joint_lo, self.lo[kept]),
-                      np.minimum(joint_up, self.up[kept]))
-        return order
-
-    def _remove(self, j: np.ndarray, k: np.ndarray, ratio: np.ndarray,
-                shift: np.ndarray) -> None:
-        """Remove the columns j, each written as shift + ratio * column
-        k (k = -1 and ratio 0 for a constant)."""
-        where = np.full(self.lo.size + 1, -1)   # where[-1]: constants
-        where[j] = np.arange(j.size)
-        t = where[self.col]
-        hit = np.flatnonzero(t >= 0)
-        t = t[hit]
-        self.q[hit] += self.coef[hit] * shift[t]
-        self.coef[hit] *= ratio[t]
-        self.col[hit] = k[t]
-        self.A[:, j] = 0.0
-        self.live_col[j] = False
-
-    def _rows_of_one(self) -> bool:
-        """Empty rows are dropped and singleton rows become bounds."""
-        A = self.A
-        count = np.count_nonzero(A, axis=1)
-        few = self.live_row & (count <= 1)
-        if not few.any():
-            return False
-        empty = few & (count == 0)
-        if np.any(np.maximum(self.rl[empty], -self.rh[empty]) > self.cut):
-            raise _Infeasible
-        self.live_row[empty] = False
-        rows = np.flatnonzero(few & (count == 1))
-        if rows.size:
-            j = np.nonzero(A[rows])[1]
-            a = A[rows, j]
-            rl, rh = self.rl[rows], self.rh[rows]
-            applied = self._narrow(j, np.where(a > 0, rl, rh) / a,
-                                   np.where(a > 0, rh, rl) / a,
-                                   np.maximum(np.abs(a), 1.0))
-            rows, j = rows[applied], j[applied]
-            self.live_row[rows] = False
-            A[rows, j] = 0.0
-        return True
-
-    def _fold_fixed(self) -> bool:
-        """Fixed columns move into the row ranges."""
-        fixed = np.flatnonzero(self.live_col & (self.lo == self.up)
-                               & np.isfinite(self.lo))
-        if not fixed.size:
-            return False
-        value = self.lo[fixed]
-        moved = self.A[:, fixed] @ value
-        self.rl = self.rl - moved
-        self.rh = self.rh - moved
-        self._remove(fixed, np.full(fixed.size, -1), np.zeros(fixed.size),
-                     value)
-        return True
-
-    def _merge_parallel(self) -> bool:
-        """Rows that are multiples of one another become one range row:
-        the one with the largest scale, which leaves no other row's
-        residual larger than its own.  Equal bounds make an equality."""
-        live = np.flatnonzero(self.live_row)
-        if live.size < 2:
-            return False
-        A = self.A[live]
-        # each row over its largest |entry|, signed like its first entry
-        lead = A[np.arange(live.size), (A != 0).argmax(axis=1)]
-        scale = np.copysign(np.abs(A).max(axis=1), lead)
-        scale[scale == 0] = 1.0
-        unit = A / scale[:, None] + 0.0         # + 0.0 turns -0.0 into 0.0
-        # equal rows get equal keys (a row-wise sum, unlike a BLAS
-        # product, adds every row in one order); neighbours are compared
-        key = (unit * np.sqrt(np.arange(2.0, A.shape[1] + 2.0))).sum(axis=1)
-        order = np.argsort(key, kind="stable")
-        ordered = unit[order]
-        same = np.all(ordered[1:] == ordered[:-1], axis=1)
-        if not same.any():
-            return False
-        # runs of equal rows in ``order``, and where each run starts
-        after = np.concatenate(([False], same))
-        in_run = np.flatnonzero(after | np.concatenate((same, [False])))
-        begins = ~after[in_run]
-        first = np.flatnonzero(begins)
-        run = np.cumsum(begins)
-        s, rows = scale[order[in_run]], live[order[in_run]]
-        low = np.where(s > 0, self.rl[rows], self.rh[rows]) / s
-        high = np.where(s > 0, self.rh[rows], self.rl[rows]) / s
-        joint_lo = np.maximum.reduceat(low, first)
-        joint_up = np.minimum.reduceat(high, first)
-        best = np.lexsort((-np.abs(s), run))[first]
-        kept, ks = rows[best], s[best]
-        crossed = joint_lo > joint_up
-        if crossed.any():
-            # the gap, in units of the unit row, as the kept row's scaled
-            # residual
-            gap = ((joint_lo - joint_up)[crossed] * np.abs(ks[crossed])
-                   / _row_scale(self.A[kept[crossed]]))
-            if np.any(gap > self.cut):
-                raise _Infeasible
-            mid = (joint_lo + joint_up) / 2
-            joint_lo[crossed] = joint_up[crossed] = mid[crossed]
-        self.rl[kept] = np.where(ks > 0, joint_lo, joint_up) * ks
-        self.rh[kept] = np.where(ks > 0, joint_up, joint_lo) * ks
-        self.live_row[rows] = False
-        self.live_row[kept] = True
-        return True
-
-    def _substitute_doubletons(self) -> bool:
-        """An equality a_j x_j + a_k x_k = b with x_j continuous removes
-        x_j = (b - a_k x_k) / a_j, whose bounds pass to x_k.  Of two
-        continuous columns, x_j is the one of larger |a|, so that
-        |a_k / a_j| <= 1.  Substitutions made together have distinct
-        x_j that none of them keeps; several may keep one x_k."""
-        A, rl = self.A, self.rl
-        rows = np.flatnonzero(self.live_row & (rl == self.rh)
-                              & (np.count_nonzero(A, axis=1) == 2))
-        if not rows.size:
-            return False
-        pair = np.nonzero(A[rows])[1].reshape(-1, 2)
-        a = A[rows[:, None], pair]
-        free = ~self.integer[pair]
-        second = free[:, 1] & (~free[:, 0]
-                               | (np.abs(a[:, 1]) > np.abs(a[:, 0])))
-        gone, kept, chosen = set(), set(), []
-        for t, (j0, j1) in enumerate(pair.tolist()):
-            jt, kt = (j1, j0) if second[t] else (j0, j1)
-            if ((free[t, 0] or free[t, 1]) and jt not in gone
-                    and jt not in kept and kt not in gone):
-                gone.add(jt)
-                kept.add(kt)
-                chosen.append(t)
-        if not chosen:
-            return False
-        which = second[chosen].astype(int)
-        rows, pair, a = rows[chosen], pair[chosen], a[chosen]
-        t = np.arange(rows.size)
-        j, k = pair[t, which], pair[t, 1 - which]
-        aj, ak = a[t, which], a[t, 1 - which]
-        b = rl[rows]
-        # x_k takes the range that keeps x_j = (b - a_k x_k) / a_j in
-        # its bounds
-        ends_lo, ends_up = (b - aj * self.lo[j]) / ak, \
-            (b - aj * self.up[j]) / ak
-        applied = self._narrow(
-            k, np.minimum(ends_lo, ends_up), np.maximum(ends_lo, ends_up),
-            np.abs(ak) / np.minimum(np.minimum(np.abs(aj), np.abs(ak)),
-                                    1.0))
-        rows, j, k, aj, ak, b = (rows[applied], j[applied], k[applied],
-                                 aj[applied], ak[applied], b[applied])
-        # every other row's x_j term moves onto x_k and the range
-        ratio, shift = -ak / aj, b / aj
-        add = A[:, j] * ratio
-        start = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-        old = A[:, k[start]]
-        new = old + np.add.reduceat(add, start, axis=1)
-        size = np.abs(old) + np.add.reduceat(np.abs(add), start, axis=1)
-        new[np.abs(new) <= _CANCELLED * size] = 0.0
-        A[:, k[start]] = new
-        moved = A[:, j] @ shift
-        self.rl = rl - moved
-        self.rh = self.rh - moved
-        self.live_row[rows] = False
-        self._remove(j, k, ratio, shift)
-        return True
-
-    def result(self, problem: MilpProblem) -> _Presolved:
-        """The reduction, its rows in their original order; a range row
-        becomes a '>=' row followed by a '<=' row."""
-        rl, rh = self.rl, self.rh
-        two = np.isfinite(rl) & np.isfinite(rh) & (rl < rh)
-        bounded = self.live_row & (np.isfinite(rl) | np.isfinite(rh))
-        rows = np.repeat(np.arange(rl.size), bounded * (1 + two))
-        first = np.concatenate([[True], rows[1:] != rows[:-1]])[:rows.size]
-        senses = np.where(rl[rows] == rh[rows], 0,
-                          np.where(first & np.isfinite(rl[rows]), 1, -1))
-        live = self.live_col
-        renumber = np.append(np.cumsum(live) - 1, -1)   # constants stay -1
-        reduced = MilpProblem(
-            c=np.zeros(int(live.sum())), A=self.A[rows][:, live],
-            senses=senses.astype(np.int8),
-            b=np.where(senses >= 0, rl[rows], rh[rows]),
-            lower=self.lo[live], upper=self.up[live],
-            integer=self.integer[live])
-        return _Presolved(reduced, renumber[self.col], self.coef, self.q,
-                          tuple(np.array(a) for a in _constraints(problem)))
-
-
-def _presolve(problem: MilpProblem) -> _Presolved | None:
-    """The reduced problem, or None when presolve proves it infeasible."""
-    work = _Presolve(problem)
-    try:
-        work.run()
-    except _Infeasible:
-        return None
-    return work.result(problem)
-
-
-def _check_postsolved(problem: MilpProblem, x: np.ndarray) -> None:
-    """The original rows, bounds and integrality at ``x``, within the
-    tolerance of ``_verified_optimum``."""
-    b = np.asarray(problem.b, dtype=float)
-    senses = np.asarray(problem.senses)
-    tol = _check_tol(b)
-    residual = np.asarray(problem.A, dtype=float) @ x - b
-    integral = np.asarray(problem.integer, dtype=bool)
-    worst = max(
-        np.max(np.where(senses < 0, residual, np.where(
-            senses > 0, -residual, np.abs(residual))), initial=0.0),
-        np.max(np.asarray(problem.lower, dtype=float) - x, initial=0.0),
-        np.max(x - np.asarray(problem.upper, dtype=float), initial=0.0),
-        np.max(np.abs(x[integral] - np.round(x[integral])), initial=0.0))
-    if not worst <= tol:
-        raise SolverFailureError(
-            f"the postsolved solution misses the original problem by "
-            f"{worst:.3g} (tolerance {tol:.3g})")
-
-
-# ---------------------------------------------------------------------------
 # Branch and bound
 
 
 def solve_milp(problem: MilpProblem,
                start: Basis | None = None) -> MilpSolution:
-    """Presolve, branch and bound on the reduced problem, postsolve.
+    """Branch and bound after the size check.
 
-    After the size check, presolve repeats these reductions until none
-    applies: fixed columns fold into the right-hand sides; singleton
-    rows become bounds, rounded inward on integer columns; each equality
-    row on two columns, one continuous, substitutes that column away;
-    rows that are multiples of one another merge into one range (a
-    '<='/'>=' pair with equal bounds into an equality); empty rows are
-    dropped.  A contradiction beyond the phase-1 emptiness cut returns
-    INFEASIBLE at once.  The reductions form one affine map x = P x_red
-    + q and never read the objective, so problems that differ in ``c``
-    alone reduce alike.  ``_branch_and_bound`` solves the reduced
-    problem; its point is mapped back and checked against the original
-    rows, bounds and integrality at ``_verified_optimum``'s tolerance,
-    and a miss raises ``SolverFailureError``.  ``x``, ``objective`` and
-    ``best_bound`` refer to the original problem; ``solved_rows`` and
-    ``solved_cols`` give the size of the reduced one.
-
-    ``root_basis`` is a basis of the reduced problem and carries the
-    reduction.  Given back as ``start`` for a problem with equal rows,
-    bounds and integrality (another objective), it spares presolve, and
-    the root is re-solved from it by ``_warm_solve``.  The same holds
-    for a problem whose rows are those rows followed by more, over the
-    same columns, bounds and integrality: the appended rows are mapped
-    through the reduction and appended to the reduced problem
-    (``_Presolved.extended``), and the start grows by a basic slack per
-    new row (``_grown``), from which the dual simplex repairs the root.
-    Otherwise presolve runs again, and the root starts from ``start``
-    only if it happens to fit the new reduction, else cold.
+    ``start`` is the ``root_basis`` of an earlier solve of a problem with
+    the same columns whose rows are this problem's first rows: the same
+    rows under another objective, or rows appended since.  It grows by a
+    basic slack per appended row (``_grown``), and the root is re-solved
+    from it by ``_warm_solve``, whose dual simplex repairs the new rows.
+    A start of another column count or with more rows is ignored; a warm
+    answer is checked against this problem's own data either way.
     ``warm_root`` tells whether the root was answered from ``start``.
     """
     _check_size(problem.num_rows, problem.num_vars)
-    held = start.presolved if start is not None else None
-    presolved = held.extended(problem) if held is not None else None
-    if presolved is not None:
-        start = _grown(start, held.reduced.num_vars, held.reduced.num_rows,
-                       presolved.reduced.num_rows - held.reduced.num_rows)
-    else:
-        presolved = _presolve(problem)
-        if presolved is None:
-            return MilpSolution(SolveStatus.INFEASIBLE, None, None, None,
-                                0, 0)
-    reduced, offset = presolved.objective(problem)
-    sol = _branch_and_bound(reduced, start)
-    sol.solved_rows, sol.solved_cols = reduced.num_rows, reduced.num_vars
-    if sol.root_basis is not None:
-        sol.root_basis = replace(sol.root_basis, presolved=presolved)
-    if sol.x is not None:
-        sol.x = presolved.postsolve(sol.x)
-        _check_postsolved(problem, sol.x)
-        sol.objective += offset
-    if sol.best_bound is not None:
-        sol.best_bound += offset
-    return sol
+    if start is not None:
+        n, m = problem.num_vars, start.basic.size
+        fits = (m <= problem.num_rows
+                and start.status.size == n + 2 * m)
+        start = _grown(start, n, m, problem.num_rows - m) if fits else None
+    return _branch_and_bound(problem, start)
 
 
 def _grown(basis: Basis, n: int, m: int, k: int) -> Basis:
@@ -1335,9 +901,11 @@ def _branch_and_bound(problem: MilpProblem,
     by diving deeper first.  Children are solved eagerly so every heap
     entry carries a true LP bound.  A relaxation point that is integral
     within tolerance becomes an incumbent only after re-solving with the
-    integer block fixed to its rounding; if that rounding is infeasible
-    (possible when a big constant multiplies a near-zero integer
-    variable) the point is not trusted and the node is branched instead.
+    integer block fixed to its rounding, which also makes its objective
+    exact; if that rounding is infeasible (possible when a row weighs an
+    integer column heavily, so that moving it by up to _TOL_INT moves
+    the row past its side) the point is not trusted and the node is
+    branched instead.
 
     With every variable integer and every cost an integer, every
     objective value is an integer, so a bound b prunes a node once
@@ -1422,19 +990,16 @@ def _branch_and_bound(problem: MilpProblem,
     root = _solve_from(cols, lo0, up0, start)
     iterations += root.iterations
     if root.status != SolveStatus.OPTIMAL:
-        return MilpSolution(root.status, None, None, None, 0, iterations,
+        return MilpSolution(root.status, None, None, 0, iterations,
                             warm_root=root.warm)
 
     status = SolveStatus.OPTIMAL
-    best_bound = root.objective
     offer(root, lo0, up0, 0)
 
     while heap:
         bound, negdepth, _, lo, up, x, basis = heapq.heappop(heap)
-        best_bound = bound
         if dominated(bound):
-            best_bound = inc_obj  # everything left is dominated
-            break
+            break       # everything left is dominated
         if nodes >= _MAX_NODES:
             status = SolveStatus.ITERATION_LIMIT
             break
@@ -1465,15 +1030,11 @@ def _branch_and_bound(problem: MilpProblem,
                 raise SolverFailureError(
                     "bounded relaxation turned unbounded in a child node")
             offer(sol, child_lo, child_up, negdepth - 1)
-    else:
-        if status == SolveStatus.OPTIMAL and incumbent is not None:
-            best_bound = inc_obj
 
     if status == SolveStatus.OPTIMAL and incumbent is None:
-        status, best_bound = SolveStatus.INFEASIBLE, None
+        status = SolveStatus.INFEASIBLE
     return MilpSolution(status, incumbent,
                         None if incumbent is None else sign * inc_obj,
-                        None if best_bound is None else sign * best_bound,
                         nodes, iterations, root.basis, warm_root=root.warm)
 
 

@@ -1,5 +1,6 @@
 """The iterative prune/separate loop and its run metrics."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -237,7 +238,8 @@ def test_l1_certifies_two_hundred_stumps():
     assert not certify(ens, outcome.weights, epsilon=1e-6).disagreement_cells
     pairs = [p for record in outcome.history for p in record.pairs]
     assert len(pairs) == outcome.n_oracle
-    assert all(p.solved_cols < 10 < p.cols for p in pairs)
+    # a stump program is its indicators and ``one``: no flow columns
+    assert all(p.cols < 10 for p in pairs)
 
 
 def single_leaves(*leaves):
@@ -273,17 +275,19 @@ def test_an_original_margin_at_the_pivot_tolerance_is_a_tie():
             certified_prune(ens, [(0.0,)], PruneOptions(norm=norm))
 
 
+def split(i, j, left, right, **cut):
+    return {"id": i, "kind": "split", "feature": j, "left": left,
+            "right": right, **cut}
+
+
+def leaf(i, *scores):
+    return {"id": i, "kind": "leaf", "scores": list(scores)}
+
+
 def test_l1_prices_at_the_scale_of_a_large_objective():
     # the only seed row's original margin is 5e-8, so l1 weighs the one
     # tree 2e7: pricing at an absolute reduced-cost tolerance swapped two
     # columns of pair (0, 3)'s root LP on roundoff until the pivot limit
-    def split(i, j, left, right, **cut):
-        return {"id": i, "kind": "split", "feature": j, "left": left,
-                "right": right, **cut}
-
-    def leaf(i, *scores):
-        return {"id": i, "kind": "leaf", "scores": list(scores)}
-
     ens = build_ensemble(
         num_classes=4, weights=[0.1],
         features=[{"kind": "continuous"},
@@ -299,6 +303,52 @@ def test_l1_prices_at_the_scale_of_a_large_objective():
                               PruneOptions(norm="l1"))
     assert outcome.weights.tolist() == pytest.approx([2e7])
     assert certify(ens, outcome.weights, DEFAULT_EPSILON).identical
+
+
+# Subnormal leaf scores put coefficients near 1e-311 and 5e-324 into the
+# oracle's margin rows, where dividing a phase-1 leftover by the row's
+# smallest coefficient overflowed.  Every tree has weight 1.
+SUBNORMAL_DOCUMENTS = {
+    "three_classes": (3, [{"kind": "continuous"}], [
+        [split(0, 0, 1, 2, threshold=0.0), leaf(1, 0, 0, 0),
+         leaf(2, 0, 0.5, 0)],
+        [leaf(0, 0, 0, 0)],
+        [leaf(0, 0, 0, 1)],
+        [split(0, 0, 1, 2, threshold=0.0), leaf(1, 0, 0, 0),
+         split(2, 0, 3, 4, threshold=0.0), leaf(3, 0, 0, 0),
+         leaf(4, 0, 2.225073858507e-311, 0)]]),
+    "four_classes": (4, [{"kind": "continuous"}, {"kind": "continuous"},
+                         {"kind": "binary"}], [
+        [split(0, 2, 1, 2), leaf(1, 0, 0, 0, 1), leaf(2, 0, 0, 0, 0)],
+        [leaf(0, 0, 0, 0, 0)],
+        [leaf(0, 0, 0, 0, 0)],
+        [split(0, 2, 1, 2), leaf(1, 0, 0, 0, 0),
+         split(2, 0, 3, 4, threshold=0.0),
+         split(3, 0, 5, 6, threshold=0.0), leaf(5, 0, 0, 0, 0),
+         leaf(6, 0, 0, 0, 0),
+         split(4, 0, 7, 8, threshold=0.0), leaf(7, 0, 0, 0, 0),
+         leaf(8, 0, 0, 0, 5e-324)]]),
+}
+
+
+@pytest.mark.parametrize("norm", ["l0", "l1"])
+@pytest.mark.parametrize("name", sorted(SUBNORMAL_DOCUMENTS))
+def test_subnormal_leaf_scores_certify_or_raise_a_typed_error(name, norm):
+    num_classes, features, trees = SUBNORMAL_DOCUMENTS[name]
+    ens = build_ensemble(
+        num_classes=num_classes, features=features,
+        weights=[1.0] * len(trees),
+        raw_trees=[{"root": 0, "nodes": nodes} for nodes in trees])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            outcome = certified_prune(
+                ens, sample_uniform_points(ens.schema, 1, 0),
+                PruneOptions(norm=norm))
+        except (InfeasiblePruneError, TiedPredictionError):
+            return
+    assert not certify(ens, outcome.weights,
+                       DEFAULT_EPSILON).disagreement_cells
 
 
 @settings(max_examples=300, deadline=None)

@@ -127,6 +127,15 @@ def test_point_arity_mismatch_rejected():
         predict_scores_batch(ens, (1.0,), [(0.3, 0.4)])
 
 
+def test_an_empty_list_of_points_has_no_cells():
+    ens = two_class([{"name": "x1", "kind": "continuous"},
+                     {"name": "x2", "kind": "binary"}], [1.0],
+                    [make_stump(0, 0.5, (1, 0), (0, 1))])
+    for empty in ([], (), np.zeros((0, 2))):
+        assert cells_of(ens.schema, empty).shape == (0, 2)
+        assert predict_classes_batch(ens, (1.0,), empty).shape == (0,)
+
+
 def test_negative_weight_rejected():
     ens = two_class([{"name": "x1", "kind": "continuous"}], [1.0],
                     [make_stump(0, 0.5, (1, 0), (0, 1))])

@@ -29,13 +29,60 @@ def two_class(trees, weights, features=None):
                           raw_trees=trees)
 
 
+def chain_tree(first, second):
+    """A split on x1 at ``first`` whose right child splits at ``second``:
+    leaves of classes 0, 1, 0 from left to right."""
+    return {"root": 0, "nodes": [
+        {"id": 0, "kind": "split", "feature": 0, "threshold": first,
+         "left": 1, "right": 2},
+        {"id": 1, "kind": "leaf", "scores": [1, 0]},
+        {"id": 2, "kind": "split", "feature": 0, "threshold": second,
+         "left": 3, "right": 4},
+        {"id": 3, "kind": "leaf", "scores": [0, 1]},
+        {"id": 4, "kind": "leaf", "scores": [1, 0]}]}
+
+
 def test_stump_program_shape():
     ens = two_class([make_stump(0, 0.5, (1, 0), (0, 1))], [1.0])
     prog = build_separation(ens, (1.0,), challenger=1, original=0)
-    # root + two leaves, then one split threshold
-    assert prog.problem.var_names == ["z_0_0", "z_0_1", "z_0_2", "mu_0_0"]
-    assert [cols.tolist() for cols in prog.blocks] == [[3]]
-    assert prog.problem.c.shape == (4,)
+    # the threshold indicator u and ``one``: the root's flow is one, its
+    # children's one - u and u, so no flow has a column of its own
+    problem = prog.problem
+    assert problem.var_names == ["mu_0_0", "one"]
+    assert [cols.tolist() for cols in prog.blocks] == [[0]]
+    assert prog.flows.tolist() == [[0, 1], [-1, 1], [1, 0]]
+    assert prog.leaves.tolist() == [1, 2]
+    assert (problem.lower.tolist(), problem.upper.tolist()) == ([0, 1],
+                                                                [1, 1])
+    assert problem.integer.tolist() == [True, True]
+    # the gap score_1 - score_0 is -1 on the left leaf, 1 on the right
+    assert problem.c.tolist() == [2, -1]
+    assert problem.row_names == ["margin_1"]
+    assert problem.A.tolist() == [[-2, 1]]
+
+
+def test_deep_program_layout():
+    ens = two_class([chain_tree(0.2, 0.8)], [1.0])
+    prog = build_separation(ens, (1.0,), challenger=1, original=0)
+    problem = prog.problem
+    # flow columns for the two depth-2 leaves, then mu_0_0 (the root's
+    # u) and mu_0_1 (node 2's v), then one
+    assert problem.var_names == ["z_0_3", "z_0_4", "mu_0_0", "mu_0_1",
+                                 "one"]
+    assert prog.flows.tolist() == [[0, 0, 0, 0, 1], [0, 0, -1, 0, 1],
+                                   [0, 0, 1, 0, 0], [1, 0, 0, 0, 0],
+                                   [0, 1, 0, 0, 0]]
+    assert problem.integer.tolist() == [False, False, True, True, True]
+    rows = dict(zip(problem.row_names,
+                    zip(problem.A.tolist(), problem.senses, problem.b)))
+    assert list(rows) == ["children_0_2", "margin_1", "order_0_0",
+                          "left_0_2", "right_0_2"]
+    assert rows["children_0_2"] == ([1, 1, -1, 0, 0], 0, 0.0)  # z3+z4 = u
+    assert rows["margin_1"] == ([-1, 1, -1, 0, 1], 1, DEFAULT_EPSILON)
+    assert rows["order_0_0"] == ([0, 0, 1, -1, 0], 1, 0.0)
+    assert rows["left_0_2"] == ([1, 0, 0, 1, 0], -1, 1.0)      # z3 <= 1-v
+    assert rows["right_0_2"] == ([0, 1, 0, -1, 0], -1, 0.0)    # z4 <= v
+    assert problem.c.tolist() == [1, -1, 1, 0, -1]
 
 
 def test_same_split_shares_one_indicator():
@@ -45,12 +92,8 @@ def test_same_split_shares_one_indicator():
     prog = build_separation(ens, (1.0, 1.0), challenger=1, original=0)
     assert len(prog.blocks[0]) == 1
     mu = prog.blocks[0][0]
-    rows_touching_mu = [name for row, name
-                        in zip(prog.problem.A, prog.problem.row_names)
-                        if row[mu] != 0.0]
-    # both trees' left/right consistency rows reference the shared column
-    assert {"left_0_0", "right_0_0", "left_1_0", "right_1_0"} <= \
-        set(rows_touching_mu)
+    # both trees' children read their flows off the shared column
+    assert np.count_nonzero(prog.flows[:, mu]) == 4
 
 
 def test_three_class_pair_has_two_margin_rows():
@@ -163,21 +206,32 @@ def cat_ensemble():
         weights=[1.0, 1.0], raw_trees=trees)
 
 
-def fake_solution(ens, prog, cell):
-    """Unit flows along each tree's routing path for ``cell``, plus the
-    matching indicator assignment -- a hand-built Optimal solution."""
+def route(ens, cell):
+    """The flat nodes on every tree's path to its leaf for ``cell``."""
     flat = ens.flat
-    x = np.zeros(len(prog.problem.c))
-    for cols, categorical, k in zip(prog.blocks, prog.categorical, cell):
-        x[cols[k] if categorical else cols[:k]] = 1.0
+    nodes = []
     for node, leaf in zip(flat.roots, leaves_of(ens, [cell])[0]):
-        x[node] = 1.0
+        nodes.append(node)
         while node != leaf:
             left = flat.left[node]
             node = left if leaf in _subtree(flat, left) else flat.right[node]
-            x[node] = 1.0
+            nodes.append(node)
+    return nodes
+
+
+def fake_solution(ens, prog, cell):
+    """Unit flows along each tree's routing path for ``cell``, plus the
+    matching indicator assignment and ``one`` -- a hand-built Optimal
+    solution."""
+    x = np.zeros(len(prog.problem.c))
+    x[prog.problem.var_names.index("one")] = 1.0
+    for cols, categorical, k in zip(prog.blocks, prog.categorical, cell):
+        x[cols[k] if categorical else cols[:k]] = 1.0
+    flow_cols = ~prog.problem.integer
+    for node in route(ens, cell):
+        x[(prog.flows[node] != 0) & flow_cols] = 1.0
     return MilpSolution(status=SolveStatus.OPTIMAL, x=x, objective=0.0,
-                        best_bound=0.0, nodes=1, iterations=0)
+                        nodes=1, iterations=0)
 
 
 def _subtree(flat, root):
@@ -222,15 +276,14 @@ def test_extraction_between_thresholds():
 
 
 def test_extraction_refuses_a_flow_that_disagrees_with_the_cell():
-    # the indicators spell cell (1, 2) but the flows follow cell (0, 0):
-    # the solution is inconsistent, a solver fault
-    ens = cat_ensemble()
-    prog = build_separation(ens, (1.0, 1.0), challenger=1, original=0)
-    x = fake_solution(ens, prog, (0, 0)).x
-    x[np.concatenate(prog.blocks)] = fake_solution(ens, prog, (1, 2)).x[
-        np.concatenate(prog.blocks)]
+    # the indicators spell cell (2,) but the depth-2 flows follow cell
+    # (1,): the solution is inconsistent, a solver fault
+    ens = two_class([chain_tree(0.2, 0.8)], [1.0])
+    prog = build_separation(ens, (1.0,), challenger=1, original=0)
+    x = fake_solution(ens, prog, (1,)).x
+    x[prog.blocks[0]] = fake_solution(ens, prog, (2,)).x[prog.blocks[0]]
     sol = MilpSolution(status=SolveStatus.OPTIMAL, x=x, objective=0.0,
-                       best_bound=0.0, nodes=1, iterations=0)
+                       nodes=1, iterations=0)
     with pytest.raises(SolverFailureError, match="no flow there"):
         extract_cell(ens, prog, sol)
 
@@ -252,9 +305,10 @@ def _structural_rows_hold(problem, x):
 
 def test_indicator_layout_over_every_cell():
     # For every cell: unit flows along its routes plus its indicator
-    # values meet every flow, order, one-hot and left/right row,
-    # extract_cell reads the cell back, and the no-good row of
-    # cut_off(cell) is violated by that cell's values alone.
+    # values meet every flow, order, one-hot and left/right row, the
+    # flows read 1 exactly on the routes, extract_cell reads the cell
+    # back, and the no-good row of cut_off(cell) is violated by that
+    # cell's values alone.
     rng = np.random.default_rng(43)
     kinds = set()
     for _ in range(40):
@@ -267,6 +321,9 @@ def test_indicator_layout_over_every_cell():
         X = np.array([sol.x for sol in sols]).T
         for k, (cell, sol) in enumerate(zip(cells, sols)):
             assert _structural_rows_hold(prog.problem, sol.x)
+            on_route = np.zeros(len(prog.flows))
+            on_route[route(ens, cell)] = 1.0
+            assert np.array_equal(prog.flows @ sol.x, on_route)
             assert extract_cell(ens, prog, sol)[0] == cell
             cut = prog.cut_off(cell).problem
             met = cut.A[-1] @ X >= cut.b[-1] - 1e-12
@@ -304,7 +361,8 @@ def test_dumps_one_lp_file_per_ordered_pair(tmp_path):
         text = path.read_text()
         for column in (r"z_\d+_\d+", r"mu_0_\d+", r"b_1", r"nu_2_\d+"):
             assert re.search(rf"\b{column}\b", text), (path.name, column)
-        for row in ("root_", "margin_", "onehot_", "left_", "right_"):
+        for row in ("children_", "margin_", "onehot_", "left_",
+                    "right_"):
             assert re.search(rf"^ {row}\S*:", text, re.M), (path.name, row)
 
 
@@ -348,9 +406,8 @@ def test_returned_cells_flip_the_prediction():
             continue
         result = separate(ens, w)
         points = [cell_center(ens.schema, cell) for cell in result.cells]
-        if points:
-            assert np.all(predict_classes_batch(ens, w, points)
-                          != predict_classes_batch(ens, ens.alpha, points))
+        assert np.all(predict_classes_batch(ens, w, points)
+                      != predict_classes_batch(ens, ens.alpha, points))
         for pair in result.pairs:
             if pair.cell is not None and pair.objective > 1e-8:
                 scores = cell_scores_batch(ens, w, [pair.cell])[0]
@@ -457,34 +514,6 @@ def test_oracle_matches_enumeration_on_mixed_ensembles():
                            DEFAULT_EPSILON).disagreement_cells
         multi_round += outcome.iterations > 1
     assert multi_round >= 10
-
-
-def test_presolve_keeps_every_mixed_oracle_optimum():
-    # every pair program of the 40 ensembles above, over two rounds with
-    # warm roots, solved reduced and unreduced
-    rng = np.random.default_rng(41)
-    compared = shrunk = 0
-
-    def both(problem, **kwargs):
-        nonlocal compared, shrunk
-        reduced = solve_milp(problem, **kwargs)
-        plain = solver._branch_and_bound(problem, None)
-        assert reduced.status == plain.status
-        if plain.status == SolveStatus.OPTIMAL:
-            assert reduced.objective == pytest.approx(plain.objective,
-                                                      abs=1e-9)
-        compared += 1
-        shrunk += reduced.solved_cols < problem.num_vars
-        return reduced
-
-    for _ in range(40):
-        ens = random_mixed_ensemble(rng)
-        programs = {}
-        for _round in range(2):
-            separate(ens, random_reweighting(ens, rng), solve=both,
-                     programs=programs)
-    assert compared >= 300
-    assert shrunk == compared
 
 
 PROBLEM_ARRAYS = ("c", "A", "senses", "b", "lower", "upper", "integer")

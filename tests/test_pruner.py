@@ -355,6 +355,7 @@ def test_prune_set_dedups_by_cell():
     assert ps.add_points([(0.9,), (0.2,)]) == 1
     assert ps.add_cells([(1,), (0,)]) == 0
     assert ps.add_cells([]) == 0
+    assert ps.add_points([]) == 0
     assert len(ps) == 2
 
 
@@ -465,25 +466,22 @@ def test_growth_checks_resolve_from_the_last_failing_check(monkeypatch):
 
 def test_masters_resolve_from_the_last_root_round_after_round(monkeypatch):
     """The working set grows in three steps, each pruned: only the first
-    master of the set is presolved and solved cold; every later one,
+    master of the set is solved cold; every later one,
     within a call and across calls, starts from the root basis of the
     master before it and never goes cold.  Each call's support is as
     small as subset search finds."""
-    masters = []                # (start, solution, cold solves, presolves)
-    cold_solves, presolves = [], []
-    cold, presolve = solver._simplex_solve, solver._presolve
+    masters = []                # (start, solution, cold solves)
+    cold_solves = []
+    cold = solver._simplex_solve
 
     def master(problem, start=None):
-        before = len(cold_solves), len(presolves)
+        before = len(cold_solves)
         sol = solve_milp(problem, start=start)
-        masters.append((start, sol, len(cold_solves) - before[0],
-                        len(presolves) - before[1]))
+        masters.append((start, sol, len(cold_solves) - before))
         return sol
 
     monkeypatch.setattr(solver, "_simplex_solve",
                         lambda *a: cold_solves.append(a) or cold(*a))
-    monkeypatch.setattr(solver, "_presolve",
-                        lambda *a: presolves.append(a) or presolve(*a))
     checked = warm = 0
     for ens, full in l0_cases():
         if ens.num_trees > 8:
@@ -501,11 +499,11 @@ def test_masters_resolve_from_the_last_root_round_after_round(monkeypatch):
                     ens, grown)
         except TiedPredictionError:
             continue
-        (start, previous, went_cold, presolved), *later = masters
-        assert start is None and went_cold >= 1 and presolved == 1
-        for start, sol, went_cold, presolved in later:
+        (start, previous, went_cold), *later = masters
+        assert start is None and went_cold >= 1
+        for start, sol, went_cold in later:
             assert start is previous.root_basis
-            assert sol.warm_root and not went_cold and not presolved
+            assert sol.warm_root and not went_cold
             previous = sol
             warm += 1
         checked += 1

@@ -16,9 +16,8 @@ import pytest
 from scipy.optimize import linprog
 
 from equiprune import (InputError, MilpProblem, ProblemBuilder,
-                       ProblemTooLargeError, SolverFailureError, SolveStatus,
-                       dump_lp, lp_format_text, solve_lp,
-                       solve_milp, solver)
+                       ProblemTooLargeError, SolveStatus, dump_lp,
+                       lp_format_text, solve_lp, solve_milp, solver)
 
 
 def test_single_bound_lp():
@@ -798,7 +797,6 @@ def test_an_integral_objective_prunes_at_the_rounded_bound():
         for cost in nodes:
             sol = solve_milp(dataclasses.replace(prob, c=cost * prob.c))
             assert sol.objective == pytest.approx(cost * ref, abs=1e-9)
-            assert sol.best_bound == pytest.approx(sol.objective, abs=1e-9)
             nodes[cost] += sol.nodes
     assert nodes[1.0] < nodes[0.5]
 
@@ -939,15 +937,15 @@ def test_oversized_problem_is_refused_before_allocating():
 
 
 # ---------------------------------------------------------------------------
-# Presolve
+# MILPs with fixed columns, singleton, doubleton and parallel rows
 
 
 COEFFICIENTS = (-3.0, -2.0, -1.5, -0.5, 0.5, 2.0, 3.0)
 
 
 def presolve_milp(seed: int, contradict: bool = False):
-    """A small MILP that every presolve reduction applies to, feasible at
-    a random anchor point unless ``contradict``: fixed columns of both
+    """A small MILP with every structure a presolve would reduce, feasible
+    at a random anchor point unless ``contradict``: fixed columns of both
     kinds, singleton rows on integer columns with fractional right-hand
     sides, equality rows on two columns with non-unit and negative
     coefficients and mixed integrality, a '<=' row and a multiple of it
@@ -1001,7 +999,6 @@ def presolve_milp(seed: int, contradict: bool = False):
 
 
 def test_presolved_milps_match_scipy_and_enumeration():
-    reduced = 0
     for seed in range(700, 760):
         prob = presolve_milp(seed)
         sol = solve_milp(prob)
@@ -1011,20 +1008,15 @@ def test_presolved_milps_match_scipy_and_enumeration():
         assert brute == pytest.approx(ref, abs=1e-7)
         assert sol.status == SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(ref, abs=1e-7)
-        assert sol.best_bound == pytest.approx(ref, abs=1e-7)
         assert sol.x.shape == (prob.num_vars,)
         assert prob.c @ sol.x == pytest.approx(sol.objective, abs=1e-9)
-        reduced += sol.solved_cols < prob.num_vars - 2
-    assert reduced >= 40
 
 
-def test_contradicting_parallel_rows_are_infeasible_in_presolve():
+def test_contradicting_parallel_rows_are_infeasible():
     for seed in range(760, 800):
         prob = presolve_milp(seed, contradict=True)
-        assert solver._presolve(prob) is None
         sol = solve_milp(prob)
         assert sol.status == SolveStatus.INFEASIBLE
-        assert (sol.solved_rows, sol.solved_cols) == (0, 0)
         assert scipy_milp_optimum(prob) is None
 
 
@@ -1040,9 +1032,8 @@ def test_every_column_fixed():
     prob = pb.build()
     sol = solve_milp(prob)
     assert sol.status == SolveStatus.OPTIMAL
-    assert (sol.solved_rows, sol.solved_cols) == (0, 0)
     assert list(sol.x) == [1.5, 1.0]
-    assert sol.objective == sol.best_bound == -2.0
+    assert sol.objective == -2.0
     assert sol.objective == scipy_milp_optimum(prob)
     # the same columns, but a row they miss by far more than the cut
     short = dataclasses.replace(prob, b=np.array([1.2, -2.8, 1.9, 2.5]))
@@ -1078,49 +1069,21 @@ def test_singleton_rows_round_integer_bounds_inward():
     pb.add_row([(v, 2.5)], "<=", 6.0)           # v <= 2.4
     pb.add_row([(u, 1.0), (v, 1.0), (w, 1.0)], "<=", 4.5)
     prob = pb.build()
-    reduced = solver._presolve(prob).reduced
-    assert list(reduced.lower) == [0.0, 0.0]    # u is fixed at 1 and gone
-    assert list(reduced.upper) == [2.0, 4.0]
     sol = solve_milp(prob)
-    assert sol.solved_cols == 2
     assert list(sol.x) == [1.0, 2.0, 1.5]
     assert sol.objective == pytest.approx(scipy_milp_optimum(prob), abs=1e-9)
 
 
 def test_doubleton_substitution_moves_bounds_and_objective():
-    # 2x - 3y = 1 with y continuous in [0, 1]: presolve drops y (the larger
-    # coefficient), so x = (1 + 3y) / 2 must stay in [0.5, 2]
+    # 2x - 3y = 1 with y continuous in [0, 1]: x = (1 + 3y) / 2 must
+    # stay in [0.5, 2], and y's cost moves onto it
     pb = ProblemBuilder()
     x = pb.add_var("x", lo=0.0, up=5.0, obj=1.0)
     y = pb.add_var("y", lo=0.0, up=1.0, obj=-4.0)
     pb.add_row([(x, 2.0), (y, -3.0)], "==", 1.0)
-    prob = pb.build()
-    presolved = solver._presolve(prob)
-    assert presolved.reduced.num_vars == 1
-    assert presolved.reduced.lower[0] == 0.5
-    assert presolved.reduced.upper[0] == 2.0
-    sol = solve_milp(prob)
+    sol = solve_milp(pb.build())
     assert sol.x == pytest.approx([2.0, 1.0], abs=1e-12)
     assert sol.objective == pytest.approx(-2.0, abs=1e-12)
-
-
-def test_oracle_style_flows_reduce_to_the_indicator():
-    # z_root = 1, z_left + z_right = z_root, z_left <= 1 - mu, z_right <= mu:
-    # every flow goes, and the left/right rows become the equality
-    # z_right = mu that removes the last one
-    pb = ProblemBuilder(maximize=True)
-    root = pb.add_var("z0", lo=0.0, up=1.0)
-    left = pb.add_var("z1", lo=0.0, up=1.0, obj=1.0)
-    right = pb.add_var("z2", lo=0.0, up=1.0, obj=-2.0)
-    mu = pb.add_var("mu", lo=0.0, up=1.0, integer=True)
-    pb.add_row([(root, 1.0)], "==", 1.0)
-    pb.add_row([(left, 1.0), (right, 1.0), (root, -1.0)], "==", 0.0)
-    pb.add_row([(left, 1.0), (mu, 1.0)], "<=", 1.0)
-    pb.add_row([(right, 1.0), (mu, -1.0)], "<=", 0.0)
-    sol = solve_milp(pb.build())
-    assert (sol.solved_rows, sol.solved_cols) == (0, 1)
-    assert list(sol.x) == [1.0, 1.0, 0.0, 0.0]
-    assert sol.objective == 1.0
 
 
 def test_warm_root_from_a_reduced_basis_matches_cold(cold_calls):
@@ -1130,9 +1093,8 @@ def test_warm_root_from_a_reduced_basis_matches_cold(cold_calls):
         prob = presolve_milp(seed)
         first = solve_milp(prob)
         basis = first.root_basis
-        assert basis.basic.shape == (first.solved_rows,)
-        assert basis.status.shape == (first.solved_cols
-                                      + 2 * first.solved_rows,)
+        assert basis.basic.shape == (prob.num_rows,)
+        assert basis.status.shape == (prob.num_vars + 2 * prob.num_rows,)
         changed = dataclasses.replace(
             prob, c=rng.integers(-3, 4, size=prob.num_vars).astype(float))
         cold_calls.clear()
@@ -1148,40 +1110,21 @@ def test_warm_root_from_a_reduced_basis_matches_cold(cold_calls):
 
 
 def test_a_start_of_another_shape_goes_cold(cold_calls):
+    # a start over other columns, and one with more rows than the problem
     prob = presolve_milp(700)
-    other = solve_milp(presolve_milp(701)).root_basis
-    stranger = solver.Basis(other.basic, other.status)
+    other = next(presolve_milp(seed) for seed in itertools.count(701)
+                 if presolve_milp(seed).num_vars != prob.num_vars)
+    longer = with_rows(prob, [(np.ones(prob.num_vars), -1, 100.0)])
     cold = solve_milp(prob)
-    assert stranger.basic.shape != (cold.solved_rows,)
-    cold_calls.clear()
-    sol = solve_milp(prob, start=stranger)
-    assert len(cold_calls) >= 1
-    # the start is ignored, so the solve repeats the cold one exactly
-    assert (sol.iterations, sol.nodes) == (cold.iterations, cold.nodes)
-    assert sol.objective == pytest.approx(scipy_milp_optimum(prob), abs=1e-7)
-
-
-def test_changed_rows_are_presolved_again():
-    prob = presolve_milp(702)
-    start = solve_milp(prob).root_basis
-    looser = dataclasses.replace(prob, b=prob.b + 0.25)
-    sol = solve_milp(looser, start=start)
-    assert sol.objective == pytest.approx(scipy_milp_optimum(looser),
-                                          abs=1e-7)
-
-
-def test_postsolve_miss_raises(monkeypatch):
-    prob = presolve_milp(703)
-    presolve = solver._presolve
-
-    def shifted(problem):
-        presolved = presolve(problem)
-        presolved.q[presolved.col < 0] += 1e-3
-        return presolved
-
-    monkeypatch.setattr(solver, "_presolve", shifted)
-    with pytest.raises(SolverFailureError, match="postsolved"):
-        solve_milp(prob)
+    for stranger in (solve_milp(other).root_basis,
+                     solve_milp(longer).root_basis):
+        cold_calls.clear()
+        sol = solve_milp(prob, start=stranger)
+        assert len(cold_calls) >= 1 and not sol.warm_root
+        # the start is ignored, so the solve repeats the cold one exactly
+        assert (sol.iterations, sol.nodes) == (cold.iterations, cold.nodes)
+        assert sol.objective == pytest.approx(scipy_milp_optimum(prob),
+                                              abs=1e-7)
 
 
 def test_builder_refuses_an_oversized_problem_before_allocating(monkeypatch):
@@ -1218,23 +1161,9 @@ def with_rows(prob, rows):
         b=np.append(prob.b, [b for _, _, b in rows]))
 
 
-@pytest.fixture
-def presolves(monkeypatch):
-    """Counts the presolves made from here on."""
-    calls = []
-    presolve = solver._presolve
-
-    def counted(problem):
-        calls.append(problem)
-        return presolve(problem)
-
-    monkeypatch.setattr(solver, "_presolve", counted)
-    return calls
-
-
 def assert_resolved_like_cold(grown, warm):
     """``warm`` answers ``grown`` as a cold solve and HiGHS do, from the
-    start's root, without presolve or a cold phase 1 there."""
+    start's root, without a cold phase 1 there."""
     cold = solve_milp(grown)
     ref = scipy_milp_optimum(grown)
     assert warm.warm_root
@@ -1261,9 +1190,9 @@ def cover_rows(rng, n, k, empty=False):
     return rows
 
 
-def test_set_cover_rows_appended_round_after_round(presolves, cold_calls):
+def test_set_cover_rows_appended_round_after_round(cold_calls):
     # an implicit hitting-set master: each round appends conflicts and
-    # re-solves from the last root, never presolving again or going cold
+    # re-solves from the last root, never going cold
     rng = np.random.default_rng(71)
     resolved = infeasible = 0
     for _ in range(30):
@@ -1278,10 +1207,9 @@ def test_set_cover_rows_appended_round_after_round(presolves, cold_calls):
             k = int(rng.integers(1, 6))
             last = _round == 3 and rng.random() < 0.3
             prob = with_rows(prob, cover_rows(rng, n, k, empty=last))
-            presolves.clear()
             cold_calls.clear()
             sol = solve_milp(prob, start=sol.root_basis)
-            assert presolves == [] and cold_calls == []
+            assert cold_calls == []
             assert_resolved_like_cold(prob, sol)
             resolved += 1
             if sol.status == SolveStatus.INFEASIBLE:
@@ -1291,20 +1219,17 @@ def test_set_cover_rows_appended_round_after_round(presolves, cold_calls):
     assert infeasible >= 3
 
 
-def test_appended_rows_match_cold_and_scipy(presolves):
-    """Rows appended to presolved MILPs: rows over fixed columns only,
-    which map to empty reduced rows, rows over one kept integer column
-    besides, which map to singletons, rows that cut the old optimum off,
-    and rows no point meets."""
+def test_appended_rows_match_cold_and_scipy():
+    """Rows appended to the MILPs above: rows over fixed columns only,
+    rows over one more integer column besides, rows that cut the old
+    optimum off, and rows no point meets."""
     rng = np.random.default_rng(72)
-    mapped = {0: 0, 1: 0}       # reduced rows with no term, with one
     cut_off = infeasible = 0
     for seed in range(700, 760):
         prob = presolve_milp(seed)
         first = solve_milp(prob)
         n = prob.num_vars
-        reduction = first.root_basis.presolved
-        kept = np.flatnonzero(prob.integer & (reduction.col >= 0))
+        kept = np.flatnonzero(prob.integer & (prob.lower < prob.upper))
         rows = []
         kinds = (list(rng.choice(["fixed", "one"],
                                  size=int(rng.integers(0, 4))))
@@ -1322,23 +1247,16 @@ def test_appended_rows_match_cold_and_scipy(presolves):
                 a[:] = rng.integers(-2, 3, size=n)
                 rows.append((a, -1, a @ first.x - 0.5))
         grown = with_rows(prob, rows)
-        presolves.clear()
         warm = solve_milp(grown, start=first.root_basis)
-        assert presolves == []
         assert_resolved_like_cold(grown, warm)
-        for count in np.count_nonzero(
-                reduction.extended(grown).reduced.A[-len(rows):], axis=1):
-            if count in mapped:
-                mapped[count] += 1
         if warm.status == SolveStatus.INFEASIBLE:
             infeasible += 1
         elif any(a @ first.x > b + 1e-9 for a, _, b in rows):
             cut_off += 1
-    assert mapped[0] >= 20 and mapped[1] >= 20
     assert cut_off >= 10 and infeasible >= 10
 
 
-def test_rows_appended_to_random_milps_match_cold_and_scipy(presolves):
+def test_rows_appended_to_random_milps_match_cold_and_scipy():
     rng = np.random.default_rng(73)
     solved = 0
     for seed in range(500, 560):
@@ -1351,26 +1269,25 @@ def test_rows_appended_to_random_milps_match_cold_and_scipy(presolves):
                  int(rng.choice([-1, 1, 0], p=[0.45, 0.45, 0.1])),
                  float(rng.integers(-2, 4))) for _ in range(k)]
         grown = with_rows(prob, rows)
-        presolves.clear()
         warm = solve_milp(grown, start=first.root_basis)
-        assert presolves == []
         assert_resolved_like_cold(grown, warm)
         solved += 1
     assert solved >= 20
 
 
-def test_a_start_whose_rows_are_not_a_prefix_is_presolved_again(presolves):
+def test_a_start_whose_rows_are_not_a_prefix_finds_the_optimum():
+    # the start is a basis of other rows or bounds; whatever the warm
+    # solve makes of it is checked against the problem's own data
     prob = presolve_milp(700)
     first = solve_milp(prob)
     row = (np.ones(prob.num_vars), -1, 100.0)
-    for other in (with_rows(dataclasses.replace(prob, b=prob.b + 0.25),
+    for other in (dataclasses.replace(prob, b=prob.b + 0.25),
+                  with_rows(dataclasses.replace(prob, b=prob.b + 0.25),
                             [row]),
                   with_rows(dataclasses.replace(
                       prob, upper=prob.upper + 1.0), [row]),
                   dataclasses.replace(prob, A=prob.A[1:], b=prob.b[1:],
                                       senses=prob.senses[1:])):
-        presolves.clear()
         sol = solve_milp(other, start=first.root_basis)
-        assert len(presolves) == 1
         assert sol.objective == pytest.approx(scipy_milp_optimum(other),
                                               abs=1e-7)
