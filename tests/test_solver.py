@@ -1275,14 +1275,24 @@ def test_rows_appended_to_random_milps_match_cold_and_scipy():
     assert solved >= 20
 
 
-def test_a_start_whose_rows_are_not_a_prefix_finds_the_optimum():
+def test_changed_rows_are_presolved_again():
+    # a start from the same rows with a shifted right-hand side is checked
+    # against the problem's own data, not taken as the old optimum
+    prob = presolve_milp(702)
+    start = solve_milp(prob).root_basis
+    looser = dataclasses.replace(prob, b=prob.b + 0.25)
+    sol = solve_milp(looser, start=start)
+    assert sol.objective == pytest.approx(scipy_milp_optimum(looser),
+                                          abs=1e-7)
+
+
+def test_a_start_whose_rows_are_not_a_prefix_is_presolved_again():
     # the start is a basis of other rows or bounds; whatever the warm
     # solve makes of it is checked against the problem's own data
     prob = presolve_milp(700)
     first = solve_milp(prob)
     row = (np.ones(prob.num_vars), -1, 100.0)
-    for other in (dataclasses.replace(prob, b=prob.b + 0.25),
-                  with_rows(dataclasses.replace(prob, b=prob.b + 0.25),
+    for other in (with_rows(dataclasses.replace(prob, b=prob.b + 0.25),
                             [row]),
                   with_rows(dataclasses.replace(
                       prob, upper=prob.upper + 1.0), [row]),
