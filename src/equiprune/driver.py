@@ -21,14 +21,14 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .ensemble import CellSignature, Ensemble, predict_classes_batch
 from .errors import InputError, IterationLimitError, PruneCycleError
 from .oracle import (DEFAULT_EPSILON, VIOLATION_TOL, PairOutcome, Screen,
-                     _check_epsilon, _check_violation_tol, separate)
+                     _check_epsilon, separate)
 from .pruner import PruneResult, PruneSet, build_margins, prune_l0, prune_l1
 from .pruner import compute_big_w  # noqa: F401  patched by perfbench/spans.py
 
@@ -39,14 +39,14 @@ log = logging.getLogger(__name__)
 class PruneOptions:
     norm: str = "l0"                   # "l0" (exact count) or "l1" (LP)
     epsilon: float = DEFAULT_EPSILON   # oracle margin precision
-    violation_tol: float = VIOLATION_TOL
     max_iterations: int = 1000         # rounds, screened ones included
+    # the oracle's fixed verdict tolerance, read by the benchmark
+    violation_tol: ClassVar[float] = VIOLATION_TOL
 
     def __post_init__(self):
         if self.norm not in ("l0", "l1"):
             raise InputError(f"norm must be 'l0' or 'l1', got {self.norm!r}")
         _check_epsilon(self.epsilon)
-        _check_violation_tol(self.violation_tol)
         if self.max_iterations < 1:
             raise InputError("max_iterations must be at least 1")
 
@@ -119,7 +119,7 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
     screen = Screen(ensemble, opts.epsilon)
     screen_seconds = time.perf_counter() - t_start
     history: list[IterationRecord] = []
-    programs: dict = {}     # oracle program and root basis per class, this run
+    programs: dict = {}     # oracle program per original class, this run
     prune = prune_l0 if opts.norm == "l0" else prune_l1
 
     for index in range(1, opts.max_iterations + 1):
@@ -127,13 +127,11 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
         result = prune(ensemble, working,
                        margins=build_margins(ensemble, working))
         t1 = time.perf_counter()
-        separation = screen.refute(result.weights, opts.violation_tol)
+        separation = screen.refute(result.weights)
         screened = len(separation.cells) + len(separation.tie_cells)
         if not screened:
             separation = separate(ensemble, result.weights,
-                                  epsilon=opts.epsilon,
-                                  violation_tol=opts.violation_tol,
-                                  programs=programs)
+                                  epsilon=opts.epsilon, programs=programs)
         t2 = time.perf_counter()
 
         new_cells = separation.cells + separation.tie_cells

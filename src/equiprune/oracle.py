@@ -55,14 +55,16 @@ root.  A stump's program is its indicators, ``one``, the margin rows
 and the order rows.
 
 Only the objective depends on the weights and on the challenger: the
-rows, bounds and integrality depend on the original class alone.  So a
-pruning run builds one program per original class, once, and reweights
-it for each challenger and each round.  Every solve after the class's
-first starts from the class's last optimal root basis, which stays
-primal feasible under any objective (see ``solve_milp``).  A no-good
-row that ``separate`` appends to a class's program, to cut off a cell
-whose original margin falls short of epsilon, does not undo this: the
-basis grows by the new row's slack.
+rows, bounds and integrality depend on the original class alone.  So
+the oracle's unit is the class program, built once per pruning run
+with a zero objective and priced for each challenger and each round
+(``SeparationProgram.priced``).  Every solve after the class's first
+starts from the class's last optimal root basis
+(``SeparationProgram.start``), which stays primal feasible under any
+objective (see ``solve_milp``).  A no-good row that ``separate``
+appends to a class's program, to cut off a cell whose original margin
+falls short of epsilon, does not undo this: the basis grows by the new
+row's slack.
 
 A round that is not the last needs only one counterexample, not the
 pair optima.  ``Screen`` scores a fixed sample of cells, drawn once per
@@ -82,10 +84,12 @@ import numpy as np
 
 from .ensemble import CellSignature, Ensemble, _check_weights, leaves_of
 from .errors import InputError, IterationLimitError, SolverFailureError
-from .solver import (MilpProblem, MilpSolution, SolveStatus, _check_size,
-                     _check_tol, dump_lp, solve_milp)
+from .solver import (Basis, MilpProblem, MilpSolution, SolveStatus,
+                     _check_size, _check_tol, dump_lp, solve_milp)
 
 DEFAULT_EPSILON = 1e-6
+# the one verdict tolerance: a pair optimum or sampled gap above it is a
+# violation, one within it of zero a tie
 VIOLATION_TOL = 1e-8
 # The screen's sample: this many cells, drawn uniformly over each
 # feature's cell indices from this seed, once per pruning run.  The
@@ -100,22 +104,15 @@ def _check_epsilon(epsilon: float) -> None:
         raise InputError(f"epsilon must be finite and positive, got {epsilon}")
 
 
-def _check_violation_tol(violation_tol: float) -> None:
-    if not (np.isfinite(violation_tol) and violation_tol >= 0):
-        raise InputError("violation_tol must be finite and nonnegative, "
-                         f"got {violation_tol}")
-
-
 @dataclass
 class SeparationProgram:
-    """One (challenger, original) subproblem plus its column layout:
-    column i is the flow of flat node i, and ``blocks[j]`` holds feature
-    j's indicator columns.  Only the objective depends on the weights
-    and the challenger; the rows, bounds and integrality depend on the
-    original class alone."""
+    """One original class's subproblem, with a zero objective, plus its
+    column layout: ``flows`` writes each flat node's flow as a row over
+    the columns, and ``blocks[j]`` holds feature j's indicator columns.
+    ``priced`` gives a pair's problem; ``start`` is the optimal root
+    basis of the program's last solve."""
 
     problem: MilpProblem
-    challenger: int
     original: int
     epsilon: float
     blocks: list[np.ndarray]            # per feature: its indicator columns
@@ -125,18 +122,20 @@ class SeparationProgram:
     leaves: np.ndarray                  # flat index of every leaf
     leaf_tree: np.ndarray               # its tree
     leaf_scores: np.ndarray             # its class scores, (leaves, C)
+    margin: np.ndarray                  # its margin rows' coefficients,
+                                        # (leaves, C - 1)
+    start: Basis | None = None
 
-    def reweighted(self, weights: Sequence[float],
-                   challenger: int) -> SeparationProgram:
-        """This program's original class against ``challenger`` under
-        the objective of ``weights``: a new problem that shares every
-        array of this one except ``c``."""
+    def priced(self, weights: Sequence[float],
+               challenger: int) -> MilpProblem:
+        """The pair (``challenger``, this program's original class) under
+        the objective of ``weights``: a problem that shares every array
+        of this one except ``c``."""
         w = np.asarray(weights, dtype=float)
         gap = (self.leaf_scores[:, challenger]
                - self.leaf_scores[:, self.original])
         c = (w[self.leaf_tree] * gap) @ self.flows[self.leaves]
-        return replace(self, problem=replace(self.problem, c=c),
-                       challenger=challenger)
+        return replace(self.problem, c=c)
 
     def cut_off(self, cell: CellSignature) -> SeparationProgram:
         """This program with one row appended that every cell but
@@ -199,28 +198,24 @@ class SeparationResult:
         """No strictly positive violation (ties reported separately)."""
         return not self.cells
 
-    def add(self, cell: CellSignature, gap: float,
-            violation_tol: float) -> bool:
+    def add(self, cell: CellSignature, gap: float) -> bool:
         """File one pair's best cell by its reweighted gap: a violation
-        above ``violation_tol``, a tie within it, nothing below.  A cell
+        above ``VIOLATION_TOL``, a tie within it, nothing below.  A cell
         already filed for an earlier pair stays where it is.  Returns
         whether the gap is a violation."""
-        if (gap >= -violation_tol and cell not in self.cells
+        if (gap >= -VIOLATION_TOL and cell not in self.cells
                 and cell not in self.tie_cells):
-            filed = self.cells if gap > violation_tol else self.tie_cells
+            filed = self.cells if gap > VIOLATION_TOL else self.tie_cells
             filed.append(cell)
-        return gap > violation_tol
+        return gap > VIOLATION_TOL
 
 
-def build_separation(ensemble: Ensemble, weights: Sequence[float],
-                     challenger: int, original: int,
+def build_separation(ensemble: Ensemble, original: int,
                      epsilon: float = DEFAULT_EPSILON) -> SeparationProgram:
     _check_epsilon(epsilon)
     C = ensemble.num_classes
-    if not (0 <= challenger < C and 0 <= original < C
-            and challenger != original):
-        raise InputError(
-            f"bad class pair ({challenger}, {original}) for {C} classes")
+    if not 0 <= original < C:
+        raise InputError(f"bad original class {original} for {C} classes")
     flat = ensemble.flat
     nodes = np.arange(flat.left.size)
     split = flat.left != nodes
@@ -298,7 +293,7 @@ def build_separation(ensemble: Ensemble, weights: Sequence[float],
     A = np.vstack([block for block, _, _, _ in rows])
     lower = np.zeros(n)
     lower[one] = 1.0
-    program = SeparationProgram(
+    return SeparationProgram(
         problem=MilpProblem(
             c=np.zeros(n), A=A,
             senses=np.concatenate([np.full(len(names), sense, dtype=np.int8)
@@ -308,10 +303,9 @@ def build_separation(ensemble: Ensemble, weights: Sequence[float],
             lower=lower, upper=np.ones(n), integer=np.arange(n) >= deep.size,
             maximize=True, var_names=var_names,
             row_names=[name for *_, names in rows for name in names]),
-        challenger=challenger, original=original, epsilon=epsilon,
-        blocks=blocks, categorical=categorical, flows=flows, leaves=leaves,
-        leaf_tree=flat.tree[leaves], leaf_scores=scores)
-    return program.reweighted(weights, challenger)
+        original=original, epsilon=epsilon, blocks=blocks,
+        categorical=categorical, flows=flows, leaves=leaves,
+        leaf_tree=flat.tree[leaves], leaf_scores=scores, margin=coef)
 
 
 def extract_cell(ensemble: Ensemble, program: SeparationProgram,
@@ -339,18 +333,17 @@ def extract_cell(ensemble: Ensemble, program: SeparationProgram,
 
 def separate(ensemble: Ensemble, weights: Sequence[float],
              epsilon: float = DEFAULT_EPSILON,
-             violation_tol: float = VIOLATION_TOL,
              solve: Callable[..., MilpSolution] = solve_milp,
              dump_dir: Union[str, Path, None] = None,
              programs: dict | None = None) -> SeparationResult:
     """Solve every ordered class pair; collect each strictly positive
     optimum's cell, deduplicated.
 
-    ``programs`` carries one program per original class and the class's
-    last optimal root basis from pair to pair and from one round of a
-    pruning run to the next (same ensemble and epsilon; the caller
+    ``programs`` maps each original class to its program, which carries
+    its last optimal root basis, from pair to pair and from one round of
+    a pruning run to the next (same ensemble and epsilon; the caller
     passes one dict, empty at first, to every round and drops it after
-    the run): a class found there is reweighted for each challenger, not
+    the run): a class found there is priced for each challenger, not
     rebuilt, and ``solve`` gets that basis as ``start=``.  Without it,
     the dict lives for this call only, so each class's first pair starts
     cold and the others from the pair before.
@@ -366,35 +359,31 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     the pair is re-solved from the last root basis.  A larger miss
     raises ``SolverFailureError``.
 
-    A pair optimum inside ``[-violation_tol, violation_tol]`` means the
+    A pair optimum inside ``[-VIOLATION_TOL, VIOLATION_TOL]`` means the
     reweighting's best cell for that pair is an exact score tie; the
     cell is extracted into ``tie_cells`` (never into ``cells``) so the
     caller can decide whether a tie-break flip matters.
     """
     w = _check_weights(ensemble, weights)
-    _check_violation_tol(violation_tol)
     result = SeparationResult(pairs=[])
     programs = {} if programs is None else programs
     for original in range(ensemble.num_classes):
-        program, start = programs.get(original, (None, None))
+        program = programs[original] = (
+            programs.get(original)
+            or build_separation(ensemble, original, epsilon))
         for challenger in range(ensemble.num_classes):
             if challenger == original:
                 continue
-            if program is None:
-                program = build_separation(ensemble, w, challenger, original,
-                                           epsilon)
-            else:
-                program = program.reweighted(w, challenger)
+            problem = program.priced(w, challenger)
             if dump_dir is not None:
-                dump_lp(program.problem,
+                dump_lp(problem,
                         Path(dump_dir) / f"sep_y{original}_c{challenger}.lp",
                         name=f"separation y={original} c={challenger}")
-            sol = solve(program.problem, start=start)
+            sol = solve(problem, start=program.start)
             nodes, iterations, cuts = sol.nodes, sol.iterations, 0
             cell = objective = None
             while True:
-                start = sol.root_basis
-                programs[original] = (program, start)
+                program.start = sol.root_basis
                 if sol.status == SolveStatus.ITERATION_LIMIT:
                     raise IterationLimitError(
                         f"separation for pair (challenger={challenger}, "
@@ -405,7 +394,7 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
                         "solver says unbounded for pair "
                         f"({challenger}, {original})")
                 if (sol.status != SolveStatus.OPTIMAL
-                        or sol.objective < -violation_tol):
+                        or sol.objective < -VIOLATION_TOL):
                     break
                 cell, scores = extract_cell(ensemble, program, sol)
                 if _meets_margin(ensemble, program, scores):
@@ -413,16 +402,16 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
                 # met only through values inside the solver's tolerances:
                 # the cell lies outside the margin rows' scope for every
                 # challenger, so it leaves the class's program for good
-                program = program.cut_off(cell)
-                sol = solve(program.problem, start=sol.root_basis)
+                program = programs[original] = program.cut_off(cell)
+                sol = solve(program.priced(w, challenger),
+                            start=program.start)
                 cuts += 1
                 nodes += sol.nodes
                 iterations += sol.iterations
                 cell = None
             if sol.status == SolveStatus.OPTIMAL:
                 objective = float(sol.objective)
-            if cell is not None and result.add(cell, objective,
-                                               violation_tol):
+            if cell is not None and result.add(cell, objective):
                 reweighted = w @ scores
                 if not reweighted[challenger] - reweighted[original] > 0.0:
                     raise SolverFailureError(
@@ -466,15 +455,13 @@ class Screen:
         self.scores = scores[keep]
         self.labels = np.argmax(original[keep], axis=1)
 
-    def refute(self, weights: Sequence[float],
-               violation_tol: float = VIOLATION_TOL) -> SeparationResult:
+    def refute(self, weights: Sequence[float]) -> SeparationResult:
         """For every ordered pair (challenger c, original y), the sampled
         class-y cell with the largest reweighted gap score_c - score_y,
         judged as ``separate`` judges a pair optimum: a violation above
-        ``violation_tol``, a tie within it.  Deduplicated by cell, with
+        ``VIOLATION_TOL``, a tie within it.  Deduplicated by cell, with
         ``pairs=[]``."""
         w = _check_weights(self.ensemble, weights)
-        _check_violation_tol(violation_tol)
         scores = w @ self.scores
         result = SeparationResult(pairs=[])
         for original in range(self.ensemble.num_classes):
@@ -487,7 +474,7 @@ class Screen:
                 gap = scores[rows, challenger] - scores[rows, original]
                 i = int(np.argmax(gap))
                 cell = tuple(int(k) for k in self.cells[rows[i]])
-                result.add(cell, gap[i], violation_tol)
+                result.add(cell, gap[i])
         return result
 
 
@@ -503,13 +490,11 @@ def _meets_margin(ensemble: Ensemble, program: SeparationProgram,
     that is a solver fault and raises ``SolverFailureError``."""
     y = program.original
     scores = np.asarray(ensemble.alpha) @ scores
-    shortfall = program.epsilon - (scores[y] - scores)
-    shortfall[y] = -np.inf
+    shortfall = program.epsilon - (scores[y] - np.delete(scores, y))
     if shortfall.max() <= 0.0:
         return True
-    s = program.leaf_scores
-    a = np.asarray(ensemble.alpha)[program.leaf_tree, None] * (s[:, [y]] - s)
-    slack = _check_tol(program.problem.b) * (1.0 + np.abs(a).sum(axis=0))
+    slack = (_check_tol(program.problem.b)
+             * (1.0 + np.abs(program.margin).sum(axis=0)))
     if np.any(shortfall > slack):
         raise SolverFailureError(
             f"separation cell for class {y} misses the original margin "

@@ -160,15 +160,26 @@ def _ones_program(A: np.ndarray, upper: float,
                        integer=np.full(cols, integer))
 
 
+def _scale_columns(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G with each column divided by its largest |entry| (1 for a zero
+    column), and those scales: a column of tiny entries, which the
+    solver would read as zero, gets entries it pivots on."""
+    scale = np.abs(G).max(axis=0, initial=0.0)
+    scale[scale == 0.0] = 1.0
+    return G / scale, scale
+
+
 def min_weight_sum(G: np.ndarray, trees: Sequence[int]
                    ) -> tuple[np.ndarray, LpSolution]:
     """min sum(w) s.t. G[:, trees] w >= 1, w >= 0: the LP's solution and
-    the weights over all trees, zero elsewhere and at or below ZERO_TOL."""
+    the weights over all trees, zero elsewhere and at or below ZERO_TOL.
+    It solves for x = s w on the scaled columns (``_scale_columns``)."""
     trees = np.asarray(trees, dtype=np.int64)
-    sol = solve_lp(_ones_program(G[:, trees], np.inf))
+    scaled, scale = _scale_columns(G[:, trees])
+    sol = solve_lp(replace(_ones_program(scaled, np.inf), c=1.0 / scale))
     weights = np.zeros(G.shape[1])
     if sol.status == SolveStatus.OPTIMAL:
-        weights[trees] = sol.x
+        weights[trees] = sol.x / scale
         weights[weights <= ZERO_TOL] = 0.0
     return weights, sol
 
@@ -194,7 +205,8 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
     basic slack for each new row.
 
     Every check is the one program max sum(y) s.t. g_m'y - t_m <= 0 for
-    each tree m, 0 <= y <= 1, where t_m is fixed at 0 on the tested
+    each tree m (g_m scaled by ``_scale_columns``, which keeps each sign
+    of g_m'y), 0 <= y <= 1, where t_m is fixed at 0 on the tested
     trees and ranges over [0, inf) on the others.  The first check of a
     round is solved cold; each growth check tests one tree more than the
     last failing check, so only bounds tighten, and it re-solves from
@@ -209,8 +221,9 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
     nodes = pivots = masters = warm = 0
     rows, M = G.shape
     eye = np.eye(M, dtype=bool)
+    scaled, _ = _scale_columns(G)
     check = MilpProblem(c=np.concatenate([np.ones(rows), np.zeros(M)]),
-                        A=np.hstack([G.T, -np.eye(M)]),
+                        A=np.hstack([scaled.T, -np.eye(M)]),
                         senses=np.full(M, -1, dtype=np.int8), b=np.zeros(M),
                         lower=np.zeros(rows + M),
                         upper=np.concatenate([np.ones(rows),
@@ -255,14 +268,14 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
         fail = failed_check(chosen)
         if fail is None:
             break
-        failing = chosen | (fail.x[:rows] @ G <= 0.0)
+        failing = chosen | (fail.x[:rows] @ scaled <= 0.0)
         for m in range(M):
             if failing[m]:
                 continue
             grown = failed_check(failing | eye[m], start=fail.basis)
             if grown is not None:
                 fail = grown
-                failing |= eye[m] | (fail.x[:rows] @ G <= 0.0)
+                failing |= eye[m] | (fail.x[:rows] @ scaled <= 0.0)
         conflicts[tuple(np.flatnonzero(~failing).tolist())] = None
 
     weights, sol = min_weight_sum(G, np.flatnonzero(chosen))

@@ -165,6 +165,37 @@ def test_prune_single_tree_model(tmp_path):
     assert json.loads(report.read_text())["m_pruned"] == 1
 
 
+def leaf_model(margins, weights):
+    """Two classes, one continuous feature and a leaf-only tree per
+    margin g, with scores ((1 + g) / 2, (1 - g) / 2)."""
+    from equiprune import build_ensemble
+    trees = [{"root": 0, "nodes": [{"id": 0, "kind": "leaf",
+                                    "scores": [(1 + g) / 2, (1 - g) / 2]}]}
+             for g in margins]
+    return build_ensemble(num_classes=2,
+                          features=[{"name": "x", "kind": "continuous"}],
+                          weights=weights, raw_trees=trees)
+
+
+@pytest.mark.parametrize("norm", ["l0", "l1"])
+def test_tiny_score_differences_prune_and_verify(tmp_path, capsys, norm):
+    # keep-row entries just above the solver's pivot tolerance: the
+    # pruner's LPs must still find the faithful weights these models
+    # have, and the oracle must certify them
+    three = tmp_path / "three.json"
+    save_model(leaf_model([-3.096e-9, -0.1011, 1.411e-9], [1.0, 1.0, 1e9]),
+               three)
+    for model in (DATA_DIR / "one_leaf_model.json", three):
+        out = tmp_path / f"{model.stem}_{norm}.json"
+        assert run("prune", "--model", str(model), "--data",
+                   str(DATA_DIR / "one_leaf_points.csv"), "--norm", norm,
+                   "--out", str(out)) == 0
+        assert "kept 1 of" in capsys.readouterr().out
+        assert run("verify", "--model", str(model), "--pruned",
+                   str(out)) == 0
+        capsys.readouterr()
+
+
 def test_verify_model_against_itself(capsys):
     assert run("verify", "--model", FIXTURE, "--pruned", FIXTURE) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -223,10 +223,6 @@ def test_option_validation():
     for epsilon in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(InputError, match="epsilon"):
             PruneOptions(epsilon=epsilon)
-    for violation_tol in (-1.0, np.nan, np.inf):
-        with pytest.raises(InputError, match="violation_tol"):
-            PruneOptions(violation_tol=violation_tol)
-    PruneOptions(violation_tol=0.0)
     with pytest.raises(InputError):
         PruneOptions(max_iterations=0)
 

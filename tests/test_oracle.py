@@ -15,7 +15,8 @@ from equiprune import (DEFAULT_EPSILON, InputError, IterationLimitError,
                        cell_scores_batch, cells_of, certified_prune, certify,
                        extract_cell, make_synthetic, maximize_separation,
                        predict_classes_batch, sample_uniform_points,
-                       separate, solve_milp, solver, train_random_forest)
+                       oracle, separate, solve_milp, solver,
+                       train_random_forest)
 from equiprune.ensemble import leaves_of
 from equiprune.oracle import VIOLATION_TOL, Screen, SeparationResult
 from conftest import (make_stump, mixed_model, one_hot, opposed_stumps,
@@ -44,10 +45,11 @@ def chain_tree(first, second):
 
 def test_stump_program_shape():
     ens = two_class([make_stump(0, 0.5, (1, 0), (0, 1))], [1.0])
-    prog = build_separation(ens, (1.0,), challenger=1, original=0)
+    prog = build_separation(ens, original=0)
     # the threshold indicator u and ``one``: the root's flow is one, its
     # children's one - u and u, so no flow has a column of its own
-    problem = prog.problem
+    assert prog.problem.c.tolist() == [0, 0]
+    problem = prog.priced((1.0,), challenger=1)
     assert problem.var_names == ["mu_0_0", "one"]
     assert [cols.tolist() for cols in prog.blocks] == [[0]]
     assert prog.flows.tolist() == [[0, 1], [-1, 1], [1, 0]]
@@ -63,8 +65,8 @@ def test_stump_program_shape():
 
 def test_deep_program_layout():
     ens = two_class([chain_tree(0.2, 0.8)], [1.0])
-    prog = build_separation(ens, (1.0,), challenger=1, original=0)
-    problem = prog.problem
+    prog = build_separation(ens, original=0)
+    problem = prog.priced((1.0,), challenger=1)
     # flow columns for the two depth-2 leaves, then mu_0_0 (the root's
     # u) and mu_0_1 (node 2's v), then one
     assert problem.var_names == ["z_0_3", "z_0_4", "mu_0_0", "mu_0_1",
@@ -89,7 +91,7 @@ def test_same_split_shares_one_indicator():
     trees = [make_stump(0, 0.5, (1, 0), (0, 1)),
              make_stump(0, 0.5, (0, 1), (1, 0))]
     ens = two_class(trees, [1.0, 1.0])
-    prog = build_separation(ens, (1.0, 1.0), challenger=1, original=0)
+    prog = build_separation(ens, original=0)
     assert len(prog.blocks[0]) == 1
     mu = prog.blocks[0][0]
     # both trees' children read their flows off the shared column
@@ -102,9 +104,13 @@ def test_three_class_pair_has_two_margin_rows():
     ens = build_ensemble(num_classes=3,
                          features=[{"name": "x1", "kind": "continuous"}],
                          weights=[1.0, 1.0], raw_trees=trees)
-    prog = build_separation(ens, (1.0, 1.0), challenger=2, original=0)
-    margin_rows = [n for n in prog.problem.row_names if n.startswith("margin")]
-    assert margin_rows == ["margin_1", "margin_2"]
+    prog = build_separation(ens, original=0)
+    names = prog.problem.row_names
+    margin_rows = [i for i, n in enumerate(names) if n.startswith("margin")]
+    assert [names[i] for i in margin_rows] == ["margin_1", "margin_2"]
+    # a column of leaf coefficients per margin row
+    assert np.array_equal(prog.margin.T @ prog.flows[prog.leaves],
+                          prog.problem.A[margin_rows])
 
 
 def test_original_weights_separate_nothing():
@@ -117,15 +123,14 @@ def test_original_weights_separate_nothing():
                 assert pair.objective < 0.0
 
 
-def test_bad_epsilon_and_violation_tol_are_input_errors():
+def test_bad_epsilon_and_original_class_are_input_errors():
     ens = two_class([make_stump(0, 0.5, (1, 0), (0, 1))], [1.0])
     for epsilon in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(InputError, match="epsilon"):
-            build_separation(ens, (1.0,), challenger=1, original=0,
-                             epsilon=epsilon)
-    for violation_tol in (-1.0, np.nan, np.inf):
-        with pytest.raises(InputError, match="violation_tol"):
-            separate(ens, (1.0,), violation_tol=violation_tol)
+            build_separation(ens, original=0, epsilon=epsilon)
+    for original in (-1, 2):
+        with pytest.raises(InputError, match="original class"):
+            build_separation(ens, original)
 
 
 def test_separation_stops_at_the_node_limit(monkeypatch):
@@ -246,7 +251,7 @@ def _subtree(flat, root):
 
 def test_extraction_reads_indicators():
     ens = cat_ensemble()
-    prog = build_separation(ens, (1.0, 1.0), challenger=1, original=0)
+    prog = build_separation(ens, original=0)
     # continuous cell 1 of thresholds {0.2}: above the only threshold;
     # category level 2 takes the categorical tree's right branch
     cell, scores = extract_cell(ens, prog, fake_solution(ens, prog, (1, 2)))
@@ -256,7 +261,7 @@ def test_extraction_reads_indicators():
 
 def test_extraction_pads_below_first_threshold():
     ens = cat_ensemble()
-    prog = build_separation(ens, (1.0, 1.0), challenger=1, original=0)
+    prog = build_separation(ens, original=0)
     cell, scores = extract_cell(ens, prog, fake_solution(ens, prog, (0, 0)))
     assert cell == (0, 0)
     assert scores.tolist() == [[1.0, 0.0], [1.0, 0.0]]
@@ -269,7 +274,7 @@ def test_extraction_between_thresholds():
     trees = [make_stump(0, 0.2, (1, 0), (0, 1)),
              make_stump(0, 0.8, (1, 0), (0, 1))]
     ens = two_class(trees, [1.0, 1.0])
-    prog = build_separation(ens, (1.0, 1.0), challenger=1, original=0)
+    prog = build_separation(ens, original=0)
     cell, scores = extract_cell(ens, prog, fake_solution(ens, prog, (1,)))
     assert cell == (1,)
     assert scores.tolist() == [[0.0, 1.0], [1.0, 0.0]]
@@ -279,7 +284,7 @@ def test_extraction_refuses_a_flow_that_disagrees_with_the_cell():
     # the indicators spell cell (2,) but the depth-2 flows follow cell
     # (1,): the solution is inconsistent, a solver fault
     ens = two_class([chain_tree(0.2, 0.8)], [1.0])
-    prog = build_separation(ens, (1.0,), challenger=1, original=0)
+    prog = build_separation(ens, original=0)
     x = fake_solution(ens, prog, (1,)).x
     x[prog.blocks[0]] = fake_solution(ens, prog, (2,)).x[prog.blocks[0]]
     sol = MilpSolution(status=SolveStatus.OPTIMAL, x=x, objective=0.0,
@@ -314,7 +319,7 @@ def test_indicator_layout_over_every_cell():
     for _ in range(40):
         ens = random_mixed_ensemble(rng)
         y = int(rng.integers(ens.num_classes))
-        prog = build_separation(ens, ens.alpha, (y + 1) % ens.num_classes, y)
+        prog = build_separation(ens, y)
         cells = list(itertools.product(
             *(range(kind.num_cells) for kind in ens.schema.features)))
         sols = [fake_solution(ens, prog, cell) for cell in cells]
@@ -336,13 +341,13 @@ def test_build_separation_refuses_an_oversized_program_before_allocating(
         monkeypatch):
     data = make_synthetic("blobs", n=24, seed=7)
     ens = train_random_forest(data, 30, max_depth=3, seed=0)
-    problem = build_separation(ens, ens.alpha, 1, 0).problem
+    problem = build_separation(ens, 0).problem
     m, n = problem.A.shape
     monkeypatch.setattr(solver, "_MAX_DENSE_BYTES", 8 * m * (n + 2 * m) - 1)
     tracemalloc.start()
     try:
         with pytest.raises(ProblemTooLargeError, match=f"{m} rows"):
-            build_separation(ens, ens.alpha, 1, 0)
+            build_separation(ens, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -366,14 +371,15 @@ def test_dumps_one_lp_file_per_ordered_pair(tmp_path):
             assert re.search(rf"^ {row}\S*:", text, re.M), (path.name, row)
 
 
-def test_one_verdict_rule_at_the_violation_tolerance():
-    # exact binary fractions: a gap of exactly violation_tol, or exactly
-    # -violation_tol, is a tie; 2**-30 beyond either is a violation or
+def test_one_verdict_rule_at_the_violation_tolerance(monkeypatch):
+    # exact binary fractions: a gap of exactly VIOLATION_TOL, or exactly
+    # -VIOLATION_TOL, is a tie; 2**-30 beyond either is a violation or
     # nothing; a cell filed once stays where it was filed
+    monkeypatch.setattr(oracle, "VIOLATION_TOL", 0.25)
     result = SeparationResult(pairs=[])
     for k, gap in enumerate((0.25 + 2**-30, 0.25, -0.25, -0.25 - 2**-30)):
-        assert result.add((k,), gap, 0.25) == (k == 0)
-    assert result.add((1,), 1.0, 0.25)
+        assert result.add((k,), gap) == (k == 0)
+    assert result.add((1,), 1.0)
     assert result.cells == [(0,)]
     assert result.tie_cells == [(1,), (2,)]
 
@@ -443,8 +449,8 @@ def test_a_cell_below_the_margin_is_cut_off_and_resolved():
                 assert scores[pair.original] - scores[
                     pair.challenger] >= DEFAULT_EPSILON
         cuts = 0
-        for y, (program, _) in programs.items():
-            fresh = build_separation(ens, w, 1 - y, y).problem
+        for y, program in programs.items():
+            fresh = build_separation(ens, y).problem
             cuts += program.problem.num_rows - fresh.num_rows
             assert program.problem.row_names[fresh.num_rows:] == [
                 name for name in program.problem.row_names
@@ -460,8 +466,7 @@ def test_a_cell_of_another_class_is_a_solver_failure():
     # class 0 that misses the margin far beyond the solver's
     # tolerances, so it is a fault to raise, not a cell to cut off.
     ens = three_voter_majority()
-    wrong = build_separation(ens, ens.alpha, 0, 1)
-    sol = solve_milp(wrong.problem)
+    sol = solve_milp(build_separation(ens, 1).priced(ens.alpha, 0))
 
     def stub(problem, start=None):
         return replace(sol, objective=1.0)
@@ -475,7 +480,7 @@ def test_a_cell_without_a_positive_gap_is_a_solver_failure():
     # pair (1, 0) under the original weights, where the challenger
     # loses: direct evaluation of the cell's score rows must refuse it.
     ens = three_voter_majority()
-    sol = solve_milp(build_separation(ens, ens.alpha, 1, 0).problem)
+    sol = solve_milp(build_separation(ens, 0).priced(ens.alpha, 1))
 
     def stub(problem, start=None):
         return replace(sol, objective=1.0)
@@ -555,7 +560,7 @@ def test_reused_programs_equal_fresh_builds():
             for pair, (problem, _), (start, root) in zip(reused.pairs, fresh,
                                                          calls):
                 c, y = pair.challenger, pair.original
-                built = build_separation(ens, w, c, y).problem
+                built = build_separation(ens, y).priced(w, c)
                 for f in PROBLEM_ARRAYS:
                     assert np.array_equal(getattr(problem, f),
                                           getattr(built, f))
@@ -607,7 +612,7 @@ def test_screen_proposes_only_what_the_oracle_accepts():
         for _ in range(3):
             w = rng.uniform(0.0, 1.0, ens.num_trees)
             w[rng.random(ens.num_trees) < 0.4] = 0.0
-            result = screen.refute(w, VIOLATION_TOL)
+            result = screen.refute(w)
             assert result.pairs == []
             found = result.cells + result.tie_cells
             assert len(set(found)) == len(found)
@@ -637,5 +642,3 @@ def test_screen_refuses_bad_input(three_stumps):
     screen = Screen(three_stumps)
     with pytest.raises(InputError):
         screen.refute((1.0, 1.0))
-    with pytest.raises(InputError, match="violation_tol"):
-        screen.refute(three_stumps.alpha, -1.0)

@@ -1,5 +1,7 @@
 """Margin construction and finite-set weight minimization."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -309,6 +311,50 @@ def test_fractional_failure_ray_still_fails(monkeypatch):
     skip_tie_check(monkeypatch)
     with pytest.raises(InfeasiblePruneError):
         prune_l0(ens, ps, margins=margins)
+
+
+def keeps_every_row(G):
+    """Whether some w >= 0 has G w >= 1, by scipy's HiGHS on G's columns
+    scaled to largest |entry| 1, which changes no answer: on raw
+    columns of about 1e-8 HiGHS calls some feasible G infeasible."""
+    from scipy.optimize import linprog
+    rows, trees = G.shape
+    scale = np.abs(G).max(axis=0)
+    return linprog(np.zeros(trees), A_ub=-G / np.where(scale, scale, 1.0),
+                   b_ub=-np.ones(rows), bounds=(0, None),
+                   method="highs").status == 0
+
+
+def test_l0_on_tiny_score_differences_matches_subset_search(monkeypatch):
+    """Doctored keep rows with columns scaled by 1e-8 ... 1 and the
+    entries build_margins zeroes (|g| <= 1e-9) zeroed: entries just
+    above the solver's pivot tolerance must not fail a support that
+    keeps every row.  prune_l0 keeps as few trees as a subset search
+    with scipy's linprog, and its weights keep every row."""
+    skip_tie_check(monkeypatch)
+    rng = np.random.default_rng(0)
+    infeasible = 0
+    for _ in range(400):
+        M, rows = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+        G = (rng.uniform(-1.0, 1.0, (rows, M))
+             * 10.0 ** -rng.integers(0, 9, M).astype(float))
+        G[np.abs(G) <= 1e-9] = 0.0
+        ens = build_ensemble(
+            num_classes=2, features=[{"name": "x1", "kind": "continuous"}],
+            weights=[1.0] * M,
+            raw_trees=[make_stump(0, 0.5, (1, 0), (0, 1))] * M)
+        best = next((k for k in range(1, M + 1)
+                     for trees in itertools.combinations(range(M), k)
+                     if keeps_every_row(G[:, trees])), None)
+        if best is None:
+            infeasible += 1
+            with pytest.raises(InfeasiblePruneError):
+                prune_l0(ens, PruneSet(ens), margins=G)
+            continue
+        result = prune_l0(ens, PruneSet(ens), margins=G)
+        assert len(result.support) == best
+        assert np.all(G @ result.weights >= 1.0 - 1e-6)
+    assert 0 < infeasible < 300
 
 
 def test_outputs_are_faithful_on_the_set():
