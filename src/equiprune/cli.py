@@ -134,6 +134,7 @@ def cmd_prune(args) -> int:
         "wall_time": outcome.wall_time,
         "oracle_pairs": [{"iteration": record.index,
                           "challenger": p.challenger, "original": p.original,
+                          "status": p.status.value, "objective": p.objective,
                           "nodes": p.nodes, "pivots": p.iterations,
                           "rows": p.rows, "cols": p.cols, "cuts": p.cuts}
                          for record in outcome.history

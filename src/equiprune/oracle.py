@@ -11,6 +11,7 @@ feature assignment:
          z_{m,root} = 1;  z_left + z_right = z_v  at every split
          threshold indicators μ (ordered), binary indicators and one-hot
          category indicators ν link every split to the same point
+         the objective itself >= -VIOLATION_TOL      (the ``floor`` row)
 
 A strictly positive optimum exhibits a cell where the original
 ensemble predicts y with margin >= eps while the reweighting prefers c;
@@ -21,7 +22,12 @@ eps.  An optimum of exactly zero is a third verdict: the reweighted
 scores tie on the maximizing cell, where the class is decided by the
 tie-break alone; such cells are reported on a separate channel so the
 caller can force a strict margin there instead of trusting the
-tie-break to agree.
+tie-break to agree.  Below -VIOLATION_TOL only the verdict matters, not
+the optimum, so each pair's problem carries one more row, ``floor``:
+the reweighted gap is at least -VIOLATION_TOL.  A pair with no cell
+there is infeasible, which branch and bound usually proves at the root
+instead of closing the gap between a root bound near -epsilon and a
+negative integer optimum.
 
 This is the flow formulation of Parmentier & Vidal (ICML 2021) without
 their per-depth left-turn totals λ.  Flows stay continuous: once μ/ν
@@ -52,19 +58,20 @@ k leading ones; a categorical one as a one at k.  Rows run
 ``children_`` per split below a root, then ``margin_``, ``order_``,
 ``onehot_``, and last a ``left_``/``right_`` pair per split below a
 root.  A stump's program is its indicators, ``one``, the margin rows
-and the order rows.
+and the order rows.  A pair's problem appends ``floor`` last.
 
-Only the objective depends on the weights and on the challenger: the
-rows, bounds and integrality depend on the original class alone.  So
-the oracle's unit is the class program, built once per pruning run
-with a zero objective and priced for each challenger and each round
-(``SeparationProgram.priced``).  Every solve after the class's first
-starts from the class's last optimal root basis
-(``SeparationProgram.start``), which stays primal feasible under any
-objective (see ``solve_milp``).  A no-good row that ``separate``
-appends to a class's program, to cut off a cell whose original margin
-falls short of epsilon, does not undo this: the basis grows by the new
-row's slack.
+Only the objective and the floor depend on the weights and on the
+challenger: every other row, the bounds and integrality depend on the
+original class alone.  So the oracle's unit is the class program,
+built once per pruning run with a zero objective and priced for each
+challenger and each round (``SeparationProgram.priced``).  Every solve
+after the class's first starts from the class's last root basis
+(``SeparationProgram.start``), kept also when the root proved the pair
+empty.  The new floor and objective may leave it neither primal nor
+dual feasible; the solver then starts through a relaxation (see
+``solve_milp``).  A no-good row that ``separate`` appends to a class's
+program, to cut off a cell whose original margin falls short of
+epsilon, goes before the floor; the basis grows by a row's slack.
 
 A round that is not the last needs only one counterexample, not the
 pair optima.  ``Screen`` scores a fixed sample of cells, drawn once per
@@ -129,13 +136,16 @@ class SeparationProgram:
     def priced(self, weights: Sequence[float],
                challenger: int) -> MilpProblem:
         """The pair (``challenger``, this program's original class) under
-        the objective of ``weights``: a problem that shares every array
-        of this one except ``c``."""
+        the objective c of ``weights``, with one last row, ``floor``:
+        c'x >= -VIOLATION_TOL.  No cell below it can be filed, so a pair
+        with no cell at or above it is INFEASIBLE, and one with such a
+        cell keeps its optimum."""
         w = np.asarray(weights, dtype=float)
         gap = (self.leaf_scores[:, challenger]
                - self.leaf_scores[:, self.original])
         c = (w[self.leaf_tree] * gap) @ self.flows[self.leaves]
-        return replace(self.problem, c=c)
+        return replace(_appended(self.problem, c, 1, -VIOLATION_TOL,
+                                 "floor"), c=c)
 
     def cut_off(self, cell: CellSignature) -> SeparationProgram:
         """This program with one row appended that every cell but
@@ -148,21 +158,28 @@ class SeparationProgram:
                 row[cols[k]] = -1.0
             else:
                 row[cols] = np.where(np.arange(len(cols)) < k, -1.0, 1.0)
-        p = self.problem
-        return replace(self, problem=replace(
-            p, A=np.vstack([p.A, row]),
-            senses=np.append(p.senses, np.int8(1)),
-            b=np.append(p.b, 1.0 + row[row < 0].sum()),
-            row_names=p.row_names + [f"cut_{'_'.join(map(str, cell))}"]))
+        return replace(self, problem=_appended(
+            self.problem, row, 1, 1.0 + row[row < 0].sum(),
+            f"cut_{'_'.join(map(str, cell))}"))
+
+
+def _appended(problem: MilpProblem, row: np.ndarray, sense: int, rhs: float,
+              name: str) -> MilpProblem:
+    """``problem`` with one row appended (sense coded as in MilpProblem)."""
+    return replace(problem, A=np.vstack([problem.A, row]),
+                   senses=np.append(problem.senses, np.int8(sense)),
+                   b=np.append(problem.b, rhs),
+                   row_names=problem.row_names + [name])
 
 
 @dataclass
 class PairOutcome:
-    """One pair's MIP.  ``objective`` is the solver's optimum (None when
-    none was found).  A negative one is not rechecked against epsilon:
-    the MIP's best cell may lie outside the margin rows' scope, so it
-    can sit above the optimum over cells of margin >= epsilon.  Every
-    verdict stays right, as no cell is taken from a negative optimum."""
+    """One pair's MIP.  ``objective`` is the solver's optimum, None when
+    the pair is INFEASIBLE: no cell reaches the ``floor`` row
+    (``SeparationProgram.priced``).  An optimum below -VIOLATION_TOL,
+    met only within the solver's tolerances, is not rechecked against
+    epsilon: the MIP's best cell may lie outside the margin rows' scope.
+    Every verdict stays right, as no cell is taken from it."""
 
     challenger: int
     original: int
@@ -403,8 +420,8 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
                 # the cell lies outside the margin rows' scope for every
                 # challenger, so it leaves the class's program for good
                 program = programs[original] = program.cut_off(cell)
-                sol = solve(program.priced(w, challenger),
-                            start=program.start)
+                problem = program.priced(w, challenger)
+                sol = solve(problem, start=program.start)
                 cuts += 1
                 nodes += sol.nodes
                 iterations += sol.iterations
@@ -421,8 +438,8 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
             result.pairs.append(PairOutcome(
                 challenger=challenger, original=original, status=sol.status,
                 objective=objective, cell=cell, nodes=nodes,
-                iterations=iterations, rows=program.problem.num_rows,
-                cols=program.problem.num_vars, cuts=cuts))
+                iterations=iterations, rows=problem.num_rows,
+                cols=problem.num_vars, cuts=cuts))
     return result
 
 

@@ -18,7 +18,10 @@ an earlier solve of its first rows, grown by a basic slack for each row
 appended since, which stays dual feasible.  Every nonbasic rests at its
 recorded status.  If the basics then lie within their bounds, the
 primal loop finishes from there; otherwise, if the start is dual
-feasible, a bounded dual simplex repairs them first.
+feasible, a bounded dual simplex repairs them first.  A start that is
+neither goes through a relaxation: the basics outside their bounds are
+freed, the primal loop optimizes the rest, and once their bounds are
+restored the dual simplex repairs them.
 
 B^{-1}, the basic values and the reduced costs are re-derived from the
 original data at regular intervals and before any claim of optimality;
@@ -30,10 +33,11 @@ then repairs the basics, or stops on a row whose basic no point inside
 the other bounds brings within the check's tolerance, and the LP is
 infeasible.  A warm solve reports infeasibility only when a Farkas row,
 recomputed from the original data, shows that no point inside the
-bounds satisfies the rows.  Anything else -- a start that is singular
-(or ill-conditioned), of another shape, or neither primal nor dual
-feasible, the iteration cap, a failed check, an unconfirmed Farkas row
--- sends the LP to a cold solve.
+bounds satisfies the rows, and it keeps the basis that holds that row
+as a start for the next solve.  Anything else -- a start that is
+singular (or ill-conditioned) or of another shape, an unbounded
+relaxation, the iteration cap, a failed check, an unconfirmed Farkas
+row -- sends the LP to a cold solve.
 
 Integer restrictions are handled by best-bound branch and bound on the
 LP relaxation with most-fractional branching.  When every variable is
@@ -111,7 +115,9 @@ class LpSolution:
     x: np.ndarray | None
     objective: float | None
     iterations: int
-    basis: Basis | None = None  # the optimal basis, when OPTIMAL
+    # the optimal basis when OPTIMAL; on a warm INFEASIBLE, the basis
+    # whose Farkas row proved the LP empty
+    basis: Basis | None = None
     warm: bool = False          # answered from a start, without going cold
 
 
@@ -122,7 +128,7 @@ class MilpSolution:
     objective: float | None
     nodes: int
     iterations: int
-    # the optimal basis of the root relaxation, a start for a re-solve
+    # the root relaxation's ``LpSolution.basis``, a start for a re-solve
     # after the objective changes or rows are appended (see ``solve_milp``)
     root_basis: Basis | None = None
     # the root relaxation was re-solved from ``start`` and never went cold
@@ -201,7 +207,8 @@ class ProblemBuilder:
 
 # ---------------------------------------------------------------------------
 # Bounded-variable revised simplex on an explicit basis inverse: cold
-# two-phase primal; warm primal, or bounded dual followed by primal
+# two-phase primal; warm primal, or bounded dual followed by primal, after
+# a primal pass over a relaxation when the start is neither feasible
 
 _AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
 # By status: may a nonbasic column rise from its value, or fall?
@@ -716,50 +723,73 @@ def _simplex_solve(cols: _Columns, lo: np.ndarray,
 
 def _warm_solve(cols: _Columns, lo: np.ndarray, up: np.ndarray, start: Basis,
                 factor: _Factor | None) -> LpSolution:
-    """Re-solve from ``start``, an optimal basis of the same rows under
-    other bounds or another objective, whose factor is ``factor`` (None
-    when it is singular or of another shape).  Every nonbasic rests at
-    its recorded status.  If the basics then lie within their bounds,
-    the primal loop finishes from there; otherwise, if the start is dual
-    feasible, a bounded dual simplex repairs them first.  Either way the
-    result gets the same independent check as a cold solve.  INFEASIBLE
-    is reported only when a Farkas row confirms it.  A start that is
-    neither primal nor dual feasible, and every other failure, go to
-    ``_simplex_solve``, whose pivots are added to the warm attempt's."""
+    """Re-solve from ``start``, a basis of the same rows under other
+    bounds or another objective, whose factor is ``factor`` (None when
+    it is singular or of another shape), by ``_warm_finish``.  A start
+    it cannot finish, and every other failure, go to ``_simplex_solve``,
+    whose pivots are added to the warm attempt's."""
     if np.any(lo > up):
         return LpSolution(SolveStatus.INFEASIBLE, None, None, 0)
     sx = None
     if factor is not None:
         try:
             sx = _Simplex(cols, lo, up, start=start, factor=factor)
-            lo_B, up_B = sx.lo[sx.basis], sx.up[sx.basis]
-            primal = bool(np.all(sx.xB >= lo_B - _TOL_FEAS)
-                          and np.all(sx.xB <= up_B + _TOL_FEAS))
-            if not primal and not _verified_candidates(sx).any():
-                status, r = sx.dual_iterate()
-                if (status == SolveStatus.INFEASIBLE
-                        and _farkas_confirms(sx, r)):
-                    return LpSolution(SolveStatus.INFEASIBLE, None, None,
-                                      sx.iterations, warm=True)
-                primal = status == SolveStatus.OPTIMAL
-            if (primal and sx.iterate() == SolveStatus.OPTIMAL
-                    and _verified_optimum(sx)):
-                sol = _optimal(sx)
-                sol.warm = True
-                return sol
+            sol = _warm_finish(sx)
         except SolverFailureError:      # singular basis at a refactor
-            pass
+            sol = None
+        if sol is not None:
+            sol.warm = True
+            return sol
     sol = _simplex_solve(cols, lo, up)
     if sx is not None:
         sol.iterations += sx.iterations
     return sol
 
 
+def _warm_finish(sx: _Simplex) -> LpSolution | None:
+    """Finish a warm solve whose nonbasics rest at the start's statuses
+    (see the module notes), or return None for a cold solve to answer.
+    A start neither primal nor dual feasible first becomes dual
+    feasible: the basics outside their bounds are freed, the primal loop
+    optimizes that relaxation (a free basic never limits a step, so it
+    stays basic), and their bounds are restored.  A warm INFEASIBLE
+    keeps the basis that holds its Farkas row."""
+    outside = _outside(sx)
+    if outside.any() and _verified_candidates(sx).any():
+        freed = sx.basis[outside]
+        bounds = sx.lo[freed], sx.up[freed]
+        sx.lo[freed], sx.up[freed] = -np.inf, np.inf
+        if sx.iterate() != SolveStatus.OPTIMAL:
+            return None
+        sx.lo[freed], sx.up[freed] = bounds
+        outside = _outside(sx)
+    if outside.any():
+        status, r = sx.dual_iterate()
+        if status == SolveStatus.INFEASIBLE and _farkas_confirms(sx, r):
+            return LpSolution(SolveStatus.INFEASIBLE, None, None,
+                              sx.iterations, _basis(sx))
+        if status != SolveStatus.OPTIMAL:
+            return None
+    if sx.iterate() == SolveStatus.OPTIMAL and _verified_optimum(sx):
+        return _optimal(sx)
+    return None
+
+
+def _outside(sx: _Simplex) -> np.ndarray:
+    """Per row, whether its basic lies more than ``_TOL_FEAS`` outside
+    its bounds."""
+    return ((sx.xB < sx.lo[sx.basis] - _TOL_FEAS)
+            | (sx.xB > sx.up[sx.basis] + _TOL_FEAS))
+
+
+def _basis(sx: _Simplex) -> Basis:
+    return Basis(sx.basis.copy(), sx.stat.astype(np.int8))
+
+
 def _optimal(sx: _Simplex) -> LpSolution:
     x = sx.assemble()[:sx.n]
     return LpSolution(SolveStatus.OPTIMAL, x, float(sx.cc[:sx.n] @ x),
-                      sx.iterations,
-                      Basis(sx.basis.copy(), sx.stat.astype(np.int8)))
+                      sx.iterations, _basis(sx))
 
 
 def _verified_candidates(sx: _Simplex) -> np.ndarray:
@@ -862,11 +892,12 @@ def solve_milp(problem: MilpProblem,
 
     ``start`` is the ``root_basis`` of an earlier solve of a problem with
     the same columns whose rows are this problem's first rows: the same
-    rows under another objective, or rows appended since.  It grows by a
-    basic slack per appended row (``_grown``), and the root is re-solved
-    from it by ``_warm_solve``, whose dual simplex repairs the new rows.
-    A start of another column count or with more rows is ignored; a warm
-    answer is checked against this problem's own data either way.
+    rows under another objective, or rows appended since; rows that
+    changed cost only pivots.  It grows by a basic slack per appended
+    row (``_grown``), and the root is re-solved from it by
+    ``_warm_solve``, whose dual simplex repairs the new rows.  A start
+    of another column count or with more rows is ignored; a warm answer
+    is checked against this problem's own data either way.
     ``warm_root`` tells whether the root was answered from ``start``.
     """
     _check_size(problem.num_rows, problem.num_vars)
@@ -913,7 +944,7 @@ def _branch_and_bound(problem: MilpProblem,
 
     Every LP but a cold root is a ``_warm_solve``.  The root starts
     cold unless ``start`` is given: the ``root_basis`` of an earlier
-    solve of this problem under another objective, or grown by
+    solve of these rows under another objective, or grown by
     ``_grown`` to rows appended since.  Each heap node keeps
     the optimal basis of its relaxation (basic indices and column
     statuses), and its children and its polish LP start from it: only
@@ -991,7 +1022,7 @@ def _branch_and_bound(problem: MilpProblem,
     iterations += root.iterations
     if root.status != SolveStatus.OPTIMAL:
         return MilpSolution(root.status, None, None, 0, iterations,
-                            warm_root=root.warm)
+                            root.basis, warm_root=root.warm)
 
     status = SolveStatus.OPTIMAL
     offer(root, lo0, up0, 0)

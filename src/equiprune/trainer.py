@@ -246,7 +246,8 @@ def train_random_forest(dataset: Dataset, num_trees: int, max_depth: int = 3,
 # Synthetic datasets
 
 
-def make_synthetic(kind: str, n: int = 64, seed: int = 0) -> Dataset:
+def make_synthetic(kind: str, n: int = 64, seed: int = 0,
+                   num_features: int = 8) -> Dataset:
     """Deterministic toy datasets.
 
     blobs      two overlapping Gaussian clusters in the plane (labels =
@@ -255,11 +256,25 @@ def make_synthetic(kind: str, n: int = 64, seed: int = 0) -> Dataset:
     xor        the four binary corners labeled x0 XOR x1, repeated
                cyclically up to n rows;
     separable  two bands split by x0 with a 0.2-wide empty margin — a
-               single stump can reach accuracy 1.
+               single stump can reach accuracy 1;
+    linear     ``num_features`` standard normal features rounded to one
+               decimal, labeled by the sign of a random linear function
+               plus noise of standard deviation 0.5: the many-cell
+               regime of the paper.
     """
     if n < 4:
         raise InputError(f"need n >= 4, got {n}")
     rng = np.random.default_rng(seed)
+    if kind == "linear":
+        if num_features < 1:
+            raise InputError(f"need num_features >= 1, got {num_features}")
+        schema = FeatureSchema(
+            tuple(ContinuousFeature() for _ in range(num_features)),
+            tuple(f"x{j}" for j in range(num_features)))
+        X = np.round(rng.normal(size=(n, num_features)), 1)
+        w = rng.normal(size=num_features)
+        y = (X @ w + 0.5 * rng.normal(size=n) > 0).astype(int)
+        return Dataset(schema, X, y, num_classes=2)
     if kind == "blobs":
         schema = FeatureSchema(
             (ContinuousFeature(), ContinuousFeature()), ("x0", "x1"))
@@ -290,7 +305,7 @@ def make_synthetic(kind: str, n: int = 64, seed: int = 0) -> Dataset:
         order = rng.permutation(n)
         return Dataset(schema, X[order], y[order], num_classes=2)
     raise InputError(f"unknown synthetic kind {kind!r}; "
-                     "expected blobs, xor or separable")
+                     "expected blobs, xor, separable or linear")
 
 
 # ---------------------------------------------------------------------------

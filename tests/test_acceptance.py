@@ -75,7 +75,8 @@ def boosted_runs():
 @pytest.fixture(scope="module")
 def small_instances():
     """Fifty brute-forceable instances (M <= 8) pruned under both norms
-    on their full cell set, with wall times.  Shared by criteria 2/4."""
+    on their full cell set, with the shortest wall time of three runs.
+    Shared by criteria 2/4."""
     rows = []
     seed = 1000
     while len(rows) < 50:
@@ -84,18 +85,26 @@ def small_instances():
         if ens is None:
             continue
         ps = all_cells_set(ens)
-        t0 = time.perf_counter()
         try:
-            l0 = prune_l0(ens, ps)
+            l0, t_l0 = fastest_of_three(prune_l0, ens, ps)
         except TiedPredictionError:
             continue
-        t_l0 = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        l1 = prune_l1(ens, ps)
-        t_l1 = time.perf_counter() - t0
+        l1, t_l1 = fastest_of_three(prune_l1, ens, ps)
         rows.append({"seed": seed - 1, "ensemble": ens, "prune_set": ps,
                      "l0": l0, "l1": l1, "t_l0": t_l0, "t_l1": t_l1})
     return rows
+
+
+def fastest_of_three(prune, ens, prune_set):
+    """The result of ``prune`` and its shortest wall time over three
+    runs, so that a run slowed by other load on the machine does not
+    decide a timing verdict."""
+    seconds = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        result = prune(ens, prune_set)
+        seconds.append(time.perf_counter() - t0)
+    return result, min(seconds)
 
 
 def test_criterion_1_certified_soundness(boosted_runs):
@@ -152,10 +161,12 @@ def test_criterion_3_oracle_matches_exhaustion():
             pairs_checked += 1
             best, _ = maximize_separation(ens, w, pair.challenger,
                                           pair.original, epsilon=EPSILON)
+            # a pair is empty exactly when no cell reaches its floor
+            reached = best is not None and best >= -EXISTENCE_TOL
             if pair.status == SolveStatus.INFEASIBLE:
-                ok = best is None
+                ok = not reached
             else:
-                ok = (best is not None
+                ok = (reached
                       and abs(best - pair.objective) <= OBJECTIVE_TOL
                       and ((pair.objective > EXISTENCE_TOL)
                            == (best > EXISTENCE_TOL)))
@@ -164,8 +175,9 @@ def test_criterion_3_oracle_matches_exhaustion():
     ok = not mismatches
     record(f"criterion 3 (oracle = exhaustion): {verdict(ok)} — "
            f"{pairs_checked} pair subproblems over {instances} reweighted "
-           f"ensembles (<= {max_cells} cells) agree with the exhaustive "
-           f"cell maximum within {OBJECTIVE_TOL:g}")
+           f"ensembles (<= {max_cells} cells) are empty exactly where no "
+           f"cell reaches -{EXISTENCE_TOL:g}, and elsewhere agree with the "
+           f"exhaustive cell maximum within {OBJECTIVE_TOL:g}")
     assert not mismatches
 
 

@@ -94,8 +94,16 @@ def test_prune_fixture_writes_report(tmp_path, capsys):
         range(1, report["iterations"] + 1)) - set(
         report["screened_iterations"])
     for p in pairs:
-        assert set(p) == {"iteration", "challenger", "original", "nodes",
-                          "pivots", "rows", "cols", "cuts"}
+        assert set(p) == {"iteration", "challenger", "original", "status",
+                          "objective", "nodes", "pivots", "rows", "cols",
+                          "cuts"}
+        # a pair that no cell lifts to its floor has no optimum
+        assert p["status"] in ("optimal", "infeasible")
+        assert (p["objective"] is None) == (p["status"] == "infeasible")
+    # the certifying round files no cell: each pair is empty, or met
+    # its floor only within the solver's tolerances
+    assert all(p["objective"] is None or p["objective"] < -1e-8
+               for p in pairs if p["iteration"] == report["iterations"])
     rounds = report["prune_rounds"]
     assert [r["iteration"] for r in rounds] == list(
         range(1, report["iterations"] + 1))

@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.optimize import linprog
+
 from equiprune import (DEFAULT_EPSILON, InfeasiblePruneError, InputError,
-                       PruneOptions, PruneSet, TiedPredictionError, accuracy,
-                       brute_force_min_support, build_ensemble,
-                       certified_prune, certify, enumerate_cells, fidelity,
-                       make_synthetic, model_from_dict, predict_classes_batch,
+                       PruneOptions, PruneSet, SolveStatus,
+                       TiedPredictionError, accuracy, brute_force_min_support,
+                       build_ensemble, build_separation, certified_prune,
+                       certify, enumerate_cells, fidelity, make_synthetic,
+                       model_from_dict, predict_classes_batch,
                        sample_uniform_points, train_adaboost,
                        train_random_forest)
+from equiprune.oracle import VIOLATION_TOL
 from conftest import make_stump, random_stump_ensemble, stump_ensembles
 from test_model_io import mixed_documents
 
@@ -225,6 +229,45 @@ def test_option_validation():
             PruneOptions(epsilon=epsilon)
     with pytest.raises(InputError):
         PruneOptions(max_iterations=0)
+
+
+def linprog_optimum(problem):
+    """scipy's optimum of the LP relaxation of a maximizing problem."""
+    le, ge, eq = (problem.senses == k for k in (-1, 1, 0))
+    ref = linprog(-problem.c,
+                  A_ub=np.vstack([problem.A[le], -problem.A[ge]]),
+                  b_ub=np.concatenate([problem.b[le], -problem.b[ge]]),
+                  A_eq=problem.A[eq], b_eq=problem.b[eq],
+                  bounds=np.column_stack([problem.lower, problem.upper]),
+                  method="highs")
+    assert ref.status == 0
+    return -ref.fun
+
+
+def test_a_depth_three_forest_in_the_paper_regime_certifies_at_the_root():
+    # 9 depth-3 trees on 8 continuous features, all 120 rows as seeds.
+    # The last round's pair MIPs have root bounds near -epsilon and
+    # integer optima near -1: the floor row proves both empty at the root
+    # instead of branching to the negative optimum.
+    data = make_synthetic("linear", 120, 0, num_features=8)
+    ens = train_random_forest(data, 9, max_depth=3, seed=0)
+    outcome = certified_prune(ens, data.X, PruneOptions(norm="l1"))
+    final = outcome.history[-1]
+    assert final.added_cells == [] and len(final.pairs) == 2
+    for pair in final.pairs:
+        assert (pair.status, pair.objective, pair.nodes) == (
+            SolveStatus.INFEASIBLE, None, 0)
+        problem = build_separation(ens, pair.original).priced(
+            outcome.weights, pair.challenger)
+        assert problem.row_names[-1] == "floor"
+        # without its floor the relaxation reaches above the integer
+        # optimum, but not up to the floor
+        relaxation = linprog_optimum(replace(
+            problem, A=problem.A[:-1], senses=problem.senses[:-1],
+            b=problem.b[:-1], row_names=problem.row_names[:-1]))
+        assert relaxation < -VIOLATION_TOL
+    points = sample_uniform_points(ens.schema, 10_000, 0)
+    assert fidelity(ens, outcome.weights, points) == 1.0
 
 
 def test_l1_certifies_two_hundred_stumps():

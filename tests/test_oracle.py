@@ -59,8 +59,13 @@ def test_stump_program_shape():
     assert problem.integer.tolist() == [True, True]
     # the gap score_1 - score_0 is -1 on the left leaf, 1 on the right
     assert problem.c.tolist() == [2, -1]
-    assert problem.row_names == ["margin_1"]
-    assert problem.A.tolist() == [[-2, 1]]
+    # the program's one row; the pair's problem appends its floor, the
+    # objective itself >= -VIOLATION_TOL
+    assert prog.problem.row_names == ["margin_1"]
+    assert problem.row_names == ["margin_1", "floor"]
+    assert problem.A.tolist() == [[-2, 1], [2, -1]]
+    assert (problem.senses.tolist(), problem.b.tolist()) == (
+        [1, 1], [DEFAULT_EPSILON, -VIOLATION_TOL])
 
 
 def test_deep_program_layout():
@@ -78,13 +83,15 @@ def test_deep_program_layout():
     rows = dict(zip(problem.row_names,
                     zip(problem.A.tolist(), problem.senses, problem.b)))
     assert list(rows) == ["children_0_2", "margin_1", "order_0_0",
-                          "left_0_2", "right_0_2"]
+                          "left_0_2", "right_0_2", "floor"]
+    assert prog.problem.row_names == list(rows)[:-1]
     assert rows["children_0_2"] == ([1, 1, -1, 0, 0], 0, 0.0)  # z3+z4 = u
     assert rows["margin_1"] == ([-1, 1, -1, 0, 1], 1, DEFAULT_EPSILON)
     assert rows["order_0_0"] == ([0, 0, 1, -1, 0], 1, 0.0)
     assert rows["left_0_2"] == ([1, 0, 0, 1, 0], -1, 1.0)      # z3 <= 1-v
     assert rows["right_0_2"] == ([0, 1, 0, -1, 0], -1, 0.0)    # z4 <= v
     assert problem.c.tolist() == [1, -1, 1, 0, -1]
+    assert rows["floor"] == ([1, -1, 1, 0, -1], 1, -VIOLATION_TOL)
 
 
 def test_same_split_shares_one_indicator():
@@ -134,11 +141,14 @@ def test_bad_epsilon_and_original_class_are_input_errors():
 
 
 def test_separation_stops_at_the_node_limit(monkeypatch):
+    # under the third stump alone both pairs reach their floor, and only
+    # after branching
     ens = three_voter_majority()
-    assert min(p.nodes for p in separate(ens, ens.alpha).pairs) >= 1
+    w = (0.0, 0.0, 1.0)
+    assert min(p.nodes for p in separate(ens, w).pairs) >= 1
     monkeypatch.setattr(solver, "_MAX_NODES", 0)
     with pytest.raises(IterationLimitError, match="node limit"):
-        separate(ens, ens.alpha)
+        separate(ens, w)
 
 
 def test_dropped_tree_disagreement_is_found():
@@ -176,9 +186,11 @@ def test_objective_matches_brute_force():
                 assert (pair.challenger, pair.original) == (c, y)
                 best, cell = maximize_separation(ens, w, c, y,
                                                  epsilon=1e-6)
+                # empty exactly when no cell reaches the floor
                 if pair.status == SolveStatus.INFEASIBLE:
-                    assert best is None
+                    assert best is None or best < -VIOLATION_TOL
                 else:
+                    assert best >= -VIOLATION_TOL
                     assert best == pytest.approx(pair.objective, abs=1e-6)
                     assert (pair.objective > 1e-8) == (best > 1e-8)
 
@@ -384,6 +396,22 @@ def test_one_verdict_rule_at_the_violation_tolerance(monkeypatch):
     assert result.tie_cells == [(1,), (2,)]
 
 
+def test_a_pair_below_its_floor_is_empty(monkeypatch):
+    # exact binary fractions: on both cells of the opposed stumps the
+    # best gap is 0.75 - 1 = -0.25 under (1, 0.75), a tie at the floor,
+    # and 0.5 - 1 = -0.5 under (1, 0.5), below it
+    monkeypatch.setattr(oracle, "VIOLATION_TOL", 0.25)
+    ens = opposed_stumps(2.0)
+    tie = separate(ens, (1.0, 0.75))
+    assert [p.status for p in tie.pairs] == [SolveStatus.OPTIMAL] * 2
+    assert [p.objective for p in tie.pairs] == pytest.approx([-0.25] * 2)
+    assert tie.cells == [] and set(tie.tie_cells) == {(0,), (1,)}
+    empty = separate(ens, (1.0, 0.5))
+    assert [(p.status, p.objective, p.cell) for p in empty.pairs] == [
+        (SolveStatus.INFEASIBLE, None, None)] * 2
+    assert not (empty.cells or empty.tie_cells)
+
+
 def test_screen_keeps_a_cell_at_margin_epsilon():
     # exact binary fractions: the original margin is 0.25 on both cells,
     # or 2**-30 less
@@ -426,9 +454,10 @@ def test_a_cell_below_the_margin_is_cut_off_and_resolved():
     # through flow and indicator values inside the solver's tolerances.
     # Each such cell is cut off by a no-good row that the class's
     # program keeps, and the pair re-solves from its grown root to the
-    # exhaustive optimum over cells with margin >= epsilon.  A negative
-    # optimum returns no cell and is not rechecked: the true one lies
-    # below it.
+    # exhaustive optimum over cells with margin >= epsilon.  A pair
+    # with no cell at or above its floor is empty; one whose optimum
+    # lies below the floor within the solver's tolerances returns no
+    # cell and is not rechecked: the true one lies below it.
     data = make_synthetic("blobs", n=24, seed=7)
     ens = train_random_forest(data, 10, max_depth=3, seed=0)
     rng = np.random.default_rng(0)
@@ -441,8 +470,10 @@ def test_a_cell_below_the_margin_is_cut_off_and_resolved():
             best, _ = maximize_separation(ens, w, pair.challenger,
                                           pair.original, DEFAULT_EPSILON)
             if pair.cell is None:
-                assert best <= pair.objective + 1e-6
-                assert pair.objective < -VIOLATION_TOL
+                assert best is None or best < -VIOLATION_TOL
+                if pair.status == SolveStatus.OPTIMAL:
+                    assert best <= pair.objective + 1e-6
+                    assert pair.objective < -VIOLATION_TOL
             else:
                 assert best == pytest.approx(pair.objective, abs=1e-6)
                 scores = cell_scores_batch(ens, ens.alpha, [pair.cell])[0]
@@ -465,8 +496,10 @@ def test_a_cell_of_another_class_is_a_solver_failure():
     # original weights give to class 1 by at least 1: for original
     # class 0 that misses the margin far beyond the solver's
     # tolerances, so it is a fault to raise, not a cell to cut off.
+    # The third stump alone prefers class 0 on such a cell.
     ens = three_voter_majority()
-    sol = solve_milp(build_separation(ens, 1).priced(ens.alpha, 0))
+    sol = solve_milp(build_separation(ens, 1).priced((0.0, 0.0, 1.0), 0))
+    assert sol.status == SolveStatus.OPTIMAL
 
     def stub(problem, start=None):
         return replace(sol, objective=1.0)
@@ -476,11 +509,14 @@ def test_a_cell_of_another_class_is_a_solver_failure():
 
 
 def test_a_cell_without_a_positive_gap_is_a_solver_failure():
-    # The stub claims a positive optimum for the best class-0 cell of
-    # pair (1, 0) under the original weights, where the challenger
-    # loses: direct evaluation of the cell's score rows must refuse it.
+    # The stub answers pair (1, 0) under the original weights with the
+    # best class-0 cell of that pair under the third stump alone, and
+    # claims a positive optimum there; the original weights let the
+    # challenger lose on every class-0 cell, so direct evaluation of
+    # the cell's score rows must refuse it.
     ens = three_voter_majority()
-    sol = solve_milp(build_separation(ens, 0).priced(ens.alpha, 1))
+    sol = solve_milp(build_separation(ens, 0).priced((0.0, 0.0, 1.0), 1))
+    assert sol.status == SolveStatus.OPTIMAL
 
     def stub(problem, start=None):
         return replace(sol, objective=1.0)
@@ -505,9 +541,11 @@ def test_oracle_matches_enumeration_on_mixed_ensembles():
         for pair in separate(ens, w).pairs:
             best, _ = maximize_separation(ens, w, pair.challenger,
                                           pair.original, DEFAULT_EPSILON)
+            # empty exactly when no cell reaches the floor
             if pair.status == SolveStatus.INFEASIBLE:
-                assert best is None
+                assert best is None or best < -VIOLATION_TOL
             else:
+                assert best >= -VIOLATION_TOL
                 assert best == pytest.approx(pair.objective, abs=1e-6)
                 assert (pair.objective > 1e-8) == (best > 1e-8)
         try:
@@ -529,7 +567,8 @@ def test_reused_programs_equal_fresh_builds():
     ``solve`` equals a fresh build of its pair, its optimum equals a
     cold solve's, and every pair after the first of its class starts
     from the root basis of the pair before it, also when no
-    ``programs`` are passed."""
+    ``programs`` are passed and when that pair had no cell at or above
+    its floor."""
     rng = np.random.default_rng(42)
     handed_out = []                     # (problem, copies of its arrays)
     calls = []                          # (start or None, root basis)
@@ -541,24 +580,26 @@ def test_reused_programs_equal_fresh_builds():
 
     def record(problem, **kwargs):
         sol = solve_milp(problem, **kwargs)
-        calls.append((kwargs.get("start"), sol.root_basis))
+        calls.append((kwargs.get("start"), sol.root_basis, sol))
         return sol
 
     ensembles = multi_class = starts = within_round = local_starts = 0
+    after_empty = 0                     # starts from a root proven empty
     while multi_class < 12:
         ens = random_mixed_ensemble(rng)
         ensembles += 1
         multi_class += ens.num_classes >= 3
         programs = {}
         last_basis = {}                 # original class -> its last root
+        last_status = {}                # and its last pair's status
         for _round in range(3):
             w = random_reweighting(ens, rng)
             calls.clear()
             reused = separate(ens, w, solve=capture, programs=programs)
             assert set(programs) == set(range(ens.num_classes))
             fresh = handed_out[-len(reused.pairs):]
-            for pair, (problem, _), (start, root) in zip(reused.pairs, fresh,
-                                                         calls):
+            for pair, (problem, _), (start, root, sol) in zip(
+                    reused.pairs, fresh, calls):
                 c, y = pair.challenger, pair.original
                 built = build_separation(ens, y).priced(w, c)
                 for f in PROBLEM_ARRAYS:
@@ -567,13 +608,19 @@ def test_reused_programs_equal_fresh_builds():
                 # the start is the class's last root basis, from the pair
                 # before in this round or the class's last pair before
                 assert start is last_basis.get(y)
-                # only an empty class has no root basis to pass on
-                assert (start is not None or y not in last_basis
-                        or pair.status == SolveStatus.INFEASIBLE)
+                # every root passes its basis on, a root proven empty
+                # too, unless a cold solve found it empty
+                assert root is not None or (
+                    pair.status == SolveStatus.INFEASIBLE
+                    and not sol.warm_root)
                 starts += start is not None
                 first_of_class = c == (1 if y == 0 else 0)
                 within_round += start is not None and not first_of_class
+                after_empty += (start is not None
+                                and last_status.get(y)
+                                == SolveStatus.INFEASIBLE)
                 last_basis[y] = root
+                last_status[y] = pair.status
             # without ``programs`` only each class's first pair is cold,
             # and the roots held across rounds find the same optima
             calls.clear()
@@ -596,6 +643,7 @@ def test_reused_programs_equal_fresh_builds():
     assert starts >= 150
     assert within_round >= 100         # later challengers, same round
     assert local_starts >= 100
+    assert after_empty >= 50
 
 
 def test_screen_proposes_only_what_the_oracle_accepts():

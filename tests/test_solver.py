@@ -522,9 +522,21 @@ def changed_bounds(prob, rng, kind):
     return dataclasses.replace(prob, lower=lower, upper=upper)
 
 
+def neither_feasible(prob, start):
+    """Whether ``start``, with every nonbasic resting at its status,
+    is neither primal nor dual feasible for ``prob``."""
+    cols = solver._Columns(*solver._prepare(prob))
+    sx = solver._Simplex(cols, np.asarray(prob.lower, dtype=float),
+                         np.asarray(prob.upper, dtype=float), start=start,
+                         factor=cols.factor(start))
+    return bool(solver._outside(sx).any()
+                and solver._verified_candidates(sx).any())
+
+
 def test_solve_lp_from_a_start_matches_cold_and_scipy(cold_calls):
     rng = np.random.default_rng(17)
     verdicts = {"warm": [], "fell back": []}
+    relaxed = 0                 # neither primal nor dual feasible, warm
     for seed in range(600, 660):
         prob = random_lp(seed, anchored=True)
         prob = dataclasses.replace(prob, lower=prob.lower - 1.0)
@@ -533,20 +545,23 @@ def test_solve_lp_from_a_start_matches_cold_and_scipy(cold_calls):
             continue
         for kind in ("tighten", "loosen", "mixed"):
             changed = changed_bounds(prob, rng, kind)
+            neither = neither_feasible(changed, root.basis)
             cold_calls.clear()
             warm = solve_lp(changed, start=root.basis)
             verdicts["fell back" if cold_calls else "warm"].append(
                 warm.status)
+            relaxed += neither and not cold_calls
             scipy_check(changed, warm)
             cold = solve_lp(changed)
             assert warm.status == cold.status
             if cold.status == SolveStatus.OPTIMAL:
                 assert warm.objective == pytest.approx(cold.objective,
                                                        abs=1e-7)
-    # most re-solves finish warm; an empty one only on a Farkas row
+    # most re-solves finish warm, also from starts that are neither
+    # primal nor dual feasible; an empty one only on a Farkas row
     assert verdicts["warm"].count(SolveStatus.OPTIMAL) >= 100
     assert verdicts["warm"].count(SolveStatus.INFEASIBLE) >= 15
-    assert len(verdicts["fell back"]) >= 5
+    assert relaxed >= 5
 
 
 def test_solve_lp_from_a_dual_infeasible_start_finishes_warm(cold_calls):
@@ -571,11 +586,9 @@ def test_solve_lp_from_a_dual_infeasible_start_finishes_warm(cold_calls):
     scipy_check(free, sol)
 
 
-def test_solve_lp_from_a_start_neither_primal_nor_dual_feasible_goes_cold(
-        cold_calls):
-    # the start above under min x - y and y >= 3: x rests at its upper
-    # bound 2, where its reduced cost now has the wrong sign, and y, the
-    # one basic, stays at 4 - 2 = 2, below its new lower bound
+def x_at_upper_lp():
+    """min -x  s.t.  x + y <= 4,  x in [0, 2],  y in [0, 10], and its
+    optimum: x at its upper bound 2, y the one basic at 2."""
     pb = ProblemBuilder()
     x = pb.add_var("x", lo=0.0, up=2.0, obj=-1.0)
     y = pb.add_var("y", lo=0.0, up=10.0)
@@ -583,14 +596,75 @@ def test_solve_lp_from_a_start_neither_primal_nor_dual_feasible_goes_cold(
     prob = pb.build()
     root = solve_lp(prob)
     assert list(root.basis.basic) == [y] and root.x[y] == 2.0
+    return prob, root
+
+
+def test_solve_lp_from_a_start_neither_primal_nor_dual_feasible_finishes_warm(
+        cold_calls):
+    # the start above under min x - y and y >= 3: x rests at its upper
+    # bound 2, where its reduced cost now has the wrong sign, and y, the
+    # one basic, stays at 4 - 2 = 2, below its new lower bound.  Freed,
+    # y takes up what x gives back, x falls to 0, and y = 4 meets its
+    # bound again
+    prob, root = x_at_upper_lp()
     changed = dataclasses.replace(prob, c=np.array([1.0, -1.0]),
                                   lower=np.array([0.0, 3.0]))
     cold_calls.clear()
     sol = solve_lp(changed, start=root.basis)
-    assert len(cold_calls) == 1
-    assert sol.status == SolveStatus.OPTIMAL
+    assert cold_calls == []
+    assert sol.warm and sol.status == SolveStatus.OPTIMAL
     assert sol.objective == -4.0
+    assert sol.objective == solve_lp(changed).objective
     scipy_check(changed, sol)
+
+
+def test_an_unbounded_relaxation_falls_back_to_cold(cold_calls):
+    # the start above under min y, x >= 0 without an upper bound and
+    # y >= 5: x rests at 0 with a reduced cost of the wrong sign, and y
+    # at 4 lies below its bound.  Freed, y falls without limit as x
+    # rises, so the cold solve answers: the rows leave y at most 4
+    prob, root = x_at_upper_lp()
+    changed = dataclasses.replace(prob, c=np.array([0.0, 1.0]),
+                                  lower=np.array([0.0, 5.0]),
+                                  upper=np.array([np.inf, 10.0]))
+    cold_calls.clear()
+    sol = solve_lp(changed, start=root.basis)
+    assert len(cold_calls) == 1
+    assert not sol.warm and sol.status == SolveStatus.INFEASIBLE
+    scipy_check(changed, sol)
+
+
+def test_changed_objective_and_last_row_resolve_warm_through_the_relaxation(
+        cold_calls):
+    # Like a pair of the oracle after the one before it: a new objective
+    # and a new last row, which often cuts the start's point off.  Starts
+    # that are neither primal nor dual feasible go through the relaxation
+    # and finish warm; every answer matches the cold solve and linprog.
+    rng = np.random.default_rng(71)
+    solved = relaxed = 0
+    for seed in range(700, 1000):
+        prob = random_lp(seed, anchored=True)
+        root = solve_lp(prob)
+        if root.status != SolveStatus.OPTIMAL:
+            continue
+        c = rng.normal(size=prob.num_vars)
+        A = prob.A.copy()
+        A[-1] = rng.normal(size=prob.num_vars)
+        b = prob.b.copy()
+        b[-1] = A[-1] @ root.x + rng.uniform(-1.0, 1.0)
+        changed = dataclasses.replace(prob, c=c, A=A, b=b)
+        neither = neither_feasible(changed, root.basis)
+        cold_calls.clear()
+        warm = solve_lp(changed, start=root.basis)
+        relaxed += neither and warm.warm and cold_calls == []
+        scipy_check(changed, warm)
+        cold = solve_lp(changed)
+        assert warm.status == cold.status
+        if cold.status == SolveStatus.OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+        solved += 1
+    assert solved >= 200
+    assert relaxed >= 50
 
 
 def test_solve_lp_start_of_another_shape_is_ignored(cold_calls):

@@ -82,6 +82,21 @@ def test_blobs_reproducible():
     assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
 
 
+def test_linear_follows_its_recipe():
+    # normal features rounded to one decimal, labels from the sign of a
+    # random linear function plus noise, all from one generator
+    data = make_synthetic("linear", n=120, seed=0, num_features=8)
+    rng = np.random.default_rng(0)
+    X = np.round(rng.normal(size=(120, 8)), 1)
+    w = rng.normal(size=8)
+    y = X @ w + 0.5 * rng.normal(size=120) > 0
+    assert np.array_equal(data.X, X) and np.array_equal(data.y, y)
+    assert data.schema.names == tuple(f"x{j}" for j in range(8))
+    assert make_synthetic("linear", n=4, num_features=3).X.shape == (4, 3)
+    with pytest.raises(InputError, match="num_features"):
+        make_synthetic("linear", num_features=0)
+
+
 def test_synthetic_needs_four_rows():
     with pytest.raises(InputError, match="n >= 4"):
         make_synthetic("blobs", n=3)
