@@ -145,7 +145,9 @@ def cmd_prune(args) -> int:
                           "nodes": record.prune.nodes,
                           "pivots": record.prune.iterations,
                           "masters": record.prune.masters,
-                          "warm_masters": record.prune.warm_masters}
+                          "warm_masters": record.prune.warm_masters,
+                          "lps": record.prune.lps,
+                          "warm_lps": record.prune.warm_lps}
                          for record in outcome.history],
     }
     if args.report:

@@ -67,7 +67,9 @@ built once per pruning run with a zero objective and priced for each
 challenger and each round (``SeparationProgram.priced``).  Every solve
 after the class's first starts from the class's last root basis
 (``SeparationProgram.start``), kept also when the root proved the pair
-empty.  The new floor and objective may leave it neither primal nor
+empty; a class with none starts from the root of the pair solved just
+before it, whose program has the same columns and, before any cut, as
+many rows.  The new floor and objective may leave it neither primal nor
 dual feasible; the solver then starts through a relaxation (see
 ``solve_milp``).  A no-good row that ``separate`` appends to a class's
 program, to cut off a cell whose original margin falls short of
@@ -361,9 +363,12 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     a pruning run to the next (same ensemble and epsilon; the caller
     passes one dict, empty at first, to every round and drops it after
     the run): a class found there is priced for each challenger, not
-    rebuilt, and ``solve`` gets that basis as ``start=``.  Without it,
-    the dict lives for this call only, so each class's first pair starts
-    cold and the others from the pair before.
+    rebuilt, and ``solve`` gets that basis as ``start=``.  A program
+    that holds no basis -- at its first pair of the run, or after a cold
+    INFEASIBLE root left it none -- gets the root basis of the pair
+    solved just before it in this call instead.  Without ``programs``,
+    the dict lives for this call only, so only the call's first pair
+    starts cold and every other one from the root the pair before left.
 
     Every returned cell is re-checked by direct evaluation: the
     original weights must predict the pair's original class on it by a
@@ -384,6 +389,7 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     w = _check_weights(ensemble, weights)
     result = SeparationResult(pairs=[])
     programs = {} if programs is None else programs
+    previous = None             # the root basis of the last solve here
     for original in range(ensemble.num_classes):
         program = programs[original] = (
             programs.get(original)
@@ -396,11 +402,12 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
                 dump_lp(problem,
                         Path(dump_dir) / f"sep_y{original}_c{challenger}.lp",
                         name=f"separation y={original} c={challenger}")
-            sol = solve(problem, start=program.start)
+            start = program.start if program.start is not None else previous
+            sol = solve(problem, start=start)
             nodes, iterations, cuts = sol.nodes, sol.iterations, 0
             cell = objective = None
             while True:
-                program.start = sol.root_basis
+                program.start = previous = sol.root_basis
                 if sol.status == SolveStatus.ITERATION_LIMIT:
                     raise IterationLimitError(
                         f"separation for pair (challenger={challenger}, "

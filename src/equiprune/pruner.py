@@ -11,9 +11,9 @@ rows G w >= 1.  The weight-sum minimizer is a plain LP, sparse as a side
 effect of vertex solutions.  The exact cardinality minimizer is an
 implicit hitting-set loop (combinatorial Benders decomposition).  Its
 support checks are one LP over all trees whose bounds say which trees
-are tested, so that a check on one more tree re-solves from the basis
-of the check before it.  Support is counted against a fixed zero
-tolerance.
+are tested, and so is the weight-sum LP, so that a check on one more
+tree, or an LP after the working set grew, re-solves from the basis of
+the one before it.  Support is counted against a fixed zero tolerance.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ class PruneSet:
     constraint rows.  Insertion order is preserved.  ``conflicts`` keeps
     the ones ``prune_l0`` found, in order, and ``master_basis`` the root
     basis of its last master, whose rows are the first conflicts.
+    ``check_basis`` holds the basis of the last check LP ``prune_l0``
+    solved, and ``support_basis`` that of the last weight-sum LP
+    (``min_weight_sum``) of ``prune_l0`` or ``prune_l1``: starts for the
+    next call, whose LPs gain columns or rows as the set grows.
     """
 
     def __init__(self, ensemble: Ensemble):
@@ -50,6 +54,8 @@ class PruneSet:
         self._seen: set[CellSignature] = set()
         self.conflicts: dict[tuple[int, ...], None] = {}
         self.master_basis: Basis | None = None
+        self.check_basis: Basis | None = None
+        self.support_basis: Basis | None = None
 
     def add_points(self, X) -> int:
         """Add the cells of the rows of ``X`` in order, each unless it is
@@ -143,6 +149,8 @@ class PruneResult:
     iterations: int           # simplex pivots
     masters: int = 0          # master MILPs solved (l0)
     warm_masters: int = 0     # of them, re-solved from a held root basis
+    lps: int = 0              # check and weight-sum LPs solved
+    warm_lps: int = 0         # of them, answered warm from a held basis
 
 
 def support_of(weights: Sequence[float]) -> tuple[int, ...]:
@@ -169,17 +177,26 @@ def _scale_columns(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return G / scale, scale
 
 
-def min_weight_sum(G: np.ndarray, trees: Sequence[int]
+def min_weight_sum(G: np.ndarray, trees: Sequence[int],
+                   start: Basis | None = None
                    ) -> tuple[np.ndarray, LpSolution]:
-    """min sum(w) s.t. G[:, trees] w >= 1, w >= 0: the LP's solution and
-    the weights over all trees, zero elsewhere and at or below ZERO_TOL.
-    It solves for x = s w on the scaled columns (``_scale_columns``)."""
+    """min sum(w) s.t. G w >= 1, w >= 0 and w = 0 off ``trees``: the LP's
+    solution and the weights over all trees, zero at or below ZERO_TOL.
+    It solves for x = s w on the scaled columns (``_scale_columns``).
+    The LP holds a column for every tree, one outside ``trees`` fixed at
+    0, so as the working set grows it only gains rows, and ``start``,
+    the basis of an earlier one, is a start for ``solve_lp``.  A fixed
+    column never prices in, so a cold solve pivots as it would over
+    ``trees``' columns alone, up to roundoff."""
     trees = np.asarray(trees, dtype=np.int64)
-    scaled, scale = _scale_columns(G[:, trees])
-    sol = solve_lp(replace(_ones_program(scaled, np.inf), c=1.0 / scale))
+    scaled, scale = _scale_columns(G)
+    upper = np.zeros(G.shape[1])
+    upper[trees] = np.inf
+    sol = solve_lp(replace(_ones_program(scaled, np.inf), c=1.0 / scale,
+                           upper=upper), start=start)
     weights = np.zeros(G.shape[1])
     if sol.status == SolveStatus.OPTIMAL:
-        weights[trees] = sol.x / scale
+        weights[trees] = sol.x[trees] / scale[trees]
         weights[weights <= ZERO_TOL] = 0.0
     return weights, sol
 
@@ -207,40 +224,46 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
     Every check is the one program max sum(y) s.t. g_m'y - t_m <= 0 for
     each tree m (g_m scaled by ``_scale_columns``, which keeps each sign
     of g_m'y), 0 <= y <= 1, where t_m is fixed at 0 on the tested
-    trees and ranges over [0, inf) on the others.  The first check of a
-    round is solved cold; each growth check tests one tree more than the
-    last failing check, so only bounds tighten, and it re-solves from
-    that check's basis (``solve_lp(start=...)``), which stays dual
-    feasible.  Nothing outlives the call but the conflicts and the last
-    master's root basis."""
+    trees and ranges over [0, inf) on the others.  Its columns are t
+    (one per tree), then y (one per keep row), so as the working set
+    grows the check only gains columns.  The first check of a round
+    re-solves from the last check this ``prune_set`` solved, in this
+    call or an earlier one (``PruneSet.check_basis``); each growth check
+    tests one tree more than the last failing check, so only bounds
+    tighten, and it re-solves from that check's basis, which stays dual
+    feasible.  Only a set's very first check, and its first weight-sum
+    LP (``PruneSet.support_basis``), start with no basis.  Nothing else
+    outlives the call."""
     G = build_margins(ensemble, prune_set) if margins is None else margins
     _untied_margin(ensemble, prune_set, G)
     conflicts = prune_set.conflicts
     for cover in G > 0.0:
         conflicts[tuple(np.flatnonzero(cover).tolist())] = None
-    nodes = pivots = masters = warm = 0
+    nodes = pivots = masters = warm = lps = warm_lps = 0
     rows, M = G.shape
     eye = np.eye(M, dtype=bool)
     scaled, _ = _scale_columns(G)
-    check = MilpProblem(c=np.concatenate([np.ones(rows), np.zeros(M)]),
-                        A=np.hstack([scaled.T, -np.eye(M)]),
+    check = MilpProblem(c=np.concatenate([np.zeros(M), np.ones(rows)]),
+                        A=np.hstack([-np.eye(M), scaled.T]),
                         senses=np.full(M, -1, dtype=np.int8), b=np.zeros(M),
-                        lower=np.zeros(rows + M),
-                        upper=np.concatenate([np.ones(rows),
-                                              np.full(M, np.inf)]),
-                        integer=np.zeros(rows + M, dtype=bool), maximize=True)
+                        lower=np.zeros(M + rows),
+                        upper=np.concatenate([np.full(M, np.inf),
+                                              np.ones(rows)]),
+                        integer=np.zeros(M + rows, dtype=bool), maximize=True)
 
-    def failed_check(trees: np.ndarray, start: Basis | None = None
+    def failed_check(trees: np.ndarray, start: Basis | None
                      ) -> LpSolution | None:
         """None if the masked trees can keep every row, else the check's
         solution, whose y is a ray: scaled to largest entry 1, so failing
-        optima are >= 1.  ``start`` is the basis of a failing check on
-        fewer trees."""
-        nonlocal pivots
+        optima are >= 1."""
+        nonlocal pivots, lps, warm_lps
         upper = check.upper.copy()
-        upper[rows:][trees] = 0.0
+        upper[:M][trees] = 0.0
         sol = solve_lp(replace(check, upper=upper), start=start)
+        prune_set.check_basis = sol.basis
         pivots += sol.iterations
+        lps += 1
+        warm_lps += sol.warm
         if sol.status != SolveStatus.OPTIMAL:
             raise SolverFailureError(f"check LP ended {sol.status.value}")
         return sol if sol.objective > 0.5 else None
@@ -265,35 +288,42 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
         nodes += pick.nodes
         pivots += pick.iterations
         chosen = pick.x > 0.5
-        fail = failed_check(chosen)
+        fail = failed_check(chosen, prune_set.check_basis)
         if fail is None:
             break
-        failing = chosen | (fail.x[:rows] @ scaled <= 0.0)
+        failing = chosen | (fail.x[M:] @ scaled <= 0.0)
         for m in range(M):
             if failing[m]:
                 continue
-            grown = failed_check(failing | eye[m], start=fail.basis)
+            grown = failed_check(failing | eye[m], fail.basis)
             if grown is not None:
                 fail = grown
-                failing |= eye[m] | (fail.x[:rows] @ scaled <= 0.0)
+                failing |= eye[m] | (fail.x[M:] @ scaled <= 0.0)
         conflicts[tuple(np.flatnonzero(~failing).tolist())] = None
 
-    weights, sol = min_weight_sum(G, np.flatnonzero(chosen))
+    weights, sol = min_weight_sum(G, np.flatnonzero(chosen),
+                                  start=prune_set.support_basis)
+    prune_set.support_basis = sol.basis
     if sol.status != SolveStatus.OPTIMAL:
         raise SolverFailureError(f"support LP ended {sol.status.value}")
     return PruneResult(weights=weights, support=support_of(weights),
                        objective=float(pick.objective), nodes=nodes,
                        iterations=pivots + sol.iterations, masters=masters,
-                       warm_masters=warm)
+                       warm_masters=warm, lps=lps + 1,
+                       warm_lps=warm_lps + sol.warm)
 
 
 def prune_l1(ensemble: Ensemble, prune_set: PruneSet,
              margins: np.ndarray | None = None) -> PruneResult:
     """Smallest weight sum that reproduces every working-set
-    prediction.  A plain LP.  Raises on a tie, as ``prune_l0`` does."""
+    prediction.  A plain LP (``min_weight_sum``), re-solved from the
+    set's last one (``PruneSet.support_basis``), which it only extends
+    by rows.  Raises on a tie, as ``prune_l0`` does."""
     G = build_margins(ensemble, prune_set) if margins is None else margins
     _untied_margin(ensemble, prune_set, G)
-    weights, sol = min_weight_sum(G, np.arange(ensemble.num_trees))
+    weights, sol = min_weight_sum(G, np.arange(ensemble.num_trees),
+                                  start=prune_set.support_basis)
+    prune_set.support_basis = sol.basis
     if sol.status == SolveStatus.INFEASIBLE:
         raise InfeasiblePruneError(
             "no faithful reweighting exists on the working set")
@@ -303,4 +333,4 @@ def prune_l1(ensemble: Ensemble, prune_set: PruneSet,
         raise SolverFailureError(f"unexpected solver status {sol.status}")
     return PruneResult(weights=weights, support=support_of(weights),
                        objective=float(sol.objective), nodes=0,
-                       iterations=sol.iterations)
+                       iterations=sol.iterations, lps=1, warm_lps=sol.warm)

@@ -12,16 +12,18 @@ instead and phase 1 has nothing to do.  A warm solve starts from a
 given basis and its factor (B^{-1} and the reduced costs there): in
 branch and bound, the optimal basis of the node that spawned the LP,
 factored once for both children; through ``solve_lp(start=...)`` and at
-a MILP's root, the optimal basis of an earlier solve of the same rows
-under other bounds or another objective; and at a MILP's root, that of
-an earlier solve of its first rows, grown by a basic slack for each row
-appended since, which stays dual feasible.  Every nonbasic rests at its
-recorded status.  If the basics then lie within their bounds, the
-primal loop finishes from there; otherwise, if the start is dual
-feasible, a bounded dual simplex repairs them first.  A start that is
-neither goes through a relaxation: the basics outside their bounds are
-freed, the primal loop optimizes the rest, and once their bounds are
-restored the dual simplex repairs them.
+a MILP's root, by one start rule, the basis of an earlier solve of a
+problem whose columns and rows are this problem's first columns and
+rows, under any bounds and objective.  It grows by a nonbasic at its
+default bound for each column appended since and by a basic slack for
+each row (``_grown``); a start with more columns or more rows is
+ignored.  Every nonbasic rests at its recorded status.  If the basics
+then lie within their bounds, the primal loop finishes from there;
+otherwise, if the start is dual feasible, a bounded dual simplex
+repairs them first.  A start that is neither goes through a
+relaxation: the basics outside their bounds are freed, the primal loop
+optimizes the rest, and once their bounds are restored the dual
+simplex repairs them.
 
 B^{-1}, the basic values and the reduced costs are re-derived from the
 original data at regular intervals and before any claim of optimality;
@@ -44,9 +46,9 @@ LP relaxation with most-fractional branching.  When every variable is
 integer and every cost an integer, a node is pruned once its bound,
 rounded up, reaches the incumbent.  A MILP is solved as it is given,
 so its builder leaves out what the rows determine.  A root basis is a
-start for a re-solve of the same rows under another objective, and for
-one after rows are appended.  No external solver is involved; numpy
-supplies the linear algebra.
+start for the root of a later MILP by the same rule: the same rows
+under another objective, or rows or columns appended since.  No
+external solver is involved; numpy supplies the linear algebra.
 """
 
 from __future__ import annotations
@@ -129,7 +131,8 @@ class MilpSolution:
     nodes: int
     iterations: int
     # the root relaxation's ``LpSolution.basis``, a start for a re-solve
-    # after the objective changes or rows are appended (see ``solve_milp``)
+    # after the objective changes or rows or columns are appended (see
+    # ``solve_milp``)
     root_basis: Basis | None = None
     # the root relaxation was re-solved from ``start`` and never went cold
     warm_root: bool = False
@@ -339,11 +342,8 @@ class _Columns:
                 np.concatenate([up, self.slack_up, zero]))
 
     def factor(self, basis: Basis) -> _Factor | None:
-        """The factor at ``basis``, or None when it is singular or has
-        another problem's shape."""
-        if (basis.basic.shape != (self.m,)
-                or basis.status.shape != (self.n + 2 * self.m,)):
-            return None
+        """The factor at ``basis``, a basis over these columns (see
+        ``_grown``), or None when it is singular."""
         try:
             return _Factor(*_invert(self.A_all, basis.basic, self.cost))
         except SolverFailureError:
@@ -723,11 +723,12 @@ def _simplex_solve(cols: _Columns, lo: np.ndarray,
 
 def _warm_solve(cols: _Columns, lo: np.ndarray, up: np.ndarray, start: Basis,
                 factor: _Factor | None) -> LpSolution:
-    """Re-solve from ``start``, a basis of the same rows under other
-    bounds or another objective, whose factor is ``factor`` (None when
-    it is singular or of another shape), by ``_warm_finish``.  A start
-    it cannot finish, and every other failure, go to ``_simplex_solve``,
-    whose pivots are added to the warm attempt's."""
+    """Re-solve from ``start``, a basis over these columns and rows
+    under other bounds or another objective (grown by ``_grown`` when
+    it came from a smaller problem), whose factor is ``factor`` (None
+    when it is singular), by ``_warm_finish``.  A
+    start it cannot finish, and every other failure, go to
+    ``_simplex_solve``, whose pivots are added to the warm attempt's."""
     if np.any(lo > up):
         return LpSolution(SolveStatus.INFEASIBLE, None, None, 0)
     sx = None
@@ -861,19 +862,53 @@ def _prepare(problem: MilpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
 def _solve_from(cols: _Columns, lo: np.ndarray, up: np.ndarray,
                 start: Basis | None) -> LpSolution:
-    """A cold solve, or a warm one from ``start`` when it is given."""
+    """A cold solve, or a warm one from ``start`` grown to these columns
+    and rows (``_grown``) when it is given and fits."""
+    if start is not None:
+        start = _grown(start, cols.n, cols.m)
     if start is None:
         return _simplex_solve(cols, lo, up)
     return _warm_solve(cols, lo, up, start, cols.factor(start))
 
 
+def _grown(basis: Basis, n: int, m: int) -> Basis | None:
+    """``basis``, of a problem whose columns and rows are the first
+    columns and rows of one with n columns and m rows, grown to that
+    one: each appended column is nonbasic at its status default (at
+    lower; ``_rest_nonbasics`` picks a finite bound), each appended
+    row's slack is basic and its artificial rests at zero, and the old
+    slacks and artificials shift to their new indices.  None when
+    ``basis`` has more columns or more rows.  The new rows' duals are
+    zero, so the old columns' reduced costs stay as they were; the new
+    slacks may lie outside their bounds and the new columns may price
+    in, and ``_warm_finish`` repairs either."""
+    m0 = basis.basic.size
+    n0 = basis.status.size - 2 * m0
+    if not (0 <= n0 <= n and m0 <= m):
+        return None
+    dn, dm = n - n0, m - m0
+    basic = (basis.basic + dn * (basis.basic >= n0)
+             + dm * (basis.basic >= n0 + m0))
+    status = np.concatenate([
+        basis.status[:n0], np.full(dn, _AT_LOWER),
+        basis.status[n0:n0 + m0], np.full(dm, _BASIC),
+        basis.status[n0 + m0:], np.full(dm, _AT_LOWER)])
+    return Basis(np.concatenate([basic, n + m0 + np.arange(dm)]),
+                 status.astype(np.int8))
+
+
 def solve_lp(problem: MilpProblem, start: Basis | None = None) -> LpSolution:
     """Solve the LP relaxation (integrality flags are ignored).
 
-    ``start`` is the optimal ``basis`` of an earlier solve of a problem
-    with the same rows, under other bounds or another objective; the LP
-    is then re-solved from it by ``_warm_solve``.  Without it, or when
-    the warm solve cannot use it, the LP is solved cold."""
+    ``start`` is the ``basis`` of an earlier solve of a problem whose
+    columns and rows are this problem's first columns and rows, under
+    any bounds and objective: the same problem re-bounded, or one with
+    columns or rows appended since; coefficients that changed cost only
+    pivots.  It is grown to this problem (``_grown``) and the LP is
+    re-solved from it by ``_warm_solve``.  A start with more columns or
+    more rows is ignored; without one, or when the warm solve cannot
+    use it, the LP is solved cold.  ``warm`` tells whether the answer
+    came from ``start``."""
     cols = _Columns(*_prepare(problem))
     sol = _solve_from(cols, np.asarray(problem.lower, dtype=float),
                       np.asarray(problem.upper, dtype=float), start)
@@ -890,38 +925,16 @@ def solve_milp(problem: MilpProblem,
                start: Basis | None = None) -> MilpSolution:
     """Branch and bound after the size check.
 
-    ``start`` is the ``root_basis`` of an earlier solve of a problem with
-    the same columns whose rows are this problem's first rows: the same
-    rows under another objective, or rows appended since; rows that
-    changed cost only pivots.  It grows by a basic slack per appended
-    row (``_grown``), and the root is re-solved from it by
-    ``_warm_solve``, whose dual simplex repairs the new rows.  A start
-    of another column count or with more rows is ignored; a warm answer
-    is checked against this problem's own data either way.
-    ``warm_root`` tells whether the root was answered from ``start``.
+    ``start`` is the ``root_basis`` of an earlier solve, taken by the
+    root relaxation as ``solve_lp`` takes its start: a basis of a
+    problem whose columns and rows are this problem's first columns and
+    rows, grown by ``_grown``; rows that changed cost only pivots.  A
+    start with more columns or more rows is ignored; a warm answer is
+    checked against this problem's own data either way.  ``warm_root``
+    tells whether the root was answered from ``start``.
     """
     _check_size(problem.num_rows, problem.num_vars)
-    if start is not None:
-        n, m = problem.num_vars, start.basic.size
-        fits = (m <= problem.num_rows
-                and start.status.size == n + 2 * m)
-        start = _grown(start, n, m, problem.num_rows - m) if fits else None
     return _branch_and_bound(problem, start)
-
-
-def _grown(basis: Basis, n: int, m: int, k: int) -> Basis:
-    """``basis``, of a problem with n variables and m rows, grown by k
-    rows appended to that problem: each new row's slack is basic and its
-    artificial rests at zero, and the old artificials' indices shift by
-    k.  The new rows' duals are zero, so an optimal ``basis`` stays dual
-    feasible; the new slacks may lie outside their bounds."""
-    if k == 0:
-        return basis
-    basic = basis.basic + k * (basis.basic >= n + m)
-    status = np.concatenate([basis.status[:n + m], np.full(k, _BASIC),
-                             basis.status[n + m:], np.full(k, _AT_LOWER)])
-    return Basis(np.concatenate([basic, n + m + np.arange(k)]),
-                 status.astype(np.int8))
 
 
 def _branch_and_bound(problem: MilpProblem,
@@ -943,13 +956,11 @@ def _branch_and_bound(problem: MilpProblem,
     ceil(b - _TOL_INT) reaches the incumbent.
 
     Every LP but a cold root is a ``_warm_solve``.  The root starts
-    cold unless ``start`` is given: the ``root_basis`` of an earlier
-    solve of these rows under another objective, or grown by
-    ``_grown`` to rows appended since.  Each heap node keeps
-    the optimal basis of its relaxation (basic indices and column
-    statuses), and its children and its polish LP start from it: only
-    bounds differ, so the basis stays dual feasible and a bounded dual
-    simplex repairs it, usually in a few pivots.  The columns, slack
+    cold unless ``start`` is given and fits (see ``solve_milp``).  Each
+    heap node keeps the optimal basis of its relaxation (basic indices
+    and column statuses), and its children and its polish LP start
+    from it: only bounds differ, so the basis stays dual feasible and a
+    bounded dual simplex repairs it, usually in a few pivots.  The columns, slack
     bounds and costs are built once per problem, and a popped node's
     basis is factored once (B^{-1} and reduced costs), each child
     pivoting on its own copy.

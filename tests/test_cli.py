@@ -109,9 +109,11 @@ def test_prune_fixture_writes_report(tmp_path, capsys):
         range(1, report["iterations"] + 1))
     for r in rounds:
         assert set(r) == {"iteration", "nodes", "pivots", "masters",
-                          "warm_masters"}
-        # every master but a run's first starts from the last one's root
+                          "warm_masters", "lps", "warm_lps"}
+        # every master but a run's first starts from the last one's root,
+        # and every check and weight-sum LP but a run's first of each
         assert r["warm_masters"] == r["masters"] - (r["iteration"] == 1)
+        assert r["warm_lps"] == r["lps"] - 2 * (r["iteration"] == 1)
     pruned = load_model(out)
     assert sum(1 for w in pruned.alpha if w > 0) == 1
 
@@ -139,6 +141,7 @@ def test_prune_reports_screened_rounds(tmp_path, capsys, caplog):
     assert {p["iteration"] for p in report["oracle_pairs"]}.isdisjoint(
         screened)
     assert sum(r["warm_masters"] for r in report["prune_rounds"]) >= 1
+    assert all(r["warm_lps"] == r["lps"] for r in report["prune_rounds"][1:])
     assert "screened cells" in capsys.readouterr().out
     assert any("screened" in r.getMessage() for r in caplog.records)
     assert run("verify", "--model", model, "--pruned", out) == 0

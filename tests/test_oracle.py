@@ -568,7 +568,9 @@ def test_reused_programs_equal_fresh_builds():
     cold solve's, and every pair after the first of its class starts
     from the root basis of the pair before it, also when no
     ``programs`` are passed and when that pair had no cell at or above
-    its floor."""
+    its floor.  A class's first pair starts from the class's last root
+    when it holds one, and otherwise from the root of the pair solved
+    before it in the same call (cold only for a call's first pair)."""
     rng = np.random.default_rng(42)
     handed_out = []                     # (problem, copies of its arrays)
     calls = []                          # (start or None, root basis)
@@ -585,6 +587,8 @@ def test_reused_programs_equal_fresh_builds():
 
     ensembles = multi_class = starts = within_round = local_starts = 0
     after_empty = 0                     # starts from a root proven empty
+    across_classes = 0                  # first pairs started from another
+                                        # class's root
     while multi_class < 12:
         ens = random_mixed_ensemble(rng)
         ensembles += 1
@@ -598,6 +602,7 @@ def test_reused_programs_equal_fresh_builds():
             reused = separate(ens, w, solve=capture, programs=programs)
             assert set(programs) == set(range(ens.num_classes))
             fresh = handed_out[-len(reused.pairs):]
+            previous = None             # the root of the call's last pair
             for pair, (problem, _), (start, root, sol) in zip(
                     reused.pairs, fresh, calls):
                 c, y = pair.challenger, pair.original
@@ -606,8 +611,11 @@ def test_reused_programs_equal_fresh_builds():
                     assert np.array_equal(getattr(problem, f),
                                           getattr(built, f))
                 # the start is the class's last root basis, from the pair
-                # before in this round or the class's last pair before
-                assert start is last_basis.get(y)
+                # before in this round or the class's last pair before;
+                # without one, the root of the pair before in this call
+                held = last_basis.get(y)
+                assert start is (previous if held is None else held)
+                across_classes += held is None and start is not None
                 # every root passes its basis on, a root proven empty
                 # too, unless a cold solve found it empty
                 assert root is not None or (
@@ -619,18 +627,16 @@ def test_reused_programs_equal_fresh_builds():
                 after_empty += (start is not None
                                 and last_status.get(y)
                                 == SolveStatus.INFEASIBLE)
-                last_basis[y] = root
+                last_basis[y] = previous = root
                 last_status[y] = pair.status
-            # without ``programs`` only each class's first pair is cold,
-            # and the roots held across rounds find the same optima
+            # without ``programs`` every pair but the call's first starts
+            # from the root of the pair before it, and the roots held
+            # across rounds find the same optima
             calls.clear()
             local = separate(ens, w, solve=record)
             for k, (ours, pair) in enumerate(zip(reused.pairs, local.pairs)):
-                first_of_class = pair.challenger == (
-                    1 if pair.original == 0 else 0)
-                assert calls[k][0] is (None if first_of_class
-                                       else calls[k - 1][1])
-                local_starts += not first_of_class
+                assert calls[k][0] is (calls[k - 1][1] if k else None)
+                local_starts += k > 0
                 assert ours.status == pair.status
                 if pair.objective is not None:
                     assert ours.objective == pytest.approx(pair.objective,
@@ -644,6 +650,7 @@ def test_reused_programs_equal_fresh_builds():
     assert within_round >= 100         # later challengers, same round
     assert local_starts >= 100
     assert after_empty >= 50
+    assert across_classes >= 20
 
 
 def test_screen_proposes_only_what_the_oracle_accepts():

@@ -460,11 +460,13 @@ def test_batch_seeding_rejects_invalid_rows_before_adding_any():
 
 
 def test_growth_checks_resolve_from_the_last_failing_check(monkeypatch):
-    """The first check of each round is cold; every other one starts
-    from the basis of the last failing check, only tightens its bounds,
-    finishes without a cold fallback, and reaches a cold solve's
+    """Only a working set's first check is cold.  A round's first check
+    starts from the basis of the check before it; every other one from
+    the basis of the last failing check, and only tightens its bounds.
+    None falls back to a cold solve, and each reaches a cold solve's
     optimum."""
-    checks = []                 # (problem, start, solution, cold solves)
+    events = []                 # "master", or (problem, start, solution,
+                                # cold solves) of a check
     cold_solves = []
     plain_lp = pruner.solve_lp
     cold = solver._simplex_solve
@@ -473,8 +475,12 @@ def test_growth_checks_resolve_from_the_last_failing_check(monkeypatch):
         before = len(cold_solves)
         sol = plain_lp(problem, start=start)
         if problem.maximize:
-            checks.append((problem, start, sol, len(cold_solves) - before))
+            events.append((problem, start, sol, len(cold_solves) - before))
         return sol
+
+    def master(problem, start=None):
+        events.append("master")
+        return solve_milp(problem, start=start)
 
     def counted(*args):
         cold_solves.append(args)
@@ -487,27 +493,38 @@ def test_growth_checks_resolve_from_the_last_failing_check(monkeypatch):
         ps = PruneSet(ens)
         ps.add_points(data.X)
         cases.append((ens, ps))
-    grown = 0
+    grown = rounds = 0
     for ens, ps in cases:
-        checks.clear()
+        events.clear()
         try:
-            prune_l0(ens, ps)
+            prune_l0(ens, ps, solve=master)
         except TiedPredictionError:
             continue
-        failing = None
-        for problem, start, sol, went_cold in checks:
-            if start is None:           # the first check of a round
-                failing = None
+        last = failing = None
+        for event in events:
+            if event == "master":
+                first_of_round = True
+                continue
+            problem, start, sol, went_cold = event
+            if last is None:            # the working set's first check
+                assert start is None and went_cold >= 1
             else:
-                assert failing is not None and start is failing[1].basis
-                assert np.all(problem.upper <= failing[0].upper)
-                assert not went_cold
+                if first_of_round:
+                    assert start is last.basis
+                    rounds += 1
+                else:
+                    assert start is failing[1].basis
+                    assert np.all(problem.upper <= failing[0].upper)
+                    grown += 1
+                assert sol.warm and not went_cold
                 assert sol.objective == pytest.approx(
                     plain_lp(problem).objective, abs=1e-9)
-                grown += 1
+            first_of_round = False
+            last = sol
             if sol.objective > 0.5:
                 failing = (problem, sol)
     assert grown >= 200
+    assert rounds >= 70
 
 
 def test_masters_resolve_from_the_last_root_round_after_round(monkeypatch):
@@ -555,6 +572,75 @@ def test_masters_resolve_from_the_last_root_round_after_round(monkeypatch):
         checked += 1
     assert checked >= 30
     assert warm >= 70
+
+
+def test_check_and_support_lps_resolve_round_after_round(monkeypatch):
+    """The working set grows in three steps, each pruned under ``l0``
+    and, on a second set, under ``l1``: only the set's first check LP
+    and its first weight-sum LP are solved cold.  Every later one,
+    within a call and across calls, starts from a held basis (a
+    weight-sum LP from the last one's) and reaches a cold solve's
+    optimum; all but a few are answered warm (a start whose relaxation
+    is unbounded goes cold), and ``lps``/``warm_lps`` count them.  Each
+    ``l0`` support is as small as subset search finds."""
+    lps = []                    # (kind, problem, start, solution, cold)
+    cold_solves = []
+    plain_lp = pruner.solve_lp
+    cold = solver._simplex_solve
+
+    def recorded(problem, start=None):
+        before = len(cold_solves)
+        sol = plain_lp(problem, start=start)
+        lps.append(("check" if problem.maximize else "support", problem,
+                    start, sol, len(cold_solves) - before))
+        return sol
+
+    monkeypatch.setattr(pruner, "solve_lp", recorded)
+    monkeypatch.setattr(solver, "_simplex_solve",
+                        lambda *a: cold_solves.append(a) or cold(*a))
+    checked = warm = fell_back = 0
+    for ens, full in l0_cases():
+        if ens.num_trees > 8:
+            continue
+        try:
+            for prune in (prune_l0, prune_l1):
+                grown = PruneSet(ens)
+                lps.clear()
+                for step in (1, 2, 3):
+                    grown.add_cells(
+                        full.cells[len(grown):len(full) * step // 3])
+                    before = len(lps)
+                    result = prune(ens, grown)
+                    solved = lps[before:]
+                    assert result.lps == len(solved)
+                    assert result.warm_lps == sum(sol.warm
+                                                  for *_, sol, _ in solved)
+                    if prune is prune_l0:
+                        assert len(result.support) == \
+                            brute_force_min_support(ens, grown)
+                        del lps[before + len(solved):]
+                kinds = ("check", "support") if prune is prune_l0 \
+                    else ("support",)
+                for kind in kinds:
+                    (_, _, start, previous, went_cold), *later = [
+                        lp for lp in lps if lp[0] == kind]
+                    assert start is None and went_cold == 1
+                    for _, problem, start, sol, went_cold in later:
+                        assert start is not None
+                        if kind == "support":
+                            assert start is previous.basis
+                        previous = sol
+                        assert sol.warm == (not went_cold)
+                        assert sol.objective == pytest.approx(
+                            plain_lp(problem).objective, abs=1e-9)
+                        warm += sol.warm
+                        fell_back += not sol.warm
+        except TiedPredictionError:
+            continue
+        checked += 1
+    assert checked >= 30
+    assert warm >= 200
+    assert fell_back <= warm // 50
 
 
 def test_tie_and_zero_tolerances_include_their_boundary():

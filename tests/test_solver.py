@@ -1375,3 +1375,103 @@ def test_a_start_whose_rows_are_not_a_prefix_is_presolved_again():
         sol = solve_milp(other, start=first.root_basis)
         assert sol.objective == pytest.approx(scipy_milp_optimum(other),
                                               abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# One start rule: starts from problems with fewer columns, fewer rows or both
+
+
+def leading(prob, n, m):
+    """The problem of ``prob``'s first n columns and first m rows."""
+    return dataclasses.replace(
+        prob, c=prob.c[:n], A=prob.A[:m, :n], senses=prob.senses[:m],
+        b=prob.b[:m], lower=prob.lower[:n], upper=prob.upper[:n],
+        integer=prob.integer[:n], var_names=prob.var_names[:n],
+        row_names=prob.row_names[:m])
+
+
+def nested_problem(seed: int, n=8, m=7, integers=0):
+    """A random problem of every sense over boxes around zero, whose
+    first ``integers`` columns are binary.  Its rows hold at a point
+    that is zero on the last three columns, so every problem of its
+    leading columns and rows (``leading``) is feasible too."""
+    rng = np.random.default_rng(seed)
+    lower = -rng.uniform(0.0, 2.0, n)
+    upper = rng.uniform(1.0, 5.0, n)
+    lower[:integers], upper[:integers] = 0.0, 1.0
+    point = rng.uniform(lower, upper)
+    point[:integers] = rng.integers(0, 2, integers)
+    point[n - 3:] = 0.0
+    A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.7)
+    senses = rng.choice([-1, 0, 1], size=m, p=[0.45, 0.1, 0.45])
+    slack = rng.uniform(0.0, 2.0, m)
+    return MilpProblem(c=rng.normal(size=n), A=A,
+                       senses=senses.astype(np.int8),
+                       b=A @ point - senses * slack, lower=lower, upper=upper,
+                       integer=np.arange(n) < integers)
+
+
+SMALLER = {"rows": lambda n, m: (n, m - 2), "columns": lambda n, m: (n - 3, m),
+           "both": lambda n, m: (n - 3, m - 2)}
+
+
+def test_lps_resolve_from_starts_of_fewer_columns_or_rows(cold_calls):
+    # the start solved a problem made of the first columns and rows of
+    # this one; appended columns rest at a bound and appended rows get a
+    # basic slack, and the answer is this problem's own
+    verdicts = {kind: [] for kind in SMALLER}
+    for seed in range(1000, 1060):
+        prob = nested_problem(seed)
+        for kind, shape in SMALLER.items():
+            first = solve_lp(leading(prob, *shape(8, 7)))
+            assert first.status == SolveStatus.OPTIMAL
+            cold_calls.clear()
+            warm = solve_lp(prob, start=first.basis)
+            assert warm.warm == (cold_calls == [])
+            verdicts[kind].append(warm.warm)
+            scipy_check(prob, warm)
+            cold = solve_lp(prob)
+            assert warm.status == cold.status == SolveStatus.OPTIMAL
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+    for kind, warm in verdicts.items():
+        assert sum(warm) >= 0.8 * len(warm), kind
+
+
+def test_milps_resolve_from_roots_of_fewer_columns_or_rows():
+    verdicts = {kind: [] for kind in SMALLER}
+    for seed in range(1100, 1140):
+        prob = nested_problem(seed, integers=4)
+        for kind, shape in SMALLER.items():
+            first = solve_milp(leading(prob, *shape(8, 7)))
+            assert first.status == SolveStatus.OPTIMAL
+            warm = solve_milp(prob, start=first.root_basis)
+            verdicts[kind].append(warm.warm_root)
+            cold = solve_milp(prob)
+            assert warm.status == cold.status == SolveStatus.OPTIMAL
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert warm.objective == pytest.approx(scipy_milp_optimum(prob),
+                                                   abs=1e-7)
+    for kind, warm in verdicts.items():
+        assert sum(warm) >= 0.8 * len(warm), kind
+
+
+def test_a_start_with_more_columns_or_rows_goes_cold(cold_calls):
+    prob = nested_problem(1000)
+    start = solve_lp(prob).basis
+    mip = nested_problem(1100, integers=4)
+    root = solve_milp(mip).root_basis
+    for kind, shape in SMALLER.items():
+        smaller = leading(prob, *shape(8, 7))
+        cold = solve_lp(smaller)
+        cold_calls.clear()
+        sol = solve_lp(smaller, start=start)
+        assert len(cold_calls) == 1 and not sol.warm
+        assert (sol.iterations, sol.objective) == (cold.iterations,
+                                                   cold.objective)
+        smaller = leading(mip, *shape(8, 7))
+        cold = solve_milp(smaller)
+        cold_calls.clear()
+        sol = solve_milp(smaller, start=root)
+        assert len(cold_calls) >= 1 and not sol.warm_root
+        assert (sol.iterations, sol.nodes, sol.objective) == (
+            cold.iterations, cold.nodes, cold.objective)
