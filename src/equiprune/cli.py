@@ -147,7 +147,8 @@ def cmd_prune(args) -> int:
                           "masters": record.prune.masters,
                           "warm_masters": record.prune.warm_masters,
                           "lps": record.prune.lps,
-                          "warm_lps": record.prune.warm_lps}
+                          "warm_lps": record.prune.warm_lps,
+                          "free_checks": record.prune.free_checks}
                          for record in outcome.history],
     }
     if args.report:

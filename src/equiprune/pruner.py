@@ -13,7 +13,8 @@ implicit hitting-set loop (combinatorial Benders decomposition).  Its
 support checks are one LP over all trees whose bounds say which trees
 are tested, and so is the weight-sum LP, so that a check on one more
 tree, or an LP after the working set grew, re-solves from the basis of
-the one before it.  Support is counted against a fixed zero tolerance.
+the one before it; a check whose answer is already known solves no LP.
+Support is counted against a fixed zero tolerance.
 """
 
 from __future__ import annotations
@@ -151,6 +152,7 @@ class PruneResult:
     warm_masters: int = 0     # of them, re-solved from a held root basis
     lps: int = 0              # check and weight-sum LPs solved
     warm_lps: int = 0         # of them, answered warm from a held basis
+    free_checks: int = 0      # checks answered without an LP (l0)
 
 
 def support_of(weights: Sequence[float]) -> tuple[int, ...]:
@@ -201,6 +203,18 @@ def min_weight_sum(G: np.ndarray, trees: Sequence[int],
     return weights, sol
 
 
+def _known_to_pass(G: np.ndarray, alpha: np.ndarray, trees: np.ndarray,
+                   passed: Sequence[np.ndarray]) -> bool:
+    """Whether the trees of mask ``trees`` keep every row of G, known
+    without a check LP: the original weights on them keep every row
+    (G_S alpha_S > TIE_TOL; rescaled, they are a faithful weighting, so
+    the check's optimum is 0), or they hold a set of ``passed``, masks
+    that kept these rows (a set that keeps every row still does with
+    more trees)."""
+    return bool(np.all(G[:, trees] @ alpha[trees] > TIE_TOL)
+                or any(np.all(trees[p]) for p in passed))
+
+
 def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
              solve: Callable[..., MilpSolution] = solve_milp,
              margins: np.ndarray | None = None) -> PruneResult:
@@ -231,15 +245,21 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
     call or an earlier one (``PruneSet.check_basis``); each growth check
     tests one tree more than the last failing check, so only bounds
     tighten, and it re-solves from that check's basis, which stays dual
-    feasible.  Only a set's very first check, and its first weight-sum
-    LP (``PruneSet.support_basis``), start with no basis.  Nothing else
-    outlives the call."""
+    feasible.  Only a set's first solved check, and its first weight-sum
+    LP (``PruneSet.support_basis``), start with no basis.
+
+    A check whose answer is known solves no LP (``free_checks``): the
+    original weights on the tested trees keep every row, or the tested
+    trees hold a set that passed earlier in the call.  Nothing but the
+    conflicts and the bases outlives the call."""
     G = build_margins(ensemble, prune_set) if margins is None else margins
     _untied_margin(ensemble, prune_set, G)
     conflicts = prune_set.conflicts
     for cover in G > 0.0:
         conflicts[tuple(np.flatnonzero(cover).tolist())] = None
-    nodes = pivots = masters = warm = lps = warm_lps = 0
+    nodes = pivots = masters = warm = lps = warm_lps = free = 0
+    alpha = np.asarray(ensemble.alpha, dtype=float)
+    passed: list[np.ndarray] = []       # tested sets that passed
     rows, M = G.shape
     eye = np.eye(M, dtype=bool)
     scaled, _ = _scale_columns(G)
@@ -255,8 +275,13 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
                      ) -> LpSolution | None:
         """None if the masked trees can keep every row, else the check's
         solution, whose y is a ray: scaled to largest entry 1, so failing
-        optima are >= 1."""
-        nonlocal pivots, lps, warm_lps
+        optima are >= 1.  A check whose answer is known
+        (``_known_to_pass``) solves no LP."""
+        nonlocal pivots, lps, warm_lps, free
+        if _known_to_pass(G, alpha, trees, passed):
+            free += 1
+            passed.append(trees)
+            return None
         upper = check.upper.copy()
         upper[:M][trees] = 0.0
         sol = solve_lp(replace(check, upper=upper), start=start)
@@ -266,7 +291,10 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
         warm_lps += sol.warm
         if sol.status != SolveStatus.OPTIMAL:
             raise SolverFailureError(f"check LP ended {sol.status.value}")
-        return sol if sol.objective > 0.5 else None
+        if sol.objective > 0.5:
+            return sol
+        passed.append(trees)
+        return None
 
     while True:
         A = np.zeros((len(conflicts), ensemble.num_trees))
@@ -310,7 +338,7 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
                        objective=float(pick.objective), nodes=nodes,
                        iterations=pivots + sol.iterations, masters=masters,
                        warm_masters=warm, lps=lps + 1,
-                       warm_lps=warm_lps + sol.warm)
+                       warm_lps=warm_lps + sol.warm, free_checks=free)
 
 
 def prune_l1(ensemble: Ensemble, prune_set: PruneSet,

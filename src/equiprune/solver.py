@@ -330,16 +330,20 @@ class _Columns:
         self.A_all = np.hstack([A, np.eye(m), np.eye(m)])
         self.b = b
         self.cost = np.concatenate([c, np.zeros(2 * m)])
-        self.slack_lo = np.where(senses == 1, -np.inf, 0.0)
-        self.slack_up = np.where(senses == -1, np.inf, 0.0)
+        # bounds of the slacks, then of the artificials (fixed at zero)
+        zero = np.zeros(m)
+        self.tail_lo = np.concatenate([np.where(senses == 1, -np.inf, 0.0),
+                                       zero])
+        self.tail_up = np.concatenate([np.where(senses == -1, np.inf, 0.0),
+                                       zero])
         self.row_scale = _row_scale(A)
+        self.check_tol = _check_tol(b)
 
     def bounds(self, lo: np.ndarray,
                up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bounds of every column, given those of the variables."""
-        zero = np.zeros(self.m)
-        return (np.concatenate([lo, self.slack_lo, zero]),
-                np.concatenate([up, self.slack_up, zero]))
+        return (np.concatenate([lo, self.tail_lo]),
+                np.concatenate([up, self.tail_up]))
 
     def factor(self, basis: Basis) -> _Factor | None:
         """The factor at ``basis``, a basis over these columns (see
@@ -375,6 +379,7 @@ class _Simplex:
         self.m, self.n, self.N = m, n, n + 2 * m
         self.b = cols.b
         self.row_scale = cols.row_scale
+        self.check_tol = cols.check_tol
         self.A = cols.A
         self.lo, self.up = cols.bounds(lo, up)
         self.movable = self.up > self.lo    # fixed columns never enter
@@ -453,11 +458,14 @@ class _Simplex:
     def _rederive(self) -> None:
         """Re-derive the basic values and the reduced costs by solving
         with B from the original data, without the updated B^{-1}; two
-        solves cost less than one inversion."""
+        solves cost less than one inversion, and one stacked call (B x =
+        rhs and B'y = c_B) gives the same bits as two."""
         B = self.A_all[:, self.basis]
         try:
-            self.xB = np.linalg.solve(B, self._basic_rhs())
-            y = np.linalg.solve(B.T, self.cc[self.basis])
+            self.xB, y = np.linalg.solve(
+                np.stack([B, B.T]),
+                np.stack([self._basic_rhs(), self.cc[self.basis]])[:, :, None]
+            )[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise SolverFailureError(f"singular simplex basis: {exc}") from exc
         self.d = self.cc - y @ self.A_all
@@ -493,7 +501,8 @@ class _Simplex:
                   enter_value: float, leave_at_upper: bool) -> None:
         """Column j, whose entering column Binv a_j is ``col``, replaces
         the basic of row r, which leaves at one of its bounds; ``row`` is
-        the pivot row Binv[r] A_all.  Rank-1 update of Binv and d."""
+        the pivot row Binv[r] A_all.  Rank-1 update of Binv and d; ``col``
+        is spent (its entry r is zeroed)."""
         leaving = int(self.basis[r])
         if leave_at_upper:
             self.stat[leaving] = _AT_UPPER
@@ -508,9 +517,8 @@ class _Simplex:
         self.d -= (self.d[j] / pivot) * row
         self.d[j] = 0.0
         self.Binv[r] /= pivot
-        others = col.copy()
-        others[r] = 0.0
-        self.Binv -= np.outer(others, self.Binv[r])
+        col[r] = 0.0
+        self.Binv -= col[:, None] * self.Binv[r]
         self.derived = False
 
     def iterate(self) -> SolveStatus:
@@ -523,15 +531,17 @@ class _Simplex:
         while True:
             if self.iterations >= _MAX_PIVOTS:
                 return SolveStatus.ITERATION_LIMIT
+            # the candidate of largest |d| (every candidate has |d| > 0),
+            # or under Bland's rule the first
             cand = self._candidates(tol)
-            if not cand.any():
+            pick = cand if bland else np.where(cand, np.abs(self.d), 0.0)
+            j = int(np.argmax(pick)) if self.N else 0
+            if not (self.N and cand[j]):
                 if self.derived:
                     return SolveStatus.OPTIMAL
                 self._rederive()        # confirm against original data
                 since_refactor = 0
                 continue
-            idx = np.nonzero(cand)[0]
-            j = int(idx[0]) if bland else int(idx[np.argmax(np.abs(self.d[idx]))])
             if self.stat[j] == _AT_UPPER or (self.stat[j] == _FREE
                                              and self.d[j] > 0):
                 direction = -1.0
@@ -609,17 +619,16 @@ class _Simplex:
             up_B = self.up[self.basis]
             below = lo_B - self.xB
             infeas = np.maximum(below, self.xB - up_B)
-            rows = np.nonzero(infeas > _TOL_FEAS)[0]
-            if rows.size == 0:
+            r = int(np.argmax(infeas))      # the row farthest outside
+            if not infeas[r] > _TOL_FEAS:
                 if self.derived:
                     return SolveStatus.OPTIMAL, -1
                 self._rederive()        # confirm against original data
                 since_refactor = 0
                 continue
             if bland:
+                rows = np.nonzero(infeas > _TOL_FEAS)[0]
                 r = int(rows[np.argmin(self.basis[rows])])
-            else:
-                r = int(rows[np.argmax(infeas[rows])])
             to_lower = below[r] > 0
             # x_B[r] moves by -row[j] per unit step of column j; alpha is
             # signed so that a helpful step has alpha_j * dx_j < 0
@@ -629,19 +638,19 @@ class _Simplex:
             tol = _TOL_PIVOT
             eligible = self.movable & ((_MAY_RISE[stat] & (alpha < -tol))
                                        | (_MAY_FALL[stat] & (alpha > tol)))
-            idx = np.nonzero(eligible)[0]
-            if idx.size == 0:
+            if not eligible.any():
                 return SolveStatus.INFEASIBLE, r
-            d = self.d[idx]
-            slack = np.where(stat[idx] == _AT_LOWER, d,
-                             np.where(stat[idx] == _AT_UPPER, -d, np.abs(d)))
-            ratios = np.maximum(slack, 0.0) / np.abs(alpha[idx])
+            # ratio test over every column, inf where not eligible
+            d = self.d
+            slack = np.where(stat == _AT_LOWER, d,
+                             np.where(stat == _AT_UPPER, -d, np.abs(d)))
+            size = np.abs(alpha)
+            ratios = np.full(self.N, np.inf)
+            np.divide(np.maximum(slack, 0.0), size, out=ratios,
+                      where=eligible)
             t = float(ratios.min())
-            tied = idx[ratios <= t + _RATIO_TIE]
-            if bland:
-                q = int(tied[0])
-            else:
-                q = int(tied[np.argmax(np.abs(alpha[tied]))])
+            tied = ratios <= t + _RATIO_TIE
+            q = int(np.argmax(tied if bland else np.where(tied, size, 0.0)))
 
             col = self.Binv @ self.A_all[:, q]
             target = lo_B[r] if to_lower else up_B[r]
@@ -706,17 +715,16 @@ def _simplex_solve(cols: _Columns, lo: np.ndarray,
             return LpSolution(status, x, obj, sx.iterations)
         if _verified_optimum(sx):
             return _optimal(sx)
-        if not _verified_candidates(sx).any():
-            # A leftover below the cut, once the artificials are zero,
-            # reaches the basics through B^{-1}, which can magnify it
-            # past the check's tolerance.  The dual simplex repairs them,
-            # or stops on a row whose basic cannot come within that
-            # tolerance of its bounds: then no point passes the check.
-            status, r = sx.dual_iterate()
-            if (status == SolveStatus.INFEASIBLE
-                    and _farkas_gap(sx, r)[1] > _check_tol(sx.b)):
-                return LpSolution(SolveStatus.INFEASIBLE, None, None,
-                                  sx.iterations)
+        # A leftover below the cut, once the artificials are zero,
+        # reaches the basics through B^{-1}, which can magnify it past
+        # the check's tolerance.  The dual simplex repairs them, or stops
+        # on a row whose basic cannot come within that tolerance of its
+        # bounds: then no point passes the check.
+        status, r = sx.dual_iterate()
+        if (status == SolveStatus.INFEASIBLE
+                and _farkas_gap(sx, r)[1] > sx.check_tol):
+            return LpSolution(SolveStatus.INFEASIBLE, None, None,
+                              sx.iterations)
         sx._refactor()
     raise SolverFailureError("simplex solution failed numerical verification")
 
@@ -801,14 +809,18 @@ def _verified_optimum(sx: _Simplex) -> bool:
     """Independent check of a claimed optimum: re-derive the basic
     solution and reduced costs from the original data, unless they were
     re-derived at this basis and nothing has moved since, then test the
-    bounds of every basic and the sign of every reduced cost."""
-    if not sx.derived:
+    bounds of every basic and the sign of every reduced cost.  Values
+    still derived are those on which ``iterate`` has just returned
+    OPTIMAL, finding no reduced cost past the pricing tolerance, so none
+    lies past the check's 10 times it and the sign test is skipped."""
+    scanned = sx.derived
+    if not scanned:
         sx._rederive()
     lo_B = sx.lo[sx.basis]
     up_B = sx.up[sx.basis]
-    tol = _check_tol(sx.b)
+    tol = sx.check_tol
     feas = np.all(sx.xB >= lo_B - tol) and np.all(sx.xB <= up_B + tol)
-    return bool(feas) and not _verified_candidates(sx).any()
+    return bool(feas) and (scanned or not _verified_candidates(sx).any())
 
 
 def _check_tol(b: np.ndarray) -> float:
@@ -887,6 +899,8 @@ def _grown(basis: Basis, n: int, m: int) -> Basis | None:
     if not (0 <= n0 <= n and m0 <= m):
         return None
     dn, dm = n - n0, m - m0
+    if not (dn or dm):
+        return basis
     basic = (basis.basic + dn * (basis.basic >= n0)
              + dm * (basis.basic >= n0 + m0))
     status = np.concatenate([
@@ -943,13 +957,14 @@ def _branch_and_bound(problem: MilpProblem,
 
     Node key is (bound, -depth, sequence): ties on the bound are broken
     by diving deeper first.  Children are solved eagerly so every heap
-    entry carries a true LP bound.  A relaxation point that is integral
-    within tolerance becomes an incumbent only after re-solving with the
-    integer block fixed to its rounding, which also makes its objective
-    exact; if that rounding is infeasible (possible when a row weighs an
-    integer column heavily, so that moving it by up to _TOL_INT moves
-    the row past its side) the point is not trusted and the node is
-    branched instead.
+    entry carries a true LP bound.  A relaxation point whose integer
+    block is exactly integral is an incumbent as it stands.  One that is
+    integral only within tolerance becomes an incumbent only after
+    re-solving with the integer block fixed to its rounding (its polish
+    LP), which also makes its objective exact; if that rounding is
+    infeasible (possible when a row weighs an integer column heavily, so
+    that moving it by up to _TOL_INT moves the row past its side) the
+    point is not trusted and the node is branched instead.
 
     With every variable integer and every cost an integer, every
     objective value is an integer, so a bound b prunes a node once
@@ -1014,9 +1029,16 @@ def _branch_and_bound(problem: MilpProblem,
         nonlocal incumbent, inc_obj
         if dominated(sol.objective):
             return
-        if int_idx.size and fractionality(sol.x).max(initial=0.0) > _TOL_INT:
+        frac = fractionality(sol.x)
+        if frac.max(initial=0.0) > _TOL_INT:
             heapq.heappush(heap, (sol.objective, negdepth, next(seq),
                                   lo, up, sol.x, sol.basis))
+            return
+        if not frac.any():
+            # exactly integral: polishing would fix the integer block at
+            # the values it has and return this verified point
+            if sol.objective < inc_obj:
+                incumbent, inc_obj = sol.x, sol.objective
             return
         px, pobj = polish(sol)
         if px is not None:

@@ -576,13 +576,14 @@ def test_masters_resolve_from_the_last_root_round_after_round(monkeypatch):
 
 def test_check_and_support_lps_resolve_round_after_round(monkeypatch):
     """The working set grows in three steps, each pruned under ``l0``
-    and, on a second set, under ``l1``: only the set's first check LP
-    and its first weight-sum LP are solved cold.  Every later one,
-    within a call and across calls, starts from a held basis (a
-    weight-sum LP from the last one's) and reaches a cold solve's
-    optimum; all but a few are answered warm (a start whose relaxation
-    is unbounded goes cold), and ``lps``/``warm_lps`` count them.  Each
-    ``l0`` support is as small as subset search finds."""
+    and, on a second set, under ``l1``: only the set's first solved
+    check LP, if any (a check whose answer is known solves none), and
+    its first weight-sum LP are solved cold, in whatever step they fall.
+    Every later one, within a call and across calls, starts from a held
+    basis (a weight-sum LP from the last one's) and reaches a cold
+    solve's optimum; all but a few are answered warm (a start whose
+    relaxation is unbounded goes cold), and ``lps``/``warm_lps`` count
+    them.  Each ``l0`` support is as small as subset search finds."""
     lps = []                    # (kind, problem, start, solution, cold)
     cold_solves = []
     plain_lp = pruner.solve_lp
@@ -622,8 +623,10 @@ def test_check_and_support_lps_resolve_round_after_round(monkeypatch):
                 kinds = ("check", "support") if prune is prune_l0 \
                     else ("support",)
                 for kind in kinds:
-                    (_, _, start, previous, went_cold), *later = [
-                        lp for lp in lps if lp[0] == kind]
+                    of_kind = [lp for lp in lps if lp[0] == kind]
+                    if not of_kind:     # every check was answered free
+                        continue
+                    (_, _, start, previous, went_cold), *later = of_kind
                     assert start is None and went_cold == 1
                     for _, problem, start, sol, went_cold in later:
                         assert start is not None
@@ -639,8 +642,57 @@ def test_check_and_support_lps_resolve_round_after_round(monkeypatch):
             continue
         checked += 1
     assert checked >= 30
-    assert warm >= 200
+    assert warm >= 150
     assert fell_back <= warm // 50
+
+
+def test_checks_answered_without_an_lp_would_pass(monkeypatch):
+    """On instances of at most 8 trees the ``l0`` support is as small as
+    subset search finds, and some checks are answered without an LP,
+    by each rule: the original weights on the tested trees keep every
+    row, or the tested trees hold a set that passed before.  Each such
+    check, solved anyway by scipy's HiGHS on the scaled columns, has
+    optimum 0, and ``free_checks`` counts them."""
+    from scipy.optimize import linprog
+    known = pruner._known_to_pass
+    free = []                   # (G, trees, by the original weights)
+
+    def recorded(G, alpha, trees, passed):
+        answer = known(G, alpha, trees, passed)
+        if answer:
+            free.append((G, trees.copy(), known(G, alpha, trees, [])))
+        return answer
+
+    monkeypatch.setattr(pruner, "_known_to_pass", recorded)
+    cases = l0_cases()
+    for ens, data in filter(None, map(random_boosted_instance, range(300))):
+        ps = PruneSet(ens)
+        ps.add_points(data.X)
+        cases.append((ens, ps))
+    by_alpha = by_subset = 0
+    for ens, ps in cases:
+        if ens.num_trees > 8:
+            continue
+        free.clear()
+        try:
+            result = prune_l0(ens, ps)
+        except TiedPredictionError:
+            continue
+        assert len(result.support) == brute_force_min_support(ens, ps)
+        assert result.free_checks == len(free)
+        for G, trees, original in free:
+            scaled = G[:, trees] / np.maximum(np.abs(G[:, trees]).max(axis=0),
+                                              1e-300)
+            rows = G.shape[0]
+            res = linprog(-np.ones(rows), A_ub=scaled.T,
+                          b_ub=np.zeros(scaled.shape[1]), bounds=(0, 1),
+                          method="highs")
+            assert res.status == 0 and -res.fun == pytest.approx(0.0,
+                                                                 abs=1e-9)
+            by_alpha += original
+            by_subset += not original
+    assert by_alpha >= 20
+    assert by_subset >= 5
 
 
 def test_tie_and_zero_tolerances_include_their_boundary():

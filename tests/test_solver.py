@@ -8,6 +8,7 @@ are checked against cold solves of the same problem.
 
 import dataclasses
 import itertools
+import sys
 import tracemalloc
 import warnings
 
@@ -668,12 +669,20 @@ def test_changed_objective_and_last_row_resolve_warm_through_the_relaxation(
 
 
 def test_solve_lp_start_of_another_shape_is_ignored(cold_calls):
-    prob = random_lp(3, anchored=True)
-    other = solve_lp(random_lp(4, m=3, anchored=True))
-    cold_calls.clear()
-    sol = solve_lp(prob, start=other.basis)
-    assert len(cold_calls) == 1
-    assert sol.objective == pytest.approx(solve_lp(prob).objective)
+    # optimal bases of problems with one more column, and one more row,
+    # than prob: neither grows to prob, so the solve is prob's cold one
+    prob = random_lp(3, senses=("<=", ">="), anchored=True)
+    cold = solve_lp(prob)
+    assert cold.status == SolveStatus.OPTIMAL
+    for n, m in ((7, 5), (6, 6)):
+        other = solve_lp(random_lp(4, n=n, m=m, senses=("<=", ">="),
+                                   anchored=True))
+        assert other.basis is not None
+        cold_calls.clear()
+        sol = solve_lp(prob, start=other.basis)
+        assert len(cold_calls) == 1 and not sol.warm
+        assert (sol.iterations, sol.objective) == (cold.iterations,
+                                                   cold.objective)
 
 
 # ---------------------------------------------------------------------------
@@ -873,6 +882,98 @@ def test_an_integral_objective_prunes_at_the_rounded_bound():
             assert sol.objective == pytest.approx(cost * ref, abs=1e-9)
             nodes[cost] += sol.nodes
     assert nodes[1.0] < nodes[0.5]
+
+
+@pytest.fixture
+def bb_lps(monkeypatch):
+    """Branch and bound's LPs in call order: ("relaxed", solution) for
+    the root and each child, ("polish", solution) for each polish LP
+    (a warm solve called from ``_branch_and_bound``'s ``polish``)."""
+    events = []
+    solve_from = solver._solve_from
+    warm = solver._warm_solve
+
+    def root(*args):
+        sol = solve_from(*args)
+        events.append(("relaxed", sol))
+        return sol
+
+    def child_or_polish(*args):
+        sol = warm(*args)
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "_solve_from":         # a root is recorded above
+            events.append(("polish" if caller == "polish" else "relaxed",
+                           sol))
+        return sol
+
+    monkeypatch.setattr(solver, "_solve_from", root)
+    monkeypatch.setattr(solver, "_warm_solve", child_or_polish)
+    return events
+
+
+def integral_block(prob, sol):
+    """(exactly integral, integral within ``_TOL_INT``) for the integer
+    columns of an optimal relaxation."""
+    v = sol.x[prob.integer]
+    off = np.abs(v - np.round(v))
+    return not off.any(), off.max(initial=0.0) <= solver._TOL_INT
+
+
+def test_an_exactly_integral_relaxation_is_not_polished(bb_lps):
+    """Random mixed MILPs and pure-binary covers: no relaxation whose
+    integer block is exactly integral is followed by a polish LP, every
+    polish LP follows one that is integral only within tolerance, and
+    the optimum is scipy's."""
+    rng = np.random.default_rng(90)
+    covers = []
+    for _ in range(30):
+        n = int(rng.integers(5, 13))
+        rows = cover_rows(rng, n, int(rng.integers(2, 8)))
+        covers.append(MilpProblem(
+            c=rng.integers(1, 4, n).astype(float),
+            A=np.array([a for a, _, _ in rows]),
+            senses=np.ones(len(rows), dtype=np.int8), b=np.ones(len(rows)),
+            lower=np.zeros(n), upper=np.ones(n),
+            integer=np.ones(n, dtype=bool)))
+    exact = solved = 0
+    for prob in [random_mixed_milp(seed) for seed in range(500, 540)] + covers:
+        bb_lps.clear()
+        sol = solve_milp(prob)
+        ref = scipy_milp_optimum(prob)
+        if ref is None:
+            assert sol.status == SolveStatus.INFEASIBLE
+        else:
+            assert sol.objective == pytest.approx(ref, abs=1e-7)
+            solved += 1
+        kinds = [kind for kind, _ in bb_lps] + [None]
+        for (kind, lp), following in zip(bb_lps, kinds[1:]):
+            if kind == "polish" or lp.status != SolveStatus.OPTIMAL:
+                continue
+            is_exact, near = integral_block(prob, lp)
+            exact += is_exact
+            if following == "polish":
+                assert near and not is_exact
+            if is_exact:
+                assert following != "polish"
+    assert solved >= 40
+    assert exact >= 50
+
+
+def test_a_near_integral_relaxation_is_still_polished(bb_lps):
+    # min -x + 10y s.t. x - y <= 1 - 5e-7: the relaxation stops at
+    # x = 1 - 5e-7, inside the integrality tolerance; fixing x at 1
+    # moves y to 5e-7, so the polish LP gives the optimum
+    pb = ProblemBuilder()
+    x = pb.add_var("x", lo=0.0, up=3.0, obj=-1.0, integer=True)
+    y = pb.add_var("y", lo=0.0, up=1.0, obj=10.0)
+    pb.add_row([(x, 1.0), (y, -1.0)], "<=", 1.0 - 5e-7)
+    prob = pb.build()
+    sol = solve_milp(prob)
+    (kind, relaxed), (then, polished) = bb_lps
+    assert kind == "relaxed" and integral_block(prob, relaxed) == (False, True)
+    assert then == "polish" and polished.status == SolveStatus.OPTIMAL
+    assert sol.x[0] == 1.0 and sol.x[1] == pytest.approx(5e-7, abs=1e-12)
+    assert sol.objective == pytest.approx(scipy_milp_optimum(prob), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
