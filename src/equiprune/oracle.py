@@ -70,8 +70,9 @@ after the class's first starts from the class's last root basis
 empty; a class with none starts from the root of the pair solved just
 before it, whose program has the same columns and, before any cut, as
 many rows.  The new floor and objective may leave it neither primal nor
-dual feasible; the solver then starts through a relaxation (see
-``solve_milp``).  A no-good row that ``separate`` appends to a class's
+dual feasible; the solver then shifts the costs of the columns that
+price in, repairs the basics by the dual simplex and restores the costs
+(see ``solve_milp``).  A no-good row that ``separate`` appends to a class's
 program, to cut off a cell whose original margin falls short of
 epsilon, goes before the floor; the basis grows by a row's slack.
 
@@ -364,11 +365,11 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     passes one dict, empty at first, to every round and drops it after
     the run): a class found there is priced for each challenger, not
     rebuilt, and ``solve`` gets that basis as ``start=``.  A program
-    that holds no basis -- at its first pair of the run, or after a cold
-    INFEASIBLE root left it none -- gets the root basis of the pair
-    solved just before it in this call instead.  Without ``programs``,
-    the dict lives for this call only, so only the call's first pair
-    starts cold and every other one from the root the pair before left.
+    that holds no basis, at its first pair of the run, gets the root
+    basis of the pair solved just before it in this call instead.
+    Without ``programs``, the dict lives for this call only, so only the
+    call's first pair starts from the slack basis and every other one
+    from the root the pair before left.
 
     Every returned cell is re-checked by direct evaluation: the
     original weights must predict the pair's original class on it by a
@@ -385,6 +386,10 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     reweighting's best cell for that pair is an exact score tie; the
     cell is extracted into ``tie_cells`` (never into ``cells``) so the
     caller can decide whether a tie-break flip matters.
+
+    With ``dump_dir``, each pair's problem is written there in LP format
+    as ``sep_y{y}_c{c}.lp``, and the problem of its k-th re-solve after a
+    cut as ``sep_y{y}_c{c}_cut{k}.lp``.
     """
     w = _check_weights(ensemble, weights)
     result = SeparationResult(pairs=[])
@@ -397,16 +402,20 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
         for challenger in range(ensemble.num_classes):
             if challenger == original:
                 continue
-            problem = program.priced(w, challenger)
-            if dump_dir is not None:
-                dump_lp(problem,
-                        Path(dump_dir) / f"sep_y{original}_c{challenger}.lp",
-                        name=f"separation y={original} c={challenger}")
-            start = program.start if program.start is not None else previous
-            sol = solve(problem, start=start)
-            nodes, iterations, cuts = sol.nodes, sol.iterations, 0
+            nodes = iterations = cuts = 0
             cell = objective = None
             while True:
+                problem = program.priced(w, challenger)
+                if dump_dir is not None:
+                    stem = (f"sep_y{original}_c{challenger}"
+                            + (f"_cut{cuts}" if cuts else ""))
+                    dump_lp(problem, Path(dump_dir) / f"{stem}.lp",
+                            name=f"separation y={original} c={challenger}")
+                start = (program.start if program.start is not None
+                         else previous)
+                sol = solve(problem, start=start)
+                nodes += sol.nodes
+                iterations += sol.iterations
                 program.start = previous = sol.root_basis
                 if sol.status == SolveStatus.ITERATION_LIMIT:
                     raise IterationLimitError(
@@ -427,11 +436,7 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
                 # the cell lies outside the margin rows' scope for every
                 # challenger, so it leaves the class's program for good
                 program = programs[original] = program.cut_off(cell)
-                problem = program.priced(w, challenger)
-                sol = solve(problem, start=program.start)
                 cuts += 1
-                nodes += sol.nodes
-                iterations += sol.iterations
                 cell = None
             if sol.status == SolveStatus.OPTIMAL:
                 objective = float(sol.objective)

@@ -188,8 +188,8 @@ def min_weight_sum(G: np.ndarray, trees: Sequence[int],
     The LP holds a column for every tree, one outside ``trees`` fixed at
     0, so as the working set grows it only gains rows, and ``start``,
     the basis of an earlier one, is a start for ``solve_lp``.  A fixed
-    column never prices in, so a cold solve pivots as it would over
-    ``trees``' columns alone, up to roundoff."""
+    column never prices in, so a solve from the slack basis pivots as it
+    would over ``trees``' columns alone, up to roundoff."""
     trees = np.asarray(trees, dtype=np.int64)
     scaled, scale = _scale_columns(G)
     upper = np.zeros(G.shape[1])

@@ -1,45 +1,44 @@
 """Self-contained linear and mixed-integer linear programming.
 
-LPs are solved by a bounded-variable revised simplex that keeps the
-basis inverse B^{-1} explicitly: an entering column is B^{-1} a_j, the
-pivot row of the ratio tests is row r of B^{-1} times the columns, and a
-pivot is a rank-1 update of B^{-1} and of the reduced costs.  A cold
-solve runs two primal phases from an artificial-variable identity
-basis, with Dantzig pricing, a Bland fallback after degenerate stalls,
-and a bounded-variable ratio test with bound flips; when its starting
-point already lies on every row, it starts from the slack basis
-instead and phase 1 has nothing to do.  A warm solve starts from a
-given basis and its factor (B^{-1} and the reduced costs there): in
-branch and bound, the optimal basis of the node that spawned the LP,
-factored once for both children; through ``solve_lp(start=...)`` and at
-a MILP's root, by one start rule, the basis of an earlier solve of a
-problem whose columns and rows are this problem's first columns and
-rows, under any bounds and objective.  It grows by a nonbasic at its
-default bound for each column appended since and by a basic slack for
-each row (``_grown``); a start with more columns or more rows is
-ignored.  Every nonbasic rests at its recorded status.  If the basics
-then lie within their bounds, the primal loop finishes from there;
-otherwise, if the start is dual feasible, a bounded dual simplex
-repairs them first.  A start that is neither goes through a
-relaxation: the basics outside their bounds are freed, the primal loop
-optimizes the rest, and once their bounds are restored the dual
-simplex repairs them.
+LPs are solved by a bounded-variable revised simplex over the columns
+[A I], the variables and one slack per row, that keeps the basis
+inverse B^{-1} explicitly: an entering column is B^{-1} a_j, the pivot
+row of the ratio tests is row r of B^{-1} times the columns, and a pivot
+is a rank-1 update of B^{-1} and of the reduced costs.  Every solve
+starts from a basis and its factor (B^{-1} and the reduced costs
+there).  A held start is, in branch and bound, the optimal basis of the
+node that spawned the LP, factored once for both children; through
+``solve_lp(start=...)`` and at a MILP's root, by one start rule, the
+basis of an earlier solve of a problem whose columns and rows are this
+problem's first columns and rows, under any bounds and objective.  It
+grows by a nonbasic at its default bound for each column appended since
+and by a basic slack for each row (``_grown``); a start with more
+columns or more rows is ignored.  With no start held, the solve starts
+from the slack basis B = I, which is never singular.  Every nonbasic
+rests at its recorded status.
+
+Every start finishes by one route (``_finish``).  If the basics lie
+within their bounds, the primal simplex finishes from there, with
+Dantzig pricing, a Bland fallback after degenerate stalls, and a
+bounded-variable ratio test with bound flips.  Otherwise the cost of
+each nonbasic that prices in is shifted until its reduced cost is zero,
+which makes the start dual feasible; a bounded dual simplex brings the
+basics within their bounds, the costs are restored, and the primal
+simplex finishes (Koberstein, *The dual simplex method*, 2005).
 
 B^{-1}, the basic values and the reduced costs are re-derived from the
 original data at regular intervals and before any claim of optimality;
 a returned optimum is checked for feasibility and optimality on values
 re-derived at its basis, independently of the (possibly drifted)
-updates.  A phase-1 leftover below the emptiness cut can still put a
-basic beyond that check once B^{-1} carries it; a bounded dual simplex
-then repairs the basics, or stops on a row whose basic no point inside
-the other bounds brings within the check's tolerance, and the LP is
-infeasible.  A warm solve reports infeasibility only when a Farkas row,
-recomputed from the original data, shows that no point inside the
-bounds satisfies the rows, and it keeps the basis that holds that row
-as a start for the next solve.  Anything else -- a start that is
-singular (or ill-conditioned) or of another shape, an unbounded
-relaxation, the iteration cap, a failed check, an unconfirmed Farkas
-row -- sends the LP to a cold solve.
+updates, and basics the check finds outside their bounds go through
+the dual simplex again.  The dual simplex stops on a row whose basic no
+point inside the other bounds brings back within its bounds; the LP is
+infeasible when that Farkas row, recomputed from the original data,
+shows that no point inside the bounds satisfies the rows, and the basis
+that holds the row is kept as a start for the next solve.  A held start
+that fails -- a singular (or ill-conditioned) factor or refactor, the
+iteration cap, an unbounded primal, a failed check, an unconfirmed
+Farkas row -- sends the LP to the slack basis once.
 
 Integer restrictions are handled by best-bound branch and bound on the
 LP relaxation with most-fractional branching.  When every variable is
@@ -104,8 +103,8 @@ class MilpProblem:
 @dataclass(frozen=True)
 class Basis:
     """A simplex basis over the solver's columns (the variables, then
-    one slack and one artificial per row): the basic column of each row
-    and every column's status (at lower, at upper, basic or free)."""
+    one slack per row): the basic column of each row and every column's
+    status (at lower, at upper, basic or free)."""
 
     basic: np.ndarray           # int, one per row
     status: np.ndarray          # int8, one per column
@@ -117,10 +116,11 @@ class LpSolution:
     x: np.ndarray | None
     objective: float | None
     iterations: int
-    # the optimal basis when OPTIMAL; on a warm INFEASIBLE, the basis
-    # whose Farkas row proved the LP empty
+    # the optimal basis when OPTIMAL; on INFEASIBLE, the basis whose
+    # Farkas row proved the LP empty
     basis: Basis | None = None
-    warm: bool = False          # answered from a start, without going cold
+    # answered from the held start, without falling back to the slack basis
+    warm: bool = False
 
 
 @dataclass
@@ -134,7 +134,8 @@ class MilpSolution:
     # after the objective changes or rows or columns are appended (see
     # ``solve_milp``)
     root_basis: Basis | None = None
-    # the root relaxation was re-solved from ``start`` and never went cold
+    # the root relaxation was answered from ``start``, without falling
+    # back to the slack basis
     warm_root: bool = False
 
 
@@ -209,9 +210,9 @@ class ProblemBuilder:
 
 
 # ---------------------------------------------------------------------------
-# Bounded-variable revised simplex on an explicit basis inverse: cold
-# two-phase primal; warm primal, or bounded dual followed by primal, after
-# a primal pass over a relaxation when the start is neither feasible
+# Bounded-variable revised simplex on an explicit basis inverse, from a
+# held basis or the slack basis: primal, or a bounded dual under shifted
+# costs followed by primal
 
 _AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
 # By status: may a nonbasic column rise from its value, or fall?
@@ -219,9 +220,9 @@ _MAY_RISE = np.array([True, False, False, True])
 _MAY_FALL = np.array([False, True, False, True])
 
 # How far a value may lie outside its bounds: a basic in the dual
-# simplex and in the test that sends a warm start to it, and (times
-# 1 + max|b|) a returned solution.  Phase 1's emptiness cut is a
-# fraction of it.
+# simplex and in the test that sends a start to it, and (times
+# 1 + max|b|) a returned solution.  The cut of ``_farkas_confirms`` is
+# a fraction of it.
 _TOL_FEAS = 1e-7
 # A relaxation value this close to an integer counts as integral, and a
 # bound this far above one rounds down to it (see ``_branch_and_bound``).
@@ -236,7 +237,8 @@ _TOL_COST = 1e-9
 # the ratio tests and in a Farkas row.
 _TOL_PIVOT = 1e-9
 # Pivots one simplex run may make, dual and primal together, before it
-# ends with ITERATION_LIMIT (a warm run that reaches it goes cold).
+# ends with ITERATION_LIMIT (a held start that reaches it falls back to
+# the slack basis).
 _MAX_PIVOTS = 50_000
 # Branch-and-bound nodes one MILP may expand before ITERATION_LIMIT.
 _MAX_NODES = 100_000
@@ -250,21 +252,23 @@ _RATIO_TIE = 1e-9
 # them in a row switch to Bland's rule so that the loop cannot cycle.
 _DEGENERATE_STEP = 1e-12
 _BLAND_AFTER = 80
-# A feasible problem drives the phase-1 artificial sum to roundoff level
-# (~1e-13 at these scales); a leftover above this fraction of _TOL_FEAS
-# (times 1 + max|b|) is a genuinely empty feasible region, even when it
-# would pass the looser per-variable tolerance applied to returned
-# solutions.  A row with a coefficient below 1 has its leftover counted
-# in units of its smallest one: phase 2 may absorb the leftover in any
-# variable of the row, and the check of a returned basis bounds how far
-# that variable moves, not the row residual.
-_PHASE1_EMPTY = 1e-2
+# ``_farkas_confirms`` takes a Farkas row as proof that the LP is empty
+# only when every point inside the bounds leaves rows unmet by more, in
+# total, than this fraction of _TOL_FEAS (times 1 + max|b|): a feasible
+# problem is met to roundoff level (~1e-13 at these scales), and an
+# empty one may miss by less than the per-variable tolerance of a
+# returned solution.  A row
+# with a coefficient below 1 counts its residual in units of its
+# smallest one: a solve may absorb the residual in any variable of the
+# row, and the check of a returned basis bounds how far that variable
+# moves, not the row residual.
+_FARKAS_EMPTY = 1e-2
 # A basis whose 1-norm condition estimate ||B|| ||B^{-1}|| exceeds this is
 # singular: np.linalg.inv raises only on an exactly zero pivot and leaves
 # entries near 1e16 for a column held twice.  Bases of the test suite and
 # the benchmark stay below 1e6.
 _MAX_CONDITION = 1e12
-# Largest column block [A I I] (8m(n+2m) bytes, more than B^{-1}) that a
+# Largest column block [A I] (8m(n+m) bytes, no less than B^{-1}) that a
 # problem may need; a larger one is refused before it is allocated.
 _MAX_DENSE_BYTES = 1 << 30
 
@@ -272,7 +276,7 @@ _MAX_DENSE_BYTES = 1 << 30
 def _check_size(m: int, n: int) -> None:
     """Refuse a problem of m rows and n variables whose dense solver
     arrays would exceed ``_MAX_DENSE_BYTES``."""
-    size = 8 * m * (n + 2 * m)
+    size = 8 * m * (n + m)
     if size > _MAX_DENSE_BYTES:
         raise ProblemTooLargeError(
             f"a problem of {m} rows and {n} variables needs "
@@ -281,9 +285,10 @@ def _check_size(m: int, n: int) -> None:
 
 
 def _row_scale(A: np.ndarray) -> np.ndarray:
-    """Per row, the unit of its phase-1 leftover: min(1, its smallest
-    |coefficient| above ``_TOL_PIVOT``).  The ratio tests read smaller
-    ones as zero, and dividing by one would overflow."""
+    """Per row, the unit of its residual in a Farkas confirmation:
+    min(1, its smallest |coefficient| above ``_TOL_PIVOT``).  The ratio
+    tests read smaller ones as zero, and dividing by one would
+    overflow."""
     size = np.abs(A)
     return np.where(size > _TOL_PIVOT, size, 1.0).min(axis=1, initial=1.0)
 
@@ -291,8 +296,8 @@ def _row_scale(A: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Factor:
     """B^{-1} and the reduced costs of the problem's objective at one
-    basis, derived from the original data.  Several warm solves may
-    start from one factor; each pivots on its own copy."""
+    basis, derived from the original data.  Several solves may start
+    from one factor; each pivots on its own copy."""
 
     binv: np.ndarray
     d: np.ndarray
@@ -306,8 +311,9 @@ def _invert(A_all: np.ndarray, basic: np.ndarray,
         binv = np.linalg.inv(B)
     except np.linalg.LinAlgError as exc:
         raise SolverFailureError(f"singular simplex basis: {exc}") from exc
-    condition = (np.abs(B).sum(axis=0).max(initial=0.0)
-                 * np.abs(binv).sum(axis=0).max(initial=0.0))
+    with np.errstate(over="ignore"):    # an overflow reads as singular
+        condition = (np.abs(B).sum(axis=0).max(initial=0.0)
+                     * np.abs(binv).sum(axis=0).max(initial=0.0))
     if not condition <= _MAX_CONDITION:
         raise SolverFailureError(
             f"numerically singular simplex basis (condition {condition:.3g})")
@@ -315,11 +321,9 @@ def _invert(A_all: np.ndarray, basic: np.ndarray,
 
 
 class _Columns:
-    """The columns that every LP of one problem shares: the variables,
-    then one slack per row ('<=' slack in [0, inf), '>=' slack in
-    (-inf, 0], '==' slack fixed at 0), then one artificial per row.
-    Here the artificials are the identity, fixed at zero as in every
-    warm solve; a cold solve signs and frees them for phase 1."""
+    """The columns that every LP of one problem shares, [A I]: the
+    variables, then one slack per row ('<=' slack in [0, inf), '>='
+    slack in (-inf, 0], '==' slack fixed at 0)."""
 
     def __init__(self, c: np.ndarray, A: np.ndarray, b: np.ndarray,
                  senses: np.ndarray):
@@ -327,23 +331,19 @@ class _Columns:
         _check_size(m, n)
         self.m, self.n = m, n
         self.A = A
-        self.A_all = np.hstack([A, np.eye(m), np.eye(m)])
+        self.A_all = np.hstack([A, np.eye(m)])
         self.b = b
-        self.cost = np.concatenate([c, np.zeros(2 * m)])
-        # bounds of the slacks, then of the artificials (fixed at zero)
-        zero = np.zeros(m)
-        self.tail_lo = np.concatenate([np.where(senses == 1, -np.inf, 0.0),
-                                       zero])
-        self.tail_up = np.concatenate([np.where(senses == -1, np.inf, 0.0),
-                                       zero])
+        self.cost = np.concatenate([c, np.zeros(m)])
+        self.slack_lo = np.where(senses == 1, -np.inf, 0.0)
+        self.slack_up = np.where(senses == -1, np.inf, 0.0)
         self.row_scale = _row_scale(A)
         self.check_tol = _check_tol(b)
 
     def bounds(self, lo: np.ndarray,
                up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bounds of every column, given those of the variables."""
-        return (np.concatenate([lo, self.tail_lo]),
-                np.concatenate([up, self.tail_up]))
+        return (np.concatenate([lo, self.slack_lo]),
+                np.concatenate([up, self.slack_up]))
 
     def factor(self, basis: Basis) -> _Factor | None:
         """The factor at ``basis``, a basis over these columns (see
@@ -353,77 +353,43 @@ class _Columns:
         except SolverFailureError:
             return None
 
+    def slack_start(self) -> tuple[Basis, _Factor]:
+        """The slack basis, B = I, and its factor: B^{-1} = I, and as
+        the slacks cost nothing, the reduced costs are the costs."""
+        n, m = self.n, self.m
+        status = np.full(n + m, _AT_LOWER, dtype=np.int8)
+        status[n:] = _BASIC
+        return (Basis(np.arange(n, n + m), status),
+                _Factor(np.eye(m), self.cost))
+
 
 class _Simplex:
-    """One LP solve of min cc'x over the shared columns, with the basis
-    inverse ``Binv`` kept explicitly: an entering column is Binv a_j, a
-    pivot row is Binv[r] A_all, and a pivot is a rank-1 update of Binv
-    and of the reduced-cost row d.
-
-    Without ``factor`` the solve is cold: each artificial takes the sign
-    of its row's residual at the starting values, the artificials form
-    the phase-1 identity basis, and cc is their sum; when every residual
-    is zero, the slacks form the basis instead, which is already
-    phase-1 optimal.  With ``factor`` (taken at ``start``) it is warm:
-    the artificials stay fixed at zero, the solve pivots on its own copy
-    of the factor, and every nonbasic column rests at the bound its
-    status names (see ``_warm_solve``).
+    """One LP solve of min cc'x over the shared columns from ``start``
+    and its ``factor``, with the basis inverse ``Binv`` kept explicitly:
+    an entering column is Binv a_j, a pivot row is Binv[r] A_all, and a
+    pivot is a rank-1 update of Binv and of the reduced-cost row d.  The
+    solve pivots on its own copy of the factor, and every nonbasic
+    column rests at the bound its status names.  ``cc`` is the
+    problem's cost, shifted by ``_finish`` while the dual simplex runs.
 
     ``derived`` holds while xB and d are as re-derived from the original
     data at the current basis: ``_refactor`` and ``_rederive`` set it,
     and every pivot, bound flip or move of the nonbasics clears it."""
 
     def __init__(self, cols: _Columns, lo: np.ndarray, up: np.ndarray,
-                 start: Basis | None = None, factor: _Factor | None = None):
-        m, n = cols.m, cols.n
-        self.m, self.n, self.N = m, n, n + 2 * m
-        self.b = cols.b
+                 start: Basis, factor: _Factor):
+        self.m, self.n, self.N = cols.m, cols.n, cols.n + cols.m
+        self.A, self.A_all, self.b = cols.A, cols.A_all, cols.b
+        self.cc = cols.cost
         self.row_scale = cols.row_scale
         self.check_tol = cols.check_tol
-        self.A = cols.A
         self.lo, self.up = cols.bounds(lo, up)
         self.movable = self.up > self.lo    # fixed columns never enter
         self.iterations = 0
-        if factor is not None:
-            self.A_all = cols.A_all
-            self.sigma = np.ones(m)
-            self.cc = cols.cost
-            self.basis = start.basic.astype(np.intp)
-            self.Binv = factor.binv.copy()
-            self.d = factor.d.copy()
-            self._rest_nonbasics(start.status)
-            return
-        # start every non-artificial variable at a finite bound
-        k = n + m
-        lo_x, up_x = self.lo[:k], self.up[:k]
-        val = np.where(np.isfinite(lo_x), lo_x,
-                       np.where(np.isfinite(up_x), up_x, 0.0))
-        stat = np.where(np.isfinite(lo_x), _AT_LOWER,
-                        np.where(np.isfinite(up_x), _AT_UPPER, _FREE))
-        residual = self.b - cols.A_all[:, :k] @ val
-        sigma = np.where(residual >= 0, 1.0, -1.0)
-        self.sigma = sigma
-        self.A_all = cols.A_all.copy()
-        self.A_all[:, k:] *= sigma
-        self.up[k:] = np.inf
-        self.movable[k:] = True
-        self.val = np.concatenate([val, np.zeros(m)])
-        self.cc = np.concatenate([np.zeros(k), np.ones(m)])
-        if residual.any():
-            self.basis = np.arange(k, n + 2 * m)
-            self.Binv = np.diag(sigma)               # B = diag(sigma)
-            self.d = self.cc - sigma @ self.A_all    # y = 1'B^{-1} = sigma
-        else:
-            # the start lies on every row, so the phase-1 objective is
-            # already zero: the slacks, all zero, form the basis instead
-            # of artificials that phase 1 could only pivot out in place
-            self.basis = np.arange(n, k)
-            self.Binv = np.eye(m)
-            self.d = self.cc.copy()                  # y = 0
-        self.stat = np.concatenate([stat, np.full(m, _AT_LOWER)])
-        self.stat[self.basis] = _BASIC
-        self.xB = sigma * residual
-        self.derived = True
+        self.basis = start.basic.astype(np.intp)
+        self.Binv = factor.binv.copy()
+        self.d = factor.d.copy()
+        self._rest_nonbasics(start.status)
 
     def _rest_nonbasics(self, status: np.ndarray) -> None:
         """Rest each nonbasic at the bound ``status`` names, or at a
@@ -479,15 +445,9 @@ class _Simplex:
     # -- pivoting loops ----------------------------------------------------
 
     def _pivot_row(self, r: int) -> np.ndarray:
-        """Row r of B^{-1} A_all, from the blocks [A I S] of A_all (S the
-        diagonal of artificial signs, the identity on a warm solve)."""
+        """Row r of B^{-1} A_all, from the blocks [A I] of A_all."""
         v = self.Binv[r]
-        n, k = self.n, self.n + self.m
-        row = np.empty(self.N)
-        row[:n] = v @ self.A
-        row[n:k] = v
-        np.multiply(v, self.sigma, out=row[k:])
-        return row
+        return np.concatenate([v @ self.A, v])
 
     def pricing_tol(self) -> float:
         return _TOL_COST * (1.0 + np.abs(self.cc).max(initial=0.0))
@@ -674,59 +634,17 @@ class _Simplex:
                 since_refactor = 0
 
 
-def _phase1_cut(b: np.ndarray) -> float:
-    """The leftover above which phase 1 calls the rows A x ~ b empty."""
-    return _PHASE1_EMPTY * _TOL_FEAS * (1.0 + np.abs(b).max(initial=0.0))
-
-
 def _simplex_solve(cols: _Columns, lo: np.ndarray,
                    up: np.ndarray) -> LpSolution:
-    """Cold solve: phase 1 from the artificial identity, then phase 2."""
+    """Solve from the slack basis by ``_finish``.  With no start left to
+    fall back to, a solve that fails raises."""
     if np.any(lo > up):
         return LpSolution(SolveStatus.INFEASIBLE, None, None, 0)
-    sx = _Simplex(cols, lo, up)
-    n, m = sx.n, sx.m
-
-    # phase 1: minimize the artificial sum, which is bounded below: a
-    # column that no row blocks moves each basic artificial by at most
-    # _TOL_PIVOT per unit, so phase 1 leaves it where it rests
-    status = sx.iterate()
-    while status == SolveStatus.UNBOUNDED:
-        sx.movable[sx.ray] = False
-        status = sx.iterate()
-    if status == SolveStatus.ITERATION_LIMIT:
-        return LpSolution(status, None, None, sx.iterations)
-    leftover = np.abs(sx.assemble()[n + m:]) / sx.row_scale
-    if leftover.sum() > _phase1_cut(sx.b):
-        return LpSolution(SolveStatus.INFEASIBLE, None, None, sx.iterations)
-
-    # phase 2: clamp artificials to zero and minimize the real objective
-    sx.lo[n + m:] = 0.0
-    sx.up[n + m:] = 0.0
-    sx.movable = sx.up > sx.lo
-    sx.val[n + m:] = 0.0
-    sx.cc = cols.cost
-    sx._refactor()
-    for _attempt in range(3):
-        status = sx.iterate()
-        if status != SolveStatus.OPTIMAL:
-            x = sx.assemble()[:n] if status == SolveStatus.ITERATION_LIMIT else None
-            obj = float(cols.cost[:n] @ x) if x is not None else None
-            return LpSolution(status, x, obj, sx.iterations)
-        if _verified_optimum(sx):
-            return _optimal(sx)
-        # A leftover below the cut, once the artificials are zero,
-        # reaches the basics through B^{-1}, which can magnify it past
-        # the check's tolerance.  The dual simplex repairs them, or stops
-        # on a row whose basic cannot come within that tolerance of its
-        # bounds: then no point passes the check.
-        status, r = sx.dual_iterate()
-        if (status == SolveStatus.INFEASIBLE
-                and _farkas_gap(sx, r)[1] > sx.check_tol):
-            return LpSolution(SolveStatus.INFEASIBLE, None, None,
-                              sx.iterations)
-        sx._refactor()
-    raise SolverFailureError("simplex solution failed numerical verification")
+    sol = _finish(_Simplex(cols, lo, up, *cols.slack_start()), held=False)
+    if sol is None:
+        raise SolverFailureError(
+            "simplex solution failed numerical verification")
+    return sol
 
 
 def _warm_solve(cols: _Columns, lo: np.ndarray, up: np.ndarray, start: Basis,
@@ -734,53 +652,60 @@ def _warm_solve(cols: _Columns, lo: np.ndarray, up: np.ndarray, start: Basis,
     """Re-solve from ``start``, a basis over these columns and rows
     under other bounds or another objective (grown by ``_grown`` when
     it came from a smaller problem), whose factor is ``factor`` (None
-    when it is singular), by ``_warm_finish``.  A
-    start it cannot finish, and every other failure, go to
-    ``_simplex_solve``, whose pivots are added to the warm attempt's."""
+    when it is singular), by ``_finish``.  A start that fails, or ends
+    UNBOUNDED or ITERATION_LIMIT, goes to ``_simplex_solve``, whose
+    pivots are added to the held start's."""
     if np.any(lo > up):
         return LpSolution(SolveStatus.INFEASIBLE, None, None, 0)
-    sx = None
+    pivots = 0
     if factor is not None:
+        sx = _Simplex(cols, lo, up, start, factor)
         try:
-            sx = _Simplex(cols, lo, up, start=start, factor=factor)
-            sol = _warm_finish(sx)
+            sol = _finish(sx, held=True)
         except SolverFailureError:      # singular basis at a refactor
             sol = None
-        if sol is not None:
+        if sol is not None and sol.status in (SolveStatus.OPTIMAL,
+                                              SolveStatus.INFEASIBLE):
             sol.warm = True
             return sol
+        pivots = sx.iterations
     sol = _simplex_solve(cols, lo, up)
-    if sx is not None:
-        sol.iterations += sx.iterations
+    sol.iterations += pivots
     return sol
 
 
-def _warm_finish(sx: _Simplex) -> LpSolution | None:
-    """Finish a warm solve whose nonbasics rest at the start's statuses
-    (see the module notes), or return None for a cold solve to answer.
-    A start neither primal nor dual feasible first becomes dual
-    feasible: the basics outside their bounds are freed, the primal loop
-    optimizes that relaxation (a free basic never limits a step, so it
-    stays basic), and their bounds are restored.  A warm INFEASIBLE
-    keeps the basis that holds its Farkas row."""
-    outside = _outside(sx)
-    if outside.any() and _verified_candidates(sx).any():
-        freed = sx.basis[outside]
-        bounds = sx.lo[freed], sx.up[freed]
-        sx.lo[freed], sx.up[freed] = -np.inf, np.inf
-        if sx.iterate() != SolveStatus.OPTIMAL:
-            return None
-        sx.lo[freed], sx.up[freed] = bounds
-        outside = _outside(sx)
-    if outside.any():
-        status, r = sx.dual_iterate()
-        if status == SolveStatus.INFEASIBLE and _farkas_confirms(sx, r):
-            return LpSolution(SolveStatus.INFEASIBLE, None, None,
-                              sx.iterations, _basis(sx))
+def _finish(sx: _Simplex, held: bool) -> LpSolution | None:
+    """Finish a solve whose nonbasics rest at the start's statuses (see
+    the module notes).  Basics outside their bounds go through the dual
+    simplex first, under costs shifted until no nonbasic prices in, and
+    the costs are restored before the primal simplex; a basic that the
+    check of a claimed optimum finds outside its bounds sends the solve
+    round again, up to three rounds.  INFEASIBLE needs a Farkas row
+    that proves it (``_farkas_confirms``) and keeps the basis that holds
+    the row.  UNBOUNDED and ITERATION_LIMIT are returned as they are;
+    None when the Farkas row proves nothing or no round passes the
+    check."""
+    for _round in range(3):
+        if _outside(sx).any():
+            cost = sx.cc
+            shift = np.where(sx._candidates(sx.pricing_tol()), sx.d, 0.0)
+            sx.cc, sx.d = cost - shift, sx.d - shift
+            status, r = sx.dual_iterate()
+            sx.cc = cost
+            if status == SolveStatus.INFEASIBLE:
+                if not _farkas_confirms(sx, r, held):
+                    return None
+                return LpSolution(status, None, None, sx.iterations,
+                                  _basis(sx))
+            if status != SolveStatus.OPTIMAL:
+                return LpSolution(status, None, None, sx.iterations)
+            if shift.any():             # reduced costs of the restored costs
+                sx._rederive()
+        status = sx.iterate()
         if status != SolveStatus.OPTIMAL:
-            return None
-    if sx.iterate() == SolveStatus.OPTIMAL and _verified_optimum(sx):
-        return _optimal(sx)
+            return LpSolution(status, None, None, sx.iterations)
+        if _verified_optimum(sx):
+            return _optimal(sx)
     return None
 
 
@@ -834,15 +759,19 @@ def _farkas_gap(sx: _Simplex, r: int) -> tuple[np.ndarray, float]:
     B'y = e_r, and how far y'b lies outside the range of alpha'x over
     the bounds, where alpha = y'A_all with entries of magnitude at most
     _TOL_PIVOT taken as zero (negative when inside; -inf when B is
-    singular).  alpha is 1 at the basic of row r, so the gap is how far
-    that basic must leave its bounds while every other column keeps
-    to its own."""
+    singular).  Roundoff in a large y leaves residues where y is zero,
+    and through a column with an infinite bound any residue hides the
+    gap; so entries of y below machine precision times max|y|, which
+    the solve cannot tell from zero, are zero.  alpha is 1 at the basic
+    of row r, so the gap is how far that basic must leave its bounds
+    while every other column keeps to its own."""
     e_r = np.zeros(sx.m)
     e_r[r] = 1.0
     try:
         y = np.linalg.solve(sx.A_all[:, sx.basis].T, e_r)
     except np.linalg.LinAlgError:
         return e_r, -np.inf
+    y[np.abs(y) <= np.finfo(float).eps * np.abs(y).max()] = 0.0
     alpha = y @ sx.A_all
     alpha[np.abs(alpha) <= _TOL_PIVOT] = 0.0
     pos, neg = alpha > 0, alpha < 0
@@ -852,16 +781,25 @@ def _farkas_gap(sx: _Simplex, r: int) -> tuple[np.ndarray, float]:
     return y, float(max(low - rhs, rhs - high))
 
 
-def _farkas_confirms(sx: _Simplex, r: int) -> bool:
-    """Whether row r of the basis proves the LP empty to a warm solve:
-    its gap (``_farkas_gap``) exceeds the phase-1 emptiness cut times
-    max_i |y_i| s_i, where s_i is row i's scale in the phase-1
-    leftover.  Since |y'(b - A_all x)| <= max_i |y_i| s_i * sum_i
-    |b - A_all x|_i / s_i, every point inside the bounds then leaves a
-    scaled leftover above the cut at which a cold phase 1 reports the
-    LP empty."""
+def _farkas_cut(b: np.ndarray) -> float:
+    """The scaled residual above which a Farkas row proves the LP empty
+    (see ``_farkas_confirms``)."""
+    return _FARKAS_EMPTY * _TOL_FEAS * (1.0 + np.abs(b).max(initial=0.0))
+
+
+def _farkas_confirms(sx: _Simplex, r: int, held: bool) -> bool:
+    """Whether row r of the basis proves the LP empty: its gap
+    (``_farkas_gap``) exceeds the cut of ``_farkas_cut`` times
+    max_i |y_i| s_i, where s_i is row i's residual scale
+    (``_row_scale``).  Since |y'(b - A_all x)| <= max_i |y_i| s_i *
+    sum_i |b - A_all x|_i / s_i, every point inside the bounds then
+    misses the rows by a scaled residual above the cut.  Unless the
+    start was ``held``, a gap beyond the check tolerance proves it too:
+    no point then passes the check of a returned solution, and the
+    slack basis has no fallback left."""
     y, gap = _farkas_gap(sx, r)
-    return bool(gap > _phase1_cut(sx.b) * np.abs(y * sx.row_scale).max())
+    return bool(gap > _farkas_cut(sx.b) * np.abs(y * sx.row_scale).max()
+                or not held and gap > sx.check_tol)
 
 
 def _prepare(problem: MilpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -874,8 +812,8 @@ def _prepare(problem: MilpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
 def _solve_from(cols: _Columns, lo: np.ndarray, up: np.ndarray,
                 start: Basis | None) -> LpSolution:
-    """A cold solve, or a warm one from ``start`` grown to these columns
-    and rows (``_grown``) when it is given and fits."""
+    """A solve from ``start`` grown to these columns and rows
+    (``_grown``) when it is given and fits, else from the slack basis."""
     if start is not None:
         start = _grown(start, cols.n, cols.m)
     if start is None:
@@ -888,26 +826,22 @@ def _grown(basis: Basis, n: int, m: int) -> Basis | None:
     columns and rows of one with n columns and m rows, grown to that
     one: each appended column is nonbasic at its status default (at
     lower; ``_rest_nonbasics`` picks a finite bound), each appended
-    row's slack is basic and its artificial rests at zero, and the old
-    slacks and artificials shift to their new indices.  None when
-    ``basis`` has more columns or more rows.  The new rows' duals are
-    zero, so the old columns' reduced costs stay as they were; the new
-    slacks may lie outside their bounds and the new columns may price
-    in, and ``_warm_finish`` repairs either."""
+    row's slack is basic, and the old slacks shift to their new
+    indices.  None when ``basis`` has more columns or more rows.  The
+    new rows' duals are zero, so the old columns' reduced costs stay as
+    they were; the new slacks may lie outside their bounds and the new
+    columns may price in, and ``_finish`` repairs either."""
     m0 = basis.basic.size
-    n0 = basis.status.size - 2 * m0
+    n0 = basis.status.size - m0
     if not (0 <= n0 <= n and m0 <= m):
         return None
     dn, dm = n - n0, m - m0
     if not (dn or dm):
         return basis
-    basic = (basis.basic + dn * (basis.basic >= n0)
-             + dm * (basis.basic >= n0 + m0))
-    status = np.concatenate([
-        basis.status[:n0], np.full(dn, _AT_LOWER),
-        basis.status[n0:n0 + m0], np.full(dm, _BASIC),
-        basis.status[n0 + m0:], np.full(dm, _AT_LOWER)])
-    return Basis(np.concatenate([basic, n + m0 + np.arange(dm)]),
+    status = np.concatenate([basis.status[:n0], np.full(dn, _AT_LOWER),
+                             basis.status[n0:], np.full(dm, _BASIC)])
+    return Basis(np.concatenate([basis.basic + dn * (basis.basic >= n0),
+                                 n + m0 + np.arange(dm)]),
                  status.astype(np.int8))
 
 
@@ -920,9 +854,9 @@ def solve_lp(problem: MilpProblem, start: Basis | None = None) -> LpSolution:
     columns or rows appended since; coefficients that changed cost only
     pivots.  It is grown to this problem (``_grown``) and the LP is
     re-solved from it by ``_warm_solve``.  A start with more columns or
-    more rows is ignored; without one, or when the warm solve cannot
-    use it, the LP is solved cold.  ``warm`` tells whether the answer
-    came from ``start``."""
+    more rows is ignored; without one, or when the solve from it fails,
+    the LP is solved from the slack basis.  ``warm`` tells whether the
+    answer came from ``start``."""
     cols = _Columns(*_prepare(problem))
     sol = _solve_from(cols, np.asarray(problem.lower, dtype=float),
                       np.asarray(problem.upper, dtype=float), start)
@@ -970,15 +904,15 @@ def _branch_and_bound(problem: MilpProblem,
     objective value is an integer, so a bound b prunes a node once
     ceil(b - _TOL_INT) reaches the incumbent.
 
-    Every LP but a cold root is a ``_warm_solve``.  The root starts
-    cold unless ``start`` is given and fits (see ``solve_milp``).  Each
-    heap node keeps the optimal basis of its relaxation (basic indices
-    and column statuses), and its children and its polish LP start
-    from it: only bounds differ, so the basis stays dual feasible and a
-    bounded dual simplex repairs it, usually in a few pivots.  The columns, slack
-    bounds and costs are built once per problem, and a popped node's
-    basis is factored once (B^{-1} and reduced costs), each child
-    pivoting on its own copy.
+    The root starts from ``start`` when it is given and fits (see
+    ``solve_milp``), else from the slack basis.  Each heap node keeps
+    the optimal basis of its relaxation (basic indices and column
+    statuses), and its children and its polish LP start from it
+    (``_warm_solve``): only bounds differ, so the basis stays dual
+    feasible and the bounded dual simplex repairs it, usually in a few
+    pivots.  The columns, slack bounds and costs are built once per
+    problem, and a popped node's basis is factored once (B^{-1} and
+    reduced costs), each child pivoting on its own copy.
     """
     cols = _Columns(*_prepare(problem))
     int_idx = np.nonzero(problem.integer)[0]

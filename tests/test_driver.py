@@ -130,9 +130,10 @@ def test_screen_settles_rounds_on_a_forest():
     ens = train_random_forest(data, 20, max_depth=3, seed=0)
     outcome = certified_prune(ens, data.X[:4], PruneOptions(norm="l0"))
     screened = [r.index for r in outcome.history if r.screened]
-    assert screened == [1, 2]
-    assert outcome.iterations == 3
-    assert outcome.n_oracle == 2
+    # the screen settles at least one round, never the last, and every
+    # round it leaves solves both pairs' MIPs
+    assert screened and outcome.iterations not in screened
+    assert outcome.n_oracle == 2 * (outcome.iterations - len(screened))
     assert not certify(ens, outcome.weights, epsilon=1e-6).disagreement_cells
 
 
@@ -146,6 +147,13 @@ def test_tied_seed_row_is_an_error_under_both_norms():
 
 
 def test_outcome_is_deterministic():
+    """Two runs give the same weights, support and history.  That holds
+    only at a fixed BLAS thread count, which changes the roundoff of
+    the solver's linear algebra: the 11-tree depth-3 forest on
+    ``make_synthetic("linear", 120, 0, num_features=8)`` under ``l1``,
+    all rows as seeds, certifies in 4 rounds with one thread and in 3
+    with two on a 2-vCPU Xeon machine, keeping the same 11 trees.  The
+    benchmark pins one thread."""
     ens = random_stump_ensemble(1008)
     a = certified_prune(ens, seed_points(ens), PruneOptions(norm="l0"))
     b = certified_prune(ens, seed_points(ens), PruneOptions(norm="l0"))
@@ -344,10 +352,39 @@ def test_l1_prices_at_the_scale_of_a_large_objective():
     assert certify(ens, outcome.weights, DEFAULT_EPSILON).identical
 
 
+@pytest.mark.parametrize("norm", ["l0", "l1"])
+def test_a_tree_weighted_1e8_certifies(norm):
+    # one categorical tree whose only seed cell wins by 1e-8, so both
+    # norms weigh it 1e8: a pair LP is empty, and the Farkas row that
+    # proves it carries multipliers near 1e9, whose roundoff left
+    # residues near 4e-9 on rows whose slacks are unbounded
+    ens = build_ensemble(
+        num_classes=4, features=[{"kind": "categorical", "levels": 2}],
+        weights=[0.1], raw_trees=[{"root": 0, "nodes": [
+            split(0, 0, 1, 2, category=0), leaf(1, 0, 0, 0, 1e-8),
+            split(2, 0, 3, 6, category=0), split(3, 0, 4, 5, category=0),
+            leaf(4, 0, 0, 1, 0), leaf(5, 0, 0, 0, 0),
+            split(6, 0, 7, 8, category=0), leaf(7, 0, 0, 0, 0),
+            leaf(8, 0, 0, 0, 0)]}])
+    outcome = certified_prune(ens, sample_uniform_points(ens.schema, 1, 0),
+                              PruneOptions(norm=norm))
+    assert outcome.weights.tolist() == pytest.approx([1e8])
+    assert certify(ens, outcome.weights, DEFAULT_EPSILON).identical
+
+
 # Subnormal leaf scores put coefficients near 1e-311 and 5e-324 into the
-# oracle's margin rows, where dividing a phase-1 leftover by the row's
-# smallest coefficient overflowed.  Every tree has weight 1.
+# oracle's margin rows, where dividing a row's residual by the row's
+# smallest coefficient overflowed.  In "overflowing_start" one of 1e-308
+# gives a pair's start a B^{-1} whose condition estimate overflows, which
+# must read as a singular start.  Every tree has weight 1.
 SUBNORMAL_DOCUMENTS = {
+    "overflowing_start": (4, [{"kind": "continuous"}], [
+        [split(0, 0, 1, 4, threshold=0.0),
+         split(1, 0, 2, 3, threshold=0.0), leaf(2, 0, 0, 0, 0),
+         leaf(3, 0, 0, 1.1125369292536007e-308, 0),
+         leaf(4, 0, 0, 0.5, 0)],
+        [split(0, 0, 1, 2, threshold=0.0), leaf(1, 0, 0, 1, 0),
+         leaf(2, 0, 1, 1, 0)]]),
     "three_classes": (3, [{"kind": "continuous"}], [
         [split(0, 0, 1, 2, threshold=0.0), leaf(1, 0, 0, 0),
          leaf(2, 0, 0.5, 0)],

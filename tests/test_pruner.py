@@ -581,9 +581,8 @@ def test_check_and_support_lps_resolve_round_after_round(monkeypatch):
     its first weight-sum LP are solved cold, in whatever step they fall.
     Every later one, within a call and across calls, starts from a held
     basis (a weight-sum LP from the last one's) and reaches a cold
-    solve's optimum; all but a few are answered warm (a start whose
-    relaxation is unbounded goes cold), and ``lps``/``warm_lps`` count
-    them.  Each ``l0`` support is as small as subset search finds."""
+    solve's optimum; all are answered warm, and ``lps``/``warm_lps``
+    count them.  Each ``l0`` support is as small as subset search finds."""
     lps = []                    # (kind, problem, start, solution, cold)
     cold_solves = []
     plain_lp = pruner.solve_lp
@@ -643,7 +642,7 @@ def test_check_and_support_lps_resolve_round_after_round(monkeypatch):
         checked += 1
     assert checked >= 30
     assert warm >= 150
-    assert fell_back <= warm // 50
+    assert fell_back == 0
 
 
 def test_checks_answered_without_an_lp_would_pass(monkeypatch):

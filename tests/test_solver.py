@@ -54,7 +54,7 @@ def test_contradictory_rows_infeasible():
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_rows_within_the_pivot_tolerance_are_infeasible(rows):
     # min w s.t. 1e-9 w >= 1, the row held once or more: the entries lie
-    # at the pivot tolerance, so phase 1 cannot move w and no row is met
+    # at the pivot tolerance, so no pivot can move w and no row is met
     problem = MilpProblem(c=np.ones(1), A=np.full((rows, 1), 1e-9),
                           senses=np.ones(rows, dtype=np.int8),
                           b=np.ones(rows), lower=np.zeros(1),
@@ -179,24 +179,49 @@ def test_random_lps_match_scipy():
         scipy_check(prob, sol)
 
 
-def test_a_start_on_every_row_skips_phase_1():
+@pytest.fixture
+def finishes(monkeypatch):
+    """Each ``_finish`` call: (the basis it starts from, whether that
+    basis was held, the pivots the dual simplex made in it, None when
+    the dual simplex never ran)."""
+    calls = []
+    finish = solver._finish
+    dual_iterate = solver._Simplex.dual_iterate
+
+    def recorded(sx, held):
+        calls.append((list(sx.basis), held, None))
+        return finish(sx, held)
+
+    def counted(sx):
+        before = sx.iterations
+        result = dual_iterate(sx)
+        basic, held, dual = calls[-1]
+        calls[-1] = (basic, held, (dual or 0) + sx.iterations - before)
+        return result
+
+    monkeypatch.setattr(solver, "_finish", recorded)
+    monkeypatch.setattr(solver._Simplex, "dual_iterate", counted)
+    return calls
+
+
+def test_a_cold_solve_starts_from_the_slack_basis(finishes):
     for seed in range(40):
         prob = random_lp(seed)
-        # the starting point, the lower bounds, lies on every row
-        at = prob.A @ prob.lower
-        prob = dataclasses.replace(prob, b=at)
         n, m = prob.num_vars, prob.num_rows
-        sx = solver._Simplex(solver._Columns(*solver._prepare(prob)),
-                             prob.lower, prob.upper)
-        assert list(sx.basis) == list(range(n, n + m))      # the slacks
-        assert sx.iterate() == SolveStatus.OPTIMAL and sx.iterations == 0
-        scipy_check(prob, solve_lp(prob))
-        # off one row, phase 1 starts from the artificials
-        off = dataclasses.replace(prob, b=at + (np.arange(m) == 0))
-        sx = solver._Simplex(solver._Columns(*solver._prepare(off)),
-                             off.lower, off.upper)
-        assert list(sx.basis) == list(range(n + m, n + 2 * m))
+        # the starting point, the lower bounds, lies on every row: every
+        # slack is zero, so the basics lie within their bounds and the
+        # primal simplex alone finishes
+        at = dataclasses.replace(prob, b=prob.A @ prob.lower)
+        finishes.clear()
+        scipy_check(at, solve_lp(at))
+        assert finishes == [(list(range(n, n + m)), False, None)]
+        # off one row: a '>=' or '==' row's slack lies outside its bounds
+        off = dataclasses.replace(at, b=at.b + (np.arange(m) == 0))
+        finishes.clear()
         scipy_check(off, solve_lp(off))
+        [(basic, held, dual)] = finishes
+        assert basic == list(range(n, n + m)) and not held
+        assert (dual is not None) == (prob.senses[0] != -1)
 
 
 def test_optimal_lp_solutions_are_row_feasible():
@@ -322,7 +347,8 @@ def warm_resolve(prob, start, lower, upper, factor=None):
 
 @pytest.fixture
 def cold_calls(monkeypatch):
-    """Counts the cold solves made from here on, fallbacks included."""
+    """Counts the cold solves, from the slack basis, made from here on,
+    fallbacks included."""
     calls = []
     cold = solver._simplex_solve
 
@@ -383,10 +409,10 @@ def test_unconfirmed_farkas_row_falls_back_to_cold(cold_calls):
     # x1 + y1 <= 1 and x1 + 1.001 y1 >= 1.0005 force y1 >= 0.5; with
     # upper(y1) lowered 5e-7 below that, the dual simplex stops on y1's
     # row, but its Farkas multipliers are about 1e3 while the rows miss
-    # by only 5e-10, below the cut at which a cold phase 1 calls an LP
-    # empty: it cannot confirm.  The second block, x2 + y2 <= 1 with
-    # lower(x2) raised by 2e-7, is empty beyond that cut, so the cold
-    # fallback finds the LP infeasible.
+    # by only 5e-10, below the cut at which a held start's Farkas row
+    # proves an LP empty: it cannot confirm.  The second block,
+    # x2 + y2 <= 1 with lower(x2) raised by 2e-7, is empty beyond that
+    # cut, so the fallback from the slack basis finds the LP infeasible.
     pb = ProblemBuilder()
     x1 = pb.add_var("x1", lo=0.0, up=10.0, obj=0.0)
     y1 = pb.add_var("y1", lo=0.0, up=10.0, obj=1.0)
@@ -413,7 +439,7 @@ def test_unconfirmed_farkas_row_falls_back_to_cold(cold_calls):
 def nearly_parallel_rows_lp():
     """min y1 s.t. x1 + y1 <= 1, x1 + 1.001 y1 >= 1.0005, x1 in [0, 10],
     y1 in [0, 0.5 - 5e-7]: the rows force y1 >= 0.5, but miss by only
-    5e-10, below the phase-1 cut."""
+    5e-10, below the cut of a held start's Farkas confirmation."""
     pb = ProblemBuilder()
     x1 = pb.add_var("x1", lo=0.0, up=10.0, obj=0.0)
     y1 = pb.add_var("y1", lo=0.0, up=0.5 - 5e-7, obj=1.0)
@@ -423,10 +449,11 @@ def nearly_parallel_rows_lp():
 
 
 def test_a_leftover_magnified_past_the_check_is_infeasible():
-    # Phase 1 leaves 5e-10 on the second row; with the artificials at
-    # zero, B^{-1} puts y1 5e-7 above its bound, past the tolerance of
-    # the returned-solution check.  Both entry points call it empty, as
-    # HiGHS does, instead of failing the check three times.
+    # The rows miss by only 5e-10, but B^{-1} magnifies that: meeting
+    # them puts y1 5e-7 above its bound, past the tolerance of the
+    # returned-solution check.  Both entry points call it empty on the
+    # dual simplex's Farkas row, as HiGHS does, instead of failing the
+    # check three times.
     prob = nearly_parallel_rows_lp()
     sol = solve_lp(prob)
     assert sol.status == SolveStatus.INFEASIBLE
@@ -437,6 +464,50 @@ def test_a_leftover_magnified_past_the_check_is_infeasible():
     room = dataclasses.replace(prob, upper=np.array([10.0, 0.5]))
     assert solve_lp(room).objective == pytest.approx(0.5, abs=1e-9)
     assert solve_milp(room).objective == pytest.approx(0.5, abs=1e-9)
+
+
+def test_a_farkas_row_with_large_multipliers_proves_emptiness():
+    # min 1e8 u  s.t.  1.5 u >= 1e-6 (twice), 1.50000001 u - one >= 1e-6,
+    # -1e8 u >= -1e-8, u in [0, 1], one fixed at 1: the third row needs
+    # u >= 0.67 and the last u <= 1e-16.  The dual simplex stops on the
+    # last row with multipliers near 7e7, whose roundoff leaves -3e-9 as
+    # the first row's multiplier; that row's slack is unbounded below,
+    # so the residue alone would hide the gap.  Both entry points prove
+    # the LP empty.
+    prob = MilpProblem(
+        c=np.array([1e8, 0.0]),
+        A=np.array([[1.5, 0.0], [1.5, 0.0], [1.50000001, -1.00000001],
+                    [-1e8, 0.0]]),
+        senses=np.ones(4, dtype=np.int8),
+        b=np.array([1e-6, 1e-6, 1e-6, -1e-8]), lower=np.array([0.0, 1.0]),
+        upper=np.array([1.0, 1.0]), integer=np.array([True, True]))
+    sol = solve_lp(prob)
+    assert sol.status == SolveStatus.INFEASIBLE
+    scipy_check(prob, sol)
+    assert solve_milp(prob).status == SolveStatus.INFEASIBLE
+
+
+def test_badly_scaled_lps_match_scipy():
+    # the random LPs above with rows scaled by 1e-4 to 1e4 and columns by
+    # 1e-3 to 1e3: a Farkas row from the slack basis often misses the
+    # rows by more than the cut of ``_farkas_confirms`` while its basic
+    # stays inside the check's tolerance, which grows with max|b|, and
+    # either proof makes the LP empty
+    empty = 0
+    for seed in range(9000, 9500):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        prob = random_lp(seed, n=n, m=m, anchored=bool(seed % 2))
+        rows = 10.0 ** rng.uniform(-4, 4, m)
+        cols = 10.0 ** rng.uniform(-3, 3, n)
+        prob = dataclasses.replace(
+            prob, A=prob.A * rows[:, None] * cols, b=prob.b * rows,
+            c=prob.c * cols, lower=prob.lower / cols,
+            upper=prob.upper / cols)
+        sol = solve_lp(prob)
+        scipy_check(prob, sol)
+        empty += sol.status == SolveStatus.INFEASIBLE
+    assert empty >= 100
 
 
 def small_row_lp(x_lower):
@@ -451,8 +522,8 @@ def small_row_lp(x_lower):
 
 def test_small_coefficient_row_just_out_of_reach_is_infeasible():
     # The row residual is only 3e-10, but absorbing it moves x or y by
-    # 3e-7, more than the check of a returned basis allows; phase 1 must
-    # call the LP empty rather than hand phase 2 a start it cannot repair.
+    # 3e-7, more than the check of a returned basis allows; the solve
+    # must call the LP empty rather than fail that check.
     prob = small_row_lp(1.0 + 3e-7)
     sol = solve_lp(prob)
     assert sol.status == SolveStatus.INFEASIBLE
@@ -469,9 +540,10 @@ def test_small_coefficient_row_just_in_reach_is_optimal():
 
 def test_mixed_coefficient_row_just_out_of_reach_is_infeasible():
     # min -y + z  s.t.  1e-3 x + 1e-3 y + z <= 1e-3,  x >= 1 + 5e-7: the
-    # row misses by 5e-10, which z could absorb by moving 5e-10 but phase
-    # 2 puts on y, 5e-7 below its bound.  Both verdicts count the
-    # leftover in units of the smallest coefficient, so the LP is empty.
+    # row misses by 5e-10, which z could absorb by moving 5e-10, but the
+    # simplex puts it on y, 5e-7 below its bound.  Counted in units of
+    # the smallest coefficient the miss passes the check's tolerance, so
+    # the LP is empty.
     pb = ProblemBuilder()
     x = pb.add_var("x", lo=1.0 + 5e-7, up=10.0)
     y = pb.add_var("y", lo=0.0, up=10.0, obj=-1.0)
@@ -588,11 +660,11 @@ def test_solve_lp_from_a_dual_infeasible_start_finishes_warm(cold_calls):
 
 
 def x_at_upper_lp():
-    """min -x  s.t.  x + y <= 4,  x in [0, 2],  y in [0, 10], and its
-    optimum: x at its upper bound 2, y the one basic at 2."""
+    """min -2x - y  s.t.  x + y <= 4,  x in [0, 2],  y in [0, 10], and
+    its unique optimum: x at its upper bound 2, y the one basic at 2."""
     pb = ProblemBuilder()
-    x = pb.add_var("x", lo=0.0, up=2.0, obj=-1.0)
-    y = pb.add_var("y", lo=0.0, up=10.0)
+    x = pb.add_var("x", lo=0.0, up=2.0, obj=-2.0)
+    y = pb.add_var("y", lo=0.0, up=10.0, obj=-1.0)
     pb.add_row([(x, 1.0), (y, 1.0)], "<=", 4.0)
     prob = pb.build()
     root = solve_lp(prob)
@@ -619,19 +691,21 @@ def test_solve_lp_from_a_start_neither_primal_nor_dual_feasible_finishes_warm(
     scipy_check(changed, sol)
 
 
-def test_an_unbounded_relaxation_falls_back_to_cold(cold_calls):
+def test_an_empty_lp_from_a_start_neither_feasible_finishes_warm(
+        cold_calls):
     # the start above under min y, x >= 0 without an upper bound and
     # y >= 5: x rests at 0 with a reduced cost of the wrong sign, and y
-    # at 4 lies below its bound.  Freed, y falls without limit as x
-    # rises, so the cold solve answers: the rows leave y at most 4
+    # at 4 lies below its bound.  With x's cost shifted, the dual
+    # simplex finds no column that raises y: the rows leave y at most 4,
+    # and y's row is the Farkas row that proves it
     prob, root = x_at_upper_lp()
     changed = dataclasses.replace(prob, c=np.array([0.0, 1.0]),
                                   lower=np.array([0.0, 5.0]),
                                   upper=np.array([np.inf, 10.0]))
     cold_calls.clear()
     sol = solve_lp(changed, start=root.basis)
-    assert len(cold_calls) == 1
-    assert not sol.warm and sol.status == SolveStatus.INFEASIBLE
+    assert cold_calls == []
+    assert sol.warm and sol.status == SolveStatus.INFEASIBLE
     scipy_check(changed, sol)
 
 
@@ -639,8 +713,8 @@ def test_changed_objective_and_last_row_resolve_warm_through_the_relaxation(
         cold_calls):
     # Like a pair of the oracle after the one before it: a new objective
     # and a new last row, which often cuts the start's point off.  Starts
-    # that are neither primal nor dual feasible go through the relaxation
-    # and finish warm; every answer matches the cold solve and linprog.
+    # that are neither primal nor dual feasible finish warm under
+    # shifted costs; every answer matches the cold solve and linprog.
     rng = np.random.default_rng(71)
     solved = relaxed = 0
     for seed in range(700, 1000):
@@ -745,7 +819,7 @@ def test_singular_start_basis_falls_back_to_cold(cold_calls):
     # the slack of row 0 twice, so B is exactly singular
     n, m = prob.num_vars, prob.num_rows
     basic = n + np.array([0, 0] + list(range(2, m)))
-    status = np.zeros(n + 2 * m, dtype=np.int8)
+    status = np.zeros(n + m, dtype=np.int8)
     status[basic] = solver._BASIC
     singular = solver.Basis(basic, status)
     cols = solver._Columns(*solver._prepare(prob))
@@ -1030,7 +1104,7 @@ def test_warm_root_from_a_singular_start_falls_back(cold_calls):
     prob = random_lp(400, anchored=True)
     n, m = prob.num_vars, prob.num_rows
     basic = n + np.array([0, 0] + list(range(2, m)))
-    status = np.zeros(n + 2 * m, dtype=np.int8)
+    status = np.zeros(n + m, dtype=np.int8)
     status[basic] = solver._BASIC
     cold_calls.clear()
     warm = warm_resolve(prob, solver.Basis(basic, status), prob.lower,
@@ -1076,7 +1150,7 @@ def test_numerically_singular_basis_is_not_factored():
     prob = random_lp(400)
     n, m = prob.num_vars, prob.num_rows
     cols = solver._Columns(*solver._prepare(prob))
-    status = np.zeros(n + 2 * m, dtype=np.int8)
+    status = np.zeros(n + m, dtype=np.int8)
     inverted = 0
     for first in itertools.permutations(range(n), m - 1):
         basic = np.array(first + (first[0],))
@@ -1090,7 +1164,7 @@ def test_numerically_singular_basis_is_not_factored():
 
 
 def test_oversized_problem_is_refused_before_allocating():
-    m = n = 20_000     # [A I I] alone would take 9.6 GB
+    m = n = 20_000     # [A I] alone would take 6.4 GB
     prob = MilpProblem(c=np.broadcast_to(0.0, (n,)),
                        A=np.broadcast_to(0.0, (m, n)),
                        senses=np.broadcast_to(np.int8(-1), (m,)),
@@ -1269,7 +1343,7 @@ def test_warm_root_from_a_reduced_basis_matches_cold(cold_calls):
         first = solve_milp(prob)
         basis = first.root_basis
         assert basis.basic.shape == (prob.num_rows,)
-        assert basis.status.shape == (prob.num_vars + 2 * prob.num_rows,)
+        assert basis.status.shape == (prob.num_vars + prob.num_rows,)
         changed = dataclasses.replace(
             prob, c=rng.integers(-3, 4, size=prob.num_vars).astype(float))
         cold_calls.clear()
@@ -1311,7 +1385,7 @@ def test_builder_refuses_an_oversized_problem_before_allocating(monkeypatch):
     built = pb.build()
     assert built.A[3, 3] == 1.0 and built.A[3, 4] == 2.0
     assert np.count_nonzero(built.A) == 60
-    monkeypatch.setattr(solver, "_MAX_DENSE_BYTES", 8 * 30 * (20 + 60) - 1)
+    monkeypatch.setattr(solver, "_MAX_DENSE_BYTES", 8 * 30 * (20 + 30) - 1)
     tracemalloc.start()
     try:
         with pytest.raises(ProblemTooLargeError, match="30 rows"):
@@ -1338,7 +1412,7 @@ def with_rows(prob, rows):
 
 def assert_resolved_like_cold(grown, warm):
     """``warm`` answers ``grown`` as a cold solve and HiGHS do, from the
-    start's root, without a cold phase 1 there."""
+    start's root, without a fallback to the slack basis there."""
     cold = solve_milp(grown)
     ref = scipy_milp_optimum(grown)
     assert warm.warm_root
@@ -1554,6 +1628,34 @@ def test_milps_resolve_from_roots_of_fewer_columns_or_rows():
                                                    abs=1e-7)
     for kind, warm in verdicts.items():
         assert sum(warm) >= 0.8 * len(warm), kind
+
+
+def test_starts_neither_primal_nor_dual_feasible_finish_warm(cold_calls):
+    # the optimal basis of a problem of this one's leading columns and
+    # rows, under new costs and two tightened bounds: kept where that
+    # start is neither primal nor dual feasible, so that the dual
+    # simplex runs under shifted costs; every answer is linprog's, and
+    # at most one in fifty falls back to the slack basis
+    rng = np.random.default_rng(74)
+    neither = fell_back = 0
+    for seed in range(1200, 1400):
+        prob = nested_problem(seed)
+        first = solve_lp(leading(prob, 5, 5))
+        assert first.status == SolveStatus.OPTIMAL
+        changed = changed_bounds(
+            dataclasses.replace(prob, c=rng.normal(size=prob.num_vars)),
+            rng, "tighten")
+        if not neither_feasible(changed, solver._grown(first.basis, 8, 7)):
+            continue
+        neither += 1
+        cold_calls.clear()
+        sol = solve_lp(changed, start=first.basis)
+        assert sol.warm == (cold_calls == [])
+        fell_back += not sol.warm
+        assert sol.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE)
+        scipy_check(changed, sol)
+    assert neither >= 100
+    assert fell_back <= neither // 50
 
 
 def test_a_start_with_more_columns_or_rows_goes_cold(cold_calls):
