@@ -17,14 +17,17 @@ columns or more rows is ignored.  With no start held, the solve starts
 from the slack basis B = I, which is never singular.  Every nonbasic
 rests at its recorded status.
 
-Every start finishes by one route (``_finish``).  If the basics lie
-within their bounds, the primal simplex finishes from there, with
-Dantzig pricing, a Bland fallback after degenerate stalls, and a
-bounded-variable ratio test with bound flips.  Otherwise the cost of
-each nonbasic that prices in is shifted until its reduced cost is zero,
-which makes the start dual feasible; a bounded dual simplex brings the
-basics within their bounds, the costs are restored, and the primal
-simplex finishes (Koberstein, *The dual simplex method*, 2005).
+Every LP is solved by ``_solve`` and every start finishes by one route
+(``_finish``).  If the basics lie within their bounds, the primal
+simplex finishes from there, with Dantzig pricing and a bounded-variable
+ratio test with bound flips.  Otherwise the cost of each nonbasic that
+prices in is shifted until its reduced cost is zero, which makes the
+start dual feasible; a bounded dual simplex brings the basics within
+their bounds, the costs are restored, and the primal simplex finishes
+(Koberstein, *The dual simplex method*, 2005).  Primal and dual steps
+share one pivot loop (``_Simplex._run``), which holds the pivot cap,
+switches to Bland's rule after degenerate stalls and re-inverts B at a
+fixed cadence.
 
 B^{-1}, the basic values and the reduced costs are re-derived from the
 original data at regular intervals and before any claim of optimality;
@@ -57,7 +60,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -225,7 +228,7 @@ _MAY_FALL = np.array([False, True, False, True])
 # a fraction of it.
 _TOL_FEAS = 1e-7
 # A relaxation value this close to an integer counts as integral, and a
-# bound this far above one rounds down to it (see ``_branch_and_bound``).
+# bound this far above one rounds down to it (see ``solve_milp``).
 _TOL_INT = 1e-6
 # A node whose bound is within this of the incumbent cannot improve it.
 _TOL_GAP = 1e-9
@@ -236,9 +239,9 @@ _TOL_COST = 1e-9
 # Pivot column and row entries of at most this magnitude are zeros in
 # the ratio tests and in a Farkas row.
 _TOL_PIVOT = 1e-9
-# Pivots one simplex run may make, dual and primal together, before it
-# ends with ITERATION_LIMIT (a held start that reaches it falls back to
-# the slack basis).
+# Pivots one solve from one start may make, dual and primal together,
+# before ``_Simplex._run`` ends it with ITERATION_LIMIT (a held start
+# that reaches it falls back to the slack basis).
 _MAX_PIVOTS = 50_000
 # Branch-and-bound nodes one MILP may expand before ITERATION_LIMIT.
 _MAX_NODES = 100_000
@@ -481,184 +484,165 @@ class _Simplex:
         self.Binv -= col[:, None] * self.Binv[r]
         self.derived = False
 
-    def iterate(self) -> SolveStatus:
-        """Primal pivots until optimal/unbounded or ``_MAX_PIVOTS``; when
-        unbounded, ``ray`` is the column that no row blocks."""
-        since_refactor = 0
-        stall = 0
-        bland = False
-        tol = self.pricing_tol()
-        while True:
-            if self.iterations >= _MAX_PIVOTS:
-                return SolveStatus.ITERATION_LIMIT
-            # the candidate of largest |d| (every candidate has |d| > 0),
-            # or under Bland's rule the first
-            cand = self._candidates(tol)
-            pick = cand if bland else np.where(cand, np.abs(self.d), 0.0)
-            j = int(np.argmax(pick)) if self.N else 0
-            if not (self.N and cand[j]):
-                if self.derived:
-                    return SolveStatus.OPTIMAL
-                self._rederive()        # confirm against original data
+    def _run(self, step: Callable[[bool], float | tuple[SolveStatus, int]]
+             ) -> tuple[SolveStatus, int]:
+        """Pivot by ``step`` until it ends the run, or (ITERATION_LIMIT,
+        -1) after ``_MAX_PIVOTS`` pivots.  ``step(bland)`` prices, runs
+        the ratio test and makes one pivot or bound flip, returning its
+        step length, or returns an end (status, row).  An OPTIMAL or
+        UNBOUNDED end on values not re-derived since they last moved is
+        confirmed against the original data first (``_rederive``, or
+        for UNBOUNDED a full ``_refactor``); an INFEASIBLE end stands,
+        as ``_finish`` recomputes its Farkas row.  More than
+        ``_BLAND_AFTER`` degenerate steps in a row switch the steps to
+        Bland's rule until a step moves, and every ``_REFACTOR_EVERY``
+        pivots B is re-inverted."""
+        since_refactor = stall = 0
+        while self.iterations < _MAX_PIVOTS:
+            moved = step(stall > _BLAND_AFTER)
+            if isinstance(moved, tuple):
+                if self.derived or moved[0] == SolveStatus.INFEASIBLE:
+                    return moved
+                if moved[0] == SolveStatus.OPTIMAL:
+                    self._rederive()
+                else:
+                    self._refactor()
                 since_refactor = 0
                 continue
-            if self.stat[j] == _AT_UPPER or (self.stat[j] == _FREE
-                                             and self.d[j] > 0):
-                direction = -1.0
-            else:
-                direction = 1.0
-
-            col = self.Binv @ self.A_all[:, j]
-            delta = direction * col
-            lo_B = self.lo[self.basis]
-            up_B = self.up[self.basis]
-            t_rows = np.full(self.m, np.inf)
-            np.divide(self.xB - lo_B, delta, out=t_rows,
-                      where=delta > _TOL_PIVOT)
-            np.divide(up_B - self.xB, -delta, out=t_rows,
-                      where=delta < -_TOL_PIVOT)
-            np.maximum(t_rows, 0.0, out=t_rows)
-            t_row = float(t_rows.min()) if self.m else np.inf
-            span = self.up[j] - self.lo[j]
-            t_flip = float(span) if np.isfinite(span) else np.inf
-
-            if min(t_row, t_flip) == np.inf:
-                if self.derived:
-                    self.ray = j
-                    return SolveStatus.UNBOUNDED
-                self._refactor()        # rule out drift before giving up
-                since_refactor = 0
-                continue
-
             self.iterations += 1
             since_refactor += 1
-            if t_flip <= t_row:
-                # bound flip: no basis change
-                self.xB -= direction * t_flip * col
-                self.stat[j] = _AT_UPPER if direction > 0 else _AT_LOWER
-                self.val[j] = self.up[j] if direction > 0 else self.lo[j]
-                self.derived = False
-                step = t_flip
-            else:
-                rows = np.nonzero(t_rows <= t_row + _RATIO_TIE)[0]
-                if bland:
-                    r = int(rows[np.argmin(self.basis[rows])])
-                else:
-                    r = int(rows[np.argmax(np.abs(delta[rows]))])
-                enter_value = self.val[j] + direction * t_row
-                self.xB -= direction * t_row * col
-                self._exchange(r, j, col, self._pivot_row(r),
-                               enter_value, leave_at_upper=not delta[r] > 0)
-                step = t_row
-
-            if step <= _DEGENERATE_STEP:
-                stall += 1
-                if stall > _BLAND_AFTER:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
+            stall = stall + 1 if moved <= _DEGENERATE_STEP else 0
             if since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
                 since_refactor = 0
+        return SolveStatus.ITERATION_LIMIT, -1
+
+    def iterate(self) -> SolveStatus:
+        """The primal simplex: OPTIMAL, UNBOUNDED or ITERATION_LIMIT."""
+        tol = self.pricing_tol()
+        return self._run(lambda bland: self._primal_step(tol, bland))[0]
 
     def dual_iterate(self) -> tuple[SolveStatus, int]:
-        """Bounded dual simplex from a dual feasible basis.  Returns
-        (OPTIMAL, -1) once every basic lies within its bounds, leaving
-        any reduced cost that drifted past tolerance to ``iterate``;
-        (INFEASIBLE, r) when the basic of row r is out of bounds and no
-        nonbasic column can move it back; or (ITERATION_LIMIT, -1) after
-        ``_MAX_PIVOTS``."""
-        since_refactor = 0
-        stall = 0
-        bland = False
-        while True:
-            if self.iterations >= _MAX_PIVOTS:
-                return SolveStatus.ITERATION_LIMIT, -1
-            lo_B = self.lo[self.basis]
-            up_B = self.up[self.basis]
-            below = lo_B - self.xB
-            infeas = np.maximum(below, self.xB - up_B)
-            r = int(np.argmax(infeas))      # the row farthest outside
-            if not infeas[r] > _TOL_FEAS:
-                if self.derived:
-                    return SolveStatus.OPTIMAL, -1
-                self._rederive()        # confirm against original data
-                since_refactor = 0
-                continue
-            if bland:
-                rows = np.nonzero(infeas > _TOL_FEAS)[0]
-                r = int(rows[np.argmin(self.basis[rows])])
-            to_lower = below[r] > 0
-            # x_B[r] moves by -row[j] per unit step of column j; alpha is
-            # signed so that a helpful step has alpha_j * dx_j < 0
-            row = self._pivot_row(r)
-            alpha = row if to_lower else -row
-            stat = self.stat
-            tol = _TOL_PIVOT
-            eligible = self.movable & ((_MAY_RISE[stat] & (alpha < -tol))
-                                       | (_MAY_FALL[stat] & (alpha > tol)))
-            if not eligible.any():
-                return SolveStatus.INFEASIBLE, r
-            # ratio test over every column, inf where not eligible
-            d = self.d
-            slack = np.where(stat == _AT_LOWER, d,
-                             np.where(stat == _AT_UPPER, -d, np.abs(d)))
-            size = np.abs(alpha)
-            ratios = np.full(self.N, np.inf)
-            np.divide(np.maximum(slack, 0.0), size, out=ratios,
-                      where=eligible)
-            t = float(ratios.min())
-            tied = ratios <= t + _RATIO_TIE
-            q = int(np.argmax(tied if bland else np.where(tied, size, 0.0)))
+        """The bounded dual simplex from a dual feasible basis: (OPTIMAL,
+        -1) once every basic lies within its bounds, leaving any reduced
+        cost that drifted past tolerance to ``iterate``; (INFEASIBLE, r)
+        when the basic of row r is out of bounds and no nonbasic column
+        can move it back; or (ITERATION_LIMIT, -1)."""
+        return self._run(self._dual_step)
 
-            col = self.Binv @ self.A_all[:, q]
-            target = lo_B[r] if to_lower else up_B[r]
-            theta = (self.xB[r] - target) / col[r]
-            enter_value = self.val[q] + theta
-            self.xB -= theta * col
-            self._exchange(r, q, col, row, enter_value,
-                           leave_at_upper=not to_lower)
-            self.iterations += 1
-            since_refactor += 1
+    def _primal_step(self, tol: float,
+                     bland: bool) -> float | tuple[SolveStatus, int]:
+        """One primal pivot or bound flip: the column of largest |d| past
+        ``tol`` enters, or under Bland's rule the first."""
+        cand = self._candidates(tol)
+        pick = cand if bland else np.where(cand, np.abs(self.d), 0.0)
+        j = int(np.argmax(pick)) if self.N else 0
+        if not (self.N and cand[j]):
+            return SolveStatus.OPTIMAL, -1
+        if self.stat[j] == _AT_UPPER or (self.stat[j] == _FREE
+                                         and self.d[j] > 0):
+            direction = -1.0
+        else:
+            direction = 1.0
 
-            if t <= _DEGENERATE_STEP:
-                stall += 1
-                if stall > _BLAND_AFTER:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
-            if since_refactor >= _REFACTOR_EVERY:
-                self._refactor()
-                since_refactor = 0
+        col = self.Binv @ self.A_all[:, j]
+        delta = direction * col
+        lo_B = self.lo[self.basis]
+        up_B = self.up[self.basis]
+        t_rows = np.full(self.m, np.inf)
+        np.divide(self.xB - lo_B, delta, out=t_rows,
+                  where=delta > _TOL_PIVOT)
+        np.divide(up_B - self.xB, -delta, out=t_rows,
+                  where=delta < -_TOL_PIVOT)
+        np.maximum(t_rows, 0.0, out=t_rows)
+        t_row = float(t_rows.min()) if self.m else np.inf
+        span = self.up[j] - self.lo[j]
+        t_flip = float(span) if np.isfinite(span) else np.inf
+
+        if min(t_row, t_flip) == np.inf:
+            return SolveStatus.UNBOUNDED, -1
+        if t_flip <= t_row:
+            # bound flip: no basis change
+            self.xB -= direction * t_flip * col
+            self.stat[j] = _AT_UPPER if direction > 0 else _AT_LOWER
+            self.val[j] = self.up[j] if direction > 0 else self.lo[j]
+            self.derived = False
+            return t_flip
+        rows = np.nonzero(t_rows <= t_row + _RATIO_TIE)[0]
+        if bland:
+            r = int(rows[np.argmin(self.basis[rows])])
+        else:
+            r = int(rows[np.argmax(np.abs(delta[rows]))])
+        enter_value = self.val[j] + direction * t_row
+        self.xB -= direction * t_row * col
+        self._exchange(r, j, col, self._pivot_row(r),
+                       enter_value, leave_at_upper=not delta[r] > 0)
+        return t_row
+
+    def _dual_step(self, bland: bool) -> float | tuple[SolveStatus, int]:
+        """One dual pivot: the basic farthest outside its bounds leaves,
+        or under Bland's rule the first outside them."""
+        lo_B = self.lo[self.basis]
+        up_B = self.up[self.basis]
+        below = lo_B - self.xB
+        infeas = np.maximum(below, self.xB - up_B)
+        r = int(np.argmax(infeas))      # the row farthest outside
+        if not infeas[r] > _TOL_FEAS:
+            return SolveStatus.OPTIMAL, -1
+        if bland:
+            rows = np.nonzero(infeas > _TOL_FEAS)[0]
+            r = int(rows[np.argmin(self.basis[rows])])
+        to_lower = below[r] > 0
+        # x_B[r] moves by -row[j] per unit step of column j; alpha is
+        # signed so that a helpful step has alpha_j * dx_j < 0
+        row = self._pivot_row(r)
+        alpha = row if to_lower else -row
+        stat = self.stat
+        tol = _TOL_PIVOT
+        eligible = self.movable & ((_MAY_RISE[stat] & (alpha < -tol))
+                                   | (_MAY_FALL[stat] & (alpha > tol)))
+        if not eligible.any():
+            return SolveStatus.INFEASIBLE, r
+        # ratio test over every column, inf where not eligible
+        d = self.d
+        slack = np.where(stat == _AT_LOWER, d,
+                         np.where(stat == _AT_UPPER, -d, np.abs(d)))
+        size = np.abs(alpha)
+        ratios = np.full(self.N, np.inf)
+        np.divide(np.maximum(slack, 0.0), size, out=ratios,
+                  where=eligible)
+        t = float(ratios.min())
+        tied = ratios <= t + _RATIO_TIE
+        q = int(np.argmax(tied if bland else np.where(tied, size, 0.0)))
+
+        col = self.Binv @ self.A_all[:, q]
+        target = lo_B[r] if to_lower else up_B[r]
+        theta = (self.xB[r] - target) / col[r]
+        enter_value = self.val[q] + theta
+        self.xB -= theta * col
+        self._exchange(r, q, col, row, enter_value,
+                       leave_at_upper=not to_lower)
+        return t
 
 
-def _simplex_solve(cols: _Columns, lo: np.ndarray,
-                   up: np.ndarray) -> LpSolution:
-    """Solve from the slack basis by ``_finish``.  With no start left to
-    fall back to, a solve that fails raises."""
+def _solve(cols: _Columns, lo: np.ndarray, up: np.ndarray,
+           start: Basis | None = None,
+           factor: _Factor | None = None) -> LpSolution:
+    """Solve by ``_finish`` from ``start``, a basis of an earlier solve
+    grown to these columns and rows (``_grown``), with its ``factor``
+    (factored here when not given), else from the slack basis.  A start
+    that does not fit or is singular, or whose solve fails or ends
+    UNBOUNDED or ITERATION_LIMIT, goes to the slack basis once, and its
+    pivots are added to that solve's; the slack-basis solve has no
+    fallback left, and raises when it fails."""
     if np.any(lo > up):
         return LpSolution(SolveStatus.INFEASIBLE, None, None, 0)
-    sol = _finish(_Simplex(cols, lo, up, *cols.slack_start()), held=False)
-    if sol is None:
-        raise SolverFailureError(
-            "simplex solution failed numerical verification")
-    return sol
-
-
-def _warm_solve(cols: _Columns, lo: np.ndarray, up: np.ndarray, start: Basis,
-                factor: _Factor | None) -> LpSolution:
-    """Re-solve from ``start``, a basis over these columns and rows
-    under other bounds or another objective (grown by ``_grown`` when
-    it came from a smaller problem), whose factor is ``factor`` (None
-    when it is singular), by ``_finish``.  A start that fails, or ends
-    UNBOUNDED or ITERATION_LIMIT, goes to ``_simplex_solve``, whose
-    pivots are added to the held start's."""
-    if np.any(lo > up):
-        return LpSolution(SolveStatus.INFEASIBLE, None, None, 0)
+    if start is not None:
+        start = _grown(start, cols.n, cols.m)
     pivots = 0
-    if factor is not None:
+    if start is not None and factor is None:
+        factor = cols.factor(start)
+    if start is not None and factor is not None:
         sx = _Simplex(cols, lo, up, start, factor)
         try:
             sol = _finish(sx, held=True)
@@ -669,7 +653,10 @@ def _warm_solve(cols: _Columns, lo: np.ndarray, up: np.ndarray, start: Basis,
             sol.warm = True
             return sol
         pivots = sx.iterations
-    sol = _simplex_solve(cols, lo, up)
+    sol = _finish(_Simplex(cols, lo, up, *cols.slack_start()), held=False)
+    if sol is None:
+        raise SolverFailureError(
+            "simplex solution failed numerical verification")
     sol.iterations += pivots
     return sol
 
@@ -810,17 +797,6 @@ def _prepare(problem: MilpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray,
             np.asarray(problem.senses, dtype=np.int8))
 
 
-def _solve_from(cols: _Columns, lo: np.ndarray, up: np.ndarray,
-                start: Basis | None) -> LpSolution:
-    """A solve from ``start`` grown to these columns and rows
-    (``_grown``) when it is given and fits, else from the slack basis."""
-    if start is not None:
-        start = _grown(start, cols.n, cols.m)
-    if start is None:
-        return _simplex_solve(cols, lo, up)
-    return _warm_solve(cols, lo, up, start, cols.factor(start))
-
-
 def _grown(basis: Basis, n: int, m: int) -> Basis | None:
     """``basis``, of a problem whose columns and rows are the first
     columns and rows of one with n columns and m rows, grown to that
@@ -852,14 +828,14 @@ def solve_lp(problem: MilpProblem, start: Basis | None = None) -> LpSolution:
     columns and rows are this problem's first columns and rows, under
     any bounds and objective: the same problem re-bounded, or one with
     columns or rows appended since; coefficients that changed cost only
-    pivots.  It is grown to this problem (``_grown``) and the LP is
-    re-solved from it by ``_warm_solve``.  A start with more columns or
-    more rows is ignored; without one, or when the solve from it fails,
-    the LP is solved from the slack basis.  ``warm`` tells whether the
-    answer came from ``start``."""
+    pivots.  ``_solve`` grows it to this problem (``_grown``) and
+    re-solves from it.  A start with more columns or more rows is
+    ignored; without one, or when the solve from it fails, the LP is
+    solved from the slack basis.  ``warm`` tells whether the answer came
+    from ``start``."""
     cols = _Columns(*_prepare(problem))
-    sol = _solve_from(cols, np.asarray(problem.lower, dtype=float),
-                      np.asarray(problem.upper, dtype=float), start)
+    sol = _solve(cols, np.asarray(problem.lower, dtype=float),
+                 np.asarray(problem.upper, dtype=float), start)
     if problem.maximize and sol.objective is not None:
         sol.objective = -sol.objective
     return sol
@@ -871,23 +847,13 @@ def solve_lp(problem: MilpProblem, start: Basis | None = None) -> LpSolution:
 
 def solve_milp(problem: MilpProblem,
                start: Basis | None = None) -> MilpSolution:
-    """Branch and bound after the size check.
+    """Best-bound branch and bound with most-fractional branching.
 
     ``start`` is the ``root_basis`` of an earlier solve, taken by the
-    root relaxation as ``solve_lp`` takes its start: a basis of a
-    problem whose columns and rows are this problem's first columns and
-    rows, grown by ``_grown``; rows that changed cost only pivots.  A
-    start with more columns or more rows is ignored; a warm answer is
-    checked against this problem's own data either way.  ``warm_root``
-    tells whether the root was answered from ``start``.
-    """
-    _check_size(problem.num_rows, problem.num_vars)
-    return _branch_and_bound(problem, start)
-
-
-def _branch_and_bound(problem: MilpProblem,
-                      start: Basis | None) -> MilpSolution:
-    """Best-bound branch and bound with most-fractional branching.
+    root relaxation as ``solve_lp`` takes its start; a start with more
+    columns or more rows is ignored, and a warm answer is checked
+    against this problem's own data either way.  ``warm_root`` tells
+    whether the root was answered from ``start``.
 
     Node key is (bound, -depth, sequence): ties on the bound are broken
     by diving deeper first.  Children are solved eagerly so every heap
@@ -904,15 +870,13 @@ def _branch_and_bound(problem: MilpProblem,
     objective value is an integer, so a bound b prunes a node once
     ceil(b - _TOL_INT) reaches the incumbent.
 
-    The root starts from ``start`` when it is given and fits (see
-    ``solve_milp``), else from the slack basis.  Each heap node keeps
-    the optimal basis of its relaxation (basic indices and column
-    statuses), and its children and its polish LP start from it
-    (``_warm_solve``): only bounds differ, so the basis stays dual
-    feasible and the bounded dual simplex repairs it, usually in a few
-    pivots.  The columns, slack bounds and costs are built once per
-    problem, and a popped node's basis is factored once (B^{-1} and
-    reduced costs), each child pivoting on its own copy.
+    Each heap node keeps the optimal basis of its relaxation, and its
+    children and its polish LP start from it: only bounds differ, so
+    the basis stays dual feasible and the bounded dual simplex repairs
+    it, usually in a few pivots.  The columns, slack bounds and costs
+    are built once per problem, after ``_Columns`` checks the size, and
+    a popped node's basis is factored once for both children, each
+    pivoting on its own copy.
     """
     cols = _Columns(*_prepare(problem))
     int_idx = np.nonzero(problem.integer)[0]
@@ -945,13 +909,9 @@ def _branch_and_bound(problem: MilpProblem,
         """Exact solution at the rounded integer assignment, or None
         when that assignment is infeasible."""
         nonlocal iterations
-        lo_f = np.asarray(problem.lower, dtype=float).copy()
-        up_f = np.asarray(problem.upper, dtype=float).copy()
         fixed = np.round(relaxed.x[int_idx])
-        lo_f[int_idx] = fixed
-        up_f[int_idx] = fixed
-        sol = _warm_solve(cols, lo_f, up_f, relaxed.basis,
-                          cols.factor(relaxed.basis))
+        sol = _solve(cols, _with(lo0, int_idx, fixed),
+                     _with(up0, int_idx, fixed), relaxed.basis)
         iterations += sol.iterations
         if sol.status == SolveStatus.OPTIMAL:
             return sol.x, sol.objective
@@ -985,7 +945,7 @@ def _branch_and_bound(problem: MilpProblem,
 
     lo0 = np.asarray(problem.lower, dtype=float)
     up0 = np.asarray(problem.upper, dtype=float)
-    root = _solve_from(cols, lo0, up0, start)
+    root = _solve(cols, lo0, up0, start)
     iterations += root.iterations
     if root.status != SolveStatus.OPTIMAL:
         return MilpSolution(root.status, None, None, 0, iterations,
@@ -1014,9 +974,7 @@ def _branch_and_bound(problem: MilpProblem,
         for child_lo, child_up in (
                 (lo, _with(up, v, floor_v)),
                 (_with(lo, v, floor_v + 1.0), up)):
-            if child_lo[v] > child_up[v]:
-                continue
-            sol = _warm_solve(cols, child_lo, child_up, basis, factor)
+            sol = _solve(cols, child_lo, child_up, basis, factor)
             iterations += sol.iterations
             if sol.status == SolveStatus.INFEASIBLE:
                 continue
@@ -1036,7 +994,8 @@ def _branch_and_bound(problem: MilpProblem,
                         nodes, iterations, root.basis, warm_root=root.warm)
 
 
-def _with(arr: np.ndarray, i: int, value: float) -> np.ndarray:
+def _with(arr: np.ndarray, i: int | np.ndarray,
+          value: float | np.ndarray) -> np.ndarray:
     out = arr.copy()
     out[i] = value
     return out

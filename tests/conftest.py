@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from equiprune import (ContinuousFeature, Dataset, FeatureSchema,
-                       build_ensemble, load_model, train_adaboost)
+                       build_ensemble, load_model, solver, train_adaboost)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -15,6 +15,21 @@ DATA_DIR = Path(__file__).parent / "data"
 @pytest.fixture
 def data_dir() -> Path:
     return DATA_DIR
+
+
+@pytest.fixture
+def cold_calls(monkeypatch):
+    """Counts the solves from the slack basis made from here on,
+    fallbacks included: each calls ``_Columns.slack_start`` once."""
+    calls = []
+    slack_start = solver._Columns.slack_start
+
+    def counted(cols):
+        calls.append(cols)
+        return slack_start(cols)
+
+    monkeypatch.setattr(solver._Columns, "slack_start", counted)
+    return calls
 
 
 @pytest.fixture

@@ -459,7 +459,8 @@ def test_batch_seeding_rejects_invalid_rows_before_adding_any():
     assert len(ps) == 0
 
 
-def test_growth_checks_resolve_from_the_last_failing_check(monkeypatch):
+def test_growth_checks_resolve_from_the_last_failing_check(monkeypatch,
+                                                          cold_calls):
     """Only a working set's first check is cold.  A round's first check
     starts from the basis of the check before it; every other one from
     the basis of the last failing check, and only tightens its bounds.
@@ -467,27 +468,20 @@ def test_growth_checks_resolve_from_the_last_failing_check(monkeypatch):
     optimum."""
     events = []                 # "master", or (problem, start, solution,
                                 # cold solves) of a check
-    cold_solves = []
     plain_lp = pruner.solve_lp
-    cold = solver._simplex_solve
 
     def recorded(problem, start=None):
-        before = len(cold_solves)
+        before = len(cold_calls)
         sol = plain_lp(problem, start=start)
         if problem.maximize:
-            events.append((problem, start, sol, len(cold_solves) - before))
+            events.append((problem, start, sol, len(cold_calls) - before))
         return sol
 
     def master(problem, start=None):
         events.append("master")
         return solve_milp(problem, start=start)
 
-    def counted(*args):
-        cold_solves.append(args)
-        return cold(*args)
-
     monkeypatch.setattr(pruner, "solve_lp", recorded)
-    monkeypatch.setattr(solver, "_simplex_solve", counted)
     cases = l0_cases()
     for ens, data in filter(None, map(random_boosted_instance, range(30))):
         ps = PruneSet(ens)
@@ -527,24 +521,19 @@ def test_growth_checks_resolve_from_the_last_failing_check(monkeypatch):
     assert rounds >= 70
 
 
-def test_masters_resolve_from_the_last_root_round_after_round(monkeypatch):
+def test_masters_resolve_from_the_last_root_round_after_round(cold_calls):
     """The working set grows in three steps, each pruned: only the first
     master of the set is solved cold; every later one,
     within a call and across calls, starts from the root basis of the
     master before it and never goes cold.  Each call's support is as
     small as subset search finds."""
     masters = []                # (start, solution, cold solves)
-    cold_solves = []
-    cold = solver._simplex_solve
 
     def master(problem, start=None):
-        before = len(cold_solves)
+        before = len(cold_calls)
         sol = solve_milp(problem, start=start)
-        masters.append((start, sol, len(cold_solves) - before))
+        masters.append((start, sol, len(cold_calls) - before))
         return sol
-
-    monkeypatch.setattr(solver, "_simplex_solve",
-                        lambda *a: cold_solves.append(a) or cold(*a))
     checked = warm = 0
     for ens, full in l0_cases():
         if ens.num_trees > 8:
@@ -574,7 +563,8 @@ def test_masters_resolve_from_the_last_root_round_after_round(monkeypatch):
     assert warm >= 70
 
 
-def test_check_and_support_lps_resolve_round_after_round(monkeypatch):
+def test_check_and_support_lps_resolve_round_after_round(monkeypatch,
+                                                         cold_calls):
     """The working set grows in three steps, each pruned under ``l0``
     and, on a second set, under ``l1``: only the set's first solved
     check LP, if any (a check whose answer is known solves none), and
@@ -584,20 +574,16 @@ def test_check_and_support_lps_resolve_round_after_round(monkeypatch):
     solve's optimum; all are answered warm, and ``lps``/``warm_lps``
     count them.  Each ``l0`` support is as small as subset search finds."""
     lps = []                    # (kind, problem, start, solution, cold)
-    cold_solves = []
     plain_lp = pruner.solve_lp
-    cold = solver._simplex_solve
 
     def recorded(problem, start=None):
-        before = len(cold_solves)
+        before = len(cold_calls)
         sol = plain_lp(problem, start=start)
         lps.append(("check" if problem.maximize else "support", problem,
-                    start, sol, len(cold_solves) - before))
+                    start, sol, len(cold_calls) - before))
         return sol
 
     monkeypatch.setattr(pruner, "solve_lp", recorded)
-    monkeypatch.setattr(solver, "_simplex_solve",
-                        lambda *a: cold_solves.append(a) or cold(*a))
     checked = warm = fell_back = 0
     for ens, full in l0_cases():
         if ens.num_trees > 8:

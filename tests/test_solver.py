@@ -336,28 +336,11 @@ def test_lp_text_dump(tmp_path):
 
 
 def warm_resolve(prob, start, lower, upper, factor=None):
-    """Warm re-solve from ``start``, factored here unless ``factor`` is
-    given."""
+    """Warm re-solve from ``start``, factored by ``_solve`` unless
+    ``factor`` is given."""
     cols = solver._Columns(*solver._prepare(prob))
-    if factor is None:
-        factor = cols.factor(start)
-    return solver._warm_solve(cols, np.asarray(lower, dtype=float),
-                              np.asarray(upper, dtype=float), start, factor)
-
-
-@pytest.fixture
-def cold_calls(monkeypatch):
-    """Counts the cold solves, from the slack basis, made from here on,
-    fallbacks included."""
-    calls = []
-    cold = solver._simplex_solve
-
-    def counted(*args):
-        calls.append(args)
-        return cold(*args)
-
-    monkeypatch.setattr(solver, "_simplex_solve", counted)
-    return calls
+    return solver._solve(cols, np.asarray(lower, dtype=float),
+                         np.asarray(upper, dtype=float), start, factor)
 
 
 def test_warm_resolve_after_tightening_matches_cold(cold_calls):
@@ -906,15 +889,16 @@ def scipy_milp_optimum(prob):
 
 def test_warm_started_milps_match_scipy_and_enumeration(monkeypatch,
                                                         cold_calls):
-    warm_status = []
-    warm = solver._warm_solve
+    warm_status = []                    # of the solves from a held start
+    solve = solver._solve
 
-    def tallied(*args):
-        sol = warm(*args)
-        warm_status.append(sol.status)
+    def tallied(cols, lo, up, start=None, factor=None):
+        sol = solve(cols, lo, up, start, factor)
+        if start is not None:
+            warm_status.append(sol.status)
         return sol
 
-    monkeypatch.setattr(solver, "_warm_solve", tallied)
+    monkeypatch.setattr(solver, "_solve", tallied)
     solved = 0
     for seed in range(500, 560):
         prob = random_mixed_milp(seed)
@@ -962,26 +946,17 @@ def test_an_integral_objective_prunes_at_the_rounded_bound():
 def bb_lps(monkeypatch):
     """Branch and bound's LPs in call order: ("relaxed", solution) for
     the root and each child, ("polish", solution) for each polish LP
-    (a warm solve called from ``_branch_and_bound``'s ``polish``)."""
+    (a ``_solve`` called from ``solve_milp``'s ``polish``)."""
     events = []
-    solve_from = solver._solve_from
-    warm = solver._warm_solve
+    solve = solver._solve
 
-    def root(*args):
-        sol = solve_from(*args)
-        events.append(("relaxed", sol))
-        return sol
-
-    def child_or_polish(*args):
-        sol = warm(*args)
+    def recorded(*args):
+        sol = solve(*args)
         caller = sys._getframe(1).f_code.co_name
-        if caller != "_solve_from":         # a root is recorded above
-            events.append(("polish" if caller == "polish" else "relaxed",
-                           sol))
+        events.append(("polish" if caller == "polish" else "relaxed", sol))
         return sol
 
-    monkeypatch.setattr(solver, "_solve_from", root)
-    monkeypatch.setattr(solver, "_warm_solve", child_or_polish)
+    monkeypatch.setattr(solver, "_solve", recorded)
     return events
 
 
@@ -1678,3 +1653,71 @@ def test_a_start_with_more_columns_or_rows_goes_cold(cold_calls):
         assert len(cold_calls) >= 1 and not sol.warm_root
         assert (sol.iterations, sol.nodes, sol.objective) == (
             cold.iterations, cold.nodes, cold.objective)
+
+
+# ---------------------------------------------------------------------------
+# The shared pivot loop's anti-cycling and refactor branches
+
+
+@pytest.fixture
+def loop_branches(monkeypatch):
+    """Which steps ran under Bland's rule ("primal", "dual"), and how
+    many times B was re-inverted ("refactors")."""
+    seen = {"primal": 0, "dual": 0, "refactors": 0}
+    primal = solver._Simplex._primal_step
+    dual = solver._Simplex._dual_step
+    refactor = solver._Simplex._refactor
+
+    def primal_step(sx, tol, bland):
+        seen["primal"] += bland
+        return primal(sx, tol, bland)
+
+    def dual_step(sx, bland):
+        seen["dual"] += bland
+        return dual(sx, bland)
+
+    def refactored(sx):
+        seen["refactors"] += 1
+        return refactor(sx)
+
+    monkeypatch.setattr(solver._Simplex, "_primal_step", primal_step)
+    monkeypatch.setattr(solver._Simplex, "_dual_step", dual_step)
+    monkeypatch.setattr(solver._Simplex, "_refactor", refactored)
+    return seen
+
+
+@pytest.mark.parametrize("constant, value", [("_BLAND_AFTER", 0),
+                                             ("_REFACTOR_EVERY", 1)])
+def test_bland_and_refactor_branches_match_scipy(monkeypatch, loop_branches,
+                                                 constant, value):
+    # the random LPs of test_random_lps_match_scipy solved from the
+    # slack basis, as given and with every row met at the lower bounds
+    # (as in test_a_cold_solve_starts_from_the_slack_basis, so that the
+    # primal simplex starts on degenerate steps), and the held starts of
+    # test_starts_neither_primal_nor_dual_feasible_finish_warm, with
+    # Bland's rule from the first degenerate step, or B re-inverted
+    # after every pivot: each answer is still linprog's
+    monkeypatch.setattr(solver, constant, value)
+    problems = [at for prob in map(random_lp, range(40))
+                for at in (prob, dataclasses.replace(prob,
+                                                     b=prob.A @ prob.lower))]
+    solved = [solve_lp(prob) for prob in problems]
+    rng = np.random.default_rng(74)
+    for seed in range(1200, 1300):
+        prob = nested_problem(seed)
+        first = solve_lp(leading(prob, 5, 5))
+        changed = changed_bounds(
+            dataclasses.replace(prob, c=rng.normal(size=prob.num_vars)),
+            rng, "tighten")
+        problems.append(changed)
+        solved.append(solve_lp(changed, start=first.basis))
+    pivots = 0
+    for prob, sol in zip(problems, solved):
+        assert sol.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE,
+                              SolveStatus.UNBOUNDED)
+        scipy_check(prob, sol)
+        pivots += sol.iterations
+    if constant == "_BLAND_AFTER":
+        assert loop_branches["primal"] >= 1 and loop_branches["dual"] >= 1
+    else:
+        assert loop_branches["refactors"] >= pivots > 0
