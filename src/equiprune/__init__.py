@@ -22,9 +22,8 @@ from .oracle import (DEFAULT_EPSILON, PairOutcome, SeparationResult,
                      build_separation, extract_cell, separate)
 from .pruner import (PruneResult, PruneSet, build_margins, compute_big_w,
                      prune_l0, prune_l1, support_of)
-from .solver import (LpSolution, MilpProblem, MilpSolution, ProblemBuilder,
-                     SolveStatus, dump_lp, lp_format_text, solve_lp,
-                     solve_milp)
+from .solver import (MilpProblem, ProblemBuilder, Solution, SolveStatus,
+                     dump_lp, lp_format_text, solve_lp, solve_milp)
 from .trainer import (Dataset, load_dataset, load_schema, make_synthetic,
                       save_dataset, save_schema, train_adaboost,
                       train_random_forest)
@@ -39,12 +38,12 @@ __all__ = [
     "CertificationReport", "ContinuousFeature", "Dataset", "DEFAULT_EPSILON",
     "DatasetFormatError", "Ensemble", "EnumerationCapError", "EquipruneError",
     "FeatureSchema", "InfeasiblePruneError", "InputError", "IterationLimitError",
-    "IterationRecord", "LpSolution", "MilpProblem", "MilpSolution",
-    "ModelFormatError", "PairOutcome", "Point", "ProblemBuilder",
-    "ProblemTooLargeError", "PruneCycleError", "PruneOptions", "PruneOutcome",
-    "PruneResult", "PruneSet", "SeparationResult", "SolveStatus",
-    "SolverFailureError", "TiedPredictionError", "accuracy",
-    "brute_force_min_support", "build_ensemble", "build_margins",
+    "IterationRecord", "MilpProblem", "ModelFormatError", "PairOutcome",
+    "Point", "ProblemBuilder", "ProblemTooLargeError", "PruneCycleError",
+    "PruneOptions", "PruneOutcome", "PruneResult", "PruneSet",
+    "SeparationResult", "Solution", "SolveStatus", "SolverFailureError",
+    "TiedPredictionError", "accuracy", "brute_force_min_support",
+    "build_ensemble", "build_margins",
     "build_separation", "cell_center", "cell_scores_batch", "cells_of",
     "certified_prune", "certify", "compute_big_w", "dump_lp",
     "enumerate_cells", "extract_cell", "fidelity", "load_dataset",

@@ -94,7 +94,7 @@ import numpy as np
 
 from .ensemble import CellSignature, Ensemble, _check_weights, leaves_of
 from .errors import InputError, IterationLimitError, SolverFailureError
-from .solver import (Basis, MilpProblem, MilpSolution, SolveStatus,
+from .solver import (Basis, MilpProblem, Solution, SolveStatus,
                      _check_size, _check_tol, dump_lp, solve_milp)
 
 DEFAULT_EPSILON = 1e-6
@@ -329,7 +329,7 @@ def build_separation(ensemble: Ensemble, original: int,
 
 
 def extract_cell(ensemble: Ensemble, program: SeparationProgram,
-                 solution: MilpSolution) -> tuple[CellSignature, np.ndarray]:
+                 solution: Solution) -> tuple[CellSignature, np.ndarray]:
     """Cell signature from the indicator variables, and the per-tree
     score rows (M, C) of the leaves it reaches.  The cell is asserted to
     route every tree to exactly the unit-flow leaf; a mismatch means the
@@ -353,7 +353,7 @@ def extract_cell(ensemble: Ensemble, program: SeparationProgram,
 
 def separate(ensemble: Ensemble, weights: Sequence[float],
              epsilon: float = DEFAULT_EPSILON,
-             solve: Callable[..., MilpSolution] = solve_milp,
+             solve: Callable[..., Solution] = solve_milp,
              dump_dir: Union[str, Path, None] = None,
              programs: dict | None = None) -> SeparationResult:
     """Solve every ordered class pair; collect each strictly positive
@@ -416,7 +416,7 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
                 sol = solve(problem, start=start)
                 nodes += sol.nodes
                 iterations += sol.iterations
-                program.start = previous = sol.root_basis
+                program.start = previous = sol.basis
                 if sol.status == SolveStatus.ITERATION_LIMIT:
                     raise IterationLimitError(
                         f"separation for pair (challenger={challenger}, "

@@ -28,8 +28,8 @@ from .ensemble import (CellSignature, Ensemble, cell_scores_batch, cells_of,
                        check_cell, leaves_of)
 from .errors import (InfeasiblePruneError, IterationLimitError,
                      SolverFailureError, TiedPredictionError)
-from .solver import (_TOL_PIVOT, Basis, LpSolution, MilpSolution,
-                     MilpProblem, SolveStatus, solve_lp, solve_milp)
+from .solver import (_TOL_PIVOT, Basis, MilpProblem, Solution, SolveStatus,
+                     solve_lp, solve_milp)
 
 ZERO_TOL = 1e-9  # weights at or below this count as removed
 TIE_TOL = 1e-12  # original margins at or below this are ties
@@ -181,7 +181,7 @@ def _scale_columns(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def min_weight_sum(G: np.ndarray, trees: Sequence[int],
                    start: Basis | None = None
-                   ) -> tuple[np.ndarray, LpSolution]:
+                   ) -> tuple[np.ndarray, Solution]:
     """min sum(w) s.t. G w >= 1, w >= 0 and w = 0 off ``trees``: the LP's
     solution and the weights over all trees, zero at or below ZERO_TOL.
     It solves for x = s w on the scaled columns (``_scale_columns``).
@@ -216,7 +216,7 @@ def _known_to_pass(G: np.ndarray, alpha: np.ndarray, trees: np.ndarray,
 
 
 def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
-             solve: Callable[..., MilpSolution] = solve_milp,
+             solve: Callable[..., Solution] = solve_milp,
              margins: np.ndarray | None = None) -> PruneResult:
     """Fewest trees whose reweighting reproduces every working-set
     prediction, exactly, by implicit hitting sets.  A conflict is a set
@@ -272,7 +272,7 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
                         integer=np.zeros(M + rows, dtype=bool), maximize=True)
 
     def failed_check(trees: np.ndarray, start: Basis | None
-                     ) -> LpSolution | None:
+                     ) -> Solution | None:
         """None if the masked trees can keep every row, else the check's
         solution, whose y is a ray: scaled to largest entry 1, so failing
         optima are >= 1.  A check whose answer is known
@@ -302,9 +302,9 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
             A[k, list(trees)] = 1.0
         pick = solve(_ones_program(A, 1.0, integer=True),
                      start=prune_set.master_basis)
-        prune_set.master_basis = pick.root_basis
+        prune_set.master_basis = pick.basis
         masters += 1
-        warm += pick.warm_root
+        warm += pick.warm
         if pick.status == SolveStatus.INFEASIBLE:  # an empty conflict
             raise InfeasiblePruneError(
                 "no faithful reweighting exists on the working set")

@@ -7,15 +7,14 @@ row of the ratio tests is row r of B^{-1} times the columns, and a pivot
 is a rank-1 update of B^{-1} and of the reduced costs.  Every solve
 starts from a basis and its factor (B^{-1} and the reduced costs
 there).  A held start is, in branch and bound, the optimal basis of the
-node that spawned the LP, factored once for both children; through
-``solve_lp(start=...)`` and at a MILP's root, by one start rule, the
-basis of an earlier solve of a problem whose columns and rows are this
-problem's first columns and rows, under any bounds and objective.  It
-grows by a nonbasic at its default bound for each column appended since
-and by a basic slack for each row (``_grown``); a start with more
-columns or more rows is ignored.  With no start held, the solve starts
-from the slack basis B = I, which is never singular.  Every nonbasic
-rests at its recorded status.
+node that spawned the LP, factored once for both children; at the root,
+the ``basis`` of an earlier solve of a problem whose columns and rows
+are this problem's first columns and rows, under any bounds and
+objective.  It grows by a nonbasic at its default bound for each column
+appended since and by a basic slack for each row (``_grown``); a start
+with more columns or more rows is ignored.  With no start held, the
+solve starts from the slack basis B = I, which is never singular.
+Every nonbasic rests at its recorded status.
 
 Every LP is solved by ``_solve`` and every start finishes by one route
 (``_finish``).  If the basics lie within their bounds, the primal
@@ -30,12 +29,13 @@ switches to Bland's rule after degenerate stalls and re-inverts B at a
 fixed cadence.
 
 B^{-1}, the basic values and the reduced costs are re-derived from the
-original data at regular intervals and before any claim of optimality;
-a returned optimum is checked for feasibility and optimality on values
-re-derived at its basis, independently of the (possibly drifted)
-updates, and basics the check finds outside their bounds go through
-the dual simplex again.  The dual simplex stops on a row whose basic no
-point inside the other bounds brings back within its bounds; the LP is
+original data at regular intervals and before any claim of optimality,
+so an optimum is claimed only where no reduced cost re-derived at its
+basis prices in; a returned optimum's basics, re-derived too, are
+checked against their bounds, independently of the (possibly drifted)
+updates, and basics the check finds outside them go through the dual
+simplex again.  The dual simplex stops on a row whose basic no point
+inside the other bounds brings back within its bounds; the LP is
 infeasible when that Farkas row, recomputed from the original data,
 shows that no point inside the bounds satisfies the rows, and the basis
 that holds the row is kept as a start for the next solve.  A held start
@@ -47,17 +47,20 @@ Integer restrictions are handled by best-bound branch and bound on the
 LP relaxation with most-fractional branching.  When every variable is
 integer and every cost an integer, a node is pruned once its bound,
 rounded up, reaches the incumbent.  A MILP is solved as it is given,
-so its builder leaves out what the rows determine.  A root basis is a
-start for the root of a later MILP by the same rule: the same rows
-under another objective, or rows or columns appended since.  No
-external solver is involved; numpy supplies the linear algebra.
+so its builder leaves out what the rows determine.  An LP is a MILP
+without integer columns: ``solve_lp`` is ``solve_milp`` on the
+relaxation, whose root is its answer.  Both return one ``Solution``,
+whose ``basis``, the root's, is a start for the root of a later solve,
+LP or MILP, by the same rule: the same rows under other bounds or
+another objective, or rows or columns appended since.  No external
+solver is involved; numpy supplies the linear algebra.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, Union
@@ -114,32 +117,22 @@ class Basis:
 
 
 @dataclass
-class LpSolution:
+class Solution:
+    """What ``solve_milp`` (and so ``solve_lp``) returns, and what one
+    LP of it returns inside the solver."""
+
     status: SolveStatus
     x: np.ndarray | None
     objective: float | None
-    iterations: int
-    # the optimal basis when OPTIMAL; on INFEASIBLE, the basis whose
-    # Farkas row proved the LP empty
+    iterations: int             # simplex pivots over every LP of the solve
+    nodes: int = 0              # branch-and-bound nodes expanded
+    # a start for a later solve (see ``solve_milp``): the optimal basis
+    # of the root relaxation, or on an INFEASIBLE root the basis whose
+    # Farkas row proved it empty
     basis: Basis | None = None
-    # answered from the held start, without falling back to the slack basis
-    warm: bool = False
-
-
-@dataclass
-class MilpSolution:
-    status: SolveStatus
-    x: np.ndarray | None
-    objective: float | None
-    nodes: int
-    iterations: int
-    # the root relaxation's ``LpSolution.basis``, a start for a re-solve
-    # after the objective changes or rows or columns are appended (see
-    # ``solve_milp``)
-    root_basis: Basis | None = None
     # the root relaxation was answered from ``start``, without falling
     # back to the slack basis
-    warm_root: bool = False
+    warm: bool = False
 
 
 class ProblemBuilder:
@@ -233,11 +226,12 @@ _TOL_INT = 1e-6
 # A node whose bound is within this of the incumbent cannot improve it.
 _TOL_GAP = 1e-9
 # A reduced cost beyond this times 1 + max|c| prices its column in
-# (``_Simplex.pricing_tol``); the check of a returned basis uses 10
-# times that.  Scaled, since roundoff in d grows with the costs.
+# (``_Simplex.pricing_tol``).  Scaled, since roundoff in d grows with
+# the costs.
 _TOL_COST = 1e-9
 # Pivot column and row entries of at most this magnitude are zeros in
-# the ratio tests and in a Farkas row.
+# the ratio tests and in a Farkas row; in the dual ratio test, of at
+# most this times the pivot row's largest |entry|, when that exceeds 1.
 _TOL_PIVOT = 1e-9
 # Pivots one solve from one start may make, dual and primal together,
 # before ``_Simplex._run`` ends it with ITERATION_LIMIT (a held start
@@ -326,21 +320,25 @@ def _invert(A_all: np.ndarray, basic: np.ndarray,
 class _Columns:
     """The columns that every LP of one problem shares, [A I]: the
     variables, then one slack per row ('<=' slack in [0, inf), '>='
-    slack in (-inf, 0], '==' slack fixed at 0)."""
+    slack in (-inf, 0], '==' slack fixed at 0), and the costs of the
+    problem as a minimization."""
 
-    def __init__(self, c: np.ndarray, A: np.ndarray, b: np.ndarray,
-                 senses: np.ndarray):
+    def __init__(self, problem: MilpProblem):
+        A = np.asarray(problem.A, dtype=float)
         m, n = A.shape
         _check_size(m, n)
+        c = np.asarray(problem.c, dtype=float)
+        senses = np.asarray(problem.senses, dtype=np.int8)
         self.m, self.n = m, n
         self.A = A
         self.A_all = np.hstack([A, np.eye(m)])
-        self.b = b
-        self.cost = np.concatenate([c, np.zeros(m)])
+        self.b = np.asarray(problem.b, dtype=float)
+        self.cost = np.concatenate([-c if problem.maximize else c,
+                                    np.zeros(m)])
         self.slack_lo = np.where(senses == 1, -np.inf, 0.0)
         self.slack_up = np.where(senses == -1, np.inf, 0.0)
         self.row_scale = _row_scale(A)
-        self.check_tol = _check_tol(b)
+        self.check_tol = _check_tol(self.b)
 
     def bounds(self, lo: np.ndarray,
                up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -594,11 +592,14 @@ class _Simplex:
             r = int(rows[np.argmin(self.basis[rows])])
         to_lower = below[r] > 0
         # x_B[r] moves by -row[j] per unit step of column j; alpha is
-        # signed so that a helpful step has alpha_j * dx_j < 0
+        # signed so that a helpful step has alpha_j * dx_j < 0.  In a
+        # large row, an entry small beside its largest is the residue of
+        # a cancellation, not a pivot
         row = self._pivot_row(r)
         alpha = row if to_lower else -row
+        size = np.abs(alpha)
+        tol = _TOL_PIVOT * size.max(initial=1.0)
         stat = self.stat
-        tol = _TOL_PIVOT
         eligible = self.movable & ((_MAY_RISE[stat] & (alpha < -tol))
                                    | (_MAY_FALL[stat] & (alpha > tol)))
         if not eligible.any():
@@ -607,7 +608,6 @@ class _Simplex:
         d = self.d
         slack = np.where(stat == _AT_LOWER, d,
                          np.where(stat == _AT_UPPER, -d, np.abs(d)))
-        size = np.abs(alpha)
         ratios = np.full(self.N, np.inf)
         np.divide(np.maximum(slack, 0.0), size, out=ratios,
                   where=eligible)
@@ -627,7 +627,7 @@ class _Simplex:
 
 def _solve(cols: _Columns, lo: np.ndarray, up: np.ndarray,
            start: Basis | None = None,
-           factor: _Factor | None = None) -> LpSolution:
+           factor: _Factor | None = None) -> Solution:
     """Solve by ``_finish`` from ``start``, a basis of an earlier solve
     grown to these columns and rows (``_grown``), with its ``factor``
     (factored here when not given), else from the slack basis.  A start
@@ -636,7 +636,7 @@ def _solve(cols: _Columns, lo: np.ndarray, up: np.ndarray,
     pivots are added to that solve's; the slack-basis solve has no
     fallback left, and raises when it fails."""
     if np.any(lo > up):
-        return LpSolution(SolveStatus.INFEASIBLE, None, None, 0)
+        return Solution(SolveStatus.INFEASIBLE, None, None, 0)
     if start is not None:
         start = _grown(start, cols.n, cols.m)
     pivots = 0
@@ -661,7 +661,7 @@ def _solve(cols: _Columns, lo: np.ndarray, up: np.ndarray,
     return sol
 
 
-def _finish(sx: _Simplex, held: bool) -> LpSolution | None:
+def _finish(sx: _Simplex, held: bool) -> Solution | None:
     """Finish a solve whose nonbasics rest at the start's statuses (see
     the module notes).  Basics outside their bounds go through the dual
     simplex first, under costs shifted until no nonbasic prices in, and
@@ -682,15 +682,15 @@ def _finish(sx: _Simplex, held: bool) -> LpSolution | None:
             if status == SolveStatus.INFEASIBLE:
                 if not _farkas_confirms(sx, r, held):
                     return None
-                return LpSolution(status, None, None, sx.iterations,
-                                  _basis(sx))
+                return Solution(status, None, None, sx.iterations,
+                                basis=_basis(sx))
             if status != SolveStatus.OPTIMAL:
-                return LpSolution(status, None, None, sx.iterations)
+                return Solution(status, None, None, sx.iterations)
             if shift.any():             # reduced costs of the restored costs
                 sx._rederive()
         status = sx.iterate()
         if status != SolveStatus.OPTIMAL:
-            return LpSolution(status, None, None, sx.iterations)
+            return Solution(status, None, None, sx.iterations)
         if _verified_optimum(sx):
             return _optimal(sx)
     return None
@@ -707,32 +707,21 @@ def _basis(sx: _Simplex) -> Basis:
     return Basis(sx.basis.copy(), sx.stat.astype(np.int8))
 
 
-def _optimal(sx: _Simplex) -> LpSolution:
+def _optimal(sx: _Simplex) -> Solution:
     x = sx.assemble()[:sx.n]
-    return LpSolution(SolveStatus.OPTIMAL, x, float(sx.cc[:sx.n] @ x),
-                      sx.iterations, _basis(sx))
-
-
-def _verified_candidates(sx: _Simplex) -> np.ndarray:
-    return sx._candidates(10 * sx.pricing_tol())
+    return Solution(SolveStatus.OPTIMAL, x, float(sx.cc[:sx.n] @ x),
+                    sx.iterations, basis=_basis(sx))
 
 
 def _verified_optimum(sx: _Simplex) -> bool:
-    """Independent check of a claimed optimum: re-derive the basic
-    solution and reduced costs from the original data, unless they were
-    re-derived at this basis and nothing has moved since, then test the
-    bounds of every basic and the sign of every reduced cost.  Values
-    still derived are those on which ``iterate`` has just returned
-    OPTIMAL, finding no reduced cost past the pricing tolerance, so none
-    lies past the check's 10 times it and the sign test is skipped."""
-    scanned = sx.derived
-    if not scanned:
-        sx._rederive()
+    """Check of a claimed optimum: every basic within its bounds, to the
+    check tolerance.  ``iterate`` returns OPTIMAL only on values
+    re-derived from the original data at this basis (``_Simplex._run``),
+    where no reduced cost prices in."""
     lo_B = sx.lo[sx.basis]
     up_B = sx.up[sx.basis]
     tol = sx.check_tol
-    feas = np.all(sx.xB >= lo_B - tol) and np.all(sx.xB <= up_B + tol)
-    return bool(feas) and (scanned or not _verified_candidates(sx).any())
+    return bool(np.all(sx.xB >= lo_B - tol) and np.all(sx.xB <= up_B + tol))
 
 
 def _check_tol(b: np.ndarray) -> float:
@@ -789,14 +778,6 @@ def _farkas_confirms(sx: _Simplex, r: int, held: bool) -> bool:
                 or not held and gap > sx.check_tol)
 
 
-def _prepare(problem: MilpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                            np.ndarray]:
-    c = -problem.c if problem.maximize else problem.c
-    return (np.asarray(c, dtype=float), np.asarray(problem.A, dtype=float),
-            np.asarray(problem.b, dtype=float),
-            np.asarray(problem.senses, dtype=np.int8))
-
-
 def _grown(basis: Basis, n: int, m: int) -> Basis | None:
     """``basis``, of a problem whose columns and rows are the first
     columns and rows of one with n columns and m rows, grown to that
@@ -821,39 +802,24 @@ def _grown(basis: Basis, n: int, m: int) -> Basis | None:
                  status.astype(np.int8))
 
 
-def solve_lp(problem: MilpProblem, start: Basis | None = None) -> LpSolution:
-    """Solve the LP relaxation (integrality flags are ignored).
-
-    ``start`` is the ``basis`` of an earlier solve of a problem whose
-    columns and rows are this problem's first columns and rows, under
-    any bounds and objective: the same problem re-bounded, or one with
-    columns or rows appended since; coefficients that changed cost only
-    pivots.  ``_solve`` grows it to this problem (``_grown``) and
-    re-solves from it.  A start with more columns or more rows is
-    ignored; without one, or when the solve from it fails, the LP is
-    solved from the slack basis.  ``warm`` tells whether the answer came
-    from ``start``."""
-    cols = _Columns(*_prepare(problem))
-    sol = _solve(cols, np.asarray(problem.lower, dtype=float),
-                 np.asarray(problem.upper, dtype=float), start)
-    if problem.maximize and sol.objective is not None:
-        sol.objective = -sol.objective
-    return sol
-
-
 # ---------------------------------------------------------------------------
 # Branch and bound
 
 
-def solve_milp(problem: MilpProblem,
-               start: Basis | None = None) -> MilpSolution:
+def solve_milp(problem: MilpProblem, start: Basis | None = None) -> Solution:
     """Best-bound branch and bound with most-fractional branching.
 
-    ``start`` is the ``root_basis`` of an earlier solve, taken by the
-    root relaxation as ``solve_lp`` takes its start; a start with more
-    columns or more rows is ignored, and a warm answer is checked
-    against this problem's own data either way.  ``warm_root`` tells
-    whether the root was answered from ``start``.
+    ``start`` is the ``basis`` of an earlier solve, LP or MILP, of a
+    problem whose columns and rows are this problem's first columns and
+    rows, under any bounds and objective: the same problem re-bounded or
+    re-priced, or one with columns or rows appended since; coefficients
+    that changed cost only pivots.  ``_solve`` grows it to this problem
+    (``_grown``) and solves the root relaxation from it.  A start with
+    more columns or more rows is ignored; without one, or when the solve
+    from it fails, the root is solved from the slack basis, and a warm
+    answer is checked against this problem's own data either way.
+    ``warm`` tells whether the root was answered from ``start``, and
+    ``basis`` is the root's, a start for the next solve.
 
     Node key is (bound, -depth, sequence): ties on the bound are broken
     by diving deeper first.  Children are solved eagerly so every heap
@@ -878,12 +844,12 @@ def solve_milp(problem: MilpProblem,
     a popped node's basis is factored once for both children, each
     pivoting on its own copy.
     """
-    cols = _Columns(*_prepare(problem))
+    cols = _Columns(problem)
     int_idx = np.nonzero(problem.integer)[0]
     sign = -1.0 if problem.maximize else 1.0
     # every variable integer and every cost an integer: so is every
     # objective value, and a bound counts as the next integer up
-    integral = bool(np.all(problem.integer)
+    integral = bool(int_idx.size == cols.n
                     and np.all(cols.cost == np.round(cols.cost)))
 
     def fractionality(x: np.ndarray) -> np.ndarray:
@@ -905,7 +871,7 @@ def solve_milp(problem: MilpProblem,
                      Basis]] = []
     seq = itertools.count()
 
-    def polish(relaxed: LpSolution) -> tuple[np.ndarray | None, float]:
+    def polish(relaxed: Solution) -> tuple[np.ndarray | None, float]:
         """Exact solution at the rounded integer assignment, or None
         when that assignment is infeasible."""
         nonlocal iterations
@@ -917,7 +883,7 @@ def solve_milp(problem: MilpProblem,
             return sol.x, sol.objective
         return None, np.inf
 
-    def offer(sol: LpSolution, lo: np.ndarray, up: np.ndarray,
+    def offer(sol: Solution, lo: np.ndarray, up: np.ndarray,
               negdepth: int) -> None:
         """Turn a solved relaxation into an incumbent or a heap node."""
         nonlocal incumbent, inc_obj
@@ -948,8 +914,7 @@ def solve_milp(problem: MilpProblem,
     root = _solve(cols, lo0, up0, start)
     iterations += root.iterations
     if root.status != SolveStatus.OPTIMAL:
-        return MilpSolution(root.status, None, None, 0, iterations,
-                            root.basis, warm_root=root.warm)
+        return root
 
     status = SolveStatus.OPTIMAL
     offer(root, lo0, up0, 0)
@@ -989,9 +954,19 @@ def solve_milp(problem: MilpProblem,
 
     if status == SolveStatus.OPTIMAL and incumbent is None:
         status = SolveStatus.INFEASIBLE
-    return MilpSolution(status, incumbent,
-                        None if incumbent is None else sign * inc_obj,
-                        nodes, iterations, root.basis, warm_root=root.warm)
+    return Solution(status, incumbent,
+                    None if incumbent is None else sign * inc_obj,
+                    iterations, nodes, root.basis, root.warm)
+
+
+def solve_lp(problem: MilpProblem, start: Basis | None = None) -> Solution:
+    """The LP relaxation of ``problem``: ``solve_milp`` with every
+    integrality flag cleared, where branch and bound returns the root as
+    it stands (``nodes`` is 0).  ``start`` is taken as ``solve_milp``
+    takes it, from an LP's ``basis`` or a MILP's."""
+    return solve_milp(replace(problem, integer=np.zeros(problem.num_vars,
+                                                          dtype=bool)),
+                      start)
 
 
 def _with(arr: np.ndarray, i: int | np.ndarray,

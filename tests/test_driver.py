@@ -372,6 +372,27 @@ def test_a_tree_weighted_1e8_certifies(norm):
     assert certify(ens, outcome.weights, DEFAULT_EPSILON).identical
 
 
+@pytest.mark.parametrize("norm", ["l0", "l1"])
+def test_a_cancellation_residue_is_no_dual_pivot(norm):
+    # one tree whose seed cell wins by 2.75e-9, so both norms weigh it
+    # about 3.6e8.  A pair LP has an all-zero '>=' row with right-hand
+    # side 1e-6 and is plainly empty, but from the slack basis the dual
+    # simplex met a pivot row whose largest entry is 3.64e8 and whose
+    # entry 5.96e-8 (2^-24) is the residue of 3.64e8 - 3.64e8; a pivot
+    # on it led on to a singular basis and a failed solve
+    ens = build_ensemble(
+        num_classes=3, features=[{"kind": "continuous"}], weights=[1.0],
+        raw_trees=[{"root": 0, "nodes": [
+            split(0, 0, 1, 2, threshold=0.0), leaf(1, 0, 0, 0.75),
+            split(2, 0, 3, 4, threshold=0.0), leaf(3, 0, 0, 0),
+            split(4, 0, 5, 6, threshold=0.0), leaf(5, 0, 0, 1),
+            leaf(6, 0, 0, 2.7501192265005645e-09)]}])
+    outcome = certified_prune(ens, sample_uniform_points(ens.schema, 1, 0),
+                              PruneOptions(norm=norm))
+    assert outcome.weights.tolist() == pytest.approx([3.636e8], rel=1e-3)
+    assert certify(ens, outcome.weights, DEFAULT_EPSILON).identical
+
+
 # Subnormal leaf scores put coefficients near 1e-311 and 5e-324 into the
 # oracle's margin rows, where dividing a row's residual by the row's
 # smallest coefficient overflowed.  In "overflowing_start" one of 1e-308

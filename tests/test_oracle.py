@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from equiprune import (DEFAULT_EPSILON, InputError, IterationLimitError,
-                       MilpSolution, ProblemTooLargeError, SolveStatus,
+                       ProblemTooLargeError, Solution, SolveStatus,
                        SolverFailureError, TiedPredictionError,
                        build_ensemble, build_separation, cell_center,
                        cell_scores_batch, cells_of, certified_prune, certify,
@@ -247,8 +247,8 @@ def fake_solution(ens, prog, cell):
     flow_cols = ~prog.problem.integer
     for node in route(ens, cell):
         x[(prog.flows[node] != 0) & flow_cols] = 1.0
-    return MilpSolution(status=SolveStatus.OPTIMAL, x=x, objective=0.0,
-                        nodes=1, iterations=0)
+    return Solution(status=SolveStatus.OPTIMAL, x=x, objective=0.0,
+                    nodes=1, iterations=0)
 
 
 def _subtree(flat, root):
@@ -299,8 +299,8 @@ def test_extraction_refuses_a_flow_that_disagrees_with_the_cell():
     prog = build_separation(ens, original=0)
     x = fake_solution(ens, prog, (1,)).x
     x[prog.blocks[0]] = fake_solution(ens, prog, (2,)).x[prog.blocks[0]]
-    sol = MilpSolution(status=SolveStatus.OPTIMAL, x=x, objective=0.0,
-                       nodes=1, iterations=0)
+    sol = Solution(status=SolveStatus.OPTIMAL, x=x, objective=0.0,
+                   nodes=1, iterations=0)
     with pytest.raises(SolverFailureError, match="no flow there"):
         extract_cell(ens, prog, sol)
 
@@ -609,7 +609,7 @@ def test_reused_programs_equal_fresh_builds():
 
     def record(problem, **kwargs):
         sol = solve_milp(problem, **kwargs)
-        calls.append((kwargs.get("start"), sol.root_basis, sol))
+        calls.append((kwargs.get("start"), sol.basis, sol))
         return sol
 
     ensembles = multi_class = starts = within_round = local_starts = 0
@@ -647,7 +647,7 @@ def test_reused_programs_equal_fresh_builds():
                 # too, unless a cold solve found it empty
                 assert root is not None or (
                     pair.status == SolveStatus.INFEASIBLE
-                    and not sol.warm_root)
+                    and not sol.warm)
                 starts += start is not None
                 first_of_class = c == (1 if y == 0 else 0)
                 within_round += start is not None and not first_of_class

@@ -554,8 +554,8 @@ def test_masters_resolve_from_the_last_root_round_after_round(cold_calls):
         (start, previous, went_cold), *later = masters
         assert start is None and went_cold >= 1
         for start, sol, went_cold in later:
-            assert start is previous.root_basis
-            assert sol.warm_root and not went_cold
+            assert start is previous.basis
+            assert sol.warm and not went_cold
             previous = sol
             warm += 1
         checked += 1

@@ -100,6 +100,13 @@ def test_four_item_knapsack_matches_enumeration():
                if sum(s for v, s, keep in zip(values, sizes, pick) if keep)
                <= cap)
     assert sol.objective == pytest.approx(best)
+    # solve_lp answers the relaxation at the root, without branching:
+    # the fractional knapsack takes items 3 and 2, the best by value per
+    # size, and two thirds of item 0, 11 + 7 + 20/3
+    relaxed = solve_lp(prob)
+    assert relaxed.status == SolveStatus.OPTIMAL and relaxed.nodes == 0
+    assert relaxed.objective == pytest.approx(11.0 + 7.0 + 20.0 / 3.0)
+    assert np.count_nonzero(relaxed.x != np.round(relaxed.x)) == 1
 
 
 def test_integral_relaxation_short_circuits():
@@ -109,6 +116,7 @@ def test_integral_relaxation_short_circuits():
     prob = pb.build()
     relaxed = solve_lp(prob)
     mip = solve_milp(prob)
+    assert relaxed.nodes == 0
     assert mip.objective == pytest.approx(relaxed.objective)
     assert mip.nodes <= 1  # no branching needed
 
@@ -338,7 +346,7 @@ def test_lp_text_dump(tmp_path):
 def warm_resolve(prob, start, lower, upper, factor=None):
     """Warm re-solve from ``start``, factored by ``_solve`` unless
     ``factor`` is given."""
-    cols = solver._Columns(*solver._prepare(prob))
+    cols = solver._Columns(prob)
     return solver._solve(cols, np.asarray(lower, dtype=float),
                          np.asarray(upper, dtype=float), start, factor)
 
@@ -581,12 +589,12 @@ def changed_bounds(prob, rng, kind):
 def neither_feasible(prob, start):
     """Whether ``start``, with every nonbasic resting at its status,
     is neither primal nor dual feasible for ``prob``."""
-    cols = solver._Columns(*solver._prepare(prob))
+    cols = solver._Columns(prob)
     sx = solver._Simplex(cols, np.asarray(prob.lower, dtype=float),
                          np.asarray(prob.upper, dtype=float), start=start,
                          factor=cols.factor(start))
     return bool(solver._outside(sx).any()
-                and solver._verified_candidates(sx).any())
+                and sx._candidates(10 * sx.pricing_tol()).any())
 
 
 def test_solve_lp_from_a_start_matches_cold_and_scipy(cold_calls):
@@ -771,7 +779,7 @@ def test_children_pivot_on_their_own_copy_of_the_node_factor(cold_calls):
         if pair is None:
             continue
         prob, root, down, up = pair
-        cols = solver._Columns(*solver._prepare(prob))
+        cols = solver._Columns(prob)
         factor = cols.factor(root.basis)
         binv, d = factor.binv.copy(), factor.d.copy()
         left = solver._Simplex(cols, *down, start=root.basis, factor=factor)
@@ -805,7 +813,7 @@ def test_singular_start_basis_falls_back_to_cold(cold_calls):
     status = np.zeros(n + m, dtype=np.int8)
     status[basic] = solver._BASIC
     singular = solver.Basis(basic, status)
-    cols = solver._Columns(*solver._prepare(prob))
+    cols = solver._Columns(prob)
     assert cols.factor(singular) is None
     cold_calls.clear()
     warm = warm_resolve(prob, singular, *down)
@@ -813,31 +821,6 @@ def test_singular_start_basis_falls_back_to_cold(cold_calls):
     cold = solve_lp(dataclasses.replace(prob, lower=down[0], upper=down[1]))
     assert warm.status == cold.status == SolveStatus.OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-
-
-def test_moved_state_is_rederived_before_the_optimum_check(monkeypatch):
-    prob, root, _, _ = tightened_pair(402)
-    cols = solver._Columns(*solver._prepare(prob))
-    sx = solver._Simplex(cols, prob.lower, prob.upper, start=root.basis,
-                         factor=cols.factor(root.basis))
-    assert sx.iterate() == SolveStatus.OPTIMAL
-    assert sx.derived
-    truth = sx.xB.copy()
-    rederived = []
-    rederive = sx._rederive
-    monkeypatch.setattr(sx, "_rederive",
-                        lambda: (rederived.append(1), rederive()))
-    # derived at this basis and unmoved: the check reuses the values
-    assert solver._verified_optimum(sx)
-    assert rederived == []
-    # a move of the nonbasics clears the flag; values that drifted
-    # after it are re-derived before the check, not trusted
-    sx._rest_nonbasics(sx.stat)
-    assert not sx.derived
-    sx.xB += 1.0
-    assert solver._verified_optimum(sx)
-    assert rederived == [1]
-    assert np.allclose(sx.xB, truth, atol=1e-12)
 
 
 def random_mixed_milp(seed: int):
@@ -1055,13 +1038,13 @@ def test_warm_root_milps_match_enumeration(cold_calls):
     for seed in range(500, 560):
         prob = random_mixed_milp(seed)
         first = solve_milp(prob)
-        if first.root_basis is None:    # the relaxation is empty
+        if first.basis is None:    # the relaxation is empty
             assert first.status == SolveStatus.INFEASIBLE
             continue
         changed = dataclasses.replace(
             prob, c=rng.integers(-3, 4, size=prob.num_vars).astype(float))
         cold_calls.clear()
-        warm = solve_milp(changed, start=first.root_basis)
+        warm = solve_milp(changed, start=first.basis)
         assert cold_calls == []         # neither the root nor a child fell back
         brute = brute_force_mip(changed)
         cold = solve_milp(changed)
@@ -1124,7 +1107,7 @@ def test_numerically_singular_basis_is_not_factored():
     # entries near 1e16 instead of an error.
     prob = random_lp(400)
     n, m = prob.num_vars, prob.num_rows
-    cols = solver._Columns(*solver._prepare(prob))
+    cols = solver._Columns(prob)
     status = np.zeros(n + m, dtype=np.int8)
     inverted = 0
     for first in itertools.permutations(range(n), m - 1):
@@ -1316,7 +1299,7 @@ def test_warm_root_from_a_reduced_basis_matches_cold(cold_calls):
     for seed in range(700, 740):
         prob = presolve_milp(seed)
         first = solve_milp(prob)
-        basis = first.root_basis
+        basis = first.basis
         assert basis.basic.shape == (prob.num_rows,)
         assert basis.status.shape == (prob.num_vars + prob.num_rows,)
         changed = dataclasses.replace(
@@ -1340,11 +1323,11 @@ def test_a_start_of_another_shape_goes_cold(cold_calls):
                  if presolve_milp(seed).num_vars != prob.num_vars)
     longer = with_rows(prob, [(np.ones(prob.num_vars), -1, 100.0)])
     cold = solve_milp(prob)
-    for stranger in (solve_milp(other).root_basis,
-                     solve_milp(longer).root_basis):
+    for stranger in (solve_milp(other).basis,
+                     solve_milp(longer).basis):
         cold_calls.clear()
         sol = solve_milp(prob, start=stranger)
-        assert len(cold_calls) >= 1 and not sol.warm_root
+        assert len(cold_calls) >= 1 and not sol.warm
         # the start is ignored, so the solve repeats the cold one exactly
         assert (sol.iterations, sol.nodes) == (cold.iterations, cold.nodes)
         assert sol.objective == pytest.approx(scipy_milp_optimum(prob),
@@ -1390,7 +1373,7 @@ def assert_resolved_like_cold(grown, warm):
     start's root, without a fallback to the slack basis there."""
     cold = solve_milp(grown)
     ref = scipy_milp_optimum(grown)
-    assert warm.warm_root
+    assert warm.warm
     assert warm.status == cold.status
     if ref is None:
         assert warm.status == SolveStatus.INFEASIBLE
@@ -1432,7 +1415,7 @@ def test_set_cover_rows_appended_round_after_round(cold_calls):
             last = _round == 3 and rng.random() < 0.3
             prob = with_rows(prob, cover_rows(rng, n, k, empty=last))
             cold_calls.clear()
-            sol = solve_milp(prob, start=sol.root_basis)
+            sol = solve_milp(prob, start=sol.basis)
             assert cold_calls == []
             assert_resolved_like_cold(prob, sol)
             resolved += 1
@@ -1471,7 +1454,7 @@ def test_appended_rows_match_cold_and_scipy():
                 a[:] = rng.integers(-2, 3, size=n)
                 rows.append((a, -1, a @ first.x - 0.5))
         grown = with_rows(prob, rows)
-        warm = solve_milp(grown, start=first.root_basis)
+        warm = solve_milp(grown, start=first.basis)
         assert_resolved_like_cold(grown, warm)
         if warm.status == SolveStatus.INFEASIBLE:
             infeasible += 1
@@ -1493,7 +1476,7 @@ def test_rows_appended_to_random_milps_match_cold_and_scipy():
                  int(rng.choice([-1, 1, 0], p=[0.45, 0.45, 0.1])),
                  float(rng.integers(-2, 4))) for _ in range(k)]
         grown = with_rows(prob, rows)
-        warm = solve_milp(grown, start=first.root_basis)
+        warm = solve_milp(grown, start=first.basis)
         assert_resolved_like_cold(grown, warm)
         solved += 1
     assert solved >= 20
@@ -1503,7 +1486,7 @@ def test_changed_rows_are_presolved_again():
     # a start from the same rows with a shifted right-hand side is checked
     # against the problem's own data, not taken as the old optimum
     prob = presolve_milp(702)
-    start = solve_milp(prob).root_basis
+    start = solve_milp(prob).basis
     looser = dataclasses.replace(prob, b=prob.b + 0.25)
     sol = solve_milp(looser, start=start)
     assert sol.objective == pytest.approx(scipy_milp_optimum(looser),
@@ -1522,7 +1505,7 @@ def test_a_start_whose_rows_are_not_a_prefix_is_presolved_again():
                       prob, upper=prob.upper + 1.0), [row]),
                   dataclasses.replace(prob, A=prob.A[1:], b=prob.b[1:],
                                       senses=prob.senses[1:])):
-        sol = solve_milp(other, start=first.root_basis)
+        sol = solve_milp(other, start=first.basis)
         assert sol.objective == pytest.approx(scipy_milp_optimum(other),
                                               abs=1e-7)
 
@@ -1588,19 +1571,33 @@ def test_lps_resolve_from_starts_of_fewer_columns_or_rows(cold_calls):
 
 
 def test_milps_resolve_from_roots_of_fewer_columns_or_rows():
+    # a MILP's root basis and an LP's basis are one kind of start: each
+    # entry re-solves from the other's, and from its own
     verdicts = {kind: [] for kind in SMALLER}
     for seed in range(1100, 1140):
         prob = nested_problem(seed, integers=4)
+        cold = solve_milp(prob)
+        relaxed = solve_lp(prob)
+        # the root of a MILP is its relaxation's optimum
+        from_root = solve_lp(prob, start=cold.basis)
+        assert from_root.warm and from_root.iterations == 0
+        assert solve_milp(prob, start=relaxed.basis).warm
         for kind, shape in SMALLER.items():
-            first = solve_milp(leading(prob, *shape(8, 7)))
-            assert first.status == SolveStatus.OPTIMAL
-            warm = solve_milp(prob, start=first.root_basis)
-            verdicts[kind].append(warm.warm_root)
-            cold = solve_milp(prob)
-            assert warm.status == cold.status == SolveStatus.OPTIMAL
-            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-            assert warm.objective == pytest.approx(scipy_milp_optimum(prob),
-                                                   abs=1e-7)
+            small = leading(prob, *shape(8, 7))
+            for first_entry in (solve_milp, solve_lp):
+                first = first_entry(small)
+                assert first.status == SolveStatus.OPTIMAL
+                warm = solve_milp(prob, start=first.basis)
+                assert warm.status == cold.status == SolveStatus.OPTIMAL
+                assert warm.objective == pytest.approx(cold.objective,
+                                                       abs=1e-9)
+                assert warm.objective == pytest.approx(
+                    scipy_milp_optimum(prob), abs=1e-7)
+                lp = solve_lp(prob, start=first.basis)
+                assert lp.status == SolveStatus.OPTIMAL and lp.nodes == 0
+                assert lp.objective == pytest.approx(relaxed.objective,
+                                                     abs=1e-9)
+                verdicts[kind] += [warm.warm, lp.warm]
     for kind, warm in verdicts.items():
         assert sum(warm) >= 0.8 * len(warm), kind
 
@@ -1637,7 +1634,7 @@ def test_a_start_with_more_columns_or_rows_goes_cold(cold_calls):
     prob = nested_problem(1000)
     start = solve_lp(prob).basis
     mip = nested_problem(1100, integers=4)
-    root = solve_milp(mip).root_basis
+    root = solve_milp(mip).basis
     for kind, shape in SMALLER.items():
         smaller = leading(prob, *shape(8, 7))
         cold = solve_lp(smaller)
@@ -1650,7 +1647,7 @@ def test_a_start_with_more_columns_or_rows_goes_cold(cold_calls):
         cold = solve_milp(smaller)
         cold_calls.clear()
         sol = solve_milp(smaller, start=root)
-        assert len(cold_calls) >= 1 and not sol.warm_root
+        assert len(cold_calls) >= 1 and not sol.warm
         assert (sol.iterations, sol.nodes, sol.objective) == (
             cold.iterations, cold.nodes, cold.objective)
 
@@ -1686,22 +1683,16 @@ def loop_branches(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("constant, value", [("_BLAND_AFTER", 0),
-                                             ("_REFACTOR_EVERY", 1)])
-def test_bland_and_refactor_branches_match_scipy(monkeypatch, loop_branches,
-                                                 constant, value):
-    # the random LPs of test_random_lps_match_scipy solved from the
-    # slack basis, as given and with every row met at the lower bounds
-    # (as in test_a_cold_solve_starts_from_the_slack_basis, so that the
-    # primal simplex starts on degenerate steps), and the held starts of
-    # test_starts_neither_primal_nor_dual_feasible_finish_warm, with
-    # Bland's rule from the first degenerate step, or B re-inverted
-    # after every pivot: each answer is still linprog's
-    monkeypatch.setattr(solver, constant, value)
-    problems = [at for prob in map(random_lp, range(40))
-                for at in (prob, dataclasses.replace(prob,
-                                                     b=prob.A @ prob.lower))]
-    solved = [solve_lp(prob) for prob in problems]
+def slack_and_held_lps():
+    """(problem, start) pairs: the random LPs of
+    test_random_lps_match_scipy with no start, as given and with every
+    row met at the lower bounds (as in
+    test_a_cold_solve_starts_from_the_slack_basis, so that the primal
+    simplex starts on degenerate steps), and the held starts of
+    test_starts_neither_primal_nor_dual_feasible_finish_warm."""
+    cases = [(at, None) for prob in map(random_lp, range(40))
+             for at in (prob, dataclasses.replace(prob,
+                                                  b=prob.A @ prob.lower))]
     rng = np.random.default_rng(74)
     for seed in range(1200, 1300):
         prob = nested_problem(seed)
@@ -1709,10 +1700,22 @@ def test_bland_and_refactor_branches_match_scipy(monkeypatch, loop_branches,
         changed = changed_bounds(
             dataclasses.replace(prob, c=rng.normal(size=prob.num_vars)),
             rng, "tighten")
-        problems.append(changed)
-        solved.append(solve_lp(changed, start=first.basis))
+        cases.append((changed, first.basis))
+    return cases
+
+
+@pytest.mark.parametrize("constant, value", [("_BLAND_AFTER", 0),
+                                             ("_REFACTOR_EVERY", 1)])
+def test_bland_and_refactor_branches_match_scipy(monkeypatch, loop_branches,
+                                                 constant, value):
+    # the LPs of slack_and_held_lps, with Bland's rule from the first
+    # degenerate step, or B re-inverted after every pivot: each answer
+    # is still linprog's
+    monkeypatch.setattr(solver, constant, value)
+    problems = slack_and_held_lps()
+    solved = [solve_lp(prob, start=start) for prob, start in problems]
     pivots = 0
-    for prob, sol in zip(problems, solved):
+    for (prob, _), sol in zip(problems, solved):
         assert sol.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE,
                               SolveStatus.UNBOUNDED)
         scipy_check(prob, sol)
@@ -1721,3 +1724,32 @@ def test_bland_and_refactor_branches_match_scipy(monkeypatch, loop_branches,
         assert loop_branches["primal"] >= 1 and loop_branches["dual"] >= 1
     else:
         assert loop_branches["refactors"] >= pivots > 0
+
+
+@pytest.mark.parametrize("constant, value", [(None, None),
+                                             ("_BLAND_AFTER", 0),
+                                             ("_REFACTOR_EVERY", 1)])
+def test_every_primal_optimum_is_claimed_on_rederived_values(
+        monkeypatch, constant, value):
+    # _verified_optimum tests only the bounds of the basics: it relies on
+    # iterate() returning OPTIMAL only on values re-derived from the
+    # original data at the basis, where no reduced cost prices in.  The
+    # LPs of slack_and_held_lps, from the slack basis and from held
+    # starts, under the default loop constants and as patched in
+    # test_bland_and_refactor_branches_match_scipy
+    if constant is not None:
+        monkeypatch.setattr(solver, constant, value)
+    optima = []
+    iterate = solver._Simplex.iterate
+
+    def recorded(sx):
+        status = iterate(sx)
+        if status == SolveStatus.OPTIMAL:
+            optima.append(sx.derived
+                          and not sx._candidates(sx.pricing_tol()).any())
+        return status
+
+    monkeypatch.setattr(solver._Simplex, "iterate", recorded)
+    for prob, start in slack_and_held_lps():
+        solve_lp(prob, start=start)
+    assert len(optima) >= 150 and all(optima)
