@@ -145,6 +145,7 @@ def cmd_prune(args) -> int:
                           "nodes": record.prune.nodes,
                           "pivots": record.prune.iterations,
                           "masters": record.prune.masters,
+                          "free_masters": record.prune.free_masters,
                           "warm_masters": record.prune.warm_masters,
                           "lps": record.prune.lps,
                           "warm_lps": record.prune.warm_lps,

@@ -9,11 +9,14 @@ argmax) iff
 after normalizing the separation to 1 (w is free to scale): the keep
 rows G w >= 1.  The weight-sum minimizer is a plain LP, sparse as a side
 effect of vertex solutions.  The exact cardinality minimizer is an
-implicit hitting-set loop (combinatorial Benders decomposition).  Its
-support checks are one LP over all trees whose bounds say which trees
-are tested, and so is the weight-sum LP, so that a check on one more
-tree, or an LP after the working set grew, re-solves from the basis of
-the one before it; a check whose answer is already known solves no LP.
+implicit hitting-set loop (combinatorial Benders decomposition), whose
+master is answered from a lower bound when a cheap hitting set meets it,
+and otherwise solved as a MILP that searches only below the cheap set
+and stops at the bound.  Its support checks are one LP over all trees
+whose bounds say which trees are tested, and so is the weight-sum LP,
+so that a check on one more tree, or an LP after the working set grew,
+re-solves from the basis of the one before it; a check whose answer is
+already known solves no LP.
 Support is counted against a fixed zero tolerance.
 """
 
@@ -40,8 +43,11 @@ class PruneSet:
     the original weights predict on it.  Points are added by their
     cells, since two points in one cell would generate identical
     constraint rows.  Insertion order is preserved.  ``conflicts`` keeps
-    the ones ``prune_l0`` found, in order, and ``master_basis`` the root
-    basis of its last master, whose rows are the first conflicts.
+    the ones ``prune_l0`` found, in order; ``master_trees`` its last
+    master optimum, a smallest set of trees meeting every conflict then
+    known, whose size bounds every later master from below (conflicts
+    only join); and ``master_basis`` the root basis of its last master
+    MILP, whose rows are the two size rows and then the first conflicts.
     ``check_basis`` holds the basis of the last check LP ``prune_l0``
     solved, and ``support_basis`` that of the last weight-sum LP
     (``min_weight_sum``) of ``prune_l0`` or ``prune_l1``: starts for the
@@ -54,6 +60,7 @@ class PruneSet:
         self.labels: list[int] = []
         self._seen: set[CellSignature] = set()
         self.conflicts: dict[tuple[int, ...], None] = {}
+        self.master_trees: tuple[int, ...] = ()
         self.master_basis: Basis | None = None
         self.check_basis: Basis | None = None
         self.support_basis: Basis | None = None
@@ -145,11 +152,12 @@ def compute_big_w(ensemble: Ensemble, prune_set: PruneSet,
 class PruneResult:
     weights: np.ndarray       # (M,) reweighting, zeros on removed trees
     support: tuple[int, ...]  # indices of kept trees
-    objective: float          # solver objective (cardinality / weight sum)
+    objective: float          # master optimum (l0) / weight sum (l1)
     nodes: int                # B&B nodes summed over master solves (0 for l1)
     iterations: int           # simplex pivots
-    masters: int = 0          # master MILPs solved (l0)
-    warm_masters: int = 0     # of them, re-solved from a held root basis
+    masters: int = 0          # masters answered (l0)
+    free_masters: int = 0     # of them, answered by a bound without a MILP
+    warm_masters: int = 0     # of the MILPs, re-solved from a held root basis
     lps: int = 0              # check and weight-sum LPs solved
     warm_lps: int = 0         # of them, answered warm from a held basis
     free_checks: int = 0      # checks answered without an LP (l0)
@@ -215,25 +223,95 @@ def _known_to_pass(G: np.ndarray, alpha: np.ndarray, trees: np.ndarray,
                 or any(np.all(trees[p]) for p in passed))
 
 
+def _packing_bound(A: np.ndarray) -> int:
+    """Size of a family of pairwise disjoint rows of the conflict
+    incidence A (one row per conflict, one column per tree), taken
+    greedily, smallest conflict first: a hitting set meets each of
+    them in a tree of its own, so none is smaller."""
+    used = np.zeros(A.shape[1], dtype=bool)
+    count = 0
+    for k in np.argsort(A.sum(axis=1), kind="stable"):
+        if not np.any(A[k] & used):
+            used |= A[k]
+            count += 1
+    return count
+
+
+def _cheap_hitting_set(A: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """A set of trees (mask) meeting every row of A, none empty, found
+    without a MILP: ``held`` if it meets them all, else the first set
+    that swaps one tree of ``held`` for one outside it and meets them
+    all, else a greedy set (each time the tree meeting the most rows
+    not yet met, the first on a tie)."""
+    hits = A[:, held].sum(axis=1)
+    missed = hits == 0
+    if not missed.any():
+        return held
+    fills = A[missed].all(axis=0) & ~held   # trees meeting every missed row
+    if fills.any():
+        for i in np.flatnonzero(held):
+            swap = fills & A[(hits == 1) & A[:, i]].all(axis=0)
+            if swap.any():
+                out = held.copy()
+                out[i] = False
+                out[np.argmax(swap)] = True
+                return out
+    chosen = np.zeros(A.shape[1], dtype=bool)
+    open_rows = np.ones(A.shape[0], dtype=bool)
+    while open_rows.any():
+        m = int(np.argmax(A[open_rows].sum(axis=0)))
+        chosen[m] = True
+        open_rows &= ~A[:, m]
+    return chosen
+
+
+def _capped_master(A: np.ndarray, bound: int, cap: int) -> MilpProblem:
+    """min sum(u) s.t. sum(u) <= cap, sum(u) >= bound, A u >= 1, u
+    binary: the master over conflict incidence A with its two size rows
+    first, so that a later master, whose conflict rows extend these,
+    re-solves from this one's root basis."""
+    prog = _ones_program(np.vstack([np.ones((2, A.shape[1])), A]), 1.0,
+                         integer=True)
+    prog.senses[0] = -1
+    prog.b[:2] = cap, bound
+    return prog
+
+
 def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
              solve: Callable[..., Solution] = solve_milp,
              margins: np.ndarray | None = None) -> PruneResult:
     """Fewest trees whose reweighting reproduces every working-set
     prediction, exactly, by implicit hitting sets.  A conflict is a set
     of trees that every working support meets, such as a row's cover
-    {m : g_m > 0}.  ``solve`` picks a smallest S meeting every conflict
-    K (min sum(u) s.t. sum_{m in K} u_m >= 1, u binary); S works iff
-    max sum(y) s.t. y'G_S <= 0, 0 <= y <= 1 is 0 (Farkas).  Else S grows
-    to a maximal failing set (every tree with y'g_m <= 0, then the others
-    that keep it failing), whose complement S misses: the next conflict.
-    The S that works gets its smallest weight sum.  Conflicts live on
-    ``prune_set``, so ``margins`` must be its G.
+    {m : g_m > 0}.  The master picks a smallest S meeting every
+    conflict K (min sum(u) s.t. sum_{m in K} u_m >= 1, u binary); S
+    works iff max sum(y) s.t. y'G_S <= 0, 0 <= y <= 1 is 0 (Farkas).
+    Else S grows to a maximal failing set (every tree with y'g_m <= 0,
+    then the others that keep it failing), whose complement S misses:
+    the next conflict.  The S that works gets its smallest weight sum.
+    Conflicts live on ``prune_set``, so ``margins`` must be its G.  An
+    empty conflict, which no S meets, raises ``InfeasiblePruneError``.
 
-    Conflicts only ever join at the end, so each master's rows are the
-    last master's plus more.  Every master after the first of a
-    ``prune_set`` gets the last one's root basis as ``start=``, and
-    ``solve_milp`` re-solves it from there by a dual simplex, with a
-    basic slack for each new row.
+    Each master is answered from a lower bound, ``bound``, the larger
+    of two: the last master optimum (``PruneSet.master_trees``), since
+    conflicts only join and so the optimum never falls, and the size of
+    a family of pairwise disjoint conflicts (``_packing_bound``), which
+    S meets in a tree each.  A cheap hitting set (``_cheap_hitting_set``)
+    no larger than ``bound`` is optimal and solves no MILP
+    (``free_masters``).  Otherwise ``solve`` gets the master capped
+    below the cheap set: its first two rows are sum(u) <= |cheap| - 1
+    and sum(u) >= bound, then one row per conflict.  No relaxation in
+    its branch and bound lies below ``bound`` and every cost is an
+    integer, so ``solve_milp`` stops at the first incumbent of size
+    ``bound``; INFEASIBLE means no smaller set exists, so the cheap set
+    is optimal.  Every answer is thus a hitting set whose size
+    a lower bound or the capped MILP proves minimal.
+
+    Conflicts only ever join at the end, so each master MILP's rows are
+    the last one's plus more, under new sides for the two size rows.
+    Every master MILP after the first of a ``prune_set`` gets the last
+    one's root basis as ``start=``, and ``solve_milp`` re-solves it from
+    there by a dual simplex, with a basic slack for each new row.
 
     Every check is the one program max sum(y) s.t. g_m'y - t_m <= 0 for
     each tree m (g_m scaled by ``_scale_columns``, which keeps each sign
@@ -251,13 +329,15 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
     A check whose answer is known solves no LP (``free_checks``): the
     original weights on the tested trees keep every row, or the tested
     trees hold a set that passed earlier in the call.  Nothing but the
-    conflicts and the bases outlives the call."""
+    conflicts, the last master optimum and the bases outlives the
+    call."""
     G = build_margins(ensemble, prune_set) if margins is None else margins
     _untied_margin(ensemble, prune_set, G)
     conflicts = prune_set.conflicts
     for cover in G > 0.0:
         conflicts[tuple(np.flatnonzero(cover).tolist())] = None
-    nodes = pivots = masters = warm = lps = warm_lps = free = 0
+    nodes = pivots = masters = free_masters = warm = 0
+    lps = warm_lps = free = 0
     alpha = np.asarray(ensemble.alpha, dtype=float)
     passed: list[np.ndarray] = []       # tested sets that passed
     rows, M = G.shape
@@ -297,25 +377,36 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
         return None
 
     while True:
-        A = np.zeros((len(conflicts), ensemble.num_trees))
-        for k, trees in enumerate(conflicts):
-            A[k, list(trees)] = 1.0
-        pick = solve(_ones_program(A, 1.0, integer=True),
-                     start=prune_set.master_basis)
-        prune_set.master_basis = pick.basis
-        masters += 1
-        warm += pick.warm
-        if pick.status == SolveStatus.INFEASIBLE:  # an empty conflict
+        if () in conflicts:             # no tree can meet it
             raise InfeasiblePruneError(
                 "no faithful reweighting exists on the working set")
-        if pick.status == SolveStatus.ITERATION_LIMIT:
-            raise IterationLimitError(
-                "tree selection hit the solver node limit")
-        if pick.status != SolveStatus.OPTIMAL:
-            raise SolverFailureError(f"unexpected solver status {pick.status}")
-        nodes += pick.nodes
-        pivots += pick.iterations
-        chosen = pick.x > 0.5
+        A = np.zeros((len(conflicts), M), dtype=bool)
+        for k, trees in enumerate(conflicts):
+            A[k, list(trees)] = True
+        held = np.zeros(M, dtype=bool)
+        held[list(prune_set.master_trees)] = True
+        bound = max(len(prune_set.master_trees), _packing_bound(A))
+        chosen = _cheap_hitting_set(A, held)
+        masters += 1
+        if chosen.sum() <= bound:
+            free_masters += 1
+        else:
+            pick = solve(_capped_master(A.astype(float), bound,
+                                        int(chosen.sum()) - 1),
+                         start=prune_set.master_basis)
+            prune_set.master_basis = pick.basis
+            warm += pick.warm
+            nodes += pick.nodes
+            pivots += pick.iterations
+            if pick.status == SolveStatus.ITERATION_LIMIT:
+                raise IterationLimitError(
+                    "tree selection hit the solver node limit")
+            if pick.status == SolveStatus.OPTIMAL:
+                chosen = pick.x > 0.5
+            elif pick.status != SolveStatus.INFEASIBLE:  # else cheap is best
+                raise SolverFailureError(
+                    f"unexpected solver status {pick.status}")
+        prune_set.master_trees = tuple(np.flatnonzero(chosen).tolist())
         fail = failed_check(chosen, prune_set.check_basis)
         if fail is None:
             break
@@ -335,9 +426,10 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
     if sol.status != SolveStatus.OPTIMAL:
         raise SolverFailureError(f"support LP ended {sol.status.value}")
     return PruneResult(weights=weights, support=support_of(weights),
-                       objective=float(pick.objective), nodes=nodes,
+                       objective=float(chosen.sum()), nodes=nodes,
                        iterations=pivots + sol.iterations, masters=masters,
-                       warm_masters=warm, lps=lps + 1,
+                       free_masters=free_masters, warm_masters=warm,
+                       lps=lps + 1,
                        warm_lps=warm_lps + sol.warm, free_checks=free)
 
 

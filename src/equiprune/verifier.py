@@ -122,14 +122,19 @@ def brute_force_min_support(ensemble: Ensemble, prune_set: PruneSet,
                             max_trees: int = BRUTE_FORCE_MAX_TREES) -> int:
     """Smallest number of trees whose reweighting reproduces every
     working-set prediction, by trying all subsets in ascending size.
-    Each subset is checked with a small LP feasibility solve."""
+    Each subset that meets every keep row's cover (a row needs a
+    positive entry among the kept trees) is checked with a small LP
+    feasibility solve."""
     M = ensemble.num_trees
     if M > max_trees:
         raise EnumerationCapError(
             f"{M} trees exceed the subset-search limit of {max_trees}")
     G = build_margins(ensemble, prune_set)
+    covers = G > 0.0
     for k in range(M + 1):
         for subset in itertools.combinations(range(M), k):
+            if not covers[:, subset].any(axis=1).all():
+                continue
             _, sol = min_weight_sum(G, subset)
             if sol.status == SolveStatus.OPTIMAL:
                 return k

@@ -66,8 +66,9 @@ def make_stump(feature: int, threshold: float, left_scores, right_scores):
 
 def three_voter_majority():
     """Three unit-weight stumps on three features voting for one of two
-    classes.  Its cells make the l0 master's root relaxation
-    fractional, and every oracle pair needs branch-and-bound nodes."""
+    classes.  Its cells make the uncapped l0 master's root relaxation
+    fractional (``prune_l0``'s capped master needs no branching there),
+    and every oracle pair needs branch-and-bound nodes."""
     return build_ensemble(
         num_classes=2,
         features=[{"name": f"x{j}", "kind": "continuous"} for j in range(3)],

@@ -80,6 +80,14 @@ def only_first_lps_cold(rounds):
     return rounds[0]["lps"] > rounds[0]["warm_lps"] and cold == 1 + (checks > 0)
 
 
+def only_first_master_cold(rounds):
+    """Whether every master MILP of the ``l0`` run of ``prune_rounds``
+    but its first, in whatever round it fell, re-solved from the last
+    one's root; masters a bound answered (``free_masters``) solve none."""
+    solved = sum(r["masters"] - r["free_masters"] for r in rounds)
+    return sum(r["warm_masters"] for r in rounds) == solved - (solved > 0)
+
+
 def test_prune_fixture_writes_report(tmp_path, capsys):
     out = tmp_path / "pruned.json"
     report_path = tmp_path / "report.json"
@@ -119,9 +127,9 @@ def test_prune_fixture_writes_report(tmp_path, capsys):
         range(1, report["iterations"] + 1))
     for r in rounds:
         assert set(r) == {"iteration", "nodes", "pivots", "masters",
-                          "warm_masters", "lps", "warm_lps", "free_checks"}
-        # every master but a run's first starts from the last one's root
-        assert r["warm_masters"] == r["masters"] - (r["iteration"] == 1)
+                          "free_masters", "warm_masters", "lps", "warm_lps",
+                          "free_checks"}
+    assert only_first_master_cold(rounds)
     assert only_first_lps_cold(rounds)
     pruned = load_model(out)
     assert sum(1 for w in pruned.alpha if w > 0) == 1
@@ -150,6 +158,8 @@ def test_prune_reports_screened_rounds(tmp_path, capsys, caplog):
     assert {p["iteration"] for p in report["oracle_pairs"]}.isdisjoint(
         screened)
     assert sum(r["warm_masters"] for r in report["prune_rounds"]) >= 1
+    assert sum(r["free_masters"] for r in report["prune_rounds"]) >= 1
+    assert only_first_master_cold(report["prune_rounds"])
     assert only_first_lps_cold(report["prune_rounds"])
     assert sum(r["free_checks"] for r in report["prune_rounds"]) >= 1
     assert "screened cells" in capsys.readouterr().out

@@ -10,10 +10,10 @@ from equiprune import (InfeasiblePruneError, InputError,
                        SolveStatus, TiedPredictionError,
                        brute_force_min_support, build_ensemble, build_margins,
                        cell_center, cell_scores_batch, cells_of,
-                       compute_big_w, enumerate_cells, model_from_dict,
-                       model_to_dict, predict_classes_batch, prune_l0,
-                       prune_l1, sample_uniform_points, solve_milp, solver,
-                       support_of)
+                       compute_big_w, enumerate_cells, make_synthetic,
+                       model_from_dict, model_to_dict, predict_classes_batch,
+                       prune_l0, prune_l1, sample_uniform_points, solve_milp,
+                       solver, support_of, train_adaboost)
 from equiprune import pruner
 from equiprune.pruner import min_weight_sum
 from conftest import (make_stump, one_hot, random_boosted_instance,
@@ -47,6 +47,17 @@ def l0_cases():
     for _ in range(30):
         ens = zeroed_and_duplicated(random_mixed_ensemble(rng), rng)
         cases.append((ens, all_cells_set(ens)))
+    return cases
+
+
+def boosted_cases(seeds):
+    """The boosted stump draws of ``seeds`` (``random_boosted_instance``),
+    each with its rows as the working set."""
+    cases = []
+    for ens, data in filter(None, map(random_boosted_instance, seeds)):
+        ps = PruneSet(ens)
+        ps.add_points(data.X)
+        cases.append((ens, ps))
     return cases
 
 
@@ -235,11 +246,18 @@ def test_carried_conflicts_give_the_fresh_support_size():
 
 
 def test_l0_tree_selection_stops_at_the_node_limit(monkeypatch):
-    ens = three_voter_majority()
-    assert prune_l0(ens, all_cells_set(ens)).nodes >= 1
+    """A draw whose capped master still branches: no cheap hitting set
+    meets its bound, and the MILP's root is fractional."""
+    ens, data = random_boosted_instance(7)
+
+    def seeded():
+        ps = PruneSet(ens)
+        ps.add_points(data.X)
+        return ps
+    assert prune_l0(ens, seeded()).nodes >= 1
     monkeypatch.setattr(solver, "_MAX_NODES", 0)
     with pytest.raises(IterationLimitError, match="node limit"):
-        prune_l0(ens, all_cells_set(ens))
+        prune_l0(ens, seeded())
 
 
 def test_l1_weight_minimization_stops_at_the_pivot_limit(monkeypatch):
@@ -465,10 +483,12 @@ def test_growth_checks_resolve_from_the_last_failing_check(monkeypatch,
     starts from the basis of the check before it; every other one from
     the basis of the last failing check, and only tightens its bounds.
     None falls back to a cold solve, and each reaches a cold solve's
-    optimum."""
+    optimum.  A round starts where its master takes a cheap hitting
+    set, whether a bound then answers the master or a MILP does."""
     events = []                 # "master", or (problem, start, solution,
                                 # cold solves) of a check
     plain_lp = pruner.solve_lp
+    cheap = pruner._cheap_hitting_set
 
     def recorded(problem, start=None):
         before = len(cold_calls)
@@ -477,21 +497,18 @@ def test_growth_checks_resolve_from_the_last_failing_check(monkeypatch,
             events.append((problem, start, sol, len(cold_calls) - before))
         return sol
 
-    def master(problem, start=None):
+    def master(A, held):
         events.append("master")
-        return solve_milp(problem, start=start)
+        return cheap(A, held)
 
     monkeypatch.setattr(pruner, "solve_lp", recorded)
-    cases = l0_cases()
-    for ens, data in filter(None, map(random_boosted_instance, range(30))):
-        ps = PruneSet(ens)
-        ps.add_points(data.X)
-        cases.append((ens, ps))
+    monkeypatch.setattr(pruner, "_cheap_hitting_set", master)
+    cases = l0_cases() + boosted_cases(range(30))
     grown = rounds = 0
     for ens, ps in cases:
         events.clear()
         try:
-            prune_l0(ens, ps, solve=master)
+            prune_l0(ens, ps)
         except TiedPredictionError:
             continue
         last = failing = None
@@ -522,11 +539,15 @@ def test_growth_checks_resolve_from_the_last_failing_check(monkeypatch,
 
 
 def test_masters_resolve_from_the_last_root_round_after_round(cold_calls):
-    """The working set grows in three steps, each pruned: only the first
-    master of the set is solved cold; every later one,
-    within a call and across calls, starts from the root basis of the
-    master before it and never goes cold.  Each call's support is as
-    small as subset search finds."""
+    """On ``l0_cases`` and boosted stump draws, the working set grows in
+    three steps, each pruned.  Each call's support is as small as subset
+    search finds: a master is answered by a cheap hitting set no larger
+    than its lower bound, or by a MILP capped below the cheap set, so
+    this checks both bounds and the capped MILP's INFEASIBLE read as
+    "the cheap set is optimal".  Only the first master MILP the set
+    solves is cold, in whatever step it falls; every later one, within
+    a call and across calls, starts from the root basis of the MILP
+    before it and never goes cold."""
     masters = []                # (start, solution, cold solves)
 
     def master(problem, start=None):
@@ -534,10 +555,8 @@ def test_masters_resolve_from_the_last_root_round_after_round(cold_calls):
         sol = solve_milp(problem, start=start)
         masters.append((start, sol, len(cold_calls) - before))
         return sol
-    checked = warm = 0
-    for ens, full in l0_cases():
-        if ens.num_trees > 8:
-            continue
+    checked = warm = free = infeasible = 0
+    for ens, full in l0_cases() + boosted_cases(range(30)):
         grown = PruneSet(ens)
         masters.clear()
         try:
@@ -545,11 +564,19 @@ def test_masters_resolve_from_the_last_root_round_after_round(cold_calls):
                 grown.add_cells(full.cells[len(grown):len(full) * step // 3])
                 before = len(masters)
                 result = prune_l0(ens, grown, solve=master)
-                assert result.masters == len(masters) - before
-                assert result.warm_masters == result.masters - (step == 1)
+                solved = result.masters - result.free_masters
+                assert solved == len(masters) - before
+                assert result.warm_masters == solved - (before == 0
+                                                        and solved > 0)
                 assert len(result.support) == brute_force_min_support(
-                    ens, grown)
+                    ens, grown, max_trees=20)
+                free += result.free_masters
         except TiedPredictionError:
+            continue
+        checked += 1
+        infeasible += sum(sol.status == SolveStatus.INFEASIBLE
+                          for _, sol, _ in masters)
+        if not masters:
             continue
         (start, previous, went_cold), *later = masters
         assert start is None and went_cold >= 1
@@ -558,9 +585,28 @@ def test_masters_resolve_from_the_last_root_round_after_round(cold_calls):
             assert sol.warm and not went_cold
             previous = sol
             warm += 1
-        checked += 1
-    assert checked >= 30
-    assert warm >= 70
+    assert checked >= 60
+    assert free >= 250
+    assert infeasible >= 15
+    assert warm >= 4
+
+
+def test_l0_on_forty_linear_stumps_is_exact_and_mostly_free():
+    """The first ``prune_l0`` of 40 boosted stumps on ``linear(8)``, all
+    120 rows as the working set, keeps 9 trees, the minimum that
+    solving every master as a plain MILP also finds, and answers some
+    masters without a MILP; every master MILP but the first re-solves
+    from the last one's root."""
+    data = make_synthetic("linear", 120, 0, num_features=8)
+    ens = train_adaboost(data, num_trees=40, max_depth=1)
+    ps = PruneSet(ens)
+    ps.add_points(data.X)
+    result = prune_l0(ens, ps)
+    assert len(result.support) == result.objective == 9
+    assert result.free_masters > 0
+    solved = result.masters - result.free_masters
+    assert solved > 1 and result.warm_masters == solved - 1
+    assert keeps_every_row(build_margins(ens, ps)[:, list(result.support)])
 
 
 def test_check_and_support_lps_resolve_round_after_round(monkeypatch,
@@ -649,11 +695,7 @@ def test_checks_answered_without_an_lp_would_pass(monkeypatch):
         return answer
 
     monkeypatch.setattr(pruner, "_known_to_pass", recorded)
-    cases = l0_cases()
-    for ens, data in filter(None, map(random_boosted_instance, range(300))):
-        ps = PruneSet(ens)
-        ps.add_points(data.X)
-        cases.append((ens, ps))
+    cases = l0_cases() + boosted_cases(range(300))
     by_alpha = by_subset = 0
     for ens, ps in cases:
         if ens.num_trees > 8:

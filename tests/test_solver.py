@@ -17,8 +17,10 @@ import pytest
 from scipy.optimize import linprog
 
 from equiprune import (InputError, MilpProblem, ProblemBuilder,
-                       ProblemTooLargeError, SolveStatus, dump_lp,
-                       lp_format_text, solve_lp, solve_milp, solver)
+                       ProblemTooLargeError, PruneSet, SolveStatus, dump_lp,
+                       lp_format_text, prune_l0, pruner, solve_lp,
+                       solve_milp, solver)
+from conftest import random_boosted_instance
 
 
 def test_single_bound_lp():
@@ -107,6 +109,7 @@ def test_four_item_knapsack_matches_enumeration():
     assert relaxed.status == SolveStatus.OPTIMAL and relaxed.nodes == 0
     assert relaxed.objective == pytest.approx(11.0 + 7.0 + 20.0 / 3.0)
     assert np.count_nonzero(relaxed.x != np.round(relaxed.x)) == 1
+    scipy_check(prob, relaxed)
 
 
 def test_integral_relaxation_short_circuits():
@@ -155,7 +158,9 @@ def random_lp(seed: int, n=6, m=5, integers=0, senses=("<=", ">=", "=="),
 
 
 def scipy_check(prob, sol):
-    """Cross-check an LP solve against scipy.optimize.linprog."""
+    """Cross-check an LP solve against scipy.optimize.linprog, which
+    minimizes: a maximizing problem goes in with its costs negated."""
+    sign = -1.0 if prob.maximize else 1.0
     A_ub, b_ub, A_eq, b_eq = [], [], [], []
     for row, sense, rhs in zip(prob.A, prob.senses, prob.b):
         if sense < 0:  # <=
@@ -164,7 +169,7 @@ def scipy_check(prob, sol):
             A_ub.append(-row), b_ub.append(-rhs)
         else:
             A_eq.append(row), b_eq.append(rhs)
-    ref = linprog(c=prob.c,
+    ref = linprog(c=sign * prob.c,
                   A_ub=np.array(A_ub) if A_ub else None,
                   b_ub=np.array(b_ub) if b_ub else None,
                   A_eq=np.array(A_eq) if A_eq else None,
@@ -173,7 +178,7 @@ def scipy_check(prob, sol):
                   method="highs")
     if sol.status == SolveStatus.OPTIMAL:
         assert ref.status == 0
-        assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
+        assert sol.objective == pytest.approx(sign * ref.fun, abs=1e-6)
     elif sol.status == SolveStatus.INFEASIBLE:
         assert ref.status == 2
     elif sol.status == SolveStatus.UNBOUNDED:
@@ -185,6 +190,29 @@ def test_random_lps_match_scipy():
         prob = random_lp(seed)
         sol = solve_lp(prob)
         scipy_check(prob, sol)
+
+
+def test_l0_check_lps_match_scipy(monkeypatch):
+    """The ``l0`` check LPs maximize; each one ``prune_l0`` solves on a
+    few boosted stump draws, from a held basis or the slack basis, has
+    scipy's optimum, the failing checks (optimum >= 1) included."""
+    checks = []
+    plain = pruner.solve_lp
+
+    def recorded(problem, start=None):
+        sol = plain(problem, start=start)
+        if problem.maximize:
+            checks.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(pruner, "solve_lp", recorded)
+    for ens, data in filter(None, map(random_boosted_instance, range(4))):
+        ps = PruneSet(ens)
+        ps.add_points(data.X)
+        prune_l0(ens, ps)
+    assert sum(sol.objective > 0.5 for _, sol in checks) >= 5
+    for problem, sol in checks:
+        scipy_check(problem, sol)
 
 
 @pytest.fixture
