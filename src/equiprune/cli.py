@@ -146,7 +146,6 @@ def cmd_prune(args) -> int:
                           "pivots": record.prune.iterations,
                           "masters": record.prune.masters,
                           "free_masters": record.prune.free_masters,
-                          "warm_masters": record.prune.warm_masters,
                           "lps": record.prune.lps,
                           "warm_lps": record.prune.warm_lps,
                           "free_checks": record.prune.free_checks}

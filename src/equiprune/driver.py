@@ -47,7 +47,10 @@ class PruneOptions:
         if self.norm not in ("l0", "l1"):
             raise InputError(f"norm must be 'l0' or 'l1', got {self.norm!r}")
         _check_epsilon(self.epsilon)
-        if self.max_iterations < 1:
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise InputError(f"max_iterations must be an integer, got {n!r}")
+        if n < 1:
             raise InputError("max_iterations must be at least 1")
 
 

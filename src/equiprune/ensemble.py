@@ -286,11 +286,19 @@ def check_cell(schema: FeatureSchema, cell: CellSignature) -> None:
             raise InputError(f"cell entry {cell[j]} out of range for feature {j}")
 
 
+def _above(threshold: float) -> float:
+    """threshold + 1.0, or the next float up where 1.0 is lost to
+    rounding (thresholds of magnitude 2^53 and beyond): a point in the
+    cell above ``threshold``."""
+    return float(max(threshold + 1.0, np.nextafter(threshold, np.inf)))
+
+
 def cell_center(schema: FeatureSchema, cell: CellSignature) -> Point:
     """A representative point of ``cell``; ``cells_of`` maps it back.
 
     Interior intervals use the midpoint; the unbounded end intervals pad
-    by 1.0 beyond the extreme threshold.
+    by 1.0 beyond the extreme threshold, the top one by at least one ulp
+    (``_above``), since it is open at its threshold.
     """
     check_cell(schema, cell)
     out: list[float] = []
@@ -303,7 +311,7 @@ def cell_center(schema: FeatureSchema, cell: CellSignature) -> Point:
             elif k == 0:
                 out.append(ts[0] - 1.0)
             elif k == len(ts):
-                out.append(ts[-1] + 1.0)
+                out.append(_above(ts[-1]))
             else:
                 mid = 0.5 * (ts[k - 1] + ts[k])
                 # Adjacent representable thresholds can round the midpoint

@@ -74,7 +74,8 @@ dual feasible; the solver then shifts the costs of the columns that
 price in, repairs the basics by the dual simplex and restores the costs
 (see ``solve_milp``).  A no-good row that ``separate`` appends to a class's
 program, to cut off a cell whose original margin falls short of
-epsilon, goes before the floor; the basis grows by a row's slack.
+epsilon, goes before the floor; the held root then has one row too few,
+so the pair's re-solve starts from the slack basis.
 
 A round that is not the last needs only one counterexample, not the
 pair optima.  ``Screen`` scores a fixed sample of cells, drawn once per
@@ -379,7 +380,7 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     met the margin rows only through them; a no-good row on its
     indicators is appended to the class's program
     (``SeparationProgram.cut_off``), which ``programs`` then keeps, and
-    the pair is re-solved from the last root basis.  A larger miss
+    the pair is re-solved from the slack basis.  A larger miss
     raises ``SolverFailureError``.
 
     A pair optimum inside ``[-VIOLATION_TOL, VIOLATION_TOL]`` means the

@@ -13,11 +13,10 @@ implicit hitting-set loop (combinatorial Benders decomposition), whose
 master is answered from a lower bound when a cheap hitting set meets it,
 and otherwise solved as a MILP that searches only below the cheap set
 and stops at the bound.  Its support checks are one LP over all trees
-whose bounds say which trees are tested, and so is the weight-sum LP,
-so that a check on one more tree, or an LP after the working set grew,
-re-solves from the basis of the one before it; a check whose answer is
-already known solves no LP.
-Support is counted against a fixed zero tolerance.
+whose bounds say which trees are tested, so that a check on one more
+tree re-solves from the basis of the one before it; a check whose
+answer is already known solves no LP.  No basis outlives the call that
+solved it.  Support is counted against a fixed zero tolerance.
 """
 
 from __future__ import annotations
@@ -43,15 +42,10 @@ class PruneSet:
     the original weights predict on it.  Points are added by their
     cells, since two points in one cell would generate identical
     constraint rows.  Insertion order is preserved.  ``conflicts`` keeps
-    the ones ``prune_l0`` found, in order; ``master_trees`` its last
+    the ones ``prune_l0`` found, in order, and ``master_trees`` its last
     master optimum, a smallest set of trees meeting every conflict then
     known, whose size bounds every later master from below (conflicts
-    only join); and ``master_basis`` the root basis of its last master
-    MILP, whose rows are the two size rows and then the first conflicts.
-    ``check_basis`` holds the basis of the last check LP ``prune_l0``
-    solved, and ``support_basis`` that of the last weight-sum LP
-    (``min_weight_sum``) of ``prune_l0`` or ``prune_l1``: starts for the
-    next call, whose LPs gain columns or rows as the set grows.
+    only join).
     """
 
     def __init__(self, ensemble: Ensemble):
@@ -61,9 +55,6 @@ class PruneSet:
         self._seen: set[CellSignature] = set()
         self.conflicts: dict[tuple[int, ...], None] = {}
         self.master_trees: tuple[int, ...] = ()
-        self.master_basis: Basis | None = None
-        self.check_basis: Basis | None = None
-        self.support_basis: Basis | None = None
 
     def add_points(self, X) -> int:
         """Add the cells of the rows of ``X`` in order, each unless it is
@@ -157,7 +148,6 @@ class PruneResult:
     iterations: int           # simplex pivots
     masters: int = 0          # masters answered (l0)
     free_masters: int = 0     # of them, answered by a bound without a MILP
-    warm_masters: int = 0     # of the MILPs, re-solved from a held root basis
     lps: int = 0              # check and weight-sum LPs solved
     warm_lps: int = 0         # of them, answered warm from a held basis
     free_checks: int = 0      # checks answered without an LP (l0)
@@ -187,26 +177,18 @@ def _scale_columns(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return G / scale, scale
 
 
-def min_weight_sum(G: np.ndarray, trees: Sequence[int],
-                   start: Basis | None = None
+def min_weight_sum(G: np.ndarray, trees: Sequence[int]
                    ) -> tuple[np.ndarray, Solution]:
     """min sum(w) s.t. G w >= 1, w >= 0 and w = 0 off ``trees``: the LP's
     solution and the weights over all trees, zero at or below ZERO_TOL.
-    It solves for x = s w on the scaled columns (``_scale_columns``).
-    The LP holds a column for every tree, one outside ``trees`` fixed at
-    0, so as the working set grows it only gains rows, and ``start``,
-    the basis of an earlier one, is a start for ``solve_lp``.  A fixed
-    column never prices in, so a solve from the slack basis pivots as it
-    would over ``trees``' columns alone, up to roundoff."""
+    It solves for x = s w on ``trees``' scaled columns
+    (``_scale_columns``)."""
     trees = np.asarray(trees, dtype=np.int64)
-    scaled, scale = _scale_columns(G)
-    upper = np.zeros(G.shape[1])
-    upper[trees] = np.inf
-    sol = solve_lp(replace(_ones_program(scaled, np.inf), c=1.0 / scale,
-                           upper=upper), start=start)
+    scaled, scale = _scale_columns(G[:, trees])
+    sol = solve_lp(replace(_ones_program(scaled, np.inf), c=1.0 / scale))
     weights = np.zeros(G.shape[1])
     if sol.status == SolveStatus.OPTIMAL:
-        weights[trees] = sol.x[trees] / scale[trees]
+        weights[trees] = sol.x / scale
         weights[weights <= ZERO_TOL] = 0.0
     return weights, sol
 
@@ -267,9 +249,8 @@ def _cheap_hitting_set(A: np.ndarray, held: np.ndarray) -> np.ndarray:
 
 def _capped_master(A: np.ndarray, bound: int, cap: int) -> MilpProblem:
     """min sum(u) s.t. sum(u) <= cap, sum(u) >= bound, A u >= 1, u
-    binary: the master over conflict incidence A with its two size rows
-    first, so that a later master, whose conflict rows extend these,
-    re-solves from this one's root basis."""
+    binary: the master over conflict incidence A, its two size rows
+    first."""
     prog = _ones_program(np.vstack([np.ones((2, A.shape[1])), A]), 1.0,
                          integer=True)
     prog.senses[0] = -1
@@ -307,37 +288,29 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
     is optimal.  Every answer is thus a hitting set whose size
     a lower bound or the capped MILP proves minimal.
 
-    Conflicts only ever join at the end, so each master MILP's rows are
-    the last one's plus more, under new sides for the two size rows.
-    Every master MILP after the first of a ``prune_set`` gets the last
-    one's root basis as ``start=``, and ``solve_milp`` re-solves it from
-    there by a dual simplex, with a basic slack for each new row.
-
     Every check is the one program max sum(y) s.t. g_m'y - t_m <= 0 for
     each tree m (g_m scaled by ``_scale_columns``, which keeps each sign
     of g_m'y), 0 <= y <= 1, where t_m is fixed at 0 on the tested
-    trees and ranges over [0, inf) on the others.  Its columns are t
-    (one per tree), then y (one per keep row), so as the working set
-    grows the check only gains columns.  The first check of a round
-    re-solves from the last check this ``prune_set`` solved, in this
-    call or an earlier one (``PruneSet.check_basis``); each growth check
-    tests one tree more than the last failing check, so only bounds
-    tighten, and it re-solves from that check's basis, which stays dual
-    feasible.  Only a set's first solved check, and its first weight-sum
-    LP (``PruneSet.support_basis``), start with no basis.
+    trees and ranges over [0, inf) on the others; its columns are t
+    (one per tree), then y (one per keep row).  The first check of a
+    round re-solves from the last check the call solved; each growth
+    check tests one tree more than the last failing check, so only
+    bounds tighten, and it re-solves from that check's basis, which
+    stays dual feasible.  Only the call's first solved check, its master
+    MILPs and its weight-sum LP start with no basis.
 
     A check whose answer is known solves no LP (``free_checks``): the
     original weights on the tested trees keep every row, or the tested
     trees hold a set that passed earlier in the call.  Nothing but the
-    conflicts, the last master optimum and the bases outlives the
-    call."""
+    conflicts and the last master optimum outlives the call."""
     G = build_margins(ensemble, prune_set) if margins is None else margins
     _untied_margin(ensemble, prune_set, G)
     conflicts = prune_set.conflicts
     for cover in G > 0.0:
         conflicts[tuple(np.flatnonzero(cover).tolist())] = None
-    nodes = pivots = masters = free_masters = warm = 0
+    nodes = pivots = masters = free_masters = 0
     lps = warm_lps = free = 0
+    last_check: Basis | None = None     # the basis of the last check solved
     alpha = np.asarray(ensemble.alpha, dtype=float)
     passed: list[np.ndarray] = []       # tested sets that passed
     rows, M = G.shape
@@ -357,7 +330,7 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
         solution, whose y is a ray: scaled to largest entry 1, so failing
         optima are >= 1.  A check whose answer is known
         (``_known_to_pass``) solves no LP."""
-        nonlocal pivots, lps, warm_lps, free
+        nonlocal pivots, lps, warm_lps, free, last_check
         if _known_to_pass(G, alpha, trees, passed):
             free += 1
             passed.append(trees)
@@ -365,7 +338,7 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
         upper = check.upper.copy()
         upper[:M][trees] = 0.0
         sol = solve_lp(replace(check, upper=upper), start=start)
-        prune_set.check_basis = sol.basis
+        last_check = sol.basis
         pivots += sol.iterations
         lps += 1
         warm_lps += sol.warm
@@ -392,10 +365,7 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
             free_masters += 1
         else:
             pick = solve(_capped_master(A.astype(float), bound,
-                                        int(chosen.sum()) - 1),
-                         start=prune_set.master_basis)
-            prune_set.master_basis = pick.basis
-            warm += pick.warm
+                                        int(chosen.sum()) - 1))
             nodes += pick.nodes
             pivots += pick.iterations
             if pick.status == SolveStatus.ITERATION_LIMIT:
@@ -407,7 +377,7 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
                 raise SolverFailureError(
                     f"unexpected solver status {pick.status}")
         prune_set.master_trees = tuple(np.flatnonzero(chosen).tolist())
-        fail = failed_check(chosen, prune_set.check_basis)
+        fail = failed_check(chosen, last_check)
         if fail is None:
             break
         failing = chosen | (fail.x[M:] @ scaled <= 0.0)
@@ -420,30 +390,24 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
                 failing |= eye[m] | (fail.x[M:] @ scaled <= 0.0)
         conflicts[tuple(np.flatnonzero(~failing).tolist())] = None
 
-    weights, sol = min_weight_sum(G, np.flatnonzero(chosen),
-                                  start=prune_set.support_basis)
-    prune_set.support_basis = sol.basis
+    weights, sol = min_weight_sum(G, np.flatnonzero(chosen))
     if sol.status != SolveStatus.OPTIMAL:
         raise SolverFailureError(f"support LP ended {sol.status.value}")
     return PruneResult(weights=weights, support=support_of(weights),
                        objective=float(chosen.sum()), nodes=nodes,
                        iterations=pivots + sol.iterations, masters=masters,
-                       free_masters=free_masters, warm_masters=warm,
-                       lps=lps + 1,
+                       free_masters=free_masters, lps=lps + 1,
                        warm_lps=warm_lps + sol.warm, free_checks=free)
 
 
 def prune_l1(ensemble: Ensemble, prune_set: PruneSet,
              margins: np.ndarray | None = None) -> PruneResult:
     """Smallest weight sum that reproduces every working-set
-    prediction.  A plain LP (``min_weight_sum``), re-solved from the
-    set's last one (``PruneSet.support_basis``), which it only extends
-    by rows.  Raises on a tie, as ``prune_l0`` does."""
+    prediction.  A plain LP (``min_weight_sum``), solved from the slack
+    basis.  Raises on a tie, as ``prune_l0`` does."""
     G = build_margins(ensemble, prune_set) if margins is None else margins
     _untied_margin(ensemble, prune_set, G)
-    weights, sol = min_weight_sum(G, np.arange(ensemble.num_trees),
-                                  start=prune_set.support_basis)
-    prune_set.support_basis = sol.basis
+    weights, sol = min_weight_sum(G, np.arange(ensemble.num_trees))
     if sol.status == SolveStatus.INFEASIBLE:
         raise InfeasiblePruneError(
             "no faithful reweighting exists on the working set")

@@ -8,13 +8,11 @@ is a rank-1 update of B^{-1} and of the reduced costs.  Every solve
 starts from a basis and its factor (B^{-1} and the reduced costs
 there).  A held start is, in branch and bound, the optimal basis of the
 node that spawned the LP, factored once for both children; at the root,
-the ``basis`` of an earlier solve of a problem whose columns and rows
-are this problem's first columns and rows, under any bounds and
-objective.  It grows by a nonbasic at its default bound for each column
-appended since and by a basic slack for each row (``_grown``); a start
-with more columns or more rows is ignored.  With no start held, the
-solve starts from the slack basis B = I, which is never singular.
-Every nonbasic rests at its recorded status.
+the ``basis`` of an earlier solve of a problem with this problem's
+columns and rows, under any bounds and objective.  A start of another
+shape is ignored.  With no start held, the solve starts from the slack
+basis B = I, which is never singular.  Every nonbasic rests at its
+recorded status.
 
 Every LP is solved by ``_solve`` and every start finishes by one route
 (``_finish``).  If the basics lie within their bounds, the primal
@@ -51,9 +49,9 @@ so its builder leaves out what the rows determine.  An LP is a MILP
 without integer columns: ``solve_lp`` is ``solve_milp`` on the
 relaxation, whose root is its answer.  Both return one ``Solution``,
 whose ``basis``, the root's, is a start for the root of a later solve,
-LP or MILP, by the same rule: the same rows under other bounds or
-another objective, or rows or columns appended since.  No external
-solver is involved; numpy supplies the linear algebra.
+LP or MILP, of the same columns and rows under other bounds or another
+objective.  No external solver is involved; numpy supplies the linear
+algebra.
 """
 
 from __future__ import annotations
@@ -126,9 +124,9 @@ class Solution:
     objective: float | None
     iterations: int             # simplex pivots over every LP of the solve
     nodes: int = 0              # branch-and-bound nodes expanded
-    # a start for a later solve (see ``solve_milp``): the optimal basis
-    # of the root relaxation, or on an INFEASIBLE root the basis whose
-    # Farkas row proved it empty
+    # a start for a later solve of the same columns and rows (see
+    # ``solve_milp``): the optimal basis of the root relaxation, or on an
+    # INFEASIBLE root the basis whose Farkas row proved it empty
     basis: Basis | None = None
     # the root relaxation was answered from ``start``, without falling
     # back to the slack basis
@@ -347,8 +345,8 @@ class _Columns:
                 np.concatenate([up, self.slack_up]))
 
     def factor(self, basis: Basis) -> _Factor | None:
-        """The factor at ``basis``, a basis over these columns (see
-        ``_grown``), or None when it is singular."""
+        """The factor at ``basis``, a basis over these columns, or None
+        when it is singular."""
         try:
             return _Factor(*_invert(self.A_all, basis.basic, self.cost))
         except SolverFailureError:
@@ -629,16 +627,17 @@ def _solve(cols: _Columns, lo: np.ndarray, up: np.ndarray,
            start: Basis | None = None,
            factor: _Factor | None = None) -> Solution:
     """Solve by ``_finish`` from ``start``, a basis of an earlier solve
-    grown to these columns and rows (``_grown``), with its ``factor``
-    (factored here when not given), else from the slack basis.  A start
-    that does not fit or is singular, or whose solve fails or ends
+    over these columns and rows, with its ``factor`` (factored here when
+    not given), else from the slack basis.  A start of another shape is
+    ignored.  One that is singular, or whose solve fails or ends
     UNBOUNDED or ITERATION_LIMIT, goes to the slack basis once, and its
     pivots are added to that solve's; the slack-basis solve has no
     fallback left, and raises when it fails."""
     if np.any(lo > up):
         return Solution(SolveStatus.INFEASIBLE, None, None, 0)
-    if start is not None:
-        start = _grown(start, cols.n, cols.m)
+    if start is not None and (start.basic.size, start.status.size) != (
+            cols.m, cols.n + cols.m):
+        start = None
     pivots = 0
     if start is not None and factor is None:
         factor = cols.factor(start)
@@ -778,30 +777,6 @@ def _farkas_confirms(sx: _Simplex, r: int, held: bool) -> bool:
                 or not held and gap > sx.check_tol)
 
 
-def _grown(basis: Basis, n: int, m: int) -> Basis | None:
-    """``basis``, of a problem whose columns and rows are the first
-    columns and rows of one with n columns and m rows, grown to that
-    one: each appended column is nonbasic at its status default (at
-    lower; ``_rest_nonbasics`` picks a finite bound), each appended
-    row's slack is basic, and the old slacks shift to their new
-    indices.  None when ``basis`` has more columns or more rows.  The
-    new rows' duals are zero, so the old columns' reduced costs stay as
-    they were; the new slacks may lie outside their bounds and the new
-    columns may price in, and ``_finish`` repairs either."""
-    m0 = basis.basic.size
-    n0 = basis.status.size - m0
-    if not (0 <= n0 <= n and m0 <= m):
-        return None
-    dn, dm = n - n0, m - m0
-    if not (dn or dm):
-        return basis
-    status = np.concatenate([basis.status[:n0], np.full(dn, _AT_LOWER),
-                             basis.status[n0:], np.full(dm, _BASIC)])
-    return Basis(np.concatenate([basis.basic + dn * (basis.basic >= n0),
-                                 n + m0 + np.arange(dm)]),
-                 status.astype(np.int8))
-
-
 # ---------------------------------------------------------------------------
 # Branch and bound
 
@@ -810,14 +785,13 @@ def solve_milp(problem: MilpProblem, start: Basis | None = None) -> Solution:
     """Best-bound branch and bound with most-fractional branching.
 
     ``start`` is the ``basis`` of an earlier solve, LP or MILP, of a
-    problem whose columns and rows are this problem's first columns and
-    rows, under any bounds and objective: the same problem re-bounded or
-    re-priced, or one with columns or rows appended since; coefficients
-    that changed cost only pivots.  ``_solve`` grows it to this problem
-    (``_grown``) and solves the root relaxation from it.  A start with
-    more columns or more rows is ignored; without one, or when the solve
-    from it fails, the root is solved from the slack basis, and a warm
-    answer is checked against this problem's own data either way.
+    problem with this problem's columns and rows, under any bounds and
+    objective: the same problem re-bounded or re-priced; coefficients
+    that changed cost only pivots.  ``_solve`` solves the root
+    relaxation from it.  A start of another shape is ignored; without
+    one, or when the solve from it fails, the root is solved from the
+    slack basis, and a warm answer is checked against this problem's own
+    data either way.
     ``warm`` tells whether the root was answered from ``start``, and
     ``basis`` is the root's, a start for the next solve.
 

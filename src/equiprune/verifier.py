@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import (BinaryFeature, CellSignature, ContinuousFeature,
-                       Ensemble, FeatureSchema, cell_scores_batch)
+                       Ensemble, FeatureSchema, _above, cell_scores_batch)
 from .errors import EnumerationCapError, InfeasiblePruneError, InputError
 from .oracle import _check_epsilon
 from .pruner import PruneSet, build_margins, min_weight_sum
@@ -146,9 +146,9 @@ def sample_uniform_points(schema: FeatureSchema, n: int,
                           rng: np.random.Generator | int | None = None
                           ) -> np.ndarray:
     """Uniform random points covering every cell: continuous features
-    are drawn from [first threshold - 1, last threshold + 1] (or [-1, 1]
-    when no tree splits on them), binary and categorical ones uniformly
-    over their values."""
+    are drawn from [first threshold - 1, ``_above(last threshold)``]
+    (or [-1, 1] when no tree splits on them), binary and categorical
+    ones uniformly over their values."""
     if n < 1:
         raise InputError(f"need at least one point, got n={n}")
     gen = rng if isinstance(rng, np.random.Generator) \
@@ -157,7 +157,8 @@ def sample_uniform_points(schema: FeatureSchema, n: int,
     for kind in schema.features:
         if isinstance(kind, ContinuousFeature):
             if kind.thresholds:
-                lo, hi = kind.thresholds[0] - 1.0, kind.thresholds[-1] + 1.0
+                lo = kind.thresholds[0] - 1.0
+                hi = _above(kind.thresholds[-1])
             else:
                 lo, hi = -1.0, 1.0
             cols.append(gen.uniform(lo, hi, size=n))

@@ -237,6 +237,10 @@ def test_option_validation():
             PruneOptions(epsilon=epsilon)
     with pytest.raises(InputError):
         PruneOptions(max_iterations=0)
+    for count in (2.5, "3", True, None):
+        with pytest.raises(InputError, match="max_iterations"):
+            PruneOptions(max_iterations=count)
+    assert PruneOptions(max_iterations=np.int64(3)).max_iterations == 3
 
 
 def linprog_optimum(problem):

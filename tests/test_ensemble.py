@@ -79,6 +79,21 @@ def test_cell_center_pads_unbounded_intervals():
     assert cell_center(schema, (1,)) == (1.5,)
 
 
+def test_cell_centers_round_trip_above_two_to_the_53():
+    # 1.0 is lost to rounding at these magnitudes: the top cell's center
+    # lies one ulp above the last threshold, and a uniform sample over
+    # one threshold, whose range is then [t, t + ulp], reaches it
+    for t in (1e17, 1.7e18):
+        schema = FeatureSchema((ContinuousFeature((t,)),
+                                ContinuousFeature((-t, t))))
+        cells = list(enumerate_cells(schema))
+        centers = [cell_center(schema, cell) for cell in cells]
+        assert cells_of(schema, centers).tolist() == [list(c) for c in cells]
+        single = FeatureSchema((ContinuousFeature((t,)),))
+        drawn = cells_of(single, sample_uniform_points(single, 50, 0))
+        assert set(drawn[:, 0].tolist()) == {0, 1}
+
+
 def test_cell_of_center_identity_on_small_schemas():
     rng = np.random.default_rng(11)
     for _ in range(20):

@@ -1383,7 +1383,7 @@ def test_builder_refuses_an_oversized_problem_before_allocating(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Re-solves after rows are appended
+# Starts from problems with other rows
 
 
 def with_rows(prob, rows):
@@ -1394,21 +1394,6 @@ def with_rows(prob, rows):
         senses=np.append(prob.senses,
                          [s for _, s, _ in rows]).astype(np.int8),
         b=np.append(prob.b, [b for _, _, b in rows]))
-
-
-def assert_resolved_like_cold(grown, warm):
-    """``warm`` answers ``grown`` as a cold solve and HiGHS do, from the
-    start's root, without a fallback to the slack basis there."""
-    cold = solve_milp(grown)
-    ref = scipy_milp_optimum(grown)
-    assert warm.warm
-    assert warm.status == cold.status
-    if ref is None:
-        assert warm.status == SolveStatus.INFEASIBLE
-    else:
-        assert warm.status == SolveStatus.OPTIMAL
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-        assert warm.objective == pytest.approx(ref, abs=1e-7)
 
 
 def cover_rows(rng, n, k, empty=False):
@@ -1423,91 +1408,6 @@ def cover_rows(rng, n, k, empty=False):
             a[:] = 0.0
         rows.append((a, 1, 1.0))
     return rows
-
-
-def test_set_cover_rows_appended_round_after_round(cold_calls):
-    # an implicit hitting-set master: each round appends conflicts and
-    # re-solves from the last root, never going cold
-    rng = np.random.default_rng(71)
-    resolved = infeasible = 0
-    for _ in range(30):
-        n = int(rng.integers(5, 13))
-        rows = cover_rows(rng, n, int(rng.integers(2, 6)))
-        prob = MilpProblem(c=np.ones(n), A=np.array([a for a, _, _ in rows]),
-                           senses=np.ones(len(rows), dtype=np.int8),
-                           b=np.ones(len(rows)), lower=np.zeros(n),
-                           upper=np.ones(n), integer=np.ones(n, dtype=bool))
-        sol = solve_milp(prob)
-        for _round in range(4):
-            k = int(rng.integers(1, 6))
-            last = _round == 3 and rng.random() < 0.3
-            prob = with_rows(prob, cover_rows(rng, n, k, empty=last))
-            cold_calls.clear()
-            sol = solve_milp(prob, start=sol.basis)
-            assert cold_calls == []
-            assert_resolved_like_cold(prob, sol)
-            resolved += 1
-            if sol.status == SolveStatus.INFEASIBLE:
-                infeasible += 1
-                break
-    assert resolved >= 100
-    assert infeasible >= 3
-
-
-def test_appended_rows_match_cold_and_scipy():
-    """Rows appended to the MILPs above: rows over fixed columns only,
-    rows over one more integer column besides, rows that cut the old
-    optimum off, and rows no point meets."""
-    rng = np.random.default_rng(72)
-    cut_off = infeasible = 0
-    for seed in range(700, 760):
-        prob = presolve_milp(seed)
-        first = solve_milp(prob)
-        n = prob.num_vars
-        kept = np.flatnonzero(prob.integer & (prob.lower < prob.upper))
-        rows = []
-        kinds = (list(rng.choice(["fixed", "one"],
-                                 size=int(rng.integers(0, 4))))
-                 + ["cut"] * (seed % 3 != 0) + ["empty"] * (seed % 4 == 0))
-        for kind in kinds or ["cut"]:
-            a = np.zeros(n)
-            if kind in ("fixed", "one", "empty"):
-                a[n - 2:] = rng.choice(COEFFICIENTS, size=2)
-                if kind == "one" and kept.size:
-                    a[rng.choice(kept)] = rng.choice(COEFFICIENTS)
-                at = a @ first.x
-                gap = -1.0 if kind == "empty" else float(rng.integers(0, 2))
-                rows.append((a, -1, at + gap))
-            else:
-                a[:] = rng.integers(-2, 3, size=n)
-                rows.append((a, -1, a @ first.x - 0.5))
-        grown = with_rows(prob, rows)
-        warm = solve_milp(grown, start=first.basis)
-        assert_resolved_like_cold(grown, warm)
-        if warm.status == SolveStatus.INFEASIBLE:
-            infeasible += 1
-        elif any(a @ first.x > b + 1e-9 for a, _, b in rows):
-            cut_off += 1
-    assert cut_off >= 10 and infeasible >= 10
-
-
-def test_rows_appended_to_random_milps_match_cold_and_scipy():
-    rng = np.random.default_rng(73)
-    solved = 0
-    for seed in range(500, 560):
-        prob = random_mixed_milp(seed)
-        first = solve_milp(prob)
-        if first.status != SolveStatus.OPTIMAL:
-            continue
-        k = int(rng.integers(1, 6))
-        rows = [(rng.integers(-3, 4, size=prob.num_vars).astype(float),
-                 int(rng.choice([-1, 1, 0], p=[0.45, 0.45, 0.1])),
-                 float(rng.integers(-2, 4))) for _ in range(k)]
-        grown = with_rows(prob, rows)
-        warm = solve_milp(grown, start=first.basis)
-        assert_resolved_like_cold(grown, warm)
-        solved += 1
-    assert solved >= 20
 
 
 def test_changed_rows_are_presolved_again():
@@ -1539,7 +1439,7 @@ def test_a_start_whose_rows_are_not_a_prefix_is_presolved_again():
 
 
 # ---------------------------------------------------------------------------
-# One start rule: starts from problems with fewer columns, fewer rows or both
+# One start rule: a start of the problem's own shape, or none
 
 
 def leading(prob, n, m):
@@ -1576,108 +1476,49 @@ SMALLER = {"rows": lambda n, m: (n, m - 2), "columns": lambda n, m: (n - 3, m),
            "both": lambda n, m: (n - 3, m - 2)}
 
 
-def test_lps_resolve_from_starts_of_fewer_columns_or_rows(cold_calls):
-    # the start solved a problem made of the first columns and rows of
-    # this one; appended columns rest at a bound and appended rows get a
-    # basic slack, and the answer is this problem's own
-    verdicts = {kind: [] for kind in SMALLER}
-    for seed in range(1000, 1060):
-        prob = nested_problem(seed)
-        for kind, shape in SMALLER.items():
-            first = solve_lp(leading(prob, *shape(8, 7)))
-            assert first.status == SolveStatus.OPTIMAL
-            cold_calls.clear()
-            warm = solve_lp(prob, start=first.basis)
-            assert warm.warm == (cold_calls == [])
-            verdicts[kind].append(warm.warm)
-            scipy_check(prob, warm)
-            cold = solve_lp(prob)
-            assert warm.status == cold.status == SolveStatus.OPTIMAL
-            assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
-    for kind, warm in verdicts.items():
-        assert sum(warm) >= 0.8 * len(warm), kind
-
-
-def test_milps_resolve_from_roots_of_fewer_columns_or_rows():
-    # a MILP's root basis and an LP's basis are one kind of start: each
-    # entry re-solves from the other's, and from its own
-    verdicts = {kind: [] for kind in SMALLER}
-    for seed in range(1100, 1140):
-        prob = nested_problem(seed, integers=4)
-        cold = solve_milp(prob)
-        relaxed = solve_lp(prob)
-        # the root of a MILP is its relaxation's optimum
-        from_root = solve_lp(prob, start=cold.basis)
-        assert from_root.warm and from_root.iterations == 0
-        assert solve_milp(prob, start=relaxed.basis).warm
-        for kind, shape in SMALLER.items():
-            small = leading(prob, *shape(8, 7))
-            for first_entry in (solve_milp, solve_lp):
-                first = first_entry(small)
-                assert first.status == SolveStatus.OPTIMAL
-                warm = solve_milp(prob, start=first.basis)
-                assert warm.status == cold.status == SolveStatus.OPTIMAL
-                assert warm.objective == pytest.approx(cold.objective,
-                                                       abs=1e-9)
-                assert warm.objective == pytest.approx(
-                    scipy_milp_optimum(prob), abs=1e-7)
-                lp = solve_lp(prob, start=first.basis)
-                assert lp.status == SolveStatus.OPTIMAL and lp.nodes == 0
-                assert lp.objective == pytest.approx(relaxed.objective,
-                                                     abs=1e-9)
-                verdicts[kind] += [warm.warm, lp.warm]
-    for kind, warm in verdicts.items():
-        assert sum(warm) >= 0.8 * len(warm), kind
-
-
 def test_starts_neither_primal_nor_dual_feasible_finish_warm(cold_calls):
-    # the optimal basis of a problem of this one's leading columns and
-    # rows, under new costs and two tightened bounds: kept where that
-    # start is neither primal nor dual feasible, so that the dual
-    # simplex runs under shifted costs; every answer is linprog's, and
-    # at most one in fifty falls back to the slack basis
+    # the problem's own optimal basis, under new costs and two tightened
+    # bounds: kept where that start is neither primal nor dual feasible,
+    # so that the dual simplex runs under shifted costs; every one is
+    # answered warm, and every answer is linprog's
     rng = np.random.default_rng(74)
-    neither = fell_back = 0
+    neither = 0
     for seed in range(1200, 1400):
         prob = nested_problem(seed)
-        first = solve_lp(leading(prob, 5, 5))
+        first = solve_lp(prob)
         assert first.status == SolveStatus.OPTIMAL
         changed = changed_bounds(
             dataclasses.replace(prob, c=rng.normal(size=prob.num_vars)),
             rng, "tighten")
-        if not neither_feasible(changed, solver._grown(first.basis, 8, 7)):
+        if not neither_feasible(changed, first.basis):
             continue
         neither += 1
         cold_calls.clear()
         sol = solve_lp(changed, start=first.basis)
-        assert sol.warm == (cold_calls == [])
-        fell_back += not sol.warm
+        assert sol.warm and cold_calls == []
         assert sol.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE)
         scipy_check(changed, sol)
     assert neither >= 100
-    assert fell_back <= neither // 50
 
 
 def test_a_start_with_more_columns_or_rows_goes_cold(cold_calls):
-    prob = nested_problem(1000)
-    start = solve_lp(prob).basis
-    mip = nested_problem(1100, integers=4)
-    root = solve_milp(mip).basis
-    for kind, shape in SMALLER.items():
-        smaller = leading(prob, *shape(8, 7))
-        cold = solve_lp(smaller)
-        cold_calls.clear()
-        sol = solve_lp(smaller, start=start)
-        assert len(cold_calls) == 1 and not sol.warm
-        assert (sol.iterations, sol.objective) == (cold.iterations,
-                                                   cold.objective)
-        smaller = leading(mip, *shape(8, 7))
-        cold = solve_milp(smaller)
-        cold_calls.clear()
-        sol = solve_milp(smaller, start=root)
-        assert len(cold_calls) >= 1 and not sol.warm
-        assert (sol.iterations, sol.nodes, sol.objective) == (
-            cold.iterations, cold.nodes, cold.objective)
+    # a start with more, or fewer, columns, rows or both than the
+    # problem is ignored, so the solve repeats the cold one exactly
+    for entry, big in ((solve_lp, nested_problem(1000)),
+                       (solve_milp, nested_problem(1100, integers=4))):
+        start = entry(big).basis
+        for kind, shape in SMALLER.items():
+            small = leading(big, *shape(8, 7))
+            for problem, other in ((small, start),
+                                   (big, entry(small).basis)):
+                cold_calls.clear()
+                cold = entry(problem)
+                slack_starts = len(cold_calls)
+                cold_calls.clear()
+                sol = entry(problem, start=other)
+                assert len(cold_calls) == slack_starts and not sol.warm
+                assert (sol.iterations, sol.nodes, sol.objective) == (
+                    cold.iterations, cold.nodes, cold.objective), kind
 
 
 # ---------------------------------------------------------------------------
@@ -1717,14 +1558,15 @@ def slack_and_held_lps():
     row met at the lower bounds (as in
     test_a_cold_solve_starts_from_the_slack_basis, so that the primal
     simplex starts on degenerate steps), and the held starts of
-    test_starts_neither_primal_nor_dual_feasible_finish_warm."""
+    test_starts_neither_primal_nor_dual_feasible_finish_warm, each the
+    problem's own optimal basis under new costs and tightened bounds."""
     cases = [(at, None) for prob in map(random_lp, range(40))
              for at in (prob, dataclasses.replace(prob,
                                                   b=prob.A @ prob.lower))]
     rng = np.random.default_rng(74)
     for seed in range(1200, 1300):
         prob = nested_problem(seed)
-        first = solve_lp(leading(prob, 5, 5))
+        first = solve_lp(prob)
         changed = changed_bounds(
             dataclasses.replace(prob, c=rng.normal(size=prob.num_vars)),
             rng, "tighten")
@@ -1738,14 +1580,15 @@ def test_bland_and_refactor_branches_match_scipy(monkeypatch, loop_branches,
                                                  constant, value):
     # the LPs of slack_and_held_lps, with Bland's rule from the first
     # degenerate step, or B re-inverted after every pivot: each answer
-    # is still linprog's
+    # is still linprog's, and each held start answers warm
     monkeypatch.setattr(solver, constant, value)
     problems = slack_and_held_lps()
     solved = [solve_lp(prob, start=start) for prob, start in problems]
     pivots = 0
-    for (prob, _), sol in zip(problems, solved):
+    for (prob, start), sol in zip(problems, solved):
         assert sol.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE,
                               SolveStatus.UNBOUNDED)
+        assert sol.warm == (start is not None)
         scipy_check(prob, sol)
         pivots += sol.iterations
     if constant == "_BLAND_AFTER":
@@ -1763,7 +1606,8 @@ def test_every_primal_optimum_is_claimed_on_rederived_values(
     # iterate() returning OPTIMAL only on values re-derived from the
     # original data at the basis, where no reduced cost prices in.  The
     # LPs of slack_and_held_lps, from the slack basis and from held
-    # starts, under the default loop constants and as patched in
+    # starts, each of which answers warm, under the default loop
+    # constants and as patched in
     # test_bland_and_refactor_branches_match_scipy
     if constant is not None:
         monkeypatch.setattr(solver, constant, value)
@@ -1779,5 +1623,5 @@ def test_every_primal_optimum_is_claimed_on_rederived_values(
 
     monkeypatch.setattr(solver._Simplex, "iterate", recorded)
     for prob, start in slack_and_held_lps():
-        solve_lp(prob, start=start)
+        assert solve_lp(prob, start=start).warm == (start is not None)
     assert len(optima) >= 150 and all(optima)
