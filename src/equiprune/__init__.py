@@ -18,7 +18,7 @@ from .errors import (DatasetFormatError, EnumerationCapError, EquipruneError,
                      ModelFormatError, ProblemTooLargeError, PruneCycleError,
                      SolverFailureError, TiedPredictionError)
 from .model_io import load_model, model_from_dict, model_to_dict, save_model
-from .oracle import (DEFAULT_EPSILON, PairOutcome, SeparationResult,
+from .oracle import (DEFAULT_EPSILON, Oracle, PairOutcome, SeparationResult,
                      build_separation, extract_cell, separate)
 from .pruner import (PruneResult, PruneSet, build_margins, compute_big_w,
                      prune_l0, prune_l1, support_of)
@@ -38,12 +38,12 @@ __all__ = [
     "CertificationReport", "ContinuousFeature", "Dataset", "DEFAULT_EPSILON",
     "DatasetFormatError", "Ensemble", "EnumerationCapError", "EquipruneError",
     "FeatureSchema", "InfeasiblePruneError", "InputError", "IterationLimitError",
-    "IterationRecord", "MilpProblem", "ModelFormatError", "PairOutcome",
-    "Point", "ProblemBuilder", "ProblemTooLargeError", "PruneCycleError",
-    "PruneOptions", "PruneOutcome", "PruneResult", "PruneSet",
-    "SeparationResult", "Solution", "SolveStatus", "SolverFailureError",
-    "TiedPredictionError", "accuracy", "brute_force_min_support",
-    "build_ensemble", "build_margins",
+    "IterationRecord", "MilpProblem", "ModelFormatError", "Oracle",
+    "PairOutcome", "Point", "ProblemBuilder", "ProblemTooLargeError",
+    "PruneCycleError", "PruneOptions", "PruneOutcome", "PruneResult",
+    "PruneSet", "SeparationResult", "Solution", "SolveStatus",
+    "SolverFailureError", "TiedPredictionError", "accuracy",
+    "brute_force_min_support", "build_ensemble", "build_margins",
     "build_separation", "cell_center", "cell_scores_batch", "cells_of",
     "certified_prune", "certify", "compute_big_w", "dump_lp",
     "enumerate_cells", "extract_cell", "fidelity", "load_dataset",

@@ -23,7 +23,7 @@ from .ensemble import cell_center, cell_scores_batch, predict_classes_batch
 from .errors import (EnumerationCapError, EquipruneError,
                      InfeasiblePruneError, InputError, TiedPredictionError)
 from .model_io import load_model, save_model
-from .oracle import DEFAULT_EPSILON, separate
+from .oracle import DEFAULT_EPSILON, Oracle, separate
 from .trainer import load_dataset, load_schema, train_adaboost, \
     train_random_forest
 from .verifier import MAX_CELLS_DEFAULT, certify
@@ -175,7 +175,7 @@ def cmd_verify(args) -> int:
                       max_cells=args.max_cells).to_dict()
     except EnumerationCapError as exc:
         capped = str(exc)
-    separation = separate(original, pruned.alpha, epsilon=args.epsilon)
+    separation = separate(Oracle(original, args.epsilon), pruned.alpha)
     # a tie cell disagrees when the tie-break picks another class there
     ties = separation.tie_cells
     after, before = (np.argmax(cell_scores_batch(original, w, ties), axis=1)

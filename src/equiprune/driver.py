@@ -3,8 +3,10 @@
 Alternate two solvers until they agree: prune on the current working
 set of cells, then ask the separation oracle for a cell anywhere in
 feature space where the reweighting breaks the original prediction.
-Each counterexample cell joins the working set and the loop repeats.  Every
-round first scores a fixed sample of cells (``oracle.Screen``); the
+Each counterexample cell joins the working set and the loop repeats.  A
+run builds one ``oracle.Oracle`` from its ensemble and epsilon, which
+keeps the class programs from round to round.  Every round first
+scores the oracle's fixed sample of cells (``Oracle.refute``); the
 oracle's MIPs run only in a round the sample cannot refute, so a run
 still ends only on a round whose MIPs found nothing.  Tie
 cells — where the reweighted scores dead-heat and only the tie-break
@@ -25,9 +27,10 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .ensemble import CellSignature, Ensemble, predict_classes_batch
+from .ensemble import (CellSignature, Ensemble, _integer,
+                       predict_classes_batch)
 from .errors import InputError, IterationLimitError, PruneCycleError
-from .oracle import (DEFAULT_EPSILON, VIOLATION_TOL, PairOutcome, Screen,
+from .oracle import (DEFAULT_EPSILON, VIOLATION_TOL, Oracle, PairOutcome,
                      _check_epsilon, separate)
 from .pruner import PruneResult, PruneSet, build_margins, prune_l0, prune_l1
 from .pruner import compute_big_w  # noqa: F401  patched by perfbench/spans.py
@@ -47,10 +50,7 @@ class PruneOptions:
         if self.norm not in ("l0", "l1"):
             raise InputError(f"norm must be 'l0' or 'l1', got {self.norm!r}")
         _check_epsilon(self.epsilon)
-        n = self.max_iterations
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise InputError(f"max_iterations must be an integer, got {n!r}")
-        if n < 1:
+        if _integer(self.max_iterations, "max_iterations", InputError) < 1:
             raise InputError("max_iterations must be at least 1")
 
 
@@ -119,22 +119,19 @@ def certified_prune(ensemble: Ensemble, initial_points: Sequence[Sequence[float]
     working.add_points(initial_points)
 
     t_start = time.perf_counter()
-    screen = Screen(ensemble, opts.epsilon)
+    oracle = Oracle(ensemble, opts.epsilon)
     screen_seconds = time.perf_counter() - t_start
     history: list[IterationRecord] = []
-    programs: dict = {}     # oracle program per original class, this run
     prune = prune_l0 if opts.norm == "l0" else prune_l1
 
     for index in range(1, opts.max_iterations + 1):
         t0 = time.perf_counter()
-        result = prune(ensemble, working,
-                       margins=build_margins(ensemble, working))
+        result = prune(working, margins=build_margins(working))
         t1 = time.perf_counter()
-        separation = screen.refute(result.weights)
+        separation = oracle.refute(result.weights)
         screened = len(separation.cells) + len(separation.tie_cells)
         if not screened:
-            separation = separate(ensemble, result.weights,
-                                  epsilon=opts.epsilon, programs=programs)
+            separation = separate(oracle, result.weights)
         t2 = time.perf_counter()
 
         new_cells = separation.cells + separation.tie_cells

@@ -338,12 +338,12 @@ def feature_dicts(schema: FeatureSchema) -> list[dict]:
     return out
 
 
-def _integer(value, what: str) -> int:
-    """``value`` if it is an integer within int64; anything else, a bool
-    included, is a ModelFormatError."""
-    if (isinstance(value, bool) or not isinstance(value, int)
+def _integer(value, what: str, error: type = ModelFormatError) -> int:
+    """``value`` if it is a Python or numpy integer within int64;
+    anything else, a bool or a float included, raises ``error``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or not -2**63 <= value < 2**63):
-        raise ModelFormatError(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {value!r}")
     return value
 
 

@@ -64,25 +64,18 @@ Only the objective and the floor depend on the weights and on the
 challenger: every other row, the bounds and integrality depend on the
 original class alone.  So the oracle's unit is the class program,
 built once per pruning run with a zero objective and priced for each
-challenger and each round (``SeparationProgram.priced``).  Every solve
-after the class's first starts from the class's last root basis
-(``SeparationProgram.start``), kept also when the root proved the pair
-empty; a class with none starts from the root of the pair solved just
-before it, whose program has the same columns and, before any cut, as
-many rows.  The new floor and objective may leave it neither primal nor
-dual feasible; the solver then shifts the costs of the columns that
-price in, repairs the basics by the dual simplex and restores the costs
-(see ``solve_milp``).  A no-good row that ``separate`` appends to a class's
-program, to cut off a cell whose original margin falls short of
-epsilon, goes before the floor; the held root then has one row too few,
-so the pair's re-solve starts from the slack basis.
+challenger and each round (``SeparationProgram.priced``); ``separate``
+says where each solve starts.  A no-good row that ``separate`` appends
+to a class's program, to cut off a cell whose original margin falls
+short of epsilon, goes before the floor.
 
-A round that is not the last needs only one counterexample, not the
-pair optima.  ``Screen`` scores a fixed sample of cells, drawn once per
-run, under each round's weights and applies ``separate``'s verdict rule
-to the best sampled cell of every pair.  It only proposes
-counterexamples: a pruning run solves the MIPs in every round the
-sample cannot refute, so only the MIPs certify.
+A pruning run has one ``Oracle``, which holds the run's ensemble, its
+epsilon and its class programs.  A round that is not the last needs
+only one counterexample, so the oracle also scores a fixed sample of
+cells, drawn once per run, under each round's weights by ``separate``'s
+verdict rule (``Oracle.refute``).  The sample only proposes
+counterexamples: a run solves the MIPs in every round the sample
+cannot refute, so only the MIPs certify.
 """
 
 from __future__ import annotations
@@ -124,6 +117,7 @@ class SeparationProgram:
     basis of the program's last solve."""
 
     problem: MilpProblem
+    ensemble: Ensemble                  # the one it was built from
     original: int
     epsilon: float
     blocks: list[np.ndarray]            # per feature: its indicator columns
@@ -154,7 +148,8 @@ class SeparationProgram:
     def cut_off(self, cell: CellSignature) -> SeparationProgram:
         """This program with one row appended that every cell but
         ``cell`` meets: some indicator must differ from its value there,
-        sum_{off} x - sum_{on} x >= 1 - |on|."""
+        sum_{off} x - sum_{on} x + |on| one >= 1.  The constant sits on
+        ``one``, the last column, so the right-hand side stays 1."""
         row = np.zeros(self.problem.num_vars)
         for cols, categorical, k in zip(self.blocks, self.categorical, cell):
             if categorical:
@@ -162,9 +157,9 @@ class SeparationProgram:
                 row[cols[k]] = -1.0
             else:
                 row[cols] = np.where(np.arange(len(cols)) < k, -1.0, 1.0)
+        row[-1] = np.count_nonzero(row < 0)
         return replace(self, problem=_appended(
-            self.problem, row, 1, 1.0 + row[row < 0].sum(),
-            f"cut_{'_'.join(map(str, cell))}"))
+            self.problem, row, 1, 1.0, f"cut_{'_'.join(map(str, cell))}"))
 
 
 def _appended(problem: MilpProblem, row: np.ndarray, sense: int, rhs: float,
@@ -324,19 +319,19 @@ def build_separation(ensemble: Ensemble, original: int,
             lower=lower, upper=np.ones(n), integer=np.arange(n) >= deep.size,
             maximize=True, var_names=var_names,
             row_names=[name for *_, names in rows for name in names]),
-        original=original, epsilon=epsilon, blocks=blocks,
+        ensemble=ensemble, original=original, epsilon=epsilon, blocks=blocks,
         categorical=categorical, flows=flows, leaves=leaves,
         leaf_tree=flat.tree[leaves], leaf_scores=scores, margin=coef)
 
 
-def extract_cell(ensemble: Ensemble, program: SeparationProgram,
+def extract_cell(program: SeparationProgram,
                  solution: Solution) -> tuple[CellSignature, np.ndarray]:
     """Cell signature from the indicator variables, and the per-tree
     score rows (M, C) of the leaves it reaches.  The cell is asserted to
     route every tree to exactly the unit-flow leaf; a mismatch means the
     solver returned an inconsistent assignment and is an internal
     failure, not user error."""
-    x = solution.x
+    ensemble, x = program.ensemble, solution.x
     cell = tuple(int(np.argmax(x[cols])) if categorical
                  else int(round(x[cols].sum()))
                  for cols, categorical in zip(program.blocks,
@@ -352,36 +347,33 @@ def extract_cell(ensemble: Ensemble, program: SeparationProgram,
     return cell, ensemble.flat.scores[leaves]
 
 
-def separate(ensemble: Ensemble, weights: Sequence[float],
-             epsilon: float = DEFAULT_EPSILON,
+def separate(oracle: Oracle, weights: Sequence[float],
              solve: Callable[..., Solution] = solve_milp,
-             dump_dir: Union[str, Path, None] = None,
-             programs: dict | None = None) -> SeparationResult:
-    """Solve every ordered class pair; collect each strictly positive
-    optimum's cell, deduplicated.
+             dump_dir: Union[str, Path, None] = None) -> SeparationResult:
+    """Solve every ordered class pair of ``oracle``'s ensemble at its
+    epsilon; collect each strictly positive optimum's cell, deduplicated.
 
-    ``programs`` maps each original class to its program, which carries
-    its last optimal root basis, from pair to pair and from one round of
-    a pruning run to the next (same ensemble and epsilon; the caller
-    passes one dict, empty at first, to every round and drops it after
-    the run): a class found there is priced for each challenger, not
-    rebuilt, and ``solve`` gets that basis as ``start=``.  A program
-    that holds no basis, at its first pair of the run, gets the root
-    basis of the pair solved just before it in this call instead.
-    Without ``programs``, the dict lives for this call only, so only the
-    call's first pair starts from the slack basis and every other one
-    from the root the pair before left.
+    ``oracle.programs`` maps each original class to its program, built
+    at the class's first pair and kept, which carries its last root
+    basis, also one that proved its pair empty, from pair to pair and
+    from round to round: ``solve`` gets that basis as ``start=``.  A
+    program that holds none gets the root basis of the pair solved just
+    before it in this call, whose program has the same columns and,
+    before any cut, as many rows; so only a fresh oracle's first pair
+    starts from the slack basis.  The new floor and objective may leave
+    a start neither primal nor dual feasible; ``solve_milp`` finishes
+    from it under shifted costs.
 
     Every returned cell is re-checked by direct evaluation: the
     original weights must predict the pair's original class on it by a
-    margin of at least ``epsilon``, and the reweighting must strictly
+    margin of at least epsilon, and the reweighting must strictly
     prefer the challenger over it.  A cell that misses the margin by
     no more than the solver's tolerances explain (``_meets_margin``)
     met the margin rows only through them; a no-good row on its
     indicators is appended to the class's program
-    (``SeparationProgram.cut_off``), which ``programs`` then keeps, and
-    the pair is re-solved from the slack basis.  A larger miss
-    raises ``SolverFailureError``.
+    (``SeparationProgram.cut_off``), which the oracle then keeps, and
+    the pair is re-solved from the slack basis.  A larger miss raises
+    ``SolverFailureError``.
 
     A pair optimum inside ``[-VIOLATION_TOL, VIOLATION_TOL]`` means the
     reweighting's best cell for that pair is an exact score tie; the
@@ -392,14 +384,14 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     as ``sep_y{y}_c{c}.lp``, and the problem of its k-th re-solve after a
     cut as ``sep_y{y}_c{c}_cut{k}.lp``.
     """
+    ensemble, programs = oracle.ensemble, oracle.programs
     w = _check_weights(ensemble, weights)
     result = SeparationResult(pairs=[])
-    programs = {} if programs is None else programs
     previous = None             # the root basis of the last solve here
     for original in range(ensemble.num_classes):
         program = programs[original] = (
             programs.get(original)
-            or build_separation(ensemble, original, epsilon))
+            or build_separation(ensemble, original, oracle.epsilon))
         for challenger in range(ensemble.num_classes):
             if challenger == original:
                 continue
@@ -430,8 +422,8 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
                 if (sol.status != SolveStatus.OPTIMAL
                         or sol.objective < -VIOLATION_TOL):
                     break
-                cell, scores = extract_cell(ensemble, program, sol)
-                if _meets_margin(ensemble, program, scores):
+                cell, scores = extract_cell(program, sol)
+                if _meets_margin(program, scores):
                     break
                 # met only through values inside the solver's tolerances:
                 # the cell lies outside the margin rows' scope for every
@@ -456,14 +448,13 @@ def separate(ensemble: Ensemble, weights: Sequence[float],
     return result
 
 
-class Screen:
-    """A fixed sample of cells that refutes a reweighting without a MIP.
-
-    The sample keeps only cells whose original winning margin is at
-    least ``epsilon``, the scope of the oracle's margin rows, each with
-    its per-tree scores and original class.  ``refute`` proposes
-    counterexamples; an empty result certifies nothing.
-    """
+class Oracle:
+    """One pruning run's oracle: its ``ensemble``, its ``epsilon`` and
+    ``programs``, each original class's program as ``separate`` built
+    and kept it.  ``cells`` is a fixed sample of cells whose original
+    winning margin is at least epsilon, the margin rows' scope, each
+    with its per-tree scores and original class; ``refute`` proposes
+    counterexamples from it, and an empty result certifies nothing."""
 
     def __init__(self, ensemble: Ensemble, epsilon: float = DEFAULT_EPSILON):
         _check_epsilon(epsilon)
@@ -481,6 +472,8 @@ class Screen:
         ranked = np.sort(original, axis=1)
         keep = ranked[:, -1] - ranked[:, -2] >= epsilon
         self.ensemble = ensemble
+        self.epsilon = epsilon
+        self.programs: dict[int, SeparationProgram] = {}
         self.cells = cells[keep]
         self.scores = scores[keep]
         self.labels = np.argmax(original[keep], axis=1)
@@ -508,8 +501,7 @@ class Screen:
         return result
 
 
-def _meets_margin(ensemble: Ensemble, program: SeparationProgram,
-                  scores: np.ndarray) -> bool:
+def _meets_margin(program: SeparationProgram, scores: np.ndarray) -> bool:
     """Whether the original weights predict ``program.original`` by at
     least ``program.epsilon`` over every other class on a cell whose
     per-tree score rows are ``scores``.
@@ -519,7 +511,7 @@ def _meets_margin(ensemble: Ensemble, program: SeparationProgram,
     can fall short of epsilon by about t (1 + ||a||_1); a miss beyond
     that is a solver fault and raises ``SolverFailureError``."""
     y = program.original
-    scores = np.asarray(ensemble.alpha) @ scores
+    scores = np.asarray(program.ensemble.alpha) @ scores
     shortfall = program.epsilon - (scores[y] - np.delete(scores, y))
     if shortfall.max() <= 0.0:
         return True

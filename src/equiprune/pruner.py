@@ -94,13 +94,13 @@ class PruneSet:
         return len(self.cells)
 
 
-def build_margins(ensemble: Ensemble, prune_set: PruneSet) -> np.ndarray:
+def build_margins(prune_set: PruneSet) -> np.ndarray:
     """G, the keep rows: for each entry i and each class c other than its
     label, in (i, c) order, every tree's score difference (label class
     minus c) on the entry, in [-1, 1] and zero at magnitudes the
     solver's pivot tolerance reads as zero.  Entry i owns rows i(C-1)
     ... i(C-1) + C - 2."""
-    n = len(prune_set)
+    ensemble, n = prune_set.ensemble, len(prune_set)
     cells = np.array(prune_set.cells, dtype=np.int64).reshape(
         n, ensemble.schema.num_features)
     labels = np.asarray(prune_set.labels, dtype=np.int64)
@@ -111,10 +111,10 @@ def build_margins(ensemble: Ensemble, prune_set: PruneSet) -> np.ndarray:
     return diff.transpose(0, 2, 1)[other]
 
 
-def _untied_margin(ensemble: Ensemble, prune_set: PruneSet,
-                   G: np.ndarray) -> float:
+def _untied_margin(prune_set: PruneSet, G: np.ndarray) -> float:
     """Smallest original margin on the working set (inf if it is empty);
     raises on a tie, which no strict-margin reweighting reproduces."""
+    ensemble = prune_set.ensemble
     margins = G @ np.asarray(ensemble.alpha)
     delta = float(margins.min(initial=np.inf))
     if delta <= TIE_TOL:
@@ -127,16 +127,17 @@ def _untied_margin(ensemble: Ensemble, prune_set: PruneSet,
     return delta
 
 
-def compute_big_w(ensemble: Ensemble, prune_set: PruneSet,
+def compute_big_w(prune_set: PruneSet,
                   margins: np.ndarray | None = None) -> float:
     """Weight bound W = 10 * max(alpha) / delta_min (delta_min = 1 on an
     empty set) of a big-W cardinality MIP (w_m <= W u_m).  alpha/delta_min
     keeps every row, but a sparser support may need more than W.  No
     caller doubles W: it sizes the tests' big-W reference.  Raises on a
     tie.  ``margins`` is G of ``prune_set``, built when not given."""
-    G = build_margins(ensemble, prune_set) if margins is None else margins
-    delta = _untied_margin(ensemble, prune_set, G)
-    return 10.0 * max(ensemble.alpha) / (delta if delta < np.inf else 1.0)
+    G = build_margins(prune_set) if margins is None else margins
+    delta = _untied_margin(prune_set, G)
+    return (10.0 * max(prune_set.ensemble.alpha)
+            / (delta if delta < np.inf else 1.0))
 
 
 @dataclass
@@ -258,7 +259,7 @@ def _capped_master(A: np.ndarray, bound: int, cap: int) -> MilpProblem:
     return prog
 
 
-def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
+def prune_l0(prune_set: PruneSet,
              solve: Callable[..., Solution] = solve_milp,
              margins: np.ndarray | None = None) -> PruneResult:
     """Fewest trees whose reweighting reproduces every working-set
@@ -303,15 +304,15 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
     original weights on the tested trees keep every row, or the tested
     trees hold a set that passed earlier in the call.  Nothing but the
     conflicts and the last master optimum outlives the call."""
-    G = build_margins(ensemble, prune_set) if margins is None else margins
-    _untied_margin(ensemble, prune_set, G)
+    G = build_margins(prune_set) if margins is None else margins
+    _untied_margin(prune_set, G)
     conflicts = prune_set.conflicts
     for cover in G > 0.0:
         conflicts[tuple(np.flatnonzero(cover).tolist())] = None
     nodes = pivots = masters = free_masters = 0
     lps = warm_lps = free = 0
     last_check: Basis | None = None     # the basis of the last check solved
-    alpha = np.asarray(ensemble.alpha, dtype=float)
+    alpha = np.asarray(prune_set.ensemble.alpha, dtype=float)
     passed: list[np.ndarray] = []       # tested sets that passed
     rows, M = G.shape
     eye = np.eye(M, dtype=bool)
@@ -400,14 +401,14 @@ def prune_l0(ensemble: Ensemble, prune_set: PruneSet,
                        warm_lps=warm_lps + sol.warm, free_checks=free)
 
 
-def prune_l1(ensemble: Ensemble, prune_set: PruneSet,
+def prune_l1(prune_set: PruneSet,
              margins: np.ndarray | None = None) -> PruneResult:
     """Smallest weight sum that reproduces every working-set
     prediction.  A plain LP (``min_weight_sum``), solved from the slack
     basis.  Raises on a tie, as ``prune_l0`` does."""
-    G = build_margins(ensemble, prune_set) if margins is None else margins
-    _untied_margin(ensemble, prune_set, G)
-    weights, sol = min_weight_sum(G, np.arange(ensemble.num_trees))
+    G = build_margins(prune_set) if margins is None else margins
+    _untied_margin(prune_set, G)
+    weights, sol = min_weight_sum(G, np.arange(prune_set.ensemble.num_trees))
     if sol.status == SolveStatus.INFEASIBLE:
         raise InfeasiblePruneError(
             "no faithful reweighting exists on the working set")

@@ -726,6 +726,8 @@ def _verified_optimum(sx: _Simplex) -> bool:
 def _check_tol(b: np.ndarray) -> float:
     """How far a returned value may lie outside its bounds, or a row
     (through its slack) outside its side, for right-hand sides ``b``."""
+    # every row's tolerance grows with the largest |b| (so does the
+    # Farkas cut), so a program must keep its right-hand sides small
     return _TOL_FEAS * (1.0 + np.abs(b).max(initial=0.0))
 
 

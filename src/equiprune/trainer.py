@@ -44,7 +44,10 @@ class Dataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
-        self.y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
+        if y.size and not np.issubdtype(y.dtype, np.integer):
+            raise DatasetFormatError(f"labels must be integers, got {y.dtype}")
+        self.y = y.astype(np.int64)
         n, p = self.X.shape
         if p != self.schema.num_features:
             raise DatasetFormatError(
@@ -52,7 +55,7 @@ class Dataset:
                 f"{self.schema.num_features} features")
         if self.y.shape != (n,):
             raise DatasetFormatError("one label per row required")
-        if self.num_classes < 2:
+        if _integer(self.num_classes, "num_classes", DatasetFormatError) < 2:
             raise DatasetFormatError("num_classes must be >= 2")
         if n and (self.y.min() < 0 or self.y.max() >= self.num_classes):
             raise DatasetFormatError(
@@ -167,6 +170,12 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, w: np.ndarray, C: int,
     return {"root": root, "nodes": nodes}, pred
 
 
+def _count(value, what: str, least: int) -> None:
+    """Refuse a count that is no integer (a bool or float) or below least."""
+    if _integer(value, what, InputError) < least:
+        raise InputError(f"need {what} >= {least}, got {value}")
+
+
 def _check_trainable(dataset: Dataset) -> None:
     if any(isinstance(k, CategoricalFeature) for k in dataset.schema.features):
         raise InputError(
@@ -190,8 +199,8 @@ def train_adaboost(dataset: Dataset, num_trees: int,
     1 - 1/C, so stage weights are never negative.  The procedure is
     deterministic."""
     _check_trainable(dataset)
-    if num_trees < 1:
-        raise InputError("num_trees must be at least 1")
+    _count(num_trees, "num_trees", 1)
+    _count(max_depth, "max_depth", 0)
     X, y, C = dataset.X, dataset.y, dataset.num_classes
     n = dataset.num_rows
     sample_w = np.full(n, 1.0 / n)
@@ -224,8 +233,8 @@ def train_random_forest(dataset: Dataset, num_trees: int, max_depth: int = 3,
     """Bootstrap forest of greedy Gini trees with ceil(sqrt(p)) random
     candidate features per split; every tree weighs 1."""
     _check_trainable(dataset)
-    if num_trees < 1:
-        raise InputError("num_trees must be at least 1")
+    _count(num_trees, "num_trees", 1)
+    _count(max_depth, "max_depth", 0)
     rng = np.random.default_rng(seed)
     X, y, C = dataset.X, dataset.y, dataset.num_classes
     n = dataset.num_rows
@@ -262,12 +271,10 @@ def make_synthetic(kind: str, n: int = 64, seed: int = 0,
                plus noise of standard deviation 0.5: the many-cell
                regime of the paper.
     """
-    if n < 4:
-        raise InputError(f"need n >= 4, got {n}")
+    _count(n, "n", 4)
     rng = np.random.default_rng(seed)
     if kind == "linear":
-        if num_features < 1:
-            raise InputError(f"need num_features >= 1, got {num_features}")
+        _count(num_features, "num_features", 1)
         schema = FeatureSchema(
             tuple(ContinuousFeature() for _ in range(num_features)),
             tuple(f"x{j}" for j in range(num_features)))

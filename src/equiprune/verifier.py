@@ -118,18 +118,18 @@ def maximize_separation(ensemble: Ensemble, weights, challenger: int,
     return float(gap[i]), tuple(int(v) for v in cells[i])
 
 
-def brute_force_min_support(ensemble: Ensemble, prune_set: PruneSet,
+def brute_force_min_support(prune_set: PruneSet,
                             max_trees: int = BRUTE_FORCE_MAX_TREES) -> int:
     """Smallest number of trees whose reweighting reproduces every
     working-set prediction, by trying all subsets in ascending size.
     Each subset that meets every keep row's cover (a row needs a
     positive entry among the kept trees) is checked with a small LP
     feasibility solve."""
-    M = ensemble.num_trees
+    M = prune_set.ensemble.num_trees
     if M > max_trees:
         raise EnumerationCapError(
             f"{M} trees exceed the subset-search limit of {max_trees}")
-    G = build_margins(ensemble, prune_set)
+    G = build_margins(prune_set)
     covers = G > 0.0
     for k in range(M + 1):
         for subset in itertools.combinations(range(M), k):

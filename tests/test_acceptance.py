@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from equiprune import (InputError, PruneOptions, SolveStatus,
+from equiprune import (InputError, Oracle, PruneOptions, SolveStatus,
                        TiedPredictionError, brute_force_min_support,
                        certified_prune, certify, fidelity, load_dataset,
                        load_model, load_schema, make_synthetic,
@@ -86,23 +86,23 @@ def small_instances():
             continue
         ps = all_cells_set(ens)
         try:
-            l0, t_l0 = fastest_of_three(prune_l0, ens, ps)
+            l0, t_l0 = fastest_of_three(prune_l0, ps)
         except TiedPredictionError:
             continue
-        l1, t_l1 = fastest_of_three(prune_l1, ens, ps)
+        l1, t_l1 = fastest_of_three(prune_l1, ps)
         rows.append({"seed": seed - 1, "ensemble": ens, "prune_set": ps,
                      "l0": l0, "l1": l1, "t_l0": t_l0, "t_l1": t_l1})
     return rows
 
 
-def fastest_of_three(prune, ens, prune_set):
+def fastest_of_three(prune, prune_set):
     """The result of ``prune`` and its shortest wall time over three
     runs, so that a run slowed by other load on the machine does not
     decide a timing verdict."""
     seconds = []
     for _ in range(3):
         t0 = time.perf_counter()
-        result = prune(ens, prune_set)
+        result = prune(prune_set)
         seconds.append(time.perf_counter() - t0)
     return result, min(seconds)
 
@@ -126,7 +126,7 @@ def test_criterion_1_certified_soundness(boosted_runs):
 def test_criterion_2_l0_is_optimal(small_instances):
     mismatches = []
     for row in small_instances:
-        best = brute_force_min_support(row["ensemble"], row["prune_set"])
+        best = brute_force_min_support(row["prune_set"])
         if len(row["l0"].support) != best:
             mismatches.append((row["seed"], len(row["l0"].support), best))
     ok = not mismatches and len(small_instances) >= 50
@@ -156,7 +156,7 @@ def test_criterion_3_oracle_matches_exhaustion():
         w[rng.random(ens.num_trees) < 0.4] = 0.0
         if not w.any():
             w = np.array(ens.alpha)
-        result = separate(ens, w, epsilon=EPSILON)
+        result = separate(Oracle(ens, EPSILON), w)
         for pair in result.pairs:
             pairs_checked += 1
             best, _ = maximize_separation(ens, w, pair.challenger,

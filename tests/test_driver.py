@@ -52,7 +52,7 @@ def test_already_minimal_ensemble_keeps_everything():
     ens = random_stump_ensemble(2012, max_trees=5)
     ps = PruneSet(ens)
     ps.add_cells(list(enumerate_cells(ens.schema)))
-    assert brute_force_min_support(ens, ps) == ens.num_trees
+    assert brute_force_min_support(ps) == ens.num_trees
     outcome = certified_prune(ens, seed_points(ens), PruneOptions(norm="l0"))
     assert outcome.num_kept == ens.num_trees
 
@@ -134,6 +134,19 @@ def test_screen_settles_rounds_on_a_forest():
     # round it leaves solves both pairs' MIPs
     assert screened and outcome.iterations not in screened
     assert outcome.n_oracle == 2 * (outcome.iterations - len(screened))
+    assert not certify(ens, outcome.weights, epsilon=1e-6).disagreement_cells
+
+
+def test_a_forest_whose_oracle_cuts_cells_certifies():
+    # Its oracle cuts cells off with no-good rows, which must keep their
+    # right-hand sides small: the solver's check tolerance grows with the
+    # largest |b|, and a right-hand side of 1 - |on| (down to -17 on a
+    # feature of 18 thresholds here) lifts it above epsilon, so that a
+    # re-solve fails its numerical verification (SolverFailureError).
+    data = make_synthetic("blobs", n=40, seed=3)
+    ens = train_random_forest(data, 30, max_depth=3, seed=0)
+    outcome = certified_prune(ens, data.X[:4], PruneOptions(norm="l1"))
+    assert sum(p.cuts for r in outcome.history for p in r.pairs) >= 1
     assert not certify(ens, outcome.weights, epsilon=1e-6).disagreement_cells
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from equiprune import (DEFAULT_EPSILON, InputError, IterationLimitError,
-                       ProblemTooLargeError, Solution, SolveStatus,
+                       Oracle, ProblemTooLargeError, Solution, SolveStatus,
                        SolverFailureError, TiedPredictionError,
                        build_ensemble, build_separation, cell_center,
                        cell_scores_batch, cells_of, certified_prune, certify,
@@ -18,7 +18,7 @@ from equiprune import (DEFAULT_EPSILON, InputError, IterationLimitError,
                        oracle, separate, solve_milp, solver,
                        train_random_forest)
 from equiprune.ensemble import leaves_of
-from equiprune.oracle import VIOLATION_TOL, Screen, SeparationResult
+from equiprune.oracle import VIOLATION_TOL, SeparationResult
 from conftest import (make_stump, mixed_model, one_hot, opposed_stumps,
                       stump_ensembles, three_voter_majority)
 from test_ensemble import random_mixed_ensemble
@@ -122,7 +122,7 @@ def test_three_class_pair_has_two_margin_rows():
 
 def test_original_weights_separate_nothing():
     for seed, ens in stump_ensembles(1100, 10):
-        result = separate(ens, ens.alpha)
+        result = separate(Oracle(ens), ens.alpha)
         assert result.is_empty
         assert not result.tie_cells
         for pair in result.pairs:
@@ -145,10 +145,10 @@ def test_separation_stops_at_the_node_limit(monkeypatch):
     # only after branching
     ens = three_voter_majority()
     w = (0.0, 0.0, 1.0)
-    assert max(p.nodes for p in separate(ens, w).pairs) >= 1
+    assert max(p.nodes for p in separate(Oracle(ens), w).pairs) >= 1
     monkeypatch.setattr(solver, "_MAX_NODES", 0)
     with pytest.raises(IterationLimitError, match="node limit"):
-        separate(ens, w)
+        separate(Oracle(ens), w)
 
 
 def test_dropped_tree_disagreement_is_found():
@@ -158,7 +158,7 @@ def test_dropped_tree_disagreement_is_found():
              make_stump(0, 0.7, (0, 1), (1, 0))]
     ens = two_class(trees, [2.0, 1.0])
     w = (0.0, 1.0)
-    result = separate(ens, w)
+    result = separate(Oracle(ens), w)
     assert not result.is_empty
     points = [cell_center(ens.schema, cell) for cell in result.cells]
     assert np.all(predict_classes_batch(ens, w, points)
@@ -174,7 +174,7 @@ def test_objective_matches_brute_force():
         w[rng.random(ens.num_trees) < 0.4] = 0.0
         if not w.any():
             w = np.array(ens.alpha)
-        result = separate(ens, w)
+        result = separate(Oracle(ens), w)
         C = ens.num_classes
         k = 0
         for y in range(C):
@@ -199,8 +199,8 @@ def test_objective_shrinks_as_epsilon_grows():
     rng = np.random.default_rng(22)
     for seed, ens in stump_ensembles(1300, 15):
         w = np.array(ens.alpha) * rng.uniform(0.2, 1.2, size=ens.num_trees)
-        small = separate(ens, w, epsilon=1e-6)
-        large = separate(ens, w, epsilon=0.5)
+        small = separate(Oracle(ens, 1e-6), w)
+        large = separate(Oracle(ens, 0.5), w)
         for ps, pl in zip(small.pairs, large.pairs):
             if ps.status == SolveStatus.INFEASIBLE:
                 assert pl.status == SolveStatus.INFEASIBLE
@@ -266,7 +266,7 @@ def test_extraction_reads_indicators():
     prog = build_separation(ens, original=0)
     # continuous cell 1 of thresholds {0.2}: above the only threshold;
     # category level 2 takes the categorical tree's right branch
-    cell, scores = extract_cell(ens, prog, fake_solution(ens, prog, (1, 2)))
+    cell, scores = extract_cell(prog, fake_solution(ens, prog, (1, 2)))
     assert cell == (1, 2)
     assert scores.tolist() == [[0.0, 1.0], [0.0, 1.0]]
 
@@ -274,7 +274,7 @@ def test_extraction_reads_indicators():
 def test_extraction_pads_below_first_threshold():
     ens = cat_ensemble()
     prog = build_separation(ens, original=0)
-    cell, scores = extract_cell(ens, prog, fake_solution(ens, prog, (0, 0)))
+    cell, scores = extract_cell(prog, fake_solution(ens, prog, (0, 0)))
     assert cell == (0, 0)
     assert scores.tolist() == [[1.0, 0.0], [1.0, 0.0]]
     point = cell_center(ens.schema, cell)
@@ -287,7 +287,7 @@ def test_extraction_between_thresholds():
              make_stump(0, 0.8, (1, 0), (0, 1))]
     ens = two_class(trees, [1.0, 1.0])
     prog = build_separation(ens, original=0)
-    cell, scores = extract_cell(ens, prog, fake_solution(ens, prog, (1,)))
+    cell, scores = extract_cell(prog, fake_solution(ens, prog, (1,)))
     assert cell == (1,)
     assert scores.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
@@ -302,7 +302,7 @@ def test_extraction_refuses_a_flow_that_disagrees_with_the_cell():
     sol = Solution(status=SolveStatus.OPTIMAL, x=x, objective=0.0,
                    nodes=1, iterations=0)
     with pytest.raises(SolverFailureError, match="no flow there"):
-        extract_cell(ens, prog, sol)
+        extract_cell(prog, sol)
 
 
 def _structural_rows_hold(problem, x):
@@ -341,7 +341,7 @@ def test_indicator_layout_over_every_cell():
             on_route = np.zeros(len(prog.flows))
             on_route[route(ens, cell)] = 1.0
             assert np.array_equal(prog.flows @ sol.x, on_route)
-            assert extract_cell(ens, prog, sol)[0] == cell
+            assert extract_cell(prog, sol)[0] == cell
             cut = prog.cut_off(cell).problem
             met = cut.A[-1] @ X >= cut.b[-1] - 1e-12
             assert not met[k] and met.sum() == len(cells) - 1
@@ -370,7 +370,7 @@ def test_dumps_one_lp_file_per_ordered_pair(tmp_path):
     ens = mixed_model()
     kinds = [kind.kind for kind in ens.schema.features]
     assert kinds == ["continuous", "binary", "categorical"]
-    separate(ens, ens.alpha, dump_dir=tmp_path)
+    separate(Oracle(ens), ens.alpha, dump_dir=tmp_path)
     C = ens.num_classes
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
         f"sep_y{y}_c{c}.lp" for y in range(C) for c in range(C) if c != y)
@@ -402,11 +402,11 @@ def test_a_pair_below_its_floor_is_empty(monkeypatch):
     # and 0.5 - 1 = -0.5 under (1, 0.5), below it
     monkeypatch.setattr(oracle, "VIOLATION_TOL", 0.25)
     ens = opposed_stumps(2.0)
-    tie = separate(ens, (1.0, 0.75))
+    tie = separate(Oracle(ens), (1.0, 0.75))
     assert [p.status for p in tie.pairs] == [SolveStatus.OPTIMAL] * 2
     assert [p.objective for p in tie.pairs] == pytest.approx([-0.25] * 2)
     assert tie.cells == [] and set(tie.tie_cells) == {(0,), (1,)}
-    empty = separate(ens, (1.0, 0.5))
+    empty = separate(Oracle(ens), (1.0, 0.5))
     assert [(p.status, p.objective, p.cell) for p in empty.pairs] == [
         (SolveStatus.INFEASIBLE, None, None)] * 2
     assert not (empty.cells or empty.tie_cells)
@@ -415,8 +415,8 @@ def test_a_pair_below_its_floor_is_empty(monkeypatch):
 def test_screen_keeps_a_cell_at_margin_epsilon():
     # exact binary fractions: the original margin is 0.25 on both cells,
     # or 2**-30 less
-    assert len(Screen(opposed_stumps(1.25), epsilon=0.25).cells) == 2
-    assert len(Screen(opposed_stumps(1.25 - 2**-30), epsilon=0.25).cells) == 0
+    assert len(Oracle(opposed_stumps(1.25), epsilon=0.25).cells) == 2
+    assert len(Oracle(opposed_stumps(1.25 - 2**-30), epsilon=0.25).cells) == 0
 
 
 def test_exact_tie_lands_on_the_tie_channel():
@@ -425,7 +425,7 @@ def test_exact_tie_lands_on_the_tie_channel():
     trees = [make_stump(0, 0.5, (1, 0), (0, 1)),
              make_stump(0, 0.5, (0, 1), (1, 0))]
     ens = two_class(trees, [2.0, 1.0])
-    result = separate(ens, (1.0, 1.0))
+    result = separate(Oracle(ens), (1.0, 1.0))
     assert result.is_empty            # no strict violation anywhere
     assert set(result.tie_cells) == {(0,), (1,)}
     assert result.cells == []
@@ -438,7 +438,7 @@ def test_returned_cells_flip_the_prediction():
         w[rng.random(ens.num_trees) < 0.5] = 0.0
         if not w.any():
             continue
-        result = separate(ens, w)
+        result = separate(Oracle(ens), w)
         points = [cell_center(ens.schema, cell) for cell in result.cells]
         assert np.all(predict_classes_batch(ens, w, points)
                       != predict_classes_batch(ens, ens.alpha, points))
@@ -453,19 +453,22 @@ def test_a_cell_below_the_margin_is_cut_off_and_resolved():
     # where the original scores tie 5:5: the margin row is met only
     # through flow and indicator values inside the solver's tolerances.
     # Each such cell is cut off by a no-good row that the class's
-    # program keeps, and the pair re-solves from its grown root to the
-    # exhaustive optimum over cells with margin >= epsilon.  A pair
-    # with no cell at or above its floor is empty; one whose optimum
-    # lies below the floor within the solver's tolerances returns no
-    # cell and is not rechecked: the true one lies below it.
+    # program keeps, and the pair re-solves to the exhaustive optimum
+    # over cells with margin >= epsilon.  A pair with no cell at or
+    # above its floor is empty; one whose optimum lies below the floor
+    # within the solver's tolerances returns no cell and is not
+    # rechecked: the true one lies below it.  A no-good row carries its
+    # constant on ``one``, so every right-hand side of a class program
+    # stays within 1 in magnitude: the solver's check tolerance grows
+    # with the largest.
     data = make_synthetic("blobs", n=24, seed=7)
     ens = train_random_forest(data, 10, max_depth=3, seed=0)
     rng = np.random.default_rng(0)
     cut = 0
     for _ in range(30):
         w = rng.random(10) * (rng.random(10) < 0.5)
-        programs = {}
-        result = separate(ens, w, programs=programs)
+        oracle = Oracle(ens)
+        result = separate(oracle, w)
         for pair in result.pairs:
             best, _ = maximize_separation(ens, w, pair.challenger,
                                           pair.original, DEFAULT_EPSILON)
@@ -480,12 +483,17 @@ def test_a_cell_below_the_margin_is_cut_off_and_resolved():
                 assert scores[pair.original] - scores[
                     pair.challenger] >= DEFAULT_EPSILON
         cuts = 0
-        for y, program in programs.items():
+        for y, program in oracle.programs.items():
+            problem = program.problem
             fresh = build_separation(ens, y).problem
-            cuts += program.problem.num_rows - fresh.num_rows
-            assert program.problem.row_names[fresh.num_rows:] == [
-                name for name in program.problem.row_names
-                if name.startswith("cut_")]
+            cuts += problem.num_rows - fresh.num_rows
+            assert problem.row_names[fresh.num_rows:] == [
+                name for name in problem.row_names if name.startswith("cut_")]
+            for row, b in zip(problem.A[fresh.num_rows:],
+                              problem.b[fresh.num_rows:]):
+                assert b == 1.0
+                assert row[problem.var_names.index("one")] == np.sum(row < 0)
+            assert np.abs(problem.b).max() == 1.0
         assert cuts == sum(pair.cuts for pair in result.pairs)
         cut += cuts
     assert cut >= 5
@@ -503,7 +511,7 @@ def test_dump_dir_holds_every_re_solve_after_a_cut(tmp_path):
         w = rng.random(10) * (rng.random(10) < 0.5)
         out = tmp_path / str(call)
         out.mkdir()
-        result = separate(ens, w, programs={}, dump_dir=out)
+        result = separate(Oracle(ens), w, dump_dir=out)
         assert len(list(out.iterdir())) == sum(
             1 + pair.cuts for pair in result.pairs)
         for pair in result.pairs:
@@ -516,6 +524,33 @@ def test_dump_dir_holds_every_re_solve_after_a_cut(tmp_path):
             assert len(rows.splitlines()) == pair.rows
             cut += pair.cuts
     assert cut >= 5
+
+
+def test_held_programs_keep_their_cuts_for_the_next_round():
+    # the forest above: a second call on the same oracle under the same
+    # weights prices the programs the first call cut, so where the first
+    # cut a cell the second cuts nothing, and every pair keeps its
+    # verdict, optimum and cell
+    data = make_synthetic("blobs", n=24, seed=7)
+    ens = train_random_forest(data, 10, max_depth=3, seed=0)
+    rng = np.random.default_rng(0)
+    cut_draws = 0
+    for _ in range(30):
+        w = rng.random(10) * (rng.random(10) < 0.5)
+        oracle = Oracle(ens)
+        first = separate(oracle, w)
+        second = separate(oracle, w)
+        if any(pair.cuts for pair in first.pairs):
+            cut_draws += 1
+            assert not any(pair.cuts for pair in second.pairs)
+        for ours, again in zip(first.pairs, second.pairs):
+            assert (ours.status, ours.cell) == (again.status, again.cell)
+            if ours.objective is None:
+                assert again.objective is None
+            else:
+                assert again.objective == pytest.approx(ours.objective,
+                                                        abs=1e-9)
+    assert cut_draws >= 10
 
 
 def test_a_cell_of_another_class_is_a_solver_failure():
@@ -532,7 +567,7 @@ def test_a_cell_of_another_class_is_a_solver_failure():
         return replace(sol, objective=1.0)
 
     with pytest.raises(SolverFailureError, match="original margin"):
-        separate(ens, ens.alpha, solve=stub)
+        separate(Oracle(ens), ens.alpha, solve=stub)
 
 
 def test_a_cell_without_a_positive_gap_is_a_solver_failure():
@@ -549,7 +584,7 @@ def test_a_cell_without_a_positive_gap_is_a_solver_failure():
         return replace(sol, objective=1.0)
 
     with pytest.raises(SolverFailureError, match="positive reweighted gap"):
-        separate(ens, ens.alpha, solve=stub)
+        separate(Oracle(ens), ens.alpha, solve=stub)
 
 
 def random_reweighting(ens, rng):
@@ -565,7 +600,7 @@ def test_oracle_matches_enumeration_on_mixed_ensembles():
     for _ in range(40):
         ens = random_mixed_ensemble(rng)
         w = random_reweighting(ens, rng)
-        for pair in separate(ens, w).pairs:
+        for pair in separate(Oracle(ens), w).pairs:
             best, _ = maximize_separation(ens, w, pair.challenger,
                                           pair.original, DEFAULT_EPSILON)
             # empty exactly when no cell reaches the floor
@@ -590,14 +625,15 @@ PROBLEM_ARRAYS = ("c", "A", "senses", "b", "lower", "upper", "integer")
 
 
 def test_reused_programs_equal_fresh_builds():
-    """Under one program per original class, every problem handed to
-    ``solve`` equals a fresh build of its pair, its optimum equals a
-    cold solve's, and every pair after the first of its class starts
-    from the root basis of the pair before it, also when no
-    ``programs`` are passed and when that pair had no cell at or above
-    its floor.  A class's first pair starts from the class's last root
-    when it holds one, and otherwise from the root of the pair solved
-    before it in the same call (cold only for a call's first pair)."""
+    """Over three rounds on one ``Oracle``, which holds one program per
+    original class, every problem handed to ``solve`` equals a fresh
+    build of its pair, its optimum equals that of a fresh oracle's, and
+    every pair after the first of its class starts from the root basis
+    of the pair before it, also on a fresh oracle and when that pair had
+    no cell at or above its floor.  A class's first pair starts from the
+    class's last root when it holds one, and otherwise from the root of
+    the pair solved before it in the same call (cold only for a fresh
+    oracle's first pair)."""
     rng = np.random.default_rng(42)
     handed_out = []                     # (problem, copies of its arrays)
     calls = []                          # (start or None, root basis)
@@ -620,14 +656,14 @@ def test_reused_programs_equal_fresh_builds():
         ens = random_mixed_ensemble(rng)
         ensembles += 1
         multi_class += ens.num_classes >= 3
-        programs = {}
+        oracle = Oracle(ens)
         last_basis = {}                 # original class -> its last root
         last_status = {}                # and its last pair's status
         for _round in range(3):
             w = random_reweighting(ens, rng)
             calls.clear()
-            reused = separate(ens, w, solve=capture, programs=programs)
-            assert set(programs) == set(range(ens.num_classes))
+            reused = separate(oracle, w, solve=capture)
+            assert set(oracle.programs) == set(range(ens.num_classes))
             fresh = handed_out[-len(reused.pairs):]
             previous = None             # the root of the call's last pair
             for pair, (problem, _), (start, root, sol) in zip(
@@ -656,11 +692,11 @@ def test_reused_programs_equal_fresh_builds():
                                 == SolveStatus.INFEASIBLE)
                 last_basis[y] = previous = root
                 last_status[y] = pair.status
-            # without ``programs`` every pair but the call's first starts
+            # on a fresh oracle every pair but the call's first starts
             # from the root of the pair before it, and the roots held
             # across rounds find the same optima
             calls.clear()
-            local = separate(ens, w, solve=record)
+            local = separate(Oracle(ens), w, solve=record)
             for k, (ours, pair) in enumerate(zip(reused.pairs, local.pairs)):
                 assert calls[k][0] is (calls[k - 1][1] if k else None)
                 local_starts += k > 0
@@ -687,7 +723,7 @@ def test_screen_proposes_only_what_the_oracle_accepts():
     rng = np.random.default_rng(23)
     proposed = quiet = 0
     for _, ens in stump_ensembles(2300, 20):
-        screen = Screen(ens, DEFAULT_EPSILON)
+        screen = Oracle(ens, DEFAULT_EPSILON)
         original = screen.refute(ens.alpha)
         assert not (original.cells or original.tie_cells)
         C = ens.num_classes
@@ -720,7 +756,7 @@ def test_screen_proposes_only_what_the_oracle_accepts():
 
 def test_screen_refuses_bad_input(three_stumps):
     with pytest.raises(InputError, match="epsilon"):
-        Screen(three_stumps, 0.0)
-    screen = Screen(three_stumps)
+        Oracle(three_stumps, 0.0)
+    screen = Oracle(three_stumps)
     with pytest.raises(InputError):
         screen.refute((1.0, 1.0))

@@ -68,7 +68,7 @@ def big_w_min_support(ensemble, prune_set, W):
     pb = ProblemBuilder()
     w = [pb.add_var(lo=0.0, up=W) for _ in range(M)]
     u = [pb.add_var(lo=0.0, up=1.0, obj=1.0, integer=True) for _ in range(M)]
-    for row in build_margins(ensemble, prune_set):
+    for row in build_margins(prune_set):
         pb.add_row(zip(w, row), ">=", 1.0)
     for m in range(M):
         pb.add_row([(w[m], 1.0), (u[m], -W)], "<=", 0.0)
@@ -90,7 +90,7 @@ def test_one_hot_margin_is_one():
     ps.add_points([(0.3,)])
     # label 0, challenger 1: h^{(0)} - h^{(1)} = 1 - 0
     assert ps.labels == [0]
-    assert build_margins(ens, ps).tolist() == [[1.0]]
+    assert build_margins(ps).tolist() == [[1.0]]
 
 
 def test_abstaining_tree_margin_is_zero():
@@ -101,7 +101,7 @@ def test_abstaining_tree_margin_is_zero():
                          weights=[1.0, 1.0], raw_trees=trees)
     ps = PruneSet(ens)
     ps.add_points([(0.3,)])
-    assert build_margins(ens, ps).tolist() == [[1.0, 0.0]]
+    assert build_margins(ps).tolist() == [[1.0, 0.0]]
 
 
 def test_fixture_margin_table(three_stumps):
@@ -114,7 +114,7 @@ def test_fixture_margin_table(three_stumps):
     # cell 2 (0.5 < x <= 0.7): trees 0,1 vote 1 -> label 1
     # cell 3 (x > 0.7): all vote 1, label 1
     assert ps.labels == [0, 0, 1, 1]
-    assert build_margins(three_stumps, ps).tolist() == [[1.0, 1.0, 1.0],
+    assert build_margins(ps).tolist() == [[1.0, 1.0, 1.0],
                                                         [-1.0, 1.0, 1.0],
                                                         [1.0, 1.0, -1.0],
                                                         [1.0, 1.0, 1.0]]
@@ -131,7 +131,7 @@ def test_big_w_formula_unit_margins():
     ps = PruneSet(ens)
     ps.add_points([(0.3,)])
     # W = 10 * max(alpha) / delta_min = 10 * 1 / 1
-    assert compute_big_w(ens, ps) == pytest.approx(10.0)
+    assert compute_big_w(ps) == pytest.approx(10.0)
 
 
 def test_big_w_formula_scaled():
@@ -145,7 +145,7 @@ def test_big_w_formula_scaled():
     ps = PruneSet(ens)
     ps.add_points([(0.3,)])
     # W = 10 * 2 / 0.5 = 40
-    assert compute_big_w(ens, ps) == pytest.approx(40.0)
+    assert compute_big_w(ps) == pytest.approx(40.0)
 
 
 def test_tied_original_prediction_is_an_error():
@@ -157,11 +157,11 @@ def test_tied_original_prediction_is_an_error():
     ps = PruneSet(ens)
     ps.add_points([(0.3,)])
     with pytest.raises(TiedPredictionError, match="tied"):
-        compute_big_w(ens, ps)
+        compute_big_w(ps)
     with pytest.raises(TiedPredictionError, match="tied"):
-        prune_l0(ens, ps)
+        prune_l0(ps)
     with pytest.raises(TiedPredictionError, match="tied"):
-        prune_l1(ens, ps)
+        prune_l1(ps)
 
 
 def test_a_tie_names_its_entry_and_class():
@@ -174,15 +174,15 @@ def test_a_tie_names_its_entry_and_class():
                          weights=[1.0, 1.0], raw_trees=trees)
     ps = PruneSet(ens)
     ps.add_points([(0.3,), (0.7,)])
-    assert (build_margins(ens, ps) @ ens.alpha).tolist() == [1, 1, 1, 0]
+    assert (build_margins(ps) @ ens.alpha).tolist() == [1, 1, 1, 0]
     with pytest.raises(TiedPredictionError,
                        match=r"point 1 \(class 1 against 2\)"):
-        prune_l1(ens, ps)
+        prune_l1(ps)
 
 
 def test_l0_keeps_only_the_middle_stump(three_stumps):
     ps = all_cells_set(three_stumps)
-    result = prune_l0(three_stumps, ps)
+    result = prune_l0(ps)
     assert result.support == (1,)
     assert support_of(result.weights) == (1,)
 
@@ -190,7 +190,7 @@ def test_l0_keeps_only_the_middle_stump(three_stumps):
 def test_l0_single_tree():
     ens = single_stump_ensemble()
     ps = all_cells_set(ens)
-    result = prune_l0(ens, ps)
+    result = prune_l0(ps)
     assert result.support == (0,)
 
 
@@ -198,10 +198,10 @@ def test_l0_matches_subset_search():
     checked = 0
     for ens, ps in l0_cases():
         try:
-            result = prune_l0(ens, ps)
+            result = prune_l0(ps)
         except TiedPredictionError:
             continue
-        assert len(result.support) == brute_force_min_support(ens, ps)
+        assert len(result.support) == brute_force_min_support(ps)
         checked += 1
     assert checked >= 30
 
@@ -210,14 +210,14 @@ def test_l0_matches_big_w_mip():
     checked = 0
     for ens, ps in l0_cases():
         try:
-            result = prune_l0(ens, ps)
+            result = prune_l0(ps)
         except TiedPredictionError:
             continue
         assert len(result.support) == result.objective
         # compute_big_w bounds the weights of the original support only;
         # a sparser one may need more (one tree at weight 50 against
         # W = 43 among these cases), so W must also cover the answer
-        W = max(compute_big_w(ens, ps), 2.0 * result.weights.max())
+        W = max(compute_big_w(ps), 2.0 * result.weights.max())
         assert len(result.support) == big_w_min_support(ens, ps, W)
         checked += 1
     assert checked >= 30
@@ -232,13 +232,13 @@ def test_carried_conflicts_give_the_fresh_support_size():
         half = len(full.cells) // 2
         grown.add_cells(full.cells[:half])
         try:
-            prune_l0(ens, grown)
+            prune_l0(grown)
             grown.add_cells(full.cells[half:])
-            result = prune_l0(ens, grown)
+            result = prune_l0(grown)
         except TiedPredictionError:
             continue
-        assert len(result.support) == len(prune_l0(ens, full).support)
-        G = build_margins(ens, full)
+        assert len(result.support) == len(prune_l0(full).support)
+        G = build_margins(full)
         for conflict in grown.conflicts:
             assert set(conflict) & set(result.support)
             rest = [m for m in range(ens.num_trees) if m not in conflict]
@@ -254,24 +254,24 @@ def test_l0_tree_selection_stops_at_the_node_limit(monkeypatch):
         ps = PruneSet(ens)
         ps.add_points(data.X)
         return ps
-    assert prune_l0(ens, seeded()).nodes >= 1
+    assert prune_l0(seeded()).nodes >= 1
     monkeypatch.setattr(solver, "_MAX_NODES", 0)
     with pytest.raises(IterationLimitError, match="node limit"):
-        prune_l0(ens, seeded())
+        prune_l0(seeded())
 
 
 def test_l1_weight_minimization_stops_at_the_pivot_limit(monkeypatch):
     ens = three_voter_majority()
-    assert prune_l1(ens, all_cells_set(ens)).iterations >= 1
+    assert prune_l1(all_cells_set(ens)).iterations >= 1
     monkeypatch.setattr(solver, "_MAX_PIVOTS", 0)
     with pytest.raises(IterationLimitError, match="pivot limit"):
-        prune_l1(ens, all_cells_set(ens))
+        prune_l1(all_cells_set(ens))
 
 
 def test_l1_single_stump_unit_weight():
     ens = single_stump_ensemble()
     ps = all_cells_set(ens)
-    result = prune_l1(ens, ps)
+    result = prune_l1(ps)
     assert result.weights.tolist() == pytest.approx([1.0])
     assert result.objective == pytest.approx(1.0)
 
@@ -282,7 +282,7 @@ def test_l1_identical_stumps_use_one():
                          features=[{"name": "x1", "kind": "continuous"}],
                          weights=[1, 1], raw_trees=trees)
     ps = all_cells_set(ens)
-    result = prune_l1(ens, ps)
+    result = prune_l1(ps)
     assert result.objective == pytest.approx(1.0)
     # a vertex of the LP has at most one active weight here
     assert len(result.support) == 1
@@ -306,13 +306,13 @@ def test_all_nonpositive_margins_infeasible(monkeypatch):
                          weights=[1.0, 0.001], raw_trees=trees)
     ps = PruneSet(ens)
     ps.add_points([(0.3,)])
-    margins = build_margins(ens, ps)
+    margins = build_margins(ps)
     margins[:, 1] = 0.0
     skip_tie_check(monkeypatch)
     with pytest.raises(InfeasiblePruneError):
-        prune_l1(ens, ps, margins=margins)
+        prune_l1(ps, margins=margins)
     with pytest.raises(InfeasiblePruneError):
-        prune_l0(ens, ps, margins=margins)
+        prune_l0(ps, margins=margins)
 
 
 def test_fractional_failure_ray_still_fails(monkeypatch):
@@ -328,7 +328,7 @@ def test_fractional_failure_ray_still_fails(monkeypatch):
     margins = np.array([(1.0, -1.0), (-0.2, 0.1)])
     skip_tie_check(monkeypatch)
     with pytest.raises(InfeasiblePruneError):
-        prune_l0(ens, ps, margins=margins)
+        prune_l0(ps, margins=margins)
 
 
 def keeps_every_row(G):
@@ -367,9 +367,9 @@ def test_l0_on_tiny_score_differences_matches_subset_search(monkeypatch):
         if best is None:
             infeasible += 1
             with pytest.raises(InfeasiblePruneError):
-                prune_l0(ens, PruneSet(ens), margins=G)
+                prune_l0(PruneSet(ens), margins=G)
             continue
-        result = prune_l0(ens, PruneSet(ens), margins=G)
+        result = prune_l0(PruneSet(ens), margins=G)
         assert len(result.support) == best
         assert np.all(G @ result.weights >= 1.0 - 1e-6)
     assert 0 < infeasible < 300
@@ -379,10 +379,10 @@ def test_outputs_are_faithful_on_the_set():
     for seed, ens in stump_ensembles(600, 10):
         ps = all_cells_set(ens)
         try:
-            l0 = prune_l0(ens, ps)
+            l0 = prune_l0(ps)
         except TiedPredictionError:
             continue
-        for result in (prune_l1(ens, ps), l0):
+        for result in (prune_l1(ps), l0):
             scores = cell_scores_batch(ens, result.weights, ps.cells)
             assert np.argmax(scores, axis=1).tolist() == ps.labels
 
@@ -390,7 +390,7 @@ def test_outputs_are_faithful_on_the_set():
 def test_scaled_alpha_is_feasible():
     """w = alpha / delta_min satisfies every margin row."""
     for seed, ens in stump_ensembles(700, 10):
-        G = build_margins(ens, all_cells_set(ens))
+        G = build_margins(all_cells_set(ens))
         delta = (G @ ens.alpha).min()
         if delta <= 1e-9:
             continue
@@ -404,8 +404,8 @@ def test_adding_points_never_shrinks_l0():
         half.add_cells(cells[: max(1, len(cells) // 2)])
         full = all_cells_set(ens)
         try:
-            k_half = len(prune_l0(ens, half).support)
-            k_full = len(prune_l0(ens, full).support)
+            k_half = len(prune_l0(half).support)
+            k_full = len(prune_l0(full).support)
         except TiedPredictionError:
             continue
         assert k_half <= k_full
@@ -509,7 +509,7 @@ def test_growth_checks_resolve_from_the_last_failing_check(monkeypatch,
     for ens, ps in cases:
         events.clear()
         try:
-            prune_l0(ens, ps)
+            prune_l0(ps)
         except TiedPredictionError:
             continue
         last = failing = None
@@ -560,11 +560,11 @@ def test_masters_resolve_from_the_last_root_round_after_round():
             for step in (1, 2, 3):
                 grown.add_cells(full.cells[len(grown):len(full) * step // 3])
                 before = len(masters)
-                result = prune_l0(ens, grown, solve=master)
+                result = prune_l0(grown, solve=master)
                 assert (result.masters - result.free_masters
                         == len(masters) - before)
                 assert len(result.support) == brute_force_min_support(
-                    ens, grown, max_trees=20)
+                    grown, max_trees=20)
                 free += result.free_masters
         except TiedPredictionError:
             continue
@@ -585,11 +585,11 @@ def test_l0_on_forty_linear_stumps_is_exact_and_mostly_free():
     ens = train_adaboost(data, num_trees=40, max_depth=1)
     ps = PruneSet(ens)
     ps.add_points(data.X)
-    result = prune_l0(ens, ps)
+    result = prune_l0(ps)
     assert len(result.support) == result.objective == 9
     assert result.free_masters > 0
     assert result.masters - result.free_masters > 1
-    assert keeps_every_row(build_margins(ens, ps)[:, list(result.support)])
+    assert keeps_every_row(build_margins(ps)[:, list(result.support)])
 
 
 def test_check_and_support_lps_resolve_round_after_round(monkeypatch,
@@ -623,7 +623,7 @@ def test_check_and_support_lps_resolve_round_after_round(monkeypatch,
                     grown.add_cells(
                         full.cells[len(grown):len(full) * step // 3])
                     lps.clear()
-                    result = prune(ens, grown)
+                    result = prune(grown)
                     assert result.lps == len(lps)
                     assert result.warm_lps == sum(sol.warm
                                                   for *_, sol, _ in lps)
@@ -641,7 +641,7 @@ def test_check_and_support_lps_resolve_round_after_round(monkeypatch,
                         warm += 1
                     if prune is prune_l0:
                         assert len(result.support) == \
-                            brute_force_min_support(ens, grown)
+                            brute_force_min_support(grown)
         except TiedPredictionError:
             continue
         checked += 1
@@ -675,10 +675,10 @@ def test_checks_answered_without_an_lp_would_pass(monkeypatch):
             continue
         free.clear()
         try:
-            result = prune_l0(ens, ps)
+            result = prune_l0(ps)
         except TiedPredictionError:
             continue
-        assert len(result.support) == brute_force_min_support(ens, ps)
+        assert len(result.support) == brute_force_min_support(ps)
         assert result.free_checks == len(free)
         for G, trees, original in free:
             scaled = G[:, trees] / np.maximum(np.abs(G[:, trees]).max(axis=0),
@@ -703,10 +703,10 @@ def test_tie_and_zero_tolerances_include_their_boundary():
             weights=[weight], raw_trees=[make_stump(0, 0.5, (1, 0), (0, 1))])
         ps = PruneSet(ens)
         ps.add_points([[0.0], [1.0]])
-        assert (build_margins(ens, ps) @ ens.alpha).min() == weight
+        assert (build_margins(ps) @ ens.alpha).min() == weight
         if tied:
             with pytest.raises(TiedPredictionError):
-                prune_l1(ens, ps)
+                prune_l1(ps)
         else:
-            assert prune_l1(ens, ps).support == (0,)
+            assert prune_l1(ps).support == (0,)
     assert support_of([pruner.ZERO_TOL, 2 * pruner.ZERO_TOL, 0.0]) == (1,)

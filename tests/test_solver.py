@@ -209,7 +209,7 @@ def test_l0_check_lps_match_scipy(monkeypatch):
     for ens, data in filter(None, map(random_boosted_instance, range(4))):
         ps = PruneSet(ens)
         ps.add_points(data.X)
-        prune_l0(ens, ps)
+        prune_l0(ps)
     assert sum(sol.objective > 0.5 for _, sol in checks) >= 5
     for problem, sol in checks:
         scipy_check(problem, sol)

@@ -100,6 +100,24 @@ def test_linear_follows_its_recipe():
 def test_synthetic_needs_four_rows():
     with pytest.raises(InputError, match="n >= 4"):
         make_synthetic("blobs", n=3)
+    # a count is a Python or numpy integer, never a float or a bool
+    for n in (24.5, True, 24.0):
+        with pytest.raises(InputError, match="n must be an integer"):
+            make_synthetic("blobs", n=n)
+    with pytest.raises(InputError, match="num_features must be an integer"):
+        make_synthetic("linear", num_features=2.0)
+    assert make_synthetic("blobs", n=np.int64(24)).num_rows == 24
+
+
+def test_tree_counts_must_be_integers():
+    data = make_synthetic("blobs", n=24, seed=7)
+    for train in (train_adaboost, train_random_forest):
+        for count in (2.5, True, 2.0, 0):
+            with pytest.raises(InputError, match="num_trees"):
+                train(data, count)
+        with pytest.raises(InputError, match="max_depth"):
+            train(data, 2, max_depth=1.5)
+        assert train(data, np.int64(2), max_depth=np.int64(1)).num_trees == 2
 
 
 def test_unknown_synthetic_kind():
@@ -219,6 +237,16 @@ def test_label_out_of_range_rejected(tmp_path):
     schema = make_synthetic("xor", n=4).schema
     with pytest.raises(DatasetFormatError):
         load_dataset(path, schema, num_classes=2)
+    # labels and the class count are integers, never floats or bools
+    X = np.zeros((2, 2))
+    for labels in ([0.5, 1.0], [0.0, 1.0], [False, True]):
+        with pytest.raises(DatasetFormatError, match="labels must be"):
+            Dataset(schema, X, labels, 2)
+    for count in (2.0, True):
+        with pytest.raises(DatasetFormatError, match="num_classes"):
+            Dataset(schema, X, [0, 1], count)
+    assert Dataset(schema, X, np.array([0, 1], dtype=np.int8),
+                   np.int64(2)).y.tolist() == [0, 1]
 
 
 def test_trained_stumps_satisfy_core_invariants():

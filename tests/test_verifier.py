@@ -6,9 +6,9 @@ import pytest
 
 from equiprune import (BinaryFeature, CategoricalFeature, ContinuousFeature,
                        EnumerationCapError, FeatureSchema, InputError,
-                       PruneSet, brute_force_min_support, build_ensemble,
-                       certify, enumerate_cells, maximize_separation,
-                       separate)
+                       Oracle, PruneSet, brute_force_min_support,
+                       build_ensemble, certify, enumerate_cells,
+                       maximize_separation, separate)
 from conftest import make_stump, opposed_stumps, stump_ensembles
 
 
@@ -88,7 +88,7 @@ def test_certify_agrees_with_oracle():
         if not w.any():
             w = np.array(ens.alpha)
         report = certify(ens, w, epsilon=1e-6)
-        result = separate(ens, w, epsilon=1e-6)
+        result = separate(Oracle(ens, 1e-6), w)
         strict = [c for c in report.disagreement_cells]
         if not strict:
             assert result.is_empty
@@ -109,7 +109,7 @@ def test_bad_epsilon_is_refused(three_stumps, epsilon):
 def test_min_support_fixture(three_stumps):
     ps = PruneSet(three_stumps)
     ps.add_cells(list(enumerate_cells(three_stumps.schema)))
-    assert brute_force_min_support(three_stumps, ps) == 1
+    assert brute_force_min_support(ps) == 1
 
 
 def test_min_support_identical_trees():
@@ -119,7 +119,7 @@ def test_min_support_identical_trees():
                          weights=[1.0] * 5, raw_trees=trees)
     ps = PruneSet(ens)
     ps.add_cells(list(enumerate_cells(ens.schema)))
-    assert brute_force_min_support(ens, ps) == 1
+    assert brute_force_min_support(ps) == 1
 
 
 def test_min_support_refuses_large_ensembles():
@@ -130,4 +130,4 @@ def test_min_support_refuses_large_ensembles():
     ps = PruneSet(ens)
     ps.add_points([(0.05,)])
     with pytest.raises(InputError, match="9"):
-        brute_force_min_support(ens, ps, max_trees=8)
+        brute_force_min_support(ps, max_trees=8)
