@@ -22,8 +22,8 @@ from .oracle import (DEFAULT_EPSILON, Oracle, PairOutcome, SeparationResult,
                      build_separation, extract_cell, separate)
 from .pruner import (PruneResult, PruneSet, build_margins, compute_big_w,
                      prune_l0, prune_l1, support_of)
-from .solver import (MilpProblem, ProblemBuilder, Solution, SolveStatus,
-                     dump_lp, lp_format_text, solve_lp, solve_milp)
+from .solver import (MilpProblem, Solution, SolveStatus, dump_lp,
+                     lp_format_text, solve_lp, solve_milp)
 from .trainer import (Dataset, load_dataset, load_schema, make_synthetic,
                       save_dataset, save_schema, train_adaboost,
                       train_random_forest)
@@ -39,7 +39,7 @@ __all__ = [
     "DatasetFormatError", "Ensemble", "EnumerationCapError", "EquipruneError",
     "FeatureSchema", "InfeasiblePruneError", "InputError", "IterationLimitError",
     "IterationRecord", "MilpProblem", "ModelFormatError", "Oracle",
-    "PairOutcome", "Point", "ProblemBuilder", "ProblemTooLargeError",
+    "PairOutcome", "Point", "ProblemTooLargeError",
     "PruneCycleError", "PruneOptions", "PruneOutcome", "PruneResult",
     "PruneSet", "SeparationResult", "Solution", "SolveStatus",
     "SolverFailureError", "TiedPredictionError", "accuracy",

@@ -186,8 +186,10 @@ def accuracy(ensemble: Ensemble, weights: Sequence[float],
     y = np.asarray(labels)
     if X.size == 0:
         raise InputError("accuracy needs at least one point")
-    if y.shape[0] != X.shape[0]:
-        raise InputError(f"{X.shape[0]} points but {y.shape[0]} labels")
+    if y.shape != (X.shape[0],):
+        raise InputError(f"{X.shape[0]} points but labels of shape {y.shape}")
+    if not np.issubdtype(y.dtype, np.integer):
+        raise InputError(f"labels must be integers, got {y.dtype}")
     if np.any(y < 0) or np.any(y >= ensemble.num_classes):
         raise InputError("label out of range")
     return float(np.mean(predict_classes_batch(ensemble, weights, X) == y))

@@ -282,8 +282,9 @@ def check_cell(schema: FeatureSchema, cell: CellSignature) -> None:
             f"cell has {len(cell)} entries, schema has "
             f"{schema.num_features} features")
     for j, kind in enumerate(schema.features):
-        if not 0 <= cell[j] < kind.num_cells:
-            raise InputError(f"cell entry {cell[j]} out of range for feature {j}")
+        k = _integer(cell[j], f"cell entry for feature {j}", InputError)
+        if not 0 <= k < kind.num_cells:
+            raise InputError(f"cell entry {k} out of range for feature {j}")
 
 
 def _above(threshold: float) -> float:

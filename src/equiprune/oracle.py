@@ -86,7 +86,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .ensemble import CellSignature, Ensemble, _check_weights, leaves_of
+from .ensemble import (CellSignature, Ensemble, _check_weights, _integer,
+                       leaves_of)
 from .errors import InputError, IterationLimitError, SolverFailureError
 from .solver import (Basis, MilpProblem, Solution, SolveStatus,
                      _check_size, _check_tol, dump_lp, solve_milp)
@@ -230,7 +231,7 @@ def build_separation(ensemble: Ensemble, original: int,
                      epsilon: float = DEFAULT_EPSILON) -> SeparationProgram:
     _check_epsilon(epsilon)
     C = ensemble.num_classes
-    if not 0 <= original < C:
+    if not 0 <= _integer(original, "original class", InputError) < C:
         raise InputError(f"bad original class {original} for {C} classes")
     flat = ensemble.flat
     nodes = np.arange(flat.left.size)

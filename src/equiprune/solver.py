@@ -41,11 +41,16 @@ that fails -- a singular (or ill-conditioned) factor or refactor, the
 iteration cap, an unbounded primal, a failed check, an unconfirmed
 Farkas row -- sends the LP to the slack basis once.
 
-Integer restrictions are handled by best-bound branch and bound on the
-LP relaxation with most-fractional branching.  When every variable is
-integer and every cost an integer, a node is pruned once its bound,
-rounded up, reaches the incumbent.  A MILP is solved as it is given,
-so its builder leaves out what the rows determine.  An LP is a MILP
+Every LP and MILP has one form, ``MilpProblem``, of arrays: the costs
+``c``, the matrix ``A``, a sense code per row (-1 '<=', 0 '==', +1
+'>='), ``b``, the bounds ``lower`` and ``upper`` and the integrality
+mask ``integer``.  Where every solve begins (``_Columns``), shapes that
+disagree with ``A``, and other sense codes, raise ``InputError``.  A
+MILP is solved as it is given, so whoever builds it leaves out what the
+rows determine.  Integer restrictions are handled by best-bound branch
+and bound on the LP relaxation with most-fractional branching.  When
+every variable is integer and every cost an integer, a node is pruned
+once its bound, rounded up, reaches the incumbent.  An LP is a MILP
 without integer columns: ``solve_lp`` is ``solve_milp`` on the
 relaxation, whose root is its answer.  Both return one ``Solution``,
 whose ``basis``, the root's, is a start for the root of a later solve,
@@ -65,7 +70,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import ProblemTooLargeError, SolverFailureError
+from .errors import InputError, ProblemTooLargeError, SolverFailureError
 
 
 class SolveStatus(Enum):
@@ -75,7 +80,6 @@ class SolveStatus(Enum):
     ITERATION_LIMIT = "iteration_limit"
 
 
-_SENSE_CODE = {"<=": -1, "==": 0, ">=": 1}
 _SENSE_TEXT = {-1: "<=", 0: "=", 1: ">="}
 
 
@@ -131,76 +135,6 @@ class Solution:
     # the root relaxation was answered from ``start``, without falling
     # back to the slack basis
     warm: bool = False
-
-
-class ProblemBuilder:
-    """Incremental construction of a MilpProblem."""
-
-    def __init__(self, maximize: bool = False):
-        self.maximize = maximize
-        self._obj: list[float] = []
-        self._lo: list[float] = []
-        self._up: list[float] = []
-        self._int: list[bool] = []
-        self._var_names: list[str] = []
-        # A as COO triplets; each row's terms are summed before they land
-        self._entry_row: list[int] = []
-        self._entry_col: list[int] = []
-        self._entry_val: list[float] = []
-        self._senses: list[int] = []
-        self._rhs: list[float] = []
-        self._row_names: list[str] = []
-
-    @property
-    def num_vars(self) -> int:
-        return len(self._obj)
-
-    def add_var(self, name: str | None = None, lo: float = 0.0,
-                up: float = np.inf, obj: float = 0.0,
-                integer: bool = False) -> int:
-        if lo > up:
-            raise ValueError(f"variable {name or len(self._obj)}: lo > up")
-        j = len(self._obj)
-        self._obj.append(float(obj))
-        self._lo.append(float(lo))
-        self._up.append(float(up))
-        self._int.append(bool(integer))
-        self._var_names.append(name if name is not None else f"x{j}")
-        return j
-
-    def add_row(self, terms: Iterable[tuple[int, float]], sense: str,
-                rhs: float, name: str | None = None) -> int:
-        if sense not in _SENSE_CODE:
-            raise ValueError(f"unknown sense {sense!r}")
-        coeffs: dict[int, float] = {}
-        for j, a in terms:
-            if not 0 <= j < len(self._obj):
-                raise ValueError(f"row references unknown variable {j}")
-            coeffs[j] = coeffs.get(j, 0.0) + float(a)
-        i = len(self._rhs)
-        self._entry_row.extend([i] * len(coeffs))
-        self._entry_col.extend(coeffs)
-        self._entry_val.extend(coeffs.values())
-        self._senses.append(_SENSE_CODE[sense])
-        self._rhs.append(float(rhs))
-        self._row_names.append(name if name is not None else f"c{i}")
-        return i
-
-    def build(self) -> MilpProblem:
-        n = len(self._obj)
-        m = len(self._rhs)
-        _check_size(m, n)
-        A = np.zeros((m, n))
-        A[np.array(self._entry_row, dtype=np.intp),
-          np.array(self._entry_col, dtype=np.intp)] = self._entry_val
-        return MilpProblem(c=np.array(self._obj), A=A,
-                           senses=np.array(self._senses, dtype=np.int8),
-                           b=np.array(self._rhs),
-                           lower=np.array(self._lo), upper=np.array(self._up),
-                           integer=np.array(self._int, dtype=bool),
-                           maximize=self.maximize,
-                           var_names=list(self._var_names),
-                           row_names=list(self._row_names))
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +253,29 @@ class _Columns:
     """The columns that every LP of one problem shares, [A I]: the
     variables, then one slack per row ('<=' slack in [0, inf), '>='
     slack in (-inf, 0], '==' slack fixed at 0), and the costs of the
-    problem as a minimization."""
+    problem as a minimization.  Every solve begins here, and here a
+    problem's array shapes and sense codes are checked."""
 
     def __init__(self, problem: MilpProblem):
         A = np.asarray(problem.A, dtype=float)
-        m, n = A.shape
-        _check_size(m, n)
         c = np.asarray(problem.c, dtype=float)
-        senses = np.asarray(problem.senses, dtype=np.int8)
+        b = np.asarray(problem.b, dtype=float)
+        senses = np.asarray(problem.senses)
+        m, n = b.size, c.size
+        shapes = (A.shape, c.shape, senses.shape, b.shape,
+                  np.shape(problem.lower), np.shape(problem.upper),
+                  np.shape(problem.integer))
+        if shapes != ((m, n), (n,), (m,), (m,), (n,), (n,), (n,)):
+            raise InputError(f"the shapes of A, c, senses, b, lower, upper "
+                             f"and integer disagree: {shapes}")
+        if m and (senses.dtype.kind not in "iu" or senses.min() < -1
+                  or senses.max() > 1):
+            raise InputError("sense codes must be the integers -1, 0 or +1")
+        _check_size(m, n)
         self.m, self.n = m, n
         self.A = A
         self.A_all = np.hstack([A, np.eye(m)])
-        self.b = np.asarray(problem.b, dtype=float)
+        self.b = b
         self.cost = np.concatenate([-c if problem.maximize else c,
                                     np.zeros(m)])
         self.slack_lo = np.where(senses == 1, -np.inf, 0.0)
@@ -816,7 +761,7 @@ def solve_milp(problem: MilpProblem, start: Basis | None = None) -> Solution:
     children and its polish LP start from it: only bounds differ, so
     the basis stays dual feasible and the bounded dual simplex repairs
     it, usually in a few pivots.  The columns, slack bounds and costs
-    are built once per problem, after ``_Columns`` checks the size, and
+    are built once per problem, after ``_Columns`` checks the problem, and
     a popped node's basis is factored once for both children, each
     pivoting on its own copy.
     """
@@ -940,9 +885,8 @@ def solve_lp(problem: MilpProblem, start: Basis | None = None) -> Solution:
     integrality flag cleared, where branch and bound returns the root as
     it stands (``nodes`` is 0).  ``start`` is taken as ``solve_milp``
     takes it, from an LP's ``basis`` or a MILP's."""
-    return solve_milp(replace(problem, integer=np.zeros(problem.num_vars,
-                                                          dtype=bool)),
-                      start)
+    return solve_milp(replace(problem, integer=np.zeros_like(
+        problem.integer, dtype=bool)), start)
 
 
 def _with(arr: np.ndarray, i: int | np.ndarray,

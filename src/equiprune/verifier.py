@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import (BinaryFeature, CellSignature, ContinuousFeature,
-                       Ensemble, FeatureSchema, _above, cell_scores_batch)
+                       Ensemble, FeatureSchema, _above, _integer,
+                       cell_scores_batch)
 from .errors import EnumerationCapError, InfeasiblePruneError, InputError
 from .oracle import _check_epsilon
 from .pruner import PruneSet, build_margins, min_weight_sum
@@ -149,7 +150,7 @@ def sample_uniform_points(schema: FeatureSchema, n: int,
     are drawn from [first threshold - 1, ``_above(last threshold)``]
     (or [-1, 1] when no tree splits on them), binary and categorical
     ones uniformly over their values."""
-    if n < 1:
+    if _integer(n, "n", InputError) < 1:
         raise InputError(f"need at least one point, got n={n}")
     gen = rng if isinstance(rng, np.random.Generator) \
         else np.random.default_rng(rng)

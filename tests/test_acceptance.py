@@ -262,7 +262,7 @@ def test_criterion_9_milp_matches_enumeration():
     while problems < 25:
         prob = random_lp(seed, n=4 + (problems % 9) + 2,
                          m=5, integers=4 + (problems % 9),
-                         senses=("<=", ">="), anchored=True)
+                         senses=(-1, 1), anchored=True)
         seed += 1
         problems += 1
         sol = solve_milp(prob)

@@ -229,6 +229,12 @@ def test_accuracy_rejects_bad_labels():
     points = sample_uniform_points(ens.schema, 4, 0)
     with pytest.raises(InputError):
         accuracy(ens, ens.alpha, points, [0, 1, 0, ens.num_classes])
+    for labels in ([0.5, 0.5, 1.0, 0.0], [True, False, True, False]):
+        with pytest.raises(InputError, match="integers"):
+            accuracy(ens, ens.alpha, points, labels)
+    for labels in (1, [[0, 1, 0, 1]], [0, 1, 0]):
+        with pytest.raises(InputError, match="points but labels of shape"):
+            accuracy(ens, ens.alpha, points, labels)
 
 
 def test_empty_initial_points_rejected():

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from equiprune import (BinaryFeature, CategoricalFeature, ContinuousFeature,
-                       FeatureSchema, InputError, ModelFormatError, accuracy,
-                       build_ensemble, cell_center, cell_scores_batch,
-                       cells_of, enumerate_cells, fidelity, model_to_dict,
-                       predict_classes_batch, predict_scores_batch,
-                       sample_uniform_points)
+                       FeatureSchema, InputError, ModelFormatError, PruneSet,
+                       accuracy, build_ensemble, cell_center,
+                       cell_scores_batch, cells_of, enumerate_cells, fidelity,
+                       model_to_dict, predict_classes_batch,
+                       predict_scores_batch, sample_uniform_points)
 from equiprune.ensemble import leaves_of
 from conftest import make_stump, one_hot, stump_ensembles
 
@@ -222,6 +222,29 @@ def test_invalid_points_rejected_on_point_and_batch_paths(bad):
         fidelity(ens, ens.alpha, X)
     with pytest.raises(InputError):
         accuracy(ens, ens.alpha, X, [0, 0])
+
+
+@pytest.mark.parametrize("bad", [(0.5, 0, 0), (0, 0.5, 0), (0, 1, 2.0),
+                                 (True, 0, 0), (0, np.float64(1.0), 0)])
+def test_a_cell_of_non_integer_entries_is_an_input_error(bad):
+    ens = mixed_ensemble()
+    good = (1, np.int64(1), 2)
+    assert cells_of(ens.schema, [cell_center(ens.schema, good)]).tolist() == [
+        [1, 1, 2]]
+    with pytest.raises(InputError, match="must be an integer"):
+        cell_center(ens.schema, bad)
+    ps = PruneSet(ens)
+    with pytest.raises(InputError, match="must be an integer"):
+        ps.add_cells([good, bad])
+    assert len(ps) == 0
+
+
+@pytest.mark.parametrize("n", [2.5, True, np.float64(3.0)])
+def test_sample_uniform_points_refuses_a_non_integer_count(n):
+    schema = mixed_ensemble().schema
+    with pytest.raises(InputError, match="must be an integer"):
+        sample_uniform_points(schema, n, 0)
+    assert sample_uniform_points(schema, np.int64(3), 0).shape == (3, 3)
 
 
 def random_mixed_ensemble(rng):

@@ -135,7 +135,7 @@ def test_bad_epsilon_and_original_class_are_input_errors():
     for epsilon in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(InputError, match="epsilon"):
             build_separation(ens, original=0, epsilon=epsilon)
-    for original in (-1, 2):
+    for original in (-1, 2, 0.5, True):
         with pytest.raises(InputError, match="original class"):
             build_separation(ens, original)
 

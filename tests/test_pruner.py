@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from equiprune import (InfeasiblePruneError, InputError,
-                       IterationLimitError, ProblemBuilder, PruneSet,
+                       IterationLimitError, MilpProblem, PruneSet,
                        SolveStatus, TiedPredictionError,
                        brute_force_min_support, build_ensemble, build_margins,
                        cell_center, cell_scores_batch, cells_of,
@@ -65,14 +65,17 @@ def big_w_min_support(ensemble, prune_set, W):
     """Fewest trees by the big-W MIP: the keep rows, w_m <= W u_m and min
     sum(u) over binary u."""
     M = ensemble.num_trees
-    pb = ProblemBuilder()
-    w = [pb.add_var(lo=0.0, up=W) for _ in range(M)]
-    u = [pb.add_var(lo=0.0, up=1.0, obj=1.0, integer=True) for _ in range(M)]
-    for row in build_margins(prune_set):
-        pb.add_row(zip(w, row), ">=", 1.0)
-    for m in range(M):
-        pb.add_row([(w[m], 1.0), (u[m], -W)], "<=", 0.0)
-    sol = solve_milp(pb.build())
+    G = build_margins(prune_set)
+    # the columns are w, then u
+    sol = solve_milp(MilpProblem(
+        c=np.concatenate([np.zeros(M), np.ones(M)]),
+        A=np.block([[G, np.zeros((len(G), M))],
+                    [np.eye(M), np.diag(np.full(M, -float(W)))]]),
+        senses=np.concatenate([np.ones(len(G)), -np.ones(M)]).astype(np.int8),
+        b=np.concatenate([np.ones(len(G)), np.zeros(M)]),
+        lower=np.zeros(2 * M), upper=np.concatenate([np.full(M, float(W)),
+                                                     np.ones(M)]),
+        integer=np.arange(2 * M) >= M))
     assert sol.status == SolveStatus.OPTIMAL
     return round(sol.objective)
 
