@@ -24,7 +24,12 @@ their bounds, the costs are restored, and the primal simplex finishes
 (Koberstein, *The dual simplex method*, 2005).  Primal and dual steps
 share one pivot loop (``_Simplex._run``), which holds the pivot cap,
 switches to Bland's rule after degenerate stalls and re-inverts B at a
-fixed cadence.
+fixed cadence.  A step does only the array work its choice needs: the
+basics' bounds and the way each column may move are kept across pivots
+and bound flips, not gathered again, so that pricing and the dual
+ratio test's eligibility are each one product with the reduced costs or
+the pivot row, and the dual ratios are taken over the eligible columns
+alone.
 
 B^{-1}, the basic values and the reduced costs are re-derived from the
 original data at regular intervals and before any claim of optimality,
@@ -36,16 +41,22 @@ simplex again.  The dual simplex stops on a row whose basic no point
 inside the other bounds brings back within its bounds; the LP is
 infeasible when that Farkas row, recomputed from the original data,
 shows that no point inside the bounds satisfies the rows, and the basis
-that holds the row is kept as a start for the next solve.  A held start
-that fails -- a singular (or ill-conditioned) factor or refactor, the
-iteration cap, an unbounded primal, a failed check, an unconfirmed
-Farkas row -- sends the LP to the slack basis once.
+that holds the row is kept as a start for the next solve.  The gap is
+recomputed from the original data whatever the row, so the row that
+B^{-1} already holds is tried first, and the row is solved afresh from
+B only when that one proves nothing; as any multipliers prove what
+their gap shows, those that would carry the range through a slack to
+its infinite bound are dropped first.  A held start that fails -- a
+singular (or ill-conditioned) factor or refactor, the iteration cap, an
+unbounded primal, a failed check, an unconfirmed Farkas row -- sends
+the LP to the slack basis once.
 
 Every LP and MILP has one form, ``MilpProblem``, of arrays: the costs
 ``c``, the matrix ``A``, a sense code per row (-1 '<=', 0 '==', +1
 '>='), ``b``, the bounds ``lower`` and ``upper`` and the integrality
 mask ``integer``.  Where every solve begins (``_Columns``), shapes that
-disagree with ``A``, and other sense codes, raise ``InputError``.  A
+disagree with ``A``, other sense codes, a NaN or infinite value in
+``c``, ``A`` or ``b`` and a NaN bound raise ``InputError``.  A
 MILP is solved as it is given, so whoever builds it leaves out what the
 rows determine.  Integer restrictions are handled by best-bound branch
 and bound on the LP relaxation with most-fractional branching.  When
@@ -65,6 +76,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, Union
 
@@ -143,9 +155,6 @@ class Solution:
 # costs followed by primal
 
 _AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
-# By status: may a nonbasic column rise from its value, or fall?
-_MAY_RISE = np.array([True, False, False, True])
-_MAY_FALL = np.array([False, True, False, True])
 
 # How far a value may lie outside its bounds: a basic in the dual
 # simplex and in the test that sends a start to it, and (times
@@ -213,15 +222,6 @@ def _check_size(m: int, n: int) -> None:
             f"is {_MAX_DENSE_BYTES / 2**30:.1f} GiB")
 
 
-def _row_scale(A: np.ndarray) -> np.ndarray:
-    """Per row, the unit of its residual in a Farkas confirmation:
-    min(1, its smallest |coefficient| above ``_TOL_PIVOT``).  The ratio
-    tests read smaller ones as zero, and dividing by one would
-    overflow."""
-    size = np.abs(A)
-    return np.where(size > _TOL_PIVOT, size, 1.0).min(axis=1, initial=1.0)
-
-
 @dataclass(frozen=True)
 class _Factor:
     """B^{-1} and the reduced costs of the problem's objective at one
@@ -254,7 +254,8 @@ class _Columns:
     variables, then one slack per row ('<=' slack in [0, inf), '>='
     slack in (-inf, 0], '==' slack fixed at 0), and the costs of the
     problem as a minimization.  Every solve begins here, and here a
-    problem's array shapes and sense codes are checked."""
+    problem's array shapes, sense codes and values are checked: c, A and
+    b must be finite, and the bounds may be infinite but not NaN."""
 
     def __init__(self, problem: MilpProblem):
         A = np.asarray(problem.A, dtype=float)
@@ -272,6 +273,13 @@ class _Columns:
                   or senses.max() > 1):
             raise InputError("sense codes must be the integers -1, 0 or +1")
         _check_size(m, n)
+        for name, values in (("c", c), ("A", A), ("b", b)):
+            if not np.isfinite(values).all():
+                raise InputError(f"{name} holds a NaN or an infinite value")
+        for name, values in (("lower", problem.lower),
+                             ("upper", problem.upper)):
+            if np.isnan(np.asarray(values, dtype=float)).any():
+                raise InputError(f"{name} holds a NaN")
         self.m, self.n = m, n
         self.A = A
         self.A_all = np.hstack([A, np.eye(m)])
@@ -280,8 +288,16 @@ class _Columns:
                                     np.zeros(m)])
         self.slack_lo = np.where(senses == 1, -np.inf, 0.0)
         self.slack_up = np.where(senses == -1, np.inf, 0.0)
-        self.row_scale = _row_scale(A)
         self.check_tol = _check_tol(self.b)
+
+    @cached_property
+    def row_scale(self) -> np.ndarray:
+        """Per row, the unit of its residual in a Farkas confirmation,
+        the only reader: min(1, its smallest |coefficient| above
+        ``_TOL_PIVOT``).  The ratio tests read smaller ones as zero, and
+        dividing by one would overflow."""
+        size = np.abs(self.A)
+        return np.where(size > _TOL_PIVOT, size, 1.0).min(axis=1, initial=1.0)
 
     def bounds(self, lo: np.ndarray,
                up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,14 +334,22 @@ class _Simplex:
 
     ``derived`` holds while xB and d are as re-derived from the original
     data at the current basis: ``_refactor`` and ``_rederive`` set it,
-    and every pivot, bound flip or move of the nonbasics clears it."""
+    and every pivot, bound flip or move of the nonbasics clears it.
+
+    Every pivot and bound flip keeps the per-basis arrays current: the
+    basics' bounds ``lo_B`` and ``up_B``, and per column the way
+    ``dirn`` it may move (+1 only rise, -1 only fall, 0 basic or fixed).
+    A free nonbasic may move either way; ``free`` marks them, and is
+    read only while ``any_free``.  A column prices in where dirn * d <
+    -tol, and is eligible in the dual ratio test where dirn * alpha <
+    -tol (or, free, where |d| or |alpha| exceeds tol)."""
 
     def __init__(self, cols: _Columns, lo: np.ndarray, up: np.ndarray,
                  start: Basis, factor: _Factor):
         self.m, self.n, self.N = cols.m, cols.n, cols.n + cols.m
         self.A, self.A_all, self.b = cols.A, cols.A_all, cols.b
+        self.cols = cols
         self.cc = cols.cost
-        self.row_scale = cols.row_scale
         self.check_tol = cols.check_tol
         self.lo, self.up = cols.bounds(lo, up)
         self.movable = self.up > self.lo    # fixed columns never enter
@@ -347,6 +371,12 @@ class _Simplex:
         self.stat = stat
         self.val = np.where(stat == _AT_UPPER, up,
                             np.where(stat == _AT_LOWER, lo, 0.0))
+        self.lo_B, self.up_B = lo[self.basis], up[self.basis]
+        self.dirn = np.zeros(self.N)
+        self.dirn[self.movable & (stat == _AT_LOWER)] = 1.0
+        self.dirn[self.movable & (stat == _AT_UPPER)] = -1.0
+        self.free = stat == _FREE
+        self.any_free = bool(self.free.any())
         self.xB = self.Binv @ self._basic_rhs()
         self.derived = False
 
@@ -397,9 +427,11 @@ class _Simplex:
         return _TOL_COST * (1.0 + np.abs(self.cc).max(initial=0.0))
 
     def _candidates(self, tol: float) -> np.ndarray:
-        d, stat = self.d, self.stat
-        return self.movable & ((_MAY_RISE[stat] & (d < -tol))
-                               | (_MAY_FALL[stat] & (d > tol)))
+        """The columns whose reduced cost prices them in."""
+        cand = self.dirn * self.d < -tol
+        if self.any_free:
+            cand |= self.free & (np.abs(self.d) > tol)
+        return cand
 
     def _exchange(self, r: int, j: int, col: np.ndarray, row: np.ndarray,
                   enter_value: float, leave_at_upper: bool) -> None:
@@ -411,11 +443,18 @@ class _Simplex:
         if leave_at_upper:
             self.stat[leaving] = _AT_UPPER
             self.val[leaving] = self.up[leaving]
+            self.dirn[leaving] = -1.0 if self.movable[leaving] else 0.0
         else:
             self.stat[leaving] = _AT_LOWER
             self.val[leaving] = self.lo[leaving]
+            self.dirn[leaving] = 1.0 if self.movable[leaving] else 0.0
         self.basis[r] = j
         self.stat[j] = _BASIC
+        self.dirn[j] = 0.0
+        if self.any_free and self.free[j]:
+            self.free[j] = False
+            self.any_free = bool(self.free.any())
+        self.lo_B[r], self.up_B[r] = self.lo[j], self.up[j]
         self.xB[r] = enter_value
         pivot = col[r]
         self.d -= (self.d[j] / pivot) * row
@@ -476,20 +515,17 @@ class _Simplex:
         """One primal pivot or bound flip: the column of largest |d| past
         ``tol`` enters, or under Bland's rule the first."""
         cand = self._candidates(tol)
-        pick = cand if bland else np.where(cand, np.abs(self.d), 0.0)
-        j = int(np.argmax(pick)) if self.N else 0
-        if not (self.N and cand[j]):
+        if not np.count_nonzero(cand):
             return SolveStatus.OPTIMAL, -1
-        if self.stat[j] == _AT_UPPER or (self.stat[j] == _FREE
-                                         and self.d[j] > 0):
-            direction = -1.0
-        else:
-            direction = 1.0
+        pick = cand if bland else np.where(cand, np.abs(self.d), 0.0)
+        j = int(pick.argmax())
+        direction = float(self.dirn[j])
+        if not direction:               # free: against the sign of d
+            direction = -1.0 if self.d[j] > 0 else 1.0
 
         col = self.Binv @ self.A_all[:, j]
         delta = direction * col
-        lo_B = self.lo[self.basis]
-        up_B = self.up[self.basis]
+        lo_B, up_B = self.lo_B, self.up_B
         t_rows = np.full(self.m, np.inf)
         np.divide(self.xB - lo_B, delta, out=t_rows,
                   where=delta > _TOL_PIVOT)
@@ -507,13 +543,14 @@ class _Simplex:
             self.xB -= direction * t_flip * col
             self.stat[j] = _AT_UPPER if direction > 0 else _AT_LOWER
             self.val[j] = self.up[j] if direction > 0 else self.lo[j]
+            self.dirn[j] = -direction
             self.derived = False
             return t_flip
-        rows = np.nonzero(t_rows <= t_row + _RATIO_TIE)[0]
+        rows = (t_rows <= t_row + _RATIO_TIE).nonzero()[0]
         if bland:
-            r = int(rows[np.argmin(self.basis[rows])])
+            r = int(rows[self.basis[rows].argmin()])
         else:
-            r = int(rows[np.argmax(np.abs(delta[rows]))])
+            r = int(rows[np.abs(delta[rows]).argmax()])
         enter_value = self.val[j] + direction * t_row
         self.xB -= direction * t_row * col
         self._exchange(r, j, col, self._pivot_row(r),
@@ -523,43 +560,42 @@ class _Simplex:
     def _dual_step(self, bland: bool) -> float | tuple[SolveStatus, int]:
         """One dual pivot: the basic farthest outside its bounds leaves,
         or under Bland's rule the first outside them."""
-        lo_B = self.lo[self.basis]
-        up_B = self.up[self.basis]
-        below = lo_B - self.xB
-        infeas = np.maximum(below, self.xB - up_B)
-        r = int(np.argmax(infeas))      # the row farthest outside
+        below = self.lo_B - self.xB
+        infeas = np.maximum(below, self.xB - self.up_B)
+        r = int(infeas.argmax())        # the row farthest outside
         if not infeas[r] > _TOL_FEAS:
             return SolveStatus.OPTIMAL, -1
         if bland:
-            rows = np.nonzero(infeas > _TOL_FEAS)[0]
-            r = int(rows[np.argmin(self.basis[rows])])
+            rows = (infeas > _TOL_FEAS).nonzero()[0]
+            r = int(rows[self.basis[rows].argmin()])
         to_lower = below[r] > 0
-        # x_B[r] moves by -row[j] per unit step of column j; alpha is
-        # signed so that a helpful step has alpha_j * dx_j < 0.  In a
-        # large row, an entry small beside its largest is the residue of
-        # a cancellation, not a pivot
+        # x_B[r] moves by -row[j] per unit step of column j; alpha, row
+        # or -row, is signed so that a helpful step has alpha_j * dx_j <
+        # 0.  In a large row, an entry small beside its largest is the
+        # residue of a cancellation, not a pivot
         row = self._pivot_row(r)
-        alpha = row if to_lower else -row
-        size = np.abs(alpha)
+        size = np.abs(row)
         tol = _TOL_PIVOT * size.max(initial=1.0)
-        stat = self.stat
-        eligible = self.movable & ((_MAY_RISE[stat] & (alpha < -tol))
-                                   | (_MAY_FALL[stat] & (alpha > tol)))
-        if not eligible.any():
+        signed = self.dirn * row        # dirn * alpha, up to its sign
+        eligible = signed < -tol if to_lower else signed > tol
+        if self.any_free:
+            eligible |= self.free & (size > tol)
+        js = eligible.nonzero()[0]
+        if not js.size:
             return SolveStatus.INFEASIBLE, r
-        # ratio test over every column, inf where not eligible
-        d = self.d
-        slack = np.where(stat == _AT_LOWER, d,
-                         np.where(stat == _AT_UPPER, -d, np.abs(d)))
-        ratios = np.full(self.N, np.inf)
-        np.divide(np.maximum(slack, 0.0), size, out=ratios,
-                  where=eligible)
+        # ratio test over the eligible columns
+        d = self.d[js]
+        slack = self.dirn[js] * d
+        if self.any_free:
+            slack = np.where(self.free[js], np.abs(d), slack)
+        size = size[js]
+        ratios = np.maximum(slack, 0.0) / size
         t = float(ratios.min())
         tied = ratios <= t + _RATIO_TIE
-        q = int(np.argmax(tied if bland else np.where(tied, size, 0.0)))
+        q = int(js[(tied if bland else np.where(tied, size, 0.0)).argmax()])
 
         col = self.Binv @ self.A_all[:, q]
-        target = lo_B[r] if to_lower else up_B[r]
+        target = self.lo_B[r] if to_lower else self.up_B[r]
         theta = (self.xB[r] - target) / col[r]
         enter_value = self.val[q] + theta
         self.xB -= theta * col
@@ -630,7 +666,10 @@ def _finish(sx: _Simplex, held: bool) -> Solution | None:
                                 basis=_basis(sx))
             if status != SolveStatus.OPTIMAL:
                 return Solution(status, None, None, sx.iterations)
-            if shift.any():             # reduced costs of the restored costs
+            if shift.any():
+                # reduced costs of the restored costs, re-derived: a
+                # column whose cost was shifted may have entered, so the
+                # dual simplex's last y priced the basics at shifted costs
                 sx._rederive()
         status = sx.iterate()
         if status != SolveStatus.OPTIMAL:
@@ -643,8 +682,7 @@ def _finish(sx: _Simplex, held: bool) -> Solution | None:
 def _outside(sx: _Simplex) -> np.ndarray:
     """Per row, whether its basic lies more than ``_TOL_FEAS`` outside
     its bounds."""
-    return ((sx.xB < sx.lo[sx.basis] - _TOL_FEAS)
-            | (sx.xB > sx.up[sx.basis] + _TOL_FEAS))
+    return (sx.xB < sx.lo_B - _TOL_FEAS) | (sx.xB > sx.up_B + _TOL_FEAS)
 
 
 def _basis(sx: _Simplex) -> Basis:
@@ -662,10 +700,9 @@ def _verified_optimum(sx: _Simplex) -> bool:
     check tolerance.  ``iterate`` returns OPTIMAL only on values
     re-derived from the original data at this basis (``_Simplex._run``),
     where no reduced cost prices in."""
-    lo_B = sx.lo[sx.basis]
-    up_B = sx.up[sx.basis]
     tol = sx.check_tol
-    return bool(np.all(sx.xB >= lo_B - tol) and np.all(sx.xB <= up_B + tol))
+    return bool((sx.xB >= sx.lo_B - tol).all()
+                and (sx.xB <= sx.up_B + tol).all())
 
 
 def _check_tol(b: np.ndarray) -> float:
@@ -676,31 +713,31 @@ def _check_tol(b: np.ndarray) -> float:
     return _TOL_FEAS * (1.0 + np.abs(b).max(initial=0.0))
 
 
-def _farkas_gap(sx: _Simplex, r: int) -> tuple[np.ndarray, float]:
-    """Row r of the basis, recomputed from the original data: y with
-    B'y = e_r, and how far y'b lies outside the range of alpha'x over
-    the bounds, where alpha = y'A_all with entries of magnitude at most
-    _TOL_PIVOT taken as zero (negative when inside; -inf when B is
-    singular).  Roundoff in a large y leaves residues where y is zero,
-    and through a column with an infinite bound any residue hides the
-    gap; so entries of y below machine precision times max|y|, which
-    the solve cannot tell from zero, are zero.  alpha is 1 at the basic
-    of row r, so the gap is how far that basic must leave its bounds
-    while every other column keeps to its own."""
-    e_r = np.zeros(sx.m)
-    e_r[r] = 1.0
-    try:
-        y = np.linalg.solve(sx.A_all[:, sx.basis].T, e_r)
-    except np.linalg.LinAlgError:
-        return e_r, -np.inf
-    y[np.abs(y) <= np.finfo(float).eps * np.abs(y).max()] = 0.0
+def _farkas_gap(sx: _Simplex, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """For multipliers y of the rows, recomputed from the original data:
+    y with its residues zeroed, and how far y'b lies below the range of
+    alpha'x over the bounds, where alpha = y'A_all with entries of
+    magnitude at most _TOL_PIVOT taken as zero (negative when inside);
+    -y measures the side above.  Roundoff in a large y leaves residues
+    where y is zero, and through a column with an infinite bound any
+    residue hides the gap; so entries of y below machine precision
+    times max|y|, which the solve cannot tell from zero, are zero.  So
+    is the multiplier of a row whose slack would carry the range to
+    -inf: a coefficient at the pivot tolerance, such as a leaf score
+    difference of 1e-9, leaves such multipliers of that size in a row
+    of B^{-1}, and as the gap holds for any y, one without them proves
+    what it shows.  For row r of B^{-1}, alpha is 1 at the basic of row
+    r, so the gap is how far that basic must leave its bounds while
+    every other column keeps to its own."""
+    y = np.where(np.abs(y) <= np.finfo(float).eps * np.abs(y).max(), 0.0, y)
+    slack_lo, slack_up = sx.lo[sx.n:], sx.up[sx.n:]
+    y = np.where(((y > _TOL_PIVOT) & (slack_lo == -np.inf))
+                 | ((y < -_TOL_PIVOT) & (slack_up == np.inf)), 0.0, y)
     alpha = y @ sx.A_all
     alpha[np.abs(alpha) <= _TOL_PIVOT] = 0.0
     pos, neg = alpha > 0, alpha < 0
     low = alpha[pos] @ sx.lo[pos] + alpha[neg] @ sx.up[neg]
-    high = alpha[pos] @ sx.up[pos] + alpha[neg] @ sx.lo[neg]
-    rhs = y @ sx.b
-    return y, float(max(low - rhs, rhs - high))
+    return y, float(low - y @ sx.b)
 
 
 def _farkas_cut(b: np.ndarray) -> float:
@@ -710,18 +747,37 @@ def _farkas_cut(b: np.ndarray) -> float:
 
 
 def _farkas_confirms(sx: _Simplex, r: int, held: bool) -> bool:
-    """Whether row r of the basis proves the LP empty: its gap
-    (``_farkas_gap``) exceeds the cut of ``_farkas_cut`` times
-    max_i |y_i| s_i, where s_i is row i's residual scale
-    (``_row_scale``).  Since |y'(b - A_all x)| <= max_i |y_i| s_i *
-    sum_i |b - A_all x|_i / s_i, every point inside the bounds then
-    misses the rows by a scaled residual above the cut.  Unless the
-    start was ``held``, a gap beyond the check tolerance proves it too:
-    no point then passes the check of a returned solution, and the
-    slack basis has no fallback left."""
-    y, gap = _farkas_gap(sx, r)
-    return bool(gap > _farkas_cut(sx.b) * np.abs(y * sx.row_scale).max()
-                or not held and gap > sx.check_tol)
+    """Whether row r of the basis proves the LP empty: its gap below
+    or above (``_farkas_gap`` of y or of -y) exceeds the cut of
+    ``_farkas_cut`` times max_i |y_i| s_i, where s_i is row i's
+    residual scale (``_Columns.row_scale``).  Since |y'(b - A_all x)|
+    <= max_i |y_i| s_i * sum_i |b - A_all x|_i / s_i, every point inside
+    the bounds then misses the rows by a scaled residual above the cut.
+    Unless the start was ``held``, a gap beyond the check tolerance
+    proves it too: no point then passes the check of a returned
+    solution, and the slack basis has no fallback left.
+
+    The gap holds for any y, so the row Binv[r] that the solve holds is
+    tried first; only when it proves nothing is y solved afresh from B'y
+    = e_r (a singular B proves nothing)."""
+    def proves(y: np.ndarray) -> bool:
+        for side in (y, -y):
+            side, gap = _farkas_gap(sx, side)
+            scale = np.abs(side * sx.cols.row_scale).max()
+            if gap > _farkas_cut(sx.b) * scale or (
+                    not held and gap > sx.check_tol):
+                return True
+        return False
+
+    if proves(sx.Binv[r]):
+        return True
+    e_r = np.zeros(sx.m)
+    e_r[r] = 1.0
+    try:
+        y = np.linalg.solve(sx.A_all[:, sx.basis].T, e_r)
+    except np.linalg.LinAlgError:
+        return False
+    return proves(y)
 
 
 # ---------------------------------------------------------------------------

@@ -471,6 +471,29 @@ def test_subnormal_leaf_scores_certify_or_raise_a_typed_error(name, norm):
                        DEFAULT_EPSILON).disagreement_cells
 
 
+def test_a_leaf_score_difference_of_1e_9_certifies():
+    # the 1e-9 score puts a coefficient at the pivot tolerance into the
+    # oracle's margin rows, and one pair's MIP is empty only on a Farkas
+    # row whose multipliers of that size, dropped, leave the proof
+    zero = leaf(0, 0, 0, 0, 0)["scores"]
+    ens = build_ensemble(
+        num_classes=4, features=[{"kind": "continuous"}], weights=[0.5, 1.0],
+        raw_trees=[{"root": 0, "nodes": nodes} for nodes in (
+            [leaf(0, 1, 0.75, 0, 0.5)],
+            [split(0, 0, 1, 6, threshold=0.0),
+             split(1, 0, 2, 3, threshold=0.0), leaf(2, 0, 0, 1e-9, 0.5),
+             split(3, 0, 4, 5, threshold=0.0), leaf(4, 0, 1, 0, 0),
+             leaf(5, 0, 0.25, 0, 0), split(6, 0, 7, 10, threshold=0.0),
+             split(7, 0, 8, 9, threshold=0.0), leaf(8, *zero),
+             leaf(9, *zero), split(10, 0, 11, 12, threshold=0.0),
+             leaf(11, *zero), leaf(12, *zero)])])
+    for norm in ("l0", "l1"):
+        outcome = certified_prune(ens, sample_uniform_points(ens.schema, 1, 0),
+                                  PruneOptions(norm=norm))
+        assert not certify(ens, outcome.weights,
+                           DEFAULT_EPSILON).disagreement_cells
+
+
 @settings(max_examples=300, deadline=None)
 @given(mixed_documents(), st.booleans(), st.booleans(), st.integers(1, 12),
        st.integers(0, 2**32 - 1))

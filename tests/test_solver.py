@@ -512,6 +512,32 @@ def test_a_farkas_row_with_large_multipliers_proves_emptiness():
     assert solve_milp(prob).status == SolveStatus.INFEASIBLE
 
 
+def test_a_farkas_row_with_pivot_size_multipliers_proves_emptiness():
+    # max x5 - 1e-8 x0  s.t.  x0 + x1 + x4 - x5 = 0,  x2 = x1,  x3 = x4,
+    # 1e-9 x0 - 0.25 x2 - 0.5 x5 >= 0,  x3 + x4 <= 1,  x0..x4 in [0, 1],
+    # x5 fixed at 1: the fourth row needs 1e-9 x0 >= 0.5.  The dual
+    # simplex stops on a row of B^{-1} that the 1e-9 coefficient leaves
+    # with multipliers of -1.3e-9, just past the pivot tolerance, on the
+    # last row, whose slack is unbounded above; with them the range of
+    # alpha'x is unbounded on both sides.  Dropped, the rest of the row
+    # proves the LP empty by a gap of 0.5.
+    prob = MilpProblem(
+        c=np.array([-1e-8, 0.0, 0.0, 0.0, 0.0, 1.0]),
+        A=np.array([[1.0, 1.0, 0.0, 0.0, 1.0, -1.0],
+                    [0.0, -1.0, 1.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 1.0, -1.0, 0.0],
+                    [1e-9, 0.0, -0.25, 0.0, 0.0, -0.5],
+                    [0.0, 0.0, 0.0, 1.0, 1.0, 0.0]]),
+        senses=np.array([0, 0, 0, 1, -1], dtype=np.int8),
+        b=np.array([0.0, 0.0, 0.0, 0.0, 1.0]),
+        lower=np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]), upper=np.ones(6),
+        integer=np.zeros(6, dtype=bool), maximize=True)
+    sol = solve_lp(prob)
+    assert sol.status == SolveStatus.INFEASIBLE
+    scipy_check(prob, sol)
+    assert solve_milp(prob).status == SolveStatus.INFEASIBLE
+
+
 def test_badly_scaled_lps_match_scipy():
     # the random LPs above with rows scaled by 1e-4 to 1e4 and columns by
     # 1e-3 to 1e3: a Farkas row from the slack basis often misses the
@@ -1222,6 +1248,33 @@ def test_a_malformed_problem_is_an_input_error(entry, arrays):
         entry(dataclasses.replace(prob, **arrays))
 
 
+@pytest.mark.parametrize("entry", [solve_lp, solve_milp])
+@pytest.mark.parametrize("name, value", [
+    ("c", np.nan), ("c", np.inf), ("c", -np.inf),
+    ("A", np.nan), ("A", np.inf), ("A", -np.inf),
+    ("b", np.nan), ("b", np.inf), ("b", -np.inf),
+    ("lower", np.nan), ("upper", np.nan)],
+    ids=["c nan", "c inf", "c -inf", "A nan", "A inf", "A -inf", "b nan",
+         "b inf", "b -inf", "lower nan", "upper nan"])
+def test_a_non_finite_value_is_an_input_error(entry, name, value):
+    # min x  s.t.  x >= 1,  x in [0, 2], with ``value`` in place of one of
+    # its own.  Let through, a NaN or +inf cost reads as INFEASIBLE, a
+    # -inf cost as an optimum of -inf, a NaN lower bound as an optimum
+    # at x = 2 and b = -inf as an optimum under an infinite check
+    # tolerance; infinite bounds are still bounds
+    prob = MilpProblem(c=np.ones(1), A=np.ones((1, 1)),
+                       senses=np.ones(1, dtype=np.int8), b=np.ones(1),
+                       lower=np.zeros(1), upper=np.full(1, 2.0),
+                       integer=np.zeros(1, dtype=bool))
+    unbounded = dataclasses.replace(prob, lower=np.full(1, -np.inf),
+                                    upper=np.full(1, np.inf))
+    assert entry(unbounded).objective == 1.0
+    given = getattr(prob, name).copy()
+    given.flat[0] = value
+    with pytest.raises(InputError, match=f"^{name} holds a NaN"):
+        entry(dataclasses.replace(prob, **{name: given}))
+
+
 def test_a_problem_of_broadcast_views_is_solved():
     # arrays of the right shapes need no copies of their own
     prob = MilpProblem(c=np.broadcast_to(-1.0, (3,)),
@@ -1691,3 +1744,158 @@ def test_every_primal_optimum_is_claimed_on_rederived_values(
     for prob, start in slack_and_held_lps():
         assert solve_lp(prob, start=start).warm == (start is not None)
     assert len(optima) >= 150 and all(optima)
+
+
+# ---------------------------------------------------------------------------
+# The per-basis arrays kept across pivots, the restored costs after a
+# shifted dual simplex, and the order of the Farkas rows
+
+
+def kept_arrays_hold(sx):
+    """Whether the basics' bounds, the directions and the free mask of
+    ``sx`` equal their values recomputed from its basis and statuses."""
+    moves = sx.up > sx.lo
+    rises = moves & (sx.stat == solver._AT_LOWER)
+    falls = moves & (sx.stat == solver._AT_UPPER)
+    free = sx.stat == solver._FREE
+    return (np.array_equal(sx.lo_B, sx.lo[sx.basis])
+            and np.array_equal(sx.up_B, sx.up[sx.basis])
+            and np.array_equal(sx.dirn, rises * 1.0 - falls)
+            and np.array_equal(sx.free, free) and sx.any_free == free.any())
+
+
+@pytest.mark.parametrize("constant, value", [(None, None),
+                                             ("_BLAND_AFTER", 0),
+                                             ("_REFACTOR_EVERY", 1)])
+def test_kept_arrays_match_the_basis_after_every_step(monkeypatch,
+                                                      loop_branches,
+                                                      constant, value):
+    # the LPs of slack_and_held_lps, and each random LP again with its
+    # first column free, under the loop constants of
+    # test_bland_and_refactor_branches_match_scipy: after every primal
+    # or dual step, pivot, bound flip or end, the kept arrays are those
+    # of the basis
+    if constant is not None:
+        monkeypatch.setattr(solver, constant, value)
+    checked, free_entered = [], []
+    steps = {name: getattr(solver._Simplex, name)
+             for name in ("_primal_step", "_dual_step")}
+
+    def checking(name):
+        def step(sx, *args):
+            checked.append(kept_arrays_hold(sx))
+            free = sx.free.copy()
+            moved = steps[name](sx, *args)
+            checked.append(kept_arrays_hold(sx))
+            free_entered.append(free[sx.basis].any())
+            return moved
+        return step
+
+    for name in steps:
+        monkeypatch.setattr(solver._Simplex, name, checking(name))
+    problems = slack_and_held_lps()
+    problems += [(dataclasses.replace(
+        prob, lower=solver._with(prob.lower, 0, -np.inf),
+        upper=solver._with(prob.upper, 0, np.inf)), None)
+        for prob, start in problems[:80]]
+    for prob, start in problems:
+        scipy_check(prob, solve_lp(prob, start=start))
+    assert len(checked) > 2000 and all(checked)
+    assert any(free_entered)
+    if constant == "_BLAND_AFTER":
+        assert loop_branches["primal"] >= 1 and loop_branches["dual"] >= 1
+    if constant == "_REFACTOR_EVERY":
+        assert loop_branches["refactors"] >= 1
+
+
+def test_a_shifted_column_that_enters_is_priced_at_the_restored_costs():
+    # min -x1 - x2 + 2 x3  s.t.  x1 + 2 x2 + x3 >= 4,  x1 - x2 <= 1,
+    # x in [0, 5] x [0, 3] x [0, 4].  From the slack basis the first row's
+    # slack lies outside its bounds, and x1 and x2 price in, so their
+    # costs are shifted to zero; the dual simplex then brings x2 in.  Its
+    # shifted cost must not outlive the dual simplex: the primal simplex
+    # prices at the problem's costs, re-derived at the basis, and the
+    # optimum is linprog's
+    prob = MilpProblem(c=np.array([-1.0, -1.0, 2.0]),
+                       A=np.array([[1.0, 2.0, 1.0], [1.0, -1.0, 0.0]]),
+                       senses=np.array([1, -1], dtype=np.int8),
+                       b=np.array([4.0, 1.0]), lower=np.zeros(3),
+                       upper=np.array([5.0, 3.0, 4.0]),
+                       integer=np.zeros(3, dtype=bool))
+    cols = solver._Columns(prob)
+    sx = solver._Simplex(cols, prob.lower, prob.upper, *cols.slack_start())
+    shifted = sx._candidates(sx.pricing_tol())
+    assert solver._outside(sx).any() and shifted[:2].all()
+    after_dual = []
+    dual_iterate = sx.dual_iterate
+
+    def recorded():
+        ended = dual_iterate()
+        after_dual.append(sx.basis.copy())
+        return ended
+
+    sx.dual_iterate = recorded
+    sol = solver._finish(sx, held=False)
+    assert shifted[after_dual[0]].any()     # a shifted column entered
+    assert sol.status == SolveStatus.OPTIMAL
+    scipy_check(prob, sol)
+    assert sol.objective == pytest.approx(-7.0)
+    B = cols.A_all[:, sx.basis]
+    y = np.linalg.solve(B.T, cols.cost[sx.basis])
+    np.testing.assert_allclose(sx.d, cols.cost - y @ cols.A_all,
+                               rtol=0.0, atol=1e-12)
+
+
+@pytest.fixture
+def farkas_rows(monkeypatch):
+    """Each ``_farkas_confirms`` call: (its answer, the calls it made to
+    np.linalg.solve).  ``farkas_rows.spoil`` set makes the held row
+    Binv[r] zero first, a row that proves nothing."""
+    calls = []
+    confirms = solver._farkas_confirms
+    solve = np.linalg.solve
+
+    def recorded(sx, r, held):
+        if recorded.spoil:
+            sx.Binv[r] = 0.0
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        try:
+            calls.append((confirms(sx, r, held), len(solves)))
+        finally:
+            monkeypatch.setattr(np.linalg, "solve", solve)
+        return calls[-1][0]
+
+    recorded.spoil = False
+    recorded.calls = calls
+    monkeypatch.setattr(solver, "_farkas_confirms", recorded)
+    return recorded
+
+
+def contradictory_rows_lp():
+    """x >= 1 and x <= 0, x in [0, 10]: empty."""
+    return MilpProblem(c=np.zeros(1), A=np.ones((2, 1)),
+                       senses=np.array([1, -1], dtype=np.int8),
+                       b=np.array([1.0, 0.0]), lower=np.zeros(1),
+                       upper=np.full(1, 10.0),
+                       integer=np.zeros(1, dtype=bool))
+
+
+def test_a_held_farkas_row_that_proves_emptiness_is_not_solved_again(
+        farkas_rows):
+    sol = solve_lp(contradictory_rows_lp())
+    assert sol.status == SolveStatus.INFEASIBLE
+    assert farkas_rows.calls == [(True, 0)]
+
+
+def test_a_fresh_farkas_row_confirms_when_the_held_one_proves_nothing(
+        farkas_rows):
+    farkas_rows.spoil = True
+    sol = solve_lp(contradictory_rows_lp())
+    assert sol.status == SolveStatus.INFEASIBLE
+    assert farkas_rows.calls == [(True, 1)]
